@@ -116,6 +116,7 @@ type Operator interface {
 	// Name identifies the operator in reports ("ATMM", "Punica", ...).
 	Name() string
 	// LayerTime reports the time to apply the batch's LoRA adapters at
-	// one layer.
+	// one layer. The caller may reuse b.Groups after the call returns,
+	// so an operator must not retain the batch.
 	LayerTime(b Batch) (time.Duration, error)
 }

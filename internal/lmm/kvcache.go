@@ -17,6 +17,10 @@ type KVCache struct {
 	free        []int
 	seqs        map[int64]*seqAlloc
 	bytesPerBlk int64
+	// spare holds released sequence records (blocks emptied, capacity
+	// kept) for Allocate to reuse; its length never exceeds the peak
+	// number of live sequences.
+	spare []*seqAlloc
 }
 
 type seqAlloc struct {
@@ -71,7 +75,14 @@ func (k *KVCache) Allocate(seqID int64, tokens, sharedTokens int) error {
 	if need > len(k.free) {
 		return fmt.Errorf("lmm: KV cache exhausted (%d blocks needed, %d free)", need, len(k.free))
 	}
-	alloc := &seqAlloc{tokens: tokens, shared: sharedTokens}
+	var alloc *seqAlloc
+	if n := len(k.spare); n > 0 {
+		alloc = k.spare[n-1]
+		k.spare = k.spare[:n-1]
+	} else {
+		alloc = &seqAlloc{}
+	}
+	alloc.tokens, alloc.shared = tokens, sharedTokens
 	alloc.blocks = append(alloc.blocks, k.free[len(k.free)-need:]...)
 	k.free = k.free[:len(k.free)-need]
 	k.seqs[seqID] = alloc
@@ -106,13 +117,16 @@ func (k *KVCache) Tokens(seqID int64) int {
 	return 0
 }
 
-// Release frees all blocks owned by a sequence.
+// Release frees all blocks owned by a sequence and keeps its record
+// for reuse.
 func (k *KVCache) Release(seqID int64) {
 	alloc, ok := k.seqs[seqID]
 	if !ok {
 		return
 	}
 	k.free = append(k.free, alloc.blocks...)
+	alloc.blocks = alloc.blocks[:0]
+	k.spare = append(k.spare, alloc)
 	delete(k.seqs, seqID)
 }
 

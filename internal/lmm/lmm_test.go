@@ -1,6 +1,8 @@
 package lmm
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -209,6 +211,102 @@ func TestKVCacheInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKVCacheRecyclingKeepsBlockOrder checks that reusing released
+// sequence records changes no block assignment: a random
+// Allocate/Extend/Release run matches a fresh-slice model of the free
+// list and of every sequence's blocks after each operation.
+func TestKVCacheRecyclingKeepsBlockOrder(t *testing.T) {
+	m := QwenVL7B()
+	kv := NewKVCache(m, 96*m.KVBytesPerToken()*BlockSize)
+	free := slices.Clone(kv.free)
+	owned := map[int64][]int{}
+	tokens := map[int64]int{}
+	rng := rand.New(rand.NewSource(1))
+	var live []int64
+	peak := 0
+	for id := int64(1); id <= 3000; id++ {
+		switch op := rng.Intn(3); {
+		case op == 0 || len(live) == 0:
+			n := 1 + rng.Intn(80)
+			need := (n + BlockSize - 1) / BlockSize
+			if err := kv.Allocate(id, n, 0); err != nil {
+				if need <= len(free) {
+					t.Fatalf("allocate %d: %v", id, err)
+				}
+				continue
+			}
+			owned[id] = slices.Clone(free[len(free)-need:])
+			free = free[:len(free)-need]
+			tokens[id] = n
+			live = append(live, id)
+			peak = max(peak, len(live))
+		case op == 1:
+			s := live[rng.Intn(len(live))]
+			if err := kv.Extend(s); err != nil {
+				continue // exhausted: the model takes nothing either
+			}
+			if tokens[s]%BlockSize == 0 {
+				owned[s] = append(owned[s], free[len(free)-1])
+				free = free[:len(free)-1]
+			}
+			tokens[s]++
+		default:
+			k := rng.Intn(len(live))
+			s := live[k]
+			live = slices.Delete(live, k, k+1)
+			kv.Release(s)
+			free = append(free, owned[s]...)
+			delete(owned, s)
+		}
+		if !slices.Equal(kv.free, free) {
+			t.Fatalf("op %d: free list diverges from the model", id)
+		}
+		for s, blocks := range owned {
+			if !slices.Equal(kv.seqs[s].blocks, blocks) {
+				t.Fatalf("op %d: sequence %d holds blocks %v, model %v", id, s, kv.seqs[s].blocks, blocks)
+			}
+		}
+	}
+	// A record is created only when none is spare, so live plus spare
+	// records never exceed the peak number of live sequences.
+	if records := len(kv.seqs) + len(kv.spare); records != peak {
+		t.Fatalf("%d sequence records for a peak of %d live sequences", records, peak)
+	}
+}
+
+// TestKVCacheSteadyStateZeroAlloc is the allocation gate on the KV
+// hot path: once released sequence records are recycled, a sequence's
+// whole Allocate/Extend/Release life allocates nothing.
+func TestKVCacheSteadyStateZeroAlloc(t *testing.T) {
+	m := QwenVL7B()
+	kv := NewKVCache(m, 256*m.KVBytesPerToken()*BlockSize)
+	id := int64(0)
+	life := func() {
+		var ids [8]int64
+		for i := range ids {
+			id++
+			ids[i] = id
+			if err := kv.Allocate(id, 40+7*i, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; step < 40; step++ {
+			for _, s := range ids {
+				if err := kv.Extend(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, s := range ids {
+			kv.Release(s)
+		}
+	}
+	life() // warm: grow the records, the spare list and the map
+	if got := testing.AllocsPerRun(100, life); got != 0 {
+		t.Fatalf("%.1f allocs per sequence batch at steady state, want 0", got)
 	}
 }
 

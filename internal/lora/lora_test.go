@@ -197,13 +197,13 @@ func TestExtraCostMerged(t *testing.T) {
 	op := newTestOp(t)
 	model := lmm.QwenVL7B()
 	groups := []TokenGroup{{AdapterID: 3, Rank: 64, Tokens: 100}}
-	d, err := ExtraCost(op, model, ModeMerged, 3, groups)
+	d, err := ExtraCost(op, model, ModeMerged, 3, groups, nil)
 	if err != nil || d != 0 {
 		t.Fatalf("merged mode must be free for the merged adapter: %v err %v", d, err)
 	}
 	// A foreign adapter in merged mode is a correctness violation.
 	groups = append(groups, TokenGroup{AdapterID: 5, Rank: 64, Tokens: 10})
-	if _, err := ExtraCost(op, model, ModeMerged, 3, groups); err == nil {
+	if _, err := ExtraCost(op, model, ModeMerged, 3, groups, nil); err == nil {
 		t.Fatal("merged mode with a foreign adapter must error")
 	}
 }
@@ -212,7 +212,7 @@ func TestExtraCostUnmergedScalesWithLayers(t *testing.T) {
 	op := newTestOp(t)
 	model := lmm.QwenVL7B()
 	groups := []TokenGroup{{AdapterID: 0, Rank: 64, Tokens: 128}}
-	total, err := ExtraCost(op, model, ModeUnmerged, -1, groups)
+	total, err := ExtraCost(op, model, ModeUnmerged, -1, groups, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +242,11 @@ func TestMixtureCrossover(t *testing.T) {
 			{AdapterID: 2, Rank: 64, Tokens: (total - mergedTokens) / 2},
 		}
 		var err error
-		unmerged, err = ExtraCost(op, model, ModeUnmerged, -1, groups)
+		unmerged, err = ExtraCost(op, model, ModeUnmerged, -1, groups, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mixture, err = ExtraCost(op, model, ModeMixture, 0, groups)
+		mixture, err = ExtraCost(op, model, ModeMixture, 0, groups, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,20 +265,55 @@ func TestMixtureCrossover(t *testing.T) {
 func TestExtraCostEmptyGroups(t *testing.T) {
 	op := newTestOp(t)
 	model := lmm.QwenVL7B()
-	if d, err := ExtraCost(op, model, ModeUnmerged, -1, nil); err != nil || d != 0 {
+	if d, err := ExtraCost(op, model, ModeUnmerged, -1, nil, nil); err != nil || d != 0 {
 		t.Fatalf("no groups should cost nothing: %v err %v", d, err)
 	}
 	// Mixture with only merged-adapter tokens is free (all ride the
 	// folded weights).
 	groups := []TokenGroup{{AdapterID: 0, Rank: 64, Tokens: 256}}
-	if d, err := ExtraCost(op, model, ModeMixture, 0, groups); err != nil || d != 0 {
+	if d, err := ExtraCost(op, model, ModeMixture, 0, groups, nil); err != nil || d != 0 {
 		t.Fatalf("all-merged mixture should be free: %v err %v", d, err)
+	}
+}
+
+// TestExtraCostScratchReuse checks that a caller-owned group scratch
+// gives the same cost as a fresh batch and, once grown, stops the
+// batch from allocating.
+func TestExtraCostScratchReuse(t *testing.T) {
+	op := newTestOp(t)
+	model := lmm.QwenVL7B()
+	groups := []TokenGroup{
+		{AdapterID: 0, Rank: 64, Tokens: 300},
+		{AdapterID: 1, Rank: 64, Tokens: 40},
+		{AdapterID: 2, Rank: 32, Tokens: 40},
+	}
+	var scratch []atmm.Group
+	for _, c := range []struct {
+		mode   Mode
+		merged int
+	}{{ModeUnmerged, -1}, {ModeMixture, 0}} {
+		want, err := ExtraCost(op, model, c.mode, c.merged, groups, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ExtraCost(op, model, c.mode, c.merged, groups, &scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%v: scratch cost %v, fresh cost %v", c.mode, got, want)
+		}
+	}
+	fresh := testing.AllocsPerRun(100, func() { ExtraCost(op, model, ModeMixture, 0, groups, nil) })
+	reused := testing.AllocsPerRun(100, func() { ExtraCost(op, model, ModeMixture, 0, groups, &scratch) })
+	if reused >= fresh {
+		t.Fatalf("scratch batch made %.1f allocs per call, fresh batch %.1f", reused, fresh)
 	}
 }
 
 func TestExtraCostUnknownMode(t *testing.T) {
 	op := newTestOp(t)
-	if _, err := ExtraCost(op, lmm.QwenVL7B(), Mode(42), -1, []TokenGroup{{AdapterID: 0, Rank: 64, Tokens: 1}}); err == nil {
+	if _, err := ExtraCost(op, lmm.QwenVL7B(), Mode(42), -1, []TokenGroup{{AdapterID: 0, Rank: 64, Tokens: 1}}, nil); err == nil {
 		t.Fatal("unknown mode must error")
 	}
 }

@@ -27,8 +27,10 @@ type TokenGroup struct {
 //     adapter's rank over the same tokens, subtracting the merged ΔW's
 //     contribution so results stay exact.
 //
-// The returned duration covers all layers.
-func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups []TokenGroup) (time.Duration, error) {
+// The returned duration covers all layers. scratch, when non-nil,
+// backs the operator batch's groups across calls (the serving loop
+// passes its own); nil allocates a fresh batch.
+func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups []TokenGroup, scratch *[]atmm.Group) (time.Duration, error) {
 	switch mode {
 	case ModeMerged:
 		for _, g := range groups {
@@ -39,7 +41,7 @@ func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups
 		return 0, nil
 
 	case ModeUnmerged:
-		batch := buildBatch(model, groups, -1, -1)
+		batch := buildBatch(model, groups, -1, -1, scratch)
 		if len(batch.Groups) == 0 {
 			return 0, nil
 		}
@@ -59,7 +61,7 @@ func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups
 		if mergedRank == 0 {
 			mergedRank = model.DefaultRank
 		}
-		batch := buildBatch(model, groups, merged, mergedRank)
+		batch := buildBatch(model, groups, merged, mergedRank, scratch)
 		if len(batch.Groups) == 0 {
 			return 0, nil
 		}
@@ -76,9 +78,14 @@ func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups
 
 // buildBatch assembles the operator batch. In mixture mode (merged >=
 // 0) the merged adapter's groups are skipped and a deLoRA branch of
-// mergedRank is added covering the unmerged tokens.
-func buildBatch(model lmm.Config, groups []TokenGroup, merged, mergedRank int) atmm.Batch {
+// mergedRank is added covering the unmerged tokens. The groups are
+// appended to (*scratch)[:0] when scratch is non-nil, and the grown
+// slice is stored back.
+func buildBatch(model lmm.Config, groups []TokenGroup, merged, mergedRank int, scratch *[]atmm.Group) atmm.Batch {
 	b := atmm.Batch{Dim: model.Dim, Projections: model.LoRAProjections}
+	if scratch != nil {
+		b.Groups = (*scratch)[:0]
+	}
 	unmergedTokens := 0
 	for _, g := range groups {
 		if g.Tokens <= 0 {
@@ -94,6 +101,9 @@ func buildBatch(model lmm.Config, groups []TokenGroup, merged, mergedRank int) a
 		// deLoRA branch: same weights as the merged adapter, applied to
 		// the unmerged tokens with a negative sign.
 		b.Groups = append(b.Groups, atmm.Group{AdapterID: -merged - 1, Tokens: unmergedTokens, Rank: mergedRank})
+	}
+	if scratch != nil {
+		*scratch = b.Groups
 	}
 	return b
 }

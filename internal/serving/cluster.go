@@ -94,12 +94,12 @@ func (c *Cluster) Instances() []*Server {
 	return out
 }
 
-// Run replays a trace across the cluster: every arrival is an event on
-// a shared timeline, the dispatch policy routes it to an instance, and
-// instance steps interleave in global virtual-time order. The
-// aggregate report sums counters across instances, merges latency
-// percentile streams, and measures throughput as total completions
-// over the longest instance makespan. Managed clusters
+// Run replays a trace across the cluster: arrivals feed a shared
+// timeline in arrival order, the dispatch policy routes each to an
+// instance, and instance steps interleave in global virtual-time
+// order. The aggregate report sums counters across instances, merges
+// latency percentile streams, and measures throughput as total
+// completions over the longest instance makespan. Managed clusters
 // (NewManagedCluster) route arrivals through admission, the
 // fair-share queue and the autoscaler instead of dispatching
 // statelessly at arrival.
@@ -114,8 +114,7 @@ func (c *Cluster) Run(trace workload.Trace) (*Report, error) {
 		return c.runManaged(trace)
 	}
 	tl := &sim.Timeline{}
-	tl.Handle = func(e *sim.Event) error {
-		r := e.Payload.(*sched.Request)
+	tl.Arrivals = &requestFeed{reqs: arrivalOrder(trace), deliver: func(r *sched.Request) error {
 		i := c.dispatch.Pick(r, c.servers)
 		if i < 0 || i >= len(c.servers) {
 			return fmt.Errorf("serving: dispatch %s picked instance %d of %d", c.dispatch.Name(), i, len(c.servers))
@@ -126,12 +125,9 @@ func (c *Cluster) Run(trace workload.Trace) (*Report, error) {
 		// wakes up for the arrival.
 		tl.Refresh(i)
 		return nil
-	}
+	}}
 	for _, srv := range c.servers {
 		tl.Add(srv)
-	}
-	for _, r := range trace {
-		tl.Schedule(r.Arrival, r)
 	}
 	if err := tl.Run(); err != nil {
 		return nil, err

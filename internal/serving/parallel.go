@@ -135,12 +135,13 @@ func (c *Cluster) RunSharded(trace workload.Trace, shards int) (*Report, error) 
 	}
 }
 
-// requestFeed adapts one instance's pre-routed arrival stream to
-// sim.Feed.
+// requestFeed adapts an arrival-ordered request stream to sim.Feed: a
+// cluster timeline's arrivals (deliver dispatches or admits), or one
+// instance's pre-routed stream (deliver submits).
 type requestFeed struct {
-	srv  *Server
-	reqs []*sched.Request
-	cur  int
+	reqs    []*sched.Request
+	cur     int
+	deliver func(*sched.Request) error
 }
 
 func (f *requestFeed) NextAt() time.Duration {
@@ -151,14 +152,14 @@ func (f *requestFeed) NextAt() time.Duration {
 }
 
 func (f *requestFeed) Deliver() error {
-	f.srv.Submit(f.reqs[f.cur])
+	r := f.reqs[f.cur]
 	f.cur++
-	return nil
+	return f.deliver(r)
 }
 
-// arrivalOrder returns the trace in the order the sequential timeline
-// handles it: ascending arrival time, FIFO among ties (EventQueue
-// seq). Generators emit sorted traces, so the common case is a no-op.
+// arrivalOrder returns the trace in the order every engine handles
+// it: ascending arrival time, FIFO among ties. Generators emit sorted
+// traces, so the common case is a no-op.
 func arrivalOrder(trace workload.Trace) workload.Trace {
 	// Plain loop rather than sort.SliceIsSorted: the per-element
 	// closure call is measurable on million-request traces.
@@ -228,11 +229,9 @@ func (c *Cluster) drainAggregate() (*Report, error) {
 // over the arrival-ordered trace once (stateless policies observe
 // nothing else), yielding each instance's exact request subsequence;
 // shards then drain their instances to completion with no further
-// synchronization. Beyond thread parallelism this also removes the
-// global event heap — a million-arrival heap collapses into per-
-// instance cursor feeds — and lets each instance's working set stay
-// cache-hot through its whole drain, which is why even a single-CPU
-// host sees a large speedup.
+// synchronization. Beyond thread parallelism, each instance runs its
+// whole drain without interleaving with the others, so its working set
+// stays cache-hot and no per-step global process selection is paid.
 func (c *Cluster) runPartitioned(trace workload.Trace, shards int) (*Report, error) {
 	ordered := arrivalOrder(trace)
 	parts := make([][]*sched.Request, len(c.servers))
@@ -247,7 +246,11 @@ func (c *Cluster) runPartitioned(trace workload.Trace, shards int) (*Report, err
 		parts[i] = append(parts[i], r)
 	}
 	group, _ := c.buildShards(shards, func(i int) sim.Feed {
-		return &requestFeed{srv: c.servers[i], reqs: parts[i]}
+		srv := c.servers[i]
+		return &requestFeed{reqs: parts[i], deliver: func(r *sched.Request) error {
+			srv.Submit(r)
+			return nil
+		}}
 	})
 	group.Start()
 	err := group.AdvanceAll(sim.Never)
@@ -275,7 +278,7 @@ func (c *Cluster) runEpochSharded(trace workload.Trace, shards int) (*Report, er
 		}
 		// All same-time arrivals dispatch at one barrier, in trace
 		// order, each Pick observing the previous Submit — the
-		// EventQueue's FIFO tie rule.
+		// arrival feed's FIFO tie rule.
 		for idx < len(ordered) && ordered[idx].Arrival == at {
 			r := ordered[idx]
 			i := c.dispatch.Pick(r, c.servers)

@@ -193,6 +193,7 @@ type Server struct {
 	scratchFetching    map[int]bool
 	scratchGroupTokens map[int]int
 	scratchGroups      []lora.TokenGroup
+	scratchBatch       []atmm.Group
 	// scratchAdmit backs the admitted-batch slice admit returns; the
 	// result is consumed within the same Step, never retained.
 	scratchAdmit []*sched.Request
@@ -570,7 +571,7 @@ func (s *Server) Step() (bool, error) {
 	s.scratchGroups = groups
 
 	base := s.engine.IterationTime(load)
-	extra, err := lora.ExtraCost(s.opts.Operator, s.opts.Model, s.state.Mode, s.state.Merged, groups)
+	extra, err := lora.ExtraCost(s.opts.Operator, s.opts.Model, s.state.Mode, s.state.Merged, groups, &s.scratchBatch)
 	if err != nil {
 		return false, err
 	}

@@ -347,9 +347,8 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 		return nil
 	}
 
-	tl.Handle = func(e *sim.Event) error {
-		r := e.Payload.(*sched.Request)
-		now := e.At
+	admit := func(r *sched.Request) error {
+		now := tl.Now()
 		submitted[r.Tenant]++
 		tq.Touch(r.Tenant) // register even if every request below sheds
 		if cfg.Store != nil && !r.ColdStamped {
@@ -395,9 +394,7 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 	for _, srv := range c.servers {
 		tl.Add(srv)
 	}
-	for _, r := range trace {
-		tl.Schedule(r.Arrival, r)
-	}
+	tl.Arrivals = &requestFeed{reqs: arrivalOrder(trace), deliver: admit}
 	if err := tl.Run(); err != nil {
 		return nil, err
 	}

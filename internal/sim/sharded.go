@@ -21,7 +21,7 @@ import (
 //
 //   - Feed: a time-ordered private input stream for one process
 //     (pre-routed request arrivals, or barrier-reserved admissions).
-//     Deliveries obey Timeline's event-before-step tie rule.
+//     Deliveries obey Timeline's arrival-before-step tie rule.
 //   - Shard: a group of mutually independent processes advanced up to
 //     a horizon, with a per-process outbox for events that must cross
 //     shards (drained and merged at barriers).
@@ -36,20 +36,6 @@ import (
 // from straggler shards via an atomic increment. Epoch wall time is
 // therefore max-process-work bounded by total-work/NumCPU instead of
 // the slowest shard's sum.
-
-// Feed is a time-ordered private input stream for one process: the
-// sharded engine delivers each item when the process's progress
-// reaches the item's timestamp, replicating the Timeline rule that an
-// external event at t runs before any process step scheduled at or
-// after t.
-type Feed interface {
-	// NextAt reports the delivery time of the head item, or Never when
-	// the feed is exhausted (or delivery is currently blocked).
-	NextAt() time.Duration
-	// Deliver hands the head item to its process and advances the
-	// feed. It must not be called when NextAt is Never.
-	Deliver() error
-}
 
 // Mail is one buffered cross-shard event: a payload stamped with the
 // virtual time it occurred at, the emitting shard and process, and a
@@ -226,7 +212,7 @@ func (sh *Shard) NextAt() time.Duration {
 // observe whatever the coordinator does there (the conservative
 // lookahead contract). Ties between a feed delivery and a process step
 // at the same time go to the feed, mirroring Timeline's
-// event-before-step rule.
+// arrival-before-step rule.
 func (sh *Shard) AdvanceTo(horizon time.Duration) error {
 	for i := range sh.procs {
 		if err := sh.advanceProc(i, horizon); err != nil {
@@ -253,7 +239,7 @@ func (sh *Shard) advanceProc(i int, horizon time.Duration) error {
 			at, feedNext = fa, true
 		case fa == Never:
 			at = pa
-		case fa <= pa: // event-before-step on ties
+		case fa <= pa: // arrival-before-step on ties
 			at, feedNext = fa, true
 		default:
 			at = pa

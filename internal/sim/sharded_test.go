@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
@@ -109,19 +110,20 @@ func runSequential(t *testing.T, jobs [][]shardJob) []*shardProc {
 	t.Helper()
 	procs := newProcs(len(jobs), 2*time.Millisecond)
 	tl := &Timeline{}
-	tl.Handle = func(e *Event) error {
-		d := e.Payload.([2]int)
-		procs[d[0]].submit(jobs[d[0]][d[1]])
-		tl.Refresh(d[0])
-		return nil
+	var feed arrivalFeed
+	for i, js := range jobs {
+		for _, j := range js {
+			feed.items = append(feed.items, arrival{j.at, func() error {
+				procs[i].submit(j)
+				tl.Refresh(i)
+				return nil
+			}})
+		}
 	}
+	sort.SliceStable(feed.items, func(a, b int) bool { return feed.items[a].at < feed.items[b].at })
+	tl.Arrivals = &feed
 	for i := range procs {
 		tl.Add(procs[i])
-	}
-	for i, js := range jobs {
-		for j := range js {
-			tl.Schedule(js[j].at, [2]int{i, j})
-		}
 	}
 	if err := tl.Run(); err != nil {
 		t.Fatalf("sequential run: %v", err)

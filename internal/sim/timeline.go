@@ -7,7 +7,7 @@ import (
 
 // Never marks the absence of a next event: a Process returning Never
 // from NextEventAt is idle and will not be stepped until new work
-// reaches it (e.g. through a Timeline event handler).
+// reaches it (e.g. through a Timeline arrival).
 const Never = time.Duration(-1)
 
 // Process is one steppable participant on a shared Timeline — a
@@ -22,21 +22,25 @@ type Process interface {
 	Step() (bool, error)
 }
 
-// Timeline interleaves externally scheduled events (request arrivals)
-// and the internal steps of several Processes on one shared virtual
-// clock. It is the multi-instance generalization of driving a single
-// Server: at every turn the globally earliest pending occurrence —
-// external event or process step — runs first, so cross-instance
-// decisions (dispatch, load inspection) observe a causally consistent
-// global order. Ties go to external events, then to the lowest-index
-// process, keeping runs deterministic.
+// Timeline interleaves external occurrences (request arrivals and
+// scheduled callbacks) and the internal steps of several Processes on
+// one shared virtual clock. It is the multi-instance generalization of
+// driving a single Server: at every turn the globally earliest pending
+// occurrence runs first, so cross-instance decisions (dispatch, load
+// inspection) observe a causally consistent global order. At equal
+// times an arrival runs first, then queued callbacks in FIFO order,
+// then the lowest-index process, keeping runs deterministic.
 //
-// Process keys are held in an indexed min-heap: selecting the next
-// process is O(log n) per turn instead of a full rescan. The timeline
-// re-reads a process's key after stepping it; a Handle callback that
-// mutates some other process's schedule (submitting a request to an
-// instance) must report that via Refresh, the decrease-key operation.
+// Arrivals come from a cursor (the Arrivals feed), not from a heap: a
+// trace is already in arrival order, so each turn compares the feed's
+// head with the callback queue and the process heap. Process keys are
+// held in an indexed min-heap: selecting the next process is O(log n)
+// per turn instead of a full rescan. The timeline re-reads a process's
+// key after stepping it; a delivery or callback that mutates some
+// other process's schedule (submitting a request to an instance) must
+// report that via Refresh, the decrease-key operation.
 type Timeline struct {
+	// events holds the ScheduleFunc callbacks.
 	events EventQueue
 	procs  []Process
 	// at caches each process's next event time (Never = idle).
@@ -49,11 +53,13 @@ type Timeline struct {
 	// dispatched by Run.
 	now time.Duration
 
-	// Handle consumes one external event when it becomes due. It runs
-	// before any process step at the same virtual time (an arrival at t
-	// must be visible to an instance deciding at t). Handlers that
-	// change a process's schedule must call Refresh for it.
-	Handle func(*Event) error
+	// Arrivals, when set, is the time-ordered external input stream.
+	// Run delivers its head when it becomes due, before any callback or
+	// process step at the same virtual time (an arrival at t must be
+	// visible to an instance deciding at t); Now reports the delivery
+	// time inside Deliver. Deliveries that change a process's schedule
+	// must call Refresh for it.
+	Arrivals Feed
 
 	// AfterStep, when set, runs after each process step (and its
 	// Refresh). It is the cluster-management hook: dispatching queued
@@ -63,25 +69,26 @@ type Timeline struct {
 	AfterStep func(i int) error
 }
 
-// Schedule enqueues an external event at virtual time at.
-func (t *Timeline) Schedule(at time.Duration, payload any) {
-	t.events.Push(at, payload)
+// Feed is a time-ordered input stream: Timeline.Arrivals, or one
+// process's private stream on a Shard. Each item is delivered when the
+// clock reaches its timestamp, before any process step at that time.
+type Feed interface {
+	// NextAt reports the delivery time of the head item, or Never when
+	// the feed is exhausted (or delivery is currently blocked).
+	NextAt() time.Duration
+	// Deliver hands the head item to its consumer and advances the
+	// feed. It must not be called when NextAt is Never.
+	Deliver() error
 }
 
-// funcPayload marks an event whose payload is a self-contained
-// callback (see ScheduleFunc).
-type funcPayload func() error
-
-// ScheduleFunc enqueues a callback as a first-class external event:
-// Run invokes it at virtual time at, in the same global order as
-// Schedule events and process steps, without routing it through the
-// Handle hook. Asynchronous completions with a known deadline —
-// adapter fetches landing in the host tier, lease expiries — use it
-// to re-enter cluster logic exactly when their state changes.
-// Callbacks that alter a process's schedule must Refresh it, like
-// Handle.
+// ScheduleFunc enqueues a callback: Run invokes it at virtual time at,
+// in global order with arrivals and process steps, FIFO among
+// callbacks at equal times. Asynchronous completions with a known
+// deadline — adapter fetches landing in the host tier, lease expiries —
+// use it to re-enter cluster logic exactly when their state changes.
+// Callbacks that alter a process's schedule must Refresh it.
 func (t *Timeline) ScheduleFunc(at time.Duration, fn func() error) {
-	t.events.Push(at, funcPayload(fn))
+	t.events.Push(at, fn)
 }
 
 // Add registers a process on the timeline and returns its index (the
@@ -117,12 +124,9 @@ func (t *Timeline) Remove(i int) {
 // read for time-based decisions (autoscaler cooldowns).
 func (t *Timeline) Now() time.Duration { return t.now }
 
-// Pending reports the number of external events not yet handled.
-func (t *Timeline) Pending() int { return t.events.Len() }
-
 // Refresh re-reads process i's NextEventAt and repositions it in the
-// heap — the decrease-key hook for external mutations (an event
-// handler submitting work to an idle instance). The timeline calls it
+// heap — the decrease-key hook for external mutations (an arrival
+// submitting work to an idle instance). The timeline calls it
 // itself after stepping a process.
 //valora:hotpath
 func (t *Timeline) Refresh(i int) {
@@ -214,9 +218,9 @@ func (t *Timeline) hremove(i int) {
 	}
 }
 
-// Run drains the timeline: external events and process steps execute
-// in global time order until no events remain and every process is
-// idle.
+// Run drains the timeline: arrivals, callbacks and process steps
+// execute in global time order until the feed is exhausted, no
+// callbacks remain and every process is idle.
 func (t *Timeline) Run() error {
 	for {
 		proc, procAt := -1, Never
@@ -225,19 +229,19 @@ func (t *Timeline) Run() error {
 			procAt = t.at[proc]
 		}
 		e := t.events.Peek()
-		if e != nil && (proc < 0 || e.At <= procAt) {
-			t.events.Pop()
-			t.now = e.At
-			if fn, ok := e.Payload.(funcPayload); ok {
-				if err := fn(); err != nil {
+		if t.Arrivals != nil {
+			if at := t.Arrivals.NextAt(); at != Never && (e == nil || at <= e.At) && (proc < 0 || at <= procAt) {
+				t.now = at
+				if err := t.Arrivals.Deliver(); err != nil {
 					return err
 				}
 				continue
 			}
-			if t.Handle == nil {
-				continue
-			}
-			if err := t.Handle(e); err != nil {
+		}
+		if e != nil && (proc < 0 || e.At <= procAt) {
+			t.events.Pop()
+			t.now = e.At
+			if err := e.Payload.(func() error)(); err != nil {
 				return err
 			}
 			continue

@@ -7,8 +7,8 @@ import (
 )
 
 // TestTimelineDynamicAddRemoveInterleaving exercises the autoscaling
-// substrate: processes added and removed mid-run by event handlers and
-// step hooks must interleave in global virtual-time order, removed
+// substrate: processes added and removed mid-run by arrivals and step
+// hooks must interleave in global virtual-time order, removed
 // processes must never step again, and the indexed heap must stay
 // consistent across deletions at arbitrary positions.
 func TestTimelineDynamicAddRemoveInterleaving(t *testing.T) {
@@ -19,23 +19,19 @@ func TestTimelineDynamicAddRemoveInterleaving(t *testing.T) {
 	ia := tl.Add(a)
 	tl.Add(b)
 
-	var c *fakeProc
-	tl.Schedule(3, "add-c")
-	tl.Schedule(5, "remove-a")
-	tl.Handle = func(e *Event) error {
-		switch e.Payload.(string) {
-		case "add-c":
+	tl.Arrivals = &arrivalFeed{items: []arrival{
+		{3, func() error {
 			// A process added mid-run starts participating at its own
 			// first event time, interleaved with existing processes.
-			c = &fakeProc{name: "c", times: []time.Duration{5, 7}, log: &log}
-			tl.Add(c)
-		case "remove-a":
+			tl.Add(&fakeProc{name: "c", times: []time.Duration{5, 7}, log: &log})
+			return logTo(&log, "add-c")()
+		}},
+		{5, func() error {
 			// Removing mid-run: a's remaining step at t=9 must never run.
 			tl.Remove(ia)
-		}
-		log = append(log, e.Payload.(string))
-		return nil
-	}
+			return logTo(&log, "remove-a")()
+		}},
+	}}
 	if err := tl.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,15 +99,14 @@ func TestTimelineHeapConsistencyUnderChurn(t *testing.T) {
 			times: []time.Duration{time.Duration(i + 1), time.Duration(100 + i)}, log: &log}
 		idx[i] = tl.Add(p)
 	}
-	// Remove every third process before its second step via an event
+	// Remove every third process before its second step via an arrival
 	// between the two waves.
-	tl.Schedule(50, "churn")
-	tl.Handle = func(e *Event) error {
+	tl.Arrivals = &arrivalFeed{items: []arrival{{50, func() error {
 		for i := 0; i < n; i += 3 {
 			tl.Remove(idx[i])
 		}
 		return nil
-	}
+	}}}}
 	if err := tl.Run(); err != nil {
 		t.Fatal(err)
 	}

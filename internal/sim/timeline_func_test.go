@@ -5,17 +5,13 @@ import (
 	"time"
 )
 
-// TestScheduleFuncOrdering checks that callback events interleave with
-// payload events and process steps in global virtual-time order, FIFO
-// at equal timestamps, without touching the Handle hook.
+// TestScheduleFuncOrdering checks that callbacks interleave with
+// arrivals in global virtual-time order, after the arrival at equal
+// timestamps.
 func TestScheduleFuncOrdering(t *testing.T) {
 	tl := &Timeline{}
 	var order []string
-	tl.Handle = func(e *Event) error {
-		order = append(order, e.Payload.(string))
-		return nil
-	}
-	tl.Schedule(10*time.Millisecond, "payload@10")
+	tl.Arrivals = &arrivalFeed{items: []arrival{{10 * time.Millisecond, logTo(&order, "arrival@10")}}}
 	tl.ScheduleFunc(5*time.Millisecond, func() error {
 		order = append(order, "func@5")
 		return nil
@@ -30,7 +26,7 @@ func TestScheduleFuncOrdering(t *testing.T) {
 	if err := tl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"func@5", "payload@10", "func@10"}
+	want := []string{"func@5", "arrival@10", "func@10"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}

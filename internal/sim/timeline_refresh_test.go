@@ -6,7 +6,7 @@ import (
 )
 
 // wakeProc models a serving instance: idle until work arrives through
-// the event handler, then steppable at its scheduled time.
+// an arrival, then steppable at its scheduled time.
 type wakeProc struct {
 	at      time.Duration // Never = idle
 	stepped []time.Duration
@@ -24,18 +24,17 @@ func (p *wakeProc) Step() (bool, error) {
 }
 
 // TestTimelineRefreshWakesIdleProcess covers the decrease-key path:
-// a process idle at Add time must enter the heap when an event handler
-// gives it work and calls Refresh.
+// a process idle at Add time must enter the heap when an arrival gives
+// it work and calls Refresh.
 func TestTimelineRefreshWakesIdleProcess(t *testing.T) {
 	tl := &Timeline{}
 	p := &wakeProc{at: Never}
 	idx := tl.Add(p)
-	tl.Schedule(5, "wake")
-	tl.Handle = func(e *Event) error {
-		p.at = e.At
+	tl.Arrivals = &arrivalFeed{items: []arrival{{5, func() error {
+		p.at = tl.Now()
 		tl.Refresh(idx)
 		return nil
-	}
+	}}}}
 	if err := tl.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestTimelineRefreshWakesIdleProcess(t *testing.T) {
 }
 
 // TestTimelineRefreshReordersProcesses covers key changes of in-heap
-// processes: when a handler moves a process earlier, it must overtake
+// processes: when an arrival moves a process earlier, it must overtake
 // processes whose keys were previously smaller.
 func TestTimelineRefreshReordersProcesses(t *testing.T) {
 	tl := &Timeline{}
@@ -57,12 +56,11 @@ func TestTimelineRefreshReordersProcesses(t *testing.T) {
 		i := i
 		idx[i] = tl.Add(&loggingProc{wakeProc: procs[i], id: i, order: &order})
 	}
-	tl.Schedule(1, "boost")
-	tl.Handle = func(*Event) error {
+	tl.Arrivals = &arrivalFeed{items: []arrival{{1, func() error {
 		procs[2].at = 2 // process 2 jumps ahead of 0 and 1
 		tl.Refresh(idx[2])
 		return nil
-	}
+	}}}}
 	if err := tl.Run(); err != nil {
 		t.Fatal(err)
 	}

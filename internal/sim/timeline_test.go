@@ -34,6 +34,39 @@ func (p *fakeProc) Step() (bool, error) {
 	return true, nil
 }
 
+// arrival is one timed delivery of a test feed.
+type arrival struct {
+	at time.Duration
+	fn func() error
+}
+
+// arrivalFeed is a Feed over a time-ordered list of deliveries.
+type arrivalFeed struct {
+	items []arrival
+	cur   int
+}
+
+func (f *arrivalFeed) NextAt() time.Duration {
+	if f.cur >= len(f.items) {
+		return Never
+	}
+	return f.items[f.cur].at
+}
+
+func (f *arrivalFeed) Deliver() error {
+	it := f.items[f.cur]
+	f.cur++
+	return it.fn()
+}
+
+// logTo returns a delivery that appends name to log.
+func logTo(log *[]string, name string) func() error {
+	return func() error {
+		*log = append(*log, name)
+		return nil
+	}
+}
+
 func TestTimelineInterleavesGlobalOrder(t *testing.T) {
 	var log []string
 	a := &fakeProc{name: "a", times: []time.Duration{1, 5}, log: &log}
@@ -41,12 +74,8 @@ func TestTimelineInterleavesGlobalOrder(t *testing.T) {
 	tl := &Timeline{}
 	tl.Add(a)
 	tl.Add(b)
-	tl.Schedule(4, "ev4")
-	tl.Schedule(0, "ev0")
-	tl.Handle = func(e *Event) error {
-		log = append(log, e.Payload.(string))
-		return nil
-	}
+	feed := &arrivalFeed{items: []arrival{{0, logTo(&log, "ev0")}, {4, logTo(&log, "ev4")}}}
+	tl.Arrivals = feed
 	if err := tl.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +88,8 @@ func TestTimelineInterleavesGlobalOrder(t *testing.T) {
 			t.Fatalf("log %v, want %v", log, want)
 		}
 	}
-	if tl.Pending() != 0 {
-		t.Fatalf("pending %d after Run", tl.Pending())
+	if feed.NextAt() != Never {
+		t.Fatalf("feed not drained after Run: %d of %d delivered", feed.cur, len(feed.items))
 	}
 }
 
@@ -69,11 +98,7 @@ func TestTimelineEventBeforeProcessOnTie(t *testing.T) {
 	a := &fakeProc{name: "a", times: []time.Duration{7}, log: &log}
 	tl := &Timeline{}
 	tl.Add(a)
-	tl.Schedule(7, "ev7")
-	tl.Handle = func(e *Event) error {
-		log = append(log, e.Payload.(string))
-		return nil
-	}
+	tl.Arrivals = &arrivalFeed{items: []arrival{{7, logTo(&log, "ev7")}}}
 	if err := tl.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +117,15 @@ func TestTimelinePropagatesErrors(t *testing.T) {
 	}
 
 	tl2 := &Timeline{}
-	tl2.Schedule(0, "x")
-	tl2.Handle = func(*Event) error { return boom }
+	tl2.Arrivals = &arrivalFeed{items: []arrival{{0, func() error { return boom }}}}
 	if err := tl2.Run(); !errors.Is(err, boom) {
-		t.Fatalf("handler error not propagated: %v", err)
+		t.Fatalf("delivery error not propagated: %v", err)
+	}
+
+	tl3 := &Timeline{}
+	tl3.ScheduleFunc(0, func() error { return boom })
+	if err := tl3.Run(); !errors.Is(err, boom) {
+		t.Fatalf("callback error not propagated: %v", err)
 	}
 }
 
