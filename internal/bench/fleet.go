@@ -58,10 +58,12 @@ const (
 // same workload shape:
 //
 //   - whole-blob/small: the pre-fleet baseline — the same host tier
-//     with a 10× smaller adapter universe, so it fits comfortably.
-//   - whole-blob/fleet: the full universe on whole-blob caching; every
+//     and one chunk per adapter, with a 10× smaller adapter universe,
+//     so it fits comfortably.
+//   - whole-blob/fleet: the full universe with one chunk per adapter
+//     (ChunkSize 0); the shared prefix is not a whole chunk, so every
 //     miss re-transfers the family prefix its siblings already hold.
-//   - chunked/fleet: chunk-level content addressing — siblings dedup
+//   - chunked/fleet: 1/32-adapter chunks — siblings dedup
 //     the shared prefix, eviction frees only unreferenced chunks, and
 //     family-warm prefetch pins each hot family's shared prefix.
 //   - chunked+replicas/fleet: the same plus 3 replica links with
@@ -230,7 +232,7 @@ func (s *Suite) FleetColdStart() (*Table, error) {
 					costNote = fmt.Sprintf("fetch-cost fit (offline, %d fetches): base %.2f ms + %.3f ms/MB", fc.Samples, fc.BaseMS, fc.PerMBMS)
 					if ok {
 						costNote += fmt.Sprintf("; online store fit: base %.2f ms + %.3f ms/MB over %d samples.",
-							float64(base)/float64(time.Millisecond), perByte*float64(1<<20)/float64(time.Millisecond), n)
+							float64(base)/float64(time.Millisecond), perByte*float64(1<<20)*1e3, n)
 					}
 				}
 			}

@@ -83,8 +83,8 @@ type StressRecord struct {
 	FetchBytes      int64   `json:"fetch_bytes,omitempty"`
 	SwapBytes       int64   `json:"swap_bytes,omitempty"`
 
-	// Chunk-mode distribution fields (fleet-cold-start records with
-	// registry.Config.ChunkSize > 0 only; see internal/registry).
+	// Chunk-level distribution fields (fleet-cold-start records only;
+	// see internal/registry).
 	ChunkFetches     int     `json:"chunk_fetches,omitempty"`
 	DedupHits        int     `json:"dedup_hits,omitempty"`
 	DedupedBytes     int64   `json:"deduped_bytes,omitempty"`

@@ -32,9 +32,9 @@ type Entry struct {
 	// Family names the adapter family this adapter was generated in
 	// ("" = standalone). VaLoRA's accuracy-aware generation produces
 	// families of adapters over one base delta: siblings share the
-	// leading SharedBytes of their weight blob, so a chunk-mode store
-	// (Config.ChunkSize > 0) dedups those bytes at the chunk level.
-	// Whole-blob stores ignore both fields.
+	// leading SharedBytes of their weight blob, and the store dedups
+	// those bytes at the chunk level. With one chunk per adapter
+	// (Config.ChunkSize 0) only a wholly shared blob dedups.
 	Family string
 	// SharedBytes is the length of the family-shared weight prefix.
 	// Only whole chunks dedup: the store rounds it down to a chunk
@@ -117,9 +117,8 @@ func (c *Catalog) Add(a *lora.Adapter, tenant string) {
 
 // AddFamily catalogues an adapter as a member of an adapter family:
 // the leading sharedBytes of its weight blob are the family-common
-// base delta every sibling carries. A chunk-mode store dedups those
-// bytes; whole-blob stores treat the entry exactly like Add's.
-// sharedBytes is clamped to the adapter's size.
+// base delta every sibling carries, which the store dedups at chunk
+// granularity. sharedBytes is clamped to the adapter's size.
 func (c *Catalog) AddFamily(a *lora.Adapter, tenant, family string, sharedBytes int64) {
 	if sharedBytes < 0 {
 		sharedBytes = 0

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -241,96 +242,191 @@ func TestPrefetchFamilyWarmsSharedPrefix(t *testing.T) {
 }
 
 // TestChunkStoreInvariantsProperty drives random demand/prefetch/
-// family-warm/advance/quota sequences over chunked family adapters —
-// across chunk sizes, replica counts and capacities — and asserts the
-// chunk-store invariants after every operation: refcounts never
-// negative, Σ resident chunk bytes ≤ capacity and == the used
-// counter, and no chunk referenced by a resident adapter ever
-// evicted (all enforced by CheckInvariants).
+// family-warm/advance/quota sequences — across chunk sizes, replica
+// counts and capacities — and asserts the store invariants after every
+// operation: refcounts never negative and every resident chunk
+// referenced, Σ resident chunk bytes ≤ capacity and == the used
+// counter, pinned bytes within guaranteed quotas, and no chunk
+// referenced by a resident adapter ever evicted (all enforced by
+// CheckInvariants).
 func TestChunkStoreInvariantsProperty(t *testing.T) {
 	model := lmm.QwenVL7B()
 	ab := model.AdapterBytes(model.DefaultRank)
-	tenants := []string{"a", "b", ""}
-	for trial := 0; trial < 15; trial++ {
-		rng := rand.New(rand.NewSource(int64(4000 + trial)))
-		fams := 2 + rng.Intn(4)
-		perFam := 1 + rng.Intn(4)
-		shared := int64(rng.Intn(9)) * ab / 8 // 0..ab
-		chunkSize := ab / int64(1+rng.Intn(12))
-		tenantOf := func(id int) string { return tenants[id%len(tenants)] }
-		_, cat := familyAdapters(fams, perFam, shared, tenantOf)
-		universe := fams * perFam
-		s := NewStore(Config{
-			HostCapacity:      int64(1+rng.Intn(6)) * ab,
-			RemoteLatency:     time.Millisecond,
-			RemoteBandwidth:   1e9,
-			ChunkSize:         chunkSize,
-			Replicas:          1 + rng.Intn(3),
-			MaxPinnedFraction: -1,
-			LinkWeights:       map[string]float64{"a": 1, "b": 2},
-		}, cat)
-		for _, tn := range tenants[:2] {
-			if rng.Intn(2) == 0 {
-				s.SetQuota(tn, TenantQuota{GuaranteedBytes: int64(rng.Intn(2)) * ab,
-					BurstBytes: int64(rng.Intn(2)) * ab})
+
+	// Family adapters of one size, with shared prefixes.
+	t.Run("families", func(t *testing.T) {
+		tenants := []string{"a", "b", ""}
+		for trial := 0; trial < 15; trial++ {
+			rng := rand.New(rand.NewSource(int64(4000 + trial)))
+			fams := 2 + rng.Intn(4)
+			perFam := 1 + rng.Intn(4)
+			shared := int64(rng.Intn(9)) * ab / 8 // 0..ab
+			chunkSize := ab / int64(1+rng.Intn(12))
+			tenantOf := func(id int) string { return tenants[id%len(tenants)] }
+			_, cat := familyAdapters(fams, perFam, shared, tenantOf)
+			capacity := int64(1+rng.Intn(6)) * ab
+			s := NewStore(Config{
+				HostCapacity:      capacity,
+				RemoteLatency:     time.Millisecond,
+				RemoteBandwidth:   1e9,
+				ChunkSize:         chunkSize,
+				Replicas:          1 + rng.Intn(3),
+				MaxPinnedFraction: -1,
+				LinkWeights:       map[string]float64{"a": 1, "b": 2},
+			}, cat)
+			for _, tn := range tenants[:2] {
+				if rng.Intn(2) == 0 {
+					s.SetQuota(tn, TenantQuota{GuaranteedBytes: int64(rng.Intn(2)) * ab,
+						BurstBytes: int64(rng.Intn(2)) * ab})
+				}
 			}
+			label := fmt.Sprintf("trial %d (chunk=%d shared=%d)", trial, chunkSize, shared)
+			exerciseStore(t, label, s, rng, fams*perFam, fams, 300, 30)
 		}
-		var now time.Duration
-		for op := 0; op < 300; op++ {
-			id := rng.Intn(universe)
-			switch rng.Intn(6) {
-			case 0, 1:
-				s.Ensure(id, now)
-			case 2:
-				s.Prefetch(id, now)
-			case 3:
+	})
+
+	// Standalone adapters of mixed ranks (so mixed sizes, exercising
+	// partial-fit eviction), one chunk each or a few.
+	t.Run("mixed-rank", func(t *testing.T) {
+		tenants := []string{"a", "b", "c", ""}
+		unit := model.AdapterBytes(16)
+		for trial := 0; trial < 20; trial++ {
+			rng := rand.New(rand.NewSource(int64(1000 + trial)))
+			universe := 8 + rng.Intn(40)
+			adapters := make([]*lora.Adapter, universe)
+			for i := range adapters {
+				rank := []int{16, 32, 64}[rng.Intn(3)]
+				adapters[i] = &lora.Adapter{ID: i, Name: fmt.Sprintf("mixed-%d", i), Rank: rank, Model: model}
+			}
+			cat := CatalogFromAdapters(adapters, func(id int) string { return tenants[id%len(tenants)] })
+			chunkSize := int64(0) // one chunk per adapter
+			if k := rng.Intn(3); k > 0 {
+				chunkSize = unit / int64(k)
+			}
+			s := NewStore(Config{
+				HostCapacity:    int64(2+rng.Intn(10)) * unit,
+				RemoteLatency:   time.Millisecond,
+				RemoteBandwidth: 1e9,
+				ChunkSize:       chunkSize,
+				// Random quotas may exceed any fixed fraction of the
+				// random capacity; the valve has its own test.
+				MaxPinnedFraction: -1,
+			}, cat)
+			for _, tn := range tenants[:3] {
+				if rng.Intn(2) == 0 {
+					s.SetQuota(tn, TenantQuota{GuaranteedBytes: int64(rng.Intn(3)) * unit,
+						BurstBytes: int64(rng.Intn(3)) * unit})
+				}
+			}
+			label := fmt.Sprintf("trial %d (chunk=%d)", trial, chunkSize)
+			exerciseStore(t, label, s, rng, universe, 0, 400, 200)
+		}
+	})
+}
+
+// exerciseStore runs ops random operations against s — demands,
+// prefetches, family warms (when fams > 0), advances by up to stepMs
+// and full drains — checking the invariants and the capacity bound
+// after each, then drains the links and checks that nothing is left in
+// flight.
+func exerciseStore(t *testing.T, label string, s *Store, rng *rand.Rand, universe, fams, ops, stepMs int) {
+	t.Helper()
+	var now time.Duration
+	for op := 0; op < ops; op++ {
+		id := rng.Intn(universe)
+		switch rng.Intn(6) {
+		case 0, 1:
+			s.Ensure(id, now)
+		case 2:
+			s.Prefetch(id, now)
+		case 3:
+			if fams > 0 {
 				s.PrefetchFamily("fam"+string(rune('A'+rng.Intn(fams))), now)
-			case 4:
-				now += time.Duration(rng.Intn(30)) * time.Millisecond
-				s.Advance(now)
-			case 5:
-				now = drain(s, now)
+			} else {
+				s.Ensure(id, now)
 			}
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatalf("trial %d op %d (chunk=%d reps shared=%d): %v", trial, op, chunkSize, shared, err)
-			}
-			if s.HostUsed() > int64(6)*ab+ab {
-				t.Fatalf("trial %d op %d: used %d beyond any capacity", trial, op, s.HostUsed())
-			}
-		}
-		// Full drain must leave no in-flight state behind.
-		now = drain(s, now)
-		if got := s.InflightFetches(); got != 0 {
-			t.Fatalf("trial %d: %d fetches still in flight after drain", trial, got)
+		case 4:
+			now += time.Duration(rng.Intn(stepMs)) * time.Millisecond
+			s.Advance(now)
+		case 5:
+			now = drain(s, now)
 		}
 		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("trial %d post-drain: %v", trial, err)
+			t.Fatalf("%s op %d: %v", label, op, err)
 		}
+		if s.HostUsed() > s.cfg.HostCapacity {
+			t.Fatalf("%s op %d: used %d beyond capacity %d", label, op, s.HostUsed(), s.cfg.HostCapacity)
+		}
+	}
+	// Full drain must leave no in-flight state behind.
+	drain(s, now)
+	if got := s.InflightFetches(); got != 0 {
+		t.Fatalf("%s: %d fetches still in flight after drain", label, got)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("%s post-drain: %v", label, err)
 	}
 }
 
-// TestWholeBlobPathUntouchedByChunkFields: a store with ChunkSize
-// zero ignores families, replicas and link weights entirely — the
-// legacy whole-blob behavior, byte-for-byte.
-func TestWholeBlobPathUntouchedByChunkFields(t *testing.T) {
+// TestAbortedFetchFreesLandedChunks is the host-capacity leak
+// regression: when a multi-chunk fetch is discarded mid-way (pins grew
+// past its admission check), the chunks it already landed must leave
+// the tier with it. Otherwise they stay resident with no references,
+// count against capacity, and no eviction pass can ever free them.
+func TestAbortedFetchFreesLandedChunks(t *testing.T) {
 	model := lmm.QwenVL7B()
-	ab := model.AdapterBytes(model.DefaultRank)
-	_, cat := familyAdapters(1, 2, ab/2, nil)
-	s := NewStore(Config{HostCapacity: 4 * ab,
-		RemoteLatency: time.Millisecond, RemoteBandwidth: 1e9,
-		LinkWeights: map[string]float64{"a": 3}}, cat)
-	if st, _, q := s.Demand(0, 0); st != StatusStarted || q != ab {
-		t.Fatalf("whole-blob demand: status %v queued %d, want started %d", st, q, ab)
+	u := model.AdapterBytes(16)
+	mk := func(id, rank int) *lora.Adapter {
+		return &lora.Adapter{ID: id, Name: fmt.Sprintf("abort-%d", id), Rank: rank, Model: model}
 	}
+	// A and B (tenant t) and Y (tenant x) are one chunk each; X (tenant
+	// x) is two.
+	const a, b, x, y = 0, 1, 2, 3
+	cat := NewCatalog()
+	cat.Add(mk(a, 16), "t")
+	cat.Add(mk(b, 16), "t")
+	cat.Add(mk(x, 32), "x")
+	cat.Add(mk(y, 16), "x")
+	s := NewStore(Config{HostCapacity: 3 * u, ChunkSize: u, RemoteLatency: time.Millisecond,
+		RemoteBandwidth: 1e9, MaxPinnedFraction: -1}, cat)
+	mustQuota(t, s, "t", TenantQuota{GuaranteedBytes: u})
+
+	s.Demand(a, 0) // lands pinned
 	now := drain(s, 0)
-	// The sibling shares half its bytes, but whole-blob mode cannot
-	// dedup: the full size goes on the link.
-	if st, _, q := s.Demand(1, now); st != StatusStarted || q != ab {
-		t.Fatalf("whole-blob sibling: status %v queued %d, want started %d", st, q, ab)
+	s.Demand(b, now) // lands unpinned: t's guarantee is spent
+	now = drain(s, now)
+
+	// X is admitted against one pinned chunk: 2u + u fits 3u.
+	if st, _, _ := s.Demand(x, now); st != StatusStarted {
+		t.Fatalf("X: %v, want started", st)
 	}
-	drain(s, now)
-	stats := s.Stats()
-	if stats.FetchBytes != 2*ab || stats.ChunkFetches != 0 || stats.DedupedBytes != 0 {
-		t.Fatalf("whole-blob stats polluted by chunk counters: %+v", stats)
+	chunkTime := time.Duration(float64(u) / 1e9 * float64(time.Second))
+	// After X's first chunk landed, t's guarantee grows and a hit on B
+	// takes the new pin: X's second chunk finds nothing to evict.
+	now += chunkTime + chunkTime/2
+	mustQuota(t, s, "t", TenantQuota{GuaranteedBytes: 2 * u})
+	if st, _ := s.Ensure(b, now); st != StatusHit {
+		t.Fatalf("B: %v, want hit", st)
+	}
+	now = drain(s, now)
+	if got := s.Stats().Discarded; got != 1 {
+		t.Fatalf("Discarded = %d, want X's second chunk dropped", got)
+	}
+	if got := s.HostUsed(); got != 2*u {
+		t.Fatalf("after the abort: used %d, want %d (A and B only)", got, 2*u)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The freed room admits the next one-chunk demand.
+	if st, _, _ := s.Demand(y, now); st != StatusStarted {
+		t.Fatalf("Y: %v, want started", st)
+	}
+	now = drain(s, now)
+	if !s.HostResident(y, now) {
+		t.Fatalf("Y not resident: discarded %d times", s.Stats().Discarded-1)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

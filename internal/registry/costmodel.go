@@ -2,9 +2,9 @@ package registry
 
 import "time"
 
-// The measured fetch-cost model: every completed chunk-mode adapter
-// fetch contributes one (bytes transferred, observed duration) sample
-// to an online least-squares fit of duration ≈ base + perByte·bytes.
+// The measured fetch-cost model: every completed adapter fetch
+// contributes one (bytes transferred, observed duration) sample to an
+// online least-squares fit of duration ≈ base + perByte·bytes.
 // The fitted model prices marginal bytes — what a fetch would
 // actually cost given current residency — which is what the
 // prefetcher and victim selection should rank by, and what the
@@ -88,7 +88,7 @@ func (s *Store) recordFetchCost(ca *chunkAdapter) {
 
 // SetFetchObserver registers a callback invoked (under the store
 // lock — keep it cheap, e.g. appending to a trace recorder) for every
-// completed chunk-mode adapter fetch. nil disables.
+// completed adapter fetch. nil disables.
 func (s *Store) SetFetchObserver(fn func(FetchSample)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -101,9 +101,6 @@ func (s *Store) SetFetchObserver(fn func(FetchSample)) {
 func (s *Store) FetchCostModel() (base time.Duration, perByte float64, samples int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ch == nil {
-		return 0, 0, 0, false
-	}
 	b, p, ok := s.ch.cost.fit()
 	return time.Duration(b * float64(time.Second)), p, int(s.ch.cost.n), ok
 }
@@ -118,7 +115,7 @@ func (s *Store) EstimateFetchCost(bytes int64) time.Duration {
 	if bytes <= 0 {
 		return 0
 	}
-	if s.ch != nil && s.ch.cost.n >= fetchCostWarmup {
+	if s.ch.cost.n >= fetchCostWarmup {
 		if base, perByte, ok := s.ch.cost.fit(); ok {
 			return time.Duration((base + perByte*float64(bytes)) * float64(time.Second))
 		}

@@ -9,9 +9,8 @@ import (
 )
 
 // plainAdapters builds n standalone (family-free) adapters owned by
-// tenantOf, catalogued for a chunk-mode store: with ChunkSize equal
-// to the adapter size each adapter is exactly one chunk transfer,
-// which makes link-scheduling assertions crisp.
+// tenantOf: with one chunk per adapter each adapter is exactly one
+// transfer, which makes link-scheduling assertions crisp.
 func plainAdapters(n int, tenantOf func(id int) string) *Catalog {
 	model := lmm.QwenVL7B()
 	adapters := lora.MakeUniformAdapters(model, n, model.DefaultRank)

@@ -15,9 +15,9 @@ type Prefetcher struct {
 	// add to (counting demand fetches too: the link is shared, and a
 	// deep demand backlog is a signal to stop speculating).
 	Lookahead int
-	// FamilyWarm, on a chunk-mode store, warms a family's shared chunk
-	// prefix (Store.PrefetchFamily — the tree-structured warm set)
-	// once FamilyWarm distinct observations of that family's adapters
+	// FamilyWarm warms a family's shared chunk prefix
+	// (Store.PrefetchFamily — the tree-structured warm set) once
+	// FamilyWarm distinct observations of that family's adapters
 	// accumulate: one prefix transfer then serves every sibling's
 	// shared bytes. 0 disables family warming.
 	FamilyWarm int
@@ -37,6 +37,7 @@ func NewPrefetcher(store *Store, lookahead int) *Prefetcher {
 // cold observation starts a fetch when the link has lookahead room.
 // started reports whether a new fetch went on the link; eta is its
 // completion time.
+//
 //valora:hotpath
 func (p *Prefetcher) Observe(adapterID int, now time.Duration) (eta time.Duration, started bool) {
 	if p == nil || p.Store == nil {

@@ -14,66 +14,47 @@ func mustQuota(t *testing.T, s *Store, tenant string, q TenantQuota) {
 	}
 }
 
-// TestDemandJumpsPrefetchQueue pins the two-class link queue: a demand
-// fetch arriving behind queued prefetches overtakes every transfer
-// that has not yet begun, while the same arrival order under the
-// strict-FIFO link waits out the whole queue.
+// TestDemandJumpsPrefetchQueue pins the link's demand class: a demand
+// fetch arriving behind queued prefetches of the same tenant overtakes
+// every transfer that has not yet begun.
 func TestDemandJumpsPrefetchQueue(t *testing.T) {
 	// Slow link: 1 ms latency + 1 s of transfer per adapter, so the
 	// queue is deep when the demand arrives.
-	mk := func(priority bool) *Store {
-		adapters, cat := testAdapters(6, "t")
-		ab := adapters[0].Bytes()
-		return NewStore(Config{
-			HostCapacity:    16 * ab,
-			RemoteLatency:   time.Millisecond,
-			RemoteBandwidth: float64(ab), // 1 adapter/second
-			DemandPriority:  priority,
-		}, cat)
+	adapters, cat := testAdapters(6, "t")
+	ab := adapters[0].Bytes()
+	s := NewStore(Config{
+		HostCapacity:    16 * ab,
+		RemoteLatency:   time.Millisecond,
+		RemoteBandwidth: float64(ab), // 1 adapter/second
+	}, cat)
+	for id := 1; id <= 4; id++ { // fill the link with prefetches
+		if _, started := s.Prefetch(id, 0); !started {
+			t.Fatalf("prefetch %d did not start", id)
+		}
+	}
+	st, eta := s.Ensure(5, 0) // the demand arrives last
+	if st != StatusStarted {
+		t.Fatalf("demand: got %v, want started", st)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Behind the head transfer only, not the 4-second prefetch queue.
+	if eta > 2500*time.Millisecond {
+		t.Fatalf("demand eta %v should be ~2 transfers (head + own)", eta)
 	}
 
-	var fifoEta, prioEta time.Duration
-	for _, priority := range []bool{false, true} {
-		s := mk(priority)
-		for id := 1; id <= 4; id++ { // fill the link with prefetches
-			if _, started := s.Prefetch(id, 0); !started {
-				t.Fatalf("prefetch %d did not start", id)
-			}
-		}
-		st, eta := s.Ensure(5, 0) // the demand arrives last
-		if st != StatusStarted {
-			t.Fatalf("demand: got %v, want started", st)
-		}
+	// Drain the link; every fetch must still land exactly once.
+	for s.InflightFetches() > 0 {
+		s.Advance(s.NextFetchDone())
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		if priority {
-			prioEta = eta
-		} else {
-			fifoEta = eta
-		}
-
-		// Drain the link; every fetch must still land exactly once.
-		for s.InflightFetches() > 0 {
-			s.Advance(s.NextFetchDone())
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for id := 1; id <= 5; id++ {
-			if !s.HostResident(id, s.NextFetchDone()) {
-				t.Fatalf("adapter %d not resident after drain (priority=%v)", id, priority)
-			}
-		}
 	}
-
-	// FIFO: behind 4 one-second prefetch transfers (head already on the
-	// wire). Priority: behind the head only.
-	if prioEta >= fifoEta {
-		t.Fatalf("demand eta %v did not improve on FIFO eta %v", prioEta, fifoEta)
-	}
-	if prioEta > 2500*time.Millisecond {
-		t.Fatalf("priority demand eta %v should be ~2 transfers (head + own)", prioEta)
+	for id := 1; id <= 5; id++ {
+		if !s.HostResident(id, s.NextFetchDone()) {
+			t.Fatalf("adapter %d not resident after drain", id)
+		}
 	}
 }
 
@@ -87,7 +68,6 @@ func TestDemandPromotesQueuedPrefetch(t *testing.T) {
 		HostCapacity:    16 * ab,
 		RemoteLatency:   time.Millisecond,
 		RemoteBandwidth: float64(ab),
-		DemandPriority:  true,
 	}, cat)
 	for id := 1; id <= 4; id++ {
 		if _, started := s.Prefetch(id, 0); !started {

@@ -77,9 +77,11 @@ func TestLinkSerializesFetches(t *testing.T) {
 	if eta1 <= eta0 {
 		t.Fatalf("second fetch (%v) should queue behind the first (%v)", eta1, eta0)
 	}
-	per := eta0 // latency + transfer for one adapter starting on an idle link
-	if eta1 != eta0+per {
-		t.Fatalf("eta1 = %v, want %v (serialized)", eta1, eta0+per)
+	// The second transfer starts when the first leaves the wire; the
+	// per-fetch latency is charged after the last byte, not on the wire.
+	transfer := eta0 - time.Millisecond
+	if eta1 != eta0+transfer {
+		t.Fatalf("eta1 = %v, want %v (serialized)", eta1, eta0+transfer)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -98,7 +100,8 @@ func TestEvictionRespectsLRUAndCapacity(t *testing.T) {
 	}
 	// Touch 0 so 1 becomes LRU, then demand 2: 1 must be evicted when
 	// the fetched bytes land (not at fetch start — the warm set
-	// survives the transfer).
+	// survives the transfer). The bytes land one RemoteLatency before
+	// the fetch completes.
 	if st, _ := s.Ensure(0, now); st != StatusHit {
 		t.Fatal("0 should be resident")
 	}
@@ -106,7 +109,7 @@ func TestEvictionRespectsLRUAndCapacity(t *testing.T) {
 	if st != StatusStarted {
 		t.Fatal("2 should start fetching")
 	}
-	if !s.HostResident(1, eta-time.Nanosecond) {
+	if !s.HostResident(1, eta-time.Millisecond-time.Nanosecond) {
 		t.Fatal("1 evicted before the fetched bytes landed")
 	}
 	now = eta

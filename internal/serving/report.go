@@ -78,10 +78,10 @@ type Report struct {
 	FetchBytes      int64
 	PrefetchFetches int
 	PrefetchBytes   int64
-	// Chunk-level distribution accounting, populated when the backing
-	// store runs in chunk mode (registry.Config.ChunkSize > 0); zero
-	// otherwise. FetchBytes/PrefetchBytes above always count bytes
-	// actually transferred — in chunk mode deduped chunks count once.
+	// Chunk-level distribution accounting, populated when a registry
+	// store backs the run; zero otherwise. FetchBytes/PrefetchBytes
+	// above count bytes actually transferred — deduped chunks count
+	// once.
 	ChunkFetches    int   // chunk transfers put on the replica links
 	ChunkFetchBytes int64 // bytes those transfers moved
 	DedupHits       int   // demands served entirely by shared resident chunks
@@ -243,8 +243,8 @@ func (r *Report) String() string {
 			r.ColdStarts, r.ColdTTFT.P99)
 	}
 	if r.ChunkFetches > 0 || r.DedupHits > 0 {
-		// Chunk-mode line only — whole-blob reports render byte-identically
-		// to the pre-chunk format.
+		// Only runs whose store moved or deduped chunks print the chunk
+		// line.
 		fmt.Fprintf(&b, "  chunks: %d transfers (%.0f MB), %d dedup hits, %.0f MB deduped, %d chunk evictions\n",
 			r.ChunkFetches, float64(r.ChunkFetchBytes)/float64(1<<20),
 			r.DedupHits, float64(r.DedupedBytes)/float64(1<<20), r.ChunkEvictions)

@@ -649,11 +649,10 @@ func (s *Server) resolveTiered(id int) *lora.Adapter {
 	case registry.StatusStarted:
 		s.report.HostMisses++
 		s.report.RemoteFetches++
-		// Bytes actually put on the link by this fetch: the adapter's
-		// full size in whole-blob mode, only the missing (non-deduped)
-		// chunks in chunk mode — never the nominal size, so a family
-		// sibling's ride on already-resident shared chunks is not
-		// double-billed.
+		// Bytes actually put on the link by this fetch: only the
+		// missing (non-deduped) chunks, never the nominal size, so a
+		// family sibling's ride on already-resident shared chunks is
+		// not double-billed.
 		s.report.FetchBytes += queued
 		s.awaitingFetch[id] = true
 		return nil

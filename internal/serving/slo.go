@@ -86,10 +86,10 @@ type SchedulingConfig struct {
 	// PrefetchLookahead caps the prefetcher's in-flight fetches
 	// (0 disables prefetching).
 	PrefetchLookahead int
-	// FamilyWarm, with a chunk-mode Store and prefetching enabled,
-	// warms a family's shared chunk prefix (the tree-structured warm
-	// set) once that many distinct arrivals of the family have been
-	// observed by the prefetcher. 0 disables family warming.
+	// FamilyWarm, with a Store and prefetching enabled, warms a
+	// family's shared chunk prefix (the tree-structured warm set) once
+	// that many distinct arrivals of the family have been observed by
+	// the prefetcher. 0 disables family warming.
 	FamilyWarm int
 	// Lookahead, when set, opts the cluster into bounded-lookahead
 	// admission: placement is decided only at epoch barriers, where the
@@ -421,8 +421,7 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 	if cfg.Store != nil {
 		// Prefetch traffic belongs to the cluster, not to any single
 		// instance: read it off the shared store once. Likewise the
-		// chunk-mode dedup counters (zero in whole-blob mode, keeping
-		// legacy reports bit-identical).
+		// chunk and dedup counters.
 		st := cfg.Store.Stats()
 		agg.PrefetchFetches = st.PrefetchFetches
 		agg.PrefetchBytes = st.PrefetchBytes

@@ -11,7 +11,7 @@ import (
 )
 
 // FetchRecord is one completed adapter fetch as observed by a
-// chunk-mode registry store: the bytes that actually crossed the
+// registry store: the bytes that actually crossed the
 // replica links (deduped chunks count once — zero when the fetch rode
 // entirely on sibling transfers), the chunk count of the adapter, and
 // the request/complete virtual times. The rows are the fetch-cost

@@ -95,11 +95,11 @@ type (
 	// (guaranteed pinned bytes plus a protected burst envelope).
 	ResidencyQuota = registry.TenantQuota
 	// AdapterCatalog maps adapter ids to content digests, tenants and
-	// families; see NewFamilyAdapterStore for the chunk-mode path.
+	// families; see NewFamilyAdapterStore for family dedup.
 	AdapterCatalog = registry.Catalog
 	// FetchSample is one completed adapter fetch as observed by a
-	// chunk-mode store's fetch observer (Store.SetFetchObserver) — the
-	// input to the measured fetch-cost model.
+	// store's fetch observer (Store.SetFetchObserver) — the input to the
+	// measured fetch-cost model.
 	FetchSample = registry.FetchSample
 	// PreemptionConfig enables iteration-level preemption on an
 	// instance (displacement of admitted requests in favor of starving
@@ -223,10 +223,11 @@ func NewAdapterStore(cfg AdapterStoreConfig, adapters []*Adapter, tenantOf func(
 // NewFamilyAdapterStore is NewAdapterStore for family-structured
 // adapter sets: familyOf resolves each adapter's family name and the
 // length of the weight prefix the family shares (0/"" = standalone).
-// With AdapterStoreConfig.ChunkSize > 0 the store digests adapters as
-// chunk lists, so siblings' shared prefixes are transferred over the
-// replica links and cached in the host tier once (see the README's
-// "Adapter distribution" section).
+// The store digests adapters as lists of AdapterStoreConfig.ChunkSize
+// chunks, so siblings' shared prefixes are transferred over the
+// replica links and cached in the host tier once; with ChunkSize 0
+// each adapter is one chunk and only a wholly shared blob dedups (see
+// the README's "Adapter distribution" section).
 func NewFamilyAdapterStore(cfg AdapterStoreConfig, adapters []*Adapter, tenantOf func(id int) string, familyOf func(id int) (string, int64)) *AdapterStore {
 	return registry.NewStore(cfg, registry.CatalogFromFamilies(adapters, tenantOf, familyOf))
 }
