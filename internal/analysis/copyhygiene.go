@@ -19,8 +19,8 @@ import (
 // It also enforces shard ownership for the engine clock: a goroutine
 // may only call methods on a sim.Timeline it received as its own (a
 // parameter of the spawned function), never on one captured from the
-// enclosing scope — cross-shard effects go through the Mailbox and
-// the epoch barrier, not through another shard's timeline.
+// enclosing scope — cross-shard effects go through feeds and the
+// epoch barrier, not through another shard's timeline.
 var CopyHygieneAnalyzer = &Analyzer{
 	Name: "copyhygiene",
 	Doc:  "flags by-value copies of lock-bearing types, sim.Timeline and lora.Pool, and Timeline use from non-owning goroutines",
@@ -231,7 +231,7 @@ func (c *copyChecker) checkGoOwnership(g *ast.GoStmt) {
 				}
 			}
 			c.pass.Reportf(call.Pos(),
-				"sim.Timeline method called from a goroutine that does not own it: route cross-shard effects through the Mailbox and the epoch barrier")
+				"sim.Timeline method called from a goroutine that does not own it: route cross-shard effects through feeds and the epoch barrier")
 			return true
 		})
 	}
@@ -247,7 +247,7 @@ func (c *copyChecker) checkGoOwnership(g *ast.GoStmt) {
 	if sel, ok := ast.Unparen(g.Call.Fun).(*ast.SelectorExpr); ok {
 		if t := c.pass.Info.TypeOf(sel.X); t != nil && isTimeline(t) {
 			c.pass.Reportf(g.Call.Pos(),
-				"sim.Timeline method called from a goroutine that does not own it: route cross-shard effects through the Mailbox and the epoch barrier")
+				"sim.Timeline method called from a goroutine that does not own it: route cross-shard effects through feeds and the epoch barrier")
 		}
 	}
 }

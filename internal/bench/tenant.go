@@ -122,9 +122,9 @@ func (s *Suite) MultiTenant() (*Table, error) {
 		}
 
 		// -shards spot check: the same mode replayed sharded must produce
-		// a bit-identical report (autoscaled configs fall back to the
-		// sequential planner inside RunSharded, so the check is trivial
-		// but still exercises the routing).
+		// a bit-identical report. Managed runs without Lookahead fall
+		// back to the sequential plan inside RunSharded, so the check is
+		// trivial but still exercises the routing.
 		if s.Shards > 0 {
 			cl2, err := serving.NewManagedCluster(m.instances, serving.NewLeastLoaded(), cfg, build)
 			if err != nil {

@@ -187,12 +187,6 @@ func (q *TenantQueue) stateOf(name string) *tenantState {
 	return q.register(TenantConfig{Name: name})
 }
 
-// Touch ensures the tenant is registered (auto-registering undeclared
-// names with weight 1) without queueing anything. Admission calls it
-// before shedding so a tenant whose every request is shed still
-// appears in the per-tenant accounting.
-func (q *TenantQueue) Touch(name string) { q.stateOf(name) }
-
 // Len reports the total queued requests across tenants.
 func (q *TenantQueue) Len() int { return q.size }
 
@@ -217,7 +211,9 @@ type TenantRef struct {
 }
 
 // Ref resolves a tenant name to a handle, auto-registering undeclared
-// names with weight 1 exactly like Touch.
+// names with weight 1. Admission resolves every arrival before it can
+// shed, so a tenant whose every request is shed still appears in the
+// per-tenant accounting.
 //
 //valora:hotpath one string lookup per request, then index-only ops
 func (q *TenantQueue) Ref(name string) TenantRef {

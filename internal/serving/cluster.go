@@ -132,17 +132,27 @@ func (c *Cluster) Run(trace workload.Trace) (*Report, error) {
 	if err := tl.Run(); err != nil {
 		return nil, err
 	}
+	return c.drainAggregate(len(c.servers), "")
+}
 
+// drainAggregate finalizes every instance (all already idle) and folds
+// the per-instance reports into the cluster report, named after the
+// system, the active fleet size n, the dispatch policy and, for managed
+// runs, the admission mode.
+func (c *Cluster) drainAggregate(n int, mode string) (*Report, error) {
 	reports := make([]*Report, len(c.servers))
 	for i, srv := range c.servers {
-		rep, err := srv.Drain() // already idle: finalizes the report
+		rep, err := srv.Drain()
 		if err != nil {
 			return nil, err
 		}
 		reports[i] = rep
 	}
-
-	return c.aggregate(reports, fmt.Sprintf("%s x%d [%s]", c.servers[0].Name(), len(c.servers), c.dispatch.Name())), nil
+	label := c.dispatch.Name()
+	if mode != "" {
+		label += ", " + mode
+	}
+	return c.aggregate(reports, fmt.Sprintf("%s x%d [%s]", c.servers[0].Name(), n, label)), nil
 }
 
 // aggregate folds per-instance reports into one cluster report:

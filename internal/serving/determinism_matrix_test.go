@@ -77,7 +77,9 @@ func TestDeterminismMatrixUnmanaged(t *testing.T) {
 }
 
 // TestDeterminismMatrixManaged drives the managed runner (admission,
-// fair-share queueing, shedding) through the same matrix.
+// fair-share queueing, shedding) through the same matrix. Without
+// Lookahead the planner runs it sequentially at every shard count, so
+// this pins that fallback to the reference report.
 func TestDeterminismMatrixManaged(t *testing.T) {
 	runMatrix(t, "managed/fair-share", func(shards int) *Report {
 		cfg := SchedulingConfig{

@@ -12,13 +12,12 @@ import (
 // Bounded-lookahead admission: the managed engine that stays parallel
 // under backlog.
 //
-// The classic managed sharded runner (runManagedSharded) collapses to
-// exact global-order stepping whenever the cluster queue holds work,
-// because the sequential engine it mirrors may place a request after
-// any instance step — every step is a potential coupling point. The
-// lookahead engine removes that coupling by construction instead of
-// detecting it: placement is *decided only at epoch barriers*. There,
-// with every instance quiesced, the coordinator
+// The classic managed engine (runManaged) may place a request after
+// any instance step, so every step is a potential coupling point and
+// the sharded planner runs it sequentially. The lookahead engine
+// removes that coupling by construction: placement is *decided only
+// at epoch barriers*. There, with every instance quiesced, the
+// coordinator
 //
 //  1. folds in what the epoch produced (delivery-time sheds), returns
 //     unconsumed reservations to the queue position-exactly
@@ -31,8 +30,8 @@ import (
 //     private reservedFeed.
 //
 // Mid-epoch, a reservation is consumed the moment its instance drops
-// below the HighWater in-flight bound — the same backpressure test the
-// classic dispatcher applies, evaluated shard-locally by the owning
+// below the HighWater in-flight bound — the same backpressure test
+// runManaged's dispatcher applies, evaluated shard-locally by the owning
 // worker, so no barrier is needed for it. Since nothing outside an
 // instance's own state gates its reservations, instances are
 // independent for the whole epoch and the horizon can stay coarse:
@@ -54,6 +53,12 @@ import (
 // recorded in sheds rather than submitted — delivery moments are
 // deterministic virtual times, so the shed set is too — and folded
 // into the coordinator's accounting at the next barrier.
+//
+// requeues and firstRequeueAt record preemption requeues on the
+// instance, which NewManagedCluster makes unreachable (it rejects
+// Lookahead with preemption); the coordinator fails the run on any it
+// finds at a barrier. Like the rest of the feed, they are written only
+// by the worker advancing the instance.
 type reservedFeed struct {
 	srv  *Server
 	hw   int
@@ -61,6 +66,9 @@ type reservedFeed struct {
 	seqs []uint64
 	cur  int
 	shed []deliveryShed
+
+	requeues       int
+	firstRequeueAt time.Duration
 }
 
 type deliveryShed struct {
@@ -116,62 +124,36 @@ func (f *reservedFeed) reset() {
 func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel bool) (*Report, error) {
 	cfg := c.sched
 	la := cfg.Lookahead
-	tq := sched.NewTenantQueue(cfg.FairShare, cfg.Tenants...)
-
-	// Admission accounting. On a saturated trace nearly every request
-	// passes through here, so each request's tenant name is resolved
-	// to a sched.TenantRef exactly once and every per-request queue
-	// operation and tally goes through the handle or its dense index —
-	// the classic runner pays a string-keyed map lookup per operation
-	// (two to three per shed request), which profiles as a top entry
-	// of its admission time at scale.
-	//
-	//valora:hotpath per-arrival admission accounting
-	type tenantCounts struct{ submitted, shed, shedSLO int }
-	var counts []tenantCounts
-	countsAt := func(idx int) *tenantCounts {
-		for len(counts) <= idx {
-			counts = append(counts, tenantCounts{})
-		}
-		return &counts[idx]
-	}
-	var shedTotal int
-	shedRef := func(ref sched.TenantRef, r *sched.Request, now time.Duration) {
-		r.Phase = sched.PhaseDone
-		r.Finish = now
-		shedTotal++
-		tc := countsAt(ref.Index())
-		tc.shed++
-		if r.Deadline > 0 {
-			tc.shedSLO++
-		}
-	}
-	shed := func(r *sched.Request, now time.Duration) {
-		shedRef(tq.Ref(r.Tenant), r, now)
-	}
-	// One drop callback for every ShedExpired sweep, parameterized
-	// through shedNow: allocating the closure inline would malloc once
-	// per arrival on the saturated path.
-	var shedNow time.Duration
-	dropExpired := func(x *sched.Request) { shed(x, shedNow) }
+	tally := newAdmissionTally(cfg)
+	tq := tally.tq
 
 	feeds := make([]*reservedFeed, len(c.servers))
-	group, homes := c.buildShards(shards, func(i int) sim.Feed {
-		feeds[i] = &reservedFeed{srv: c.servers[i], hw: cfg.HighWater}
-		return feeds[i]
+	group := c.buildShards(shards, func(i int) sim.Feed {
+		f := &reservedFeed{srv: c.servers[i], hw: cfg.HighWater}
+		c.servers[i].SetPreemptHandler(func(*sched.Request) {
+			if f.requeues == 0 {
+				f.firstRequeueAt = f.srv.Now()
+			}
+			f.requeues++
+		})
+		feeds[i] = f
+		return f
 	})
-	// NewManagedCluster rejects Lookahead+Preemption; the handler turns
-	// any requeue that slips through into a deterministic barrier
-	// failure instead of a silent divergence, like runManagedSharded.
-	for i, srv := range c.servers {
-		h := homes[i]
-		srv := srv
-		srv.SetPreemptHandler(func(r *sched.Request) { h.shard.EmitProc(h.idx, srv.Now(), r) })
-	}
+	// guard turns any requeue that slipped past NewManagedCluster into
+	// a deterministic barrier failure instead of a silent divergence:
+	// the feeds are scanned in instance order, so the count and the
+	// earliest time do not depend on which worker advanced what.
 	guard := func() error {
-		if mail := group.DrainOutboxes(); len(mail) > 0 {
+		n, at := 0, time.Duration(0)
+		for _, f := range feeds {
+			if f.requeues > 0 && (n == 0 || f.firstRequeueAt < at) {
+				at = f.firstRequeueAt
+			}
+			n += f.requeues
+		}
+		if n > 0 {
 			return fmt.Errorf("serving: lookahead run saw %d cross-shard preemption requeue(s) at t=%v; NewManagedCluster should have rejected this configuration",
-				len(mail), mail[0].At)
+				n, at)
 		}
 		return nil
 	}
@@ -183,7 +165,7 @@ func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel
 		for _, f := range feeds {
 			for _, ds := range f.shed {
 				ref := tq.Ref(ds.req.Tenant)
-				shedRef(ref, ds.req, ds.at)
+				tally.shedRef(ref, ds.req, ds.at)
 				ref.Refund(sched.RequestCost(ds.req))
 			}
 			f.shed = f.shed[:0]
@@ -205,25 +187,11 @@ func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel
 		}
 	}
 
-	handle := func(r *sched.Request) {
-		now := r.Arrival
-		ref := tq.Ref(r.Tenant) // registers even if every request below sheds
-		countsAt(ref.Index()).submitted++
-		shedNow = now
-		tq.ShedExpired(now, dropExpired)
-		switch {
-		case cfg.EstimateService != nil && r.Deadline > 0 && cfg.EstimateService(r) > r.Deadline:
-			shedRef(ref, r, now) // hopeless: no placement can meet the deadline
-		case !ref.Push(r):
-			shedRef(ref, r, now) // tenant queue cap: overload isolation
-		}
-	}
-
 	// reserve pops the queue in fair-share order and pre-routes each
 	// pick through the dispatch policy into an instance's feed, up to
 	// Slots per instance, charging at reservation time so later picks
 	// see the deficit the placement will create. Expired picks shed
-	// uncharged, exactly like the classic dispatcher.
+	// uncharged, exactly like runManaged's dispatcher.
 	var cands []*Server
 	var candIdx []int
 	reserve := func(now time.Duration) error {
@@ -245,7 +213,7 @@ func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel
 			}
 			ref := tq.Ref(r.Tenant)
 			if r.Deadline > 0 && now > r.Arrival+r.Deadline {
-				shedRef(ref, r, now)
+				tally.shedRef(ref, r, now)
 				continue
 			}
 			j := c.dispatch.Pick(r, cands)
@@ -273,11 +241,10 @@ func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel
 			return nil, err
 		}
 		for idx < len(ordered) && ordered[idx].Arrival <= now {
-			handle(ordered[idx])
+			tally.admit(ordered[idx], ordered[idx].Arrival)
 			idx++
 		}
-		shedNow = now
-		tq.ShedExpired(now, dropExpired)
+		tally.shedExpired(now)
 		if err := reserve(now); err != nil {
 			return nil, err
 		}
@@ -312,33 +279,5 @@ func (c *Cluster) runManagedLookahead(trace workload.Trace, shards int, parallel
 		}
 	}
 
-	reports := make([]*Report, len(c.servers))
-	for i, srv := range c.servers {
-		rep, err := srv.Drain()
-		if err != nil {
-			return nil, err
-		}
-		reports[i] = rep
-	}
-	mode := "fifo+lookahead"
-	if cfg.FairShare {
-		mode = "fair-share+lookahead"
-	}
-	agg := c.aggregate(reports, fmt.Sprintf("%s x%d [%s, %s]", c.servers[0].Name(), len(c.servers), c.dispatch.Name(), mode))
-	agg.Requests += shedTotal // shed requests never reached an instance
-	agg.Shed = shedTotal
-	agg.PeakInstances = len(c.servers)
-	submitted := make(map[string]int, len(counts))
-	shedByTenant := make(map[string]int, len(counts))
-	shedSLO := make(map[string]int, len(counts))
-	for i, tc := range tq.Tenants() {
-		if i >= len(counts) {
-			break // registered but never seen a request
-		}
-		submitted[tc.Name] = counts[i].submitted
-		shedByTenant[tc.Name] = counts[i].shed
-		shedSLO[tc.Name] = counts[i].shedSLO
-	}
-	c.fillTenantReports(agg, tq, submitted, shedByTenant, shedSLO)
-	return agg, nil
+	return c.managedReport(tally, len(c.servers), len(c.servers))
 }

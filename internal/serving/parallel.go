@@ -33,13 +33,6 @@ import (
 //     parallel, quiesce at the barrier, and the coordinator dispatches
 //     the arrivals against exactly the instance states the sequential
 //     engine would have observed.
-//   - managed: admission + fair-share placement without autoscaling,
-//     preemption, or a registry store. While the cluster queue is
-//     empty the per-step placement hook is provably a no-op, so the
-//     engine runs arrival-to-arrival epochs; the moment the queue
-//     holds work, placement may fire after any instance step, the
-//     lookahead collapses, and the coordinator steps instances in
-//     exact global (time, index) order until the queue drains again.
 //   - managed-lookahead: the managed path with
 //     SchedulingConfig.Lookahead set (an opt-in admission semantics,
 //     honoured identically by the sequential engine). Placement is
@@ -51,19 +44,19 @@ import (
 //     lookahead.go.
 //   - sequential: every remaining configuration. A shared registry
 //     store serializes instances on the remote link model, the
-//     autoscaler re-plans after every step, and preemption can requeue
-//     across shards mid-step — each makes every instance step a
-//     potential coupling point, so the conservative horizon is zero
-//     and the proven sequential engine is the correct (and fastest)
-//     schedule. Guarding rather than guessing is what keeps the
-//     bit-identity contract honest.
+//     autoscaler re-plans after every step, preemption can requeue
+//     across shards mid-step, and managed admission without
+//     Lookahead may place a request after any instance step — each
+//     makes every instance step a potential coupling point, so the
+//     conservative horizon is zero and the proven sequential engine is
+//     the correct (and fastest) schedule. Guarding rather than
+//     guessing is what keeps the bit-identity contract honest.
 //
-// Cross-shard preemption requeues are the one coupling the managed
-// mode cannot see statically, so sharded managed runs route them
-// through the shard outbox (sim.Mailbox) and fail deterministically if
-// one ever surfaces — the canonical (time, shard, seq) merge makes the
-// failure, like everything else here, independent of goroutine
-// interleaving.
+// Cross-shard preemption requeues are the one coupling the lookahead
+// mode cannot see statically. NewManagedCluster rejects Lookahead
+// with preemption, and the lookahead engine still records any requeue
+// that slips through on the instance's feed; the coordinator turns it
+// into a deterministic failure at the next barrier.
 
 // shardMode classifies how densely a run's instances couple.
 type shardMode int
@@ -72,7 +65,6 @@ const (
 	shardSequential shardMode = iota
 	shardPartitioned
 	shardEpoch
-	shardManaged
 	shardManagedLookahead
 )
 
@@ -94,26 +86,21 @@ func (c *Cluster) planShards() shardMode {
 		}
 		return shardEpoch
 	}
-	if c.sched.Store != nil || c.sched.Autoscale != nil {
-		return shardSequential
-	}
-	for _, srv := range c.servers {
-		if srv.opts.Preemption != nil {
-			return shardSequential
-		}
-	}
 	if c.sched.Lookahead != nil {
+		// NewManagedCluster has already rejected Lookahead with
+		// Autoscale, a cluster Store or preemption.
 		return shardManagedLookahead
 	}
-	return shardManaged
+	return shardSequential
 }
 
 // RunSharded replays a trace like Run, but drives the fleet on shards
 // worker goroutines with epoch-barrier synchronization. The report is
 // bit-identical to Run's for every configuration: configurations whose
 // coupling defeats the conservative lookahead (shared registry store,
-// autoscaling, preemption) transparently fall back to the sequential
-// engine. Shard counts above the instance count are clamped.
+// autoscaling, preemption, managed admission without Lookahead)
+// transparently fall back to the sequential engine. Shard counts above
+// the instance count are clamped.
 func (c *Cluster) RunSharded(trace workload.Trace, shards int) (*Report, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("serving: shard count %d < 1", shards)
@@ -126,8 +113,6 @@ func (c *Cluster) RunSharded(trace workload.Trace, shards int) (*Report, error) 
 		return c.runPartitioned(trace, shards)
 	case shardEpoch:
 		return c.runEpochSharded(trace, shards)
-	case shardManaged:
-		return c.runManagedSharded(trace, shards)
 	case shardManagedLookahead:
 		return c.runManagedLookahead(trace, shards, true)
 	default:
@@ -183,46 +168,22 @@ func arrivalOrder(trace workload.Trace) workload.Trace {
 	return out
 }
 
-// procHome locates one instance inside the shard topology: its shard
-// and its shard-local process index (the outbox and feed key).
-type procHome struct {
-	shard *sim.Shard
-	idx   int
-}
-
 // buildShards partitions the fleet round-robin across shards. feed,
 // when non-nil, supplies each instance's private sim.Feed (pre-routed
-// arrivals or lookahead reservations). It returns the group plus each
-// instance's home (index-aligned with c.servers).
-func (c *Cluster) buildShards(shards int, feed func(i int) sim.Feed) (*sim.ShardGroup, []procHome) {
+// arrivals or lookahead reservations).
+func (c *Cluster) buildShards(shards int, feed func(i int) sim.Feed) *sim.ShardGroup {
 	shs := make([]*sim.Shard, shards)
 	for s := range shs {
 		shs[s] = sim.NewShard(s)
 	}
-	homes := make([]procHome, len(c.servers))
 	for i, srv := range c.servers {
 		var f sim.Feed
 		if feed != nil {
 			f = feed(i)
 		}
-		home := shs[i%shards]
-		homes[i] = procHome{shard: home, idx: home.Add(srv, f)}
+		shs[i%shards].Add(srv, f)
 	}
-	return sim.NewShardGroup(shs...), homes
-}
-
-// drainAggregate finalizes every instance and folds the per-instance
-// reports exactly as the sequential Run does.
-func (c *Cluster) drainAggregate() (*Report, error) {
-	reports := make([]*Report, len(c.servers))
-	for i, srv := range c.servers {
-		rep, err := srv.Drain() // already idle: finalizes the report
-		if err != nil {
-			return nil, err
-		}
-		reports[i] = rep
-	}
-	return c.aggregate(reports, fmt.Sprintf("%s x%d [%s]", c.servers[0].Name(), len(c.servers), c.dispatch.Name())), nil
+	return sim.NewShardGroup(shs...)
 }
 
 // runPartitioned is the barrier-free fast path: dispatch is replayed
@@ -245,7 +206,7 @@ func (c *Cluster) runPartitioned(trace workload.Trace, shards int) (*Report, err
 		}
 		parts[i] = append(parts[i], r)
 	}
-	group, _ := c.buildShards(shards, func(i int) sim.Feed {
+	group := c.buildShards(shards, func(i int) sim.Feed {
 		srv := c.servers[i]
 		return &requestFeed{reqs: parts[i], deliver: func(r *sched.Request) error {
 			srv.Submit(r)
@@ -258,7 +219,7 @@ func (c *Cluster) runPartitioned(trace workload.Trace, shards int) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	return c.drainAggregate()
+	return c.drainAggregate(len(c.servers), "")
 }
 
 // runEpochSharded handles state-dependent dispatch without a cluster
@@ -268,7 +229,7 @@ func (c *Cluster) runPartitioned(trace workload.Trace, shards int) (*Report, err
 // instance states (all occurrences before t done, none at or after t).
 func (c *Cluster) runEpochSharded(trace workload.Trace, shards int) (*Report, error) {
 	ordered := arrivalOrder(trace)
-	group, _ := c.buildShards(shards, nil)
+	group := c.buildShards(shards, nil)
 	group.Start()
 	defer group.Stop()
 	for idx := 0; idx < len(ordered); {
@@ -293,176 +254,5 @@ func (c *Cluster) runEpochSharded(trace workload.Trace, shards int) (*Report, er
 		return nil, err
 	}
 	group.Stop()
-	return c.drainAggregate()
-}
-
-// runManagedSharded shards the managed (admission + fair-share) path
-// for configurations without autoscaling, preemption, or a registry
-// store. The per-step placement hook of the sequential engine
-// (Timeline.AfterStep → dispatchQueued) is a no-op whenever the
-// cluster queue is empty, so the run alternates between two regimes:
-// arrival-to-arrival epochs on the shard workers while the queue is
-// empty, and exact global-order stepping by the coordinator while it
-// holds work (the conservative horizon collapses to one step). The
-// result is bit-identical to runManaged.
-func (c *Cluster) runManagedSharded(trace workload.Trace, shards int) (*Report, error) {
-	cfg := c.sched
-	tq := sched.NewTenantQueue(cfg.FairShare, cfg.Tenants...)
-
-	submitted := make(map[string]int)
-	shedByTenant := make(map[string]int)
-	shedSLO := make(map[string]int)
-	var shedTotal int
-
-	shed := func(r *sched.Request, now time.Duration) {
-		r.Phase = sched.PhaseDone
-		r.Finish = now
-		shedTotal++
-		shedByTenant[r.Tenant]++
-		if r.Deadline > 0 {
-			shedSLO[r.Tenant]++
-		}
-	}
-
-	group, homes := c.buildShards(shards, nil)
-	// The planner guarantees no instance preempts in this mode; the
-	// handler routes any requeue that slips through into the proc's
-	// outbox so the barrier turns it into a deterministic failure
-	// instead of a silent divergence from the sequential engine.
-	for i, srv := range c.servers {
-		h := homes[i]
-		srv := srv
-		srv.SetPreemptHandler(func(r *sched.Request) { h.shard.EmitProc(h.idx, srv.Now(), r) })
-	}
-	guard := func() error {
-		if mail := group.DrainOutboxes(); len(mail) > 0 {
-			return fmt.Errorf("serving: sharded managed run saw %d cross-shard preemption requeue(s) at t=%v; the coupling planner should have serialized this configuration",
-				len(mail), mail[0].At)
-		}
-		return nil
-	}
-
-	var cands []*Server
-	dispatchQueued := func(now time.Duration) error {
-		tq.ShedExpired(now, func(r *sched.Request) { shed(r, now) })
-		for tq.Len() > 0 {
-			cands = cands[:0]
-			for _, srv := range c.servers {
-				if srv.InFlight() < cfg.HighWater {
-					cands = append(cands, srv)
-				}
-			}
-			if len(cands) == 0 {
-				return nil // backpressure: leave the order revisable in the queue
-			}
-			r := tq.Pop()
-			if r == nil {
-				return nil
-			}
-			if r.Deadline > 0 && now > r.Arrival+r.Deadline {
-				shed(r, now)
-				continue
-			}
-			j := c.dispatch.Pick(r, cands)
-			if j < 0 || j >= len(cands) {
-				return fmt.Errorf("serving: dispatch %s picked instance %d of %d candidates", c.dispatch.Name(), j, len(cands))
-			}
-			cands[j].Submit(r)
-			tq.Charge(r.Tenant, sched.RequestCost(r))
-		}
-		return nil
-	}
-
-	// advanceTo reproduces the sequential schedule up to (not
-	// including) horizon: parallel epochs while the queue is empty,
-	// global (time, index)-ordered coordinator steps — each followed by
-	// the placement hook, exactly like Timeline.AfterStep — while it is
-	// not.
-	advanceTo := func(horizon time.Duration) error {
-		for {
-			if tq.Len() == 0 {
-				if err := group.AdvanceAll(horizon); err != nil {
-					return err
-				}
-				return guard()
-			}
-			pick, at := -1, sim.Never
-			for j, srv := range c.servers {
-				if a := srv.NextEventAt(); a != sim.Never && (pick < 0 || a < at) {
-					pick, at = j, a
-				}
-			}
-			if pick < 0 || (horizon != sim.Never && at >= horizon) {
-				return nil
-			}
-			progressed, err := c.servers[pick].Step()
-			if err != nil {
-				return err
-			}
-			if !progressed {
-				return fmt.Errorf("serving: instance %d advertised an event at %v but made no progress", pick, at)
-			}
-			if err := guard(); err != nil {
-				return err
-			}
-			if err := dispatchQueued(at); err != nil {
-				return err
-			}
-		}
-	}
-
-	handle := func(r *sched.Request, now time.Duration) error {
-		submitted[r.Tenant]++
-		tq.Touch(r.Tenant) // register even if every request below sheds
-		tq.ShedExpired(now, func(x *sched.Request) { shed(x, now) })
-		switch {
-		case cfg.EstimateService != nil && r.Deadline > 0 && cfg.EstimateService(r) > r.Deadline:
-			shed(r, now) // hopeless: no placement can meet the deadline
-		case !tq.Push(r):
-			shed(r, now) // tenant queue cap: overload isolation
-		}
-		return dispatchQueued(now)
-	}
-
-	ordered := arrivalOrder(trace)
-	group.Start()
-	defer group.Stop()
-	for idx := 0; idx < len(ordered); {
-		at := ordered[idx].Arrival
-		if err := advanceTo(at); err != nil {
-			return nil, err
-		}
-		for idx < len(ordered) && ordered[idx].Arrival == at {
-			if err := handle(ordered[idx], at); err != nil {
-				return nil, err
-			}
-			idx++
-		}
-	}
-	if err := advanceTo(sim.Never); err != nil {
-		return nil, err
-	}
-	group.Stop()
-	if tq.Len() > 0 {
-		return nil, fmt.Errorf("serving: managed run ended with %d requests stranded in the cluster queue", tq.Len())
-	}
-
-	reports := make([]*Report, len(c.servers))
-	for i, srv := range c.servers {
-		rep, err := srv.Drain()
-		if err != nil {
-			return nil, err
-		}
-		reports[i] = rep
-	}
-	mode := "fifo"
-	if cfg.FairShare {
-		mode = "fair-share"
-	}
-	agg := c.aggregate(reports, fmt.Sprintf("%s x%d [%s, %s]", c.servers[0].Name(), len(c.servers), c.dispatch.Name(), mode))
-	agg.Requests += shedTotal // shed requests never reached an instance
-	agg.Shed = shedTotal
-	agg.PeakInstances = len(c.servers)
-	c.fillTenantReports(agg, tq, submitted, shedByTenant, shedSLO)
-	return agg, nil
+	return c.drainAggregate(len(c.servers), "")
 }

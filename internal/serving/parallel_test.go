@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,9 +74,10 @@ func TestShardedUnmanagedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedManagedBitIdentical exercises the mixed epoch/global-order
-// managed runner (admission, fair-share and FIFO queueing, deadline
-// shedding, backpressure) against the sequential engine.
+// TestShardedManagedBitIdentical replays the managed runner (admission,
+// fair-share and FIFO queueing, deadline shedding, backpressure)
+// through RunSharded, which runs it sequentially at every shard count,
+// and checks the reports match Run's.
 func TestShardedManagedBitIdentical(t *testing.T) {
 	for _, fair := range []bool{true, false} {
 		for _, seed := range []int64{11, 42} {
@@ -215,19 +217,78 @@ func TestLookaheadConfigValidation(t *testing.T) {
 	}
 }
 
+// TestLookaheadPreemptionGuard covers the lookahead engine's guard:
+// NewManagedCluster rejects Lookahead with preemption, but a requeue
+// that slips through anyway (preemption switched on for one instance
+// after validation) must fail the run at a barrier with the same error
+// whether the engine advances inline or on 1, 2 or 4 shard workers.
+func TestLookaheadPreemptionGuard(t *testing.T) {
+	build := func() *Cluster {
+		cfg := SchedulingConfig{
+			Tenants: []sched.TenantConfig{
+				{Name: "rt", Weight: 3, Priority: 2},
+				{Name: "be", Weight: 1, Priority: 0},
+			},
+			FairShare: true,
+			HighWater: 96,
+			Lookahead: &LookaheadConfig{},
+		}
+		cl, err := NewManagedCluster(4, NewLeastLoaded(), cfg, func(int) (Options, error) {
+			opts, err := SystemOptions(SystemVaLoRA, simgpu.A100(), lmm.QwenVL7B())
+			if err != nil {
+				return Options{}, err
+			}
+			p := sched.NewVaLoRAPolicy()
+			p.Preempt = true
+			p.DeadlineCredit = true
+			opts.Policy = p
+			opts.AdmitCap = 48
+			return opts, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.servers[2].opts.Preemption = &PreemptionConfig{MaxPreemptions: 2}
+		return cl
+	}
+	_, err := build().Run(adversarialTrace(9, 600))
+	if err == nil || !strings.Contains(err.Error(), "preemption requeue") {
+		t.Fatalf("sequential run: got error %v, want the preemption-requeue guard", err)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		_, got := build().RunSharded(adversarialTrace(9, 600), shards)
+		if got == nil || got.Error() != err.Error() {
+			t.Fatalf("shards=%d: got error %v, want %q", shards, got, err)
+		}
+	}
+}
+
 // TestShardedCoupledConfigsDelegate pins the planner's conservative
-// side: preemption, autoscaling and the shared registry store make
-// every instance step a potential coupling point, so RunSharded must
-// classify them sequential and still return bit-identical reports.
+// side: preemption, autoscaling, the shared registry store and managed
+// admission without Lookahead make every instance step a potential
+// coupling point, so RunSharded must classify them sequential and
+// still return bit-identical reports.
 func TestShardedCoupledConfigsDelegate(t *testing.T) {
 	model := lmm.QwenVL7B()
 	adapters := lora.MakeUniformAdapters(model, 16, model.DefaultRank)
 	ab := adapters[0].Bytes()
+	plainManaged := func(fair bool) func() (*Cluster, workload.Trace) {
+		return func() (*Cluster, workload.Trace) {
+			cfg := SchedulingConfig{Tenants: tenantClasses(), FairShare: fair, HighWater: 4}
+			cl, err := NewManagedCluster(2, NewLeastLoaded(), cfg, managedBuild(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cl, workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 3, 11))
+		}
+	}
 
 	cases := []struct {
 		name  string
 		build func() (*Cluster, workload.Trace)
 	}{
+		{"managed/fair-share", plainManaged(true)},
+		{"managed/fifo", plainManaged(false)},
 		{"preemption", func() (*Cluster, workload.Trace) {
 			return preemptCluster(t, 2), adversarialTrace(9, 600)
 		}},
@@ -322,8 +383,8 @@ func TestShardPlannerModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.planShards(); got != shardManaged {
-		t.Fatalf("managed plain: mode %d, want managed", got)
+	if got := cl.planShards(); got != shardSequential {
+		t.Fatalf("managed plain: mode %d, want sequential", got)
 	}
 }
 

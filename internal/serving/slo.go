@@ -191,7 +191,8 @@ func NewManagedCluster(n int, dispatch DispatchPolicy, cfg SchedulingConfig, bui
 // retires instances on the same timeline.
 func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 	cfg := c.sched
-	tq := sched.NewTenantQueue(cfg.FairShare, cfg.Tenants...)
+	tally := newAdmissionTally(cfg)
+	tq := tally.tq
 	tl := &sim.Timeline{}
 	var prefetch *registry.Prefetcher
 	if cfg.Store != nil && cfg.PrefetchLookahead > 0 {
@@ -209,20 +210,7 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 	var lastScale time.Duration
 	scaledYet := false
 
-	submitted := make(map[string]int)
-	shedByTenant := make(map[string]int)
-	shedSLO := make(map[string]int)
-	var shedTotal, scaleUps, scaleDowns int
-
-	shed := func(r *sched.Request, now time.Duration) {
-		r.Phase = sched.PhaseDone
-		r.Finish = now
-		shedTotal++
-		shedByTenant[r.Tenant]++
-		if r.Deadline > 0 {
-			shedSLO[r.Tenant]++
-		}
-	}
+	var scaleUps, scaleDowns int
 
 	// Preempted requests flow back into the cluster queue as
 	// first-class re-admissions: age and deadline intact (EDF re-ranks
@@ -246,7 +234,7 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 		// Purge dead requests first, even when no instance has headroom:
 		// expired entries must not hold QueueCap slots against fresh,
 		// still-serviceable arrivals under full backpressure.
-		tq.ShedExpired(now, func(r *sched.Request) { shed(r, now) })
+		tally.shedExpired(now)
 		for tq.Len() > 0 {
 			cands = cands[:0]
 			for i, srv := range c.servers {
@@ -261,11 +249,12 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 			if r == nil {
 				return nil
 			}
+			ref := tq.Ref(r.Tenant)
 			if r.Deadline > 0 && now > r.Arrival+r.Deadline {
 				// Expired while queued: dispatching it would burn an
 				// instance on a guaranteed SLO miss. Shed without
 				// charging the tenant — shed work is not service.
-				shed(r, now)
+				tally.shedRef(ref, r, now)
 				continue
 			}
 			candServers = candServers[:0]
@@ -278,7 +267,7 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 			}
 			gi := cands[j]
 			c.servers[gi].Submit(r)
-			tq.Charge(r.Tenant, sched.RequestCost(r))
+			ref.Charge(sched.RequestCost(r))
 			tl.Refresh(gi)
 		}
 		return nil
@@ -349,8 +338,6 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 
 	admit := func(r *sched.Request) error {
 		now := tl.Now()
-		submitted[r.Tenant]++
-		tq.Touch(r.Tenant) // register even if every request below sheds
 		if cfg.Store != nil && !r.ColdStamped {
 			// Stamp cold-start arrivals before the prefetcher can warm
 			// their adapter: "cold" means not host-resident at arrival,
@@ -358,15 +345,7 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 			r.ColdStamped = true
 			r.ColdStart = !cfg.Store.HostResident(r.AdapterID, now)
 		}
-		// Purge expired entries before the queue-cap check so a dead
-		// backlog never crowds out this (still-serviceable) arrival.
-		tq.ShedExpired(now, func(x *sched.Request) { shed(x, now) })
-		switch {
-		case cfg.EstimateService != nil && r.Deadline > 0 && cfg.EstimateService(r) > r.Deadline:
-			shed(r, now) // hopeless: no placement can meet the deadline
-		case !tq.Push(r):
-			shed(r, now) // tenant queue cap: overload isolation
-		}
+		tally.admit(r, now)
 		if r.Phase != sched.PhaseDone && prefetch != nil {
 			// Queue-lookahead warming: the arrival is queued ahead of
 			// placement, so its remote→host copy overlaps the queueing
@@ -402,22 +381,10 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 		return nil, fmt.Errorf("serving: managed run ended with %d requests stranded in the cluster queue", tq.Len())
 	}
 
-	reports := make([]*Report, len(c.servers))
-	for i, srv := range c.servers {
-		rep, err := srv.Drain()
-		if err != nil {
-			return nil, err
-		}
-		reports[i] = rep
+	agg, err := c.managedReport(tally, activeCount, peak)
+	if err != nil {
+		return nil, err
 	}
-
-	mode := "fifo"
-	if cfg.FairShare {
-		mode = "fair-share"
-	}
-	agg := c.aggregate(reports, fmt.Sprintf("%s x%d [%s, %s]", c.servers[0].Name(), activeCount, c.dispatch.Name(), mode))
-	agg.Requests += shedTotal // shed requests never reached an instance
-	agg.Shed = shedTotal
 	if cfg.Store != nil {
 		// Prefetch traffic belongs to the cluster, not to any single
 		// instance: read it off the shared store once. Likewise the
@@ -433,8 +400,106 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 	}
 	agg.ScaleUps = scaleUps
 	agg.ScaleDowns = scaleDowns
+	return agg, nil
+}
+
+// admissionTally is the admission stage both managed engines share:
+// the cluster-level TenantQueue plus the per-tenant submitted and shed
+// counts, kept in a dense slice indexed by sched.TenantRef.Index() so
+// each request resolves its tenant name once instead of paying a
+// string-keyed map lookup per counter. Shed requests never reach an
+// instance, so this tally is their only record.
+type admissionTally struct {
+	tq       *sched.TenantQueue
+	estimate func(*sched.Request) time.Duration
+	counts   []tenantCounts
+	shed     int
+	// dropExpired is the ShedExpired callback, built once: a closure
+	// per sweep would allocate on every arrival of a saturated trace.
+	dropExpired func(*sched.Request)
+	expiredAt   time.Duration
+}
+
+type tenantCounts struct{ submitted, shed, shedSLO int }
+
+func newAdmissionTally(cfg *SchedulingConfig) *admissionTally {
+	a := &admissionTally{
+		tq:       sched.NewTenantQueue(cfg.FairShare, cfg.Tenants...),
+		estimate: cfg.EstimateService,
+	}
+	a.dropExpired = func(r *sched.Request) { a.shedRef(a.tq.Ref(r.Tenant), r, a.expiredAt) }
+	return a
+}
+
+// countsAt returns tenant idx's counters, growing the slice for
+// tenants registered since the last call.
+//
+//valora:hotpath
+func (a *admissionTally) countsAt(idx int) *tenantCounts {
+	for len(a.counts) <= idx {
+		a.counts = append(a.counts, tenantCounts{})
+	}
+	return &a.counts[idx]
+}
+
+// admit counts an arrival against its tenant (registering the tenant
+// even if the request sheds) and queues it, or sheds it as hopeless or
+// over its tenant's queue cap. Expired entries are purged before the
+// queue-cap check so a dead backlog never crowds out this
+// (still-serviceable) arrival.
+//
+//valora:hotpath
+func (a *admissionTally) admit(r *sched.Request, now time.Duration) {
+	ref := a.tq.Ref(r.Tenant)
+	a.countsAt(ref.Index()).submitted++
+	a.shedExpired(now)
+	switch {
+	case a.estimate != nil && r.Deadline > 0 && a.estimate(r) > r.Deadline:
+		a.shedRef(ref, r, now) // hopeless: no placement can meet the deadline
+	case !ref.Push(r):
+		a.shedRef(ref, r, now) // tenant queue cap: overload isolation
+	}
+}
+
+// shedExpired sheds every queued request whose deadline passed by now.
+func (a *admissionTally) shedExpired(now time.Duration) {
+	a.expiredAt = now
+	a.tq.ShedExpired(now, a.dropExpired)
+}
+
+// shedRef retires r at now without it ever reaching an instance.
+//
+//valora:hotpath
+func (a *admissionTally) shedRef(ref sched.TenantRef, r *sched.Request, now time.Duration) {
+	r.Phase = sched.PhaseDone
+	r.Finish = now
+	a.shed++
+	tc := a.countsAt(ref.Index())
+	tc.shed++
+	if r.Deadline > 0 {
+		tc.shedSLO++
+	}
+}
+
+// managedReport is the report tail both managed engines share: drain
+// and aggregate the fleet under its admission mode, count the shed
+// requests, and fill the per-tenant rows.
+func (c *Cluster) managedReport(tally *admissionTally, active, peak int) (*Report, error) {
+	mode := "fifo"
+	if c.sched.FairShare {
+		mode = "fair-share"
+	}
+	if c.sched.Lookahead != nil {
+		mode += "+lookahead"
+	}
+	agg, err := c.drainAggregate(active, mode)
+	if err != nil {
+		return nil, err
+	}
+	agg.Requests += tally.shed // shed requests never reached an instance
+	agg.Shed = tally.shed
 	agg.PeakInstances = peak
-	c.fillTenantReports(agg, tq, submitted, shedByTenant, shedSLO)
+	c.fillTenantReports(agg, tally)
 	return agg, nil
 }
 
@@ -442,9 +507,7 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 // cluster-level admission counters into the aggregate report's
 // per-tenant rows, and computes the Jain fairness index over
 // weight-normalized service.
-func (c *Cluster) fillTenantReports(agg *Report, tq *sched.TenantQueue,
-	submitted, shedByTenant, shedSLO map[string]int) {
-
+func (c *Cluster) fillTenantReports(agg *Report, tally *admissionTally) {
 	type acc struct {
 		completed, rejected, sloMet, sloTotal int
 		preempted, recompute                  int
@@ -473,56 +536,61 @@ func (c *Cluster) fillTenantReports(agg *Report, tq *sched.TenantQueue,
 	// Sum served cost in registration order, not map order: float
 	// addition is not associative, and Served() covers exactly the
 	// registered tenants.
-	served := tq.Served()
-	cfgs := tq.Tenants()
+	served := tally.tq.Served()
+	cfgs := tally.tq.Tenants()
 	var totalServed float64
 	for _, tc := range cfgs {
 		totalServed += served[tc.Name]
 	}
-	prio := make(map[string]int, len(cfgs))
-	weight := make(map[string]float64, len(cfgs))
-	names := make([]string, 0, len(cfgs))
-	for _, tc := range cfgs {
-		prio[tc.Name] = tc.Priority
-		weight[tc.Name] = tc.Weight
-		names = append(names, tc.Name)
+	// Rows by descending priority, then name. Tenant indices align
+	// with the tally's counts; a declared tenant that never saw a
+	// request may lie past their end.
+	order := make([]int, len(cfgs))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(names, func(i, j int) bool {
-		if prio[names[i]] != prio[names[j]] {
-			return prio[names[i]] > prio[names[j]]
+	sort.Slice(order, func(i, j int) bool {
+		a, b := cfgs[order[i]], cfgs[order[j]]
+		if a.Priority != b.Priority {
+			return a.Priority > b.Priority
 		}
-		return names[i] < names[j]
+		return a.Name < b.Name
 	})
 
 	var fairness []float64
-	for _, name := range names {
-		a := accs[name]
+	for _, i := range order {
+		tc := cfgs[i]
+		var n tenantCounts
+		if i < len(tally.counts) {
+			n = tally.counts[i]
+		}
+		a := accs[tc.Name]
 		if a == nil {
 			a = &acc{e2e: metrics.NewStream(), preemptedE2E: metrics.NewStream()}
 		}
 		tr := TenantReport{
-			Name:            name,
-			Priority:        prio[name],
-			Submitted:       submitted[name],
+			Name:            tc.Name,
+			Priority:        tc.Priority,
+			Submitted:       n.submitted,
 			Completed:       a.completed,
-			Shed:            shedByTenant[name],
+			Shed:            n.shed,
 			Rejected:        a.rejected,
 			SLOMet:          a.sloMet,
-			SLOTotal:        a.sloTotal + shedSLO[name],
+			SLOTotal:        a.sloTotal + n.shedSLO,
 			E2E:             a.e2e.Summarize(),
 			Preemptions:     a.preempted,
 			RecomputeTokens: a.recompute,
 			PreemptedE2E:    a.preemptedE2E.Summarize(),
 		}
 		if totalServed > 0 {
-			tr.ServedShare = served[name] / totalServed
+			tr.ServedShare = served[tc.Name] / totalServed
 		}
 		if agg.SimTime > 0 {
 			tr.Throughput = float64(tr.Completed) / agg.SimTime.Seconds()
 		}
 		agg.Tenants = append(agg.Tenants, tr)
-		if submitted[name] > 0 {
-			fairness = append(fairness, served[name]/weight[name])
+		if n.submitted > 0 {
+			fairness = append(fairness, served[tc.Name]/tc.Weight)
 		}
 	}
 	agg.FairnessIndex = metrics.JainIndex(fairness)

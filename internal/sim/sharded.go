@@ -1,4 +1,4 @@
-//valora:parallel epoch-barrier shard engine with work stealing: this file owns the worker goroutines, their barrier, and the atomic steal cursors; determinism is restored by the conservative horizon and the canonical (At, Shard, Proc, Seq) mail merge
+//valora:parallel epoch-barrier shard engine with work stealing: this file owns the worker goroutines, their barrier, and the atomic steal cursors; determinism is restored by the conservative horizon and by reporting errors in (shard, process) order
 package sim
 
 import (
@@ -23,11 +23,11 @@ import (
 //     (pre-routed request arrivals, or barrier-reserved admissions).
 //     Deliveries obey Timeline's arrival-before-step tie rule.
 //   - Shard: a group of mutually independent processes advanced up to
-//     a horizon, with a per-process outbox for events that must cross
-//     shards (drained and merged at barriers).
+//     a horizon.
 //   - ShardGroup: the barrier. AdvanceAll moves every shard to a
 //     common horizon in parallel and returns once all are quiesced;
-//     between calls the coordinator owns all shard state.
+//     between calls the coordinator owns all shard state, so anything
+//     a process recorded for it (in its feed, say) is read there.
 //
 // Work stealing: within an epoch every process is independent (that is
 // the epoch's correctness proof), so which goroutine advances a given
@@ -37,105 +37,8 @@ import (
 // therefore max-process-work bounded by total-work/NumCPU instead of
 // the slowest shard's sum.
 
-// Mail is one buffered cross-shard event: a payload stamped with the
-// virtual time it occurred at, the emitting shard and process, and a
-// per-process sequence number. (At, Shard, Proc, Seq) is the canonical
-// merge order: merging every process's outbox under it yields one
-// deterministic global stream regardless of how — or on which worker —
-// the processes advanced in wall-clock time.
-type Mail struct {
-	At      time.Duration
-	Shard   int
-	Proc    int
-	Seq     int
-	Payload any
-}
-
-// Mailbox buffers Mail emitted by one process between barriers. It is
-// not safe for concurrent use: exactly one goroutine (the worker that
-// claimed the owning process this epoch, or the coordinator while the
-// group is quiesced) may touch it at a time — the barrier and the
-// claim cursor are the hand-offs.
-type Mailbox struct {
-	shard int
-	proc  int
-	seq   int
-	mail  []Mail
-}
-
-// Emit buffers a payload stamped at virtual time at.
-func (b *Mailbox) Emit(at time.Duration, payload any) {
-	b.seq++
-	b.mail = append(b.mail, Mail{At: at, Shard: b.shard, Proc: b.proc, Seq: b.seq, Payload: payload})
-}
-
-// Len reports the number of buffered items.
-func (b *Mailbox) Len() int { return len(b.mail) }
-
-// Drain returns the buffered mail sorted by (At, Seq) and empties the
-// box. Emission may run out of time order (a process can emit for a
-// virtual time earlier than a later emission), so Drain sorts; the
-// sort is stable in Seq, preserving emission order at equal
-// timestamps. The returned slice aliases the box's buffer — it is
-// valid until the next Emit, which reuses the capacity instead of
-// reallocating every barrier.
-func (b *Mailbox) Drain() []Mail {
-	out := b.mail
-	b.mail = b.mail[:0]
-	sortMail(out)
-	return out
-}
-
-// MergeMail merges per-process mail streams (each already sorted, as
-// Drain returns them) into one freshly allocated stream in the
-// canonical (At, Shard, Proc, Seq) order. The target is preallocated
-// to the total length; callers merging every barrier should prefer
-// ShardGroup.DrainOutboxes, which reuses its merge buffer.
-func MergeMail(streams ...[]Mail) []Mail {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Mail, 0, total)
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	sortMail(out)
-	return out
-}
-
-func mailLess(a, b Mail) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	if a.Shard != b.Shard {
-		return a.Shard < b.Shard
-	}
-	if a.Proc != b.Proc {
-		return a.Proc < b.Proc
-	}
-	return a.Seq < b.Seq
-}
-
-// sortMail sorts in place under the canonical order without the
-// closure and interface allocations of sort.Slice — the merge runs on
-// every barrier. Insertion sort: outbox streams are near-sorted
-// (per-process emission is time-monotonic in practice) and barrier
-// batches are small, so the quadratic worst case is not on the path.
-func sortMail(ms []Mail) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && mailLess(ms[j], ms[j-1]); j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
-}
-
 // Shard groups mutually independent processes, each with an optional
-// private feed and its own outbox, advanced up to a caller-chosen
-// horizon. Because the processes never observe one another, the engine
+// private feed, advanced up to a caller-chosen horizon. Because the processes never observe one another, the engine
 // is free to drain them one at a time (cache-friendly: one process's
 // working set stays hot through its whole advance) and to hand
 // different processes to different workers — the interleaving is
@@ -144,47 +47,18 @@ type Shard struct {
 	id    int
 	procs []Process
 	feeds []Feed
-	outs  []Mailbox
 }
 
-// NewShard builds an empty shard with the given identity (its rank in
-// the canonical merge order).
+// NewShard builds an empty shard; id names it in errors.
 func NewShard(id int) *Shard {
 	return &Shard{id: id}
 }
 
-// ID reports the shard's identity.
-func (sh *Shard) ID() int { return sh.id }
-
 // Add registers a process and its private feed (nil for processes fed
-// externally between barriers), returning the shard-local index.
-func (sh *Shard) Add(p Process, f Feed) int {
+// externally between barriers).
+func (sh *Shard) Add(p Process, f Feed) {
 	sh.procs = append(sh.procs, p)
 	sh.feeds = append(sh.feeds, f)
-	sh.outs = append(sh.outs, Mailbox{shard: sh.id, proc: len(sh.procs) - 1})
-	return len(sh.procs) - 1
-}
-
-// EmitProc buffers a cross-shard event in process proc's outbox; the
-// coordinator collects it at the next barrier (ShardGroup.DrainOutboxes)
-// in canonical order. Emission is per-process so that work stealing
-// cannot interleave two processes' sequence numbers wall-clock-
-// dependently.
-func (sh *Shard) EmitProc(proc int, at time.Duration, payload any) {
-	sh.outs[proc].Emit(at, payload)
-}
-
-// DrainOutbox returns and empties the shard's buffered cross-shard
-// events merged across its processes. Call only while the shard is
-// quiesced.
-func (sh *Shard) DrainOutbox() []Mail {
-	streams := make([][]Mail, 0, len(sh.outs))
-	for i := range sh.outs {
-		if sh.outs[i].Len() > 0 {
-			streams = append(streams, sh.outs[i].Drain())
-		}
-	}
-	return MergeMail(streams...)
 }
 
 // NextAt reports the earliest pending occurrence (feed delivery or
@@ -282,7 +156,6 @@ type ShardGroup struct {
 	errs   [][]error      // per-(shard, process) outcome, written by the claiming worker
 	wg     sync.WaitGroup
 	live   bool
-	merged []Mail // DrainOutboxes scratch, reused across barriers
 }
 
 // NewShardGroup builds a group over the given shards.
@@ -294,10 +167,6 @@ func NewShardGroup(shards ...*Shard) *ShardGroup {
 		errs:   make([][]error, len(shards)),
 	}
 }
-
-// Shards exposes the member shards (coordinator access between
-// barriers).
-func (g *ShardGroup) Shards() []*Shard { return g.shards }
 
 // Start launches one worker goroutine per shard. Idempotent.
 func (g *ShardGroup) Start() {
@@ -405,24 +274,4 @@ func (g *ShardGroup) NextAt() time.Duration {
 		}
 	}
 	return earliest
-}
-
-// DrainOutboxes collects every process's buffered cross-shard events
-// in the canonical (At, Shard, Proc, Seq) order. The returned slice is
-// the group's reusable merge buffer — consume it before the next call.
-// Call only between barriers.
-func (g *ShardGroup) DrainOutboxes() []Mail {
-	g.merged = g.merged[:0]
-	for _, sh := range g.shards {
-		for i := range sh.outs {
-			b := &sh.outs[i]
-			g.merged = append(g.merged, b.mail...)
-			b.mail = b.mail[:0]
-		}
-	}
-	if len(g.merged) == 0 {
-		return nil
-	}
-	sortMail(g.merged)
-	return g.merged
 }

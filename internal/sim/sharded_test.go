@@ -18,8 +18,6 @@ type shardProc struct {
 	rem   int
 	iter  time.Duration
 	log   []string
-	shard *Shard // when set, every step also emits to the proc's outbox
-	pidx  int    // shard-local index, for EmitProc
 }
 
 type shardJob struct {
@@ -57,9 +55,6 @@ func (p *shardProc) Step() (bool, error) {
 	p.clock += p.iter
 	p.rem--
 	p.log = append(p.log, fmt.Sprintf("p%d@%v", p.id, p.clock))
-	if p.shard != nil {
-		p.shard.EmitProc(p.pidx, p.clock, fmt.Sprintf("done p%d@%v", p.id, p.clock))
-	}
 	return true, nil
 }
 
@@ -228,48 +223,6 @@ func TestShardEpochBarriers(t *testing.T) {
 	checkSameLogs(t, want, procs, "epoch barriers")
 }
 
-// TestOutboxCanonicalOrder checks DrainOutboxes yields the
-// (At, Shard, Proc, Seq) merge regardless of worker interleaving or
-// which worker (home or thief) advanced a process.
-func TestOutboxCanonicalOrder(t *testing.T) {
-	jobs := genJobs(4)
-	var first []Mail
-	for round := 0; round < 3; round++ {
-		procs := newProcs(len(jobs), 2*time.Millisecond)
-		shards := []*Shard{NewShard(0), NewShard(1)}
-		for i, p := range procs {
-			p.shard = shards[i%2]
-			p.pidx = p.shard.Add(p, &jobFeed{proc: p, jobs: jobs[i]})
-		}
-		g := NewShardGroup(shards...)
-		g.Start()
-		if err := g.AdvanceAll(Never); err != nil {
-			t.Fatal(err)
-		}
-		g.Stop()
-		// DrainOutboxes returns the group's reusable buffer; copy to
-		// compare across rounds.
-		mail := append([]Mail(nil), g.DrainOutboxes()...)
-		for i := 1; i < len(mail); i++ {
-			if !mailLess(mail[i-1], mail[i]) {
-				t.Fatalf("round %d: mail %d and %d out of canonical order: %+v then %+v", round, i-1, i, mail[i-1], mail[i])
-			}
-		}
-		if round == 0 {
-			first = mail
-			continue
-		}
-		if len(mail) != len(first) {
-			t.Fatalf("round %d: %d mail items, first round had %d", round, len(mail), len(first))
-		}
-		for i := range mail {
-			if mail[i] != first[i] {
-				t.Fatalf("round %d: mail %d = %+v, first round %+v", round, i, mail[i], first[i])
-			}
-		}
-	}
-}
-
 // errProc fails its Step; used to check deterministic error selection.
 type errProc struct{ id int }
 
@@ -350,8 +303,7 @@ func TestShardGroupLifecycle(t *testing.T) {
 // TestWorkStealingUnevenShards loads one shard with almost all of the
 // work so the steal path must carry it: with 2 shards and 7 of 8 procs
 // on shard 0, the run only matches the sequential reference if thieves
-// advance processes they don't own without breaking per-process state
-// or outbox order.
+// advance processes they don't own without breaking per-process state.
 func TestWorkStealingUnevenShards(t *testing.T) {
 	jobs := genJobs(8)
 	want := runSequential(t, jobs)
@@ -363,8 +315,7 @@ func TestWorkStealingUnevenShards(t *testing.T) {
 		if i == len(procs)-1 {
 			sh = light
 		}
-		p.shard = sh
-		p.pidx = sh.Add(p, &jobFeed{proc: p, jobs: jobs[i]})
+		sh.Add(p, &jobFeed{proc: p, jobs: jobs[i]})
 	}
 	g := NewShardGroup(heavy, light)
 	g.Start()
@@ -382,56 +333,6 @@ func TestWorkStealingUnevenShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSameLogs(t, want, procs, "steal uneven")
-	mail := g.DrainOutboxes()
-	for i := 1; i < len(mail); i++ {
-		if !mailLess(mail[i-1], mail[i]) {
-			t.Fatalf("mail %d and %d out of canonical order: %+v then %+v", i-1, i, mail[i-1], mail[i])
-		}
-	}
-}
-
-// TestMailboxDrainReusesCapacity gates the barrier-path allocation
-// contract: once a box and the group merge buffer have grown, an
-// emit → drain cycle allocates nothing.
-func TestMailboxDrainReusesCapacity(t *testing.T) {
-	sh := NewShard(0)
-	p := &shardProc{id: 0, iter: time.Millisecond}
-	p.shard, p.pidx = sh, sh.Add(p, nil)
-	g := NewShardGroup(sh)
-
-	emit := func() {
-		for i := 0; i < 16; i++ {
-			sh.EmitProc(0, time.Duration(16-i)*time.Millisecond, i)
-		}
-	}
-	// Warm the buffers, then measure.
-	emit()
-	g.DrainOutboxes()
-	allocs := testing.AllocsPerRun(100, func() {
-		emit()
-		if got := g.DrainOutboxes(); len(got) != 16 {
-			t.Fatalf("drained %d items, want 16", len(got))
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("emit+DrainOutboxes allocated %.1f times per run, want 0", allocs)
-	}
-
-	emit()
-	box := &sh.outs[0]
-	first := box.Drain()
-	if len(first) != 16 {
-		t.Fatalf("Drain returned %d items, want 16", len(first))
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		emit()
-		if got := box.Drain(); len(got) != 16 {
-			t.Fatalf("drained %d items, want 16", len(got))
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("emit+Drain allocated %.1f times per run, want 0", allocs)
-	}
 }
 
 // TestShardNoProgressError mirrors Timeline's liveness contract.

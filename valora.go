@@ -316,8 +316,8 @@ func (c *ClusterSystem) Serve(trace Trace) (*Report, error) {
 // synchronized only at the points that couple them. The report is
 // bit-identical to Serve's — shard count changes wall-clock time only.
 // Configurations whose coupling requires a global event order (shared
-// registry store, autoscaling, preemption) transparently run
-// sequentially.
+// registry store, autoscaling, preemption, managed without Lookahead)
+// transparently run sequentially.
 func (c *ClusterSystem) ServeSharded(trace Trace, shards int) (*Report, error) {
 	return c.cluster.RunSharded(trace, shards)
 }
