@@ -1,10 +1,9 @@
 // Command valora-server exposes the simulated VaLoRA runtime over
 // HTTP. The server holds one persistent step-wise serving engine per
-// system kind: the OpenAI-compatible endpoints and /v1/requests
-// submit into the live engine (virtual clock, prefix cache and
-// adapter residency carry across requests) while /v1/replay runs an
-// isolated batch experiment, optionally across a cluster of replicas
-// with a chosen dispatch policy.
+// system kind: the OpenAI-compatible completion endpoints submit into
+// the live engine (virtual clock, prefix cache and adapter residency
+// carry across requests). Whole-trace replays, single-instance or
+// across a cluster, are valora-bench experiments.
 //
 // Usage:
 //
@@ -13,16 +12,13 @@
 //
 // Endpoints:
 //
-//	POST /v1/chat/completions — OpenAI chat (stream=true for SSE)
-//	POST /v1/completions      — OpenAI legacy completions
+//	POST /v1/chat/completions — OpenAI chat (stream=true for SSE); extensions
+//	                            {"adapter_id":1,"input_tokens":400,"output_tokens":120,
+//	                             "images":1,"system":"S-LoRA","deadline_ms":500}
+//	POST /v1/completions      — OpenAI legacy completions (same extensions)
 //	GET  /v1/models           — registered adapters as models
 //	GET  /metrics             — Prometheus text exposition
 //	GET  /v1/trace            — captured per-request trace (JSONL)
-//	GET  /v1/model            — model and system info
-//	POST /v1/requests         — {"adapter_id":1,"input_tokens":400,"output_tokens":120,"images":1,
-//	                             "system":"S-LoRA"}  (system optional; default from -system)
-//	POST /v1/replay           — {"app":"retrieval","rate":6,"seconds":30,"adapters":16,"skew":0.6,
-//	                             "replicas":4,"dispatch":"adapter-affinity"}
 //	GET  /healthz
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: no new
@@ -47,6 +43,15 @@ import (
 	"valora/internal/serving"
 	"valora/internal/simgpu"
 	"valora/internal/trace"
+)
+
+// Connection timeouts: a client gets readHeaderTimeout to send its
+// request headers and an idle keep-alive connection is closed after
+// idleTimeout, so stalled or abandoned connections cannot pin server
+// resources.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -93,7 +98,12 @@ func main() {
 		frontend.SetTraceRecorder(rec)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: frontend}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           frontend,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// Graceful shutdown: Shutdown stops the listener and waits for
 	// in-flight handlers (each stepping a virtual request to

@@ -110,7 +110,7 @@ func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 func f2(f float64) string { return fmt.Sprintf("%.2f", f) }
 
 // Experiment couples an ID with its driver and a one-line description
-// (shown by valora-bench -list) for RunAll.
+// (shown by valora-bench -list).
 type Experiment struct {
 	ID   string
 	Desc string
@@ -170,18 +170,4 @@ func (s *Suite) All() []Experiment {
 		{"ablation-switch", "VaLoRA with the slow switcher", s.AblationSlowSwitch},
 		{"ablation-memory", "unified vs copy-based adapter memory", s.AblationMemory},
 	}
-}
-
-// RunAll executes every experiment, returning tables in order. The
-// first error aborts the run.
-func (s *Suite) RunAll() ([]*Table, error) {
-	var out []*Table
-	for _, e := range s.All() {
-		t, err := e.Run()
-		if err != nil {
-			return out, fmt.Errorf("bench %s: %w", e.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

@@ -13,19 +13,16 @@ import (
 	"valora/internal/sched"
 	"valora/internal/simgpu"
 	"valora/internal/trace"
-	"valora/internal/train"
-	"valora/internal/workload"
 )
 
 // Frontend is the HTTP interface of cmd/valora-server (the RPyC-style
-// streaming frontend of §5, reduced to JSON-over-HTTP plus an
-// OpenAI-compatible surface). It holds one persistent serving engine
-// per system kind: single inference requests are submitted into the
-// live engine (whose virtual clock, prefix cache and adapter residency
+// streaming frontend of §5, reduced to an OpenAI-compatible
+// JSON-over-HTTP surface). It holds one persistent serving engine per
+// system kind: each completion request is submitted into the live
+// engine (whose virtual clock, prefix cache and adapter residency
 // carry across requests) and stepped to completion, so consecutive
 // requests see warmed state the way a long-running server would.
-// Replay jobs run a whole trace as an isolated batch experiment on a
-// fresh engine.
+// Whole-trace replays are valora-bench experiments, not routes.
 //
 // Routes:
 //
@@ -34,14 +31,11 @@ import (
 //	GET  /v1/models            registered adapters as models
 //	GET  /metrics              Prometheus text exposition
 //	GET  /v1/trace             captured per-request trace (JSONL)
-//	POST /v1/requests          native single-request API
-//	POST /v1/replay            isolated whole-trace experiments
-//	GET  /v1/model             model/system card
 //	GET  /healthz              liveness
 //
 // net/http serves handlers concurrently; mu guards the shared scalar
-// state (sequence counter, replay seed) and the engine list, while
-// each live engine carries its own lock — the step-wise engine is
+// state (the sequence counter) and the engine list, while each live
+// engine carries its own lock — the step-wise engine is
 // single-threaded by design, but requests to different systems
 // proceed concurrently. The metrics collector and trace recorder are
 // frontend-owned and outlive any single engine, so cumulative series
@@ -55,7 +49,6 @@ type Frontend struct {
 
 	mu       sync.Mutex
 	seq      int64
-	seed     int64
 	engines  []*liveEngine // persistent live engines, one per kind
 	liveCap  int
 	adapters []AdapterCard
@@ -145,13 +138,9 @@ func NewFrontend(kind SystemKind, g *simgpu.GPU, model lmm.Config) *Frontend {
 	f := &Frontend{
 		Kind: kind, GPU: g, Model: model,
 		mux:     http.NewServeMux(),
-		seed:    1,
 		liveCap: liveEngineRequestCap,
 		prom:    metrics.NewProm(),
 	}
-	f.mux.HandleFunc("/v1/model", f.handleModel)
-	f.mux.HandleFunc("/v1/requests", f.handleRequest)
-	f.mux.HandleFunc("/v1/replay", f.handleReplay)
 	f.mux.HandleFunc("/v1/chat/completions", f.handleChatCompletions)
 	f.mux.HandleFunc("/v1/completions", f.handleCompletions)
 	f.mux.HandleFunc("/v1/models", f.handleModels)
@@ -206,8 +195,8 @@ func (f *Frontend) TraceRecorder() *trace.Recorder {
 func (f *Frontend) Metrics() *metrics.Prom { return f.prom }
 
 // RegisterAdapters names the frontend's serveable adapters. Position
-// is identity: the i-th name is adapter ID i, matching the adapter
-// IDs native requests address directly. /v1/models lists them and
+// is identity: the i-th name is adapter ID i, matching the IDs the
+// adapter_id extension addresses directly. /v1/models lists them and
 // OpenAI requests select one by model name.
 func (f *Frontend) RegisterAdapters(names ...string) {
 	f.mu.Lock()
@@ -445,182 +434,6 @@ func (f *Frontend) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	_ = rec.WriteJSONL(w)
-}
-
-func (f *Frontend) handleModel(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{
-		"system":        string(f.Kind),
-		"model":         f.Model.Name,
-		"layers":        f.Model.Layers,
-		"dim":           f.Model.Dim,
-		"weight_bytes":  f.Model.WeightBytes,
-		"visual_tokens": f.Model.VisualTokens,
-		"lora_rank":     f.Model.DefaultRank,
-	})
-}
-
-// requestBody is the JSON schema of POST /v1/requests.
-type requestBody struct {
-	AdapterID    int     `json:"adapter_id"`
-	InputTokens  int     `json:"input_tokens"`
-	OutputTokens int     `json:"output_tokens"`
-	Images       int     `json:"images"`
-	Task         string  `json:"task"`
-	System       string  `json:"system"` // optional override of the default system
-	Tenant       string  `json:"tenant"`
-	DeadlineMS   float64 `json:"deadline_ms"` // >0 enables SLO accounting
-}
-
-func (f *Frontend) handleRequest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var body requestBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if body.InputTokens <= 0 {
-		body.InputTokens = f.Model.VisualTokens + 64
-	}
-	if body.OutputTokens <= 0 {
-		body.OutputTokens = 64
-	}
-	if body.InputTokens > maxInputTokens || body.OutputTokens > maxOutputTokens {
-		http.Error(w, fmt.Sprintf("token counts exceed the per-request maximum (%d in, %d out)", maxInputTokens, maxOutputTokens), http.StatusBadRequest)
-		return
-	}
-	kind, err := f.systemOf(body.System)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	req := &sched.Request{
-		ID:           f.nextID(),
-		AdapterID:    body.AdapterID,
-		App:          sched.VisualRetrieval,
-		Task:         train.VisualQA,
-		Head:         train.LMHead,
-		InputTokens:  body.InputTokens,
-		OutputTokens: body.OutputTokens,
-		Images:       body.Images,
-		Tenant:       body.Tenant,
-		Deadline:     time.Duration(body.DeadlineMS * float64(time.Millisecond)),
-	}
-	now, status, err := f.runLive(kind, req)
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	lat := req.Latency()
-	writeJSON(w, map[string]any{
-		"request_id":        req.ID,
-		"system":            string(kind),
-		"ttft_ms":           float64(req.FirstToken-req.Arrival) / float64(time.Millisecond),
-		"e2e_ms":            float64(lat) / float64(time.Millisecond),
-		"avg_token_latency": float64(lat) / float64(time.Millisecond) / float64(req.InputTokens+req.OutputTokens),
-		"output_tokens":     req.OutputTokens,
-		"virtual_now_ms":    float64(now) / float64(time.Millisecond),
-	})
-}
-
-// replayBody is the JSON schema of POST /v1/replay.
-type replayBody struct {
-	App      string  `json:"app"`  // "retrieval" | "video"
-	Rate     float64 `json:"rate"` // retrieval req/s or video streams
-	Seconds  int     `json:"seconds"`
-	Adapters int     `json:"adapters"`
-	Skew     float64 `json:"skew"`
-	System   string  `json:"system"`   // optional override of the default system
-	Replicas int     `json:"replicas"` // >1 replays across a cluster
-	Dispatch string  `json:"dispatch"` // cluster routing: round-robin | least-loaded | adapter-affinity
-}
-
-func (f *Frontend) handleReplay(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var body replayBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if body.Seconds <= 0 {
-		body.Seconds = 30
-	}
-	if body.Adapters <= 0 {
-		body.Adapters = 16
-	}
-	if body.Skew <= 0 {
-		body.Skew = 0.6
-	}
-	if body.Rate <= 0 {
-		body.Rate = 4
-	}
-	if body.Replicas <= 0 {
-		body.Replicas = 1
-	}
-	// Bound what one replay request may cost: each replica is a full
-	// engine (KV cache, pool, prefix cache), and the synthesized trace
-	// holds ~rate×seconds requests in memory.
-	const maxReplicas, maxRate, maxSeconds, maxAdapters = 64, 1000, 600, 4096
-	if body.Replicas > maxReplicas || body.Rate > maxRate || body.Seconds > maxSeconds || body.Adapters > maxAdapters {
-		http.Error(w, fmt.Sprintf("replay size exceeds the maximum (%d replicas, rate %d, %d seconds, %d adapters)", maxReplicas, maxRate, maxSeconds, maxAdapters), http.StatusBadRequest)
-		return
-	}
-	kind, err := f.systemOf(body.System)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	dispatch, err := DispatchByName(body.Dispatch)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	// The seed is shared mutable state; the replay itself runs on a
-	// fresh engine outside the lock so long experiments do not block
-	// live requests.
-	f.mu.Lock()
-	seed := f.seed
-	f.seed++
-	f.mu.Unlock()
-
-	dur := time.Duration(body.Seconds) * time.Second
-	var tr workload.Trace
-	if body.App == "video" {
-		tr = workload.GenVideo(workload.DefaultVideo(int(body.Rate), dur, body.Adapters, body.Skew, seed))
-	} else {
-		tr = workload.GenRetrieval(workload.DefaultRetrieval(body.Rate, dur, body.Adapters, body.Skew, seed))
-	}
-	cl, err := NewSystemCluster(kind, body.Replicas, f.GPU, f.Model, dispatch)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	rep, err := cl.Run(tr)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]any{
-		"system":               rep.System,
-		"replicas":             body.Replicas,
-		"dispatch":             dispatch.Name(),
-		"requests":             rep.Requests,
-		"completed":            rep.Completed,
-		"avg_token_latency_ms": rep.AvgTokenLatency,
-		"throughput_rps":       rep.Throughput,
-		"e2e_p50_ms":           rep.E2E.P50,
-		"e2e_p95_ms":           rep.E2E.P95,
-		"mode_iterations":      rep.ModeIterations,
-		"switches":             rep.Switches,
-		"swap_ins":             rep.SwapIns,
-	})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

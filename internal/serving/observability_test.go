@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -94,80 +93,60 @@ func TestModelsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSSEStreamingOrder checks the stream contract: a role chunk
-// first (chat), one chunk per token, emit_ms non-decreasing along the
-// virtual TTFT/ITL schedule, a finish chunk with usage, then [DONE].
+// TestSSEStreamingOrder checks the stream contract on both completion
+// endpoints: a role chunk first (chat only), one chunk per token,
+// emit_ms non-decreasing along the virtual TTFT/ITL schedule, usage
+// and finish_reason on the last chunk only, then [DONE].
 func TestSSEStreamingOrder(t *testing.T) {
-	f := newTestFrontend(t)
 	const tokens = 9
-	rec := postJSON(t, f, "/v1/chat/completions",
-		fmt.Sprintf(`{"messages":[{"role":"user","content":"count"}],"max_tokens":%d,"stream":true}`, tokens))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	var chunks []map[string]any
-	doneSeen := false
-	sc := bufio.NewScanner(rec.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if !strings.HasPrefix(line, "data: ") {
-			t.Fatalf("non-SSE line %q", line)
-		}
-		payload := strings.TrimPrefix(line, "data: ")
-		if payload == "[DONE]" {
-			doneSeen = true
-			continue
-		}
-		if doneSeen {
-			t.Fatal("chunk after [DONE]")
-		}
-		var c map[string]any
-		if err := json.Unmarshal([]byte(payload), &c); err != nil {
-			t.Fatalf("bad chunk %q: %v", payload, err)
-		}
-		chunks = append(chunks, c)
-	}
-	if !doneSeen {
-		t.Fatal("missing [DONE] sentinel")
-	}
-	// role chunk + tokens + finish chunk
-	if len(chunks) != tokens+2 {
-		t.Fatalf("got %d chunks, want %d", len(chunks), tokens+2)
-	}
-	lastEmit := -1.0
-	var text strings.Builder
-	for i, c := range chunks {
-		if c["object"] != "chat.completion.chunk" {
-			t.Fatalf("chunk %d object %v", i, c["object"])
-		}
-		emit := c["valora"].(map[string]any)["emit_ms"].(float64)
-		if emit < lastEmit {
-			t.Fatalf("chunk %d emitted at %.3fms before predecessor at %.3fms", i, emit, lastEmit)
-		}
-		lastEmit = emit
-		choice := c["choices"].([]any)[0].(map[string]any)
-		if delta, ok := choice["delta"].(map[string]any); ok {
-			if s, ok := delta["content"].(string); ok {
-				text.WriteString(s)
+	for _, c := range []struct {
+		path, body, object, idPrefix string
+		roleChunks                   int
+	}{
+		{"/v1/chat/completions", `"messages":[{"role":"user","content":"count"}]`, "chat.completion.chunk", "chatcmpl-", 1},
+		{"/v1/completions", `"prompt":"count"`, "text_completion", "cmpl-", 0},
+	} {
+		t.Run(strings.TrimPrefix(c.path, "/v1/"), func(t *testing.T) {
+			f := newTestFrontend(t)
+			rec := postJSON(t, f, c.path, fmt.Sprintf(`{%s,"max_tokens":%d,"stream":true}`, c.body, tokens))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
 			}
-		}
-		if i == len(chunks)-1 {
-			if choice["finish_reason"] != "stop" {
-				t.Fatalf("last chunk missing finish_reason: %v", choice)
+			if ct := rec.Header().Get("Content-Type"); ct != "text/event-stream" {
+				t.Fatalf("content type %q", ct)
 			}
-			if _, ok := c["usage"]; !ok {
-				t.Fatal("last chunk missing usage")
+			chunks := readSSE(t, rec.Body)
+			if want := c.roleChunks + tokens + 1; len(chunks) != want { // + finish chunk
+				t.Fatalf("got %d chunks, want %d", len(chunks), want)
 			}
-		}
-	}
-	if got := len(strings.Fields(text.String())); got != tokens {
-		t.Fatalf("streamed %d words, want %d", got, tokens)
+			lastEmit := -1.0
+			var text strings.Builder
+			for i, ch := range chunks {
+				if ch["object"] != c.object || !strings.HasPrefix(ch["id"].(string), c.idPrefix) {
+					t.Fatalf("chunk %d: object %v id %v", i, ch["object"], ch["id"])
+				}
+				emit := ch["valora"].(map[string]any)["emit_ms"].(float64)
+				if emit < lastEmit {
+					t.Fatalf("chunk %d emitted at %.3fms before predecessor at %.3fms", i, emit, lastEmit)
+				}
+				lastEmit = emit
+				choice := ch["choices"].([]any)[0].(map[string]any)
+				if s, ok := choice["text"].(string); ok {
+					text.WriteString(s)
+				} else if delta, ok := choice["delta"].(map[string]any); ok {
+					if s, ok := delta["content"].(string); ok {
+						text.WriteString(s)
+					}
+				}
+				_, hasUsage := ch["usage"]
+				if last := i == len(chunks)-1; hasUsage != last || last != (choice["finish_reason"] == "stop") {
+					t.Fatalf("chunk %d: usage and finish_reason belong on the last chunk only: %v", i, ch)
+				}
+			}
+			if got := len(strings.Fields(text.String())); got != tokens {
+				t.Fatalf("streamed %d words, want %d", got, tokens)
+			}
+		})
 	}
 }
 
@@ -210,7 +189,7 @@ var expositionLine = regexp.MustCompile(`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]
 func TestMetricsExpositionFormat(t *testing.T) {
 	f := newTestFrontend(t)
 	for i := 0; i < 3; i++ {
-		rec := postJSON(t, f, "/v1/requests", `{"adapter_id":0,"input_tokens":300,"output_tokens":16}`)
+		rec := postJSON(t, f, "/v1/chat/completions", `{"adapter_id":0,"input_tokens":300,"output_tokens":16}`)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body)
 		}
@@ -259,7 +238,7 @@ func TestMetricsMonotonicAcrossRecycle(t *testing.T) {
 	f.SetLiveRequestCap(2)
 	var lastReq, lastSwapIns float64
 	for i := 0; i < 7; i++ {
-		rec := postJSON(t, f, "/v1/requests",
+		rec := postJSON(t, f, "/v1/chat/completions",
 			fmt.Sprintf(`{"adapter_id":%d,"input_tokens":300,"output_tokens":8}`, i%3))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body)
@@ -334,7 +313,7 @@ func TestFrontendTraceCapture(t *testing.T) {
 	f.SetTraceRecorder(tr)
 	f.SetLiveRequestCap(2) // capture must survive recycling too
 	for i := 0; i < 5; i++ {
-		if rec := postJSON(t, f, "/v1/requests", `{"input_tokens":300,"output_tokens":8}`); rec.Code != http.StatusOK {
+		if rec := postJSON(t, f, "/v1/chat/completions", `{"input_tokens":300,"output_tokens":8}`); rec.Code != http.StatusOK {
 			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body)
 		}
 	}

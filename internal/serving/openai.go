@@ -2,7 +2,9 @@ package serving
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -42,6 +44,15 @@ type openAIRequest struct {
 	System       string  `json:"system"`
 	DeadlineMS   float64 `json:"deadline_ms"`
 }
+
+// maxBodyBytes bounds a completion request body. A prompt at
+// maxInputTokens is about 4 MiB at the frontend's ~4 characters per
+// text token, so 8 MiB admits every servable prompt with headroom.
+const maxBodyBytes = 8 << 20
+
+// maxDeadlineMS is the largest deadline_ms whose nanosecond value fits
+// in a time.Duration.
+const maxDeadlineMS = float64(math.MaxInt64 / int64(time.Millisecond))
 
 // openAIMessage is one chat message; Content is a string or an array
 // of typed parts (text / image_url), as in the vision API.
@@ -128,13 +139,22 @@ func completionText(n int) string {
 // request plus its target system. A nil request means an error was
 // already written.
 func (f *Frontend) buildOpenAIRequest(w http.ResponseWriter, body *openAIRequest) (*sched.Request, SystemKind, bool) {
+	invalid := func(format string, args ...any) (*sched.Request, SystemKind, bool) {
+		openAIError(w, http.StatusBadRequest, "invalid_request_error", fmt.Sprintf(format, args...))
+		return nil, "", false
+	}
 	kind, err := f.systemOf(body.System)
 	if err != nil {
-		openAIError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
-		return nil, "", false
+		return invalid("%v", err)
+	}
+	if body.DeadlineMS < 0 || body.DeadlineMS > maxDeadlineMS {
+		return invalid("deadline_ms must be in [0, %.0f]", maxDeadlineMS)
 	}
 	adapter := 0
 	if body.AdapterID != nil {
+		if *body.AdapterID < 0 {
+			return invalid("adapter_id must not be negative")
+		}
 		adapter = *body.AdapterID
 	} else {
 		id, ok := f.adapterByModel(body.Model)
@@ -149,6 +169,11 @@ func (f *Frontend) buildOpenAIRequest(w http.ResponseWriter, body *openAIRequest
 	textLen, images := promptShape(body)
 	if body.Images > 0 {
 		images = body.Images
+	}
+	// Each image adds VisualTokens to the prompt, so more images than
+	// fit in maxInputTokens can never be served.
+	if maxImages := maxInputTokens / f.Model.VisualTokens; images > maxImages {
+		return invalid("images exceeds the per-request maximum (%d)", maxImages)
 	}
 	in := body.InputTokens
 	if in <= 0 {
@@ -170,9 +195,7 @@ func (f *Frontend) buildOpenAIRequest(w http.ResponseWriter, body *openAIRequest
 		out = 64
 	}
 	if in > maxInputTokens || out > maxOutputTokens {
-		openAIError(w, http.StatusBadRequest, "invalid_request_error",
-			fmt.Sprintf("token counts exceed the per-request maximum (%d in, %d out)", maxInputTokens, maxOutputTokens))
-		return nil, "", false
+		return invalid("token counts exceed the per-request maximum (%d in, %d out)", maxInputTokens, maxOutputTokens)
 	}
 	return &sched.Request{
 		ID:           f.nextID(),
@@ -217,7 +240,13 @@ func (f *Frontend) handleOpenAI(w http.ResponseWriter, r *http.Request, chat boo
 		return
 	}
 	var body openAIRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			openAIError(w, http.StatusRequestEntityTooLarge, "invalid_request_error",
+				fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+			return
+		}
 		openAIError(w, http.StatusBadRequest, "invalid_request_error", fmt.Sprintf("bad request: %v", err))
 		return
 	}

@@ -13,19 +13,17 @@
 //     with measured accuracies.
 //   - New builds a serving System: the VaLoRA runtime (or one of the
 //     paper's baselines) on a simulated A100 around a chosen LMM.
-//   - The runtime is a step-wise, event-driven engine: System.Submit
-//     enqueues a request into the live engine, System.Step runs one
-//     scheduling iteration (admit → policy decide → mode switch →
-//     adapter residency → iteration advance), and System.Drain steps
-//     until idle. System.Serve replays a whole trace over those
-//     primitives and returns the serving report (average token
-//     latency, throughput, mode/switch/swap accounting).
+//   - System.Serve replays a whole trace through the step-wise,
+//     event-driven engine (each iteration: admit → policy decide →
+//     mode switch → adapter residency → iteration advance) and returns
+//     the serving report (average token latency, throughput,
+//     mode/switch/swap accounting).
 //   - NewCluster scales to several instances on one shared virtual
 //     timeline, routing requests by a dispatch policy (round-robin,
 //     least-loaded, or adapter-affinity — which pins each adapter's
 //     traffic to a replica to cut switch and swap traffic).
-//   - Experiments (see RunExperiments) regenerate every table and
-//     figure of the paper's evaluation.
+//   - RunExperiment regenerates any table or figure of the paper's
+//     evaluation by ID (see ExperimentIDs).
 //
 // A minimal end-to-end use:
 //
@@ -38,18 +36,15 @@ package valora
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"valora/internal/bench"
-	"valora/internal/calib"
 	"valora/internal/lmm"
 	"valora/internal/lora"
 	"valora/internal/registry"
 	"valora/internal/sched"
 	"valora/internal/serving"
 	"valora/internal/simgpu"
-	"valora/internal/trace"
 	"valora/internal/train"
 	"valora/internal/workload"
 )
@@ -63,8 +58,7 @@ type (
 	Report = serving.Report
 	// Trace is a workload of requests.
 	Trace = workload.Trace
-	// Request is one inference request (Trace element); online callers
-	// build these directly and Submit them into a live System.
+	// Request is one inference request (Trace element).
 	Request = sched.Request
 	// ModelConfig describes an LMM (Table 2).
 	ModelConfig = lmm.Config
@@ -94,18 +88,6 @@ type (
 	// ResidencyQuota bounds one tenant's host-tier residency
 	// (guaranteed pinned bytes plus a protected burst envelope).
 	ResidencyQuota = registry.TenantQuota
-	// AdapterCatalog maps adapter ids to content digests, tenants and
-	// families; see NewFamilyAdapterStore for family dedup.
-	AdapterCatalog = registry.Catalog
-	// FetchSample is one completed adapter fetch as observed by a
-	// store's fetch observer (Store.SetFetchObserver) — the input to the
-	// measured fetch-cost model.
-	FetchSample = registry.FetchSample
-	// PreemptionConfig enables iteration-level preemption on an
-	// instance (displacement of admitted requests in favor of starving
-	// tight-deadline ones, with an unpreemptable-after-N livelock
-	// guard). See Config.Preemption.
-	PreemptionConfig = serving.PreemptionConfig
 )
 
 // Serving systems.
@@ -150,16 +132,6 @@ type Config struct {
 	// is host-resident. Instances of one cluster share the store; nil
 	// keeps the paper's host-resident assumption.
 	Store *AdapterStore
-	// Preemption enables iteration-level preemption (VaLoRA system
-	// only): the policy may displace admitted requests so starving
-	// tight-deadline arrivals get their slots, with recompute-on-resume
-	// and an unpreemptable-after-N guard. nil keeps the deadline-blind
-	// engine exactly.
-	Preemption *PreemptionConfig
-	// DeadlineCredit makes Algorithm 1's starvation credit
-	// urgency-weighted (the tolerance θ shrinks with a request's
-	// slack-to-deadline). VaLoRA system only.
-	DeadlineCredit bool
 }
 
 // System is a ready-to-serve instance.
@@ -201,11 +173,6 @@ func (cfg Config) options() (serving.Options, error) {
 		opts.Registry = lora.NewRegistry(cfg.Adapters...)
 	}
 	opts.Store = cfg.Store
-	opts.Preemption = cfg.Preemption
-	if p, ok := opts.Policy.(*sched.VaLoRAPolicy); ok {
-		p.Preempt = cfg.Preemption != nil
-		p.DeadlineCredit = cfg.DeadlineCredit
-	}
 	return opts, nil
 }
 
@@ -218,18 +185,6 @@ func (cfg Config) options() (serving.Options, error) {
 // declare quotas with its SetQuota method.
 func NewAdapterStore(cfg AdapterStoreConfig, adapters []*Adapter, tenantOf func(id int) string) *AdapterStore {
 	return registry.NewStore(cfg, registry.CatalogFromAdapters(adapters, tenantOf))
-}
-
-// NewFamilyAdapterStore is NewAdapterStore for family-structured
-// adapter sets: familyOf resolves each adapter's family name and the
-// length of the weight prefix the family shares (0/"" = standalone).
-// The store digests adapters as lists of AdapterStoreConfig.ChunkSize
-// chunks, so siblings' shared prefixes are transferred over the
-// replica links and cached in the host tier once; with ChunkSize 0
-// each adapter is one chunk and only a wholly shared blob dedups (see
-// the README's "Adapter distribution" section).
-func NewFamilyAdapterStore(cfg AdapterStoreConfig, adapters []*Adapter, tenantOf func(id int) string, familyOf func(id int) (string, int64)) *AdapterStore {
-	return registry.NewStore(cfg, registry.CatalogFromFamilies(adapters, tenantOf, familyOf))
 }
 
 // New builds a serving system on a simulated A100.
@@ -252,21 +207,6 @@ func New(cfg Config) (*System, error) {
 func (s *System) Serve(trace Trace) (*Report, error) {
 	return s.server.Run(trace)
 }
-
-// Submit enqueues one request into the live engine without running it;
-// pair with Step/Drain for online, step-wise serving.
-func (s *System) Submit(r *Request) { s.server.Submit(r) }
-
-// Step runs one scheduling iteration of the engine, reporting whether
-// any progress was made (false = idle).
-func (s *System) Step() (bool, error) { return s.server.Step() }
-
-// Drain steps the engine until idle and returns the cumulative report.
-func (s *System) Drain() (*Report, error) { return s.server.Drain() }
-
-// Now reports the engine's current virtual time (stamp online request
-// arrivals with it).
-func (s *System) Now() time.Duration { return s.server.Now() }
 
 // DispatchKind selects how a cluster routes requests to replicas.
 type DispatchKind string
@@ -322,9 +262,6 @@ func (c *ClusterSystem) ServeSharded(trace Trace, shards int) (*Report, error) {
 	return c.cluster.RunSharded(trace, shards)
 }
 
-// Size reports the number of replicas.
-func (c *ClusterSystem) Size() int { return c.cluster.Size() }
-
 // NewManagedCluster builds a tenant-aware (SLO-aware) cluster: n
 // initial replicas of the configured system behind an admission stage
 // (per-tenant queue caps, hopeless-deadline shedding), a
@@ -353,55 +290,6 @@ func NewManagedCluster(cfg Config, n int, dispatch DispatchKind, sc SchedulingCo
 // fair-share weights, burst credits and queue caps.
 func DefaultTenantClasses() []TenantSpec { return workload.DefaultTenantClasses() }
 
-// Trace capture and calibration (the observe–predict–calibrate loop).
-type (
-	// TraceRecord is one completed request's structured observation:
-	// the virtual timestamps (arrival, admission, first token, finish)
-	// plus the token/image/cold-start facts a cost model fits against.
-	TraceRecord = trace.Record
-	// TraceRecorder collects TraceRecords from a running system; attach
-	// one with SetTraceRecorder and read Rows or WriteJSONL after a run.
-	TraceRecorder = trace.Recorder
-	// CostModel holds calibrated per-phase latency coefficients fitted
-	// from a trace by FitCostModel.
-	CostModel = calib.Coefficients
-	// CalibrationMetric is one scorecard entry (observed vs predicted
-	// percentile, relative error) from EvaluateCostModel.
-	CalibrationMetric = calib.Metric
-)
-
-// NewTraceRecorder builds an empty per-request trace sink.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
-
-// SetTraceRecorder installs a per-request trace sink on the engine:
-// every finished request appends one TraceRecord.
-func (s *System) SetTraceRecorder(rec *TraceRecorder) { s.server.SetTraceRecorder(rec) }
-
-// SetTraceRecorder installs a shared per-request trace sink on every
-// replica (records carry the instance index).
-func (c *ClusterSystem) SetTraceRecorder(rec *TraceRecorder) { c.cluster.SetTraceRecorder(rec) }
-
-// FitCostModel fits prefill/decode latency coefficients to a captured
-// trace by least squares (needs at least 8 causally-ordered rows).
-func FitCostModel(rows []TraceRecord) (CostModel, error) { return calib.Fit(rows) }
-
-// EvaluateCostModel re-predicts every row under the fitted model and
-// returns the TTFT/E2E p50/p99 scorecard.
-func EvaluateCostModel(rows []TraceRecord, m CostModel) []CalibrationMetric {
-	return calib.Evaluate(rows, m)
-}
-
-// WorstRelErr returns the largest relative error in a scorecard.
-func WorstRelErr(scorecard []CalibrationMetric) float64 { return calib.MaxRelErr(scorecard) }
-
-// WriteTraceJSONL writes rows deterministically (sorted by finish
-// time) as one JSON object per line.
-func WriteTraceJSONL(w io.Writer, rows []TraceRecord) error { return trace.WriteJSONL(w, rows) }
-
-// ReadTraceJSONL loads a JSONL capture written by WriteTraceJSONL,
-// valora-server or valora-calibrate.
-func ReadTraceJSONL(r io.Reader) ([]TraceRecord, error) { return trace.ReadJSONL(r) }
-
 // ServiceFloorEstimator returns an admission-time lower bound on a
 // request's service time for the given model on a simulated A100 —
 // plug it into SchedulingConfig.EstimateService so hopeless deadlines
@@ -427,14 +315,6 @@ func VideoWorkload(streams int, duration time.Duration, adapters int, skew float
 	return workload.GenVideo(workload.DefaultVideo(streams, duration, adapters, skew, seed))
 }
 
-// StressWorkload synthesizes n deliberately small requests at a high
-// arrival rate — the trace behind the million-requests experiment,
-// sized to measure the simulator's own hot paths rather than any
-// application scenario. Same seed, same trace.
-func StressWorkload(n int, seed int64) Trace {
-	return workload.GenStress(workload.DefaultStress(n, seed))
-}
-
 // MultiTenantWorkload synthesizes the three-class multi-tenant trace
 // (realtime video analytics, interactive retrieval, bursty batch
 // inspection) with per-tenant diurnal arrival processes. scale
@@ -443,19 +323,6 @@ func StressWorkload(n int, seed int64) Trace {
 func MultiTenantWorkload(duration time.Duration, scale float64, seed int64) Trace {
 	return workload.GenMultiTenant(workload.DefaultMultiTenant(duration, scale, seed))
 }
-
-// PreemptMixWorkload synthesizes the two-class preemption-tail trace:
-// tight-deadline realtime video analytics against long-decode
-// best-effort batch work at ~1.5x offered load — the adversarial mix
-// iteration-level preemption (Config.Preemption) is built for. Same
-// seed, same trace.
-func PreemptMixWorkload(duration time.Duration, scale float64, seed int64) Trace {
-	return workload.GenMultiTenant(workload.DefaultPreemptMix(duration, scale, seed))
-}
-
-// PreemptTenantClasses returns the two service classes of the
-// preemption-tail experiment (realtime / batch).
-func PreemptTenantClasses() []TenantSpec { return workload.PreemptTenantClasses() }
 
 // Knowledge is one domain dataset to integrate, with its accuracy
 // floor.
@@ -517,13 +384,6 @@ func Generate(model ModelConfig, items []Knowledge) ([]GeneratedAdapter, error) 
 		out = append(out, GeneratedAdapter{Adapter: ra, Domains: ra.Domains, Accuracies: acc})
 	}
 	return out, nil
-}
-
-// RunExperiments regenerates the paper's tables and figures. With
-// quick=true, sweeps shrink for fast test runs. The returned tables
-// render to markdown or CSV.
-func RunExperiments(quick bool) ([]*bench.Table, error) {
-	return bench.NewSuite(quick).RunAll()
 }
 
 // ExperimentIDs lists the available experiment identifiers in order.
