@@ -19,6 +19,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	suite := bench.NewSuite(true)
+	suite.OutDir = b.TempDir() // experiments that append records write here
 	var run func() (*bench.Table, error)
 	for _, e := range suite.All() {
 		if e.ID == id {

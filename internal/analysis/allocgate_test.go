@@ -14,6 +14,7 @@ import (
 
 	"valora/internal/lmm"
 	"valora/internal/lora"
+	"valora/internal/metrics"
 	"valora/internal/registry"
 	"valora/internal/sched"
 	"valora/internal/sim"
@@ -203,6 +204,19 @@ func TestChunkDemandResidentZeroAlloc(t *testing.T) {
 		}
 		if !store.HostResident(1, now) {
 			t.Fatal("adapter 1 not resident")
+		}
+	})
+}
+
+// Stream.Add once its bucket runs cover the value range: every sample
+// lands in an existing bucket or the zero count. Only a sample outside
+// the observed range grows a run.
+func TestStreamAddZeroAlloc(t *testing.T) {
+	s := metrics.NewStream()
+	vals := []float64{0, 0.05, -3, 1, 12.5, 250, 4e3, 9e4, -0.2, 7e5}
+	gate(t, "Stream.Add (warm range)", func() {
+		for _, v := range vals {
+			s.Add(v)
 		}
 	})
 }

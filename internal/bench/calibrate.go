@@ -65,22 +65,21 @@ func (s *Suite) ObserveCalibrate() (*Table, error) {
 		} else {
 			tr = workload.GenRetrieval(workload.DefaultRetrieval(rate, dur, adapters, 0.6, seed))
 		}
-		if _, err := srv.Run(tr); err != nil {
+		start := time.Now()
+		rep, err := srv.Run(tr)
+		if err != nil {
 			return nil, err
 		}
+		wall := time.Since(start)
 		rows := rec.Rows()
 		c, err := calib.Fit(rows)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", cfg.kind, cfg.app, err)
 		}
 		scorecard := calib.Evaluate(rows, c)
-		errOf := func(name string) float64 {
-			for _, m := range scorecard {
-				if m.Name == name {
-					return m.RelErr
-				}
-			}
-			return 0
+		relErr := make(map[string]float64, len(scorecard))
+		for _, m := range scorecard {
+			relErr[m.Name] = m.RelErr
 		}
 		worst := calib.MaxRelErr(scorecard)
 		if cfg.kind == serving.SystemVaLoRA && cfg.app == "retrieval" {
@@ -89,13 +88,20 @@ func (s *Suite) ObserveCalibrate() (*Table, error) {
 		t.AddRow(string(cfg.kind), cfg.app, fmt.Sprintf("%d", len(rows)),
 			fmt.Sprintf("%.2f + %.4f", c.PrefillBaseMS, c.PrefillPerTokenMS),
 			fmt.Sprintf("%.2f + %.4f", c.DecodeBaseMS, c.DecodePerTokenMS),
-			pct(errOf("ttft_p50")), pct(errOf("ttft_p99")),
-			pct(errOf("e2e_p50")), pct(errOf("e2e_p99")), pct(worst))
+			pct(relErr["ttft_p50"]), pct(relErr["ttft_p99"]),
+			pct(relErr["e2e_p50"]), pct(relErr["e2e_p99"]), pct(worst))
+		srec := s.newRecord("observe-calibrate", rep, len(tr), 1, "", wall)
+		srec.Mode = string(cfg.kind) + "/" + cfg.app
+		srec.CalibRelErr = relErr
+		srec.CalibWorstRelErr = worst
+		if err := s.appendStressRecord(srec); err != nil {
+			return nil, err
+		}
 	}
 
 	t.Notes = fmt.Sprintf("the VaLoRA/retrieval capture round-trips with worst percentile error %s "+
 		"(the 5%% acceptance gate of valora-calibrate); queue wait is taken from the trace so the "+
 		"errors isolate the cost model itself. Heavier mixes drift further as batching couples "+
-		"requests the linear model treats independently.", pct(headline))
+		"requests the linear model treats independently. Appended one record per row to %s.", pct(headline), BenchServingFile)
 	return t, nil
 }

@@ -196,33 +196,19 @@ func (s *Suite) AdapterColdStart() (*Table, error) {
 			gb(rep.FetchBytes+rep.PrefetchBytes), gb(rep.SwapBytes),
 			fmt.Sprintf("%d", rep.ColdStarts), fmt.Sprintf("%d", rep.Completed))
 
-		rec := StressRecord{
-			Experiment:      "adapter-cold-start",
-			Timestamp:       time.Now().UTC(),
-			Requests:        len(trace),
-			Instances:       rep.PeakInstances,
-			Dispatch:        dispatch.Name(),
-			Quick:           s.Quick,
-			WallSeconds:     wall.Seconds(),
-			SimRPS:          float64(len(trace)) / wall.Seconds(),
-			Completed:       rep.Completed,
-			Rejected:        rep.Rejected,
-			VirtualRPS:      rep.Throughput,
-			VirtualP50MS:    rep.E2E.P50,
-			VirtualP99MS:    rep.E2E.P99,
-			Mode:            m.name,
-			Shed:            rep.Shed,
-			ColdStarts:      rep.ColdStarts,
-			ColdTTFTP50MS:   rep.ColdTTFT.P50,
-			ColdTTFTP99MS:   rep.ColdTTFT.P99,
-			TTFTP99MS:       rep.TTFT.P99,
-			HostHitRate:     rep.HostHitRate(),
-			GPUTierHitRate:  rep.GPUTierHitRate(),
-			RemoteFetches:   rep.RemoteFetches,
-			PrefetchFetches: rep.PrefetchFetches,
-			FetchBytes:      rep.FetchBytes + rep.PrefetchBytes,
-			SwapBytes:       rep.SwapBytes,
-		}
+		rec := s.newRecord("adapter-cold-start", rep, len(trace), rep.PeakInstances, dispatch.Name(), wall)
+		rec.Mode = m.name
+		rec.Shed = rep.Shed
+		rec.ColdStarts = rep.ColdStarts
+		rec.ColdTTFTP50MS = rep.ColdTTFT.P50
+		rec.ColdTTFTP99MS = rep.ColdTTFT.P99
+		rec.TTFTP99MS = rep.TTFT.P99
+		rec.HostHitRate = rep.HostHitRate()
+		rec.GPUTierHitRate = rep.GPUTierHitRate()
+		rec.RemoteFetches = rep.RemoteFetches
+		rec.PrefetchFetches = rep.PrefetchFetches
+		rec.FetchBytes = rep.FetchBytes + rep.PrefetchBytes
+		rec.SwapBytes = rep.SwapBytes
 		if err := s.appendStressRecord(rec); err != nil {
 			return nil, err
 		}

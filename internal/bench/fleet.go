@@ -192,37 +192,23 @@ func (s *Suite) FleetColdStart() (*Table, error) {
 			fmt.Sprintf("%d", rep.RemoteFetches+rep.PrefetchFetches),
 			fmt.Sprintf("%d", rep.Completed))
 
-		srec := StressRecord{
-			Experiment:      "fleet-cold-start",
-			Timestamp:       time.Now().UTC(),
-			Requests:        len(tr),
-			Instances:       rep.PeakInstances,
-			Dispatch:        serving.NewLeastLoaded().Name(),
-			Quick:           s.Quick,
-			WallSeconds:     wall.Seconds(),
-			SimRPS:          float64(len(tr)) / wall.Seconds(),
-			Completed:       rep.Completed,
-			Rejected:        rep.Rejected,
-			VirtualRPS:      rep.Throughput,
-			VirtualP50MS:    rep.E2E.P50,
-			VirtualP99MS:    rep.E2E.P99,
-			Mode:            m.name,
-			Shed:            rep.Shed,
-			ColdStarts:      rep.ColdStarts,
-			ColdTTFTP50MS:   rep.ColdTTFT.P50,
-			ColdTTFTP99MS:   rep.ColdTTFT.P99,
-			TTFTP99MS:       rep.TTFT.P99,
-			HostHitRate:     rep.HostHitRate(),
-			GPUTierHitRate:  rep.GPUTierHitRate(),
-			RemoteFetches:   rep.RemoteFetches,
-			PrefetchFetches: rep.PrefetchFetches,
-			FetchBytes:      allFetched,
-			SwapBytes:       rep.SwapBytes,
-			ChunkFetches:    rep.ChunkFetches,
-			DedupHits:       rep.DedupHits,
-			DedupedBytes:    rep.DedupedBytes,
-			ChunkEvictions:  rep.ChunkEvictions,
-		}
+		srec := s.newRecord("fleet-cold-start", rep, len(tr), rep.PeakInstances, serving.NewLeastLoaded().Name(), wall)
+		srec.Mode = m.name
+		srec.Shed = rep.Shed
+		srec.ColdStarts = rep.ColdStarts
+		srec.ColdTTFTP50MS = rep.ColdTTFT.P50
+		srec.ColdTTFTP99MS = rep.ColdTTFT.P99
+		srec.TTFTP99MS = rep.TTFT.P99
+		srec.HostHitRate = rep.HostHitRate()
+		srec.GPUTierHitRate = rep.GPUTierHitRate()
+		srec.RemoteFetches = rep.RemoteFetches
+		srec.PrefetchFetches = rep.PrefetchFetches
+		srec.FetchBytes = allFetched
+		srec.SwapBytes = rep.SwapBytes
+		srec.ChunkFetches = rep.ChunkFetches
+		srec.DedupHits = rep.DedupHits
+		srec.DedupedBytes = rep.DedupedBytes
+		srec.ChunkEvictions = rep.ChunkEvictions
 		if rec != nil && rec.Len() >= 2 {
 			if fc, err := calib.FitFetchCost(rec.Rows()); err == nil {
 				srec.FetchCostBaseMS = fc.BaseMS

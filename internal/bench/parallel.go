@@ -108,9 +108,9 @@ func (s *Suite) ParallelManaged() (*Table, error) {
 
 	// run replays the trace repeats times on a fresh cluster each
 	// time, verifying the replays are bit-identical and request
-	// conservation holds, and returns the report plus the median wall
-	// time.
-	run := func(lookahead bool, shards int) (*serving.Report, time.Duration, error) {
+	// conservation holds, and returns the report plus the wall-time
+	// spread.
+	run := func(lookahead bool, shards int) (*serving.Report, wallSpread, error) {
 		cfg := baseCfg
 		if lookahead {
 			// Slots is sized to the ~17 requests a saturated instance
@@ -124,7 +124,7 @@ func (s *Suite) ParallelManaged() (*Table, error) {
 		for r := 0; r < repeats; r++ {
 			cl, err := serving.NewManagedCluster(fleet, serving.NewLeastLoaded(), cfg, build)
 			if err != nil {
-				return nil, 0, err
+				return nil, wallSpread{}, err
 			}
 			trace.ResetRuntime()
 			start := time.Now()
@@ -135,20 +135,20 @@ func (s *Suite) ParallelManaged() (*Table, error) {
 				got, err = cl.RunSharded(trace, shards)
 			}
 			if err != nil {
-				return nil, 0, err
+				return nil, wallSpread{}, err
 			}
 			walls = append(walls, time.Since(start))
 			if got.Completed+got.Rejected+got.Shed != n {
-				return nil, 0, fmt.Errorf("bench: parallel-managed replay lost requests: %d+%d+%d of %d",
+				return nil, wallSpread{}, fmt.Errorf("bench: parallel-managed replay lost requests: %d+%d+%d of %d",
 					got.Completed, got.Rejected, got.Shed, n)
 			}
 			if rep == nil {
 				rep = got
 			} else if !reflect.DeepEqual(rep, got) {
-				return nil, 0, fmt.Errorf("bench: parallel-managed replay diverged across repeats (lookahead=%v shards=%d)", lookahead, shards)
+				return nil, wallSpread{}, fmt.Errorf("bench: parallel-managed replay diverged across repeats (lookahead=%v shards=%d)", lookahead, shards)
 			}
 		}
-		return rep, medianWall(walls), nil
+		return rep, spreadOf(walls), nil
 	}
 
 	t := &Table{
@@ -160,34 +160,21 @@ func (s *Suite) ParallelManaged() (*Table, error) {
 			"completed", "shed", "realtime SLO", "Jain"},
 	}
 
-	record := func(rep *serving.Report, mode string, n, shards int, wall time.Duration, speedup float64) error {
+	record := func(rep *serving.Report, mode string, n, shards int, wall wallSpread, speedup float64) error {
 		slo := make(map[string]float64, len(rep.Tenants))
 		for _, tr := range rep.Tenants {
 			slo[tr.Name] = tr.SLOAttainment()
 		}
-		rec := StressRecord{
-			Experiment:   "parallel-managed",
-			Timestamp:    time.Now().UTC(),
-			Requests:     n,
-			Instances:    fleet,
-			Dispatch:     "least-loaded",
-			Quick:        s.Quick,
-			Shards:       shards,
-			Repeats:      repeats,
-			GOMAXPROCS:   runtime.GOMAXPROCS(0),
-			WallSeconds:  wall.Seconds(),
-			SimRPS:       float64(n) / wall.Seconds(),
-			SpeedupVsSeq: speedup,
-			Completed:    rep.Completed,
-			Rejected:     rep.Rejected,
-			VirtualRPS:   rep.Throughput,
-			VirtualP50MS: rep.E2E.P50,
-			VirtualP99MS: rep.E2E.P99,
-			Mode:         mode,
-			TenantSLO:    slo,
-			Jain:         rep.FairnessIndex,
-			Shed:         rep.Shed,
-		}
+		rec := s.newRecord("parallel-managed", rep, n, fleet, "least-loaded", wall.med)
+		rec.Shards = shards
+		rec.Repeats = repeats
+		rec.WallMinSeconds = wall.min.Seconds()
+		rec.WallMaxSeconds = wall.max.Seconds()
+		rec.SpeedupVsSeq = speedup
+		rec.Mode = mode
+		rec.TenantSLO = slo
+		rec.Jain = rep.FairnessIndex
+		rec.Shed = rep.Shed
 		if err := s.appendStressRecord(rec); err != nil {
 			return err
 		}
@@ -235,7 +222,7 @@ func (s *Suite) ParallelManaged() (*Table, error) {
 		} else if !reflect.DeepEqual(ref, rep) {
 			return nil, fmt.Errorf("bench: lookahead sharded replay (shards=%d) diverged from the lookahead sequential reference", shards)
 		}
-		speedup := classicWall.Seconds() / wall.Seconds()
+		speedup := classicWall.med.Seconds() / wall.med.Seconds()
 		if shards >= headlineShards {
 			headlineShards, headline = shards, speedup
 		}
@@ -265,16 +252,4 @@ func (s *Suite) spotCheckSharded(id string, seq *serving.Report, cl *serving.Clu
 		return fmt.Errorf("bench: %s sharded replay (shards=%d) diverged from the sequential report", id, s.Shards)
 	}
 	return nil
-}
-
-// medianWall returns the median of a small slice of wall times
-// without disturbing the caller's ordering.
-func medianWall(walls []time.Duration) time.Duration {
-	sorted := append([]time.Duration(nil), walls...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	return sorted[len(sorted)/2]
 }

@@ -122,28 +122,14 @@ func (s *Suite) PreemptionTail() (*Table, error) {
 		}
 		rtP99[m.name] = p99["realtime"]
 
-		rec := StressRecord{
-			Experiment:      "preemption-tail",
-			Timestamp:       time.Now().UTC(),
-			Requests:        len(trace),
-			Instances:       rep.PeakInstances,
-			Dispatch:        "least-loaded",
-			Quick:           s.Quick,
-			WallSeconds:     wall.Seconds(),
-			SimRPS:          float64(len(trace)) / wall.Seconds(),
-			Completed:       rep.Completed,
-			Rejected:        rep.Rejected,
-			VirtualRPS:      rep.Throughput,
-			VirtualP50MS:    rep.E2E.P50,
-			VirtualP99MS:    rep.E2E.P99,
-			Mode:            m.name,
-			TenantSLO:       slo,
-			TenantP99MS:     p99,
-			Jain:            rep.FairnessIndex,
-			Shed:            rep.Shed,
-			Preemptions:     rep.Preemptions,
-			RecomputeTokens: rep.RecomputeTokens,
-		}
+		rec := s.newRecord("preemption-tail", rep, len(trace), rep.PeakInstances, "least-loaded", wall)
+		rec.Mode = m.name
+		rec.TenantSLO = slo
+		rec.TenantP99MS = p99
+		rec.Jain = rep.FairnessIndex
+		rec.Shed = rep.Shed
+		rec.Preemptions = rep.Preemptions
+		rec.RecomputeTokens = rep.RecomputeTokens
 		if err := s.appendStressRecord(rec); err != nil {
 			return nil, err
 		}

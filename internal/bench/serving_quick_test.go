@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -102,6 +105,7 @@ func TestTable3QuickScaling(t *testing.T) {
 // traffic versus round-robin on the skewed, swap-constrained trace.
 func TestClusterDispatchQuick(t *testing.T) {
 	s := NewSuite(true)
+	s.OutDir = t.TempDir()
 	tab, err := s.ClusterDispatch()
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +122,24 @@ func TestClusterDispatchQuick(t *testing.T) {
 	}
 	if traffic(aff) >= traffic(rr) {
 		t.Errorf("affinity traffic %.0f should be under round-robin %.0f", traffic(aff), traffic(rr))
+	}
+
+	data, err := os.ReadFile(filepath.Join(s.OutDir, BenchServingFile))
+	if err != nil {
+		t.Fatalf("trajectory file not written: %v", err)
+	}
+	var records []StressRecord
+	if err := json.Unmarshal(data, &records); err != nil {
+		t.Fatalf("trajectory not valid JSON: %v", err)
+	}
+	if len(records) != len(tab.Rows) {
+		t.Fatalf("want one record per dispatch policy, got %d", len(records))
+	}
+	for i, rec := range records {
+		row := tab.Rows[i]
+		if rec.Dispatch != row[0] || float64(rec.Switches) != parseF(t, row[3]) || float64(rec.SwapIns) != parseF(t, row[4]) {
+			t.Errorf("record %d disagrees with its row %v: %+v", i, row, rec)
+		}
 	}
 }
 

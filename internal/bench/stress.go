@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sort"
+	"strings"
 	"time"
 
 	"valora/internal/lmm"
@@ -30,6 +32,13 @@ type StressRecord struct {
 	Dispatch   string    `json:"dispatch"`
 	Quick      bool      `json:"quick"`
 
+	// Commit is the VCS revision the binary was built from ("+dirty"
+	// when the tree had uncommitted changes; empty under a plain
+	// `go run`, which stamps no VCS data) and CPU the host's CPU
+	// model: wall-clock numbers compare only across equal hardware.
+	Commit string `json:"commit,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+
 	// Shards is the sharded-engine worker count (0 = the sequential
 	// Timeline engine); Repeats the number of identical replays the
 	// wall-clock numbers are the median of; GOMAXPROCS the Go
@@ -40,15 +49,19 @@ type StressRecord struct {
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
 	// WallSeconds is the real time the replay took (median across
-	// Repeats); SimRPS is requests replayed per wall-clock second (the
-	// simulator's own throughput, the number the engine rework moves).
-	// SpeedupVsSeq, where present, is the ratio of the experiment's
-	// sequential-engine wall time to this configuration's wall time on
-	// the same trace (parallel-managed records: classic managed engine
-	// over bounded-lookahead engine at this shard count).
-	WallSeconds  float64 `json:"wall_seconds"`
-	SimRPS       float64 `json:"sim_rps"`
-	SpeedupVsSeq float64 `json:"speedup_vs_seq,omitempty"`
+	// Repeats, whose fastest and slowest are WallMinSeconds and
+	// WallMaxSeconds); SimRPS is requests replayed per wall-clock
+	// second (the simulator's own throughput, the number the engine
+	// rework moves). SpeedupVsSeq, where present, is the ratio of the
+	// experiment's sequential-engine wall time to this configuration's
+	// wall time on the same trace (parallel-managed records: classic
+	// managed engine over bounded-lookahead engine at this shard
+	// count).
+	WallSeconds    float64 `json:"wall_seconds"`
+	WallMinSeconds float64 `json:"wall_min_seconds,omitempty"`
+	WallMaxSeconds float64 `json:"wall_max_seconds,omitempty"`
+	SimRPS         float64 `json:"sim_rps"`
+	SpeedupVsSeq   float64 `json:"speedup_vs_seq,omitempty"`
 
 	// Virtual-time serving quality of the replay.
 	Completed    int     `json:"completed"`
@@ -91,6 +104,18 @@ type StressRecord struct {
 	ChunkEvictions   int     `json:"chunk_evictions,omitempty"`
 	FetchCostBaseMS  float64 `json:"fetch_cost_base_ms,omitempty"`
 	FetchCostPerMBMS float64 `json:"fetch_cost_per_mb_ms,omitempty"`
+
+	// Dispatch-policy fields (cluster-dispatch records only).
+	AvgTokenLatencyMS float64 `json:"avg_token_latency_ms,omitempty"`
+	Switches          int     `json:"switches,omitempty"`
+	SwapIns           int     `json:"swap_ins,omitempty"`
+	SwapStallMS       float64 `json:"swap_stall_ms,omitempty"`
+
+	// Calibration fields (observe-calibrate records only): each
+	// scorecard metric's relative error between the re-predicted and
+	// the observed value, and the worst of them.
+	CalibRelErr      map[string]float64 `json:"calib_rel_err,omitempty"`
+	CalibWorstRelErr float64            `json:"calib_worst_rel_err,omitempty"`
 }
 
 // BenchServingFile is the trajectory file the stress experiment
@@ -105,13 +130,6 @@ func (s *Suite) stressSize() int {
 	}
 	return 1_000_000
 }
-
-// stressLatencySampleCap bounds each instance's latency-stream
-// reservoir on stress runs. It is far above the per-instance sample
-// count of the 1M-request replay (≈250k on 4 instances), so today's
-// percentiles stay exact sample-for-sample while 10M+-request replays
-// stop growing memory with the trace.
-const stressLatencySampleCap = 1 << 20
 
 // stressRepeats is the number of identical replays each wall-clock
 // measurement is the median of. Historically single-shot records on
@@ -133,22 +151,26 @@ const (
 	headlineRepeats   = 3
 )
 
+// wallSpread is the fastest, median and slowest wall time over a
+// measurement's repeats.
+type wallSpread struct{ min, med, max time.Duration }
+
+func spreadOf(walls []time.Duration) wallSpread {
+	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
+	return wallSpread{walls[0], walls[len(walls)/2], walls[len(walls)-1]}
+}
+
 // runStress replays one (instances, shards) configuration repeats
 // times on the same trace — runtime state reset between replays, a
 // fresh cluster each time — and returns the (identical) report plus
-// the median wall time. Every repeat must produce a bit-identical
+// the wall-time spread. Every repeat must produce a bit-identical
 // report: virtual results are deterministic, only the wall clock is
 // allowed to move.
-func (s *Suite) runStress(trace workload.Trace, instances, shards, repeats int) (*serving.Report, time.Duration, error) {
+func (s *Suite) runStress(trace workload.Trace, instances, shards, repeats int) (*serving.Report, wallSpread, error) {
 	model := lmm.QwenVL7B()
 	dispatch := func() *serving.RoundRobin { return serving.NewRoundRobin() }
 	build := func(int) (serving.Options, error) {
-		opts, err := serving.SystemOptions(serving.SystemVaLoRA, s.GPU, model)
-		if err != nil {
-			return serving.Options{}, err
-		}
-		opts.LatencySampleCap = stressLatencySampleCap
-		return opts, nil
+		return serving.SystemOptions(serving.SystemVaLoRA, s.GPU, model)
 	}
 
 	var rep *serving.Report
@@ -157,7 +179,7 @@ func (s *Suite) runStress(trace workload.Trace, instances, shards, repeats int) 
 		trace.ResetRuntime()
 		cl, err := serving.NewClusterWithDispatch(instances, dispatch(), build)
 		if err != nil {
-			return nil, 0, err
+			return nil, wallSpread{}, err
 		}
 		start := time.Now()
 		var got *serving.Report
@@ -167,21 +189,20 @@ func (s *Suite) runStress(trace workload.Trace, instances, shards, repeats int) 
 			got, err = cl.RunSharded(trace, shards)
 		}
 		if err != nil {
-			return nil, 0, err
+			return nil, wallSpread{}, err
 		}
 		walls = append(walls, time.Since(start))
 		if got.Completed+got.Rejected != len(trace) {
-			return nil, 0, fmt.Errorf("bench: stress replay lost requests: %d completed + %d rejected of %d",
+			return nil, wallSpread{}, fmt.Errorf("bench: stress replay lost requests: %d completed + %d rejected of %d",
 				got.Completed, got.Rejected, len(trace))
 		}
 		if rep == nil {
 			rep = got
 		} else if !reflect.DeepEqual(rep, got) {
-			return nil, 0, fmt.Errorf("bench: stress replay diverged across repeats (shards=%d): the engine is not deterministic", shards)
+			return nil, wallSpread{}, fmt.Errorf("bench: stress replay diverged across repeats (shards=%d): the engine is not deterministic", shards)
 		}
 	}
-	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-	return rep, walls[len(walls)/2], nil
+	return rep, spreadOf(walls), nil
 }
 
 // stressShardSweep is the shard-count axis of the stress experiment:
@@ -224,25 +245,12 @@ func (s *Suite) MillionRequests() (*Table, error) {
 			"virtual req/s", "virtual p50 (ms)", "virtual p99 (ms)", "completed", "rejected"},
 	}
 
-	record := func(rep *serving.Report, n, instances, shards, repeats int, wall time.Duration) error {
-		rec := StressRecord{
-			Experiment:   "million-requests",
-			Timestamp:    time.Now().UTC(),
-			Requests:     n,
-			Instances:    instances,
-			Dispatch:     "round-robin",
-			Quick:        s.Quick,
-			Shards:       shards,
-			Repeats:      repeats,
-			GOMAXPROCS:   runtime.GOMAXPROCS(0),
-			WallSeconds:  wall.Seconds(),
-			SimRPS:       float64(n) / wall.Seconds(),
-			Completed:    rep.Completed,
-			Rejected:     rep.Rejected,
-			VirtualRPS:   rep.Throughput,
-			VirtualP50MS: rep.E2E.P50,
-			VirtualP99MS: rep.E2E.P99,
-		}
+	record := func(rep *serving.Report, n, instances, shards, repeats int, wall wallSpread) error {
+		rec := s.newRecord("million-requests", rep, n, instances, "round-robin", wall.med)
+		rec.Shards = shards
+		rec.Repeats = repeats
+		rec.WallMinSeconds = wall.min.Seconds()
+		rec.WallMaxSeconds = wall.max.Seconds()
 		if err := s.appendStressRecord(rec); err != nil {
 			return err
 		}
@@ -298,6 +306,26 @@ func (s *Suite) MillionRequests() (*Table, error) {
 	return t, nil
 }
 
+// newRecord fills the fields every trajectory record shares: one
+// replay of n requests on instances instances that took wall and
+// produced rep. appendStressRecord stamps the provenance fields.
+func (s *Suite) newRecord(experiment string, rep *serving.Report, n, instances int, dispatch string, wall time.Duration) StressRecord {
+	return StressRecord{
+		Experiment:   experiment,
+		Requests:     n,
+		Instances:    instances,
+		Dispatch:     dispatch,
+		Quick:        s.Quick,
+		WallSeconds:  wall.Seconds(),
+		SimRPS:       float64(n) / wall.Seconds(),
+		Completed:    rep.Completed,
+		Rejected:     rep.Rejected,
+		VirtualRPS:   rep.Throughput,
+		VirtualP50MS: rep.E2E.P50,
+		VirtualP99MS: rep.E2E.P99,
+	}
+}
+
 // appendStressRecord appends rec to the BENCH_serving.json trajectory
 // (creating it on first run) in Suite.OutDir. The trajectory is the
 // repo's perf evidence chain, so nothing about it fails silently: an
@@ -305,6 +333,8 @@ func (s *Suite) MillionRequests() (*Table, error) {
 // are all hard errors (surfaced as a non-zero valora-bench exit)
 // rather than a quiet record drop or a quietly restarted history.
 func (s *Suite) appendStressRecord(rec StressRecord) error {
+	rec.Timestamp = time.Now().UTC()
+	rec.Commit, rec.CPU, rec.GOMAXPROCS = buildCommit(), cpuModel(), runtime.GOMAXPROCS(0)
 	path := s.TrajectoryPath()
 	var records []StressRecord
 	data, err := os.ReadFile(path)
@@ -339,4 +369,44 @@ func (s *Suite) TrajectoryPath() string {
 		dir = "."
 	}
 	return filepath.Join(dir, BenchServingFile)
+}
+
+// buildCommit reports the VCS revision the running binary was built
+// from, suffixed "+dirty" for a modified tree, or "" when the build
+// carries no VCS stamp.
+func buildCommit() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	var rev, dirty string
+	for _, kv := range info.Settings {
+		switch kv.Key {
+		case "vcs.revision":
+			rev = kv.Value
+		case "vcs.modified":
+			if kv.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	if rev == "" {
+		return ""
+	}
+	return rev + dirty
+}
+
+// cpuModel reports the first "model name" of /proc/cpuinfo, or "" where
+// the host has no such file.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }

@@ -50,6 +50,9 @@ func TestMillionRequestsQuickSmoke(t *testing.T) {
 		if rec.Repeats != s.stressRepeats() || rec.GOMAXPROCS <= 0 {
 			t.Fatalf("record %d missing repeat/parallelism provenance: %+v", i, rec)
 		}
+		if !(rec.WallMinSeconds <= rec.WallSeconds && rec.WallSeconds <= rec.WallMaxSeconds) {
+			t.Fatalf("record %d wall spread out of order: min %v med %v max %v", i, rec.WallMinSeconds, rec.WallSeconds, rec.WallMaxSeconds)
+		}
 	}
 	if records[0].Shards != 0 || records[1].Shards != 4 {
 		t.Fatalf("records should cover shards 0 and 4: %d, %d", records[0].Shards, records[1].Shards)

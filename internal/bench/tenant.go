@@ -96,27 +96,13 @@ func (s *Suite) MultiTenant() (*Table, error) {
 		}
 		sloByMode = append(sloByMode, slo)
 
-		rec := StressRecord{
-			Experiment:   "multi-tenant",
-			Timestamp:    time.Now().UTC(),
-			Requests:     len(trace),
-			Instances:    rep.PeakInstances,
-			Dispatch:     "least-loaded",
-			Quick:        s.Quick,
-			WallSeconds:  wall.Seconds(),
-			SimRPS:       float64(len(trace)) / wall.Seconds(),
-			Completed:    rep.Completed,
-			Rejected:     rep.Rejected,
-			VirtualRPS:   rep.Throughput,
-			VirtualP50MS: rep.E2E.P50,
-			VirtualP99MS: rep.E2E.P99,
-			Mode:         m.name,
-			TenantSLO:    slo,
-			Jain:         rep.FairnessIndex,
-			Shed:         rep.Shed,
-			ScaleUps:     rep.ScaleUps,
-			ScaleDowns:   rep.ScaleDowns,
-		}
+		rec := s.newRecord("multi-tenant", rep, len(trace), rep.PeakInstances, "least-loaded", wall)
+		rec.Mode = m.name
+		rec.TenantSLO = slo
+		rec.Jain = rep.FairnessIndex
+		rec.Shed = rep.Shed
+		rec.ScaleUps = rep.ScaleUps
+		rec.ScaleDowns = rep.ScaleDowns
 		if err := s.appendStressRecord(rec); err != nil {
 			return nil, err
 		}

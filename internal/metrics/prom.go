@@ -92,9 +92,7 @@ type Counter struct{ s *promSeries }
 // Gauge is a set-to-current-value series.
 type Gauge struct{ s *promSeries }
 
-// PromHistogram is a fixed-bucket cumulative histogram series. (The
-// name avoids colliding with this package's simulation-side
-// Histogram, the deterministic post-hoc binning helper.)
+// PromHistogram is a fixed-bucket cumulative histogram series.
 type PromHistogram struct {
 	s      *promSeries
 	bounds []float64

@@ -1,87 +1,155 @@
-// Package metrics provides streaming statistics used by the VaLoRA
-// simulator: online mean/variance, percentile estimation over recorded
-// samples, and simple fixed-width histograms.
+// Package metrics provides the simulator's statistics: Stream, the
+// latency summary behind every report percentile; Prom, the
+// Prometheus collector behind /metrics; and JainIndex.
 //
-// All collectors are plain in-memory value types. None of them are
-// safe for concurrent use; the serving layer owns one collector per
-// goroutine and merges results explicitly.
+// Stream is a log-bucketed histogram in the style of DDSketch (Masson
+// et al., VLDB 2019). Count, sum, mean, min and max are exact, and the
+// standard deviation comes from an exact running sum of squares; a
+// percentile reads order statistics from buckets whose width keeps
+// every reported value within Alpha (relative) of the sample it
+// stands for. Memory grows with the
+// logarithm of the observed value range, not with the sample count,
+// and merging two streams adds integer bucket counts, so a merged
+// summary is bit-identical in any merge order.
+//
+// Stream is a plain in-memory value type and not safe for concurrent
+// use: the serving layer owns one per instance and merges results
+// explicitly. Prom is the exception and documents its own locking.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"time"
 )
 
-// Stream accumulates scalar samples and answers mean / percentile /
-// min / max queries. The default (NewStream) retains every sample so
-// percentiles are exact; experiments recording at most a few hundred
-// thousand samples keep that cheap. NewBoundedStream caps retention
-// with a reservoir for multi-million-sample stress runs: count, sum,
-// mean, min and max stay exact, while percentiles degrade gracefully
-// to a uniform-sample estimate once the reservoir overflows (and stay
-// exact until then).
-type Stream struct {
-	samples []float64
-	sum     float64
-	sorted  bool
+// Alpha is Stream's relative accuracy: every order statistic a
+// percentile reads, other than the exact minimum and maximum, is
+// reported within Alpha (relative) of the true sample.
+const Alpha = 0.001
 
-	// cap > 0 selects bounded-memory reservoir mode (NewBoundedStream);
-	// 0 means unbounded exact retention.
-	cap int
-	// seen counts samples offered, including ones the reservoir
-	// dropped; minV/maxV track the exact extremes in both modes so
-	// Min/Max (and Merge) never depend on reservoir survival.
-	seen int
-	minV float64
-	maxV float64
-	rng  *rand.Rand
+// Bucket k holds magnitudes in (γ^(k-1), γ^k] with γ =
+// (1+Alpha)/(1-Alpha); reporting it as (1+Alpha)·γ^(k-1) =
+// (1-Alpha)·γ^k is within Alpha of every value in it.
+var (
+	gamma      = (1 + Alpha) / (1 - Alpha)
+	invLnGamma = 1 / math.Log(gamma)
+)
+
+// bucketOf reports the bucket index of a positive magnitude. +Inf
+// shares the largest finite value's bucket.
+func bucketOf(a float64) int {
+	return int(math.Ceil(math.Log(min(a, math.MaxFloat64)) * invLnGamma))
 }
 
-// NewStream returns an empty sample stream with unbounded exact
-// retention.
+// bucketValue reports the magnitude bucket k stands for. It is built
+// from the bucket's lower bound, which never overflows.
+func bucketValue(k int) float64 {
+	return math.Pow(gamma, float64(k-1)) * (1 + Alpha)
+}
+
+// buckets is a dense run of counts over the bucket indices [offset,
+// offset+len(counts)). The run covers only the indices observed so
+// far: latencies spanning 0.01 ms to 1000 s (8 decades) need about
+// 9,200 buckets, 72 KiB.
+type buckets struct {
+	offset int
+	counts []uint64
+}
+
+func (b *buckets) add(k int) {
+	i := k - b.offset
+	if i < 0 || i >= len(b.counts) {
+		b.cover(k, k)
+		i = k - b.offset
+	}
+	b.counts[i]++
+}
+
+// cover grows the run to include the indices [lo, hi]. A run that
+// must grow extends by at least half its length on the growing side,
+// so values drifting one bucket at a time cost amortized O(1) copying.
+func (b *buckets) cover(lo, hi int) {
+	if len(b.counts) == 0 {
+		b.offset, b.counts = lo, make([]uint64, hi-lo+1)
+		return
+	}
+	curLo, curHi := b.offset, b.offset+len(b.counts)-1
+	if lo >= curLo && hi <= curHi {
+		return
+	}
+	slack := max(len(b.counts)/2, 64)
+	if lo < curLo {
+		lo = min(lo, curLo-slack)
+	} else {
+		lo = curLo
+	}
+	if hi > curHi {
+		hi = max(hi, curHi+slack)
+	} else {
+		hi = curHi
+	}
+	grown := make([]uint64, hi-lo+1)
+	copy(grown[curLo-lo:], b.counts)
+	b.offset, b.counts = lo, grown
+}
+
+func (b *buckets) merge(o *buckets) {
+	if len(o.counts) == 0 {
+		return
+	}
+	b.cover(o.offset, o.offset+len(o.counts)-1)
+	d := o.offset - b.offset
+	for i, c := range o.counts {
+		b.counts[d+i] += c
+	}
+}
+
+// Stream accumulates scalar samples and answers mean, percentile, min
+// and max queries in fixed memory (see the package comment). Positive
+// and negative magnitudes keep separate bucket runs; zeros keep a
+// count of their own. NaN samples are ignored.
+type Stream struct {
+	pos, neg buckets
+	zero     uint64
+
+	count      int
+	sum, sumSq float64
+	minV, maxV float64
+}
+
+// NewStream returns an empty stream.
 func NewStream() *Stream { return &Stream{} }
 
-// NewBoundedStream returns a stream that retains at most cap samples
-// (Vitter's Algorithm R reservoir; deterministic seed so replays are
-// reproducible). cap <= 0 falls back to unbounded retention.
-func NewBoundedStream(cap int) *Stream {
-	if cap <= 0 {
-		return NewStream()
-	}
-	return &Stream{cap: cap, rng: rand.New(rand.NewSource(1))}
-}
+// NewBoundedStream returns NewStream().
+//
+// Deprecated: every Stream has bounded memory; the cap is ignored.
+func NewBoundedStream(int) *Stream { return NewStream() }
 
-// Add records one sample.
+// Add records one sample. It allocates only when v falls outside the
+// bucket range observed so far.
+//
+//valora:hotpath
 func (s *Stream) Add(v float64) {
-	s.seen++
-	s.sum += v
-	if s.seen == 1 || v < s.minV {
+	switch {
+	case v > 0:
+		s.pos.add(bucketOf(v))
+	case v < 0:
+		s.neg.add(bucketOf(-v))
+	case v == 0:
+		s.zero++
+	default:
+		return // NaN has no rank
+	}
+	if s.count == 0 || v < s.minV {
 		s.minV = v
 	}
-	if s.seen == 1 || v > s.maxV {
+	if s.count == 0 || v > s.maxV {
 		s.maxV = v
 	}
-	if s.cap > 0 {
-		if len(s.samples) < s.cap {
-			if s.samples == nil {
-				// Reservoir streams almost always fill: allocate the
-				// full window once instead of paying log2(cap)
-				// growslice copies on the hot Add path.
-				s.samples = make([]float64, 0, s.cap)
-			}
-			s.samples = append(s.samples, v)
-		} else if j := s.rng.Intn(s.seen); j < s.cap {
-			s.samples[j] = v
-		} else {
-			return // dropped; retained set unchanged, stays sorted
-		}
-	} else {
-		s.samples = append(s.samples, v)
-	}
-	s.sorted = false
+	s.count++
+	s.sum += v
+	s.sumSq += v * v
 }
 
 // AddDuration records a duration sample in milliseconds.
@@ -89,176 +157,125 @@ func (s *Stream) AddDuration(d time.Duration) {
 	s.Add(float64(d) / float64(time.Millisecond))
 }
 
-// Count reports the number of recorded samples (including any the
-// reservoir dropped in bounded mode: counting stays exact).
-func (s *Stream) Count() int { return s.seen }
-
-// Retained reports the number of samples held in memory (== Count for
-// unbounded streams, ≤ the cap for bounded ones).
-func (s *Stream) Retained() int { return len(s.samples) }
+// Count reports the number of recorded samples.
+func (s *Stream) Count() int { return s.count }
 
 // Sum reports the exact sum of all recorded samples.
 func (s *Stream) Sum() float64 { return s.sum }
 
-// Mean reports the arithmetic mean, or 0 for an empty stream. Exact in
-// both modes (sum and count are tracked outside the reservoir).
+// Mean reports the arithmetic mean, or 0 for an empty stream.
 func (s *Stream) Mean() float64 {
-	if s.seen == 0 {
+	if s.count == 0 {
 		return 0
 	}
-	return s.sum / float64(s.seen)
+	return s.sum / float64(s.count)
 }
 
-// Min reports the smallest sample, or 0 for an empty stream. Exact in
-// both modes.
+// Min reports the smallest sample, or 0 for an empty stream.
 func (s *Stream) Min() float64 {
-	if s.seen == 0 {
+	if s.count == 0 {
 		return 0
 	}
 	return s.minV
 }
 
-// Max reports the largest sample, or 0 for an empty stream. Exact in
-// both modes.
+// Max reports the largest sample, or 0 for an empty stream.
 func (s *Stream) Max() float64 {
-	if s.seen == 0 {
+	if s.count == 0 {
 		return 0
 	}
 	return s.maxV
 }
 
 // Percentile reports the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. It returns 0 for an empty
-// stream.
+// interpolation between the closest ranks, or 0 for an empty stream.
+// The order statistics it interpolates are the exact min and max at
+// the ends and bucket values (within Alpha, clamped to [min, max])
+// in between, so the result is within Alpha of the exact
+// interpolation whenever the two ranks share a sign.
 func (s *Stream) Percentile(p float64) float64 {
-	n := len(s.samples)
-	if n == 0 {
+	if s.count == 0 {
 		return 0
 	}
 	if p <= 0 {
-		return s.Min()
+		return s.minV
 	}
 	if p >= 100 {
-		return s.Max()
+		return s.maxV
 	}
-	s.ensureSorted()
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s.samples[lo]
+	rank := p / 100 * float64(s.count-1)
+	lo := math.Floor(rank)
+	a, b := s.orderStat(int(lo)), s.orderStat(int(math.Ceil(rank)))
+	if a == b {
+		return a // one rank or one bucket: interpolating could only round
 	}
-	frac := rank - float64(lo)
-	return s.samples[lo]*(1-frac) + s.samples[hi]*frac
+	frac := rank - lo
+	return a*(1-frac) + b*frac
+}
+
+// orderStat reports the r-th smallest sample (0-based): exact at both
+// ends, its bucket's value clamped to [min, max] in between.
+func (s *Stream) orderStat(r int) float64 {
+	if r == 0 {
+		return s.minV
+	}
+	if r == s.count-1 {
+		return s.maxV
+	}
+	clamp := func(v float64) float64 { return min(max(v, s.minV), s.maxV) }
+	rank := uint64(r)
+	for i := len(s.neg.counts) - 1; i >= 0; i-- {
+		c := s.neg.counts[i]
+		if rank < c {
+			return clamp(-bucketValue(s.neg.offset + i))
+		}
+		rank -= c
+	}
+	if rank < s.zero {
+		return 0
+	}
+	rank -= s.zero
+	for i, c := range s.pos.counts {
+		if rank < c {
+			return clamp(bucketValue(s.pos.offset + i))
+		}
+		rank -= c
+	}
+	panic("metrics: stream bucket counts disagree with its sample count")
 }
 
 // StdDev reports the population standard deviation.
 func (s *Stream) StdDev() float64 {
-	n := len(s.samples)
-	if n == 0 {
+	if s.count == 0 {
 		return 0
 	}
 	mean := s.Mean()
-	var ss float64
-	for _, v := range s.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
+	return math.Sqrt(max(s.sumSq/float64(s.count)-mean*mean, 0))
 }
 
-// Merge folds all samples of other into s. Sum, count, min and max
-// merge exactly in every mode combination. Retained samples append
-// when s is unbounded; a bounded s folds them through its reservoir
-// (percentiles then estimate the merged population from other's
-// retained subset — exact whenever other never overflowed).
+// Merge folds all samples of other into s. Bucket counts add as
+// integers, so the merged percentiles, count, min and max do not
+// depend on merge order or grouping.
 func (s *Stream) Merge(other *Stream) {
-	wasEmpty := s.seen == 0
-	if s.cap == 0 && (s.sorted || len(s.samples) == 0) && (other.sorted || len(other.samples) == 0) {
-		// Both sides already sorted (the cluster aggregate merges
-		// per-instance streams their own Summarize sorted): a linear
-		// merge keeps the result sorted, so the aggregate's Summarize
-		// never pays a full re-sort over the union.
-		merged := make([]float64, 0, len(s.samples)+len(other.samples))
-		i, j := 0, 0
-		for i < len(s.samples) && j < len(other.samples) {
-			if s.samples[i] <= other.samples[j] {
-				merged = append(merged, s.samples[i])
-				i++
-			} else {
-				merged = append(merged, other.samples[j])
-				j++
-			}
-		}
-		merged = append(merged, s.samples[i:]...)
-		merged = append(merged, other.samples[j:]...)
-		s.samples = merged
-		s.seen += other.seen
-		if other.seen > 0 {
-			if wasEmpty || other.minV < s.minV {
-				s.minV = other.minV
-			}
-			if wasEmpty || other.maxV > s.maxV {
-				s.maxV = other.maxV
-			}
-		}
-		s.sum += other.sum
-		s.sorted = true
+	if other.count == 0 {
 		return
 	}
-	if s.cap > 0 {
-		for _, v := range other.samples {
-			if len(s.samples) < s.cap {
-				s.samples = append(s.samples, v)
-			} else if j := s.rng.Intn(s.seen + 1); j < s.cap {
-				s.samples[j] = v
-			}
-			s.seen++
-		}
-		// Count what other actually saw, not just what it retained.
-		s.seen += other.seen - len(other.samples)
-	} else {
-		if free := cap(s.samples) - len(s.samples); free < len(other.samples) {
-			grown := make([]float64, len(s.samples), len(s.samples)+len(other.samples))
-			copy(grown, s.samples)
-			s.samples = grown
-		}
-		s.samples = append(s.samples, other.samples...)
-		s.seen += other.seen
+	if s.count == 0 || other.minV < s.minV {
+		s.minV = other.minV
 	}
-	if other.seen > 0 {
-		if wasEmpty || other.minV < s.minV {
-			s.minV = other.minV
-		}
-		if wasEmpty || other.maxV > s.maxV {
-			s.maxV = other.maxV
-		}
+	if s.count == 0 || other.maxV > s.maxV {
+		s.maxV = other.maxV
 	}
+	s.pos.merge(&other.pos)
+	s.neg.merge(&other.neg)
+	s.zero += other.zero
+	s.count += other.count
 	s.sum += other.sum
-	s.sorted = false
+	s.sumSq += other.sumSq
 }
 
-// Reset discards all recorded samples (the reservoir cap, if any, is
-// kept).
-func (s *Stream) Reset() {
-	s.samples = s.samples[:0]
-	s.sum = 0
-	s.seen = 0
-	s.minV, s.maxV = 0, 0
-	s.sorted = true
-}
-
-func (s *Stream) ensureSorted() {
-	if s.sorted {
-		return
-	}
-	if len(s.samples) >= radixSortThreshold {
-		radixSortFloat64(s.samples)
-	} else {
-		sort.Float64s(s.samples)
-	}
-	s.sorted = true
-}
+// Reset discards all recorded samples.
+func (s *Stream) Reset() { *s = Stream{} }
 
 // Summary is a compact snapshot of a stream, convenient for report
 // tables.
@@ -311,52 +328,4 @@ func JainIndex(xs []float64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(xs)) * sumsq)
-}
-
-// Histogram counts samples into fixed-width buckets over [lo, hi).
-// Samples outside the range are clamped into the first/last bucket.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []int
-	count   int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.lo) / h.width)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx]++
-	h.count++
-}
-
-// Count reports the total number of samples.
-func (h *Histogram) Count() int { return h.count }
-
-// Bucket reports the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets reports the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// BucketBounds reports the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	lo = h.lo + float64(i)*h.width
-	return lo, lo + h.width
 }

@@ -53,10 +53,10 @@ type Options struct {
 	AsyncSwap bool
 	// ContiguousMemory is the pre-allocated weight layout of §4.4.1.
 	ContiguousMemory bool
-	// LatencySampleCap bounds the retained samples of the latency
-	// percentile streams (reservoir mode; see metrics.NewBoundedStream).
-	// 0 keeps exact unbounded retention. Stress runs replaying millions
-	// of requests set it so the streams stop growing with the trace.
+	// LatencySampleCap is ignored: latency streams are fixed-memory
+	// histograms at any sample count.
+	//
+	// Deprecated: kept only so existing callers still compile.
 	LatencySampleCap int
 	// Preemption, when set, enables iteration-level preemption: the
 	// policy's Decision.Evict victims are displaced from the instance
@@ -246,8 +246,8 @@ func (s *Server) tenantStatOf(name string) *tenantStat {
 	ts, ok := s.tenants[name]
 	if !ok {
 		ts = &tenantStat{
-			e2e:          metrics.NewBoundedStream(s.opts.LatencySampleCap),
-			preemptedE2E: metrics.NewBoundedStream(s.opts.LatencySampleCap),
+			e2e:          metrics.NewStream(),
+			preemptedE2E: metrics.NewStream(),
 		}
 		s.tenants[name] = ts
 	}
@@ -294,9 +294,9 @@ func NewServer(opts Options) (*Server, error) {
 		prefix:   lmm.NewPrefixCache(opts.PrefixCacheImages),
 		pool:     lora.NewPool(opts.GPU, opts.AdapterPoolBytes, opts.AsyncSwap, opts.ContiguousMemory),
 		state:    lora.State{Mode: lora.ModeUnmerged, Merged: -1},
-		e2e:      metrics.NewBoundedStream(opts.LatencySampleCap),
-		ttft:     metrics.NewBoundedStream(opts.LatencySampleCap),
-		coldTTFT: metrics.NewBoundedStream(opts.LatencySampleCap),
+		e2e:      metrics.NewStream(),
+		ttft:     metrics.NewStream(),
+		coldTTFT: metrics.NewStream(),
 
 		scratchSeen:        make(map[int]bool),
 		scratchFetching:    make(map[int]bool),
