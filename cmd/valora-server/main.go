@@ -61,7 +61,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		system    = flag.String("system", "VaLoRA", "serving system: VaLoRA, S-LoRA, Punica, dLoRA")
 		modelName = flag.String("model", "qwen", "model: qwen, llava7b, llava13b")
-		adapters  = flag.String("adapters", "", "comma-separated adapter names to register as /v1/models entries (name i = adapter ID i)")
+		adapters  = flag.String("adapters", "", "comma-separated adapter names to register as /v1/models entries (name i = adapter ID i); adapter_id must then name one of them")
 		traceOut  = flag.String("trace", "", "capture one trace row per request; flushed here on shutdown (and served live at /v1/trace)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests")
 	)

@@ -45,6 +45,45 @@ func TestRequireSteadyStateZeroAlloc(t *testing.T) {
 	})
 }
 
+// KVCache at steady state: a sequence's Allocate, per-token Extend,
+// Tokens and Release reuse released records and block capacity.
+func TestKVCacheSteadyStateZeroAlloc(t *testing.T) {
+	model := lmm.QwenVL7B()
+	kv := lmm.NewKVCache(model, 256*model.KVBytesPerToken()*lmm.BlockSize)
+	var hs [8]lmm.SeqHandle
+	gate(t, "KVCache.Allocate/Extend/Tokens/Release", func() {
+		for i := range hs {
+			h, err := kv.Allocate(40+7*i, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs[i] = h
+		}
+		for step := 0; step < 20; step++ {
+			for _, h := range hs {
+				if err := kv.Extend(h); err != nil || kv.Tokens(h) == 0 {
+					t.Fatal("extend failed", err)
+				}
+			}
+		}
+		for _, h := range hs {
+			kv.Release(h)
+		}
+	})
+}
+
+// Stamping an already-interned adapter's slot at ingest is a lookup.
+func TestAdapterSlotStampZeroAlloc(t *testing.T) {
+	reqs := make([]*sched.Request, 64)
+	for i := range reqs {
+		reqs[i] = &sched.Request{ID: int64(i), AdapterID: i % 16}
+	}
+	var slots sched.AdapterSlots
+	gate(t, "AdapterSlots.Stamp", func() {
+		slots.Stamp(reqs...)
+	})
+}
+
 // ArrivalQueue push/pop cycles reuse the heap's backing array once it
 // has grown to the working-set size.
 func TestArrivalQueueZeroAlloc(t *testing.T) {
@@ -96,14 +135,16 @@ func TestTimelineRefreshZeroAlloc(t *testing.T) {
 }
 
 // VaLoRAPolicy.Decide at steady state: scratch buffers are resliced,
-// cohort counts are epoch-versioned in a map that stops growing once
-// every adapter has been seen.
+// cohort counts are epoch-versioned in a slice indexed by the adapter
+// slots ingest stamps on each request.
 func TestDecideZeroAlloc(t *testing.T) {
 	p := sched.NewVaLoRAPolicy()
 	active := make([]*sched.Request, 16)
 	for i := range active {
 		active[i] = &sched.Request{ID: int64(i), AdapterID: i % 4, InputTokens: 64}
 	}
+	var slots sched.AdapterSlots
+	slots.Stamp(active...)
 	it := sched.Iteration{
 		Now:    time.Second,
 		Active: active,

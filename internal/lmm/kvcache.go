@@ -12,22 +12,37 @@ const BlockSize = 16
 // vLLM/LightLLM, which VaLoRA builds on (§5). Sequences own lists of
 // fixed-size token blocks; blocks freed on completion return to a free
 // list, so fragmentation never strands memory.
+//
+// Sequences are named by the SeqHandle Allocate returns, an index into
+// a dense slice of sequence records, so the per-token Extend and the
+// per-iteration Tokens reads are slice loads rather than map lookups.
 type KVCache struct {
 	totalBlocks int
 	free        []int
-	seqs        map[int64]*seqAlloc
+	seqs        []seqAlloc
 	bytesPerBlk int64
-	// spare holds released sequence records (blocks emptied, capacity
-	// kept) for Allocate to reuse; its length never exceeds the peak
-	// number of live sequences.
-	spare []*seqAlloc
+	// spare holds the indices of released sequence records (blocks
+	// emptied, capacity kept) for Allocate to reuse; len(seqs) never
+	// exceeds the peak number of live sequences.
+	spare []int32
 }
 
 type seqAlloc struct {
 	blocks []int
 	tokens int
 	shared int // tokens backed by prefix-cache blocks (not owned)
+	// gen is the record's generation, bumped on every Release: only the
+	// handle carrying the current generation names the live sequence.
+	gen uint32
 }
+
+// SeqHandle names one live sequence of a KVCache. The zero handle names
+// none. A handle packs its record's index with the record's
+// generation, so a handle kept past its Release is stale: it never
+// aliases the sequence that reuses the record.
+type SeqHandle uint64
+
+func makeHandle(i int, gen uint32) SeqHandle { return SeqHandle(gen)<<32 | SeqHandle(uint32(i+1)) }
 
 // NewKVCache builds an allocator over budgetBytes of KV memory for a
 // model.
@@ -44,7 +59,6 @@ func NewKVCache(cfg Config, budgetBytes int64) *KVCache {
 	return &KVCache{
 		totalBlocks: n,
 		free:        free,
-		seqs:        make(map[int64]*seqAlloc),
 		bytesPerBlk: perBlock,
 	}
 }
@@ -61,73 +75,96 @@ func (k *KVCache) CanFit(tokens int) bool {
 	return (tokens+BlockSize-1)/BlockSize <= len(k.free)
 }
 
-// Allocate reserves blocks for a new sequence with the given prompt
-// length. sharedTokens (from the prefix cache) occupy no new blocks.
-func (k *KVCache) Allocate(seqID int64, tokens, sharedTokens int) error {
-	if _, ok := k.seqs[seqID]; ok {
-		return fmt.Errorf("lmm: sequence %d already allocated", seqID)
+// seq resolves a handle to its live record, or nil for the zero handle
+// and for stale handles.
+//
+//valora:hotpath
+func (k *KVCache) seq(h SeqHandle) *seqAlloc {
+	i := int(uint32(h)) - 1
+	if i < 0 || i >= len(k.seqs) {
+		return nil
 	}
+	a := &k.seqs[i]
+	if a.gen != uint32(h>>32) {
+		return nil
+	}
+	return a
+}
+
+// Allocate reserves blocks for a new sequence with the given prompt
+// length and returns its handle. sharedTokens (from the prefix cache)
+// occupy no new blocks.
+func (k *KVCache) Allocate(tokens, sharedTokens int) (SeqHandle, error) {
 	owned := tokens - sharedTokens
 	if owned < 0 {
 		owned = 0
 	}
 	need := (owned + BlockSize - 1) / BlockSize
 	if need > len(k.free) {
-		return fmt.Errorf("lmm: KV cache exhausted (%d blocks needed, %d free)", need, len(k.free))
+		return 0, fmt.Errorf("lmm: KV cache exhausted (%d blocks needed, %d free)", need, len(k.free))
 	}
-	var alloc *seqAlloc
+	var i int
 	if n := len(k.spare); n > 0 {
-		alloc = k.spare[n-1]
+		i = int(k.spare[n-1])
 		k.spare = k.spare[:n-1]
 	} else {
-		alloc = &seqAlloc{}
+		i = len(k.seqs)
+		k.seqs = append(k.seqs, seqAlloc{})
 	}
-	alloc.tokens, alloc.shared = tokens, sharedTokens
-	alloc.blocks = append(alloc.blocks, k.free[len(k.free)-need:]...)
+	a := &k.seqs[i]
+	a.tokens, a.shared = tokens, sharedTokens
+	a.blocks = append(a.blocks, k.free[len(k.free)-need:]...)
 	k.free = k.free[:len(k.free)-need]
-	k.seqs[seqID] = alloc
-	return nil
+	return makeHandle(i, a.gen), nil
 }
 
 // Extend appends one generated token to a sequence, taking a new block
 // when the current one is full.
-func (k *KVCache) Extend(seqID int64) error {
-	alloc, ok := k.seqs[seqID]
-	if !ok {
-		return fmt.Errorf("lmm: sequence %d not allocated", seqID)
+//
+//valora:hotpath
+func (k *KVCache) Extend(h SeqHandle) error {
+	a := k.seq(h)
+	if a == nil {
+		//valora:allow hotpath -- cold path: only a zero or stale handle reaches it; the serving loop extends live sequences only
+		return fmt.Errorf("lmm: KV handle %#x names no live sequence", uint64(h))
 	}
-	owned := alloc.tokens - alloc.shared
-	if owned%BlockSize == 0 {
+	if (a.tokens-a.shared)%BlockSize == 0 {
 		if len(k.free) == 0 {
-			return fmt.Errorf("lmm: KV cache exhausted extending sequence %d", seqID)
+			//valora:allow hotpath -- cold path: the serving loop reserves one free block per batched sequence before extending
+			return fmt.Errorf("lmm: KV cache exhausted extending sequence %#x", uint64(h))
 		}
-		alloc.blocks = append(alloc.blocks, k.free[len(k.free)-1])
+		a.blocks = append(a.blocks, k.free[len(k.free)-1])
 		k.free = k.free[:len(k.free)-1]
 	}
-	alloc.tokens++
+	a.tokens++
 	return nil
 }
 
 // Tokens reports the sequence's current context length (prompt +
-// generated).
-func (k *KVCache) Tokens(seqID int64) int {
-	if a, ok := k.seqs[seqID]; ok {
+// generated), 0 for the zero or a stale handle.
+//
+//valora:hotpath
+func (k *KVCache) Tokens(h SeqHandle) int {
+	if a := k.seq(h); a != nil {
 		return a.tokens
 	}
 	return 0
 }
 
 // Release frees all blocks owned by a sequence and keeps its record
-// for reuse.
-func (k *KVCache) Release(seqID int64) {
-	alloc, ok := k.seqs[seqID]
-	if !ok {
+// for reuse. Releasing the zero or a stale handle is a no-op.
+//
+//valora:hotpath
+func (k *KVCache) Release(h SeqHandle) {
+	a := k.seq(h)
+	if a == nil {
 		return
 	}
-	k.free = append(k.free, alloc.blocks...)
-	alloc.blocks = alloc.blocks[:0]
-	k.spare = append(k.spare, alloc)
-	delete(k.seqs, seqID)
+	k.free = append(k.free, a.blocks...)
+	a.blocks = a.blocks[:0]
+	a.tokens, a.shared = 0, 0
+	a.gen++
+	k.spare = append(k.spare, int32(uint32(h)-1))
 }
 
 // Usage reports the fraction of blocks in use.

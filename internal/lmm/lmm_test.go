@@ -112,38 +112,45 @@ func TestEngine13BSlower(t *testing.T) {
 	}
 }
 
+// liveSeqs counts a cache's allocated sequences.
+func liveSeqs(k *KVCache) int { return len(k.seqs) - len(k.spare) }
+
 func TestKVCacheLifecycle(t *testing.T) {
 	m := QwenVL7B()
 	kv := NewKVCache(m, 64*m.KVBytesPerToken()*BlockSize) // 64 blocks
 	if kv.TotalBlocks() != 64 {
 		t.Fatalf("total blocks = %d, want 64", kv.TotalBlocks())
 	}
-	if err := kv.Allocate(1, 100, 0); err != nil { // 7 blocks
+	h, err := kv.Allocate(100, 0) // 7 blocks
+	if err != nil {
 		t.Fatal(err)
 	}
-	if kv.Tokens(1) != 100 {
-		t.Fatalf("tokens = %d, want 100", kv.Tokens(1))
+	if h == 0 {
+		t.Fatal("Allocate returned the zero handle")
+	}
+	if kv.Tokens(h) != 100 {
+		t.Fatalf("tokens = %d, want 100", kv.Tokens(h))
 	}
 	if kv.FreeBlocks() != 64-7 {
 		t.Fatalf("free = %d, want 57", kv.FreeBlocks())
 	}
 	// Extending within the last partial block takes no new block.
 	for i := 0; i < 12; i++ {
-		if err := kv.Extend(1); err != nil {
+		if err := kv.Extend(h); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if kv.FreeBlocks() != 57 {
 		t.Fatalf("extend within block should not allocate, free=%d", kv.FreeBlocks())
 	}
-	if err := kv.Extend(1); err != nil { // token 113 crosses into block 8
+	if err := kv.Extend(h); err != nil { // token 113 crosses into block 8
 		t.Fatal(err)
 	}
 	if kv.FreeBlocks() != 56 {
 		t.Fatalf("extend across block should allocate, free=%d", kv.FreeBlocks())
 	}
-	kv.Release(1)
-	if kv.FreeBlocks() != 64 || kv.Usage() != 0 {
+	kv.Release(h)
+	if kv.FreeBlocks() != 64 || kv.Usage() != 0 || liveSeqs(kv) != 0 {
 		t.Fatal("release must return every block")
 	}
 }
@@ -151,24 +158,65 @@ func TestKVCacheLifecycle(t *testing.T) {
 func TestKVCacheErrors(t *testing.T) {
 	m := QwenVL7B()
 	kv := NewKVCache(m, 4*m.KVBytesPerToken()*BlockSize) // 4 blocks
-	if err := kv.Allocate(1, 100, 0); err == nil {
+	if _, err := kv.Allocate(100, 0); err == nil {
 		t.Fatal("over-capacity allocation should fail")
 	}
-	if err := kv.Allocate(1, 32, 0); err != nil {
+	if liveSeqs(kv) != 0 {
+		t.Fatal("a failed allocation must not hold a record")
+	}
+	if _, err := kv.Allocate(32, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := kv.Allocate(1, 16, 0); err == nil {
-		t.Fatal("double allocation should fail")
+	if err := kv.Extend(0); err == nil {
+		t.Fatal("extending the zero handle should fail")
 	}
-	if err := kv.Extend(99); err == nil {
-		t.Fatal("extending an unknown sequence should fail")
+	if err := kv.Extend(makeHandle(99, 0)); err == nil {
+		t.Fatal("extending an unknown handle should fail")
 	}
 	// Fill the cache, then extension must fail cleanly.
-	if err := kv.Allocate(2, 32, 0); err != nil {
+	h, err := kv.Allocate(32, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kv.Extend(2); err == nil {
+	if err := kv.Extend(h); err == nil {
 		t.Fatal("extension past capacity should fail")
+	}
+}
+
+// TestKVCacheStaleHandles pins the handle contract: a released handle
+// is stale for Extend and Tokens, a second Release (or one of the zero
+// handle) is a no-op, and the sequence that reuses the record gets a
+// handle distinct from the stale one.
+func TestKVCacheStaleHandles(t *testing.T) {
+	m := QwenVL7B()
+	kv := NewKVCache(m, 16*m.KVBytesPerToken()*BlockSize)
+	kv.Release(0) // no-op on an empty cache
+	h, err := kv.Allocate(20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv.Release(h)
+	if err := kv.Extend(h); err == nil {
+		t.Fatal("extending a released handle should fail")
+	}
+	if kv.Tokens(h) != 0 {
+		t.Fatal("a released handle must report no tokens")
+	}
+	kv.Release(h) // second release: no-op
+	kv.Release(0)
+	if kv.FreeBlocks() != 16 || liveSeqs(kv) != 0 {
+		t.Fatalf("double release corrupted the cache: free=%d live=%d", kv.FreeBlocks(), liveSeqs(kv))
+	}
+	h2, err := kv.Allocate(40, 0) // reuses the released record
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2 == h {
+		t.Fatal("a recycled record must get a fresh handle")
+	}
+	kv.Release(h) // the stale handle must not free the new sequence
+	if kv.Tokens(h2) != 40 || kv.FreeBlocks() != 16-3 {
+		t.Fatalf("stale release touched the live sequence: tokens=%d free=%d", kv.Tokens(h2), kv.FreeBlocks())
 	}
 }
 
@@ -176,7 +224,7 @@ func TestKVCacheSharedTokens(t *testing.T) {
 	m := QwenVL7B()
 	kv := NewKVCache(m, 64*m.KVBytesPerToken()*BlockSize)
 	// 256 shared tokens (prefix cache) occupy no owned blocks.
-	if err := kv.Allocate(1, 300, 256); err != nil {
+	if _, err := kv.Allocate(300, 256); err != nil {
 		t.Fatal(err)
 	}
 	owned := (300 - 256 + BlockSize - 1) / BlockSize
@@ -189,18 +237,16 @@ func TestKVCacheInvariant(t *testing.T) {
 	m := QwenVL7B()
 	f := func(sizes []uint8) bool {
 		kv := NewKVCache(m, 128*m.KVBytesPerToken()*BlockSize)
-		id := int64(0)
-		var live []int64
+		var live []SeqHandle
 		for _, s := range sizes {
-			id++
-			if kv.Allocate(id, int(s)+1, 0) == nil {
-				live = append(live, id)
+			if h, err := kv.Allocate(int(s)+1, 0); err == nil {
+				live = append(live, h)
 			}
 			if len(live) > 4 {
 				kv.Release(live[0])
 				live = live[1:]
 			}
-			if kv.FreeBlocks() < 0 || kv.FreeBlocks() > kv.TotalBlocks() {
+			if kv.FreeBlocks() < 0 || kv.FreeBlocks() > kv.TotalBlocks() || liveSeqs(kv) != len(live) {
 				return false
 			}
 		}
@@ -217,33 +263,39 @@ func TestKVCacheInvariant(t *testing.T) {
 // TestKVCacheRecyclingKeepsBlockOrder checks that reusing released
 // sequence records changes no block assignment: a random
 // Allocate/Extend/Release run matches a fresh-slice model of the free
-// list and of every sequence's blocks after each operation.
+// list and of every sequence's blocks after each operation. Released
+// handles are kept and probed, so a recycled record that aliased a
+// stale handle would show up as a live answer to a dead name.
 func TestKVCacheRecyclingKeepsBlockOrder(t *testing.T) {
 	m := QwenVL7B()
 	kv := NewKVCache(m, 96*m.KVBytesPerToken()*BlockSize)
 	free := slices.Clone(kv.free)
-	owned := map[int64][]int{}
-	tokens := map[int64]int{}
+	owned := map[SeqHandle][]int{}
+	tokens := map[SeqHandle]int{}
 	rng := rand.New(rand.NewSource(1))
-	var live []int64
+	var live, dead []SeqHandle
 	peak := 0
-	for id := int64(1); id <= 3000; id++ {
-		switch op := rng.Intn(3); {
-		case op == 0 || len(live) == 0:
+	for op := 1; op <= 3000; op++ {
+		switch c := rng.Intn(3); {
+		case c == 0 || len(live) == 0:
 			n := 1 + rng.Intn(80)
 			need := (n + BlockSize - 1) / BlockSize
-			if err := kv.Allocate(id, n, 0); err != nil {
+			h, err := kv.Allocate(n, 0)
+			if err != nil {
 				if need <= len(free) {
-					t.Fatalf("allocate %d: %v", id, err)
+					t.Fatalf("op %d: allocate: %v", op, err)
 				}
 				continue
 			}
-			owned[id] = slices.Clone(free[len(free)-need:])
+			if _, dup := owned[h]; dup || slices.Contains(dead, h) {
+				t.Fatalf("op %d: handle %#x reissued", op, uint64(h))
+			}
+			owned[h] = slices.Clone(free[len(free)-need:])
 			free = free[:len(free)-need]
-			tokens[id] = n
-			live = append(live, id)
+			tokens[h] = n
+			live = append(live, h)
 			peak = max(peak, len(live))
-		case op == 1:
+		case c == 1:
 			s := live[rng.Intn(len(live))]
 			if err := kv.Extend(s); err != nil {
 				continue // exhausted: the model takes nothing either
@@ -260,20 +312,27 @@ func TestKVCacheRecyclingKeepsBlockOrder(t *testing.T) {
 			kv.Release(s)
 			free = append(free, owned[s]...)
 			delete(owned, s)
+			delete(tokens, s)
+			dead = append(dead, s)
 		}
 		if !slices.Equal(kv.free, free) {
-			t.Fatalf("op %d: free list diverges from the model", id)
+			t.Fatalf("op %d: free list diverges from the model", op)
 		}
 		for s, blocks := range owned {
-			if !slices.Equal(kv.seqs[s].blocks, blocks) {
-				t.Fatalf("op %d: sequence %d holds blocks %v, model %v", id, s, kv.seqs[s].blocks, blocks)
+			if a := kv.seq(s); a == nil || !slices.Equal(a.blocks, blocks) || a.tokens != tokens[s] {
+				t.Fatalf("op %d: sequence %#x diverges from the model (blocks %v)", op, uint64(s), blocks)
+			}
+		}
+		if len(dead) > 0 {
+			if d := dead[rng.Intn(len(dead))]; kv.Tokens(d) != 0 || kv.Extend(d) == nil {
+				t.Fatalf("op %d: released handle %#x still answers", op, uint64(d))
 			}
 		}
 	}
-	// A record is created only when none is spare, so live plus spare
-	// records never exceed the peak number of live sequences.
-	if records := len(kv.seqs) + len(kv.spare); records != peak {
-		t.Fatalf("%d sequence records for a peak of %d live sequences", records, peak)
+	// A record is created only when none is spare, so the record slice
+	// never exceeds the peak number of live sequences.
+	if len(kv.seqs) != peak {
+		t.Fatalf("%d sequence records for a peak of %d live sequences", len(kv.seqs), peak)
 	}
 }
 
@@ -283,28 +342,27 @@ func TestKVCacheRecyclingKeepsBlockOrder(t *testing.T) {
 func TestKVCacheSteadyStateZeroAlloc(t *testing.T) {
 	m := QwenVL7B()
 	kv := NewKVCache(m, 256*m.KVBytesPerToken()*BlockSize)
-	id := int64(0)
 	life := func() {
-		var ids [8]int64
-		for i := range ids {
-			id++
-			ids[i] = id
-			if err := kv.Allocate(id, 40+7*i, 0); err != nil {
+		var hs [8]SeqHandle
+		for i := range hs {
+			h, err := kv.Allocate(40+7*i, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
+			hs[i] = h
 		}
 		for step := 0; step < 40; step++ {
-			for _, s := range ids {
-				if err := kv.Extend(s); err != nil {
+			for _, h := range hs {
+				if err := kv.Extend(h); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		for _, s := range ids {
-			kv.Release(s)
+		for _, h := range hs {
+			kv.Release(h)
 		}
 	}
-	life() // warm: grow the records, the spare list and the map
+	life() // warm: grow the records and the spare list
 	if got := testing.AllocsPerRun(100, life); got != 0 {
 		t.Fatalf("%.1f allocs per sequence batch at steady state, want 0", got)
 	}

@@ -36,8 +36,13 @@ func (e *CapacityError) Error() string {
 
 // poolEntry is one resident adapter on the intrusive LRU list.
 type poolEntry struct {
-	id         int
-	bytes      int64
+	id    int
+	bytes int64
+	// pins mirrors Pool.pins[id] while the entry is resident, and
+	// callPin holds the epoch of the Require call that pinned it, so
+	// eviction scans never consult the pin map.
+	pins       int
+	callPin    uint64
 	prev, next *poolEntry
 }
 
@@ -51,9 +56,9 @@ type poolEntry struct {
 // synchronously and pays the full PCIe latency on every miss.
 //
 // Residency is tracked by an intrusive doubly-linked LRU list with a
-// map index, so touch, insert and evict are all O(1); the pin set
-// (Pin/Unpin, plus the implicit per-call pins Require takes on its
-// batch) shields the merged adapter and batch-resident adapters from
+// map index, so touch, insert and evict are all O(1). Pins shield the
+// merged adapter (Pin/Unpin) and the batch-resident adapters (an epoch
+// mark each Require call stamps on its batch's entries) from
 // mid-iteration eviction.
 type Pool struct {
 	GPU      *simgpu.GPU
@@ -75,6 +80,10 @@ type Pool struct {
 	// residency (a pinned ID may be swapped in later and is protected
 	// from then on); pinned entries are skipped by eviction.
 	pins map[int]int
+	// epoch numbers Require calls; scratch holds the current call's
+	// entries, aligned with its adapters.
+	epoch   uint64
+	scratch []*poolEntry
 
 	swapIns   int
 	swapBytes int64
@@ -119,17 +128,33 @@ func (p *Pool) SwapStats() (swapIns, evictions int, bytes int64, stalled time.Du
 // nest (a pin count is kept per ID) and are independent of residency:
 // the server pins the merged adapter so the folded weights can never
 // be swapped out from under the running mode.
-func (p *Pool) Pin(id int) { p.pins[id]++ }
+func (p *Pool) Pin(id int) {
+	p.pins[id]++
+	if e, ok := p.entries[id]; ok {
+		e.pins++
+	}
+}
 
 // Unpin releases one pin on an adapter. Unpinning an ID with no active
 // pins is a no-op.
 func (p *Pool) Unpin(id int) {
-	if n := p.pins[id]; n > 1 {
+	n := p.pins[id]
+	if n == 0 {
+		return
+	}
+	if n > 1 {
 		p.pins[id] = n - 1
-	} else if n == 1 {
+	} else {
 		delete(p.pins, id)
 	}
+	if e, ok := p.entries[id]; ok {
+		e.pins--
+	}
 }
+
+// pinned reports whether eviction must skip e: it holds a Pin, or the
+// running Require call pinned it.
+func (p *Pool) pinned(e *poolEntry) bool { return e.pins > 0 || e.callPin == p.epoch }
 
 // Pinned reports whether the adapter currently holds any pins.
 func (p *Pool) Pinned(id int) bool { return p.pins[id] > 0 }
@@ -150,6 +175,7 @@ func (p *Pool) listPushMRU(e *poolEntry) {
 }
 
 // touch marks a resident entry most recently used.
+//
 //valora:hotpath
 func (p *Pool) touch(e *poolEntry) {
 	if p.root.prev == e {
@@ -160,6 +186,7 @@ func (p *Pool) touch(e *poolEntry) {
 }
 
 // evict removes a resident entry from the pool.
+//
 //valora:hotpath
 func (p *Pool) evict(e *poolEntry) {
 	p.listRemove(e)
@@ -175,7 +202,7 @@ func (p *Pool) evict(e *poolEntry) {
 func (p *Pool) canMakeRoom(need int64) bool {
 	avail := p.Capacity - p.used
 	for e := p.root.next; e != &p.root && avail < need; e = e.next {
-		if p.pins[e.id] == 0 {
+		if !p.pinned(e) {
 			avail += e.bytes
 		}
 	}
@@ -189,7 +216,7 @@ func (p *Pool) evictUntil(need int64) {
 	e := p.root.next
 	for p.used+need > p.Capacity && e != &p.root {
 		next := e.next
-		if p.pins[e.id] == 0 {
+		if !p.pinned(e) {
 			p.evict(e)
 		}
 		e = next
@@ -201,27 +228,42 @@ func (p *Pool) evictUntil(need int64) {
 // the copies can hide behind when asynchronous swapping is enabled
 // (typically the previous iteration's duration).
 //
-// All adapters of the batch are pinned for the duration of the call,
-// so a later swap-in can never evict an adapter made resident earlier
-// in the same call. Adapters that cannot be hosted — larger than the
+// All adapters of the batch are pinned for the duration of the call
+// (an epoch mark on their entries, not the Pin count), so a later
+// swap-in can never evict an adapter made resident earlier in the same
+// call. Adapters that cannot be hosted — larger than the
 // whole pool, or blocked by the pinned working set — are left
 // non-resident and reported through a *CapacityError; the pool never
 // over-commits (Used() ≤ Capacity always holds).
+//
 //valora:hotpath
 func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.Duration, error) {
+	p.epoch++
+	entries := p.scratch[:0]
 	for _, a := range adapters {
+		var e *poolEntry
 		if a != nil {
-			p.pins[a.ID]++
+			if e = p.entries[a.ID]; e != nil {
+				e.callPin = p.epoch
+			}
 		}
+		entries = append(entries, e)
 	}
+	p.scratch = entries
 
 	var copyTime time.Duration
 	var oversized, deferred []int
-	for _, a := range adapters {
+	for i, a := range adapters {
 		if a == nil {
 			continue
 		}
-		if e, ok := p.entries[a.ID]; ok {
+		e := entries[i]
+		if e == nil {
+			// Not resident when the call began; an earlier duplicate in
+			// this batch may have swapped it in since.
+			e = p.entries[a.ID]
+		}
+		if e != nil {
 			p.touch(e)
 			continue
 		}
@@ -241,7 +283,7 @@ func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.D
 			continue
 		}
 		p.evictUntil(bytes)
-		e := &poolEntry{id: a.ID, bytes: bytes}
+		e = &poolEntry{id: a.ID, bytes: bytes, pins: p.pins[a.ID], callPin: p.epoch}
 		p.entries[a.ID] = e
 		p.listPushMRU(e)
 		p.used += bytes
@@ -256,12 +298,6 @@ func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.D
 			// Pageable copy plus an on-device gather into the
 			// kernel-visible buffer.
 			copyTime += p.GPU.HostToDevice(bytes) + p.GPU.DeviceCopy(bytes)
-		}
-	}
-
-	for _, a := range adapters {
-		if a != nil {
-			p.Unpin(a.ID)
 		}
 	}
 
@@ -302,6 +338,9 @@ func (p *Pool) CheckInvariants() error {
 		}
 		if e.next.prev != e || e.prev.next != e {
 			return fmt.Errorf("lora: pool list links broken at %d", e.id)
+		}
+		if e.pins != p.pins[e.id] {
+			return fmt.Errorf("lora: pool entry %d caches %d pins, pin set holds %d", e.id, e.pins, p.pins[e.id])
 		}
 		sum += e.bytes
 		n++

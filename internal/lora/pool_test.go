@@ -186,6 +186,18 @@ func TestPoolPinnedLRU(t *testing.T) {
 				}
 			},
 		},
+		{
+			name:     "a batch naming one adapter twice swaps it in once",
+			capacity: 2 * ab,
+			run: func(t *testing.T, p *Pool) {
+				if _, err := p.Require([]*Adapter{a, b, a}, 0); err != nil {
+					t.Fatal(err)
+				}
+				if swaps, _, _, _ := p.SwapStats(); swaps != 2 || p.Used() != 2*ab {
+					t.Fatalf("duplicate batch member swapped twice: %d swaps, %d bytes used", swaps, p.Used())
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

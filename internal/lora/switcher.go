@@ -22,6 +22,9 @@ const (
 	// ModeMixture is deLoRA (§4.4.2): one adapter merged, other
 	// adapters unmerged with a compensating deLoRA branch.
 	ModeMixture
+
+	// NumModes counts the modes, for per-mode arrays.
+	NumModes = iota
 )
 
 func (m Mode) String() string {

@@ -52,11 +52,15 @@ type VaLoRAPolicy struct {
 	batchBuf []*Request
 	evictBuf []*Request
 	admitBuf []*Request
-	counts   map[int]cohortCount
+	// counts is indexed by adapter slot (Request.Slot).
+	counts []cohortCount
+	// slots stamps requests that reach Decide without an instance's
+	// slot (direct callers); serving instances stamp at ingest.
+	slots AdapterSlots
 }
 
 // cohortCount is an epoch-versioned per-adapter request count: a count
-// from an older epoch reads as zero, so the map never needs clearing.
+// from an older epoch reads as zero, so the slice never needs clearing.
 type cohortCount struct {
 	epoch uint64
 	n     int
@@ -73,27 +77,28 @@ func NewVaLoRAPolicy() *VaLoRAPolicy {
 
 func (p *VaLoRAPolicy) Name() string { return "VaLoRA" }
 
-// count reads adapter id's request count for the current epoch.
-func (p *VaLoRAPolicy) count(id int) int {
-	if c, ok := p.counts[id]; ok && c.epoch == p.epoch {
-		return c.n
-	}
-	return 0
-}
-
 // countCohorts tallies per-adapter request counts over the active set
 // and returns the dominant adapter under the deterministic tie rules
 // (prefer the currently merged adapter, then the lower ID) together
-// with its count.
-func (p *VaLoRAPolicy) countCohorts(active []*Request, cur lora.State) (best, bestCount int) {
-	if p.counts == nil {
-		p.counts = make(map[int]cohortCount)
-	}
-	best, bestCount = -1, 0
+// with its count, and the currently merged adapter's count.
+func (p *VaLoRAPolicy) countCohorts(active []*Request, cur lora.State) (best, bestCount, curCount int) {
+	best = -1
 	for _, r := range active {
-		id := r.AdapterID
-		c := p.count(id) + 1
-		p.counts[id] = cohortCount{epoch: p.epoch, n: c}
+		if r.Slot == 0 {
+			p.slots.Stamp(r)
+		}
+		for int(r.Slot) >= len(p.counts) {
+			p.counts = append(p.counts, cohortCount{})
+		}
+		cc := &p.counts[r.Slot]
+		if cc.epoch != p.epoch {
+			cc.epoch, cc.n = p.epoch, 0
+		}
+		cc.n++
+		id, c := r.AdapterID, cc.n
+		if id == cur.Merged {
+			curCount = c
+		}
 		switch {
 		case c > bestCount:
 			best, bestCount = id, c
@@ -103,7 +108,7 @@ func (p *VaLoRAPolicy) countCohorts(active []*Request, cur lora.State) (best, be
 			}
 		}
 	}
-	return best, bestCount
+	return best, bestCount, curCount
 }
 
 // take appends r to the batch and marks it as batched for this epoch.
@@ -160,6 +165,7 @@ func (p *VaLoRAPolicy) effTheta(r *Request, theta, now time.Duration) time.Durat
 // additionally pairs starving deadline-carrying requests stuck in the
 // Waiting backlog with displaceable active requests (Decision.Evict /
 // Decision.Admit).
+//
 //valora:hotpath
 func (p *VaLoRAPolicy) Decide(it Iteration) Decision {
 	now, active, cur, maxBS := it.Now, it.Active, it.State, it.MaxBS
@@ -192,15 +198,13 @@ func (p *VaLoRAPolicy) Decide(it Iteration) Decision {
 			}
 		}
 	}
-	mergedID, mergedCount := p.countCohorts(active, cur)
+	mergedID, mergedCount, curCount := p.countCohorts(active, cur)
 
 	// Hysteresis: keep the currently merged adapter unless the new
 	// dominant cohort is meaningfully larger, so marginal count
 	// changes do not thrash the (cheap but nonzero) switch.
-	if cur.Merged >= 0 && mergedID != cur.Merged {
-		if curCount := p.count(cur.Merged); curCount > 0 && float64(mergedCount) < 1.5*float64(curCount) {
-			mergedID, mergedCount = cur.Merged, curCount
-		}
+	if cur.Merged >= 0 && mergedID != cur.Merged && curCount > 0 && float64(mergedCount) < 1.5*float64(curCount) {
+		mergedID, mergedCount = cur.Merged, curCount
 	}
 
 	// Principle 1 (merged whenever possible), made batch-aware: a

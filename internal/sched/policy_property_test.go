@@ -81,7 +81,7 @@ func randomActive(rng *rand.Rand, n, adapters int) []*Request {
 		}
 		out[i] = r
 	}
-	return out
+	return stamped(out)
 }
 
 func TestPolicyInvariantsProperty(t *testing.T) {
@@ -224,5 +224,45 @@ func TestPolicyServesEveryoneEventually(t *testing.T) {
 	}
 	if len(served) != len(active) {
 		t.Fatalf("only %d/%d requests ever scheduled: starvation", len(served), len(active))
+	}
+}
+
+// TestVaLoRAPolicySlotNumberingInvariant is the differential check on
+// slot-indexed cohort counts: decisions depend on adapter IDs only, so
+// an active set stamped in a scrambled slot order and an unstamped one
+// (stamped by Decide's own fallback) must decide exactly alike, round
+// after round.
+func TestVaLoRAPolicySlotNumberingInvariant(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		scrambled := randomActive(rand.New(rand.NewSource(seed)), 70, 12)
+		var slots AdapterSlots
+		for _, id := range rand.New(rand.NewSource(-seed)).Perm(12) {
+			slots.Intern(id)
+		}
+		slots.Stamp(scrambled...)
+		plain := randomActive(rand.New(rand.NewSource(seed)), 70, 12)
+		for _, r := range plain {
+			r.ClearScratchMarks()
+		}
+		pa, pb := NewVaLoRAPolicy(), NewVaLoRAPolicy()
+		cur := lora.State{Mode: lora.ModeUnmerged, Merged: -1}
+		now := 6 * time.Second
+		for round := 0; round < 30; round++ {
+			da := pa.Decide(Iteration{Now: now, Active: scrambled, State: cur, MaxBS: 16})
+			db := pb.Decide(Iteration{Now: now, Active: plain, State: cur, MaxBS: 16})
+			if da.Mode != db.Mode || da.Merged != db.Merged || len(da.Batch) != len(db.Batch) {
+				t.Fatalf("seed %d round %d: %v/%d/%d vs %v/%d/%d", seed, round,
+					da.Mode, da.Merged, len(da.Batch), db.Mode, db.Merged, len(db.Batch))
+			}
+			for i := range da.Batch {
+				if da.Batch[i].ID != db.Batch[i].ID {
+					t.Fatalf("seed %d round %d: batch[%d] is %d vs %d", seed, round, i, da.Batch[i].ID, db.Batch[i].ID)
+				}
+				da.Batch[i].MarkScheduled(now)
+				db.Batch[i].MarkScheduled(now)
+			}
+			cur = lora.State{Mode: da.Mode, Merged: da.Merged}
+			now += 20 * time.Millisecond
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"valora/internal/lmm"
 	"valora/internal/lora"
 	"valora/internal/train"
 )
@@ -77,7 +78,25 @@ type Request struct {
 	RecomputeTokens int
 
 	// Runtime state, owned by the server.
-	Phase       Phase
+	Phase         Phase
+	SharedTokens  int // prompt tokens served by the prefix cache
+	Emitted       int
+	FirstSchedule time.Duration
+	LastSchedule  time.Duration
+	FirstToken    time.Duration
+	Finish        time.Duration
+	// KV names the request's KV-cache sequence on its current instance
+	// (zero while none is allocated).
+	KV lmm.SeqHandle
+	// Slot is the dense per-instance index of AdapterID, stamped by the
+	// serving instance when the request arrives there (0 = unstamped).
+	// Per-iteration adapter bookkeeping indexes slices by it instead of
+	// hashing the ID; slot numbering differs between instances, so
+	// ClearScratchMarks resets it when a request migrates.
+	Slot int32
+
+	// The flags sit together (no padding between them) to keep Request
+	// at 232 bytes: million-request traces hold one per request.
 	PrefillDone bool
 	// ColdStart marks a request that arrived while its adapter was not
 	// host-resident (a remote fetch stands between it and its first
@@ -87,12 +106,6 @@ type Request struct {
 	// otherwise.
 	ColdStart     bool
 	ColdStamped   bool
-	SharedTokens  int // prompt tokens served by the prefix cache
-	Emitted       int
-	FirstSchedule time.Duration
-	LastSchedule  time.Duration
-	FirstToken    time.Duration
-	Finish        time.Duration
 	scheduledOnce bool
 
 	// batchEpoch marks membership in the batch VaLoRAPolicy is
@@ -174,18 +187,77 @@ func (r *Request) ResetRuntime() {
 	r.FirstToken = 0
 	r.Finish = 0
 	r.scheduledOnce = false
-	r.batchEpoch = 0
-	r.evictEpoch = 0
+	r.KV = 0
+	r.ClearScratchMarks()
 }
 
-// ClearScratchMarks zeroes the policy's per-epoch scratch marks. The
-// marks are meaningful only relative to one policy's epoch counter
-// ("requests live on exactly one server"), so the serving layer calls
-// this when a preempted request migrates to another instance — a stale
-// mark must never collide with the destination policy's epochs.
+// ClearScratchMarks zeroes the per-instance marks: the policy's epoch
+// marks and the adapter slot. Both are meaningful only relative to one
+// instance ("requests live on exactly one server"), so the serving
+// layer calls this when a preempted request migrates to another
+// instance — a stale mark must never collide with the destination
+// policy's epochs, and the destination numbers its slots itself.
 func (r *Request) ClearScratchMarks() {
 	r.batchEpoch = 0
 	r.evictEpoch = 0
+	r.Slot = 0
+}
+
+// AdapterSlots interns adapter IDs into dense 1-based slots, in order
+// of first sight. Slot 0 is never issued, so a zero Request.Slot reads
+// as unstamped. IDs below denseAdapterIDs, every ID the experiments
+// use, resolve through a slice; larger ones (any non-negative ID can
+// arrive over HTTP) through a map.
+type AdapterSlots struct {
+	dense  []int32
+	sparse map[int]int32
+	n      int32
+}
+
+// denseAdapterIDs bounds the directly indexed IDs, so the slice costs
+// at most 256 KiB however large an ID a client sends.
+const denseAdapterIDs = 1 << 16
+
+// Lookup reports id's slot, or 0 when id has none yet.
+func (t *AdapterSlots) Lookup(id int) int32 {
+	if uint(id) < uint(len(t.dense)) {
+		return t.dense[id]
+	}
+	if uint(id) < denseAdapterIDs {
+		return 0
+	}
+	return t.sparse[id]
+}
+
+// Intern returns id's slot, issuing the next one on first sight.
+func (t *AdapterSlots) Intern(id int) int32 {
+	if s := t.Lookup(id); s != 0 {
+		return s
+	}
+	t.n++
+	if uint(id) < denseAdapterIDs {
+		if id >= len(t.dense) {
+			t.dense = append(t.dense, make([]int32, id+1-len(t.dense))...)
+		}
+		t.dense[id] = t.n
+	} else {
+		if t.sparse == nil {
+			t.sparse = make(map[int]int32)
+		}
+		t.sparse[id] = t.n
+	}
+	return t.n
+}
+
+// Len reports how many slots have been issued.
+func (t *AdapterSlots) Len() int { return int(t.n) }
+
+// Stamp sets each request's Slot from its AdapterID, interning IDs on
+// first sight: what a serving instance does at ingest.
+func (t *AdapterSlots) Stamp(reqs ...*Request) {
+	for _, r := range reqs {
+		r.Slot = t.Intern(r.AdapterID)
+	}
 }
 
 // LessUrgent orders preemption victims (shared by policy-driven

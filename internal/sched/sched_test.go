@@ -16,7 +16,17 @@ func mkRequests(adapters []int, arrival time.Duration) []*Request {
 			InputTokens: 128, OutputTokens: 16, Arrival: arrival,
 		}
 	}
-	return out
+	return stamped(out)
+}
+
+// stamped stamps an active set with adapter slots the way a serving
+// instance does at ingest (sched.AdapterSlots.Stamp), so policy tests
+// run the stamped path rather than Decide's fallback for unstamped
+// requests.
+func stamped(reqs []*Request) []*Request {
+	var slots AdapterSlots
+	slots.Stamp(reqs...)
+	return reqs
 }
 
 func repeat(id, n int) []int {
@@ -120,7 +130,7 @@ func TestVaLoRAPolicyStarvationPriority(t *testing.T) {
 	// beyond θ: it must be in the batch.
 	active := mkRequests(repeat(1, 40), 900*time.Millisecond)
 	starved := &Request{ID: 99, AdapterID: 2, Arrival: 0, InputTokens: 64, OutputTokens: 8}
-	active = append([]*Request{starved}, active...)
+	active = stamped(append([]*Request{starved}, active...))
 	d := p.Decide(Iteration{Now: time.Second, Active: active, State: lora.State{Mode: lora.ModeMerged, Merged: 1}, MaxBS: 32})
 	found := false
 	for _, r := range d.Batch {
@@ -247,5 +257,32 @@ func TestAppTypeAndPhaseStrings(t *testing.T) {
 	}
 	if VisualRetrieval.String() == VideoAnalytics.String() {
 		t.Fatal("app names must differ")
+	}
+}
+
+// TestAdapterSlots interns IDs on both sides of the directly indexed
+// range: slots are dense, 1-based, issued in first-sight order and
+// stable on re-interning.
+func TestAdapterSlots(t *testing.T) {
+	var slots AdapterSlots
+	ids := []int{7, 0, denseAdapterIDs + 3, 7, 1 << 40, 2, denseAdapterIDs - 1, -5}
+	want := []int32{1, 2, 3, 1, 4, 5, 6, 7}
+	for i, id := range ids {
+		if got := slots.Intern(id); got != want[i] {
+			t.Fatalf("Intern(%d) = %d, want %d", id, got, want[i])
+		}
+	}
+	if slots.Len() != 7 {
+		t.Fatalf("Len = %d, want 7", slots.Len())
+	}
+	for i, id := range ids {
+		if got := slots.Lookup(id); got != want[i] {
+			t.Fatalf("Lookup(%d) = %d, want %d", id, got, want[i])
+		}
+	}
+	for _, id := range []int{1, 3, denseAdapterIDs, 1 << 41, -1} {
+		if got := slots.Lookup(id); got != 0 {
+			t.Fatalf("Lookup(%d) of an unseen ID = %d, want 0", id, got)
+		}
 	}
 }

@@ -131,6 +131,14 @@ const (
 	maxOutputTokens = 4096
 )
 
+// maxSynthAdapters bounds the distinct adapter_ids one live engine
+// synthesizes descriptors for when no adapters are registered. Each
+// distinct ID takes a slot in the engine's append-only adapter table,
+// so without the bound a client cycling IDs would grow it for the
+// engine's whole life. With adapters registered, the registry bounds
+// the IDs instead.
+const maxSynthAdapters = 1024
+
 // NewFrontend builds the HTTP handler for a system/model pair. kind is
 // the default system; requests may select another with the "system"
 // field.
@@ -212,6 +220,13 @@ func (f *Frontend) Adapters() []AdapterCard {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]AdapterCard(nil), f.adapters...)
+}
+
+// registeredAdapters counts the registered adapters.
+func (f *Frontend) registeredAdapters() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.adapters)
 }
 
 // adapterByModel resolves an OpenAI model name: the base model (or
@@ -349,11 +364,16 @@ func (f *Frontend) runLive(kind SystemKind, req *sched.Request) (virtualNow time
 		f.mu.Unlock()
 		return 0, http.StatusInternalServerError, err
 	}
+	registered := len(f.adapters) > 0
 	f.mu.Unlock()
 
 	eng.mu.Lock()
 	defer eng.mu.Unlock()
 	srv := eng.srv
+	if !registered && srv.slotCount() >= maxSynthAdapters && !srv.knowsAdapter(req.AdapterID) {
+		return 0, http.StatusBadRequest, fmt.Errorf("adapter_id %d: the engine already serves %d distinct adapters, its limit without registered adapters",
+			req.AdapterID, maxSynthAdapters)
+	}
 	req.Arrival = srv.Now() // online arrival at the live engine's clock
 	srv.Submit(req)
 	for req.Phase != sched.PhaseDone {

@@ -309,3 +309,45 @@ func TestFrontendHealthz(t *testing.T) {
 		t.Fatalf("healthz failed: %d %s", rec.Code, rec.Body)
 	}
 }
+
+// TestFrontendAdapterTableBounded cycles 10k distinct adapter_ids
+// through one unregistered frontend: the first maxSynthAdapters are
+// served, the rest are refused with 400, the engine's adapter table
+// never grows past the bound, and known IDs keep being served.
+func TestFrontendAdapterTableBounded(t *testing.T) {
+	f := newTestFrontend(t)
+	for id := 0; id < 10000; id++ {
+		rec := postJSON(t, f, "/v1/completions",
+			fmt.Sprintf(`{"adapter_id":%d,"input_tokens":8,"output_tokens":1}`, id))
+		if id < maxSynthAdapters {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("adapter %d: status %d: %s", id, rec.Code, rec.Body)
+			}
+			continue
+		}
+		expectOpenAIError(t, rec, http.StatusBadRequest)
+	}
+	f.mu.Lock()
+	srv := f.engines[0].srv
+	f.mu.Unlock()
+	if n := srv.slotCount(); n != maxSynthAdapters {
+		t.Fatalf("adapter table holds %d slots, want the bound %d", n, maxSynthAdapters)
+	}
+	if rec := postJSON(t, f, "/v1/completions", `{"adapter_id":7,"input_tokens":8,"output_tokens":1}`); rec.Code != http.StatusOK {
+		t.Fatalf("a known adapter must still be served: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestFrontendRejectsUnregisteredAdapter: with adapters registered,
+// adapter_id must name one of them.
+func TestFrontendRejectsUnregisteredAdapter(t *testing.T) {
+	f := newTestFrontend(t)
+	f.RegisterAdapters("detect", "count")
+	if rec := postJSON(t, f, "/v1/chat/completions", `{"adapter_id":1,"input_tokens":8,"output_tokens":1}`); rec.Code != http.StatusOK {
+		t.Fatalf("registered adapter: status %d: %s", rec.Code, rec.Body)
+	}
+	for _, id := range []int{2, 1 << 40} {
+		expectOpenAIError(t, postJSON(t, f, "/v1/chat/completions",
+			fmt.Sprintf(`{"adapter_id":%d,"input_tokens":8,"output_tokens":1}`, id)), http.StatusNotFound)
+	}
+}

@@ -24,7 +24,7 @@ import (
 // fixed set of quick runs. Engine refactors that must not move virtual
 // outputs (dense indices, recycled records, counter layouts) are
 // checked against it; a digest that changes on purpose is regenerated
-// with -update-golden and the reason recorded in CHANGES.md.
+// with -update-golden and the reason recorded in the change log.
 const goldenFile = "testdata/golden_reports.txt"
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenFile+" from the current engine")

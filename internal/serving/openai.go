@@ -156,6 +156,11 @@ func (f *Frontend) buildOpenAIRequest(w http.ResponseWriter, body *openAIRequest
 			return invalid("adapter_id must not be negative")
 		}
 		adapter = *body.AdapterID
+		if n := f.registeredAdapters(); n > 0 && adapter >= n {
+			openAIError(w, http.StatusNotFound, "invalid_request_error",
+				fmt.Sprintf("adapter_id %d is not registered (%d adapters, see /v1/models)", adapter, n))
+			return nil, "", false
+		}
 	} else {
 		id, ok := f.adapterByModel(body.Model)
 		if !ok {

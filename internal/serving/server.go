@@ -3,6 +3,7 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"valora/internal/atmm"
@@ -188,26 +189,48 @@ type Server struct {
 
 	// Per-iteration scratch, reused across Steps so the scheduling
 	// loop stays allocation-free in steady state.
-	scratchNeeded      []*lora.Adapter
-	scratchSeen        map[int]bool
-	scratchFetching    map[int]bool
-	scratchGroupTokens map[int]int
-	scratchGroups      []lora.TokenGroup
-	scratchBatch       []atmm.Group
+	scratchNeeded []*lora.Adapter
+	scratchGroups []lora.TokenGroup
+	scratchBatch  []atmm.Group
 	// scratchAdmit backs the admitted-batch slice admit returns; the
 	// result is consumed within the same Step, never retained.
 	scratchAdmit []*sched.Request
-	// synth memoizes registry-less adapter descriptors (see adapterOf).
-	synth map[int]*lora.Adapter
 
-	// awaitingFetch marks adapters whose demand already experienced a
+	// Adapter slots: ingest interns each request's AdapterID into a
+	// dense per-instance slot (slotIDs) and stamps it on the request;
+	// slots[Request.Slot] holds the adapter's descriptor and its
+	// per-iteration marks, so the step path indexes a slice instead of
+	// hashing adapter IDs. slots[0] is unused (slot 0 = unstamped).
+	// iter numbers the iterations those marks are stamped with.
+	slotIDs sched.AdapterSlots
+	slots   []adapterSlot
+	iter    uint64
+
+	// modeIters counts iterations per lora.Mode; finalize folds it into
+	// Report.ModeIterations.
+	modeIters [lora.NumModes]int
+}
+
+// adapterSlot is one adapter's per-instance state.
+type adapterSlot struct {
+	// adapter is the registry's descriptor, or a synthesized
+	// default-rank one when the instance has no registry entry for it.
+	adapter *lora.Adapter
+	// seen == iter marks the adapter resolved this iteration; fetching
+	// (valid then) that its requests ride a remote fetch.
+	seen uint64
+	// grouped == iter marks tokens as this iteration's group tally.
+	grouped  uint64
+	tokens   int
+	fetching bool
+	// awaitingFetch marks an adapter whose demand already experienced a
 	// host miss on this instance (fetch started, queue-denied, or
 	// riding another demand's in-flight fetch). When the fetch lands,
 	// the retry's Ensure reports StatusHit — that landing is the
 	// resolution of the recorded miss, not a fresh host hit, so
 	// resolveTiered must not count it (see the HostHitRate inflation
 	// bug this replaces).
-	awaitingFetch map[int]bool
+	awaitingFetch bool
 }
 
 // maxCapacityStalls bounds consecutive zero-progress scheduling rounds
@@ -297,12 +320,7 @@ func NewServer(opts Options) (*Server, error) {
 		e2e:      metrics.NewStream(),
 		ttft:     metrics.NewStream(),
 		coldTTFT: metrics.NewStream(),
-
-		scratchSeen:        make(map[int]bool),
-		scratchFetching:    make(map[int]bool),
-		scratchGroupTokens: make(map[int]int),
-		synth:              make(map[int]*lora.Adapter),
-		awaitingFetch:      make(map[int]bool),
+		slots:    make([]adapterSlot, 1),
 	}
 	s.report = &Report{
 		System:         opts.Name,
@@ -312,24 +330,52 @@ func NewServer(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// adapterOf resolves a request's adapter from the registry, or
-// synthesizes a default-rank descriptor when no registry is set.
-// Synthesized descriptors are memoized: adapterOf runs several times
-// per scheduling iteration, and the pool keys residency off stable
-// adapter identities.
-func (s *Server) adapterOf(id int) *lora.Adapter {
+// slotFor returns adapter id's slot on this instance, interning the
+// adapter on first sight. Ingest stamps every request with it.
+//
+//valora:hotpath
+func (s *Server) slotFor(id int) int32 {
+	if slot := s.slotIDs.Lookup(id); slot != 0 {
+		return slot
+	}
+	return s.newSlot(id)
+}
+
+// newSlot interns an adapter the instance has not seen: its descriptor
+// comes from the registry, or is synthesized at the model's default
+// rank when no registry entry exists. The descriptor is stable for the
+// instance's life, as the pool keys residency off adapter identities.
+func (s *Server) newSlot(id int) int32 {
+	var a *lora.Adapter
 	if s.opts.Registry != nil {
-		if a, ok := s.opts.Registry.Get(id); ok {
-			return a
+		a, _ = s.opts.Registry.Get(id)
+	}
+	if a == nil {
+		a = &lora.Adapter{ID: id, Name: fmt.Sprintf("lora-%d", id), Rank: s.opts.Model.DefaultRank, Model: s.opts.Model}
+	}
+	s.slots = append(s.slots, adapterSlot{adapter: a})
+	return s.slotIDs.Intern(id)
+}
+
+// mergedSlot returns the slot of the adapter the policy chose to
+// merge. The merged adapter is normally some batched or active
+// request's, so its slot is found without hashing.
+func (s *Server) mergedSlot(id int, batch []*sched.Request) int32 {
+	for _, reqs := range [2][]*sched.Request{batch, s.active} {
+		for _, r := range reqs {
+			if r.AdapterID == id {
+				return r.Slot
+			}
 		}
 	}
-	if a, ok := s.synth[id]; ok {
-		return a
-	}
-	a := &lora.Adapter{ID: id, Name: fmt.Sprintf("lora-%d", id), Rank: s.opts.Model.DefaultRank, Model: s.opts.Model}
-	s.synth[id] = a
-	return a
+	return s.slotFor(id)
 }
+
+// slotCount reports how many adapters the instance has interned.
+func (s *Server) slotCount() int { return s.slotIDs.Len() }
+
+// knowsAdapter reports whether the instance has interned id.
+func (s *Server) knowsAdapter(id int) bool { return s.slotIDs.Lookup(id) != 0 }
 
 // Submit enqueues a request into the engine. Trace replay submits
 // whole traces up front (arrivals in the future are held until due);
@@ -382,6 +428,7 @@ func (s *Server) Step() (bool, error) {
 			r.ColdStamped = true
 			r.ColdStart = !s.opts.Store.HostResident(r.AdapterID, now)
 		}
+		r.Slot = s.slotFor(r.AdapterID)
 		s.waiting = append(s.waiting, r)
 	}
 	for len(s.waiting) > 0 && len(s.active) < s.opts.AdmitCap {
@@ -431,33 +478,37 @@ func (s *Server) Step() (bool, error) {
 	// tier: host-resident adapters swap in over PCIe as before, while
 	// host misses start (or keep riding) an asynchronous remote fetch
 	// and their requests sit out this iteration.
+	s.iter++
 	needed := s.scratchNeeded[:0]
-	seen := s.scratchSeen
-	clear(seen)
-	fetching := s.scratchFetching
-	clear(fetching)
+	fetching := false
 	for _, r := range batch {
-		if !seen[r.AdapterID] {
-			seen[r.AdapterID] = true
-			if a := s.resolveTiered(r.AdapterID); a != nil {
+		if sl := &s.slots[r.Slot]; sl.seen != s.iter {
+			sl.seen = s.iter
+			sl.fetching = false
+			if a := s.resolveTiered(sl); a != nil {
 				needed = append(needed, a)
 			} else {
-				fetching[r.AdapterID] = true
+				sl.fetching = true
+				fetching = true
 			}
 		}
 	}
-	if target.Merged >= 0 && !seen[target.Merged] {
-		seen[target.Merged] = true
-		if a := s.resolveTiered(target.Merged); a != nil {
-			needed = append(needed, a)
+	if target.Merged >= 0 {
+		if sl := &s.slots[s.mergedSlot(target.Merged, batch)]; sl.seen != s.iter {
+			sl.seen = s.iter
+			sl.fetching = false
+			if a := s.resolveTiered(sl); a != nil {
+				needed = append(needed, a)
+			}
+			// A fold target still travelling remote→host is simply
+			// absent from the pool below, demoting the iteration to
+			// unmerged.
 		}
-		// A fold target still travelling remote→host is simply absent
-		// from the pool below, demoting the iteration to unmerged.
 	}
-	if len(fetching) > 0 {
+	if fetching {
 		out := batch[:0]
 		for _, r := range batch {
-			if !fetching[r.AdapterID] {
+			if !s.slots[r.Slot].fetching {
 				out = append(out, r)
 			}
 			// Requests riding a fetch stay active and retry once the
@@ -517,7 +568,7 @@ func (s *Server) Step() (bool, error) {
 		// dispatched here "in the past" until the unrelated fetch
 		// lands.
 		wake := s.clock.Now() + time.Millisecond
-		if s.opts.Store != nil && len(fetching) > 0 {
+		if s.opts.Store != nil && fetching {
 			if done := s.opts.Store.NextFetchDone(); done != sim.Never && done > s.clock.Now() {
 				if limit := s.clock.Now() + fetchWaitQuantum; done > limit {
 					done = limit
@@ -536,37 +587,39 @@ func (s *Server) Step() (bool, error) {
 	s.capacityStalls = 0
 	s.switchTo(target)
 
-	// Build the iteration load and LoRA token groups (scratch maps and
-	// slices are reused across iterations: one Step runs per
-	// scheduling round, the engine's hottest path).
+	// Build the iteration load and LoRA token groups (the tallies live
+	// in the adapter slots, stamped with the iteration: one Step runs
+	// per scheduling round, the engine's hottest path).
 	var load lmm.IterationLoad
-	groupTokens := s.scratchGroupTokens
-	clear(groupTokens)
 	for _, r := range batch {
+		sl := &s.slots[r.Slot]
+		if sl.grouped != s.iter {
+			sl.grouped, sl.tokens = s.iter, 0
+		}
 		if !r.PrefillDone {
 			load.PrefillTokens += r.InputTokens - r.SharedTokens
 			if r.SharedTokens == 0 {
 				load.PrefillImages += r.Images
 			}
-			groupTokens[r.AdapterID] += r.InputTokens - r.SharedTokens
+			sl.tokens += r.InputTokens - r.SharedTokens
 		} else {
 			load.DecodeSeqs++
-			load.ContextTokens += s.kv.Tokens(r.ID)
-			groupTokens[r.AdapterID]++
+			load.ContextTokens += s.kv.Tokens(r.KV)
+			sl.tokens++
 		}
 	}
-	// Emit groups in batch first-seen order, not map order: ExtraCost
-	// folds them commutatively today, but group order must not hinge
-	// on that staying true. Consuming entries out of the scratch map
-	// keeps the pass O(batch) and allocation-free.
+	// Emit groups in batch first-seen order: ExtraCost folds them
+	// commutatively today, but group order must not hinge on that
+	// staying true. Clearing each slot's mark as it is emitted keeps
+	// the pass O(batch).
 	groups := s.scratchGroups[:0]
 	for _, r := range batch {
-		tok, ok := groupTokens[r.AdapterID]
-		if !ok {
+		sl := &s.slots[r.Slot]
+		if sl.grouped != s.iter {
 			continue // adapter already grouped
 		}
-		delete(groupTokens, r.AdapterID)
-		groups = append(groups, lora.TokenGroup{AdapterID: r.AdapterID, Rank: s.adapterOf(r.AdapterID).Rank, Tokens: tok})
+		sl.grouped = 0
+		groups = append(groups, lora.TokenGroup{AdapterID: r.AdapterID, Rank: sl.adapter.Rank, Tokens: sl.tokens})
 	}
 	s.scratchGroups = groups
 
@@ -579,7 +632,7 @@ func (s *Server) Step() (bool, error) {
 	s.report.BaseTime += base
 	s.report.LoRATime += extra
 	s.report.Iterations++
-	s.report.ModeIterations[s.state.Mode.String()]++
+	s.modeIters[s.state.Mode]++
 	s.lastIter = iter
 	s.clock.Advance(iter)
 	end := s.clock.Now()
@@ -591,7 +644,7 @@ func (s *Server) Step() (bool, error) {
 		if !r.PrefillDone {
 			r.PrefillDone = true
 		}
-		if err := s.kv.Extend(r.ID); err != nil {
+		if err := s.kv.Extend(r.KV); err != nil {
 			return false, err
 		}
 		r.Emitted++
@@ -621,25 +674,25 @@ func (s *Server) Step() (bool, error) {
 // nil while the adapter is still travelling remote→host. Demand
 // misses start the fetch; retries behind an in-flight fetch are not
 // re-counted.
-func (s *Server) resolveTiered(id int) *lora.Adapter {
-	a := s.adapterOf(id)
+func (s *Server) resolveTiered(sl *adapterSlot) *lora.Adapter {
+	a := sl.adapter
 	if s.opts.Store == nil {
 		return a // host-resident by assumption; no tier accounting
 	}
-	if s.pool.Resident(id) {
+	if s.pool.Resident(a.ID) {
 		s.report.GPUTierHits++
-		delete(s.awaitingFetch, id) // resident via another path; flag is stale
+		sl.awaitingFetch = false // resident via another path; flag is stale
 		return a
 	}
 	s.report.GPUTierMisses++
-	st, _, queued := s.opts.Store.Demand(id, s.clock.Now())
+	st, _, queued := s.opts.Store.Demand(a.ID, s.clock.Now())
 	switch st {
 	case registry.StatusHit:
-		if s.awaitingFetch[id] {
+		if sl.awaitingFetch {
 			// The fetch recorded as this demand's host miss just
 			// landed; counting its arrival as a host hit would book
 			// both a miss and a hit for one demand.
-			delete(s.awaitingFetch, id)
+			sl.awaitingFetch = false
 			return a
 		}
 		s.report.HostHits++
@@ -654,15 +707,15 @@ func (s *Server) resolveTiered(id int) *lora.Adapter {
 		// family sibling's ride on already-resident shared chunks is
 		// not double-billed.
 		s.report.FetchBytes += queued
-		s.awaitingFetch[id] = true
+		sl.awaitingFetch = true
 		return nil
 	case registry.StatusDenied:
 		// Fetch-queue backpressure: the demand retries next round
 		// without counting a fresh miss per retry.
-		s.awaitingFetch[id] = true
+		sl.awaitingFetch = true
 		return nil
 	default: // StatusFetching: counted when the fetch started
-		s.awaitingFetch[id] = true
+		sl.awaitingFetch = true
 		return nil
 	}
 }
@@ -812,7 +865,7 @@ func (s *Server) admit(batch []*sched.Request) []*sched.Request {
 			out = append(out, r)
 			continue
 		}
-		if s.kv.Tokens(r.ID) > 0 {
+		if r.KV != 0 {
 			out = append(out, r) // already allocated, resuming prefill
 			continue
 		}
@@ -839,9 +892,11 @@ func (s *Server) admit(batch []*sched.Request) []*sched.Request {
 		if !s.kv.CanFit(ctx - shared + 1) {
 			continue // KV pressure: leave queued
 		}
-		if err := s.kv.Allocate(r.ID, ctx, shared); err != nil {
+		h, err := s.kv.Allocate(ctx, shared)
+		if err != nil {
 			continue
 		}
+		r.KV = h
 		r.SharedTokens = shared
 		out = append(out, r)
 	}
@@ -912,20 +967,12 @@ func (s *Server) kvVictim(batch []*sched.Request) int {
 // (blocked by this iteration's pinned working set) leave their
 // requests active for a later round.
 func (s *Server) dropUnhosted(batch []*sched.Request, ce *lora.CapacityError) []*sched.Request {
-	oversized := make(map[int]bool, len(ce.Oversized))
-	for _, id := range ce.Oversized {
-		oversized[id] = true
-	}
-	deferred := make(map[int]bool, len(ce.Deferred))
-	for _, id := range ce.Deferred {
-		deferred[id] = true
-	}
 	out := batch[:0]
 	for _, r := range batch {
 		switch {
-		case oversized[r.AdapterID]:
+		case slices.Contains(ce.Oversized, r.AdapterID):
 			s.reject(r)
-		case deferred[r.AdapterID]:
+		case slices.Contains(ce.Deferred, r.AdapterID):
 			// Keep queued; the pool may have room next iteration.
 		default:
 			out = append(out, r)
@@ -990,7 +1037,7 @@ func (s *Server) mergedCohortFallback() []*sched.Request {
 // KV footprint exceeding the whole cache, or an adapter exceeding the
 // whole adapter pool.
 func (s *Server) reject(r *sched.Request) {
-	s.kv.Release(r.ID)
+	s.releaseKV(r)
 	r.Phase = sched.PhaseDone
 	r.Finish = s.clock.Now()
 	s.report.Rejected++
@@ -1013,7 +1060,7 @@ func (s *Server) preempt(r *sched.Request) int {
 	if r.PrefillDone {
 		recompute += r.InputTokens - r.SharedTokens
 	}
-	s.kv.Release(r.ID)
+	s.releaseKV(r)
 	r.PrefillDone = false
 	r.SharedTokens = 0
 	r.Phase = sched.PhaseQueued
@@ -1023,8 +1070,14 @@ func (s *Server) preempt(r *sched.Request) int {
 	return recompute
 }
 
+// releaseKV frees r's KV sequence, if it holds one.
+func (s *Server) releaseKV(r *sched.Request) {
+	s.kv.Release(r.KV)
+	r.KV = 0
+}
+
 func (s *Server) finish(r *sched.Request) {
-	s.kv.Release(r.ID)
+	s.releaseKV(r)
 	s.report.Completed++
 	lat := r.Latency()
 	s.latencySum += lat
@@ -1074,6 +1127,11 @@ func (s *Server) finish(r *sched.Request) {
 
 func (s *Server) finalize() {
 	s.report.SimTime = s.clock.Now()
+	for m, n := range s.modeIters {
+		if n > 0 {
+			s.report.ModeIterations[lora.Mode(m).String()] = n
+		}
+	}
 	if s.tokensOut > 0 {
 		s.report.AvgTokenLatency = float64(s.latencySum) / float64(time.Millisecond) / float64(s.tokensOut)
 	}
