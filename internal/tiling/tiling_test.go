@@ -3,6 +3,7 @@ package tiling
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"valora/internal/simgpu"
 )
@@ -178,5 +179,49 @@ func TestSearchCoversSwitcherShapes(t *testing.T) {
 	}
 	if s := (Stats{FullConfigs: 10, PrunedConfigs: 5}); s.String() == "" {
 		t.Fatal("stats string empty")
+	}
+}
+
+// TestSearchMatchesPerCallProfile checks that the search's table is
+// exactly the one a per-call profile produces: every shape × pruned
+// configuration costed through GPU.GEMMTime, the fastest kept.
+func TestSearchMatchesPerCallProfile(t *testing.T) {
+	for _, g := range []*simgpu.GPU{simgpu.A100(), simgpu.A10()} {
+		spec := DefaultSearchSpec(4096, 2048)
+		spec.Classes = []simgpu.CoreClass{simgpu.TensorCore, simgpu.CUDACore}
+		got, stats, err := Search(g, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewTable()
+		profiled := 0
+		pruned := PrunedSpace(g)
+		for _, shape := range spec.shapes() {
+			for _, class := range spec.Classes {
+				var best simgpu.TileConfig
+				var bestTime time.Duration
+				found := false
+				for _, cfg := range pruned {
+					d, err := g.GEMMTime(shape, cfg, class)
+					if err != nil {
+						continue
+					}
+					profiled++
+					if !found || d < bestTime {
+						best, bestTime, found = cfg, d, true
+					}
+				}
+				if !found {
+					t.Fatalf("%s: no feasible config for %v", g.Name, shape)
+				}
+				want.Put(Entry{Shape: shape, Class: class, Config: best, Time: bestTime.Seconds()})
+			}
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s: search table differs from the per-call profile", g.Name)
+		}
+		if stats.Profiled != profiled {
+			t.Fatalf("%s: search profiled %d, per-call profile %d", g.Name, stats.Profiled, profiled)
+		}
 	}
 }
