@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"valora/internal/atmm"
 	"valora/internal/lmm"
 	"valora/internal/lora"
 	"valora/internal/metrics"
@@ -43,6 +44,35 @@ func TestRequireSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// lora.ExtraCost with an instance's CostScratch: a memo hit, a miss
+// (ATMM's plan-indexed LayerTime and the compiled kernel cost), and a
+// batch past the memo's group cap, which bypasses it.
+func TestLoRACostZeroAlloc(t *testing.T) {
+	model := lmm.QwenVL7B()
+	op, err := atmm.NewATMM(simgpu.A100(), model.Dim, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cs lora.CostScratch
+	cost := func(groups []lora.TokenGroup) {
+		if d, err := lora.ExtraCost(op, model, lora.ModeMixture, 0, groups, &cs); err != nil || d <= 0 {
+			t.Fatal("ExtraCost failed", d, err)
+		}
+	}
+	hit := []lora.TokenGroup{{AdapterID: 0, Rank: 64, Tokens: 40}, {AdapterID: 1, Rank: 64, Tokens: 3}}
+	gate(t, "ExtraCost (memo hit)", func() { cost(hit) })
+	miss := []lora.TokenGroup{{AdapterID: 1, Rank: 64, Tokens: 1}}
+	gate(t, "ExtraCost (memo miss)", func() {
+		miss[0].Tokens++ // a key never seen before
+		cost(miss)
+	})
+	wide := make([]lora.TokenGroup, 6)
+	for i := range wide {
+		wide[i] = lora.TokenGroup{AdapterID: i + 1, Rank: 64, Tokens: 5 + i}
+	}
+	gate(t, "ExtraCost (over the memo's group cap)", func() { cost(wide) })
 }
 
 // KVCache at steady state: a sequence's Allocate, per-token Extend,

@@ -46,50 +46,139 @@ func segmentsFor(b Batch, sc *segScratch) (shrink, expand []simgpu.Segment) {
 // batch's aggregate shape, looks the optimal tiling configuration up
 // in the offline-built hash table (one lookup for the shrink kernel,
 // one for the expand kernel), and executes the fused kernels with
-// double-buffered pipelining.
+// double-buffered pipelining. The kernels of the profiled grid are
+// compiled when the operator is built (see plan), so the runtime
+// lookup is a slice index. An ATMM is immutable after construction
+// and safe to share across instances and goroutines.
 type ATMM struct {
-	GPU   *simgpu.GPU
-	Table *tiling.Table
+	gpu   *simgpu.GPU
+	table *tiling.Table
+	plan  plan
 }
 
 // NewATMM builds the operator, running the offline tiling search for
-// the given model dimension and max token count if table is nil.
+// the given model dimension and max token count and compiling the
+// searched grid.
 func NewATMM(g *simgpu.GPU, dim, maxTokens int) (*ATMM, error) {
-	table, _, err := tiling.Search(g, tiling.DefaultSearchSpec(dim, maxTokens))
+	spec := tiling.DefaultSearchSpec(dim, maxTokens)
+	table, _, err := tiling.Search(g, spec)
 	if err != nil {
 		return nil, err
 	}
-	return &ATMM{GPU: g, Table: table}, nil
+	a := &ATMM{gpu: g, table: table}
+	a.plan = a.compile(dim, spec.Ranks, tiling.BucketIndex(maxTokens)+1)
+	return a, nil
 }
 
 // NewStaticATMM builds the static-tiling ablation arm: the same fused
 // execution path but with an empty hash table, so every shape falls
 // back to the one default configuration (no adaptivity).
 func NewStaticATMM(g *simgpu.GPU) *ATMM {
-	return &ATMM{GPU: g, Table: tiling.NewTable()}
+	return &ATMM{gpu: g, table: tiling.NewTable()}
 }
 
 func (a *ATMM) Name() string { return "ATMM" }
 
+// Directions of the LoRA data path, indexing plan rows.
+const (
+	shrinkDir = iota // (M×dim)·(dim×rank)
+	expandDir        // (M×rank)·(rank×dim)
+)
+
+// plan is ATMM's dense shape index: for each direction, profiled rank
+// and M bucket of the searched grid, the kernel compiled from the
+// table's configuration for that shape. Each cell holds exactly what
+// Table.Lookup and GPU.Compile would return for the shapes it covers,
+// so the index only removes per-call work. A shape off the grid (an
+// unprofiled rank, M above the last bucket, another hidden dim) is not
+// in the plan and takes the lookup path.
+type plan struct {
+	dim     int
+	buckets int   // M buckets 16<<0 .. 16<<(buckets-1)
+	rows    int   // profiled ranks
+	rankRow []int // rank → row; -1 for an unprofiled rank
+	cells   []planCell
+}
+
+type planCell struct {
+	k  simgpu.Kernel
+	ok bool // compiled; false leaves the shape to the lookup path
+}
+
+// compile builds the plan for hidden dim over the given ranks and
+// bucket count.
+func (a *ATMM) compile(dim int, ranks []int, buckets int) plan {
+	p := plan{dim: dim, buckets: buckets, rows: len(ranks)}
+	for row, r := range ranks {
+		for len(p.rankRow) <= r {
+			p.rankRow = append(p.rankRow, -1)
+		}
+		p.rankRow[r] = row
+	}
+	p.cells = make([]planCell, 2*p.rows*buckets)
+	for dir := shrinkDir; dir <= expandDir; dir++ {
+		for row, r := range ranks {
+			for b := 0; b < buckets; b++ {
+				s := simgpu.Shape{M: 16 << b, K: dim, N: r}
+				if dir == expandDir {
+					s.K, s.N = r, dim
+				}
+				cfg, _ := a.table.Lookup(s, simgpu.TensorCore)
+				k, err := a.gpu.Compile(cfg, simgpu.TensorCore)
+				p.cells[(dir*p.rows+row)*buckets+b] = planCell{k: k, ok: err == nil}
+			}
+		}
+	}
+	return p
+}
+
+// kernel returns the compiled kernel for one direction of a layer's
+// LoRA computation over m tokens at the given rank and hidden dim:
+// from the plan when the shape is on its grid, else through
+// Table.Lookup and a per-call compile.
+func (a *ATMM) kernel(dir, m, rank, dim int) (simgpu.Kernel, error) {
+	p := &a.plan
+	if dim == p.dim && rank < len(p.rankRow) {
+		if row, b := p.rankRow[rank], tiling.BucketIndex(m); row >= 0 && b < p.buckets {
+			if c := &p.cells[(dir*p.rows+row)*p.buckets+b]; c.ok {
+				return c.k, nil
+			}
+		}
+	}
+	s := simgpu.Shape{M: m, K: dim, N: rank}
+	if dir == expandDir {
+		s.K, s.N = rank, dim
+	}
+	cfg, _ := a.table.Lookup(s, simgpu.TensorCore)
+	return a.gpu.Compile(cfg, simgpu.TensorCore)
+}
+
 // LayerTime costs the shrink and expand fused kernels with per-shape
 // adaptive configurations.
+//
+//valora:hotpath
 func (a *ATMM) LayerTime(b Batch) (time.Duration, error) {
 	if err := b.Validate(); err != nil {
 		return 0, err
 	}
 	sc := segPool.Get().(*segScratch)
+	//valora:allow hotpath -- a pointer fits the interface word, so pooling it does not allocate
 	defer segPool.Put(sc)
 	shrink, expand := segmentsFor(b, sc)
-	total := b.TotalTokens()
-
-	shrinkCfg, _ := a.Table.Lookup(simgpu.Shape{M: total, K: b.Dim, N: b.MaxRank()}, simgpu.TensorCore)
-	expandCfg, _ := a.Table.Lookup(simgpu.Shape{M: total, K: b.MaxRank(), N: b.Dim}, simgpu.TensorCore)
-
-	ts, err := a.GPU.BatchGEMMTime(shrink, shrinkCfg, simgpu.TensorCore)
+	total, rank := b.TotalTokens(), b.MaxRank()
+	ks, err := a.kernel(shrinkDir, total, rank, b.Dim)
 	if err != nil {
 		return 0, err
 	}
-	te, err := a.GPU.BatchGEMMTime(expand, expandCfg, simgpu.TensorCore)
+	ke, err := a.kernel(expandDir, total, rank, b.Dim)
+	if err != nil {
+		return 0, err
+	}
+	ts, err := ks.BatchTime(shrink)
+	if err != nil {
+		return 0, err
+	}
+	te, err := ke.BatchTime(expand)
 	if err != nil {
 		return 0, err
 	}
@@ -101,15 +190,15 @@ func (a *ATMM) LayerTime(b Batch) (time.Duration, error) {
 // GEMMTime exposes ATMM for a single (non-LoRA) GEMM, used by the
 // swift mode switcher to compute all-layer ΔW in one shot.
 func (a *ATMM) GEMMTime(s simgpu.Shape) (time.Duration, error) {
-	cfg, _ := a.Table.Lookup(s, simgpu.TensorCore)
-	return a.GPU.GEMMTime(s, cfg, simgpu.TensorCore)
+	cfg, _ := a.table.Lookup(s, simgpu.TensorCore)
+	return a.gpu.GEMMTime(s, cfg, simgpu.TensorCore)
 }
 
 // BatchTime exposes ATMM for an arbitrary fused segment batch (the
 // switcher's all-layer ΔW computation uses this).
 func (a *ATMM) BatchTime(segs []simgpu.Segment, lookup simgpu.Shape) (time.Duration, error) {
-	cfg, _ := a.Table.Lookup(lookup, simgpu.TensorCore)
-	return a.GPU.BatchGEMMTime(segs, cfg, simgpu.TensorCore)
+	cfg, _ := a.table.Lookup(lookup, simgpu.TensorCore)
+	return a.gpu.BatchGEMMTime(segs, cfg, simgpu.TensorCore)
 }
 
 // layerContext is the per-layer CUDA context cost baseline operators

@@ -1,6 +1,7 @@
 package atmm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -18,13 +19,13 @@ func refLayerTime(a *ATMM, b Batch) (time.Duration, error) {
 	var sc segScratch
 	shrink, expand := segmentsFor(b, &sc)
 	total, rank := b.TotalTokens(), b.MaxRank()
-	shrinkCfg, _ := a.Table.Lookup(simgpu.Shape{M: total, K: b.Dim, N: rank}, simgpu.TensorCore)
-	expandCfg, _ := a.Table.Lookup(simgpu.Shape{M: total, K: rank, N: b.Dim}, simgpu.TensorCore)
-	ts, err := a.GPU.BatchGEMMTime(shrink, shrinkCfg, simgpu.TensorCore)
+	shrinkCfg, _ := a.table.Lookup(simgpu.Shape{M: total, K: b.Dim, N: rank}, simgpu.TensorCore)
+	expandCfg, _ := a.table.Lookup(simgpu.Shape{M: total, K: rank, N: b.Dim}, simgpu.TensorCore)
+	ts, err := a.gpu.BatchGEMMTime(shrink, shrinkCfg, simgpu.TensorCore)
 	if err != nil {
 		return 0, err
 	}
-	te, err := a.GPU.BatchGEMMTime(expand, expandCfg, simgpu.TensorCore)
+	te, err := a.gpu.BatchGEMMTime(expand, expandCfg, simgpu.TensorCore)
 	if err != nil {
 		return 0, err
 	}
@@ -56,6 +57,14 @@ func TestATMMMatchesTableLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p := adaptive.plan; p.buckets != 8 || p.rows != 4 || len(p.cells) != 2*4*8 {
+		t.Fatalf("plan grid %d ranks × %d buckets (%d cells), want 4 × 8", p.rows, p.buckets, len(p.cells))
+	}
+	for i, c := range adaptive.plan.cells {
+		if !c.ok {
+			t.Fatalf("plan cell %d not compiled", i)
+		}
+	}
 	static := NewStaticATMM(g)
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 3000; i++ {
@@ -71,5 +80,42 @@ func TestATMMMatchesTableLookup(t *testing.T) {
 	bad := Batch{Dim: 4096, Projections: 4, Groups: []Group{{AdapterID: 3, Tokens: 0, Rank: 64}}}
 	if _, err := adaptive.LayerTime(bad); err == nil {
 		t.Fatal("invalid batch accepted")
+	}
+}
+
+// TestATMMSharedAcrossGoroutines runs one operator from several
+// goroutines, as the sharded engine does, and checks every result
+// against a serial pass (run it under -race).
+func TestATMMSharedAcrossGoroutines(t *testing.T) {
+	a, err := NewATMM(simgpu.A100(), 4096, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	batches := make([]Batch, 200)
+	want := make([]time.Duration, len(batches))
+	for i := range batches {
+		batches[i] = randomBatch(rng)
+		if want[i], err = a.LayerTime(batches[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		go func(w int) {
+			for i := range batches {
+				b := batches[(i+w*50)%len(batches)]
+				if d, err := a.LayerTime(b); err != nil || d != want[(i+w*50)%len(batches)] {
+					errs <- fmt.Errorf("worker %d batch %d: %v, %v", w, i, d, err)
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < 4; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -276,7 +276,7 @@ func TestExtraCostEmptyGroups(t *testing.T) {
 	}
 }
 
-// TestExtraCostScratchReuse checks that a caller-owned group scratch
+// TestExtraCostScratchReuse checks that a caller-owned cost scratch
 // gives the same cost as a fresh batch and, once grown, stops the
 // batch from allocating.
 func TestExtraCostScratchReuse(t *testing.T) {
@@ -287,7 +287,7 @@ func TestExtraCostScratchReuse(t *testing.T) {
 		{AdapterID: 1, Rank: 64, Tokens: 40},
 		{AdapterID: 2, Rank: 32, Tokens: 40},
 	}
-	var scratch []atmm.Group
+	var scratch CostScratch
 	for _, c := range []struct {
 		mode   Mode
 		merged int

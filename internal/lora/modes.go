@@ -2,6 +2,8 @@ package lora
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"time"
 
 	"valora/internal/atmm"
@@ -28,9 +30,10 @@ type TokenGroup struct {
 //     contribution so results stay exact.
 //
 // The returned duration covers all layers. scratch, when non-nil,
-// backs the operator batch's groups across calls (the serving loop
-// passes its own); nil allocates a fresh batch.
-func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups []TokenGroup, scratch *[]atmm.Group) (time.Duration, error) {
+// backs the operator batch's groups across calls and memoises
+// per-layer costs (each serving instance passes its own); nil
+// allocates a fresh batch and always asks the operator.
+func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups []TokenGroup, scratch *CostScratch) (time.Duration, error) {
 	switch mode {
 	case ModeMerged:
 		for _, g := range groups {
@@ -45,7 +48,7 @@ func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups
 		if len(batch.Groups) == 0 {
 			return 0, nil
 		}
-		perLayer, err := op.LayerTime(batch)
+		perLayer, err := scratch.layerTime(op, batch)
 		if err != nil {
 			return 0, err
 		}
@@ -65,7 +68,7 @@ func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups
 		if len(batch.Groups) == 0 {
 			return 0, nil
 		}
-		perLayer, err := op.LayerTime(batch)
+		perLayer, err := scratch.layerTime(op, batch)
 		if err != nil {
 			return 0, err
 		}
@@ -79,12 +82,12 @@ func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups
 // buildBatch assembles the operator batch. In mixture mode (merged >=
 // 0) the merged adapter's groups are skipped and a deLoRA branch of
 // mergedRank is added covering the unmerged tokens. The groups are
-// appended to (*scratch)[:0] when scratch is non-nil, and the grown
-// slice is stored back.
-func buildBatch(model lmm.Config, groups []TokenGroup, merged, mergedRank int, scratch *[]atmm.Group) atmm.Batch {
+// appended to the scratch's group slice when scratch is non-nil, and
+// the grown slice is stored back.
+func buildBatch(model lmm.Config, groups []TokenGroup, merged, mergedRank int, scratch *CostScratch) atmm.Batch {
 	b := atmm.Batch{Dim: model.Dim, Projections: model.LoRAProjections}
 	if scratch != nil {
-		b.Groups = (*scratch)[:0]
+		b.Groups = scratch.groups[:0]
 	}
 	unmergedTokens := 0
 	for _, g := range groups {
@@ -103,7 +106,107 @@ func buildBatch(model lmm.Config, groups []TokenGroup, merged, mergedRank int, s
 		b.Groups = append(b.Groups, atmm.Group{AdapterID: -merged - 1, Tokens: unmergedTokens, Rank: mergedRank})
 	}
 	if scratch != nil {
-		*scratch = b.Groups
+		scratch.groups = b.Groups
 	}
 	return b
+}
+
+// Memo geometry: operator batches of at most memoGroups groups are
+// memoised in a direct-mapped table of 1<<memoBits entries (48 B each,
+// 48 KiB per instance). Larger batches repeat too rarely to be worth
+// a slot.
+const (
+	memoGroups = 4
+	memoBits   = 10
+)
+
+// CostScratch is one serving instance's working memory for ExtraCost:
+// the operator batch's group slice, reused across calls, and a memo of
+// per-layer operator costs. Decode iterations repeat the same few
+// (tokens, rank) batches over and over, so most LayerTime calls are
+// answered from the memo.
+//
+// A per-layer cost depends only on the operator, the model's hidden
+// dim and LoRA projection count, and the ordered (tokens, rank) pairs
+// of the batch's groups (adapter IDs only label errors). The memo is
+// bound to the operator and model of its entries and is cleared when
+// either changes; every hit is verified against the full key. Only an
+// operator with a comparable dynamic type, whose LayerTime is a pure
+// function of the batch, is memoised — every operator in package atmm
+// is. A CostScratch is not safe for concurrent use; the zero value is
+// ready.
+type CostScratch struct {
+	groups []atmm.Group
+
+	op        atmm.Operator
+	dim, proj int
+	memo      *[1 << memoBits]costEntry // allocated on first bind
+}
+
+// costEntry is one memo slot: n groups of key (tokens<<32 | rank, zero
+// past n) and their per-layer cost. n == 0 marks an empty slot.
+type costEntry struct {
+	n    int
+	key  [memoGroups]uint64
+	cost time.Duration
+}
+
+// layerTime is op.LayerTime(b) through the memo. Batches with more
+// than memoGroups groups, or with a token count or rank outside
+// (0, 2^32), bypass it; errors are never memoised.
+//
+//valora:hotpath
+func (cs *CostScratch) layerTime(op atmm.Operator, b atmm.Batch) (time.Duration, error) {
+	if cs == nil || len(b.Groups) > memoGroups {
+		return op.LayerTime(b)
+	}
+	e, i, ok := memoKey(b.Groups)
+	if !ok {
+		return op.LayerTime(b)
+	}
+	if (cs.op != op || cs.dim != b.Dim || cs.proj != b.Projections) && !cs.bind(op, b.Dim, b.Projections) {
+		return op.LayerTime(b)
+	}
+	slot := &cs.memo[i]
+	if slot.n == e.n && slot.key == e.key {
+		return slot.cost, nil
+	}
+	d, err := op.LayerTime(b)
+	if err == nil {
+		e.cost = d
+		*slot = e
+	}
+	return d, err
+}
+
+// memoKey builds the memo entry (cost unset) for a batch of at most
+// memoGroups groups and the index of its slot. ok is false when a
+// token count or rank does not fit the key.
+func memoKey(groups []atmm.Group) (e costEntry, slot int, ok bool) {
+	e.n = len(groups)
+	h := uint64(0)
+	for i, g := range groups {
+		if g.Tokens <= 0 || g.Rank <= 0 || uint64(g.Tokens) > math.MaxUint32 || uint64(g.Rank) > math.MaxUint32 {
+			return costEntry{}, 0, false
+		}
+		e.key[i] = uint64(g.Tokens)<<32 | uint64(g.Rank)
+		h = (h ^ e.key[i]) * 0x9e3779b97f4a7c15
+	}
+	return e, int(h >> (64 - memoBits)), true
+}
+
+// bind clears the memo and binds it to op and the model geometry. It
+// refuses an operator whose dynamic type is not comparable, which
+// could not be told apart from its successor.
+func (cs *CostScratch) bind(op atmm.Operator, dim, proj int) bool {
+	if op == nil || !reflect.TypeOf(op).Comparable() {
+		return false
+	}
+	if cs.memo == nil {
+		cs.memo = new([1 << memoBits]costEntry)
+	} else {
+		clear(cs.memo[:])
+	}
+	cs.op, cs.dim, cs.proj = op, dim, proj
+	return true
 }

@@ -28,7 +28,9 @@ func (p *UnmergeOnlyPolicy) Decide(it Iteration) Decision {
 // adapter; requests for other adapters wait. It is the "merge only"
 // arm of Fig. 19: fastest per-batch, but underutilizes the GPU on
 // mixed workloads and starves minority adapters.
-type MergeOnlyPolicy struct{}
+type MergeOnlyPolicy struct {
+	cohorts cohorts
+}
 
 func (p *MergeOnlyPolicy) Name() string { return "merge-only" }
 
@@ -50,7 +52,7 @@ func (p *MergeOnlyPolicy) Decide(it Iteration) Decision {
 			return Decision{Mode: lora.ModeMerged, Merged: cur.Merged, Batch: capBatch(mine, maxBS)}
 		}
 	}
-	id, reqs := mostCommonAdapter(active, cur)
+	id, reqs := p.cohorts.mostCommon(active, cur)
 	return Decision{Mode: lora.ModeMerged, Merged: id, Batch: capBatch(reqs, maxBS)}
 }
 
@@ -62,6 +64,8 @@ type DLoRAPolicy struct {
 	// MajorityFrac is the fraction of active requests the dominant
 	// adapter must hold to justify merged mode.
 	MajorityFrac float64
+
+	cohorts cohorts
 }
 
 // NewDLoRAPolicy returns the policy with the paper's ≥50% majority
@@ -75,7 +79,7 @@ func (p *DLoRAPolicy) Decide(it Iteration) Decision {
 	if len(active) == 0 {
 		return Decision{Mode: cur.Mode, Merged: cur.Merged}
 	}
-	id, reqs := mostCommonAdapter(active, cur)
+	id, reqs := p.cohorts.mostCommon(active, cur)
 	if float64(len(reqs)) >= p.MajorityFrac*float64(len(active)) {
 		return Decision{Mode: lora.ModeMerged, Merged: id, Batch: capBatch(reqs, maxBS)}
 	}

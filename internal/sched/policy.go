@@ -46,24 +46,13 @@ type VaLoRAPolicy struct {
 	Preempt bool
 
 	// Scratch state (see type comment). epoch identifies the current
-	// Decide call in both the cohort counts and the request marks.
+	// Decide call in the request marks; cohorts keeps its own.
 	epoch    uint64
 	starve   []*Request
 	batchBuf []*Request
 	evictBuf []*Request
 	admitBuf []*Request
-	// counts is indexed by adapter slot (Request.Slot).
-	counts []cohortCount
-	// slots stamps requests that reach Decide without an instance's
-	// slot (direct callers); serving instances stamp at ingest.
-	slots AdapterSlots
-}
-
-// cohortCount is an epoch-versioned per-adapter request count: a count
-// from an older epoch reads as zero, so the slice never needs clearing.
-type cohortCount struct {
-	epoch uint64
-	n     int
+	cohorts  cohorts
 }
 
 // NewVaLoRAPolicy returns the policy with calibrated defaults.
@@ -76,40 +65,6 @@ func NewVaLoRAPolicy() *VaLoRAPolicy {
 }
 
 func (p *VaLoRAPolicy) Name() string { return "VaLoRA" }
-
-// countCohorts tallies per-adapter request counts over the active set
-// and returns the dominant adapter under the deterministic tie rules
-// (prefer the currently merged adapter, then the lower ID) together
-// with its count, and the currently merged adapter's count.
-func (p *VaLoRAPolicy) countCohorts(active []*Request, cur lora.State) (best, bestCount, curCount int) {
-	best = -1
-	for _, r := range active {
-		if r.Slot == 0 {
-			p.slots.Stamp(r)
-		}
-		for int(r.Slot) >= len(p.counts) {
-			p.counts = append(p.counts, cohortCount{})
-		}
-		cc := &p.counts[r.Slot]
-		if cc.epoch != p.epoch {
-			cc.epoch, cc.n = p.epoch, 0
-		}
-		cc.n++
-		id, c := r.AdapterID, cc.n
-		if id == cur.Merged {
-			curCount = c
-		}
-		switch {
-		case c > bestCount:
-			best, bestCount = id, c
-		case c == bestCount:
-			if id == cur.Merged || (best != cur.Merged && id < best) {
-				best = id
-			}
-		}
-	}
-	return best, bestCount, curCount
-}
 
 // take appends r to the batch and marks it as batched for this epoch.
 func (p *VaLoRAPolicy) take(batch []*Request, r *Request) []*Request {
@@ -198,7 +153,7 @@ func (p *VaLoRAPolicy) Decide(it Iteration) Decision {
 			}
 		}
 	}
-	mergedID, mergedCount, curCount := p.countCohorts(active, cur)
+	mergedID, mergedCount, curCount := p.cohorts.count(active, cur)
 
 	// Hysteresis: keep the currently merged adapter unless the new
 	// dominant cohort is meaningfully larger, so marginal count

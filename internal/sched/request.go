@@ -327,32 +327,67 @@ type Policy interface {
 	Decide(it Iteration) Decision
 }
 
-// mostCommonAdapter returns the adapter with the most active requests
-// and those requests (in active order). Ties break toward the
-// currently merged adapter, then the lower ID, keeping decisions
-// deterministic.
-func mostCommonAdapter(active []*Request, cur lora.State) (int, []*Request) {
-	counts := make(map[int]int)
+// cohorts tallies per-adapter request counts over an active set in a
+// slice indexed by adapter slot (Request.Slot). Counts are
+// epoch-stamped: a count from an older call reads as zero, so the
+// slice never needs clearing and a tally builds no map.
+type cohorts struct {
+	epoch  uint64
+	counts []cohortCount
+	// slots stamps requests that reach a policy without an instance's
+	// slot (direct callers); serving instances stamp at ingest.
+	slots AdapterSlots
+}
+
+// cohortCount is one adapter's epoch-stamped request count.
+type cohortCount struct {
+	epoch uint64
+	n     int
+}
+
+// count tallies the active set and returns the dominant adapter under
+// the deterministic tie rules (prefer the currently merged adapter,
+// then the lower ID) together with its count, and the currently
+// merged adapter's count. best is -1 for an empty set.
+func (c *cohorts) count(active []*Request, cur lora.State) (best, bestCount, curCount int) {
+	c.epoch++
+	best = -1
 	for _, r := range active {
-		counts[r.AdapterID]++
-	}
-	best, bestCount := -1, 0
-	for id, c := range counts {
+		if r.Slot == 0 {
+			c.slots.Stamp(r)
+		}
+		for int(r.Slot) >= len(c.counts) {
+			c.counts = append(c.counts, cohortCount{})
+		}
+		cc := &c.counts[r.Slot]
+		if cc.epoch != c.epoch {
+			cc.epoch, cc.n = c.epoch, 0
+		}
+		cc.n++
+		id, n := r.AdapterID, cc.n
+		if id == cur.Merged {
+			curCount = n
+		}
 		switch {
-		case c > bestCount:
-			//valora:allow nondeterminism -- total fold: strict-greater replacement plus the merged-then-lowest-ID tie-break below picks the same winner in any visit order
-			best, bestCount = id, c
-		case c == bestCount:
+		case n > bestCount:
+			best, bestCount = id, n
+		case n == bestCount:
 			if id == cur.Merged || (best != cur.Merged && id < best) {
-				//valora:allow nondeterminism -- tie-break is a total order (merged adapter first, then lowest ID), so the selection is order-independent
 				best = id
 			}
 		}
 	}
+	return best, bestCount, curCount
+}
+
+// mostCommon returns the adapter with the most active requests and
+// those requests (in active order), under count's tie rules.
+func (c *cohorts) mostCommon(active []*Request, cur lora.State) (int, []*Request) {
+	best, n, _ := c.count(active, cur)
 	if best < 0 {
 		return -1, nil
 	}
-	var reqs []*Request
+	reqs := make([]*Request, 0, n)
 	for _, r := range active {
 		if r.AdapterID == best {
 			reqs = append(reqs, r)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -236,8 +237,9 @@ func TestDLoRAPolicy(t *testing.T) {
 
 func TestMostCommonAdapterDeterministicTies(t *testing.T) {
 	active := mkRequests([]int{5, 2, 5, 2}, 0)
-	id1, _ := mostCommonAdapter(active, lora.State{Merged: -1})
-	id2, _ := mostCommonAdapter(active, lora.State{Merged: -1})
+	var c cohorts
+	id1, _ := c.mostCommon(active, lora.State{Merged: -1})
+	id2, _ := c.mostCommon(active, lora.State{Merged: -1})
 	if id1 != id2 {
 		t.Fatal("tie-breaking must be deterministic")
 	}
@@ -245,9 +247,45 @@ func TestMostCommonAdapterDeterministicTies(t *testing.T) {
 		t.Fatalf("tie should break to the lower ID, got %d", id1)
 	}
 	// Ties prefer the currently merged adapter.
-	id3, _ := mostCommonAdapter(active, lora.State{Merged: 5})
+	id3, _ := c.mostCommon(active, lora.State{Merged: 5})
 	if id3 != 5 {
 		t.Fatalf("tie should prefer the merged adapter, got %d", id3)
+	}
+}
+
+// TestCohortsMatchMapCount checks the slot-indexed tally against a
+// map count with the same tie rules, on random active sets, reusing
+// one tally across calls (stale epochs must read as zero).
+func TestCohortsMatchMapCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var c cohorts
+	for i := 0; i < 2000; i++ {
+		active := randomActive(rng, 1+rng.Intn(24), 1+rng.Intn(8))
+		if rng.Intn(2) == 0 {
+			for _, r := range active {
+				r.Slot = 0 // the tally stamps from its own table
+			}
+		}
+		cur := lora.State{Merged: rng.Intn(10) - 2}
+		counts := map[int]int{}
+		for _, r := range active {
+			counts[r.AdapterID]++
+		}
+		want, wantN := -1, 0
+		for id, n := range counts {
+			if n > wantN || (n == wantN && (id == cur.Merged || (want != cur.Merged && id < want))) {
+				want, wantN = id, n
+			}
+		}
+		got, reqs := c.mostCommon(active, cur)
+		if got != want || len(reqs) != wantN {
+			t.Fatalf("set %d: mostCommon = %d (%d requests), map count %d (%d)", i, got, len(reqs), want, wantN)
+		}
+		for _, r := range reqs {
+			if r.AdapterID != want {
+				t.Fatalf("set %d: request for adapter %d in adapter %d's cohort", i, r.AdapterID, want)
+			}
+		}
 	}
 }
 

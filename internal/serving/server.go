@@ -191,7 +191,9 @@ type Server struct {
 	// loop stays allocation-free in steady state.
 	scratchNeeded []*lora.Adapter
 	scratchGroups []lora.TokenGroup
-	scratchBatch  []atmm.Group
+	// cost is the instance's ExtraCost scratch: the operator batch and
+	// its per-layer cost memo.
+	cost lora.CostScratch
 	// scratchAdmit backs the admitted-batch slice admit returns; the
 	// result is consumed within the same Step, never retained.
 	scratchAdmit []*sched.Request
@@ -624,7 +626,7 @@ func (s *Server) Step() (bool, error) {
 	s.scratchGroups = groups
 
 	base := s.engine.IterationTime(load)
-	extra, err := lora.ExtraCost(s.opts.Operator, s.opts.Model, s.state.Mode, s.state.Merged, groups, &s.scratchBatch)
+	extra, err := lora.ExtraCost(s.opts.Operator, s.opts.Model, s.state.Mode, s.state.Merged, groups, &s.cost)
 	if err != nil {
 		return false, err
 	}

@@ -1,10 +1,6 @@
 package simgpu
 
-import (
-	"fmt"
-	"math"
-	"time"
-)
+import "time"
 
 // Segment is one independent GEMM inside a fused (grouped) kernel
 // launch, e.g. the tokens of one LoRA adapter inside a heterogeneous
@@ -30,125 +26,14 @@ type BatchCost struct {
 	Total    time.Duration
 }
 
-// BatchGEMMCost aggregates the per-segment tiling work into one fused
-// kernel cost: block counts, FLOPs and memory traffic are summed, wave
-// scheduling and SM utilization are computed over the union grid, and
-// the exposed-latency term uses the deepest segment's main loop (all
-// segments advance in parallel).
+// BatchGEMMCost costs one fused kernel over segs: it compiles cfg and
+// runs the segments through the kernel path (see Kernel.BatchCost).
 func (g *GPU) BatchGEMMCost(segs []Segment, cfg TileConfig, class CoreClass) (BatchCost, error) {
-	occ, err := g.OccupancyOf(cfg)
+	k, err := g.Compile(cfg, class)
 	if err != nil {
 		return BatchCost{}, err
 	}
-	if len(segs) == 0 {
-		return BatchCost{Config: cfg, Class: class}, nil
-	}
-
-	var (
-		blocks      int
-		totalSegs   int
-		paddedFLOPs float64
-		tileLoads   int64
-		hbm         int64
-		maxKSteps   int
-		splitKUsed  bool
-	)
-	for _, seg := range segs {
-		n := seg.Count
-		if n <= 0 {
-			continue
-		}
-		s := seg.Shape
-		if s.M <= 0 || s.K <= 0 || s.N <= 0 {
-			return BatchCost{}, fmt.Errorf("simgpu: non-positive segment shape %v", s)
-		}
-		gridM := ceilDiv(s.M, cfg.BM)
-		gridN := ceilDiv(s.N, cfg.BN)
-		splitK := cfg.SplitK
-		if maxSplit := ceilDiv(s.K, cfg.BK); splitK > maxSplit {
-			splitK = maxSplit
-		}
-		if splitK > 1 {
-			splitKUsed = true
-		}
-		segBlocks := gridM * gridN * splitK
-		mp := gridM * cfg.BM
-		np := gridN * cfg.BN
-		kPer := ceilDiv(ceilDiv(s.K, splitK), cfg.BK) * cfg.BK
-		kp := kPer * splitK
-		kSteps := kPer / cfg.BK
-		if kSteps > maxKSteps {
-			maxKSteps = kSteps
-		}
-
-		blocks += n * segBlocks
-		totalSegs += n
-		paddedFLOPs += float64(n) * 2 * float64(mp) * float64(np) * float64(kp)
-
-		segTileLoads := int64(gridN)*int64(mp)*int64(kp)*elemBytes +
-			int64(gridM)*int64(np)*int64(kp)*elemBytes
-		tileLoads += int64(n) * segTileLoads
-
-		uniqueA := int64(mp) * int64(kp) * elemBytes
-		uniqueB := int64(np) * int64(kp) * elemBytes
-		rereadA := int64(gridN-1) * uniqueA
-		rereadB := int64(gridM-1) * uniqueB
-		segHBM := uniqueA + uniqueB +
-			int64(float64(rereadA)*(1-g.l2Hit(uniqueA))) +
-			int64(float64(rereadB)*(1-g.l2Hit(uniqueB))) +
-			int64(mp)*int64(np)*elemBytes
-		if splitK > 1 {
-			segHBM += 2 * int64(mp) * int64(np) * accumBytes * int64(splitK)
-		}
-		hbm += int64(n) * segHBM
-	}
-	if blocks == 0 {
-		return BatchCost{Config: cfg, Class: class}, nil
-	}
-
-	blocksPerWave := g.SMs * occ.BlocksPerSM
-	waves := ceilDiv(blocks, blocksPerWave)
-	var smUtil float64
-	if waves == 1 {
-		smUtil = math.Min(1, float64(blocks)/float64(g.SMs))
-	} else {
-		rem := blocks - (waves-1)*blocksPerWave
-		last := math.Min(1, float64(rem)/float64(g.SMs))
-		smUtil = (float64(waves-1) + last) / float64(waves)
-	}
-
-	weff := warpEfficiency(cfg, class)
-	pipeEff := 1.0
-	if cfg.Stages < 2 {
-		pipeEff = 0.74
-	}
-	computeSec := paddedFLOPs / (g.peakFLOPS(class) * smUtil * weff * pipeEff)
-	memSec := float64(hbm) / g.HBMBandwidth
-	l2Sec := float64(tileLoads) / g.L2Bandwidth
-
-	hiding := math.Min(1, float64(occ.BlocksPerSM*cfg.warpsPerBlock()*(cfg.Stages-1))/hidingWarps)
-	if blocks < g.SMs {
-		hiding = math.Min(1, float64(cfg.warpsPerBlock()*(cfg.Stages-1))/hidingWarps)
-	}
-	stall := float64(g.DRAMLatency) * (1 - hiding)
-	exposed := time.Duration(float64(waves*maxKSteps) * (float64(issuePerK) + stall))
-
-	var splitKTime time.Duration
-	if splitKUsed {
-		splitKTime = g.KernelLaunch
-	}
-	roof := math.Max(computeSec, math.Max(memSec, l2Sec))
-	total := g.KernelLaunch + splitKTime + exposed + time.Duration(roof*1e9)*time.Nanosecond
-
-	return BatchCost{
-		Config:   cfg,
-		Class:    class,
-		Segments: totalSegs,
-		Blocks:   blocks,
-		Waves:    waves,
-		SMUtil:   smUtil,
-		Total:    total,
-	}, nil
+	return k.BatchCost(segs)
 }
 
 // BatchGEMMTime is BatchGEMMCost reduced to total latency.

@@ -206,116 +206,14 @@ func (g *GPU) l2Hit(uniqueBytes int64) float64 {
 	return h
 }
 
-// GEMMCost evaluates the latency model for one GEMM.
+// GEMMCost evaluates the latency model for one GEMM: it compiles cfg
+// and costs s through the kernel path.
 func (g *GPU) GEMMCost(s Shape, cfg TileConfig, class CoreClass) (KernelCost, error) {
-	occ, err := g.OccupancyOf(cfg)
+	k, err := g.Compile(cfg, class)
 	if err != nil {
 		return KernelCost{}, err
 	}
-	if s.M <= 0 || s.K <= 0 || s.N <= 0 {
-		return KernelCost{}, fmt.Errorf("simgpu: non-positive GEMM shape %v", s)
-	}
-
-	gridM := ceilDiv(s.M, cfg.BM)
-	gridN := ceilDiv(s.N, cfg.BN)
-	splitK := cfg.SplitK
-	// Split-K beyond the number of K-tiles is pointless.
-	if maxSplit := ceilDiv(s.K, cfg.BK); splitK > maxSplit {
-		splitK = maxSplit
-	}
-	blocks := gridM * gridN * splitK
-
-	mp := gridM * cfg.BM
-	np := gridN * cfg.BN
-	kPer := ceilDiv(ceilDiv(s.K, splitK), cfg.BK) * cfg.BK
-	kp := kPer * splitK
-	kSteps := kPer / cfg.BK
-
-	paddedFLOPs := 2 * float64(mp) * float64(np) * float64(kp)
-
-	// Wave accounting.
-	blocksPerWave := g.SMs * occ.BlocksPerSM
-	waves := ceilDiv(blocks, blocksPerWave)
-	var smUtil float64
-	if waves == 1 {
-		smUtil = math.Min(1, float64(blocks)/float64(g.SMs))
-	} else {
-		rem := blocks - (waves-1)*blocksPerWave
-		last := math.Min(1, float64(rem)/float64(g.SMs))
-		smUtil = (float64(waves-1) + last) / float64(waves)
-	}
-
-	// Compute roof.
-	weff := warpEfficiency(cfg, class)
-	pipeEff := 1.0
-	if cfg.Stages < 2 {
-		pipeEff = 0.74 // single-buffered main loop stalls on every tile load
-	}
-	computeSec := paddedFLOPs / (g.peakFLOPS(class) * smUtil * weff * pipeEff)
-
-	// Memory roofs. Every block streams its A and B tiles through
-	// shared memory; HBM serves first touches plus L2 misses on
-	// re-reads.
-	tileLoads := int64(gridN)*int64(mp)*int64(kp)*elemBytes +
-		int64(gridM)*int64(np)*int64(kp)*elemBytes
-	uniqueA := int64(mp) * int64(kp) * elemBytes
-	uniqueB := int64(np) * int64(kp) * elemBytes
-	rereadA := int64(gridN-1) * uniqueA
-	rereadB := int64(gridM-1) * uniqueB
-	hbm := uniqueA + uniqueB +
-		int64(float64(rereadA)*(1-g.l2Hit(uniqueA))) +
-		int64(float64(rereadB)*(1-g.l2Hit(uniqueB)))
-	outBytes := int64(mp) * int64(np) * elemBytes
-	hbm += outBytes
-	var splitKTime time.Duration
-	if splitK > 1 {
-		partials := int64(mp) * int64(np) * accumBytes * int64(splitK)
-		hbm += 2 * partials         // write partials, read back for reduction
-		splitKTime = g.KernelLaunch // separate reduction kernel
-	}
-	memSec := float64(hbm) / g.HBMBandwidth
-	l2Sec := float64(tileLoads) / g.L2Bandwidth
-
-	// Exposed latency: with low occupancy the pipeline cannot hide
-	// DRAM latency, so each main-loop step pays a stall.
-	hiding := math.Min(1, float64(occ.BlocksPerSM*cfg.warpsPerBlock()*(cfg.Stages-1))/hidingWarps)
-	residentBlocks := blocks
-	if residentBlocks > blocksPerWave {
-		residentBlocks = blocksPerWave
-	}
-	if residentBlocks < g.SMs {
-		// Fewer blocks than SMs: even one block per SM cannot overlap
-		// with a neighbour, so hiding comes only from its own warps.
-		perSM := math.Min(1, float64(cfg.warpsPerBlock()*(cfg.Stages-1))/hidingWarps)
-		hiding = perSM
-	}
-	stall := float64(g.DRAMLatency) * (1 - hiding)
-	exposed := time.Duration(float64(waves*kSteps) * (float64(issuePerK) + stall))
-
-	roof := math.Max(computeSec, math.Max(memSec, l2Sec))
-	total := g.KernelLaunch + splitKTime + exposed + time.Duration(roof*1e9)*time.Nanosecond
-
-	return KernelCost{
-		Shape:       s,
-		Config:      cfg,
-		Class:       class,
-		Blocks:      blocks,
-		BlocksPerSM: occ.BlocksPerSM,
-		Waves:       waves,
-		SMUtil:      smUtil,
-		WarpEff:     weff,
-		KSteps:      kSteps,
-		PaddedFLOPs: paddedFLOPs,
-		TileLoads:   tileLoads,
-		HBMBytes:    hbm,
-		ComputeTime: time.Duration(computeSec * 1e9),
-		MemoryTime:  time.Duration(memSec * 1e9),
-		L2Time:      time.Duration(l2Sec * 1e9),
-		ExposedTime: exposed,
-		SplitKTime:  splitKTime,
-		LaunchTime:  g.KernelLaunch,
-		Total:       total,
-	}, nil
+	return k.GEMMCost(s)
 }
 
 // GEMMTime is GEMMCost reduced to its total latency.

@@ -41,10 +41,7 @@ func FullSpace(g *simgpu.GPU) []simgpu.TileConfig {
 									WM: wm, WK: bk, WN: wn,
 									SplitK: sk, Stages: st,
 								}
-								if cfg.Validate() != nil {
-									continue
-								}
-								if _, err := g.OccupancyOf(cfg); err != nil {
+								if _, err := g.OccupancyOf(cfg); err != nil { // validates too
 									continue
 								}
 								out = append(out, cfg)
@@ -65,8 +62,13 @@ func FullSpace(g *simgpu.GPU) []simgpu.TileConfig {
 // for large tiles where the extra shared memory pays off. This is the
 // "reduced up to 20×" space the search actually profiles.
 func PrunedSpace(g *simgpu.GPU) []simgpu.TileConfig {
+	return prune(FullSpace(g))
+}
+
+// prune filters a full space down to the pruned one.
+func prune(full []simgpu.TileConfig) []simgpu.TileConfig {
 	var out []simgpu.TileConfig
-	for _, cfg := range FullSpace(g) {
+	for _, cfg := range full {
 		warps := (cfg.BM / cfg.WM) * (cfg.BN / cfg.WN)
 		if warps > 16 {
 			continue // oversubscribed block: scheduling overhead dominates

@@ -101,26 +101,36 @@ func Search(g *simgpu.GPU, spec SearchSpec) (*Table, Stats, error) {
 		spec.Classes = []simgpu.CoreClass{simgpu.TensorCore}
 	}
 	full := FullSpace(g)
-	pruned := PrunedSpace(g)
+	pruned := prune(full)
 	table := NewTable()
 	stats := Stats{FullConfigs: len(full), PrunedConfigs: len(pruned)}
-
+	// Compile each pruned configuration once per core class: profiling
+	// a shape then pays only the shape-dependent cost terms.
+	kernels := make([][]simgpu.Kernel, len(spec.Classes))
+	for i, class := range spec.Classes {
+		for _, cfg := range pruned {
+			if k, err := g.Compile(cfg, class); err == nil {
+				kernels[i] = append(kernels[i], k)
+			}
+		}
+	}
 	for _, shape := range spec.shapes() {
-		for _, class := range spec.Classes {
+		for i, class := range spec.Classes {
 			stats.Shapes++
 			var (
 				best     simgpu.TileConfig
 				bestTime time.Duration
 				found    bool
 			)
-			for _, cfg := range pruned {
-				t, err := g.GEMMTime(shape, cfg, class)
+			for j := range kernels[i] {
+				k := &kernels[i][j]
+				c, err := k.GEMMCost(shape)
 				if err != nil {
 					continue // infeasible for this shape/hardware
 				}
 				stats.Profiled++
-				if !found || t < bestTime {
-					best, bestTime, found = cfg, t, true
+				if !found || c.Total < bestTime {
+					best, bestTime, found = k.Config(), c.Total, true
 				}
 			}
 			if !found {

@@ -2,6 +2,8 @@ package tiling
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -27,17 +29,30 @@ func MakeKey(s simgpu.Shape, class simgpu.CoreClass) Key128 {
 // BucketM rounds a runtime token count up to the next profiled bucket
 // (powers of two, minimum 16). Profiling every exact M is unnecessary:
 // the optimal configuration is stable within a factor-of-two band,
-// which is also how the paper steps the search space.
+// which is also how the paper steps the search space. A count above
+// the largest power of two an int holds saturates to math.MaxInt,
+// which no profiled shape carries.
 func BucketM(m int) int {
-	if m <= 16 {
-		return 16
+	i := BucketIndex(m)
+	if i > maxBucketIndex {
+		return math.MaxInt
 	}
-	b := 16
-	for b < m {
-		b <<= 1
-	}
-	return b
+	return 16 << i
 }
+
+// BucketIndex reports the index of m's bucket on the profiled grid:
+// BucketM(m) == 16<<BucketIndex(m) for every m up to the largest
+// bucket.
+func BucketIndex(m int) int {
+	if m <= 16 {
+		return 0
+	}
+	return bits.Len(uint(m-1)) - 4
+}
+
+// maxBucketIndex is the last bucket index whose 16<<i is a positive
+// int.
+const maxBucketIndex = bits.UintSize - 6
 
 // Entry is one profiled (shape → best config) pair.
 type Entry struct {

@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,6 +60,37 @@ func TestBucketMProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBucketMEdges checks both edges of every bucket against the
+// doubling loop BucketM replaced, and that counts past the largest
+// bucket saturate instead of looping forever.
+func TestBucketMEdges(t *testing.T) {
+	loop := func(m int) int {
+		b := 16
+		for b < m {
+			b <<= 1
+		}
+		return b
+	}
+	for _, m := range []int{math.MinInt, -1, 0, 1, 15, 16} {
+		if got := BucketM(m); got != 16 || BucketIndex(m) != 0 {
+			t.Errorf("BucketM(%d) = %d (index %d), want 16 (index 0)", m, got, BucketIndex(m))
+		}
+	}
+	for i := 1; i <= maxBucketIndex; i++ {
+		top := 16 << i
+		for _, m := range []int{top/2 + 1, top} {
+			if got := BucketM(m); got != top || got != loop(m) || BucketIndex(m) != i {
+				t.Errorf("BucketM(%d) = %d (index %d), want %d (index %d)", m, got, BucketIndex(m), top, i)
+			}
+		}
+	}
+	for _, m := range []int{16<<maxBucketIndex + 1, math.MaxInt/2 + 2, math.MaxInt} {
+		if got := BucketM(m); got != math.MaxInt {
+			t.Errorf("BucketM(%d) = %d, want math.MaxInt", m, got)
+		}
 	}
 }
 
