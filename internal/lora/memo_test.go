@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"valora/internal/atmm"
 	"valora/internal/lmm"
@@ -137,6 +138,10 @@ func TestCostMemoHitsCollisionsAndRebinding(t *testing.T) {
 	check("over the group cap", op, qwen, wide, 1, op)
 	check("over the group cap, again", op, qwen, wide, 1, op)
 
+	huge := []TokenGroup{{AdapterID: 1, Rank: 64, Tokens: 1 << (32 - memoRankBits)}}
+	check("token count past the key", op, qwen, huge, 1, op)
+	check("token count past the key, again", op, qwen, huge, 1, op)
+
 	check("other model", op, llava, a, 1, op)
 	check("other model repeat", op, llava, a, 0, op)
 	check("model switched back", op, qwen, a, 1, op)
@@ -149,4 +154,12 @@ func TestCostMemoHitsCollisionsAndRebinding(t *testing.T) {
 	f := funcOp(inner.LayerTime)
 	check("non-comparable operator", f, qwen, a, 1, inner)
 	check("non-comparable operator, again", f, qwen, a, 1, inner)
+}
+
+// TestCostMemoFootprint holds the memo to its documented 24 KiB per
+// instance.
+func TestCostMemoFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(CostScratch{}.memo[0]) << memoBits; size > 24<<10 {
+		t.Fatalf("memo table is %d B, want at most 24 KiB", size)
+	}
 }

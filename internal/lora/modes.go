@@ -2,7 +2,6 @@ package lora
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"time"
 
@@ -111,13 +110,15 @@ func buildBatch(model lmm.Config, groups []TokenGroup, merged, mergedRank int, s
 	return b
 }
 
-// Memo geometry: operator batches of at most memoGroups groups are
-// memoised in a direct-mapped table of 1<<memoBits entries (48 B each,
-// 48 KiB per instance). Larger batches repeat too rarely to be worth
-// a slot.
+// Memo geometry: operator batches of one to memoGroups groups are
+// memoised in a direct-mapped table of 1<<memoBits entries (24 B each,
+// 24 KiB per instance). A group's key word packs its token count above
+// memoRankBits bits of rank. Larger batches repeat too rarely to be
+// worth a slot.
 const (
-	memoGroups = 4
-	memoBits   = 10
+	memoGroups   = 4
+	memoBits     = 10
+	memoRankBits = 12
 )
 
 // CostScratch is one serving instance's working memory for ExtraCost:
@@ -143,21 +144,22 @@ type CostScratch struct {
 	memo      *[1 << memoBits]costEntry // allocated on first bind
 }
 
-// costEntry is one memo slot: n groups of key (tokens<<32 | rank, zero
-// past n) and their per-layer cost. n == 0 marks an empty slot.
+// costEntry is one memo slot: the key words of a batch's groups, zero
+// past its last group, and the batch's per-layer cost. Every group's
+// word is non-zero, so an empty slot (all zero) matches no batch.
 type costEntry struct {
-	n    int
-	key  [memoGroups]uint64
+	key  [memoGroups]uint32
 	cost time.Duration
 }
 
-// layerTime is op.LayerTime(b) through the memo. Batches with more
-// than memoGroups groups, or with a token count or rank outside
-// (0, 2^32), bypass it; errors are never memoised.
+// layerTime is op.LayerTime(b) through the memo. Empty batches,
+// batches with more than memoGroups groups, and groups whose token
+// count or rank does not fit a key word bypass it; errors are never
+// memoised.
 //
 //valora:hotpath
 func (cs *CostScratch) layerTime(op atmm.Operator, b atmm.Batch) (time.Duration, error) {
-	if cs == nil || len(b.Groups) > memoGroups {
+	if cs == nil || len(b.Groups) == 0 || len(b.Groups) > memoGroups {
 		return op.LayerTime(b)
 	}
 	e, i, ok := memoKey(b.Groups)
@@ -168,7 +170,7 @@ func (cs *CostScratch) layerTime(op atmm.Operator, b atmm.Batch) (time.Duration,
 		return op.LayerTime(b)
 	}
 	slot := &cs.memo[i]
-	if slot.n == e.n && slot.key == e.key {
+	if slot.key == e.key {
 		return slot.cost, nil
 	}
 	d, err := op.LayerTime(b)
@@ -179,18 +181,17 @@ func (cs *CostScratch) layerTime(op atmm.Operator, b atmm.Batch) (time.Duration,
 	return d, err
 }
 
-// memoKey builds the memo entry (cost unset) for a batch of at most
+// memoKey builds the memo entry (cost unset) for a batch of one to
 // memoGroups groups and the index of its slot. ok is false when a
-// token count or rank does not fit the key.
+// token count or rank does not fit a key word.
 func memoKey(groups []atmm.Group) (e costEntry, slot int, ok bool) {
-	e.n = len(groups)
 	h := uint64(0)
 	for i, g := range groups {
-		if g.Tokens <= 0 || g.Rank <= 0 || uint64(g.Tokens) > math.MaxUint32 || uint64(g.Rank) > math.MaxUint32 {
+		if g.Tokens <= 0 || g.Rank <= 0 || g.Tokens >= 1<<(32-memoRankBits) || g.Rank >= 1<<memoRankBits {
 			return costEntry{}, 0, false
 		}
-		e.key[i] = uint64(g.Tokens)<<32 | uint64(g.Rank)
-		h = (h ^ e.key[i]) * 0x9e3779b97f4a7c15
+		e.key[i] = uint32(g.Tokens)<<memoRankBits | uint32(g.Rank)
+		h = (h ^ uint64(e.key[i])) * 0x9e3779b97f4a7c15
 	}
 	return e, int(h >> (64 - memoBits)), true
 }
