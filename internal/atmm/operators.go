@@ -132,22 +132,23 @@ func (a *ATMM) compile(dim int, ranks []int, buckets int) plan {
 	return p
 }
 
-// kernel returns the compiled kernel for one direction of a layer's
-// LoRA computation over m tokens at the given rank and hidden dim:
-// from the plan when the shape is on its grid, else through
+// kernel returns the compiled kernel for a shape: from the plan when
+// the shape is on its grid (a shrink shape has K == dim and its rank
+// as N, an expand shape the reverse; the switcher's ΔW shape
+// dim×rank×dim is an expand shape with M = dim), else through
 // Table.Lookup and a per-call compile.
-func (a *ATMM) kernel(dir, m, rank, dim int) (simgpu.Kernel, error) {
+func (a *ATMM) kernel(s simgpu.Shape) (simgpu.Kernel, error) {
 	p := &a.plan
-	if dim == p.dim && rank < len(p.rankRow) {
-		if row, b := p.rankRow[rank], tiling.BucketIndex(m); row >= 0 && b < p.buckets {
+	dir, rank := shrinkDir, s.N
+	if s.K != p.dim {
+		dir, rank = expandDir, s.K
+	}
+	if (s.K == p.dim || s.N == p.dim) && rank >= 0 && rank < len(p.rankRow) {
+		if row, b := p.rankRow[rank], tiling.BucketIndex(s.M); row >= 0 && b < p.buckets {
 			if c := &p.cells[(dir*p.rows+row)*p.buckets+b]; c.ok {
 				return c.k, nil
 			}
 		}
-	}
-	s := simgpu.Shape{M: m, K: dim, N: rank}
-	if dir == expandDir {
-		s.K, s.N = rank, dim
 	}
 	cfg, _ := a.table.Lookup(s, simgpu.TensorCore)
 	return a.gpu.Compile(cfg, simgpu.TensorCore)
@@ -166,11 +167,11 @@ func (a *ATMM) LayerTime(b Batch) (time.Duration, error) {
 	defer segPool.Put(sc)
 	shrink, expand := segmentsFor(b, sc)
 	total, rank := b.TotalTokens(), b.MaxRank()
-	ks, err := a.kernel(shrinkDir, total, rank, b.Dim)
+	ks, err := a.kernel(simgpu.Shape{M: total, K: b.Dim, N: rank})
 	if err != nil {
 		return 0, err
 	}
-	ke, err := a.kernel(expandDir, total, rank, b.Dim)
+	ke, err := a.kernel(simgpu.Shape{M: total, K: rank, N: b.Dim})
 	if err != nil {
 		return 0, err
 	}
@@ -190,15 +191,23 @@ func (a *ATMM) LayerTime(b Batch) (time.Duration, error) {
 // GEMMTime exposes ATMM for a single (non-LoRA) GEMM, used by the
 // swift mode switcher to compute all-layer ΔW in one shot.
 func (a *ATMM) GEMMTime(s simgpu.Shape) (time.Duration, error) {
-	cfg, _ := a.table.Lookup(s, simgpu.TensorCore)
-	return a.gpu.GEMMTime(s, cfg, simgpu.TensorCore)
+	k, err := a.kernel(s)
+	if err != nil {
+		return 0, err
+	}
+	c, err := k.GEMMCost(s)
+	return c.Total, err
 }
 
 // BatchTime exposes ATMM for an arbitrary fused segment batch (the
-// switcher's all-layer ΔW computation uses this).
+// switcher's all-layer ΔW computation uses this), with the kernel
+// chosen for the lookup shape.
 func (a *ATMM) BatchTime(segs []simgpu.Segment, lookup simgpu.Shape) (time.Duration, error) {
-	cfg, _ := a.table.Lookup(lookup, simgpu.TensorCore)
-	return a.gpu.BatchGEMMTime(segs, cfg, simgpu.TensorCore)
+	k, err := a.kernel(lookup)
+	if err != nil {
+		return 0, err
+	}
+	return k.BatchTime(segs)
 }
 
 // layerContext is the per-layer CUDA context cost baseline operators

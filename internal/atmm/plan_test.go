@@ -47,7 +47,8 @@ func randomBatch(rng *rand.Rand) Batch {
 }
 
 // TestATMMMatchesTableLookup differentially checks the adaptive and
-// static operators against refLayerTime on random batches. The
+// static operators against refLayerTime on random batches, and their
+// GEMMTime and BatchTime against the lookup path on a shape grid. The
 // adaptive table profiles M up to 2048, so larger batches leave the
 // grid; at M bucket 4096 the expand shape meets the table's ΔW entry
 // (dim×rank×dim), which the lookup path also returns.
@@ -74,6 +75,32 @@ func TestATMMMatchesTableLookup(t *testing.T) {
 			got, err := a.LayerTime(b)
 			if (err == nil) != (wantErr == nil) || got != want {
 				t.Fatalf("batch %+v: LayerTime = %v, %v; lookup path %v, %v", b, got, err, want, wantErr)
+			}
+		}
+	}
+	// The switcher's helpers take arbitrary shapes, ΔW squares among
+	// them.
+	ms := []int{0, 1, 16, 17, 300, 2048, 2049, 4096, 5120, 9000}
+	ranks := []int{8, 16, 32, 64, 128, 4096}
+	for _, m := range ms {
+		for _, r := range ranks {
+			for _, d := range []int{4096, 5120} {
+				for _, sh := range []simgpu.Shape{{M: m, K: d, N: r}, {M: m, K: r, N: d}, {M: d, K: r, N: d}} {
+					for _, a := range []*ATMM{adaptive, static} {
+						cfg, _ := a.table.Lookup(sh, simgpu.TensorCore)
+						want, wantErr := a.gpu.GEMMTime(sh, cfg, simgpu.TensorCore)
+						got, err := a.GEMMTime(sh)
+						if (err == nil) != (wantErr == nil) || got != want {
+							t.Fatalf("GEMMTime(%v) = %v, %v; lookup path %v, %v", sh, got, err, want, wantErr)
+						}
+						segs := []simgpu.Segment{{Shape: sh, Count: 3}, {Shape: simgpu.Shape{M: 40, K: d, N: 64}, Count: 2}}
+						want, wantErr = a.gpu.BatchGEMMTime(segs, cfg, simgpu.TensorCore)
+						got, err = a.BatchTime(segs, sh)
+						if (err == nil) != (wantErr == nil) || got != want {
+							t.Fatalf("BatchTime(%v) = %v, %v; lookup path %v, %v", sh, got, err, want, wantErr)
+						}
+					}
+				}
 			}
 		}
 	}
