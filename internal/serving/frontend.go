@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -33,9 +32,10 @@ import (
 //	GET  /v1/trace             captured per-request trace (JSONL)
 //	GET  /healthz              liveness
 //
-// net/http serves handlers concurrently; mu guards the shared scalar
-// state (the sequence counter) and the engine list, while each live
-// engine carries its own lock — the step-wise engine is
+// net/http serves handlers concurrently; mu guards the shared state
+// (the sequence counter, the adapter registry, the recycle cap and the
+// engine list), which a completion request resolves in one critical
+// section, while each live engine carries its own lock — the step-wise engine is
 // single-threaded by design, but requests to different systems
 // proceed concurrently. The metrics collector and trace recorder are
 // frontend-owned and outlive any single engine, so cumulative series
@@ -117,11 +117,13 @@ type sloTrack struct {
 }
 
 // liveEngineRequestCap bounds how many requests one live engine serves
-// before being recycled with a fresh one: the engine's metric streams
-// retain every latency sample for exact percentiles, so an unbounded
-// lifetime would leak memory under sustained traffic. Cumulative
-// /metrics series live on the frontend, not the engine, and are
-// carried across the recycle.
+// before being recycled with a fresh one. The engine's latency streams
+// are fixed-memory histograms, so requests no longer grow them; what
+// still grows with an engine's life is its per-tenant stats map (one
+// entry per distinct "user" label) and its virtual clock. Recycling
+// bounds the map to the labels 100k requests can carry and restarts
+// the clock. Cumulative /metrics series live on the frontend, not the
+// engine, and are carried across the recycle.
 const liveEngineRequestCap = 100000
 
 // Per-request work bounds: the engine simulates one Step per output
@@ -164,8 +166,8 @@ func NewFrontend(kind SystemKind, g *simgpu.GPU, model lmm.Config) *Frontend {
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.mux.ServeHTTP(w, r) }
 
 // SetLiveRequestCap overrides the per-engine recycle threshold
-// (testing knob; the default keeps sample retention bounded under
-// sustained traffic).
+// (testing knob; see liveEngineRequestCap for what the default
+// bounds).
 func (f *Frontend) SetLiveRequestCap(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -222,35 +224,19 @@ func (f *Frontend) Adapters() []AdapterCard {
 	return append([]AdapterCard(nil), f.adapters...)
 }
 
-// registeredAdapters counts the registered adapters.
-func (f *Frontend) registeredAdapters() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.adapters)
-}
-
 // adapterByModel resolves an OpenAI model name: the base model (or
 // empty) maps to adapter 0, a registered adapter name to its ID.
+// Callers must hold f.mu.
 func (f *Frontend) adapterByModel(model string) (int, bool) {
 	if model == "" || model == f.Model.Name {
 		return 0, true
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, a := range f.adapters {
 		if a.Name == model {
 			return a.ID, true
 		}
 	}
 	return 0, false
-}
-
-// nextID allocates a request ID.
-func (f *Frontend) nextID() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.seq++
-	return f.seq
 }
 
 // metricsFor registers (or re-resolves) the per-system metric
@@ -353,24 +339,16 @@ func (f *Frontend) recordSLO(kind SystemKind, req *sched.Request) {
 	t.gauge.Set(float64(t.met) / float64(t.total))
 }
 
-// runLive submits one request into kind's persistent engine, steps the
-// engine until the request completes, and folds the completion into
-// the metrics collector. The returned status is an HTTP status for
-// the error (when err != nil).
-func (f *Frontend) runLive(kind SystemKind, req *sched.Request) (virtualNow time.Duration, status int, err error) {
-	f.mu.Lock()
-	eng, err := f.instance(kind)
-	if err != nil {
-		f.mu.Unlock()
-		return 0, http.StatusInternalServerError, err
-	}
-	registered := len(f.adapters) > 0
-	f.mu.Unlock()
-
+// runLive submits a validated request into its persistent engine,
+// steps the engine until the request completes, and folds the
+// completion into the metrics collector. The returned status is an
+// HTTP status for the error (when err != nil).
+func (f *Frontend) runLive(call liveCall) (virtualNow time.Duration, status int, err error) {
+	eng, req := call.eng, call.req
 	eng.mu.Lock()
 	defer eng.mu.Unlock()
 	srv := eng.srv
-	if !registered && srv.slotCount() >= maxSynthAdapters && !srv.knowsAdapter(req.AdapterID) {
+	if call.synthBound && srv.slotCount() >= maxSynthAdapters && !srv.knowsAdapter(req.AdapterID) {
 		return 0, http.StatusBadRequest, fmt.Errorf("adapter_id %d: the engine already serves %d distinct adapters, its limit without registered adapters",
 			req.AdapterID, maxSynthAdapters)
 	}
@@ -386,7 +364,7 @@ func (f *Frontend) runLive(kind SystemKind, req *sched.Request) (virtualNow time
 		}
 	}
 	eng.served++
-	if eng.served >= f.liveRequestCap() {
+	if eng.served >= call.recycleAt {
 		f.retire(eng)
 	}
 	m := eng.met
@@ -407,15 +385,9 @@ func (f *Frontend) runLive(kind SystemKind, req *sched.Request) (virtualNow time
 		m.preemptions.Add(float64(req.PreemptCount))
 	}
 	if req.Deadline > 0 {
-		f.recordSLO(kind, req)
+		f.recordSLO(call.kind, req)
 	}
 	return srv.Now(), http.StatusOK, nil
-}
-
-func (f *Frontend) liveRequestCap() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.liveCap
 }
 
 // systemOf validates an optional per-request system override.
@@ -454,11 +426,4 @@ func (f *Frontend) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	_ = rec.WriteJSONL(w)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
