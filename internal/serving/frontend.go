@@ -35,11 +35,11 @@ import (
 // net/http serves handlers concurrently; mu guards the shared state
 // (the sequence counter, the adapter registry, the recycle cap and the
 // engine list), which a completion request resolves in one critical
-// section, while each live engine carries its own lock — the step-wise engine is
-// single-threaded by design, but requests to different systems
-// proceed concurrently. The metrics collector and trace recorder are
-// frontend-owned and outlive any single engine, so cumulative series
-// survive live-engine recycling.
+// section, while each live engine carries its own lock — the
+// step-wise engine is single-threaded by design, but requests to
+// different systems proceed concurrently. The metrics collector and
+// trace recorder are frontend-owned and outlive any single engine, so
+// cumulative series survive live-engine recycling.
 type Frontend struct {
 	Kind  SystemKind
 	GPU   *simgpu.GPU
@@ -118,9 +118,9 @@ type sloTrack struct {
 
 // liveEngineRequestCap bounds how many requests one live engine serves
 // before being recycled with a fresh one. The engine's latency streams
-// are fixed-memory histograms, so requests no longer grow them; what
-// still grows with an engine's life is its per-tenant stats map (one
-// entry per distinct "user" label) and its virtual clock. Recycling
+// are fixed-memory histograms that requests do not grow; what does
+// grow with an engine's life is its per-tenant stats map (one entry
+// per distinct "user" label) and its virtual clock. Recycling
 // bounds the map to the labels 100k requests can carry and restarts
 // the clock. Cumulative /metrics series live on the frontend, not the
 // engine, and are carried across the recycle.

@@ -306,35 +306,8 @@ func (f *Frontend) buildOpenAIRequest(body *openAIRequest) (liveCall, *apiError)
 	if body.Images > 0 {
 		shape.images = body.Images
 	}
-	// Each image adds VisualTokens to the prompt, so more images than
-	// fit in maxInputTokens can never be served. This and the token
-	// caps are reported after the adapter lookup, which takes
-	// precedence.
-	var fieldErr *apiError
-	in := body.InputTokens
-	if in <= 0 {
-		// ~4 chars per text token plus the visual tokens each image
-		// contributes after the encoder.
-		in = (shape.textLen+3)/4 + shape.images*f.Model.VisualTokens
-		if in <= 0 {
-			in = 1
-		}
-	}
-	out := body.OutputTokens
-	if out <= 0 {
-		out = body.MaxCompletionTokens
-	}
-	if out <= 0 {
-		out = body.MaxTokens
-	}
-	if out <= 0 {
-		out = 64
-	}
-	if maxImages := maxInputTokens / f.Model.VisualTokens; shape.images > maxImages {
-		fieldErr = badRequest("images exceeds the per-request maximum (%d)", maxImages)
-	} else if in > maxInputTokens || out > maxOutputTokens {
-		fieldErr = badRequest("token counts exceed the per-request maximum (%d in, %d out)", maxInputTokens, maxOutputTokens)
-	}
+	// Reported after the adapter lookup, which takes precedence.
+	in, out, fieldErr := f.tokenCounts(body, shape)
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -374,6 +347,39 @@ func (f *Frontend) buildOpenAIRequest(body *openAIRequest) (liveCall, *apiError)
 		return liveCall{}, &apiError{http.StatusInternalServerError, err.Error()}
 	}
 	return liveCall{req: req, kind: kind, eng: eng, synthBound: len(f.adapters) == 0, recycleAt: f.liveCap}, nil
+}
+
+// tokenCounts works out the request's prompt and output token counts
+// and checks them and the image count against the per-request caps.
+func (f *Frontend) tokenCounts(body *openAIRequest, shape promptShape) (in, out int, err *apiError) {
+	// Each image adds VisualTokens to the prompt, so more images than
+	// fit in maxInputTokens can never be served.
+	if maxImages := maxInputTokens / f.Model.VisualTokens; shape.images > maxImages {
+		return 0, 0, badRequest("images exceeds the per-request maximum (%d)", maxImages)
+	}
+	in = body.InputTokens
+	if in <= 0 {
+		// ~4 chars per text token plus the visual tokens each image
+		// contributes after the encoder.
+		in = (shape.textLen+3)/4 + shape.images*f.Model.VisualTokens
+		if in <= 0 {
+			in = 1
+		}
+	}
+	out = body.OutputTokens
+	if out <= 0 {
+		out = body.MaxCompletionTokens
+	}
+	if out <= 0 {
+		out = body.MaxTokens
+	}
+	if out <= 0 {
+		out = 64
+	}
+	if in > maxInputTokens || out > maxOutputTokens {
+		return 0, 0, badRequest("token counts exceed the per-request maximum (%d in, %d out)", maxInputTokens, maxOutputTokens)
+	}
+	return in, out, nil
 }
 
 func (f *Frontend) handleChatCompletions(w http.ResponseWriter, r *http.Request) {
