@@ -267,7 +267,9 @@ func TestLookaheadPreemptionGuard(t *testing.T) {
 // side: preemption, autoscaling, the shared registry store and managed
 // admission without Lookahead make every instance step a potential
 // coupling point, so RunSharded must classify them sequential and
-// still return bit-identical reports.
+// still return bit-identical reports. The unmanaged state-reading
+// dispatch cases (least-loaded, adapter and tenant affinity) must be
+// bit-identical to Run at every shard count too.
 func TestShardedCoupledConfigsDelegate(t *testing.T) {
 	model := lmm.QwenVL7B()
 	adapters := lora.MakeUniformAdapters(model, 16, model.DefaultRank)
@@ -283,15 +285,31 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 		}
 	}
 
+	unmanaged := func(mk func() DispatchPolicy) func() (*Cluster, workload.Trace) {
+		return func() (*Cluster, workload.Trace) {
+			cl, err := NewClusterWithDispatch(4, mk(), swapConstrained(model))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cl, skewedSwapTrace(7)
+		}
+	}
+
 	cases := []struct {
 		name  string
 		build func() (*Cluster, workload.Trace)
+		// epoch marks the unmanaged state-reading dispatch cases, which
+		// the planner runs on epoch barriers rather than delegating.
+		epoch bool
 	}{
-		{"managed/fair-share", plainManaged(true)},
-		{"managed/fifo", plainManaged(false)},
+		{"unmanaged/least-loaded", unmanaged(func() DispatchPolicy { return NewLeastLoaded() }), true},
+		{"unmanaged/adapter-affinity", unmanaged(func() DispatchPolicy { return NewAdapterAffinity() }), true},
+		{"unmanaged/tenant-affinity", unmanaged(func() DispatchPolicy { return NewTenantAffinity(nil) }), true},
+		{"managed/fair-share", plainManaged(true), false},
+		{"managed/fifo", plainManaged(false), false},
 		{"preemption", func() (*Cluster, workload.Trace) {
 			return preemptCluster(t, 2), adversarialTrace(9, 600)
-		}},
+		}, false},
 		{"autoscale", func() (*Cluster, workload.Trace) {
 			as := &AutoscaleConfig{Min: 1, Max: 4, HighDepth: 32, LowDepth: 4, Cooldown: time.Second}
 			cfg := SchedulingConfig{Tenants: tenantClasses(), FairShare: true, HighWater: 8, Autoscale: as}
@@ -300,7 +318,7 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 				t.Fatal(err)
 			}
 			return cl, workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 1, 42))
-		}},
+		}, false},
 		{"registry-store", func() (*Cluster, workload.Trace) {
 			store := registry.NewStore(registry.Config{
 				HostCapacity:    10 * ab,
@@ -339,11 +357,11 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 			})
 			workload.MarkColdCandidates(trace, 2*time.Second)
 			return cl, trace
-		}},
+		}, false},
 	}
 	for _, tc := range cases {
 		cl, _ := tc.build()
-		if mode := cl.planShards(); mode != shardSequential {
+		if mode := cl.planShards(); !tc.epoch && mode != shardSequential {
 			t.Fatalf("%s: planner classified mode %d, want sequential delegation", tc.name, mode)
 		}
 		seq, trace := tc.build()
@@ -351,13 +369,13 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s sequential: %v", tc.name, err)
 		}
-		for _, shards := range []int{1, 4} {
+		for _, shards := range shardCounts {
 			sh, trace := tc.build()
 			got, err := sh.RunSharded(trace, shards)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
 			}
-			checkReportIdentical(t, want, got, tc.name)
+			checkReportIdentical(t, want, got, fmt.Sprintf("%s/shards=%d", tc.name, shards))
 		}
 	}
 }
