@@ -21,7 +21,7 @@
 //
 //	//valora:parallel <reason>
 //	    at file level: the file owns goroutine parallelism (the
-//	    epoch-barrier shard engine and friends); go statements and
+//	    worker pool that drains independent instances); go statements and
 //	    multi-case selects are allowed here and only here. The reason
 //	    is mandatory.
 //

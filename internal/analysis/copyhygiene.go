@@ -16,11 +16,11 @@ import (
 //     LRU list pointers keep referring to the original after a copy —
 //     the copy looks healthy and corrupts bookkeeping at a distance.
 //
-// It also enforces shard ownership for the engine clock: a goroutine
-// may only call methods on a sim.Timeline it received as its own (a
-// parameter of the spawned function), never on one captured from the
-// enclosing scope — cross-shard effects go through feeds and the
-// epoch barrier, not through another shard's timeline.
+// It also enforces ownership of the engine clock: a goroutine may only
+// call methods on a sim.Timeline it received as its own (a parameter
+// of the spawned function), never on one captured from the enclosing
+// scope — a goroutine's inputs arrive through its own feeds, not
+// through another goroutine's timeline.
 var CopyHygieneAnalyzer = &Analyzer{
 	Name: "copyhygiene",
 	Doc:  "flags by-value copies of lock-bearing types, sim.Timeline and lora.Pool, and Timeline use from non-owning goroutines",
@@ -208,7 +208,7 @@ func isTimeline(t types.Type) bool {
 // checkGoOwnership flags sim.Timeline methods invoked from a spawned
 // goroutine on a timeline captured from the enclosing scope. A
 // timeline handed in as the goroutine function's own parameter is
-// owned; a free variable is another shard's state.
+// owned; a free variable is another goroutine's state.
 func (c *copyChecker) checkGoOwnership(g *ast.GoStmt) {
 	reportCapturedTimelineCalls := func(body ast.Node, owned func(types.Object) bool) {
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -231,7 +231,7 @@ func (c *copyChecker) checkGoOwnership(g *ast.GoStmt) {
 				}
 			}
 			c.pass.Reportf(call.Pos(),
-				"sim.Timeline method called from a goroutine that does not own it: route cross-shard effects through feeds and the epoch barrier")
+				"sim.Timeline method called from a goroutine that does not own it: hand the goroutine its own timeline or feed")
 			return true
 		})
 	}
@@ -247,7 +247,7 @@ func (c *copyChecker) checkGoOwnership(g *ast.GoStmt) {
 	if sel, ok := ast.Unparen(g.Call.Fun).(*ast.SelectorExpr); ok {
 		if t := c.pass.Info.TypeOf(sel.X); t != nil && isTimeline(t) {
 			c.pass.Reportf(g.Call.Pos(),
-				"sim.Timeline method called from a goroutine that does not own it: route cross-shard effects through feeds and the epoch barrier")
+				"sim.Timeline method called from a goroutine that does not own it: hand the goroutine its own timeline or feed")
 		}
 	}
 }

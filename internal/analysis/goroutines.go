@@ -7,9 +7,9 @@ import (
 // GoroutinesAnalyzer enforces goroutine containment: in the
 // simulation packages, `go` statements and selects with more than one
 // communication case are only allowed in files that explicitly own
-// parallelism via a //valora:parallel annotation (the epoch-barrier
-// shard engine and its kin). Everything outside those files must be
-// single-threaded: the determinism contract of the sharded engine is
+// parallelism via a //valora:parallel annotation (the worker pool
+// that drains independent instances). Everything outside those files
+// must be single-threaded: the determinism contract of sharded runs is
 // that goroutine interleaving is never observable, and a stray
 // goroutine or racing select elsewhere makes it observable.
 var GoroutinesAnalyzer = &Analyzer{
@@ -31,7 +31,7 @@ func runGoroutines(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"go statement outside a //valora:parallel file: concurrency outside the epoch-barrier engine breaks the determinism contract")
+					"go statement outside a //valora:parallel file: concurrency outside the parallel drain breaks the determinism contract")
 			case *ast.SelectStmt:
 				comm := 0
 				for _, clause := range n.Body.List {

@@ -7,10 +7,13 @@ package bench
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"time"
 
+	"valora/internal/serving"
 	"valora/internal/simgpu"
+	"valora/internal/workload"
 )
 
 // Table is one experiment's result grid.
@@ -75,9 +78,8 @@ type Suite struct {
 	// BENCH_*.json perf trajectories) write; empty means the current
 	// directory.
 	OutDir string
-	// Shards, when positive, is added to the shard sweeps of the
-	// sweep-style experiments (million-requests, parallel-managed),
-	// overrides the stress headline run's shard count, and makes every
+	// Shards, when positive, is added to million-requests' shard
+	// sweep, overrides its headline run's shard count, and makes every
 	// other shard-aware experiment (Experiment.Sharded) replay its runs
 	// through RunSharded and verify bit-identity against the sequential
 	// report — the -shards flag of valora-bench.
@@ -118,18 +120,33 @@ type Experiment struct {
 }
 
 // shardedExperiments are the experiment IDs that honor Suite.Shards:
-// the sweep-style perf experiments add it to their shard axes, the
-// rest replay their runs through RunSharded and verify the report is
+// million-requests adds it to its shard axis, the rest replay their runs through RunSharded and verify the report is
 // bit-identical to the sequential one. valora-bench -list flags them.
 var shardedExperiments = map[string]bool{
 	"cluster-dispatch": true,
 	"million-requests": true,
 	"multi-tenant":     true,
-	"parallel-managed": true,
 }
 
 // Sharded reports whether the experiment honors the -shards flag.
 func (e Experiment) Sharded() bool { return shardedExperiments[e.ID] }
+
+// spotCheckSharded replays a freshly built run of a shard-aware
+// experiment through RunSharded at Suite.Shards and verifies the
+// report is bit-identical to the sequential one — the -shards
+// spot-check contract. Callers gate on s.Shards > 0 and hand over a
+// fresh cluster plus a fresh (or runtime-reset) trace, since requests
+// carry runtime state.
+func (s *Suite) spotCheckSharded(id string, seq *serving.Report, cl *serving.Cluster, trace workload.Trace) error {
+	rep, err := cl.RunSharded(trace, s.Shards)
+	if err != nil {
+		return fmt.Errorf("bench: %s sharded spot check: %w", id, err)
+	}
+	if !reflect.DeepEqual(seq, rep) {
+		return fmt.Errorf("bench: %s sharded replay (shards=%d) diverged from the sequential report", id, s.Shards)
+	}
+	return nil
+}
 
 // All lists every experiment in presentation order.
 func (s *Suite) All() []Experiment {
@@ -158,7 +175,6 @@ func (s *Suite) All() []Experiment {
 		{"cluster-dispatch", "cluster dispatch policies on the shared timeline", s.ClusterDispatch},
 		{"million-requests", "simulator stress: 1M-request replay wall-clock", s.MillionRequests},
 		{"multi-tenant", "fair-share vs FIFO SLO attainment, 3 tenants + autoscaler", s.MultiTenant},
-		{"parallel-managed", "bounded-lookahead sharding on the saturated multi-tenant trace", s.ParallelManaged},
 		{"adapter-cold-start", "tiered adapter registry: prefetch + residency quotas vs cold fetches", s.AdapterColdStart},
 		{"fleet-cold-start", "chunk-level dedup + replicated links on a family-structured adapter fleet", s.FleetColdStart},
 		{"preemption-tail", "iteration-level preemption: realtime p99 with vs without displacement", s.PreemptionTail},

@@ -52,11 +52,10 @@ type StressRecord struct {
 	// Repeats, whose fastest and slowest are WallMinSeconds and
 	// WallMaxSeconds); SimRPS is requests replayed per wall-clock
 	// second (the simulator's own throughput, the number the engine
-	// rework moves). SpeedupVsSeq, where present, is the ratio of the
-	// experiment's sequential-engine wall time to this configuration's
-	// wall time on the same trace (parallel-managed records: classic
-	// managed engine over bounded-lookahead engine at this shard
-	// count).
+	// rework moves). SpeedupVsSeq, a sequential-engine wall time over
+	// this configuration's on the same trace, appears only on records
+	// of the retired parallel-managed experiment; the field keeps them
+	// intact when the trajectory is rewritten.
 	WallSeconds    float64 `json:"wall_seconds"`
 	WallMinSeconds float64 `json:"wall_min_seconds,omitempty"`
 	WallMaxSeconds float64 `json:"wall_max_seconds,omitempty"`

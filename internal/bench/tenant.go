@@ -108,9 +108,8 @@ func (s *Suite) MultiTenant() (*Table, error) {
 		}
 
 		// -shards spot check: the same mode replayed sharded must produce
-		// a bit-identical report. Managed runs without Lookahead fall
-		// back to the sequential plan inside RunSharded, so the check is
-		// trivial but still exercises the routing.
+		// a bit-identical report. RunSharded runs managed clusters with
+		// Run, so the check is trivial but still exercises the routing.
 		if s.Shards > 0 {
 			cl2, err := serving.NewManagedCluster(m.instances, serving.NewLeastLoaded(), cfg, build)
 			if err != nil {

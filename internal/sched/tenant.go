@@ -198,12 +198,11 @@ func (q *TenantQueue) TenantLen(name string) int {
 	return 0
 }
 
-// TenantRef is a resolved handle to one tenant's queue state. Hot
-// admission paths (the bounded-lookahead coordinator replays every
-// arrival of a saturated trace through the queue at each barrier)
-// resolve the tenant name once per request and issue the per-request
-// operations through the handle, instead of paying a string-keyed map
-// lookup per operation. The zero value is invalid; obtain refs from
+// TenantRef is a resolved handle to one tenant's queue state. The
+// managed cluster's admission path, which sees every arrival of a
+// saturated trace, resolves the tenant name once per request and
+// issues the per-request operations through the handle, instead of
+// paying a string-keyed map lookup per operation. The zero value is invalid; obtain refs from
 // Ref. Handles stay valid for the queue's lifetime.
 type TenantRef struct {
 	q  *TenantQueue
@@ -235,12 +234,6 @@ func (ref TenantRef) Push(r *Request) bool {
 	ts.push(tenantItem{req: r, seq: ref.q.seq})
 	ref.q.size++
 	return true
-}
-
-// Restore re-inserts like TenantQueue.Restore.
-func (ref TenantRef) Restore(r *Request, seq uint64) {
-	ref.ts.push(tenantItem{req: r, seq: seq})
-	ref.q.size++
 }
 
 // Charge accounts like TenantQueue.Charge.
@@ -305,31 +298,6 @@ func (q *TenantQueue) Pop() *Request {
 	}
 	q.size--
 	return pick.pop().req
-}
-
-// PopReserved pops under exactly Pop's policy but also returns the
-// request's submission sequence number, so a bounded-lookahead
-// coordinator can hand the reservation back with Restore if the epoch
-// ends before it is consumed. Returns (nil, 0) when empty.
-func (q *TenantQueue) PopReserved() (*Request, uint64) {
-	pick := q.pickNext()
-	if pick == nil {
-		return nil, 0
-	}
-	q.size--
-	it := pick.pop()
-	return it.req, it.seq
-}
-
-// Restore re-inserts a request previously removed with PopReserved
-// under its original submission sequence, undoing the pop
-// position-exactly: the EDF key and the FIFO tie order are both
-// functions of (dueAt, Arrival, seq), so restored requests are
-// indistinguishable from never having been popped, regardless of the
-// order restores are issued in. It bypasses QueueCap for the same
-// reason Requeue does — the request already survived admission.
-func (q *TenantQueue) Restore(r *Request, seq uint64) {
-	q.Ref(r.Tenant).Restore(r, seq)
 }
 
 // pickNext selects the tenant the next pop serves (nil when empty)

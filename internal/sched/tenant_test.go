@@ -211,96 +211,3 @@ func TestTenantQueueBurstCredit(t *testing.T) {
 	}
 }
 
-// TestTenantQueuePopReservedRestore checks the reservation round-trip
-// is position-exact: popping reservations and restoring them (in a
-// scrambled order, mid-stream) leaves the queue's future pop sequence
-// identical to a queue that never popped at all — including FIFO ties
-// broken by submission sequence.
-func TestTenantQueuePopReservedRestore(t *testing.T) {
-	build := func() *TenantQueue {
-		q := NewTenantQueue(true,
-			TenantConfig{Name: "a", Weight: 3},
-			TenantConfig{Name: "b", Weight: 1})
-		for i := int64(0); i < 12; i++ {
-			tenant := "a"
-			if i%3 == 0 {
-				tenant = "b"
-			}
-			// Identical arrivals within a tenant so ordering falls through
-			// to the submission sequence — the tie Restore must preserve.
-			q.Push(tenantReq(i, tenant, time.Duration(i%2)*time.Millisecond, time.Second, 10, int(i)))
-		}
-		return q
-	}
-
-	ref := build()
-	var want []int64
-	for r := ref.Pop(); r != nil; r = ref.Pop() {
-		want = append(want, r.ID)
-		ref.Charge(r.Tenant, RequestCost(r))
-	}
-
-	q := build()
-	// Reserve 5, restore in scrambled order, then drain.
-	type res struct {
-		r   *Request
-		seq uint64
-	}
-	var held []res
-	for i := 0; i < 5; i++ {
-		r, seq := q.PopReserved()
-		if r == nil {
-			t.Fatal("queue drained early")
-		}
-		held = append(held, res{r, seq})
-	}
-	for _, i := range []int{3, 0, 4, 2, 1} {
-		q.Restore(held[i].r, held[i].seq)
-	}
-	var got []int64
-	for r := q.Pop(); r != nil; r = q.Pop() {
-		got = append(got, r.ID)
-		q.Charge(r.Tenant, RequestCost(r))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("drained %d requests, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop %d: got id %d, want %d (restore disturbed the order)", i, got[i], want[i])
-		}
-	}
-}
-
-// TestTenantQueuePopReservedMatchesPop checks PopReserved and Pop
-// implement the same policy in both fair and FIFO modes.
-func TestTenantQueuePopReservedMatchesPop(t *testing.T) {
-	for _, fair := range []bool{true, false} {
-		a := NewTenantQueue(fair, TenantConfig{Name: "a", Weight: 2}, TenantConfig{Name: "b", Weight: 1})
-		b := NewTenantQueue(fair, TenantConfig{Name: "a", Weight: 2}, TenantConfig{Name: "b", Weight: 1})
-		for i := int64(0); i < 10; i++ {
-			tenant := "a"
-			if i%2 == 0 {
-				tenant = "b"
-			}
-			r := tenantReq(i, tenant, time.Duration(i)*time.Millisecond, 0, 5, 5)
-			a.Push(r)
-			b.Push(tenantReq(i, tenant, time.Duration(i)*time.Millisecond, 0, 5, 5))
-		}
-		for {
-			ra := a.Pop()
-			rb, _ := b.PopReserved()
-			if (ra == nil) != (rb == nil) {
-				t.Fatalf("fair=%v: Pop and PopReserved drained at different points", fair)
-			}
-			if ra == nil {
-				break
-			}
-			if ra.ID != rb.ID {
-				t.Fatalf("fair=%v: Pop returned id %d, PopReserved %d", fair, ra.ID, rb.ID)
-			}
-			a.Charge(ra.Tenant, RequestCost(ra))
-			b.Charge(rb.Tenant, RequestCost(rb))
-		}
-	}
-}

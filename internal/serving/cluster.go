@@ -105,12 +105,6 @@ func (c *Cluster) Instances() []*Server {
 // statelessly at arrival.
 func (c *Cluster) Run(trace workload.Trace) (*Report, error) {
 	if c.sched != nil {
-		if c.sched.Lookahead != nil {
-			// Bounded-lookahead admission: one engine serves both the
-			// sequential reference (single inline shard) and the sharded
-			// runs, so their reports are bit-identical by construction.
-			return c.runManagedLookahead(trace, 1, false)
-		}
 		return c.runManaged(trace)
 	}
 	tl := &sim.Timeline{}

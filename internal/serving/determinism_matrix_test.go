@@ -11,15 +11,14 @@ import (
 	"valora/internal/workload"
 )
 
-// The executable determinism matrix: the sharded engine must produce
+// The executable determinism matrix: RunSharded must produce
 // byte-identical serialized Reports across every combination of
 // GOMAXPROCS ∈ {1, 2, 8} and shard count ∈ {1, 2, 4, 8}, against a
-// sequential reference. GOMAXPROCS is the axis the epoch-barrier
-// proof tends to miss in review — a scheduler-order dependence that
-// hides at 8 cores can surface at 1, and vice versa — and CI runs
-// this test under -race, so an unsynchronized cross-shard access (in
-// the barrier, the steal cursors, or the lookahead feeds) fails the
-// job even when the output happens to match.
+// sequential reference. GOMAXPROCS is the axis a scheduler-order
+// dependence tends to hide on — one that hides at 8 cores can surface
+// at 1, and vice versa — and CI runs this test under -race, so an
+// unsynchronized cross-instance access in the partitioned drain fails
+// the job even when the output happens to match.
 
 var matrixGOMAXPROCS = []int{1, 2, 8}
 var matrixShards = []int{1, 2, 4, 8}
@@ -53,8 +52,9 @@ func runMatrix(t *testing.T, label string, run func(shards int) *Report) {
 	}
 }
 
-// TestDeterminismMatrixUnmanaged drives the epoch-barrier unmanaged
-// path with a state-reading dispatch policy (the coupling-heavy case).
+// TestDeterminismMatrixUnmanaged drives an unmanaged cluster with a
+// state-reading dispatch policy (the coupling-heavy case), which
+// RunSharded runs with Run at every shard count.
 func TestDeterminismMatrixUnmanaged(t *testing.T) {
 	model := lmm.QwenVL7B()
 	runMatrix(t, "unmanaged/adapter-affinity", func(shards int) *Report {
@@ -77,9 +77,9 @@ func TestDeterminismMatrixUnmanaged(t *testing.T) {
 }
 
 // TestDeterminismMatrixManaged drives the managed runner (admission,
-// fair-share queueing, shedding) through the same matrix. Without
-// Lookahead the planner runs it sequentially at every shard count, so
-// this pins that fallback to the reference report.
+// fair-share queueing, shedding) through the same matrix. RunSharded
+// runs it with Run at every shard count, so this pins that fallback to
+// the reference report.
 func TestDeterminismMatrixManaged(t *testing.T) {
 	runMatrix(t, "managed/fair-share", func(shards int) *Report {
 		cfg := SchedulingConfig{
@@ -105,48 +105,17 @@ func TestDeterminismMatrixManaged(t *testing.T) {
 	})
 }
 
-// TestDeterminismMatrixManagedLookahead drives the bounded-lookahead
-// engine — Quantum epochs, reservation feeds, work stealing across an
-// 8-instance fleet so shards=8 runs unclamped — through the matrix.
-func TestDeterminismMatrixManagedLookahead(t *testing.T) {
-	runMatrix(t, "managed/lookahead", func(shards int) *Report {
-		cfg := SchedulingConfig{
-			Tenants:   tenantClasses(),
-			FairShare: true,
-			HighWater: 4,
-			Lookahead: &LookaheadConfig{Quantum: 50 * time.Millisecond},
-		}
-		cl, err := NewManagedCluster(8, NewLeastLoaded(), cfg, managedBuild(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := workload.GenMultiTenant(workload.DefaultMultiTenant(4*time.Second, 10, 37))
-		var rep *Report
-		if shards == 0 {
-			rep, err = cl.Run(trace)
-		} else {
-			rep, err = cl.RunSharded(trace, shards)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	})
-}
-
-// TestDeterminismMatrixParallelTrace closes the loop with the
-// counter-based generator: a GenStressParallel trace (whose own
-// worker-count invariance is pinned in the workload package) replayed
-// through the sharded engine stays bit-identical across the matrix.
-func TestDeterminismMatrixParallelTrace(t *testing.T) {
+// TestDeterminismMatrixPartitioned drives the one parallel plan: a
+// round-robin cluster, whose instances RunSharded drains on worker
+// goroutines, replaying a stress trace.
+func TestDeterminismMatrixPartitioned(t *testing.T) {
 	model := lmm.QwenVL7B()
-	cfg := workload.DefaultStress(4000, 19)
-	runMatrix(t, "unmanaged/parallel-trace", func(shards int) *Report {
+	runMatrix(t, "unmanaged/round-robin", func(shards int) *Report {
 		cl, err := NewClusterWithDispatch(4, NewRoundRobin(), swapConstrained(model))
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := workload.GenStressParallel(cfg, runtime.GOMAXPROCS(0))
+		trace := workload.GenStress(workload.DefaultStress(4000, 19))
 		var rep *Report
 		if shards == 0 {
 			rep, err = cl.Run(trace)

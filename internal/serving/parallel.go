@@ -10,114 +10,52 @@ import (
 	"valora/internal/workload"
 )
 
-// This file is the sharded (multi-timeline) counterpart of
-// Cluster.Run: the fleet is partitioned into shard groups, each
-// advanced by its own goroutine (sim.Shard/sim.ShardGroup), and
-// synchronization happens only at the points that actually couple
-// instances. Determinism is the contract: every mode below produces a
-// report bit-identical to the sequential engine's, so shard count is
-// purely a wall-clock knob and every recorded experiment stays
-// reproducible under any parallelism.
+// This file is the sharded counterpart of Cluster.Run. A run whose
+// instances never observe one another is split into independent
+// per-instance replays and drained on worker goroutines
+// (sim.RunIndependent); every other run is Run itself. Either way the
+// report is bit-identical to Run's, so shard count is purely a
+// wall-clock knob and every recorded experiment stays reproducible
+// under any parallelism.
 //
-// The planner (planShards) classifies a run by its coupling density:
-//
-//   - partitioned: unmanaged fleet, stateless dispatch, no registry
-//     store. Routing depends only on the request sequence, so it is
-//     precomputed once and each instance's private arrival stream
-//     becomes a sim.Feed; shards then run barrier-free to completion.
-//     This is the fast path the million-requests stress rides.
-//   - epoch: unmanaged fleet whose dispatch reads live instance state
-//     (least-loaded, affinity). Arrival times are the only coupling
-//     points, so the conservative lookahead horizon is the next
-//     arrival: shards advance all strictly-earlier instance steps in
-//     parallel, quiesce at the barrier, and the coordinator dispatches
-//     the arrivals against exactly the instance states the sequential
-//     engine would have observed.
-//   - managed-lookahead: the managed path with
-//     SchedulingConfig.Lookahead set (an opt-in admission semantics,
-//     honoured identically by the sequential engine). Placement is
-//     decided only at barriers, where the coordinator reserves up to
-//     Slots placements per instance as pre-routed feed deliveries
-//     gated on the HighWater bound; epochs stay coarse (Quantum-
-//     bounded under backlog) and instances consume their reservations
-//     shard-locally, so saturation no longer serializes the run. See
-//     lookahead.go.
-//   - sequential: every remaining configuration. A shared registry
-//     store serializes instances on the remote link model, the
-//     autoscaler re-plans after every step, preemption can requeue
-//     across shards mid-step, and managed admission without
-//     Lookahead may place a request after any instance step — each
-//     makes every instance step a potential coupling point, so the
-//     conservative horizon is zero and the proven sequential engine is
-//     the correct (and fastest) schedule. Guarding rather than
-//     guessing is what keeps the bit-identity contract honest.
-//
-// Cross-shard preemption requeues are the one coupling the lookahead
-// mode cannot see statically. NewManagedCluster rejects Lookahead
-// with preemption, and the lookahead engine still records any requeue
-// that slips through on the instance's feed; the coordinator turns it
-// into a deterministic failure at the next barrier.
+// Instances are independent exactly when the cluster is unmanaged, its
+// dispatch is a StatelessDispatch and no instance shares a registry
+// store. Routing then depends only on the request sequence, so it is
+// precomputed once and each instance's private arrival stream becomes
+// a sim.Feed. Any other configuration couples instances: dispatch that
+// reads live instance state, managed admission placing a request after
+// any instance step, the autoscaler, preemption requeues, and a shared
+// store whose serialized link model makes fetch order observable.
 
-// shardMode classifies how densely a run's instances couple.
-type shardMode int
-
-const (
-	shardSequential shardMode = iota
-	shardPartitioned
-	shardEpoch
-	shardManagedLookahead
-)
-
-// planShards picks the sharded execution mode for this cluster's
-// configuration (see the file comment for the taxonomy).
-func (c *Cluster) planShards() shardMode {
+// partitioned reports whether the cluster's instances are independent,
+// so RunSharded can replay them in parallel (see the file comment).
+func (c *Cluster) partitioned() bool {
+	if c.sched != nil {
+		return false
+	}
+	if _, ok := c.dispatch.(StatelessDispatch); !ok {
+		return false
+	}
 	for _, srv := range c.servers {
 		if srv.opts.Store != nil {
-			// The registry store is shared mutable state touched on the
-			// instance step path (resolveTiered): its serialized link
-			// model makes fetch order observable, so only the global
-			// sequential order reproduces it.
-			return shardSequential
+			return false
 		}
 	}
-	if c.sched == nil {
-		if _, ok := c.dispatch.(StatelessDispatch); ok {
-			return shardPartitioned
-		}
-		return shardEpoch
-	}
-	if c.sched.Lookahead != nil {
-		// NewManagedCluster has already rejected Lookahead with
-		// Autoscale, a cluster Store or preemption.
-		return shardManagedLookahead
-	}
-	return shardSequential
+	return true
 }
 
-// RunSharded replays a trace like Run, but drives the fleet on shards
-// worker goroutines with epoch-barrier synchronization. The report is
-// bit-identical to Run's for every configuration: configurations whose
-// coupling defeats the conservative lookahead (shared registry store,
-// autoscaling, preemption, managed admission without Lookahead)
-// transparently fall back to the sequential engine. Shard counts above
-// the instance count are clamped.
+// RunSharded replays a trace like Run and returns a bit-identical
+// report. When the instances are independent (unmanaged, stateless
+// dispatch, no registry store) it drains them on up to shards worker
+// goroutines; every other configuration runs Run.
 func (c *Cluster) RunSharded(trace workload.Trace, shards int) (*Report, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("serving: shard count %d < 1", shards)
 	}
-	if shards > len(c.servers) {
-		shards = len(c.servers)
-	}
-	switch c.planShards() {
-	case shardPartitioned:
-		return c.runPartitioned(trace, shards)
-	case shardEpoch:
-		return c.runEpochSharded(trace, shards)
-	case shardManagedLookahead:
-		return c.runManagedLookahead(trace, shards, true)
-	default:
+	if !c.partitioned() {
 		return c.Run(trace)
 	}
+	return c.runPartitioned(trace, shards)
 }
 
 // requestFeed adapts an arrival-ordered request stream to sim.Feed: a
@@ -168,31 +106,10 @@ func arrivalOrder(trace workload.Trace) workload.Trace {
 	return out
 }
 
-// buildShards partitions the fleet round-robin across shards. feed,
-// when non-nil, supplies each instance's private sim.Feed (pre-routed
-// arrivals or lookahead reservations).
-func (c *Cluster) buildShards(shards int, feed func(i int) sim.Feed) *sim.ShardGroup {
-	shs := make([]*sim.Shard, shards)
-	for s := range shs {
-		shs[s] = sim.NewShard(s)
-	}
-	for i, srv := range c.servers {
-		var f sim.Feed
-		if feed != nil {
-			f = feed(i)
-		}
-		shs[i%shards].Add(srv, f)
-	}
-	return sim.NewShardGroup(shs...)
-}
-
-// runPartitioned is the barrier-free fast path: dispatch is replayed
-// over the arrival-ordered trace once (stateless policies observe
-// nothing else), yielding each instance's exact request subsequence;
-// shards then drain their instances to completion with no further
-// synchronization. Beyond thread parallelism, each instance runs its
-// whole drain without interleaving with the others, so its working set
-// stays cache-hot and no per-step global process selection is paid.
+// runPartitioned replays dispatch over the arrival-ordered trace once
+// (stateless policies observe nothing else), yielding each instance's
+// exact request subsequence, then drains the instances independently
+// on up to shards workers.
 func (c *Cluster) runPartitioned(trace workload.Trace, shards int) (*Report, error) {
 	ordered := arrivalOrder(trace)
 	parts := make([][]*sched.Request, len(c.servers))
@@ -206,53 +123,17 @@ func (c *Cluster) runPartitioned(trace workload.Trace, shards int) (*Report, err
 		}
 		parts[i] = append(parts[i], r)
 	}
-	group := c.buildShards(shards, func(i int) sim.Feed {
-		srv := c.servers[i]
-		return &requestFeed{reqs: parts[i], deliver: func(r *sched.Request) error {
+	procs := make([]sim.Process, len(c.servers))
+	feeds := make([]sim.Feed, len(c.servers))
+	for i, srv := range c.servers {
+		procs[i] = srv
+		feeds[i] = &requestFeed{reqs: parts[i], deliver: func(r *sched.Request) error {
 			srv.Submit(r)
 			return nil
 		}}
-	})
-	group.Start()
-	err := group.AdvanceAll(sim.Never)
-	group.Stop()
-	if err != nil {
+	}
+	if err := sim.RunIndependent(procs, feeds, shards); err != nil {
 		return nil, err
 	}
-	return c.drainAggregate(len(c.servers), "")
-}
-
-// runEpochSharded handles state-dependent dispatch without a cluster
-// queue: each arrival time is a coupling point, so shards advance all
-// strictly-earlier steps in parallel and the coordinator dispatches at
-// the quiesced barrier, observing exactly the sequential engine's
-// instance states (all occurrences before t done, none at or after t).
-func (c *Cluster) runEpochSharded(trace workload.Trace, shards int) (*Report, error) {
-	ordered := arrivalOrder(trace)
-	group := c.buildShards(shards, nil)
-	group.Start()
-	defer group.Stop()
-	for idx := 0; idx < len(ordered); {
-		at := ordered[idx].Arrival
-		if err := group.AdvanceAll(at); err != nil {
-			return nil, err
-		}
-		// All same-time arrivals dispatch at one barrier, in trace
-		// order, each Pick observing the previous Submit — the
-		// arrival feed's FIFO tie rule.
-		for idx < len(ordered) && ordered[idx].Arrival == at {
-			r := ordered[idx]
-			i := c.dispatch.Pick(r, c.servers)
-			if i < 0 || i >= len(c.servers) {
-				return nil, fmt.Errorf("serving: dispatch %s picked instance %d of %d", c.dispatch.Name(), i, len(c.servers))
-			}
-			c.servers[i].Submit(r)
-			idx++
-		}
-	}
-	if err := group.AdvanceAll(sim.Never); err != nil {
-		return nil, err
-	}
-	group.Stop()
 	return c.drainAggregate(len(c.servers), "")
 }

@@ -3,7 +3,6 @@ package serving
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -31,9 +30,9 @@ func checkReportIdentical(t *testing.T, want, got *Report, label string) {
 	}
 }
 
-// TestShardedUnmanagedBitIdentical covers both unmanaged modes: the
-// partitioned fast path (round-robin, stateless) and the epoch-barrier
-// path (policies that read live instance state).
+// TestShardedUnmanagedBitIdentical covers both unmanaged plans: the
+// partitioned drain (round-robin, stateless) and Run (policies that
+// read live instance state).
 func TestShardedUnmanagedBitIdentical(t *testing.T) {
 	model := lmm.QwenVL7B()
 	policies := []struct {
@@ -76,8 +75,8 @@ func TestShardedUnmanagedBitIdentical(t *testing.T) {
 
 // TestShardedManagedBitIdentical replays the managed runner (admission,
 // fair-share and FIFO queueing, deadline shedding, backpressure)
-// through RunSharded, which runs it sequentially at every shard count,
-// and checks the reports match Run's.
+// through RunSharded, which runs it with Run at every shard count, and
+// checks the reports match Run's.
 func TestShardedManagedBitIdentical(t *testing.T) {
 	for _, fair := range []bool{true, false} {
 		for _, seed := range []int64{11, 42} {
@@ -115,161 +114,11 @@ func TestShardedManagedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedManagedLookaheadBitIdentical exercises the bounded-
-// lookahead engine in its target regime — a saturated managed fleet —
-// and checks the sharded runs are bit-identical to the sequential
-// reference (which runs the same engine inline). Saturation is
-// asserted, not assumed: a trace that never backs up the queue would
-// leave the Quantum-epoch path untested.
-func TestShardedManagedLookaheadBitIdentical(t *testing.T) {
-	for _, fair := range []bool{true, false} {
-		for _, seed := range []int64{11, 42} {
-			run := func(shards int) *Report {
-				cfg := SchedulingConfig{
-					Tenants:   tenantClasses(),
-					FairShare: fair,
-					HighWater: 4,
-					Lookahead: &LookaheadConfig{Quantum: 50 * time.Millisecond},
-				}
-				cl, err := NewManagedCluster(4, NewLeastLoaded(), cfg, managedBuild(t))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mode := cl.planShards(); mode != shardManagedLookahead {
-					t.Fatalf("planner classified mode %d, want managed-lookahead", mode)
-				}
-				trace := workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 6, seed))
-				var rep *Report
-				if shards == 0 {
-					rep, err = cl.Run(trace)
-				} else {
-					rep, err = cl.RunSharded(trace, shards)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rep
-			}
-			want := run(0)
-			if want.Shed == 0 {
-				t.Fatalf("fair=%v seed=%d: workload never saturates the queue", fair, seed)
-			}
-			for _, shards := range shardCounts {
-				got := run(shards)
-				checkReportIdentical(t, want, got,
-					fmt.Sprintf("lookahead/fair=%v/seed=%d/shards=%d", fair, seed, shards))
-			}
-		}
-	}
-}
-
-// TestLookaheadConfigValidation pins the constructor's compatibility
-// matrix: lookahead's reservation proof requires a fixed fleet, no
-// shared store, and no preemption, so those combinations must be
-// rejected at build time rather than diverging at run time.
-func TestLookaheadConfigValidation(t *testing.T) {
-	la := &LookaheadConfig{}
-	base := SchedulingConfig{Tenants: tenantClasses(), FairShare: true, HighWater: 4, Lookahead: la}
-
-	with := base
-	with.Autoscale = &AutoscaleConfig{Min: 1, Max: 4}
-	if _, err := NewManagedCluster(2, NewLeastLoaded(), with, managedBuild(t)); err == nil {
-		t.Fatal("Lookahead+Autoscale must be rejected")
-	}
-
-	model := lmm.QwenVL7B()
-	adapters := lora.MakeUniformAdapters(model, 4, model.DefaultRank)
-	store := registry.NewStore(registry.Config{
-		HostCapacity:    10 * adapters[0].Bytes(),
-		RemoteLatency:   5 * time.Millisecond,
-		RemoteBandwidth: 2.5e9,
-	}, registry.CatalogFromAdapters(adapters, nil))
-	with = base
-	with.Store = store
-	if _, err := NewManagedCluster(2, NewLeastLoaded(), with, managedBuild(t)); err == nil {
-		t.Fatal("Lookahead+Store must be rejected")
-	}
-
-	preemptBuild := func(int) (Options, error) {
-		opts, err := SystemOptions(SystemVaLoRA, simgpu.A100(), model)
-		if err != nil {
-			return Options{}, err
-		}
-		opts.Preemption = &PreemptionConfig{MaxPreemptions: 2}
-		return opts, nil
-	}
-	if _, err := NewManagedCluster(2, NewLeastLoaded(), base, preemptBuild); err == nil {
-		t.Fatal("Lookahead+Preemption must be rejected")
-	}
-
-	// The valid configuration applies defaults: Slots from HighWater,
-	// a non-zero Quantum.
-	cl, err := NewManagedCluster(2, NewLeastLoaded(), base, managedBuild(t))
-	if err != nil {
-		t.Fatalf("valid lookahead config rejected: %v", err)
-	}
-	got := cl.sched.Lookahead
-	if got.Slots != 4 || got.Quantum <= 0 {
-		t.Fatalf("defaults not applied: %+v", got)
-	}
-	if la.Slots != 0 {
-		t.Fatal("caller's LookaheadConfig must not be mutated")
-	}
-}
-
-// TestLookaheadPreemptionGuard covers the lookahead engine's guard:
-// NewManagedCluster rejects Lookahead with preemption, but a requeue
-// that slips through anyway (preemption switched on for one instance
-// after validation) must fail the run at a barrier with the same error
-// whether the engine advances inline or on 1, 2 or 4 shard workers.
-func TestLookaheadPreemptionGuard(t *testing.T) {
-	build := func() *Cluster {
-		cfg := SchedulingConfig{
-			Tenants: []sched.TenantConfig{
-				{Name: "rt", Weight: 3, Priority: 2},
-				{Name: "be", Weight: 1, Priority: 0},
-			},
-			FairShare: true,
-			HighWater: 96,
-			Lookahead: &LookaheadConfig{},
-		}
-		cl, err := NewManagedCluster(4, NewLeastLoaded(), cfg, func(int) (Options, error) {
-			opts, err := SystemOptions(SystemVaLoRA, simgpu.A100(), lmm.QwenVL7B())
-			if err != nil {
-				return Options{}, err
-			}
-			p := sched.NewVaLoRAPolicy()
-			p.Preempt = true
-			p.DeadlineCredit = true
-			opts.Policy = p
-			opts.AdmitCap = 48
-			return opts, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.servers[2].opts.Preemption = &PreemptionConfig{MaxPreemptions: 2}
-		return cl
-	}
-	_, err := build().Run(adversarialTrace(9, 600))
-	if err == nil || !strings.Contains(err.Error(), "preemption requeue") {
-		t.Fatalf("sequential run: got error %v, want the preemption-requeue guard", err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		_, got := build().RunSharded(adversarialTrace(9, 600), shards)
-		if got == nil || got.Error() != err.Error() {
-			t.Fatalf("shards=%d: got error %v, want %q", shards, got, err)
-		}
-	}
-}
-
 // TestShardedCoupledConfigsDelegate pins the planner's conservative
-// side: preemption, autoscaling, the shared registry store and managed
-// admission without Lookahead make every instance step a potential
-// coupling point, so RunSharded must classify them sequential and
-// still return bit-identical reports. The unmanaged state-reading
-// dispatch cases (least-loaded, adapter and tenant affinity) must be
-// bit-identical to Run at every shard count too.
+// side: state-reading dispatch (least-loaded, adapter and tenant
+// affinity), managed admission, preemption, autoscaling and the shared
+// registry store couple instances, so RunSharded must run them with
+// Run and return bit-identical reports at every shard count.
 func TestShardedCoupledConfigsDelegate(t *testing.T) {
 	model := lmm.QwenVL7B()
 	adapters := lora.MakeUniformAdapters(model, 16, model.DefaultRank)
@@ -298,18 +147,15 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() (*Cluster, workload.Trace)
-		// epoch marks the unmanaged state-reading dispatch cases, which
-		// the planner runs on epoch barriers rather than delegating.
-		epoch bool
 	}{
-		{"unmanaged/least-loaded", unmanaged(func() DispatchPolicy { return NewLeastLoaded() }), true},
-		{"unmanaged/adapter-affinity", unmanaged(func() DispatchPolicy { return NewAdapterAffinity() }), true},
-		{"unmanaged/tenant-affinity", unmanaged(func() DispatchPolicy { return NewTenantAffinity(nil) }), true},
-		{"managed/fair-share", plainManaged(true), false},
-		{"managed/fifo", plainManaged(false), false},
+		{"unmanaged/least-loaded", unmanaged(func() DispatchPolicy { return NewLeastLoaded() })},
+		{"unmanaged/adapter-affinity", unmanaged(func() DispatchPolicy { return NewAdapterAffinity() })},
+		{"unmanaged/tenant-affinity", unmanaged(func() DispatchPolicy { return NewTenantAffinity(nil) })},
+		{"managed/fair-share", plainManaged(true)},
+		{"managed/fifo", plainManaged(false)},
 		{"preemption", func() (*Cluster, workload.Trace) {
 			return preemptCluster(t, 2), adversarialTrace(9, 600)
-		}, false},
+		}},
 		{"autoscale", func() (*Cluster, workload.Trace) {
 			as := &AutoscaleConfig{Min: 1, Max: 4, HighDepth: 32, LowDepth: 4, Cooldown: time.Second}
 			cfg := SchedulingConfig{Tenants: tenantClasses(), FairShare: true, HighWater: 8, Autoscale: as}
@@ -318,7 +164,7 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 				t.Fatal(err)
 			}
 			return cl, workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 1, 42))
-		}, false},
+		}},
 		{"registry-store", func() (*Cluster, workload.Trace) {
 			store := registry.NewStore(registry.Config{
 				HostCapacity:    10 * ab,
@@ -357,12 +203,12 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 			})
 			workload.MarkColdCandidates(trace, 2*time.Second)
 			return cl, trace
-		}, false},
+		}},
 	}
 	for _, tc := range cases {
 		cl, _ := tc.build()
-		if mode := cl.planShards(); !tc.epoch && mode != shardSequential {
-			t.Fatalf("%s: planner classified mode %d, want sequential delegation", tc.name, mode)
+		if cl.partitioned() {
+			t.Fatalf("%s: planner chose the partitioned plan, want Run", tc.name)
 		}
 		seq, trace := tc.build()
 		want, err := seq.Run(trace)
@@ -380,7 +226,8 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 	}
 }
 
-// TestShardPlannerModes pins each configuration to its planned mode.
+// TestShardPlannerModes pins the two-way plan: only an unmanaged
+// cluster with stateless dispatch and no registry store is partitioned.
 func TestShardPlannerModes(t *testing.T) {
 	model := lmm.QwenVL7B()
 	unmanaged := func(d DispatchPolicy) *Cluster {
@@ -390,19 +237,24 @@ func TestShardPlannerModes(t *testing.T) {
 		}
 		return cl
 	}
-	if got := unmanaged(NewRoundRobin()).planShards(); got != shardPartitioned {
-		t.Fatalf("round-robin: mode %d, want partitioned", got)
+	if !unmanaged(NewRoundRobin()).partitioned() {
+		t.Fatal("round-robin: want the partitioned plan")
 	}
-	if got := unmanaged(NewLeastLoaded()).planShards(); got != shardEpoch {
-		t.Fatalf("least-loaded: mode %d, want epoch", got)
+	if unmanaged(NewLeastLoaded()).partitioned() {
+		t.Fatal("least-loaded: want Run")
+	}
+	withStore := unmanaged(NewRoundRobin())
+	withStore.servers[1].opts.Store = registry.NewStore(registry.Config{}, nil)
+	if withStore.partitioned() {
+		t.Fatal("round-robin with a registry store: want Run")
 	}
 	cfg := SchedulingConfig{Tenants: tenantClasses(), FairShare: true, HighWater: 8}
 	cl, err := NewManagedCluster(2, NewRoundRobin(), cfg, managedBuild(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.planShards(); got != shardSequential {
-		t.Fatalf("managed plain: mode %d, want sequential", got)
+	if cl.partitioned() {
+		t.Fatal("managed round-robin: want Run")
 	}
 }
 

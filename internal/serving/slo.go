@@ -91,35 +91,6 @@ type SchedulingConfig struct {
 	// that many distinct arrivals of the family have been observed by
 	// the prefetcher. 0 disables family warming.
 	FamilyWarm int
-	// Lookahead, when set, opts the cluster into bounded-lookahead
-	// admission: placement is decided only at epoch barriers, where the
-	// coordinator reserves up to Slots placements per instance and
-	// pre-routes them as private feed deliveries, each consumed the
-	// moment its instance drops below HighWater. Epochs stay coarse
-	// (arrival-to-arrival, or Quantum while the queue holds work)
-	// instead of collapsing to exact global-order stepping under
-	// backlog, so sharded managed runs keep their parallelism at
-	// saturation — the regime the sharded engine previously lost.
-	// The sequential engine honours the same semantics, so reports
-	// stay bit-identical across shard counts. Incompatible with
-	// Autoscale, Store, and instance-level Preemption (their coupling
-	// defeats the reservation proof); NewManagedCluster rejects such
-	// combinations.
-	Lookahead *LookaheadConfig
-}
-
-// LookaheadConfig tunes bounded-lookahead admission (see
-// SchedulingConfig.Lookahead).
-type LookaheadConfig struct {
-	// Slots caps how many placements the coordinator may reserve per
-	// instance per epoch, beyond the HighWater in-flight bound that
-	// gates their delivery. Default: HighWater.
-	Slots int
-	// Quantum bounds an epoch's virtual-time length while the cluster
-	// queue still holds unreserved work; larger quanta amortize more
-	// parallel step work per barrier at the cost of coarser placement
-	// revision. Default 20ms.
-	Quantum time.Duration
 }
 
 // ServiceFloor builds an admission-time lower bound on a request's
@@ -157,27 +128,6 @@ func NewManagedCluster(n int, dispatch DispatchPolicy, cfg SchedulingConfig, bui
 	if cfg.Autoscale != nil {
 		as := cfg.Autoscale.withDefaults()
 		cfg.Autoscale = &as
-	}
-	if cfg.Lookahead != nil {
-		if cfg.Autoscale != nil {
-			return nil, fmt.Errorf("serving: Lookahead is incompatible with Autoscale (fleet changes invalidate epoch reservations)")
-		}
-		if cfg.Store != nil {
-			return nil, fmt.Errorf("serving: Lookahead is incompatible with a shared registry Store (the link model serializes instances)")
-		}
-		for i, srv := range c.servers {
-			if srv.opts.Preemption != nil {
-				return nil, fmt.Errorf("serving: Lookahead is incompatible with instance preemption (instance %d): requeues would cross epoch reservations", i)
-			}
-		}
-		la := *cfg.Lookahead
-		if la.Slots <= 0 {
-			la.Slots = cfg.HighWater
-		}
-		if la.Quantum <= 0 {
-			la.Quantum = 20 * time.Millisecond
-		}
-		cfg.Lookahead = &la
 	}
 	c.build = build
 	c.sched = &cfg
@@ -381,10 +331,18 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 		return nil, fmt.Errorf("serving: managed run ended with %d requests stranded in the cluster queue", tq.Len())
 	}
 
-	agg, err := c.managedReport(tally, activeCount, peak)
+	mode := "fifo"
+	if cfg.FairShare {
+		mode = "fair-share"
+	}
+	agg, err := c.drainAggregate(activeCount, mode)
 	if err != nil {
 		return nil, err
 	}
+	agg.Requests += tally.shed // shed requests never reached an instance
+	agg.Shed = tally.shed
+	agg.PeakInstances = peak
+	c.fillTenantReports(agg, tally)
 	if cfg.Store != nil {
 		// Prefetch traffic belongs to the cluster, not to any single
 		// instance: read it off the shared store once. Likewise the
@@ -403,8 +361,7 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 	return agg, nil
 }
 
-// admissionTally is the admission stage both managed engines share:
-// the cluster-level TenantQueue plus the per-tenant submitted and shed
+// admissionTally is runManaged's admission stage: the cluster-level TenantQueue plus the per-tenant submitted and shed
 // counts, kept in a dense slice indexed by sched.TenantRef.Index() so
 // each request resolves its tenant name once instead of paying a
 // string-keyed map lookup per counter. Shed requests never reach an
@@ -479,28 +436,6 @@ func (a *admissionTally) shedRef(ref sched.TenantRef, r *sched.Request, now time
 	if r.Deadline > 0 {
 		tc.shedSLO++
 	}
-}
-
-// managedReport is the report tail both managed engines share: drain
-// and aggregate the fleet under its admission mode, count the shed
-// requests, and fill the per-tenant rows.
-func (c *Cluster) managedReport(tally *admissionTally, active, peak int) (*Report, error) {
-	mode := "fifo"
-	if c.sched.FairShare {
-		mode = "fair-share"
-	}
-	if c.sched.Lookahead != nil {
-		mode += "+lookahead"
-	}
-	agg, err := c.drainAggregate(active, mode)
-	if err != nil {
-		return nil, err
-	}
-	agg.Requests += tally.shed // shed requests never reached an instance
-	agg.Shed = tally.shed
-	agg.PeakInstances = peak
-	c.fillTenantReports(agg, tally)
-	return agg, nil
 }
 
 // fillTenantReports merges per-instance tenant stats with the

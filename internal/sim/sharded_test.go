@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -143,84 +144,47 @@ func checkSameLogs(t *testing.T, want, got []*shardProc, label string) {
 	}
 }
 
-// TestShardFeedMatchesTimeline drains fed shards in one unbounded
-// epoch and checks every process's observable history is bit-identical
-// to the sequential Timeline, across shard counts.
+// TestShardFeedMatchesTimeline drains fed processes with
+// RunIndependent and checks every process's observable history is
+// bit-identical to the sequential Timeline, across worker counts.
 func TestShardFeedMatchesTimeline(t *testing.T) {
 	jobs := genJobs(8)
 	want := runSequential(t, jobs)
-	for _, shards := range []int{1, 2, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		procs := newProcs(len(jobs), 2*time.Millisecond)
-		group := make([]*Shard, shards)
-		for s := range group {
-			group[s] = NewShard(s)
-		}
+		ps := make([]Process, len(procs))
+		feeds := make([]Feed, len(procs))
 		for i, p := range procs {
-			group[i%shards].Add(p, &jobFeed{proc: p, jobs: jobs[i]})
+			ps[i], feeds[i] = p, &jobFeed{proc: p, jobs: jobs[i]}
 		}
-		g := NewShardGroup(group...)
-		g.Start()
-		if err := g.AdvanceAll(Never); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+		if err := RunIndependent(ps, feeds, workers); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		g.Stop()
-		checkSameLogs(t, want, procs, fmt.Sprintf("shards=%d", shards))
+		checkSameLogs(t, want, procs, fmt.Sprintf("workers=%d", workers))
 	}
 }
 
-// TestShardEpochBarriers splits the same run into many epochs (the
-// coordinator submits each job at its own barrier instead of using
-// feeds) and checks the result is still identical: occurrences at
-// exactly the horizon stay on the far side of the barrier.
-func TestShardEpochBarriers(t *testing.T) {
-	jobs := genJobs(5)
+// TestRunIndependentMoreWorkersThanProcs checks a worker count above
+// the process count (and a non-positive one) still drains every
+// process exactly once.
+func TestRunIndependentMoreWorkersThanProcs(t *testing.T) {
+	jobs := genJobs(3)
 	want := runSequential(t, jobs)
-
-	// Flatten arrivals into (at, proc, job) in canonical order.
-	type arr struct {
-		at        time.Duration
-		proc, job int
-	}
-	var arrivals []arr
-	for i, js := range jobs {
-		for j := range js {
-			arrivals = append(arrivals, arr{js[j].at, i, j})
+	for _, workers := range []int{0, 16} {
+		procs := newProcs(len(jobs), 2*time.Millisecond)
+		ps := make([]Process, len(procs))
+		feeds := make([]Feed, len(procs))
+		for i, p := range procs {
+			ps[i], feeds[i] = p, &jobFeed{proc: p, jobs: jobs[i]}
 		}
-	}
-	for i := 1; i < len(arrivals); i++ { // insertion sort, stable on at
-		for j := i; j > 0 && arrivals[j-1].at > arrivals[j].at; j-- {
-			arrivals[j-1], arrivals[j] = arrivals[j], arrivals[j-1]
+		if err := RunIndependent(ps, feeds, workers); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		checkSameLogs(t, want, procs, fmt.Sprintf("workers=%d", workers))
 	}
-
-	procs := newProcs(len(jobs), 2*time.Millisecond)
-	shA, shB := NewShard(0), NewShard(1)
-	for i, p := range procs {
-		if i%2 == 0 {
-			shA.Add(p, nil)
-		} else {
-			shB.Add(p, nil)
-		}
+	if err := RunIndependent(nil, nil, 4); err != nil {
+		t.Fatalf("no processes: %v", err)
 	}
-	g := NewShardGroup(shA, shB)
-	g.Start()
-	defer g.Stop()
-	idx := 0
-	for idx < len(arrivals) {
-		horizon := arrivals[idx].at
-		if err := g.AdvanceAll(horizon); err != nil {
-			t.Fatal(err)
-		}
-		for idx < len(arrivals) && arrivals[idx].at == horizon {
-			a := arrivals[idx]
-			procs[a.proc].submit(jobs[a.proc][a.job])
-			idx++
-		}
-	}
-	if err := g.AdvanceAll(Never); err != nil {
-		t.Fatal(err)
-	}
-	checkSameLogs(t, want, procs, "epoch barriers")
 }
 
 // errProc fails its Step; used to check deterministic error selection.
@@ -229,118 +193,105 @@ type errProc struct{ id int }
 func (p *errProc) NextEventAt() time.Duration { return time.Millisecond }
 func (p *errProc) Step() (bool, error)        { return false, fmt.Errorf("proc %d boom", p.id) }
 
-// TestAdvanceAllDeterministicError checks the failing process with the
-// lowest (shard, process) identity wins regardless of scheduling —
-// every shard here fails concurrently, and within a shard two
-// processes fail, so both tiers of the tie-break are exercised.
-func TestAdvanceAllDeterministicError(t *testing.T) {
-	for round := 0; round < 5; round++ {
-		shards := make([]*Shard, 4)
-		for i := range shards {
-			shards[i] = NewShard(i)
-			shards[i].Add(&errProc{id: i * 10}, nil)
-			shards[i].Add(&errProc{id: i*10 + 1}, nil)
-		}
-		g := NewShardGroup(shards...)
-		g.Start()
-		err := g.AdvanceAll(Never)
-		g.Stop()
-		if err == nil || err.Error() != "proc 0 boom" {
-			t.Fatalf("round %d: got error %v, want proc 0's", round, err)
-		}
-	}
-}
-
-// TestAdvanceAllInlineError checks the stopped-group (inline) path
-// reports the same deterministic error as the live path.
-func TestAdvanceAllInlineError(t *testing.T) {
-	shards := make([]*Shard, 3)
-	for i := range shards {
-		shards[i] = NewShard(i)
-		shards[i].Add(&errProc{id: i}, nil)
-	}
-	g := NewShardGroup(shards...)
-	if err := g.AdvanceAll(Never); err == nil || err.Error() != "proc 0 boom" {
-		t.Fatalf("inline: got error %v, want proc 0's", err)
-	}
-}
-
-// TestShardGroupLifecycle drives the same workload through a mix of
-// live and stopped phases: Start idempotence, Stop → inline fallback
-// mid-run, and restart after Stop must all leave the observable
-// history bit-identical to the sequential reference.
-func TestShardGroupLifecycle(t *testing.T) {
-	jobs := genJobs(6)
-	want := runSequential(t, jobs)
-
-	procs := newProcs(len(jobs), 2*time.Millisecond)
-	shards := []*Shard{NewShard(0), NewShard(1), NewShard(2)}
-	for i, p := range procs {
-		shards[i%3].Add(p, &jobFeed{proc: p, jobs: jobs[i]})
-	}
-	g := NewShardGroup(shards...)
-
-	g.Start()
-	g.Start() // idempotent: second Start must not double the workers
-	if err := g.AdvanceAll(20 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	g.Stop()
-	g.Stop() // idempotent
-	// Stopped group: AdvanceAll falls back to inline advancement.
-	if err := g.AdvanceAll(40 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	// Restart after Stop resumes parallel epochs.
-	g.Start()
-	if err := g.AdvanceAll(Never); err != nil {
-		t.Fatal(err)
-	}
-	g.Stop()
-	checkSameLogs(t, want, procs, "lifecycle")
-}
-
-// TestWorkStealingUnevenShards loads one shard with almost all of the
-// work so the steal path must carry it: with 2 shards and 7 of 8 procs
-// on shard 0, the run only matches the sequential reference if thieves
-// advance processes they don't own without breaking per-process state.
-func TestWorkStealingUnevenShards(t *testing.T) {
+// TestRunIndependentDeterministicError checks the lowest-indexed
+// failing process's error wins regardless of scheduling, and that the
+// healthy processes behind it are still drained.
+func TestRunIndependentDeterministicError(t *testing.T) {
 	jobs := genJobs(8)
 	want := runSequential(t, jobs)
-
-	procs := newProcs(len(jobs), 2*time.Millisecond)
-	heavy, light := NewShard(0), NewShard(1)
-	for i, p := range procs {
-		sh := heavy
-		if i == len(procs)-1 {
-			sh = light
+	for round := 0; round < 5; round++ {
+		for _, workers := range []int{1, 2, 4, 8} {
+			procs := newProcs(len(jobs), 2*time.Millisecond)
+			ps := make([]Process, len(procs))
+			feeds := make([]Feed, len(procs))
+			for i, p := range procs {
+				ps[i], feeds[i] = p, &jobFeed{proc: p, jobs: jobs[i]}
+				if i >= 2 && i%2 == 0 {
+					ps[i], feeds[i] = &errProc{id: i}, nil
+				}
+			}
+			err := RunIndependent(ps, feeds, workers)
+			if err == nil || err.Error() != "proc 2 boom" {
+				t.Fatalf("round %d workers=%d: got error %v, want proc 2's", round, workers, err)
+			}
+			for _, i := range []int{0, 1, 3, 5, 7} {
+				checkSameLogs(t, want[i:i+1], procs[i:i+1], fmt.Sprintf("round %d workers=%d proc %d", round, workers, i))
+			}
 		}
-		sh.Add(p, &jobFeed{proc: p, jobs: jobs[i]})
 	}
-	g := NewShardGroup(heavy, light)
-	g.Start()
-	defer g.Stop()
-	// Many epochs, so steal cursors are reset and re-raced repeatedly.
-	for h := 5 * time.Millisecond; ; h += 5 * time.Millisecond {
-		if err := g.AdvanceAll(h); err != nil {
+}
+
+// tieProc has one step due at a fixed time; it records its step in a
+// log shared with its feed.
+type tieProc struct {
+	at   time.Duration
+	done bool
+	log  *[]string
+}
+
+func (p *tieProc) NextEventAt() time.Duration {
+	if p.done {
+		return Never
+	}
+	return p.at
+}
+
+func (p *tieProc) Step() (bool, error) {
+	p.done = true
+	*p.log = append(*p.log, fmt.Sprintf("step@%v", p.at))
+	return true, nil
+}
+
+// tieFeed delivers one item at a fixed time into a shared log.
+type tieFeed struct {
+	at        time.Duration
+	delivered bool
+	log       *[]string
+}
+
+func (f *tieFeed) NextAt() time.Duration {
+	if f.delivered {
+		return Never
+	}
+	return f.at
+}
+
+func (f *tieFeed) Deliver() error {
+	f.delivered = true
+	*f.log = append(*f.log, fmt.Sprintf("deliver@%v", f.at))
+	return nil
+}
+
+// TestRunIndependentFeedBeforeStep pins the tie rule: a delivery and a
+// step at the same virtual time go to the feed first, as Timeline's
+// arrival-before-step rule does; an earlier step still runs first.
+func TestRunIndependentFeedBeforeStep(t *testing.T) {
+	cases := []struct {
+		step, feed time.Duration
+		want       string
+	}{
+		{5 * time.Millisecond, 5 * time.Millisecond, "deliver@5ms step@5ms"},
+		{4 * time.Millisecond, 5 * time.Millisecond, "step@4ms deliver@5ms"},
+		{6 * time.Millisecond, 5 * time.Millisecond, "deliver@5ms step@6ms"},
+	}
+	for _, tc := range cases {
+		var log []string
+		p := &tieProc{at: tc.step, log: &log}
+		f := &tieFeed{at: tc.feed, log: &log}
+		if err := RunIndependent([]Process{p}, []Feed{f}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if g.NextAt() == Never {
-			break
+		if got := strings.Join(log, " "); got != tc.want {
+			t.Fatalf("step@%v feed@%v: order %q, want %q", tc.step, tc.feed, got, tc.want)
 		}
 	}
-	if err := g.AdvanceAll(Never); err != nil {
-		t.Fatal(err)
-	}
-	checkSameLogs(t, want, procs, "steal uneven")
 }
 
 // TestShardNoProgressError mirrors Timeline's liveness contract.
 func TestShardNoProgressError(t *testing.T) {
-	sh := NewShard(0)
-	sh.Add(stuckProc{}, nil)
-	if err := sh.AdvanceTo(Never); err == nil {
-		t.Fatal("expected a no-progress error")
+	err := RunIndependent([]Process{&tieProc{log: new([]string)}, stuckProc{}}, nil, 2)
+	if err == nil || !strings.Contains(err.Error(), "process 1 advertised an event at 1s but made no progress") {
+		t.Fatalf("got error %v, want process 1's no-progress error", err)
 	}
 }
 

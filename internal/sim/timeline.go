@@ -70,7 +70,7 @@ type Timeline struct {
 }
 
 // Feed is a time-ordered input stream: Timeline.Arrivals, or one
-// process's private stream on a Shard. Each item is delivered when the
+// process's private stream under RunIndependent. Each item is delivered when the
 // clock reaches its timestamp, before any process step at that time.
 type Feed interface {
 	// NextAt reports the delivery time of the head item, or Never when

@@ -251,13 +251,12 @@ func (c *ClusterSystem) Serve(trace Trace) (*Report, error) {
 	return c.cluster.Run(trace)
 }
 
-// ServeSharded replays a trace on the parallel sharded engine:
-// instances are partitioned across shards worker goroutines,
-// synchronized only at the points that couple them. The report is
-// bit-identical to Serve's — shard count changes wall-clock time only.
-// Configurations whose coupling requires a global event order (shared
-// registry store, autoscaling, preemption, managed without Lookahead)
-// transparently run sequentially.
+// ServeSharded replays a trace like Serve and returns a bit-identical
+// report; shard count changes wall-clock time only. An unmanaged
+// cluster with stateless dispatch (round-robin) and no registry store
+// drains its instances independently on up to shards worker
+// goroutines; every other configuration runs Serve's sequential
+// engine.
 func (c *ClusterSystem) ServeSharded(trace Trace, shards int) (*Report, error) {
 	return c.cluster.RunSharded(trace, shards)
 }
