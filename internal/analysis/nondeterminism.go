@@ -13,9 +13,7 @@ import (
 //     time — the engine's clock is the Timeline, never the host's;
 //   - the global math/rand top-level functions, whose stream is shared
 //     process-wide and order-dependent — draws must come from a seeded
-//     *rand.Rand or the counter-based workload.Stream keyed by
-//     (seed, shard, seq), which stays reproducible even when the
-//     drawing code itself runs on parallel shards;
+//     *rand.Rand;
 //   - ranging over a map where the loop body feeds an ordering,
 //     selection, float accumulation, or slice append that escapes the
 //     loop — Go randomizes map iteration order per range, so any
@@ -88,7 +86,7 @@ func checkForbiddenCall(pass *Pass, call *ast.CallExpr) {
 		// stream.
 		if fn.Type().(*types.Signature).Recv() == nil && !seededRandConstructors[fn.Name()] {
 			pass.Reportf(call.Pos(),
-				"global %s.%s draws from the process-wide stream: use a seeded *rand.Rand or a counter-based workload.Stream keyed by (seed, shard, seq)", fn.Pkg().Name(), fn.Name())
+				"global %s.%s draws from the process-wide stream: use a seeded *rand.Rand", fn.Pkg().Name(), fn.Name())
 		}
 	}
 }

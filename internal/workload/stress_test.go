@@ -96,3 +96,15 @@ func TestStressDefaultsClamp(t *testing.T) {
 		t.Fatal("defaults must produce servable token counts")
 	}
 }
+
+// TestGenStressUnchanged pins the generator's output: the bench
+// bit-identity harness depends on GenStress staying byte-stable.
+func TestGenStressUnchanged(t *testing.T) {
+	a := GenStress(DefaultStress(5000, 9))
+	b := GenStress(DefaultStress(5000, 9))
+	for i := range a {
+		if *a[i] != *b[i] {
+			t.Fatalf("GenStress not deterministic at %d", i)
+		}
+	}
+}

@@ -139,19 +139,10 @@ func NewSkewedPicker(n int, skew float64, rng *rand.Rand) *AdapterPicker {
 	return &AdapterPicker{ids: ids, cum: cum, rng: rng, skew: skew}
 }
 
-// Pick draws one adapter ID from the picker's own seeded source.
+// Pick draws one adapter ID from the picker's own seeded source,
+// through the cumulative popularity weights.
 func (p *AdapterPicker) Pick() int {
-	return p.PickAt(p.rng.Float64())
-}
-
-// PickAt maps one uniform draw u ∈ [0, 1) to an adapter ID through
-// the cumulative popularity weights. It is the externally-driven form
-// of Pick for counter-based generation (workload.Stream supplies u),
-// where the picker holds no random state of its own and may be shared
-// read-only across generation workers; a picker used only through
-// PickAt may be built with a nil rng.
-func (p *AdapterPicker) PickAt(u float64) int {
-	i := sort.SearchFloat64s(p.cum, u)
+	i := sort.SearchFloat64s(p.cum, p.rng.Float64())
 	if i >= len(p.ids) {
 		i = len(p.ids) - 1
 	}
