@@ -1,10 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -85,45 +81,4 @@ func SortFetchRecords(rows []FetchRecord) {
 		}
 		return rows[i].Tenant < rows[j].Tenant
 	})
-}
-
-// WriteJSONL serializes the recorder's rows in canonical order, one
-// JSON object per line, byte-identical for identical captures.
-func (rec *FetchRecorder) WriteJSONL(w io.Writer) error {
-	rows := rec.Rows()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetEscapeHTML(false)
-	for i := range rows {
-		if err := enc.Encode(&rows[i]); err != nil {
-			return fmt.Errorf("trace: encoding fetch row %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFetchJSONL loads a JSONL fetch capture. Blank lines are
-// skipped; any other malformed line is an error naming its line
-// number.
-func ReadFetchJSONL(r io.Reader) ([]FetchRecord, error) {
-	var rows []FetchRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var rec FetchRecord
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return nil, fmt.Errorf("trace: fetch line %d: %w", line, err)
-		}
-		rows = append(rows, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: reading fetch capture: %w", err)
-	}
-	return rows, nil
 }
