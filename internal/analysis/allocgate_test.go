@@ -24,6 +24,9 @@ import (
 
 func gate(t *testing.T, name string, fn func()) {
 	t.Helper()
+	if raceEnabled {
+		t.Skipf("%s: the race runtime's instrumentation allocates, so allocation counts only hold without -race", name)
+	}
 	fn() // warm: first call may grow scratch buffers
 	if got := testing.AllocsPerRun(200, fn); got != 0 {
 		t.Errorf("%s: %.1f allocs per run at steady state, want 0", name, got)
