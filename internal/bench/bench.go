@@ -120,8 +120,9 @@ type Experiment struct {
 }
 
 // shardedExperiments are the experiment IDs that honor Suite.Shards:
-// million-requests adds it to its shard axis, the rest replay their runs through RunSharded and verify the report is
-// bit-identical to the sequential one. valora-bench -list flags them.
+// million-requests adds it to its shard axis, the rest replay their
+// runs through RunSharded and verify the report is bit-identical to
+// the sequential one. valora-bench -list flags them.
 var shardedExperiments = map[string]bool{
 	"cluster-dispatch": true,
 	"million-requests": true,

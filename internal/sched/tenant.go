@@ -202,8 +202,9 @@ func (q *TenantQueue) TenantLen(name string) int {
 // managed cluster's admission path, which sees every arrival of a
 // saturated trace, resolves the tenant name once per request and
 // issues the per-request operations through the handle, instead of
-// paying a string-keyed map lookup per operation. The zero value is invalid; obtain refs from
-// Ref. Handles stay valid for the queue's lifetime.
+// paying a string-keyed map lookup per operation. The zero value is
+// invalid; obtain refs from Ref. Handles stay valid for the queue's
+// lifetime.
 type TenantRef struct {
 	q  *TenantQueue
 	ts *tenantState

@@ -9,12 +9,12 @@ import (
 
 // RunIndependent is the parallel counterpart of Timeline for a run
 // whose processes never observe one another: it drains every process
-// to completion, each with an optional private input Feed (feeds may
-// be nil, or hold nil for a process with none). Because no process
-// sees another, draining each one alone gives it exactly the history
-// a shared Timeline would, and which goroutine drains it is
-// unobservable. Draining one process at a time also keeps its working
-// set cache-hot and skips the Timeline's global process selection.
+// to completion, each with an optional private input Feed (feeds[i]
+// is nil for a process with none). Because no process sees another,
+// draining each one alone gives it exactly the history a shared
+// Timeline would, and which goroutine drains it is unobservable.
+// Draining one process at a time also keeps its working set cache-hot
+// and skips the Timeline's global process selection.
 //
 // The processes are drained on min(workers, len(procs)) goroutines,
 // each claiming the next undrained process through one atomic cursor.
@@ -30,11 +30,7 @@ func RunIndependent(procs []Process, feeds []Feed, workers int) error {
 			if i >= len(procs) {
 				return
 			}
-			var f Feed
-			if feeds != nil {
-				f = feeds[i]
-			}
-			errs[i] = drainProcess(i, procs[i], f)
+			errs[i] = drainProcess(i, procs[i], feeds[i])
 		}
 	}
 	var wg sync.WaitGroup

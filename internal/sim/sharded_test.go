@@ -289,7 +289,7 @@ func TestRunIndependentFeedBeforeStep(t *testing.T) {
 
 // TestShardNoProgressError mirrors Timeline's liveness contract.
 func TestShardNoProgressError(t *testing.T) {
-	err := RunIndependent([]Process{&tieProc{log: new([]string)}, stuckProc{}}, nil, 2)
+	err := RunIndependent([]Process{&tieProc{log: new([]string)}, stuckProc{}}, make([]Feed, 2), 2)
 	if err == nil || !strings.Contains(err.Error(), "process 1 advertised an event at 1s but made no progress") {
 		t.Fatalf("got error %v, want process 1's no-progress error", err)
 	}
