@@ -3,10 +3,12 @@ package atmm
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
 	"valora/internal/simgpu"
+	"valora/internal/tiling"
 )
 
 // refLayerTime is ATMM's per-call path: two Table.Lookup calls and the
@@ -46,6 +48,83 @@ func randomBatch(rng *rand.Rand) Batch {
 	return b
 }
 
+// bmTokens lists the token counts j·BM−1, j·BM and j·BM+1 for every
+// BM of a's compiled configurations, up to eight blocks of M.
+func bmTokens(a *ATMM) []int {
+	seen := map[int]bool{}
+	var tokens []int
+	for _, c := range a.plan.cells {
+		bm := c.k.Config().BM
+		for j := 1; j <= 8; j++ {
+			for _, m := range []int{j*bm - 1, j * bm, j*bm + 1} {
+				if !seen[m] {
+					seen[m] = true
+					tokens = append(tokens, m)
+				}
+			}
+		}
+	}
+	sort.Ints(tokens)
+	return tokens
+}
+
+// randomWideBatch draws a batch of 1–20 groups whose ranks mix
+// profiled and unprofiled values and whose token counts come from
+// tokens (see bmTokens) or are single decode tokens.
+func randomWideBatch(rng *rand.Rand, tokens []int) Batch {
+	ranks := []int{16, 32, 64, 128, 8, 48, 96}
+	b := Batch{Dim: 4096, Projections: 1 + rng.Intn(4)}
+	if rng.Intn(10) == 0 {
+		b.Dim = 5120
+	}
+	for i := 0; i < 1+rng.Intn(20); i++ {
+		m := 1
+		if rng.Intn(2) == 0 {
+			m = tokens[rng.Intn(len(tokens))]
+		}
+		r := ranks[rng.Intn(4)]
+		if rng.Intn(8) == 0 {
+			r = ranks[4+rng.Intn(3)]
+		}
+		b.Groups = append(b.Groups, Group{AdapterID: i, Tokens: m, Rank: r})
+	}
+	return b
+}
+
+// rankMix reports whether b has groups of profiled and of unprofiled
+// ranks on a's plan.
+func rankMix(a *ATMM, b Batch) (profiled, unprofiled bool) {
+	for _, g := range b.Groups {
+		if g.Rank < len(a.plan.rankRow) && a.plan.rankRow[g.Rank] >= 0 {
+			profiled = true
+		} else {
+			unprofiled = true
+		}
+	}
+	return profiled, unprofiled
+}
+
+// onGrid reports whether every shape of b is on a's plan: its hidden
+// dim, profiled ranks only, and a total M within the last bucket.
+func onGrid(a *ATMM, b Batch) bool {
+	if profiled, unprofiled := rankMix(a, b); !profiled || unprofiled {
+		return false
+	}
+	return b.Dim == a.plan.dim && tiling.BucketIndex(b.TotalTokens()) < a.plan.buckets
+}
+
+// wideWaves reports the wave count of b's expand kernel on a.
+func wideWaves(a *ATMM, b Batch) int {
+	var sc segScratch
+	_, expand := segmentsFor(b, &sc)
+	cfg, _ := a.table.Lookup(simgpu.Shape{M: b.TotalTokens(), K: b.MaxRank(), N: b.Dim}, simgpu.TensorCore)
+	c, err := a.gpu.BatchGEMMCost(expand, cfg, simgpu.TensorCore)
+	if err != nil {
+		return 0
+	}
+	return c.Waves
+}
+
 // TestATMMMatchesTableLookup differentially checks the adaptive and
 // static operators against refLayerTime on random batches, and their
 // GEMMTime and BatchTime against the lookup path on a shape grid. The
@@ -77,6 +156,35 @@ func TestATMMMatchesTableLookup(t *testing.T) {
 				t.Fatalf("batch %+v: LayerTime = %v, %v; lookup path %v, %v", b, got, err, want, wantErr)
 			}
 		}
+	}
+	// Wider batches: 1–20 groups, profiled and unprofiled ranks mixed
+	// in one batch, and token counts at every BM multiple ±1 of the
+	// plan's compiled configurations, enough of them to need more
+	// than one wave of blocks.
+	tokens := bmTokens(adaptive)
+	var mixed, grid, multiWave int
+	for i := 0; i < 3000; i++ {
+		b := randomWideBatch(rng, tokens)
+		for _, a := range []*ATMM{adaptive, static} {
+			want, wantErr := refLayerTime(a, b)
+			got, err := a.LayerTime(b)
+			if (err == nil) != (wantErr == nil) || got != want {
+				t.Fatalf("batch %+v: LayerTime = %v, %v; lookup path %v, %v", b, got, err, want, wantErr)
+			}
+		}
+		if profiled, unprofiled := rankMix(adaptive, b); profiled && unprofiled {
+			mixed++
+		}
+		if onGrid(adaptive, b) {
+			grid++
+			if wideWaves(adaptive, b) > 1 {
+				multiWave++
+			}
+		}
+	}
+	if mixed < 100 || grid < 1000 || multiWave < 100 {
+		t.Fatalf("wide batches: %d mix profiled and unprofiled ranks, %d are on the plan's grid, %d of those need more than one wave; want >= 100, 1000, 100",
+			mixed, grid, multiWave)
 	}
 	// The switcher's helpers take arbitrary shapes, ΔW squares among
 	// them.
@@ -143,6 +251,35 @@ func TestATMMSharedAcrossGoroutines(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkATMMLayerTime costs a fixed mix of serving-shaped batches:
+// 4–8 rank-64 groups on the serving model's plan, about half of them
+// one-token decode groups and the rest 32–330-token prefill groups.
+func BenchmarkATMMLayerTime(b *testing.B) {
+	a, err := NewATMM(simgpu.A100(), 4096, 16*4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	batches := make([]Batch, 64)
+	for i := range batches {
+		batches[i] = Batch{Dim: 4096, Projections: 4}
+		for j := 0; j < 4+rng.Intn(5); j++ {
+			m := 1
+			if rng.Intn(2) == 0 {
+				m = 32 + rng.Intn(299)
+			}
+			batches[i].Groups = append(batches[i].Groups, Group{AdapterID: j, Tokens: m, Rank: 64})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.LayerTime(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
