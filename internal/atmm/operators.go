@@ -92,6 +92,12 @@ const (
 // so the index only removes per-call work. A shape off the grid (an
 // unprofiled rank, M above the last bucket, another hidden dim) is not
 // in the plan and takes the lookup path.
+//
+// A cell also holds its kernel's segment terms for every profiled
+// rank: the K- and N-dependent cost terms of a LoRA group of that rank
+// and its terms at gridM = 1, which covers every group of at most BM
+// tokens. LayerTime costs an on-grid batch from them without building
+// segments.
 type plan struct {
 	dim     int
 	buckets int   // M buckets 16<<0 .. 16<<(buckets-1)
@@ -103,6 +109,11 @@ type plan struct {
 type planCell struct {
 	k  simgpu.Kernel
 	ok bool // compiled; false leaves the shape to the lookup path
+	// terms[row] are k's terms for the segments of a group of the
+	// row's rank: (dim, rank) for a shrink cell, (rank, dim) for an
+	// expand cell. nil when the cell is not compiled, or when its rank
+	// equals the hidden dim and its shapes' direction is ambiguous.
+	terms []simgpu.SegmentTerms
 }
 
 // compile builds the plan for hidden dim over the given ranks and
@@ -125,11 +136,28 @@ func (a *ATMM) compile(dim int, ranks []int, buckets int) plan {
 				}
 				cfg, _ := a.table.Lookup(s, simgpu.TensorCore)
 				k, err := a.gpu.Compile(cfg, simgpu.TensorCore)
-				p.cells[(dir*p.rows+row)*buckets+b] = planCell{k: k, ok: err == nil}
+				c := p.at(dir, row, b)
+				*c = planCell{k: k, ok: err == nil}
+				if !c.ok || r == dim {
+					continue
+				}
+				c.terms = make([]simgpu.SegmentTerms, len(ranks))
+				for sr, segRank := range ranks {
+					if dir == shrinkDir {
+						c.terms[sr] = c.k.Terms(dim, segRank)
+					} else {
+						c.terms[sr] = c.k.Terms(segRank, dim)
+					}
+				}
 			}
 		}
 	}
 	return p
+}
+
+// at returns the cell of a direction, rank row and M bucket.
+func (p *plan) at(dir, row, bucket int) *planCell {
+	return &p.cells[(dir*p.rows+row)*p.buckets+bucket]
 }
 
 // kernel returns the compiled kernel for a shape: from the plan when
@@ -145,7 +173,7 @@ func (a *ATMM) kernel(s simgpu.Shape) (simgpu.Kernel, error) {
 	}
 	if (s.K == p.dim || s.N == p.dim) && rank >= 0 && rank < len(p.rankRow) {
 		if row, b := p.rankRow[rank], tiling.BucketIndex(s.M); row >= 0 && b < p.buckets {
-			if c := &p.cells[(dir*p.rows+row)*p.buckets+b]; c.ok {
+			if c := p.at(dir, row, b); c.ok {
 				return c.k, nil
 			}
 		}
@@ -155,10 +183,14 @@ func (a *ATMM) kernel(s simgpu.Shape) (simgpu.Kernel, error) {
 }
 
 // LayerTime costs the shrink and expand fused kernels with per-shape
-// adaptive configurations.
+// adaptive configurations: from the plan's segment terms when the
+// batch is on the grid, else by building its segments.
 //
 //valora:hotpath
 func (a *ATMM) LayerTime(b Batch) (time.Duration, error) {
+	if d, ok := a.planLayerTime(b); ok {
+		return d, nil
+	}
 	if err := b.Validate(); err != nil {
 		return 0, err
 	}
@@ -186,6 +218,46 @@ func (a *ATMM) LayerTime(b Batch) (time.Duration, error) {
 	// The expand output is accumulated onto the base-model activations
 	// in-kernel (epilogue fusion), so no separate add kernel is paid.
 	return ts + te + gatherCost(b), nil
+}
+
+// planLayerTime is LayerTime for a valid, non-empty batch on the
+// plan's grid: the plan's hidden dim, profiled ranks only and a total
+// token count within the last bucket. It walks the groups once to pick
+// the cells, as kernel would, and once to sum their segment terms. ok
+// is false for any other batch, invalid ones included.
+//
+//valora:hotpath
+func (a *ATMM) planLayerTime(b Batch) (d time.Duration, ok bool) {
+	p := &a.plan
+	if b.Dim != p.dim || b.Projections <= 0 || len(b.Groups) == 0 {
+		return 0, false
+	}
+	total, rank := 0, 0
+	for _, g := range b.Groups {
+		if g.Tokens <= 0 || g.Rank <= 0 || g.Rank >= len(p.rankRow) || p.rankRow[g.Rank] < 0 {
+			return 0, false
+		}
+		total += g.Tokens
+		if g.Rank > rank {
+			rank = g.Rank
+		}
+	}
+	bucket := tiling.BucketIndex(total)
+	if bucket >= p.buckets {
+		return 0, false
+	}
+	row := p.rankRow[rank]
+	cs, ce := p.at(shrinkDir, row, bucket), p.at(expandDir, row, bucket)
+	if cs.terms == nil || ce.terms == nil {
+		return 0, false
+	}
+	var ss, se simgpu.CostSums
+	for _, g := range b.Groups {
+		r := p.rankRow[g.Rank]
+		cs.k.AddSegment(&ss, &cs.terms[r], g.Tokens, b.Projections)
+		ce.k.AddSegment(&se, &ce.terms[r], g.Tokens, b.Projections)
+	}
+	return cs.k.SumsTime(&ss) + ce.k.SumsTime(&se) + gatherCost(b), true
 }
 
 // GEMMTime exposes ATMM for a single (non-LoRA) GEMM, used by the

@@ -107,82 +107,186 @@ func (k *Kernel) BatchCost(segs []Segment) (BatchCost, error) {
 //
 //valora:hotpath
 func (k *Kernel) BatchTime(segs []Segment) (time.Duration, error) {
-	c, _, err := k.cost(segs)
-	return c.Total, err
+	s, err := k.sums(segs)
+	if err != nil {
+		return 0, err
+	}
+	return k.SumsTime(&s), nil
 }
 
-// cost is the latency model: the one place its formulas live. It
-// reports the breakdown (Shape unset) and the segment count; segments
-// with a non-positive count are skipped, and a batch with no blocks
-// costs zero.
+// The latency model is split into three pieces, the one place its
+// formulas live:
+//
+//   - segTerms and unitAt: one segment shape's terms at unit count. A
+//     segment's M enters only through gridM = ⌈M/BM⌉, so segTerms
+//     holds everything that depends on K and N alone and unitAt adds
+//     what depends on gridM;
+//   - CostSums.add: the count-weighted sums over a batch's segments;
+//   - tail: the wave, roofline and exposed-latency arithmetic that
+//     turns the sums into latency.
+//
+// cost runs all three per call. A caller that costs many batches on
+// one kernel precomputes Terms per (K, N) and feeds AddSegment and
+// SumsTime, skipping the per-segment K and N work.
+
+// SegmentTerms are one segment shape's cost terms under a kernel that
+// do not depend on M, plus its unit terms at gridM = 1 (every segment
+// of at most BM rows). Build them with Kernel.Terms.
+type SegmentTerms struct {
+	gridN, splitK int
+	kSteps        int
+	np, kp        int
+	fnp, fkp      float64 // padded-FLOP factors: float64(np), float64(kp)
+	uniqueB       int64
+	missB         float64 // 1 - l2Hit(uniqueB)
+	one           unitTerms
+}
+
+// unitTerms are one segment's contributions at count 1 and one gridM.
+type unitTerms struct {
+	blocks    int
+	fmp       float64 // padded-FLOP factor float64(gridM·BM)
+	tileLoads int64
+	hbm       int64
+}
+
+// CostSums are the count-weighted sums of a batch's segments under one
+// kernel; the zero value is an empty batch.
+type CostSums struct {
+	blocks      int
+	segs        int
+	paddedFLOPs float64
+	tileLoads   int64
+	hbm         int64
+	maxKSteps   int
+	splitKUsed  bool
+}
+
+// segTerms computes the M-independent terms of a segment with the
+// given positive K and N; its one field is left unset.
 //
 //valora:hotpath
-func (k *Kernel) cost(segs []Segment) (KernelCost, int, error) {
-	g, cfg := k.g, k.cfg
-	var (
-		blocks      int
-		totalSegs   int
-		paddedFLOPs float64
-		tileLoads   int64
-		hbm         int64
-		maxKSteps   int
-		splitKUsed  bool
-	)
-	for _, seg := range segs {
-		n := seg.Count
-		if n <= 0 {
-			continue
-		}
-		s := seg.Shape
-		if s.M <= 0 || s.K <= 0 || s.N <= 0 {
-			//valora:allow hotpath -- cold path: operators validate their batches, so a bad shape never reaches the serving loop
-			return KernelCost{}, 0, fmt.Errorf("simgpu: non-positive segment shape %v", s)
-		}
-		gridM := ceilDiv(s.M, cfg.BM)
-		gridN := ceilDiv(s.N, cfg.BN)
-		splitK := cfg.SplitK
-		// Split-K beyond the number of K-tiles is pointless.
-		if maxSplit := ceilDiv(s.K, cfg.BK); splitK > maxSplit {
-			splitK = maxSplit
-		}
-		if splitK > 1 {
-			splitKUsed = true
-		}
-		mp := gridM * cfg.BM
-		np := gridN * cfg.BN
-		kPer := ceilDiv(ceilDiv(s.K, splitK), cfg.BK) * cfg.BK
-		kp := kPer * splitK
-		if kSteps := kPer / cfg.BK; kSteps > maxKSteps {
-			maxKSteps = kSteps
-		}
-
-		blocks += n * gridM * gridN * splitK
-		totalSegs += n
-		paddedFLOPs += float64(n) * 2 * float64(mp) * float64(np) * float64(kp)
-
-		// Every block streams its A and B tiles through shared memory;
-		// HBM serves first touches plus L2 misses on re-reads, the
-		// output, and split-K partials (written, then read back for
-		// the reduction).
-		tileLoads += int64(n) * (int64(gridN)*int64(mp)*int64(kp)*elemBytes +
-			int64(gridM)*int64(np)*int64(kp)*elemBytes)
-		uniqueA := int64(mp) * int64(kp) * elemBytes
-		uniqueB := int64(np) * int64(kp) * elemBytes
-		rereadA := int64(gridN-1) * uniqueA
-		rereadB := int64(gridM-1) * uniqueB
-		segHBM := uniqueA + uniqueB +
-			int64(float64(rereadA)*(1-g.l2Hit(uniqueA))) +
-			int64(float64(rereadB)*(1-g.l2Hit(uniqueB))) +
-			int64(mp)*int64(np)*elemBytes
-		if splitK > 1 {
-			segHBM += 2 * int64(mp) * int64(np) * accumBytes * int64(splitK)
-		}
-		hbm += int64(n) * segHBM
+func (k *Kernel) segTerms(K, N int) SegmentTerms {
+	cfg := k.cfg
+	gridN := ceilDiv(N, cfg.BN)
+	splitK := cfg.SplitK
+	// Split-K beyond the number of K-tiles is pointless.
+	if maxSplit := ceilDiv(K, cfg.BK); splitK > maxSplit {
+		splitK = maxSplit
 	}
-	if blocks == 0 {
-		return KernelCost{Config: cfg, Class: k.class}, 0, nil
+	np := gridN * cfg.BN
+	kPer := ceilDiv(ceilDiv(K, splitK), cfg.BK) * cfg.BK
+	kp := kPer * splitK
+	uniqueB := int64(np) * int64(kp) * elemBytes
+	return SegmentTerms{
+		gridN:   gridN,
+		splitK:  splitK,
+		kSteps:  kPer / cfg.BK,
+		np:      np,
+		kp:      kp,
+		fnp:     float64(np),
+		fkp:     float64(kp),
+		uniqueB: uniqueB,
+		missB:   1 - k.g.l2Hit(uniqueB),
 	}
+}
 
+// unitAt computes a segment's unit terms at gridM.
+//
+//valora:hotpath
+func (k *Kernel) unitAt(t *SegmentTerms, gridM int) unitTerms {
+	mp := gridM * k.cfg.BM
+	np, kp := t.np, t.kp
+	// Every block streams its A and B tiles through shared memory;
+	// HBM serves first touches plus L2 misses on re-reads, the
+	// output, and split-K partials (written, then read back for
+	// the reduction).
+	uniqueA := int64(mp) * int64(kp) * elemBytes
+	rereadA := int64(t.gridN-1) * uniqueA
+	rereadB := int64(gridM-1) * t.uniqueB
+	hbm := uniqueA + t.uniqueB +
+		int64(float64(rereadA)*(1-k.g.l2Hit(uniqueA))) +
+		int64(float64(rereadB)*t.missB) +
+		int64(mp)*int64(np)*elemBytes
+	if t.splitK > 1 {
+		hbm += 2 * int64(mp) * int64(np) * accumBytes * int64(t.splitK)
+	}
+	return unitTerms{
+		blocks: gridM * t.gridN * t.splitK,
+		fmp:    float64(mp),
+		tileLoads: int64(t.gridN)*int64(mp)*int64(kp)*elemBytes +
+			int64(gridM)*int64(np)*int64(kp)*elemBytes,
+		hbm: hbm,
+	}
+}
+
+// add accumulates n segments with terms t and unit terms u.
+//
+//valora:hotpath
+func (s *CostSums) add(t *SegmentTerms, u *unitTerms, n int) {
+	s.blocks += n * u.blocks
+	s.segs += n
+	s.paddedFLOPs += float64(n) * 2 * u.fmp * t.fnp * t.fkp
+	s.tileLoads += int64(n) * u.tileLoads
+	s.hbm += int64(n) * u.hbm
+	if t.kSteps > s.maxKSteps {
+		s.maxKSteps = t.kSteps
+	}
+	if t.splitK > 1 {
+		s.splitKUsed = true
+	}
+}
+
+// Terms precomputes the cost terms of segments with positive K and N
+// on k, for AddSegment.
+func (k *Kernel) Terms(K, N int) SegmentTerms {
+	t := k.segTerms(K, N)
+	t.one = k.unitAt(&t, 1)
+	return t
+}
+
+// AddSegment adds n segments of m ≥ 1 rows, whose K and N t was built
+// for by k.Terms, to s. Segments of at most BM rows take t's gridM = 1
+// terms; a non-positive n adds nothing.
+//
+//valora:hotpath
+func (k *Kernel) AddSegment(s *CostSums, t *SegmentTerms, m, n int) {
+	if n <= 0 {
+		return
+	}
+	if m <= k.cfg.BM {
+		s.add(t, &t.one, n)
+		return
+	}
+	u := k.unitAt(t, ceilDiv(m, k.cfg.BM))
+	s.add(t, &u, n)
+}
+
+// SumsTime is the total latency of one launch of k over the segments
+// summed in s; an empty s costs zero.
+//
+//valora:hotpath
+func (k *Kernel) SumsTime(s *CostSums) time.Duration {
+	if s.blocks == 0 {
+		return 0
+	}
+	return k.tail(s).total
+}
+
+// tailTerms are the latency terms tail derives from a batch's sums.
+type tailTerms struct {
+	waves                      int
+	smUtil                     float64
+	computeSec, memSec, l2Sec  float64
+	exposed, splitKTime, total time.Duration
+}
+
+// tail turns non-empty sums into latency.
+//
+//valora:hotpath
+func (k *Kernel) tail(s *CostSums) tailTerms {
+	g := k.g
+	blocks := s.blocks
 	// Wave accounting.
 	waves := ceilDiv(blocks, k.blocksPerWave)
 	var smUtil float64
@@ -194,41 +298,85 @@ func (k *Kernel) cost(segs []Segment) (KernelCost, int, error) {
 		smUtil = (float64(waves-1) + last) / float64(waves)
 	}
 
-	computeSec := paddedFLOPs / (k.peak * smUtil * k.weff * k.pipeEff)
-	memSec := float64(hbm) / g.HBMBandwidth
-	l2Sec := float64(tileLoads) / g.L2Bandwidth
+	computeSec := s.paddedFLOPs / (k.peak * smUtil * k.weff * k.pipeEff)
+	memSec := float64(s.hbm) / g.HBMBandwidth
+	l2Sec := float64(s.tileLoads) / g.L2Bandwidth
 
 	step := k.stepWide
 	if blocks < g.SMs {
 		step = k.stepSolo
 	}
-	exposed := time.Duration(float64(waves*maxKSteps) * step)
+	exposed := time.Duration(float64(waves*s.maxKSteps) * step)
 
 	var splitKTime time.Duration
-	if splitKUsed {
+	if s.splitKUsed {
 		splitKTime = g.KernelLaunch // separate reduction kernel
 	}
 	roof := math.Max(computeSec, math.Max(memSec, l2Sec))
-	total := g.KernelLaunch + splitKTime + exposed + time.Duration(roof*1e9)*time.Nanosecond
+	return tailTerms{
+		waves:      waves,
+		smUtil:     smUtil,
+		computeSec: computeSec,
+		memSec:     memSec,
+		l2Sec:      l2Sec,
+		exposed:    exposed,
+		splitKTime: splitKTime,
+		total:      g.KernelLaunch + splitKTime + exposed + time.Duration(roof*1e9)*time.Nanosecond,
+	}
+}
 
+// sums runs segs through the first two pieces of the model. Segments
+// with a non-positive count are skipped.
+//
+//valora:hotpath
+func (k *Kernel) sums(segs []Segment) (CostSums, error) {
+	var s CostSums
+	for _, seg := range segs {
+		n := seg.Count
+		if n <= 0 {
+			continue
+		}
+		sh := seg.Shape
+		if sh.M <= 0 || sh.K <= 0 || sh.N <= 0 {
+			//valora:allow hotpath -- cold path: operators validate their batches, so a bad shape never reaches the serving loop
+			return CostSums{}, fmt.Errorf("simgpu: non-positive segment shape %v", sh)
+		}
+		t := k.segTerms(sh.K, sh.N)
+		u := k.unitAt(&t, ceilDiv(sh.M, k.cfg.BM))
+		s.add(&t, &u, n)
+	}
+	return s, nil
+}
+
+// cost is the latency model with its full breakdown (Shape unset) and
+// the segment count; a batch with no blocks costs zero.
+func (k *Kernel) cost(segs []Segment) (KernelCost, int, error) {
+	s, err := k.sums(segs)
+	if err != nil {
+		return KernelCost{}, 0, err
+	}
+	if s.blocks == 0 {
+		return KernelCost{Config: k.cfg, Class: k.class}, 0, nil
+	}
+	t := k.tail(&s)
 	return KernelCost{
-		Config:      cfg,
+		Config:      k.cfg,
 		Class:       k.class,
-		Blocks:      blocks,
+		Blocks:      s.blocks,
 		BlocksPerSM: k.blocksPerSM,
-		Waves:       waves,
-		SMUtil:      smUtil,
+		Waves:       t.waves,
+		SMUtil:      t.smUtil,
 		WarpEff:     k.weff,
-		KSteps:      maxKSteps,
-		PaddedFLOPs: paddedFLOPs,
-		TileLoads:   tileLoads,
-		HBMBytes:    hbm,
-		ComputeTime: time.Duration(computeSec * 1e9),
-		MemoryTime:  time.Duration(memSec * 1e9),
-		L2Time:      time.Duration(l2Sec * 1e9),
-		ExposedTime: exposed,
-		SplitKTime:  splitKTime,
-		LaunchTime:  g.KernelLaunch,
-		Total:       total,
-	}, totalSegs, nil
+		KSteps:      s.maxKSteps,
+		PaddedFLOPs: s.paddedFLOPs,
+		TileLoads:   s.tileLoads,
+		HBMBytes:    s.hbm,
+		ComputeTime: time.Duration(t.computeSec * 1e9),
+		MemoryTime:  time.Duration(t.memSec * 1e9),
+		L2Time:      time.Duration(t.l2Sec * 1e9),
+		ExposedTime: t.exposed,
+		SplitKTime:  t.splitKTime,
+		LaunchTime:  k.g.KernelLaunch,
+		Total:       t.total,
+	}, s.segs, nil
 }

@@ -311,3 +311,50 @@ func sameErr(a, b error) bool {
 	}
 	return a.Error() == b.Error()
 }
+
+// TestSegmentTermsMatchReference holds the precomputed-terms path —
+// Terms per (K, N), AddSegment per segment, SumsTime per launch —
+// bit-identical to the frozen oracle's batch total on every feasible
+// grid configuration, with row counts at every BM multiple ±1 so
+// segments take both the gridM = 1 terms and the per-call gridM path.
+func TestSegmentTermsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	lists := make([][]Segment, 12)
+	for i := range lists {
+		lists[i] = randomSegments(rng, false)
+	}
+	lists = append(lists, nil)
+	for _, bm := range []int{16, 32, 64, 128, 256} {
+		var segs []Segment
+		for j := 1; j <= 4; j++ {
+			for _, m := range []int{j*bm - 1, j * bm, j*bm + 1} {
+				segs = append(segs, Segment{Shape: Shape{M: m, K: 4096, N: 64}, Count: 2}, Segment{Shape: Shape{M: m, K: 64, N: 4096}, Count: 1})
+			}
+		}
+		lists = append(lists, segs)
+	}
+	for _, g := range []*GPU{A100(), A10()} {
+		for _, cfg := range rawSpace() {
+			for _, class := range []CoreClass{TensorCore, CUDACore} {
+				k, err := g.Compile(cfg, class)
+				if err != nil {
+					continue
+				}
+				for _, segs := range lists {
+					want, err := refBatchGEMMCost(g, segs, cfg, class)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var s CostSums
+					for _, seg := range segs {
+						terms := k.Terms(seg.Shape.K, seg.Shape.N)
+						k.AddSegment(&s, &terms, seg.Shape.M, seg.Count)
+					}
+					if got := k.SumsTime(&s); got != want.Total {
+						t.Fatalf("%s %v %v segs %v: SumsTime = %v; reference %v", g.Name, cfg, class, segs, got, want.Total)
+					}
+				}
+			}
+		}
+	}
+}
