@@ -433,9 +433,15 @@ func (s *Server) Step() (bool, error) {
 		r.Slot = s.slotFor(r.AdapterID)
 		s.waiting = append(s.waiting, r)
 	}
-	for len(s.waiting) > 0 && len(s.active) < s.opts.AdmitCap {
-		s.active = append(s.active, s.waiting[0])
-		s.waiting = s.waiting[1:]
+	// Admit the head of the queue in one move and compact the rest to
+	// the front, so the backing array is reused instead of walking
+	// forward; the vacated tail is cleared so admitted requests are not
+	// retained through it.
+	if k := min(len(s.waiting), s.opts.AdmitCap-len(s.active)); k > 0 {
+		s.active = append(s.active, s.waiting[:k]...)
+		n := copy(s.waiting, s.waiting[k:])
+		clear(s.waiting[n:])
+		s.waiting = s.waiting[:n]
 	}
 	if len(s.active) == 0 {
 		next := s.pending.Peek()
@@ -787,7 +793,7 @@ func (s *Server) executeEvictions(d *sched.Decision) {
 		}
 		for i, q := range s.waiting {
 			if q == w {
-				s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
+				s.waiting = slices.Delete(s.waiting, i, i+1)
 				s.active = append(s.active, w)
 				break
 			}
