@@ -29,8 +29,17 @@ type chunk struct {
 	refs     int
 	resident bool
 	fetching bool
-	tr       *transfer       // the queued/in-flight transfer while fetching
+	tr       *transfer       // the queued/in-flight transfer while fetching: &xfer or nil
+	xfer     transfer        // storage for the chunk's one transfer at a time
 	waiters  []*chunkAdapter // fetching adapters awaiting this chunk
+}
+
+// startTransfer points the chunk's transfer at a fresh journey in its
+// own storage; the chunk has no other transfer queued or in flight.
+func (c *chunk) startTransfer(tenant string, demand bool, seq int64) *transfer {
+	c.xfer = transfer{ch: c, tenant: tenant, demand: demand, seq: seq}
+	c.tr = &c.xfer
+	return c.tr
 }
 
 // chunkAdapter is one adapter's (or family warm-set prefix's) state in
@@ -272,9 +281,7 @@ func (s *Store) startFetch(key uint64, tenant, family string, nominal int64, lis
 		}
 		c.fetching = true
 		ch.seq++
-		tr := &transfer{ch: c, tenant: tenant, demand: demand, seq: ch.seq}
-		c.tr = tr
-		s.leastPendingLink().enqueue(tr, now, &s.cfg)
+		s.leastPendingLink().enqueue(c.startTransfer(tenant, demand, ch.seq), now, &s.cfg)
 		enqueued = true
 		ca.queuedBytes += c.bytes
 		s.stats.ChunkFetches++
@@ -388,7 +395,7 @@ func (s *Store) advance(now time.Duration) {
 		case ca != nil && (tr == nil || ca.done <= tr.done):
 			s.completeFetch(ca)
 		case tr != nil:
-			s.landChunk(l.pop(&s.cfg))
+			s.landChunk(l.pop())
 		default:
 			return
 		}

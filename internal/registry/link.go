@@ -9,6 +9,7 @@ import "time"
 type transfer struct {
 	ch        *chunk
 	tenant    string
+	tag       int   // index of the tenant's tag on the transfer's link
 	demand    bool  // demand-class (a queued request waits on it)
 	seq       int64 // global enqueue order, the FIFO tie-break
 	scheduled bool  // start/done assigned (zero times are valid, so a flag)
@@ -27,15 +28,28 @@ type transfer struct {
 type link struct {
 	id    int
 	queue []*transfer // schedule order; queue[0] may be in service
-	// served accumulates weighted bytes served per tenant (the fair-
-	// share basis). Only indexed, never ranged: iteration happens over
-	// the queue slice, so the schedule is deterministic.
-	served  map[string]float64
-	pending int64 // bytes queued but not yet completed
+	// tags holds one fair-share tag per tenant seen on the link, in
+	// first-enqueue order; a transfer indexes its tenant's tag. Links
+	// see few tenants, so a new tenant's tag is found by a scan.
+	tags    []tenantTag
+	pending int64       // bytes queued but not yet completed
+	order   []*transfer // reschedule scratch
+}
+
+// tenantTag is one tenant's fair-share state on a link.
+type tenantTag struct {
+	tenant string
+	weight float64 // fair-share weight (weightOf), resolved once
+	// served accumulates weighted bytes served (bytes / weight), the
+	// fair-share basis.
+	served float64
+	// virt is reschedule's scratch: weighted bytes on the wire or
+	// scheduled ahead of the transfer being placed.
+	virt float64
 }
 
 func newLink(id int) *link {
-	return &link{id: id, served: make(map[string]float64)}
+	return &link{id: id}
 }
 
 // weightOf resolves a tenant's fair-share weight (default 1).
@@ -46,6 +60,17 @@ func weightOf(weights map[string]float64, tenant string) float64 {
 	return 1
 }
 
+// tagOf returns the index of tenant's tag, adding one on first sight.
+func (l *link) tagOf(tenant string, cfg *Config) int {
+	for i := range l.tags {
+		if l.tags[i].tenant == tenant {
+			return i
+		}
+	}
+	l.tags = append(l.tags, tenantTag{tenant: tenant, weight: weightOf(cfg.LinkWeights, tenant)})
+	return len(l.tags) - 1
+}
+
 // enqueue adds a transfer to the link and re-derives the schedule. A
 // tenant arriving with an empty per-link backlog has its service tag
 // bumped to the least tag among currently-backlogged tenants (the
@@ -53,20 +78,23 @@ func weightOf(weights map[string]float64, tenant string) float64 {
 // banked deficit, so a freshly-arriving sweep cannot monopolize the
 // wire until it "catches up" — which is exactly how it would starve
 // the other tenants' demand fetches.
+//
+//valora:hotpath
 func (l *link) enqueue(t *transfer, now time.Duration, cfg *Config) {
+	t.tag = l.tagOf(t.tenant, cfg)
 	backlogged := false
 	minTag, haveTag := 0.0, false
 	for _, q := range l.queue {
-		if q.tenant == t.tenant {
+		if q.tag == t.tag {
 			backlogged = true
 		}
-		tag := l.served[q.tenant]
+		tag := l.tags[q.tag].served
 		if !haveTag || tag < minTag {
 			minTag, haveTag = tag, true
 		}
 	}
-	if !backlogged && haveTag && l.served[t.tenant] < minTag {
-		l.served[t.tenant] = minTag
+	if tt := &l.tags[t.tag]; !backlogged && haveTag && tt.served < minTag {
+		tt.served = minTag
 	}
 	l.queue = append(l.queue, t)
 	l.pending += t.ch.bytes
@@ -79,6 +107,8 @@ func (l *link) enqueue(t *transfer, now time.Duration, cfg *Config) {
 // its start/done recomputed back-to-back. Chunk transfer time is pure
 // wire time (bytes/bandwidth); the per-fetch RemoteLatency is charged
 // once per adapter fetch, at completion, not once per chunk.
+//
+//valora:hotpath
 func (l *link) reschedule(now time.Duration, cfg *Config) {
 	keep := 0
 	free := now
@@ -94,14 +124,18 @@ func (l *link) reschedule(now time.Duration, cfg *Config) {
 	// weighted; the in-service transfer is already charged at pop time
 	// via served, so charge it here explicitly while it occupies the
 	// wire to keep its tenant from double-dipping.
-	virt := make(map[string]float64, 4)
+	for i := range l.tags {
+		l.tags[i].virt = 0
+	}
 	if keep == 1 {
 		h := l.queue[0]
-		virt[h.tenant] += float64(h.ch.bytes) / weightOf(cfg.LinkWeights, h.tenant)
+		l.tags[h.tag].virt += float64(h.ch.bytes) / l.tags[h.tag].weight
 	}
-	scheduled := make([]*transfer, 0, len(rest))
-	remaining := append([]*transfer(nil), rest...)
-	for len(remaining) > 0 {
+	// remaining holds the unplaced transfers in queue order; each pass
+	// places the next one at l.queue[next].
+	remaining := append(l.order[:0], rest...)
+	l.order = remaining
+	for next := keep; len(remaining) > 0; next++ {
 		// Per tenant, the eligible candidate is its first transfer in
 		// (demand-first, then seq) order; among tenants, pick the least
 		// weighted lifetime+virtual service, tie-broken by tenant name
@@ -113,7 +147,7 @@ func (l *link) reschedule(now time.Duration, cfg *Config) {
 				continue
 			}
 			b := remaining[best]
-			if t.tenant == b.tenant {
+			if t.tag == b.tag {
 				if less := transferClassLess(t, b); less {
 					best = i
 				}
@@ -121,8 +155,8 @@ func (l *link) reschedule(now time.Duration, cfg *Config) {
 			}
 			// served and virt are already weight-normalized (bytes/weight
 			// accumulated at pop and below), so they compare directly.
-			tw := l.served[t.tenant] + virt[t.tenant]
-			bw := l.served[b.tenant] + virt[b.tenant]
+			tw := l.tags[t.tag].served + l.tags[t.tag].virt
+			bw := l.tags[b.tag].served + l.tags[b.tag].virt
 			switch {
 			case tw < bw:
 				best = i
@@ -136,10 +170,9 @@ func (l *link) reschedule(now time.Duration, cfg *Config) {
 		t.start = free
 		t.done = free + time.Duration(float64(t.ch.bytes)/cfg.RemoteBandwidth*float64(time.Second))
 		free = t.done
-		virt[t.tenant] += float64(t.ch.bytes) / weightOf(cfg.LinkWeights, t.tenant)
-		scheduled = append(scheduled, t)
+		l.tags[t.tag].virt += float64(t.ch.bytes) / l.tags[t.tag].weight
+		l.queue[next] = t
 	}
-	copy(l.queue[keep:], scheduled)
 }
 
 // transferClassLess orders two same-tenant transfers: demand class
@@ -161,11 +194,56 @@ func (l *link) head() (*transfer, bool) {
 
 // pop completes the head transfer, charging its tenant's weighted
 // service.
-func (l *link) pop(cfg *Config) *transfer {
+//
+//valora:hotpath
+func (l *link) pop() *transfer {
 	t := l.queue[0]
 	copy(l.queue, l.queue[1:])
 	l.queue = l.queue[:len(l.queue)-1]
 	l.pending -= t.ch.bytes
-	l.served[t.tenant] += float64(t.ch.bytes) / weightOf(cfg.LinkWeights, t.tenant)
+	tt := &l.tags[t.tag]
+	tt.served += float64(t.ch.bytes) / tt.weight
 	return t
+}
+
+// LinkDriver drives one replica link without a store around it: each
+// Cycle enqueues one chunk transfer per tenant (every enqueue
+// reschedules the backlog behind the transfer on the wire) and then
+// pops them all in schedule order, charging each tenant's share. It is
+// the per-chunk link work of a fetch, exported so allocation gates
+// outside the package can pin the link's steady state.
+type LinkDriver struct {
+	l       *link
+	cfg     Config
+	tenants []string
+	chunks  []*chunk
+	seq     int64
+	now     time.Duration
+}
+
+// NewLinkDriver builds a driver for one link under cfg (its
+// RemoteBandwidth and LinkWeights) with one chunk of chunkBytes per
+// tenant.
+func NewLinkDriver(cfg Config, tenants []string, chunkBytes int64) *LinkDriver {
+	d := &LinkDriver{l: newLink(0), cfg: cfg, tenants: tenants}
+	for i := range tenants {
+		d.chunks = append(d.chunks, &chunk{digest: uint64(i), bytes: chunkBytes})
+	}
+	return d
+}
+
+// Cycle runs one enqueue/reschedule/pop round; even-indexed tenants
+// enqueue demand-class transfers, the rest prefetch-class ones.
+//
+//valora:hotpath
+func (d *LinkDriver) Cycle() {
+	for i, c := range d.chunks {
+		d.seq++
+		d.l.enqueue(c.startTransfer(d.tenants[i], i%2 == 0, d.seq), d.now, &d.cfg)
+	}
+	for len(d.l.queue) > 0 {
+		t := d.l.pop()
+		d.now = t.done
+		t.ch.tr = nil
+	}
 }
