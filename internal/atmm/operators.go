@@ -267,8 +267,7 @@ func (a *ATMM) GEMMTime(s simgpu.Shape) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	c, err := k.GEMMCost(s)
-	return c.Total, err
+	return k.GEMMTime(s)
 }
 
 // BatchTime exposes ATMM for an arbitrary fused segment batch (the

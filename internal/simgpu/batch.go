@@ -38,9 +38,9 @@ func (g *GPU) BatchGEMMCost(segs []Segment, cfg TileConfig, class CoreClass) (Ba
 
 // BatchGEMMTime is BatchGEMMCost reduced to total latency.
 func (g *GPU) BatchGEMMTime(segs []Segment, cfg TileConfig, class CoreClass) (time.Duration, error) {
-	c, err := g.BatchGEMMCost(segs, cfg, class)
+	k, err := g.Compile(cfg, class)
 	if err != nil {
 		return 0, err
 	}
-	return c.Total, nil
+	return k.BatchTime(segs)
 }

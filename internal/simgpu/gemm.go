@@ -218,9 +218,9 @@ func (g *GPU) GEMMCost(s Shape, cfg TileConfig, class CoreClass) (KernelCost, er
 
 // GEMMTime is GEMMCost reduced to its total latency.
 func (g *GPU) GEMMTime(s Shape, cfg TileConfig, class CoreClass) (time.Duration, error) {
-	c, err := g.GEMMCost(s, cfg, class)
+	k, err := g.Compile(cfg, class)
 	if err != nil {
 		return 0, err
 	}
-	return c.Total, nil
+	return k.GEMMTime(s)
 }

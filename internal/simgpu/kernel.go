@@ -82,6 +82,16 @@ func (k *Kernel) GEMMCost(s Shape) (KernelCost, error) {
 	return c, err
 }
 
+// GEMMTime is GEMMCost reduced to total latency, without building the
+// breakdown.
+func (k *Kernel) GEMMTime(s Shape) (time.Duration, error) {
+	if s.M <= 0 || s.K <= 0 || s.N <= 0 {
+		return 0, fmt.Errorf("simgpu: non-positive GEMM shape %v", s)
+	}
+	one := [1]Segment{{Shape: s, Count: 1}}
+	return k.BatchTime(one[:])
+}
+
 // BatchCost aggregates the per-segment tiling work into one fused
 // kernel cost: block counts, FLOPs and memory traffic are summed, wave
 // scheduling and SM utilization are computed over the union grid, and
@@ -107,8 +117,8 @@ func (k *Kernel) BatchCost(segs []Segment) (BatchCost, error) {
 //
 //valora:hotpath
 func (k *Kernel) BatchTime(segs []Segment) (time.Duration, error) {
-	s, err := k.sums(segs)
-	if err != nil {
+	var s CostSums
+	if err := k.sums(&s, segs); err != nil {
 		return 0, err
 	}
 	return k.SumsTime(&s), nil
@@ -162,11 +172,13 @@ type CostSums struct {
 	splitKUsed  bool
 }
 
-// segTerms computes the M-independent terms of a segment with the
-// given positive K and N; its one field is left unset.
+// segTerms fills t with the M-independent terms of a segment with the
+// given positive K and N; t.one is left unset. The terms are written
+// in place, not returned, because copying them costs the profiling
+// search as much as computing them.
 //
 //valora:hotpath
-func (k *Kernel) segTerms(K, N int) SegmentTerms {
+func (k *Kernel) segTerms(t *SegmentTerms, K, N int) {
 	cfg := k.cfg
 	gridN := ceilDiv(N, cfg.BN)
 	splitK := cfg.SplitK
@@ -178,23 +190,19 @@ func (k *Kernel) segTerms(K, N int) SegmentTerms {
 	kPer := ceilDiv(ceilDiv(K, splitK), cfg.BK) * cfg.BK
 	kp := kPer * splitK
 	uniqueB := int64(np) * int64(kp) * elemBytes
-	return SegmentTerms{
-		gridN:   gridN,
-		splitK:  splitK,
-		kSteps:  kPer / cfg.BK,
-		np:      np,
-		kp:      kp,
-		fnp:     float64(np),
-		fkp:     float64(kp),
-		uniqueB: uniqueB,
-		missB:   1 - k.g.l2Hit(uniqueB),
-	}
+	t.gridN = gridN
+	t.splitK = splitK
+	t.kSteps = kPer / cfg.BK
+	t.np, t.kp = np, kp
+	t.fnp, t.fkp = float64(np), float64(kp)
+	t.uniqueB = uniqueB
+	t.missB = 1 - k.g.l2Hit(uniqueB)
 }
 
-// unitAt computes a segment's unit terms at gridM.
+// unitAt fills u with a segment's unit terms at gridM.
 //
 //valora:hotpath
-func (k *Kernel) unitAt(t *SegmentTerms, gridM int) unitTerms {
+func (k *Kernel) unitAt(u *unitTerms, t *SegmentTerms, gridM int) {
 	mp := gridM * k.cfg.BM
 	np, kp := t.np, t.kp
 	// Every block streams its A and B tiles through shared memory;
@@ -211,13 +219,11 @@ func (k *Kernel) unitAt(t *SegmentTerms, gridM int) unitTerms {
 	if t.splitK > 1 {
 		hbm += 2 * int64(mp) * int64(np) * accumBytes * int64(t.splitK)
 	}
-	return unitTerms{
-		blocks: gridM * t.gridN * t.splitK,
-		fmp:    float64(mp),
-		tileLoads: int64(t.gridN)*int64(mp)*int64(kp)*elemBytes +
-			int64(gridM)*int64(np)*int64(kp)*elemBytes,
-		hbm: hbm,
-	}
+	u.blocks = gridM * t.gridN * t.splitK
+	u.fmp = float64(mp)
+	u.tileLoads = int64(t.gridN)*int64(mp)*int64(kp)*elemBytes +
+		int64(gridM)*int64(np)*int64(kp)*elemBytes
+	u.hbm = hbm
 }
 
 // add accumulates n segments with terms t and unit terms u.
@@ -240,8 +246,9 @@ func (s *CostSums) add(t *SegmentTerms, u *unitTerms, n int) {
 // Terms precomputes the cost terms of segments with positive K and N
 // on k, for AddSegment.
 func (k *Kernel) Terms(K, N int) SegmentTerms {
-	t := k.segTerms(K, N)
-	t.one = k.unitAt(&t, 1)
+	var t SegmentTerms
+	k.segTerms(&t, K, N)
+	k.unitAt(&t.one, &t, 1)
 	return t
 }
 
@@ -258,7 +265,8 @@ func (k *Kernel) AddSegment(s *CostSums, t *SegmentTerms, m, n int) {
 		s.add(t, &t.one, n)
 		return
 	}
-	u := k.unitAt(t, ceilDiv(m, k.cfg.BM))
+	var u unitTerms
+	k.unitAt(&u, t, ceilDiv(m, k.cfg.BM))
 	s.add(t, &u, n)
 }
 
@@ -270,7 +278,9 @@ func (k *Kernel) SumsTime(s *CostSums) time.Duration {
 	if s.blocks == 0 {
 		return 0
 	}
-	return k.tail(s).total
+	var t tailTerms
+	k.tail(&t, s)
+	return t.total
 }
 
 // tailTerms are the latency terms tail derives from a batch's sums.
@@ -281,10 +291,10 @@ type tailTerms struct {
 	exposed, splitKTime, total time.Duration
 }
 
-// tail turns non-empty sums into latency.
+// tail fills t with the latency of non-empty sums.
 //
 //valora:hotpath
-func (k *Kernel) tail(s *CostSums) tailTerms {
+func (k *Kernel) tail(t *tailTerms, s *CostSums) {
 	g := k.g
 	blocks := s.blocks
 	// Wave accounting.
@@ -313,24 +323,21 @@ func (k *Kernel) tail(s *CostSums) tailTerms {
 		splitKTime = g.KernelLaunch // separate reduction kernel
 	}
 	roof := math.Max(computeSec, math.Max(memSec, l2Sec))
-	return tailTerms{
-		waves:      waves,
-		smUtil:     smUtil,
-		computeSec: computeSec,
-		memSec:     memSec,
-		l2Sec:      l2Sec,
-		exposed:    exposed,
-		splitKTime: splitKTime,
-		total:      g.KernelLaunch + splitKTime + exposed + time.Duration(roof*1e9)*time.Nanosecond,
-	}
+	t.waves, t.smUtil = waves, smUtil
+	t.computeSec, t.memSec, t.l2Sec = computeSec, memSec, l2Sec
+	t.exposed, t.splitKTime = exposed, splitKTime
+	t.total = g.KernelLaunch + splitKTime + exposed + time.Duration(roof*1e9)*time.Nanosecond
 }
 
-// sums runs segs through the first two pieces of the model. Segments
-// with a non-positive count are skipped.
+// sums adds segs to s through the first two pieces of the model.
+// Segments with a non-positive count are skipped.
 //
 //valora:hotpath
-func (k *Kernel) sums(segs []Segment) (CostSums, error) {
-	var s CostSums
+func (k *Kernel) sums(s *CostSums, segs []Segment) error {
+	var (
+		t SegmentTerms
+		u unitTerms
+	)
 	for _, seg := range segs {
 		n := seg.Count
 		if n <= 0 {
@@ -339,26 +346,27 @@ func (k *Kernel) sums(segs []Segment) (CostSums, error) {
 		sh := seg.Shape
 		if sh.M <= 0 || sh.K <= 0 || sh.N <= 0 {
 			//valora:allow hotpath -- cold path: operators validate their batches, so a bad shape never reaches the serving loop
-			return CostSums{}, fmt.Errorf("simgpu: non-positive segment shape %v", sh)
+			return fmt.Errorf("simgpu: non-positive segment shape %v", sh)
 		}
-		t := k.segTerms(sh.K, sh.N)
-		u := k.unitAt(&t, ceilDiv(sh.M, k.cfg.BM))
+		k.segTerms(&t, sh.K, sh.N)
+		k.unitAt(&u, &t, ceilDiv(sh.M, k.cfg.BM))
 		s.add(&t, &u, n)
 	}
-	return s, nil
+	return nil
 }
 
 // cost is the latency model with its full breakdown (Shape unset) and
 // the segment count; a batch with no blocks costs zero.
 func (k *Kernel) cost(segs []Segment) (KernelCost, int, error) {
-	s, err := k.sums(segs)
-	if err != nil {
+	var s CostSums
+	if err := k.sums(&s, segs); err != nil {
 		return KernelCost{}, 0, err
 	}
 	if s.blocks == 0 {
 		return KernelCost{Config: k.cfg, Class: k.class}, 0, nil
 	}
-	t := k.tail(&s)
+	var t tailTerms
+	k.tail(&t, &s)
 	return KernelCost{
 		Config:      k.cfg,
 		Class:       k.class,

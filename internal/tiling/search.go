@@ -124,13 +124,13 @@ func Search(g *simgpu.GPU, spec SearchSpec) (*Table, Stats, error) {
 			)
 			for j := range kernels[i] {
 				k := &kernels[i][j]
-				c, err := k.GEMMCost(shape)
+				t, err := k.GEMMTime(shape)
 				if err != nil {
 					continue // infeasible for this shape/hardware
 				}
 				stats.Profiled++
-				if !found || c.Total < bestTime {
-					best, bestTime, found = k.Config(), c.Total, true
+				if !found || t < bestTime {
+					best, bestTime, found = k.Config(), t, true
 				}
 			}
 			if !found {
