@@ -173,9 +173,10 @@ type CostSums struct {
 }
 
 // segTerms fills t with the M-independent terms of a segment with the
-// given positive K and N; t.one is left unset. The terms are written
-// in place, not returned, because copying them costs the profiling
-// search as much as computing them.
+// given positive K and N; t.one is left unset. This piece and the
+// other two write through pointers: returned by value, their structs
+// were copied on every call and made the profiling search a third
+// slower.
 //
 //valora:hotpath
 func (k *Kernel) segTerms(t *SegmentTerms, K, N int) {
