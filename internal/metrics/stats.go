@@ -36,12 +36,6 @@ var (
 	invLnGamma = 1 / math.Log(gamma)
 )
 
-// bucketOf reports the bucket index of a positive magnitude. +Inf
-// shares the largest finite value's bucket.
-func bucketOf(a float64) int {
-	return int(math.Ceil(math.Log(min(a, math.MaxFloat64)) * invLnGamma))
-}
-
 // bucketValue reports the magnitude bucket k stands for. It is built
 // from the bucket's lower bound, which never overflows.
 func bucketValue(k int) float64 {

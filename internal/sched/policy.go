@@ -68,7 +68,7 @@ func (p *VaLoRAPolicy) Name() string { return "VaLoRA" }
 
 // take appends r to the batch and marks it as batched for this epoch.
 func (p *VaLoRAPolicy) take(batch []*Request, r *Request) []*Request {
-	r.batchEpoch = p.epoch
+	r.mark = p.epoch << 1
 	return append(batch, r)
 }
 
@@ -80,7 +80,7 @@ func (p *VaLoRAPolicy) appendUnmarked(batch, all []*Request, maxBS, keep int) []
 		if len(batch) >= maxBS {
 			break
 		}
-		if r.batchEpoch == p.epoch || (keep >= 0 && r.AdapterID != keep) {
+		if r.mark == p.epoch<<1 || (keep >= 0 && r.AdapterID != keep) {
 			continue
 		}
 		batch = p.take(batch, r)
@@ -236,8 +236,8 @@ func (p *VaLoRAPolicy) withPreemption(it Iteration, theta time.Duration, d Decis
 	for _, w := range admit {
 		var victim *Request
 		for _, r := range it.Active {
-			if r.batchEpoch == p.epoch || r.Unpreemptable || r.evictEpoch == p.epoch {
-				continue
+			if r.mark>>1 == p.epoch || r.Unpreemptable {
+				continue // batched or already a victim this round
 			}
 			if r.Deadline > 0 && r.Slack(it.Now) <= w.Slack(it.Now) {
 				continue // as urgent as the requester: no net win
@@ -249,7 +249,7 @@ func (p *VaLoRAPolicy) withPreemption(it Iteration, theta time.Duration, d Decis
 		if victim == nil {
 			continue
 		}
-		victim.evictEpoch = p.epoch
+		victim.mark = p.epoch<<1 | 1
 		evict = append(evict, victim)
 		paired = append(paired, w)
 	}

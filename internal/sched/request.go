@@ -17,7 +17,7 @@ import (
 // AppType distinguishes the two vision applications of the evaluation
 // (§6.1): latency-tolerant visual retrieval and real-time video
 // analytics.
-type AppType int
+type AppType uint8
 
 const (
 	VisualRetrieval AppType = iota
@@ -32,7 +32,7 @@ func (a AppType) String() string {
 }
 
 // Phase tracks a request through its lifetime.
-type Phase int
+type Phase uint8
 
 const (
 	PhaseQueued Phase = iota
@@ -41,12 +41,13 @@ const (
 )
 
 // Request is one inference request flowing through the system.
+// Million-request traces hold one per request, so the field order is
+// chosen for size: the one-byte enums and flags fill the last 16 bytes
+// with Slot (TestRequestSize holds Request in Go's 192-byte size
+// class).
 type Request struct {
 	ID        int64
-	App       AppType
-	Task      train.TaskType
 	AdapterID int
-	Head      train.HeadKind
 
 	// Tenant names the service class the request belongs to ("" =
 	// untenanted legacy traffic, which bypasses the fair-share layer).
@@ -65,12 +66,8 @@ type Request struct {
 	Deadline time.Duration
 
 	// PreemptCount records how many times the request has been evicted
-	// from an instance mid-service; Unpreemptable is the no-livelock
-	// guard — once the serving layer's MaxPreemptions bound is reached
-	// the request can never be displaced again, so an adversarial
-	// deadline mix cannot bounce a victim between instances forever.
-	PreemptCount  int
-	Unpreemptable bool
+	// from an instance mid-service (see Unpreemptable).
+	PreemptCount int
 	// RecomputeTokens accumulates the already-computed tokens those
 	// preemptions threw away (prompt plus emitted tokens re-prefilled on
 	// resume) — per-request observability for trace capture, summed
@@ -78,7 +75,6 @@ type Request struct {
 	RecomputeTokens int
 
 	// Runtime state, owned by the server.
-	Phase         Phase
 	SharedTokens  int // prompt tokens served by the prefix cache
 	Emitted       int
 	FirstSchedule time.Duration
@@ -88,6 +84,17 @@ type Request struct {
 	// KV names the request's KV-cache sequence on its current instance
 	// (zero while none is allocated).
 	KV lmm.SeqHandle
+
+	// mark tags the request for the VaLoRAPolicy call currently
+	// deciding (an epoch mark instead of a per-call set keeps Decide
+	// allocation-free): epoch<<1 for a member of the batch being
+	// assembled, epoch<<1|1 for a request already chosen as an
+	// eviction victim this round, so two urgent requesters never claim
+	// the same victim. One word serves both because victims are drawn
+	// only from requests outside the batch, and requests live on
+	// exactly one server, so a single mark per request suffices.
+	mark uint64
+
 	// Slot is the dense per-instance index of AdapterID, stamped by the
 	// serving instance when the request arrives there (0 = unstamped).
 	// Per-iteration adapter bookkeeping indexes slices by it instead of
@@ -95,9 +102,17 @@ type Request struct {
 	// ClearScratchMarks resets it when a request migrates.
 	Slot int32
 
-	// The flags sit together (no padding between them) to keep Request
-	// at 232 bytes: million-request traces hold one per request.
-	PrefillDone bool
+	App   AppType
+	Task  train.TaskType
+	Head  train.HeadKind
+	Phase Phase
+
+	// Unpreemptable is the no-livelock guard: once the serving layer's
+	// MaxPreemptions bound is reached the request can never be
+	// displaced again, so an adversarial deadline mix cannot bounce a
+	// victim between instances forever.
+	Unpreemptable bool
+	PrefillDone   bool
 	// ColdStart marks a request that arrived while its adapter was not
 	// host-resident (a remote fetch stands between it and its first
 	// token); ColdStamped records that the residency check ran, so the
@@ -107,15 +122,6 @@ type Request struct {
 	ColdStart     bool
 	ColdStamped   bool
 	scheduledOnce bool
-
-	// batchEpoch marks membership in the batch VaLoRAPolicy is
-	// currently assembling (an epoch mark instead of a per-call set
-	// keeps Decide allocation-free). Requests live on exactly one
-	// server, so a single mark per request suffices. evictEpoch marks
-	// requests already chosen as eviction victims this round so two
-	// urgent requesters never claim the same victim.
-	batchEpoch uint64
-	evictEpoch uint64
 }
 
 func (r *Request) String() string {
@@ -192,14 +198,13 @@ func (r *Request) ResetRuntime() {
 }
 
 // ClearScratchMarks zeroes the per-instance marks: the policy's epoch
-// marks and the adapter slot. Both are meaningful only relative to one
+// mark and the adapter slot. Both are meaningful only relative to one
 // instance ("requests live on exactly one server"), so the serving
 // layer calls this when a preempted request migrates to another
 // instance — a stale mark must never collide with the destination
 // policy's epochs, and the destination numbers its slots itself.
 func (r *Request) ClearScratchMarks() {
-	r.batchEpoch = 0
-	r.evictEpoch = 0
+	r.mark = 0
 	r.Slot = 0
 }
 

@@ -5,7 +5,7 @@ package train
 // (autoregressive, one round per answer token) or through a trainable
 // vision task head that predicts over a discrete candidate set in a
 // single round.
-type HeadKind int
+type HeadKind uint8
 
 const (
 	// LMHead keeps the original language-modeling head: answers cost

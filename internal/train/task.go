@@ -16,7 +16,7 @@ package train
 
 // TaskType enumerates the five vision task families of the paper's
 // evaluation (§6.1).
-type TaskType int
+type TaskType uint8
 
 const (
 	ImageClassification TaskType = iota
