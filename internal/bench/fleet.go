@@ -67,9 +67,8 @@ const (
 //     the shared prefix, eviction frees only unreferenced chunks, and
 //     family-warm prefetch pins each hot family's shared prefix.
 //   - chunked+replicas/fleet: the same plus 3 replica links with
-//     per-tenant fair queuing, and the measured fetch-cost model
-//     (store online fit cross-checked against an offline calib fit of
-//     the captured fetch trace).
+//     per-tenant fair queuing; calib.FitFetchCost fits the measured
+//     fetch-cost model to the store's captured fetch rows.
 //
 // The headline: chunking cuts remote fetch bytes ≥2× at equal host
 // bytes, and holds cold-start TTFT p99 roughly flat at 10× the
@@ -138,12 +137,7 @@ func (s *Suite) FleetColdStart() (*Table, error) {
 		var rec *trace.FetchRecorder
 		if m.chunked {
 			rec = trace.NewFetchRecorder()
-			store.SetFetchObserver(func(fs registry.FetchSample) {
-				rec.Append(trace.FetchRecord{
-					Tenant: fs.Tenant, Family: fs.Family, Bytes: fs.Bytes, Chunks: fs.Chunks,
-					Demand: fs.Demand, Requested: fs.Requested, Done: fs.Done,
-				})
-			})
+			store.SetFetchObserver(rec.Append)
 		}
 
 		build := func(int) (serving.Options, error) {
@@ -214,12 +208,7 @@ func (s *Suite) FleetColdStart() (*Table, error) {
 				srec.FetchCostBaseMS = fc.BaseMS
 				srec.FetchCostPerMBMS = fc.PerMBMS
 				if m.replicas > 1 {
-					base, perByte, n, ok := store.FetchCostModel()
-					costNote = fmt.Sprintf("fetch-cost fit (offline, %d fetches): base %.2f ms + %.3f ms/MB", fc.Samples, fc.BaseMS, fc.PerMBMS)
-					if ok {
-						costNote += fmt.Sprintf("; online store fit: base %.2f ms + %.3f ms/MB over %d samples.",
-							float64(base)/float64(time.Millisecond), perByte*float64(1<<20)*1e3, n)
-					}
+					costNote = fmt.Sprintf("fetch-cost fit (%d fetches): base %.2f ms + %.3f ms/MB.", fc.Samples, fc.BaseMS, fc.PerMBMS)
 				}
 			}
 		}

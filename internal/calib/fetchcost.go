@@ -8,22 +8,15 @@ import (
 )
 
 // FetchCost is the fitted adapter fetch-cost model: observed fetch
-// latency ≈ BaseMS + PerMBMS · (bytes transferred / MiB). It is the
-// offline twin of the registry store's online fit
-// (registry.Store.FetchCostModel) — fitting a captured
-// trace.FetchRecord stream recovers the link parameters the simulator
-// ran with, and a large residual flags a workload whose fetch latency
-// is not explained by bytes alone (queueing, replica imbalance).
+// latency ≈ BaseMS + PerMBMS · (bytes transferred / MiB), fitted to
+// the trace.FetchRecord rows a registry store's fetch observer emits.
+// The fit recovers the link parameters the simulator ran with; fetch
+// latency that bytes alone do not explain (queueing, replica
+// imbalance) shows up as a residual.
 type FetchCost struct {
 	BaseMS  float64 // per-fetch overhead, milliseconds
 	PerMBMS float64 // marginal cost per MiB transferred, milliseconds
 	Samples int
-}
-
-// EstimateMS prices a transfer of the given bytes under the fitted
-// model.
-func (f FetchCost) EstimateMS(bytes int64) float64 {
-	return f.BaseMS + f.PerMBMS*float64(bytes)/float64(1<<20)
 }
 
 // FitFetchCost least-squares-fits the two-parameter fetch-cost model

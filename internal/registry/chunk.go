@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
+
+	"valora/internal/trace"
 )
 
 // This file is the host tier. The store content-addresses each
@@ -61,7 +63,7 @@ type chunkAdapter struct {
 	missing     int           // chunks not yet resident (while fetching)
 	done        time.Duration // completion estimate / time (while fetching)
 	lastLand    time.Duration // latest awaited-chunk landing seen
-	requested   time.Duration // fetch request time (cost model)
+	requested   time.Duration // fetch request time (fetch observer)
 	queuedBytes int64         // bytes this fetch put on the links
 
 	prev, next *chunkAdapter // intrusive LRU list, resident entries only
@@ -77,7 +79,6 @@ type chunkState struct {
 	links    []*link
 	inflight []*chunkAdapter // fetching adapters
 	seq      int64           // transfer enqueue sequence
-	cost     costAccum       // online fetch-cost fit (costmodel.go)
 }
 
 // evictWindow bounds how many LRU-end eviction candidates the
@@ -439,8 +440,7 @@ func (s *Store) landChunk(tr *transfer) {
 // completeFetch flips a fully-landed fetch resident: LRU entry,
 // per-tenant residency charge, a quota pin only from unspent guarantee
 // (pins are stolen on demand hits, so one cold fetch cannot displace a
-// proven-hot pin), and a fetch-cost observation for the measured cost
-// model.
+// proven-hot pin), and a row for the fetch observer.
 func (s *Store) completeFetch(ca *chunkAdapter) {
 	s.removeInflight(ca)
 	ca.fetching = false
@@ -448,7 +448,17 @@ func (s *Store) completeFetch(ca *chunkAdapter) {
 	s.pushMRU(ca)
 	s.tenantResident[ca.tenant] += ca.bytes
 	s.pinIfFree(ca)
-	s.recordFetchCost(ca)
+	if s.fetchObs != nil {
+		s.fetchObs(trace.FetchRecord{
+			Tenant:    ca.tenant,
+			Family:    ca.family,
+			Bytes:     ca.queuedBytes,
+			Chunks:    len(ca.chunks),
+			Demand:    ca.demand,
+			Requested: ca.requested,
+			Done:      ca.done,
+		})
+	}
 }
 
 // abortFetch unwinds a fetch whose awaited chunk was discarded: refs
@@ -735,31 +745,6 @@ func (s *Store) FamilyOf(id int) string {
 		return ""
 	}
 	return ent.Family
-}
-
-// MissingBytes reports the marginal fetch cost of an adapter in
-// bytes: what a demand at now would actually have to transfer. Zero
-// for host-resident adapters; otherwise only the chunks that are
-// neither resident nor in flight count — the quantity prefetchers and
-// victim rankers should weigh, not the nominal adapter size.
-func (s *Store) MissingBytes(id int, now time.Duration) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.advance(now)
-	ent, ok := s.cat.Resolve(id)
-	if !ok {
-		return 0
-	}
-	if ca := s.ch.adapters[ent.Digest]; ca != nil {
-		return 0 // resident or already in flight
-	}
-	var need int64
-	for _, c := range s.chunkListOf(ent) {
-		if !c.resident && !c.fetching {
-			need += c.bytes
-		}
-	}
-	return need
 }
 
 // CheckInvariants verifies the tier's bookkeeping: the LRU list and

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"valora/internal/sim"
+	"valora/internal/trace"
 )
 
 // Config shapes the host tier and the remote links of a Store.
@@ -197,8 +198,8 @@ type Store struct {
 	tenantPinned   map[string]int64
 	tenantResident map[string]int64
 
-	ch       *chunkState       // chunk residency, LRU and replica links (chunk.go)
-	fetchObs func(FetchSample) // completed-fetch observer (costmodel.go)
+	ch       *chunkState             // chunk residency, LRU and replica links (chunk.go)
+	fetchObs func(trace.FetchRecord) // completed-fetch observer (SetFetchObserver)
 
 	stats Stats
 }
@@ -247,6 +248,16 @@ func (s *Store) SetQuota(tenant string, q TenantQuota) error {
 	}
 	s.quotas[tenant] = q
 	return nil
+}
+
+// SetFetchObserver registers a callback invoked (under the store
+// lock — keep it cheap, e.g. trace.FetchRecorder.Append) with one row
+// per completed adapter fetch: the rows calib.FitFetchCost fits.
+// nil disables.
+func (s *Store) SetFetchObserver(fn func(trace.FetchRecord)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.fetchObs = fn
 }
 
 // Stats returns a copy of the cumulative counters.

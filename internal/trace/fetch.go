@@ -7,18 +7,18 @@ import (
 )
 
 // FetchRecord is one completed adapter fetch as observed by a
-// registry store: the bytes that actually crossed the
-// replica links (deduped chunks count once — zero when the fetch rode
-// entirely on sibling transfers), the chunk count of the adapter, and
-// the request/complete virtual times. The rows are the fetch-cost
-// half of the observe–predict–calibrate loop: calib.FitFetchCost
-// recovers the link's base latency and per-byte cost from a capture
-// and cross-checks them against the configured model.
+// registry store: the bytes that actually crossed the replica links
+// (deduped chunks count once — zero when the fetch rode entirely on
+// sibling transfers), the adapter's chunk count, and the
+// request/complete virtual times. The rows are the fetch-cost half of
+// the observe–predict–calibrate loop: calib.FitFetchCost recovers the
+// link's base latency and per-byte cost from them.
 type FetchRecord struct {
 	Tenant string `json:"tenant,omitempty"`
 	Family string `json:"family,omitempty"`
 	// Bytes this fetch put on the links; Chunks is the adapter's chunk
-	// count (not the transfers enqueued — deduped chunks ride free).
+	// count, resident and deduped chunks included, not the transfers
+	// this fetch enqueued.
 	Bytes  int64 `json:"bytes"`
 	Chunks int   `json:"chunks"`
 	Demand bool  `json:"demand,omitempty"`
