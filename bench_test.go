@@ -79,7 +79,9 @@ func benchmarkClusterServe(b *testing.B, instances int) {
 	b.Helper()
 	model := lmm.QwenVL7B()
 	for i := 0; i < b.N; i++ {
-		cl, err := serving.NewSystemCluster(serving.SystemVaLoRA, instances, simgpu.A100(), model, serving.NewRoundRobin())
+		cl, err := serving.NewClusterWithDispatch(instances, serving.NewRoundRobin(), func(int) (serving.Options, error) {
+			return serving.SystemOptions(serving.SystemVaLoRA, simgpu.A100(), model)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,18 +49,3 @@ func ExampleGenerate() {
 	// domains covered: 2
 	// adapters have vision heads: true
 }
-
-// ExampleRunExperiment regenerates the paper's Table 1 (adaptive
-// tiling) in quick mode.
-func ExampleRunExperiment() {
-	table, err := valora.RunExperiment("table1", true)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("experiment:", table.ID)
-	fmt.Println("configurations compared:", len(table.Rows))
-	// Output:
-	// experiment: table1
-	// configurations compared: 4
-}

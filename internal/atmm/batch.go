@@ -82,34 +82,6 @@ func (b Batch) Validate() error {
 	return nil
 }
 
-// Mapping is the request-type mapping matrix the implementation
-// section (§5) describes: one-hot rows mapping each request to its
-// adapter slot within the current batch.
-type Mapping struct {
-	Adapters []int   // adapter id per slot
-	Rows     [][]int // one-hot vector per request
-}
-
-// BuildMapping constructs the one-hot request→adapter mapping for a
-// list of per-request adapter ids.
-func BuildMapping(requestAdapters []int) Mapping {
-	slot := make(map[int]int)
-	var adapters []int
-	for _, id := range requestAdapters {
-		if _, ok := slot[id]; !ok {
-			slot[id] = len(adapters)
-			adapters = append(adapters, id)
-		}
-	}
-	rows := make([][]int, len(requestAdapters))
-	for i, id := range requestAdapters {
-		row := make([]int, len(adapters))
-		row[slot[id]] = 1
-		rows[i] = row
-	}
-	return Mapping{Adapters: adapters, Rows: rows}
-}
-
 // Operator computes the kernel time for one heterogeneous LoRA batch
 // at one transformer layer (shrink + expand over all projections).
 type Operator interface {

@@ -260,16 +260,6 @@ func (a *ATMM) planLayerTime(b Batch) (d time.Duration, ok bool) {
 	return cs.k.SumsTime(&ss) + ce.k.SumsTime(&se) + gatherCost(b), true
 }
 
-// GEMMTime exposes ATMM for a single (non-LoRA) GEMM, used by the
-// swift mode switcher to compute all-layer ΔW in one shot.
-func (a *ATMM) GEMMTime(s simgpu.Shape) (time.Duration, error) {
-	k, err := a.kernel(s)
-	if err != nil {
-		return 0, err
-	}
-	return k.GEMMTime(s)
-}
-
 // BatchTime exposes ATMM for an arbitrary fused segment batch (the
 // switcher's all-layer ΔW computation uses this), with the kernel
 // chosen for the lookup shape.

@@ -127,7 +127,8 @@ func wideWaves(a *ATMM, b Batch) int {
 
 // TestATMMMatchesTableLookup differentially checks the adaptive and
 // static operators against refLayerTime on random batches, and their
-// GEMMTime and BatchTime against the lookup path on a shape grid. The
+// BatchTime, single-segment and fused, against the lookup path on a
+// shape grid. The
 // adaptive table profiles M up to 2048, so larger batches leave the
 // grid; at M bucket 4096 the expand shape meets the table's ΔW entry
 // (dim×rank×dim), which the lookup path also returns.
@@ -196,16 +197,15 @@ func TestATMMMatchesTableLookup(t *testing.T) {
 				for _, sh := range []simgpu.Shape{{M: m, K: d, N: r}, {M: m, K: r, N: d}, {M: d, K: r, N: d}} {
 					for _, a := range []*ATMM{adaptive, static} {
 						cfg, _ := a.table.Lookup(sh, simgpu.TensorCore)
-						want, wantErr := a.gpu.GEMMTime(sh, cfg, simgpu.TensorCore)
-						got, err := a.GEMMTime(sh)
-						if (err == nil) != (wantErr == nil) || got != want {
-							t.Fatalf("GEMMTime(%v) = %v, %v; lookup path %v, %v", sh, got, err, want, wantErr)
-						}
-						segs := []simgpu.Segment{{Shape: sh, Count: 3}, {Shape: simgpu.Shape{M: 40, K: d, N: 64}, Count: 2}}
-						want, wantErr = a.gpu.BatchGEMMTime(segs, cfg, simgpu.TensorCore)
-						got, err = a.BatchTime(segs, sh)
-						if (err == nil) != (wantErr == nil) || got != want {
-							t.Fatalf("BatchTime(%v) = %v, %v; lookup path %v, %v", sh, got, err, want, wantErr)
+						for _, segs := range [][]simgpu.Segment{
+							{{Shape: sh, Count: 1}},
+							{{Shape: sh, Count: 3}, {Shape: simgpu.Shape{M: 40, K: d, N: 64}, Count: 2}},
+						} {
+							want, wantErr := a.gpu.BatchGEMMTime(segs, cfg, simgpu.TensorCore)
+							got, err := a.BatchTime(segs, sh)
+							if (err == nil) != (wantErr == nil) || got != want {
+								t.Fatalf("BatchTime(%v) = %v, %v; lookup path %v, %v", segs, got, err, want, wantErr)
+							}
 						}
 					}
 				}

@@ -114,15 +114,15 @@ func (c Coefficients) DecodeMS(r trace.Record) float64 {
 	return c.DecodeBaseMS + c.DecodePerTokenMS*f[1] + c.RecomputePerTokenMS*f[2]
 }
 
-// PredictTTFTMS predicts one row's time to first token: the observed
+// predictTTFTMS predicts one row's time to first token: the observed
 // queue wait plus the modeled prefill span.
-func (c Coefficients) PredictTTFTMS(r trace.Record) float64 {
+func (c Coefficients) predictTTFTMS(r trace.Record) float64 {
 	return float64(r.QueueWait())/ms + c.PrefillMS(r)
 }
 
-// PredictE2EMS predicts one row's end-to-end latency.
-func (c Coefficients) PredictE2EMS(r trace.Record) float64 {
-	return c.PredictTTFTMS(r) + c.DecodeMS(r)
+// predictE2EMS predicts one row's end-to-end latency.
+func (c Coefficients) predictE2EMS(r trace.Record) float64 {
+	return c.predictTTFTMS(r) + c.DecodeMS(r)
 }
 
 // Metric is one calibration scorecard row: an observed-vs-predicted
@@ -144,8 +144,8 @@ func Evaluate(rows []trace.Record, c Coefficients) []Metric {
 	for _, r := range rows {
 		obsTTFT.Add(float64(r.TTFT()) / ms)
 		obsE2E.Add(float64(r.E2E()) / ms)
-		prdTTFT.Add(c.PredictTTFTMS(r))
-		prdE2E.Add(c.PredictE2EMS(r))
+		prdTTFT.Add(c.predictTTFTMS(r))
+		prdE2E.Add(c.predictE2EMS(r))
 	}
 	return []Metric{
 		metricOf("ttft_p50", obsTTFT.Percentile(50), prdTTFT.Percentile(50)),

@@ -50,7 +50,7 @@ type Frontend struct {
 	mu       sync.Mutex
 	seq      int64
 	engines  []*liveEngine // persistent live engines, one per kind
-	liveCap  int
+	liveCap  int           // requests per live engine before recycling (liveEngineRequestCap)
 	adapters []AdapterCard
 	slo      []*sloTrack
 
@@ -164,17 +164,6 @@ func NewFrontend(kind SystemKind, g *simgpu.GPU, model lmm.Config) *Frontend {
 
 // ServeHTTP dispatches to the frontend's routes.
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.mux.ServeHTTP(w, r) }
-
-// SetLiveRequestCap overrides the per-engine recycle threshold
-// (testing knob; see liveEngineRequestCap for what the default
-// bounds).
-func (f *Frontend) SetLiveRequestCap(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n > 0 {
-		f.liveCap = n
-	}
-}
 
 // SetTraceRecorder installs a per-request trace sink: every request
 // completed by a live engine (current and future, across recycles)

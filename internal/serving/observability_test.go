@@ -235,7 +235,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 // rising across engine retirements instead of resetting.
 func TestMetricsMonotonicAcrossRecycle(t *testing.T) {
 	f := newTestFrontend(t)
-	f.SetLiveRequestCap(2)
+	f.liveCap = 2
 	var lastReq, lastSwapIns float64
 	for i := 0; i < 7; i++ {
 		rec := postJSON(t, f, "/v1/chat/completions",
@@ -268,7 +268,7 @@ func TestMetricsMonotonicAcrossRecycle(t *testing.T) {
 // CI -race run makes this the frontend's thread-safety proof).
 func TestConcurrentScrapeVsSubmit(t *testing.T) {
 	f := newTestFrontend(t)
-	f.SetLiveRequestCap(5) // recycle under load too
+	f.liveCap = 5 // recycle under load too
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -311,7 +311,7 @@ func TestFrontendTraceCapture(t *testing.T) {
 
 	tr := trace.NewRecorder()
 	f.SetTraceRecorder(tr)
-	f.SetLiveRequestCap(2) // capture must survive recycling too
+	f.liveCap = 2 // capture must survive recycling too
 	for i := 0; i < 5; i++ {
 		if rec := postJSON(t, f, "/v1/chat/completions", `{"input_tokens":300,"output_tokens":8}`); rec.Code != http.StatusOK {
 			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body)

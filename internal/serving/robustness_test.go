@@ -19,7 +19,7 @@ func TestManySeedsNoError(t *testing.T) {
 	g := simgpu.A100()
 	model := lmm.QwenVL7B()
 	for seed := int64(1); seed <= 5; seed++ {
-		for _, kind := range AllSystems() {
+		for _, kind := range allSystems() {
 			skew := 0.2 + 0.15*float64(seed)
 			srv, err := NewSystem(kind, g, model)
 			if err != nil {

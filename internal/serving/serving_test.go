@@ -19,7 +19,7 @@ func shortRetrieval(seed int64) workload.Trace {
 func TestAllSystemsCompleteTrace(t *testing.T) {
 	g := simgpu.A100()
 	model := lmm.QwenVL7B()
-	for _, kind := range AllSystems() {
+	for _, kind := range allSystems() {
 		srv, err := NewSystem(kind, g, model)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -48,7 +48,7 @@ func TestVaLoRAWinsEndToEnd(t *testing.T) {
 	g := simgpu.A100()
 	model := lmm.QwenVL7B()
 	results := make(map[SystemKind]float64)
-	for _, kind := range AllSystems() {
+	for _, kind := range allSystems() {
 		srv, err := NewSystem(kind, g, model)
 		if err != nil {
 			t.Fatal(err)
@@ -395,16 +395,16 @@ func TestClusterValidation(t *testing.T) {
 func TestSharedATMMMemoized(t *testing.T) {
 	g := simgpu.A100()
 	model := lmm.QwenVL7B()
-	a, err := SharedATMM(g, model)
+	a, err := sharedATMM(g, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SharedATMM(g, model)
+	b, err := sharedATMM(g, model)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatal("SharedATMM should memoize per GPU/model")
+		t.Fatal("sharedATMM should memoize per GPU/model")
 	}
 }
 

@@ -21,15 +21,15 @@ const (
 	SystemDLoRA  SystemKind = "dLoRA"
 )
 
-// AllSystems lists the four compared systems.
-func AllSystems() []SystemKind {
+// allSystems lists the four compared systems.
+func allSystems() []SystemKind {
 	return []SystemKind{SystemVaLoRA, SystemSLoRA, SystemPunica, SystemDLoRA}
 }
 
 // SystemByName resolves a user-supplied system name (HTTP bodies, CLI
 // flags) to its SystemKind, erroring on unknown names.
 func SystemByName(name string) (SystemKind, error) {
-	for _, k := range AllSystems() {
+	for _, k := range allSystems() {
 		if k == SystemKind(name) {
 			return k, nil
 		}
@@ -41,8 +41,8 @@ func SystemByName(name string) (SystemKind, error) {
 // offline tiling search is deterministic, so instances are shareable.
 var atmmCache sync.Map // key string → *atmm.ATMM
 
-// SharedATMM returns a memoized ATMM operator for a GPU and model.
-func SharedATMM(g *simgpu.GPU, model lmm.Config) (*atmm.ATMM, error) {
+// sharedATMM returns a memoized ATMM operator for a GPU and model.
+func sharedATMM(g *simgpu.GPU, model lmm.Config) (*atmm.ATMM, error) {
 	maxTokens := 16 * model.MaxContext // fused batches exceed one context
 	key := fmt.Sprintf("%s/%d/%d", g.Name, model.Dim, maxTokens)
 	if v, ok := atmmCache.Load(key); ok {
@@ -71,7 +71,7 @@ func SystemOptions(kind SystemKind, g *simgpu.GPU, model lmm.Config) (Options, e
 	base := Options{Name: string(kind), GPU: g, Model: model}
 	switch kind {
 	case SystemVaLoRA:
-		op, err := SharedATMM(g, model)
+		op, err := sharedATMM(g, model)
 		if err != nil {
 			return Options{}, err
 		}
@@ -117,13 +117,4 @@ func NewSystem(kind SystemKind, g *simgpu.GPU, model lmm.Config) (*Server, error
 		return nil, err
 	}
 	return NewServer(opts)
-}
-
-// NewSystemCluster builds an n-instance cluster of one system's preset
-// with the given dispatch policy (nil means round-robin). Each
-// instance gets its own Options so no mutable state is shared.
-func NewSystemCluster(kind SystemKind, n int, g *simgpu.GPU, model lmm.Config, dispatch DispatchPolicy) (*Cluster, error) {
-	return NewClusterWithDispatch(n, dispatch, func(int) (Options, error) {
-		return SystemOptions(kind, g, model)
-	})
 }

@@ -169,19 +169,6 @@ func (m *Matrix) Scale(alpha float64) {
 	}
 }
 
-// AddRowVector adds vector v to every row, in place.
-func (m *Matrix) AddRowVector(v []float64) {
-	if len(v) != m.Cols {
-		panic("tensor: AddRowVector length mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
-}
-
 // Tanh applies tanh elementwise, in place, and returns m.
 func (m *Matrix) Tanh() *Matrix {
 	for i, v := range m.Data {
@@ -201,13 +188,4 @@ func TanhBackward(grad, act *Matrix) *Matrix {
 		out.Data[i] = grad.Data[i] * (1 - act.Data[i]*act.Data[i])
 	}
 	return out
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

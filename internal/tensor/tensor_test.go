@@ -128,14 +128,6 @@ func TestAddAXPYScale(t *testing.T) {
 	}
 }
 
-func TestAddRowVector(t *testing.T) {
-	a := FromRows([][]float64{{1, 1}, {2, 2}})
-	a.AddRowVector([]float64{1, -1})
-	if a.At(0, 0) != 2 || a.At(0, 1) != 0 || a.At(1, 0) != 3 {
-		t.Fatalf("AddRowVector wrong: %v", a.Data)
-	}
-}
-
 func TestTanhBackwardNumericalGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	z := Randn(rng, 3, 3, 0.5)
@@ -156,13 +148,6 @@ func TestTanhBackwardNumericalGradient(t *testing.T) {
 		if !almostEqual(analytic.Data[i], numeric, 1e-6) {
 			t.Fatalf("tanh gradient mismatch at %d: %v vs %v", i, analytic.Data[i], numeric)
 		}
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	a := FromRows([][]float64{{3, 4}})
-	if got := a.FrobeniusNorm(); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("norm = %v, want 5", got)
 	}
 }
 

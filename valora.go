@@ -22,8 +22,6 @@
 //     timeline, routing requests by a dispatch policy (round-robin,
 //     least-loaded, or adapter-affinity — which pins each adapter's
 //     traffic to a replica to cut switch and swap traffic).
-//   - RunExperiment regenerates any table or figure of the paper's
-//     evaluation by ID (see ExperimentIDs).
 //
 // A minimal end-to-end use:
 //
@@ -35,13 +33,10 @@
 package valora
 
 import (
-	"fmt"
 	"time"
 
-	"valora/internal/bench"
 	"valora/internal/lmm"
 	"valora/internal/lora"
-	"valora/internal/registry"
 	"valora/internal/sched"
 	"valora/internal/serving"
 	"valora/internal/simgpu"
@@ -80,14 +75,6 @@ type (
 	AutoscaleConfig = serving.AutoscaleConfig
 	// TenantReport is one tenant's slice of a managed cluster report.
 	TenantReport = serving.TenantReport
-	// AdapterStore is the tiered adapter-distribution backend (GPU pool
-	// → bounded host cache → remote registry); see NewAdapterStore.
-	AdapterStore = registry.Store
-	// AdapterStoreConfig shapes the host tier and the remote link.
-	AdapterStoreConfig = registry.Config
-	// ResidencyQuota bounds one tenant's host-tier residency
-	// (guaranteed pinned bytes plus a protected burst envelope).
-	ResidencyQuota = registry.TenantQuota
 )
 
 // Serving systems.
@@ -127,11 +114,6 @@ type Config struct {
 	AdapterPoolBytes int64
 	// DisablePrefixCache turns image-KV reuse off (Fig. 24 ablation).
 	DisablePrefixCache bool
-	// Store routes adapter misses through a tiered host/remote
-	// registry (see NewAdapterStore) instead of assuming every adapter
-	// is host-resident. Instances of one cluster share the store; nil
-	// keeps the paper's host-resident assumption.
-	Store *AdapterStore
 }
 
 // System is a ready-to-serve instance.
@@ -172,19 +154,7 @@ func (cfg Config) options() (serving.Options, error) {
 	if len(cfg.Adapters) > 0 {
 		opts.Registry = lora.NewRegistry(cfg.Adapters...)
 	}
-	opts.Store = cfg.Store
 	return opts, nil
-}
-
-// NewAdapterStore builds a tiered adapter-distribution store over an
-// adapter set: a bounded host-DRAM cache (LRU with per-tenant
-// residency quotas) in front of a remote registry reached over a
-// bandwidth/latency-modeled link. tenantOf resolves adapter ownership
-// for quota accounting (nil = shared). Set the returned store in
-// Config.Store and (for managed clusters) SchedulingConfig.Store, and
-// declare quotas with its SetQuota method.
-func NewAdapterStore(cfg AdapterStoreConfig, adapters []*Adapter, tenantOf func(id int) string) *AdapterStore {
-	return registry.NewStore(cfg, registry.CatalogFromAdapters(adapters, tenantOf))
 }
 
 // New builds a serving system on a simulated A100.
@@ -251,16 +221,6 @@ func (c *ClusterSystem) Serve(trace Trace) (*Report, error) {
 	return c.cluster.Run(trace)
 }
 
-// ServeSharded replays a trace like Serve and returns a bit-identical
-// report; shard count changes wall-clock time only. An unmanaged
-// cluster with stateless dispatch (round-robin) and no registry store
-// drains its instances independently on up to shards worker
-// goroutines; every other configuration runs Serve's sequential
-// engine.
-func (c *ClusterSystem) ServeSharded(trace Trace, shards int) (*Report, error) {
-	return c.cluster.RunSharded(trace, shards)
-}
-
 // NewManagedCluster builds a tenant-aware (SLO-aware) cluster: n
 // initial replicas of the configured system behind an admission stage
 // (per-tenant queue caps, hopeless-deadline shedding), a
@@ -289,17 +249,6 @@ func NewManagedCluster(cfg Config, n int, dispatch DispatchKind, sc SchedulingCo
 // fair-share weights, burst credits and queue caps.
 func DefaultTenantClasses() []TenantSpec { return workload.DefaultTenantClasses() }
 
-// ServiceFloorEstimator returns an admission-time lower bound on a
-// request's service time for the given model on a simulated A100 —
-// plug it into SchedulingConfig.EstimateService so hopeless deadlines
-// are shed at arrival.
-func ServiceFloorEstimator(model ModelConfig) func(*Request) time.Duration {
-	if model.Layers == 0 {
-		model = QwenVL7B()
-	}
-	return serving.ServiceFloor(simgpu.A100(), model)
-}
-
 // RetrievalWorkload synthesizes a visual-retrieval trace (Azure-like
 // arrivals at rate req/s, adapter popularity skewed so the hottest
 // adapter receives fraction skew of requests).
@@ -312,15 +261,6 @@ func RetrievalWorkload(rate float64, duration time.Duration, adapters int, skew 
 // heads.
 func VideoWorkload(streams int, duration time.Duration, adapters int, skew float64, seed int64) Trace {
 	return workload.GenVideo(workload.DefaultVideo(streams, duration, adapters, skew, seed))
-}
-
-// MultiTenantWorkload synthesizes the three-class multi-tenant trace
-// (realtime video analytics, interactive retrieval, bursty batch
-// inspection) with per-tenant diurnal arrival processes. scale
-// multiplies every tenant's rate (≈ instances of cluster capacity the
-// load saturates at 1.5x); same seed, same trace.
-func MultiTenantWorkload(duration time.Duration, scale float64, seed int64) Trace {
-	return workload.GenMultiTenant(workload.DefaultMultiTenant(duration, scale, seed))
 }
 
 // Knowledge is one domain dataset to integrate, with its accuracy
@@ -383,25 +323,4 @@ func Generate(model ModelConfig, items []Knowledge) ([]GeneratedAdapter, error) 
 		out = append(out, GeneratedAdapter{Adapter: ra, Domains: ra.Domains, Accuracies: acc})
 	}
 	return out, nil
-}
-
-// ExperimentIDs lists the available experiment identifiers in order.
-func ExperimentIDs() []string {
-	s := bench.NewSuite(true)
-	var out []string
-	for _, e := range s.All() {
-		out = append(out, e.ID)
-	}
-	return out
-}
-
-// RunExperiment runs a single experiment by ID.
-func RunExperiment(id string, quick bool) (*bench.Table, error) {
-	s := bench.NewSuite(quick)
-	for _, e := range s.All() {
-		if e.ID == id {
-			return e.Run()
-		}
-	}
-	return nil, fmt.Errorf("valora: unknown experiment %q (see ExperimentIDs)", id)
 }

@@ -3,6 +3,10 @@ package valora
 import (
 	"testing"
 	"time"
+
+	"valora/internal/serving"
+	"valora/internal/simgpu"
+	"valora/internal/workload"
 )
 
 // TestManagedClusterFacade drives the multi-tenant API end to end
@@ -13,13 +17,13 @@ func TestManagedClusterFacade(t *testing.T) {
 		Tenants:         DefaultTenantClasses(),
 		FairShare:       true,
 		HighWater:       4,
-		EstimateService: ServiceFloorEstimator(QwenVL7B()),
+		EstimateService: serving.ServiceFloor(simgpu.A100(), QwenVL7B()),
 	}
 	cl, err := NewManagedCluster(Config{}, 2, LeastLoadedDispatch, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := MultiTenantWorkload(8*time.Second, 2, 42)
+	trace := workload.GenMultiTenant(workload.DefaultMultiTenant(8*time.Second, 2, 42))
 	rep, err := cl.Serve(trace)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +61,7 @@ func TestManagedClusterFacadeAutoscale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := cl.Serve(MultiTenantWorkload(10*time.Second, 2, 7))
+	rep, err := cl.Serve(workload.GenMultiTenant(workload.DefaultMultiTenant(10*time.Second, 2, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}

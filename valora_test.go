@@ -1,7 +1,6 @@
 package valora
 
 import (
-	"reflect"
 	"testing"
 	"time"
 )
@@ -28,38 +27,6 @@ func TestServeRoundTrip(t *testing.T) {
 	}
 	if rep.Completed != len(trace) || rep.AvgTokenLatency <= 0 {
 		t.Fatalf("bad report: %+v", rep)
-	}
-}
-
-// TestServeShardedMatchesServe pins the facade contract: the sharded
-// engine returns a report identical to the sequential Serve for the
-// same workload.
-func TestServeShardedMatchesServe(t *testing.T) {
-	run := func(shards int) *Report {
-		sys, err := NewCluster(Config{MaxBatch: 16}, 4, LeastLoadedDispatch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := RetrievalWorkload(3, 8*time.Second, 8, 0.6, 1)
-		var rep *Report
-		if shards == 0 {
-			rep, err = sys.Serve(trace)
-		} else {
-			rep, err = sys.ServeSharded(trace, shards)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	want := run(0)
-	if want.Completed == 0 {
-		t.Fatal("workload completed nothing")
-	}
-	for _, shards := range []int{1, 2, 4} {
-		if got := run(shards); !reflect.DeepEqual(want, got) {
-			t.Fatalf("shards=%d diverges from sequential Serve:\n%+v\nvs\n%+v", shards, got, want)
-		}
 	}
 }
 
@@ -165,37 +132,6 @@ func TestServeWithGeneratedAdapters(t *testing.T) {
 func TestModelConfigs(t *testing.T) {
 	if QwenVL7B().Dim != 4096 || LLaVA7B().Dim != 4096 || LLaVA13B().Dim != 5120 {
 		t.Fatal("Table 2 model dims drifted")
-	}
-}
-
-func TestExperimentIDs(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) < 20 {
-		t.Fatalf("only %d experiments exposed", len(ids))
-	}
-	want := map[string]bool{"fig14": false, "table1": false, "table3": false, "fig17": false}
-	for _, id := range ids {
-		if _, ok := want[id]; ok {
-			want[id] = true
-		}
-	}
-	for id, found := range want {
-		if !found {
-			t.Errorf("experiment %q missing", id)
-		}
-	}
-}
-
-func TestRunExperiment(t *testing.T) {
-	tab, err := RunExperiment("table1", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.ID != "table1" || len(tab.Rows) == 0 {
-		t.Fatalf("bad table %+v", tab)
-	}
-	if _, err := RunExperiment("not-an-experiment", true); err == nil {
-		t.Fatal("unknown experiment should error")
 	}
 }
 
