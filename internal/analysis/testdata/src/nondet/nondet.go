@@ -10,7 +10,7 @@ import (
 )
 
 func wallClock() time.Duration {
-	start := time.Now() // want "wall-clock time.Now"
+	start := time.Now()      // want "wall-clock time.Now"
 	return time.Since(start) // want "wall-clock time.Since"
 }
 

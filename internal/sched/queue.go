@@ -69,6 +69,7 @@ func (q *ArrivalQueue) Len() int { return len(q.h) }
 
 // Push inserts r in arrival order (after any request with the same
 // arrival time).
+//
 //valora:hotpath
 func (q *ArrivalQueue) Push(r *Request) {
 	q.seq++
@@ -87,6 +88,7 @@ func (q *ArrivalQueue) Peek() *Request {
 
 // PopDue removes and returns the earliest request if it has arrived by
 // now, or nil.
+//
 //valora:hotpath
 func (q *ArrivalQueue) PopDue(now time.Duration) *Request {
 	if len(q.h) == 0 || q.h[0].req.Arrival > now {

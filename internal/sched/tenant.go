@@ -291,6 +291,7 @@ func (q *TenantQueue) deficit(ts *tenantState) float64 {
 // tenant, keeping runs deterministic). FIFO mode: the globally
 // earliest (arrival, submission) request wins regardless of tenancy.
 // Within the chosen tenant requests leave in EDF order.
+//
 //valora:hotpath
 func (q *TenantQueue) Pop() *Request {
 	pick := q.pickNext()
@@ -303,6 +304,7 @@ func (q *TenantQueue) Pop() *Request {
 
 // pickNext selects the tenant the next pop serves (nil when empty)
 // without mutating anything.
+//
 //valora:hotpath
 func (q *TenantQueue) pickNext() *tenantState {
 	if q.size == 0 {

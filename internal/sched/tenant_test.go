@@ -210,4 +210,3 @@ func TestTenantQueueBurstCredit(t *testing.T) {
 		t.Fatal("tenant a should have been served via burst credit")
 	}
 }
-

@@ -128,6 +128,7 @@ func (t *Timeline) Now() time.Duration { return t.now }
 // heap — the decrease-key hook for external mutations (an arrival
 // submitting work to an idle instance). The timeline calls it
 // itself after stepping a process.
+//
 //valora:hotpath
 func (t *Timeline) Refresh(i int) {
 	if t.procs[i] == nil {
@@ -165,6 +166,7 @@ func (t *Timeline) hswap(x, y int) {
 }
 
 // hup sifts slot x toward the root.
+//
 //valora:hotpath
 func (t *Timeline) hup(x int) {
 	for x > 0 {
@@ -178,6 +180,7 @@ func (t *Timeline) hup(x int) {
 }
 
 // hdown sifts slot x toward the leaves.
+//
 //valora:hotpath
 func (t *Timeline) hdown(x int) {
 	n := len(t.heap)
