@@ -128,10 +128,9 @@ func wideWaves(a *ATMM, b Batch) int {
 // TestATMMMatchesTableLookup differentially checks the adaptive and
 // static operators against refLayerTime on random batches, and their
 // BatchTime, single-segment and fused, against the lookup path on a
-// shape grid. The
-// adaptive table profiles M up to 2048, so larger batches leave the
-// grid; at M bucket 4096 the expand shape meets the table's ΔW entry
-// (dim×rank×dim), which the lookup path also returns.
+// shape grid. The adaptive table profiles M up to 2048, so larger
+// batches leave the grid; at M bucket 4096 the expand shape meets the
+// table's ΔW entry (dim×rank×dim), which the lookup path also returns.
 func TestATMMMatchesTableLookup(t *testing.T) {
 	g := simgpu.A100()
 	adaptive, err := NewATMM(g, 4096, 2048)
