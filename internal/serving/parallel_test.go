@@ -273,3 +273,88 @@ func TestRunShardedValidation(t *testing.T) {
 		t.Fatalf("oversized shard count should clamp, got %v", err)
 	}
 }
+
+// requestTimes is the per-request outcome a replay stamps into the
+// trace: lifecycle phase, tokens emitted and every timestamp.
+type requestTimes struct {
+	ID                          int64
+	Phase                       sched.Phase
+	Emitted                     int
+	FirstSchedule, LastSchedule time.Duration
+	FirstToken, Finish          time.Duration
+}
+
+func requestOutcomes(tr workload.Trace) []requestTimes {
+	out := make([]requestTimes, len(tr))
+	for i, r := range tr {
+		out[i] = requestTimes{r.ID, r.Phase, r.Emitted, r.FirstSchedule, r.LastSchedule, r.FirstToken, r.Finish}
+	}
+	return out
+}
+
+// TestPartitionedRunMatchesTimeline is the differential check on the
+// partitioned drain: RunSharded at every worker count must reproduce
+// the shared-timeline replay exactly, in the Report and in every
+// request's timestamps. The cases cover equal-arrival ties, an
+// unsorted trace, fleets that do not divide the trace evenly, a
+// request rejected for KV capacity and a fleet too wide for the
+// partitioned plan.
+func TestPartitionedRunMatchesTimeline(t *testing.T) {
+	model := lmm.QwenVL7B()
+	defaults := func(int) (Options, error) { return SystemOptions(SystemVaLoRA, simgpu.A100(), model) }
+	stress := func(n int, seed int64) func() workload.Trace {
+		return func() workload.Trace { return workload.GenStress(workload.DefaultStress(n, seed)) }
+	}
+	cases := []struct {
+		name      string
+		instances int
+		build     func(int) (Options, error)
+		trace     func() workload.Trace
+		rejects   bool
+	}{
+		{"stress/1", 1, defaults, stress(20000, 13), false},
+		{"stress/3", 3, defaults, stress(20000, 13), false},
+		{"stress/4", 4, defaults, stress(20000, 13), false},
+		{"stress/9", 9, defaults, stress(20000, 13), false},
+		{"skewed-swap/3", 3, swapConstrained(model), func() workload.Trace { return skewedSwapTrace(31) }, false},
+		{"skewed-swap/4", 4, swapConstrained(model), func() workload.Trace { return skewedSwapTrace(31) }, false},
+		{"ties-sorted/4", 4, swapConstrained(model), func() workload.Trace { return tiedShuffle(skewedSwapTrace(33), 7, true) }, false},
+		{"ties-unsorted/3", 3, swapConstrained(model), func() workload.Trace { return tiedShuffle(skewedSwapTrace(33), 7, false) }, false},
+		{"kv-reject/4", 4, defaults, func() workload.Trace {
+			tr := workload.GenStress(workload.DefaultStress(5000, 17))
+			tr[2501].InputTokens = 1 << 24 // more blocks than an empty KV cache holds
+			return tr
+		}, true},
+		{"wide/257", 257, defaults, stress(3000, 19), false},
+	}
+	for _, tc := range cases {
+		run := func(replay func(*Cluster, workload.Trace) (*Report, error)) (*Report, []requestTimes) {
+			cl, err := NewClusterWithDispatch(tc.instances, NewRoundRobin(), tc.build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := tc.trace()
+			rep, err := replay(cl, tr)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return rep, requestOutcomes(tr)
+		}
+		want, wantTimes := run(func(cl *Cluster, tr workload.Trace) (*Report, error) { return cl.Run(tr) })
+		if tc.rejects != (want.Rejected > 0) {
+			t.Fatalf("%s: %d requests rejected, want rejections %v", tc.name, want.Rejected, tc.rejects)
+		}
+		for _, shards := range shardCounts {
+			got, gotTimes := run(func(cl *Cluster, tr workload.Trace) (*Report, error) { return cl.RunSharded(tr, shards) })
+			label := fmt.Sprintf("%s/shards=%d", tc.name, shards)
+			checkReportIdentical(t, want, got, label)
+			if !reflect.DeepEqual(wantTimes, gotTimes) {
+				for i := range wantTimes {
+					if wantTimes[i] != gotTimes[i] {
+						t.Fatalf("%s: request %d diverges\ntimeline: %+v\nsharded:  %+v", label, i, wantTimes[i], gotTimes[i])
+					}
+				}
+			}
+		}
+	}
+}
