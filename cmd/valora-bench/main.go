@@ -27,7 +27,7 @@ func main() {
 		id     = flag.String("id", "", "run a single experiment by id (empty = all)")
 		csvDir = flag.String("csv", "", "directory to write per-experiment CSV files")
 		outDir = flag.String("out", "", "directory for persistent artifacts like BENCH_serving.json (default: current directory)")
-		shards = flag.Int("shards", 0, "shard count: joins the sweep-style experiments' shard axes and makes every other shard-aware experiment (marked [sharded] by -list) replay sharded and verify bit-identity against its sequential report (0 = defaults)")
+		shards = flag.Int("shards", 0, "shard count: joins the sweep-style experiments' shard axes and makes every other shard-aware experiment (marked [sharded] by -list) replay sharded and verify bit-identity against its Run report (0 = defaults)")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()

@@ -81,8 +81,8 @@ type Suite struct {
 	// Shards, when positive, is added to million-requests' shard
 	// sweep, overrides its headline run's shard count, and makes every
 	// other shard-aware experiment (Experiment.Sharded) replay its runs
-	// through RunSharded and verify bit-identity against the sequential
-	// report — the -shards flag of valora-bench.
+	// through RunSharded and verify bit-identity against Run's report —
+	// the -shards flag of valora-bench.
 	Shards int
 }
 
@@ -122,7 +122,7 @@ type Experiment struct {
 // shardedExperiments are the experiment IDs that honor Suite.Shards:
 // million-requests adds it to its shard axis, the rest replay their
 // runs through RunSharded and verify the report is bit-identical to
-// the sequential one. valora-bench -list flags them.
+// Run's. valora-bench -list flags them.
 var shardedExperiments = map[string]bool{
 	"cluster-dispatch": true,
 	"million-requests": true,
@@ -134,17 +134,16 @@ func (e Experiment) Sharded() bool { return shardedExperiments[e.ID] }
 
 // spotCheckSharded replays a freshly built run of a shard-aware
 // experiment through RunSharded at Suite.Shards and verifies the
-// report is bit-identical to the sequential one — the -shards
-// spot-check contract. Callers gate on s.Shards > 0 and hand over a
-// fresh cluster plus a fresh (or runtime-reset) trace, since requests
-// carry runtime state.
+// report is bit-identical to Run's — the -shards spot-check contract.
+// Callers gate on s.Shards > 0 and hand over a fresh cluster plus a
+// fresh (or runtime-reset) trace, since requests carry runtime state.
 func (s *Suite) spotCheckSharded(id string, seq *serving.Report, cl *serving.Cluster, trace workload.Trace) error {
 	rep, err := cl.RunSharded(trace, s.Shards)
 	if err != nil {
 		return fmt.Errorf("bench: %s sharded spot check: %w", id, err)
 	}
 	if !reflect.DeepEqual(seq, rep) {
-		return fmt.Errorf("bench: %s sharded replay (shards=%d) diverged from the sequential report", id, s.Shards)
+		return fmt.Errorf("bench: %s sharded replay (shards=%d) diverged from Run's report", id, s.Shards)
 	}
 	return nil
 }

@@ -39,11 +39,12 @@ type StressRecord struct {
 	Commit string `json:"commit,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
 
-	// Shards is the sharded-engine worker count (0 = the sequential
-	// Timeline engine); Repeats the number of identical replays the
-	// wall-clock numbers are the median of; GOMAXPROCS the Go
-	// scheduler's processor count during the run — wall-clock numbers
-	// are only comparable at equal parallelism.
+	// Shards is the partitioned drain's worker count (1 drains the
+	// instances one after another; older records carry 0 for the
+	// sequential Timeline engine); Repeats the number of identical
+	// replays the wall-clock numbers are the median of; GOMAXPROCS the
+	// Go scheduler's processor count during the run — wall-clock
+	// numbers are only comparable at equal parallelism.
 	Shards     int `json:"shards,omitempty"`
 	Repeats    int `json:"repeats,omitempty"`
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
@@ -181,12 +182,7 @@ func (s *Suite) runStress(trace workload.Trace, instances, shards, repeats int) 
 			return nil, wallSpread{}, err
 		}
 		start := time.Now()
-		var got *serving.Report
-		if shards == 0 {
-			got, err = cl.Run(trace)
-		} else {
-			got, err = cl.RunSharded(trace, shards)
-		}
+		got, err := cl.RunSharded(trace, shards)
 		if err != nil {
 			return nil, wallSpread{}, err
 		}
@@ -204,14 +200,15 @@ func (s *Suite) runStress(trace workload.Trace, instances, shards, repeats int) 
 	return rep, spreadOf(walls), nil
 }
 
-// stressShardSweep is the shard-count axis of the stress experiment:
-// 0 is the sequential Timeline engine (the baseline every sharded run
-// must match bit-for-bit), the rest exercise the sharded engine.
-// Suite.Shards (the -shards flag) is added to the sweep when absent.
+// stressShardSweep is the worker-count axis of the stress experiment:
+// 1 drains the instances one after another on one goroutine (the
+// baseline every wider run must match bit-for-bit), the rest drain
+// them in parallel. Suite.Shards (the -shards flag) is added to the
+// sweep when absent.
 func (s *Suite) stressShardSweep() []int {
-	sweep := []int{0, 1, 2, 4}
+	sweep := []int{1, 2, 4}
 	if s.Quick {
-		sweep = []int{0, 4}
+		sweep = []int{1, 4}
 	}
 	if s.Shards > 0 {
 		for _, v := range sweep {
@@ -225,10 +222,10 @@ func (s *Suite) stressShardSweep() []int {
 }
 
 // MillionRequests is the simulator's own perf benchmark: it replays
-// the stress trace across the shard sweep (sequential baseline plus
-// sharded-engine runs), reporting median-of-N wall-clock throughput
-// per configuration and verifying every configuration's report is
-// bit-identical to the sequential engine's. In full mode it finishes
+// the stress trace across the shard sweep (one-worker baseline plus
+// parallel drains), reporting median-of-N wall-clock throughput per
+// configuration and verifying every configuration's report is
+// bit-identical to the one-worker replay's. In full mode it finishes
 // with the 10M-request headline run on a larger fleet. Every
 // configuration appends one record to BENCH_serving.json.
 func (s *Suite) MillionRequests() (*Table, error) {
@@ -253,11 +250,7 @@ func (s *Suite) MillionRequests() (*Table, error) {
 		if err := s.appendStressRecord(rec); err != nil {
 			return err
 		}
-		shardLabel := "seq"
-		if shards > 0 {
-			shardLabel = fmt.Sprintf("%d", shards)
-		}
-		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", instances), shardLabel,
+		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", instances), fmt.Sprintf("%d", shards),
 			f2(rec.WallSeconds), fmt.Sprintf("%.0f", rec.SimRPS), f2(rec.VirtualRPS),
 			f2(rec.VirtualP50MS), f2(rec.VirtualP99MS),
 			fmt.Sprintf("%d", rep.Completed), fmt.Sprintf("%d", rep.Rejected))
@@ -274,7 +267,7 @@ func (s *Suite) MillionRequests() (*Table, error) {
 		if baseline == nil {
 			baseline = rep
 		} else if !reflect.DeepEqual(baseline, rep) {
-			return nil, fmt.Errorf("bench: sharded replay (shards=%d) diverged from the sequential engine", shards)
+			return nil, fmt.Errorf("bench: sharded replay (shards=%d) diverged from the one-worker replay", shards)
 		}
 		if err := record(rep, n, instances, shards, repeats, wall); err != nil {
 			return nil, err
@@ -282,7 +275,7 @@ func (s *Suite) MillionRequests() (*Table, error) {
 	}
 
 	if !s.Quick {
-		// The 10M-request headline: sharded engine only (the sequential
+		// The 10M-request headline: parallel drain only (the one-worker
 		// baseline at this scale is what the shard sweep above already
 		// quantifies per million).
 		trace = nil // release the sweep trace before the 10M allocation
@@ -300,7 +293,7 @@ func (s *Suite) MillionRequests() (*Table, error) {
 		}
 	}
 
-	t.Notes = fmt.Sprintf("appended to %s; wall times are medians of %d identical replays (virtual results verified bit-identical across repeats and shard counts); shards=seq is the sequential Timeline engine.",
+	t.Notes = fmt.Sprintf("appended to %s; wall times are medians of %d identical replays (virtual results verified bit-identical across repeats and shard counts); shards=1 drains the instances one after another on one goroutine.",
 		BenchServingFile, repeats)
 	return t, nil
 }

@@ -9,7 +9,7 @@ import (
 
 // TestMillionRequestsQuickSmoke runs the stress experiment in quick
 // mode: the replay must account for every request, sweep the quick
-// shard axis (sequential baseline + 4 shards) with bit-identical
+// shard axis (one-worker baseline + 4 shards) with bit-identical
 // virtual results, and append one record per configuration to the
 // BENCH_serving.json trajectory.
 func TestMillionRequestsQuickSmoke(t *testing.T) {
@@ -20,13 +20,13 @@ func TestMillionRequestsQuickSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 2 {
-		t.Fatalf("want one row per sweep point (seq + 4 shards), got %d", len(tab.Rows))
+		t.Fatalf("want one row per sweep point (1 + 4 shards), got %d", len(tab.Rows))
 	}
 	if got := tab.Rows[0][0]; got != "50000" {
 		t.Fatalf("quick mode should replay 50000 requests, row says %s", got)
 	}
-	if tab.Rows[0][2] != "seq" || tab.Rows[1][2] != "4" {
-		t.Fatalf("sweep should cover sequential then 4 shards, got %q and %q", tab.Rows[0][2], tab.Rows[1][2])
+	if tab.Rows[0][2] != "1" || tab.Rows[1][2] != "4" {
+		t.Fatalf("sweep should cover 1 then 4 shards, got %q and %q", tab.Rows[0][2], tab.Rows[1][2])
 	}
 
 	data, err := os.ReadFile(filepath.Join(s.OutDir, BenchServingFile))
@@ -54,14 +54,14 @@ func TestMillionRequestsQuickSmoke(t *testing.T) {
 			t.Fatalf("record %d wall spread out of order: min %v med %v max %v", i, rec.WallMinSeconds, rec.WallSeconds, rec.WallMaxSeconds)
 		}
 	}
-	if records[0].Shards != 0 || records[1].Shards != 4 {
-		t.Fatalf("records should cover shards 0 and 4: %d, %d", records[0].Shards, records[1].Shards)
+	if records[0].Shards != 1 || records[1].Shards != 4 {
+		t.Fatalf("records should cover shards 1 and 4: %d, %d", records[0].Shards, records[1].Shards)
 	}
 	// The sweep's virtual results must agree exactly: the engines are
 	// bit-identical by contract (MillionRequests itself DeepEquals the
 	// full reports; the record fields are a visible spot check).
 	if records[0].VirtualP99MS != records[1].VirtualP99MS || records[0].Completed != records[1].Completed {
-		t.Fatalf("sequential and sharded records disagree on virtual results: %+v vs %+v", records[0], records[1])
+		t.Fatalf("one-worker and 4-worker records disagree on virtual results: %+v vs %+v", records[0], records[1])
 	}
 
 	// A second run must append, not overwrite.
@@ -81,7 +81,7 @@ func TestSuiteShardsJoinsSweep(t *testing.T) {
 	s := NewSuite(true)
 	s.Shards = 3
 	got := s.stressShardSweep()
-	want := []int{0, 4, 3}
+	want := []int{1, 4, 3}
 	if len(got) != len(want) {
 		t.Fatalf("sweep = %v, want %v", got, want)
 	}

@@ -108,8 +108,9 @@ func (s *Suite) MultiTenant() (*Table, error) {
 		}
 
 		// -shards spot check: the same mode replayed sharded must produce
-		// a bit-identical report. RunSharded runs managed clusters with
-		// Run, so the check is trivial but still exercises the routing.
+		// a bit-identical report. Managed clusters always replay on the
+		// shared timeline, so the check is trivial but still exercises
+		// the routing.
 		if s.Shards > 0 {
 			cl2, err := serving.NewManagedCluster(m.instances, serving.NewLeastLoaded(), cfg, build)
 			if err != nil {

@@ -60,7 +60,7 @@ func TestMultiTenantQuick(t *testing.T) {
 
 	// Stress records must coexist in the same trajectory file: 3
 	// tenant modes plus one stress record per quick sweep point
-	// (sequential + 4 shards).
+	// (1 + 4 shards).
 	if _, err := s.MillionRequests(); err != nil {
 		t.Fatal(err)
 	}

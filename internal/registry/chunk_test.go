@@ -3,12 +3,14 @@ package registry
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"valora/internal/lmm"
 	"valora/internal/lora"
 	"valora/internal/sim"
+	"valora/internal/trace"
 )
 
 // familyAdapters builds fams families of perFam adapters each, every
@@ -428,5 +430,64 @@ func TestAbortedFetchFreesLandedChunks(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFetchObserverRows pins every field of the trace.FetchRecord rows
+// the store hands its fetch observer: a demand fetch, a family sibling
+// whose shared chunks ride that fetch's in-flight transfers, and a
+// prefetch of another tenant's family once the link is idle.
+func TestFetchObserverRows(t *testing.T) {
+	model := lmm.QwenVL7B()
+	ab := model.AdapterBytes(model.DefaultRank)
+	chunkSize := ab / 8
+	tenantOf := func(id int) string { return []string{"a", "b"}[id/2] }
+	_, cat := familyAdapters(2, 2, ab/2, tenantOf)
+	ent, _ := cat.Resolve(1)
+	spans := chunkSpans(ent, chunkSize)
+	var privateB int64
+	for _, sp := range spans[sharedChunkCount(ent, chunkSize):] {
+		privateB += sp.Bytes
+	}
+	const bw, lat = 1e9, time.Millisecond
+	wire := func(b int64) time.Duration { return time.Duration(float64(b) / bw * float64(time.Second)) }
+
+	s := NewStore(Config{HostCapacity: 8 * ab, ChunkSize: chunkSize, RemoteLatency: lat, RemoteBandwidth: bw}, cat)
+	var rows []trace.FetchRecord
+	s.SetFetchObserver(func(r trace.FetchRecord) { rows = append(rows, r) })
+
+	st, done0, _ := s.Demand(0, 0)
+	if st != StatusStarted {
+		t.Fatalf("demand: status %v, want started", st)
+	}
+	st, done1, _ := s.Demand(1, 0)
+	if st != StatusStarted {
+		t.Fatalf("riding sibling: status %v, want started", st)
+	}
+	now := drain(s, 0)
+	done2, started := s.Prefetch(2, now)
+	if !started {
+		t.Fatal("prefetch did not start a fetch")
+	}
+	drain(s, now)
+
+	// One link: the sibling's private tail queues behind the whole
+	// first adapter, and the prefetch starts on an idle link.
+	if want := wire(ab) + lat; done0 != want {
+		t.Fatalf("demand done at %v, want %v", done0, want)
+	}
+	if want := wire(ab) + wire(privateB) + lat; done1 != want {
+		t.Fatalf("riding sibling done at %v, want %v", done1, want)
+	}
+	if want := now + wire(ab) + lat; done2 != want {
+		t.Fatalf("prefetch done at %v, want %v", done2, want)
+	}
+	want := []trace.FetchRecord{
+		{Tenant: "a", Family: "famA", Bytes: ab, Chunks: len(spans), Demand: true, Requested: 0, Done: done0},
+		{Tenant: "a", Family: "famA", Bytes: privateB, Chunks: len(spans), Demand: true, Requested: 0, Done: done1},
+		{Tenant: "b", Family: "famB", Bytes: ab, Chunks: len(spans), Demand: false, Requested: now, Done: done2},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("observer rows:\ngot  %+v\nwant %+v", rows, want)
 	}
 }

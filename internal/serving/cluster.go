@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"valora/internal/metrics"
@@ -53,7 +54,9 @@ func NewCluster(n int, build func(i int) (Options, error)) (*Cluster, error) {
 }
 
 // NewClusterWithDispatch builds a cluster with an explicit dispatch
-// policy.
+// policy. build is called once per instance; the Options it returns
+// must not share unsynchronised mutable state, because Run may step
+// independent instances concurrently.
 func NewClusterWithDispatch(n int, dispatch DispatchPolicy, build func(i int) (Options, error)) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("serving: cluster needs at least one instance")
@@ -103,7 +106,24 @@ func (c *Cluster) Instances() []*Server {
 // (NewManagedCluster) route arrivals through admission, the
 // fair-share queue and the autoscaler instead of dispatching
 // statelessly at arrival.
+//
+// When the instances never observe one another (unmanaged, stateless
+// dispatch, no registry store; see parallel.go) Run drains them
+// concurrently on runtime.GOMAXPROCS(0) workers, as RunSharded does,
+// and returns the same report. Instances may therefore step on
+// different goroutines: the Options objects the cluster was built
+// from must not share unsynchronised mutable state.
 func (c *Cluster) Run(trace workload.Trace) (*Report, error) {
+	if c.partitioned() {
+		return c.runPartitioned(trace, runtime.GOMAXPROCS(0))
+	}
+	return c.runTimeline(trace)
+}
+
+// runTimeline is Run on one shared timeline: every configuration can
+// take it, and it is the sequential reference the partitioned drain
+// must reproduce.
+func (c *Cluster) runTimeline(trace workload.Trace) (*Report, error) {
 	if c.sched != nil {
 		return c.runManaged(trace)
 	}

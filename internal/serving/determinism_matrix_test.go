@@ -11,17 +11,29 @@ import (
 	"valora/internal/workload"
 )
 
-// The executable determinism matrix: RunSharded must produce
+// The executable determinism matrix: Run and RunSharded must produce
 // byte-identical serialized Reports across every combination of
-// GOMAXPROCS ∈ {1, 2, 8} and shard count ∈ {1, 2, 4, 8}, against a
-// sequential reference. GOMAXPROCS is the axis a scheduler-order
-// dependence tends to hide on — one that hides at 8 cores can surface
-// at 1, and vice versa — and CI runs this test under -race, so an
-// unsynchronized cross-instance access in the partitioned drain fails
-// the job even when the output happens to match.
+// GOMAXPROCS ∈ {1, 2, 8} and shard count ∈ {Run, 1, 2, 4, 8}, against
+// the sequential reference, runTimeline. GOMAXPROCS is the axis a
+// scheduler-order dependence tends to hide on — one that hides at 8
+// cores can surface at 1, and vice versa — and CI runs this test under
+// -race, so an unsynchronized cross-instance access in the partitioned
+// drain fails the job even when the output happens to match.
 
 var matrixGOMAXPROCS = []int{1, 2, 8}
-var matrixShards = []int{1, 2, 4, 8}
+var matrixShards = []int{0, 1, 2, 4, 8}
+
+// matrixReplay replays trace on cl: shards -1 is runTimeline, 0 is Run
+// (at GOMAXPROCS workers), any other count RunSharded.
+func matrixReplay(cl *Cluster, trace workload.Trace, shards int) (*Report, error) {
+	switch shards {
+	case -1:
+		return cl.runTimeline(trace)
+	case 0:
+		return cl.Run(trace)
+	}
+	return cl.RunSharded(trace, shards)
+}
 
 // marshalReport serializes a Report canonically (JSON with sorted map
 // keys, indented for a readable diff on failure).
@@ -39,7 +51,7 @@ func runMatrix(t *testing.T, label string, run func(shards int) *Report) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
-	ref := marshalReport(t, run(0)) // sequential reference at ambient GOMAXPROCS
+	ref := marshalReport(t, run(-1)) // runTimeline at ambient GOMAXPROCS
 	for _, gmp := range matrixGOMAXPROCS {
 		runtime.GOMAXPROCS(gmp)
 		for _, shards := range matrixShards {
@@ -53,8 +65,8 @@ func runMatrix(t *testing.T, label string, run func(shards int) *Report) {
 }
 
 // TestDeterminismMatrixUnmanaged drives an unmanaged cluster with a
-// state-reading dispatch policy (the coupling-heavy case), which
-// RunSharded runs with Run at every shard count.
+// state-reading dispatch policy (the coupling-heavy case), which Run
+// and RunSharded replay on the shared timeline at every shard count.
 func TestDeterminismMatrixUnmanaged(t *testing.T) {
 	model := lmm.QwenVL7B()
 	runMatrix(t, "unmanaged/adapter-affinity", func(shards int) *Report {
@@ -63,12 +75,7 @@ func TestDeterminismMatrixUnmanaged(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace := skewedSwapTrace(23)
-		var rep *Report
-		if shards == 0 {
-			rep, err = cl.Run(trace)
-		} else {
-			rep, err = cl.RunSharded(trace, shards)
-		}
+		rep, err := matrixReplay(cl, trace, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,9 +84,9 @@ func TestDeterminismMatrixUnmanaged(t *testing.T) {
 }
 
 // TestDeterminismMatrixManaged drives the managed runner (admission,
-// fair-share queueing, shedding) through the same matrix. RunSharded
-// runs it with Run at every shard count, so this pins that fallback to
-// the reference report.
+// fair-share queueing, shedding) through the same matrix. Run and
+// RunSharded replay it on the shared timeline at every shard count, so
+// this pins that fallback to the reference report.
 func TestDeterminismMatrixManaged(t *testing.T) {
 	runMatrix(t, "managed/fair-share", func(shards int) *Report {
 		cfg := SchedulingConfig{
@@ -92,12 +99,7 @@ func TestDeterminismMatrixManaged(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace := workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 3, 37))
-		var rep *Report
-		if shards == 0 {
-			rep, err = cl.Run(trace)
-		} else {
-			rep, err = cl.RunSharded(trace, shards)
-		}
+		rep, err := matrixReplay(cl, trace, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,8 +108,8 @@ func TestDeterminismMatrixManaged(t *testing.T) {
 }
 
 // TestDeterminismMatrixPartitioned drives the one parallel plan: a
-// round-robin cluster, whose instances RunSharded drains on worker
-// goroutines, replaying a stress trace.
+// round-robin cluster, whose instances Run and RunSharded drain on
+// worker goroutines, replaying a stress trace.
 func TestDeterminismMatrixPartitioned(t *testing.T) {
 	model := lmm.QwenVL7B()
 	runMatrix(t, "unmanaged/round-robin", func(shards int) *Report {
@@ -116,12 +118,7 @@ func TestDeterminismMatrixPartitioned(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace := workload.GenStress(workload.DefaultStress(4000, 19))
-		var rep *Report
-		if shards == 0 {
-			rep, err = cl.Run(trace)
-		} else {
-			rep, err = cl.RunSharded(trace, shards)
-		}
+		rep, err := matrixReplay(cl, trace, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,10 +18,10 @@ type DispatchPolicy interface {
 
 // StatelessDispatch marks policies whose Pick depends only on the
 // request sequence — never on live server state (InFlight, instance
-// IDs). Cluster.RunSharded exploits the marker: a stateless policy's
-// routing can be precomputed from the trace alone, so the per-server
-// request streams are known up front and the instances drain
-// independently in parallel (the partitioned plan). A policy that
+// IDs). Cluster.Run and Cluster.RunSharded exploit the marker: a
+// stateless policy's routing can be precomputed from the trace alone,
+// so the per-server request streams are known up front and the
+// instances drain independently in parallel (the partitioned plan). A policy that
 // reads any server state must not implement it.
 type StatelessDispatch interface {
 	DispatchPolicy

@@ -10,27 +10,34 @@ import (
 	"valora/internal/workload"
 )
 
-// This file is the sharded counterpart of Cluster.Run. A run whose
-// instances never observe one another is split into independent
-// per-instance replays and drained on worker goroutines
-// (sim.RunIndependent); every other run is Run itself. Either way the
-// report is bit-identical to Run's, so shard count is purely a
-// wall-clock knob and every recorded experiment stays reproducible
-// under any parallelism.
+// This file is the partitioned counterpart of the shared timeline. A
+// run whose instances never observe one another is split into
+// independent per-instance replays and drained on worker goroutines
+// (sim.RunIndependent): Run does so at runtime.GOMAXPROCS(0) workers,
+// RunSharded at an explicit count. Every other run takes runTimeline.
+// Either way the report is bit-identical to runTimeline's, so the
+// worker count is purely a wall-clock knob and every recorded
+// experiment stays reproducible under any parallelism.
 //
 // Instances are independent exactly when the cluster is unmanaged, its
 // dispatch is a StatelessDispatch and no instance shares a registry
 // store. Routing then depends only on the request sequence, so it is
-// precomputed once and each instance's private arrival stream becomes
-// a sim.Feed. Any other configuration couples instances: dispatch that
-// reads live instance state, managed admission placing a request after
-// any instance step, the autoscaler, preemption requeues, and a shared
+// precomputed once, one byte per request, and each instance's feed
+// walks the shared arrival order picking out its own requests. Any
+// other configuration couples instances: dispatch that reads live
+// instance state, managed admission placing a request after any
+// instance step, the autoscaler, preemption requeues, and a shared
 // store whose serialized link model makes fetch order observable.
 
+// maxPartitionedInstances is the widest fleet the partitioned plan
+// takes: a route entry is one byte.
+const maxPartitionedInstances = 256
+
 // partitioned reports whether the cluster's instances are independent,
-// so RunSharded can replay them in parallel (see the file comment).
+// so Run and RunSharded can replay them in parallel (see the file
+// comment).
 func (c *Cluster) partitioned() bool {
-	if c.sched != nil {
+	if c.sched != nil || len(c.servers) > maxPartitionedInstances {
 		return false
 	}
 	if _, ok := c.dispatch.(StatelessDispatch); !ok {
@@ -44,23 +51,23 @@ func (c *Cluster) partitioned() bool {
 	return true
 }
 
-// RunSharded replays a trace like Run and returns a bit-identical
-// report. When the instances are independent (unmanaged, stateless
-// dispatch, no registry store) it drains them on up to shards worker
-// goroutines; every other configuration runs Run.
+// RunSharded replays a trace like Run, at an explicit worker count,
+// and returns a bit-identical report. When the instances are
+// independent (unmanaged, stateless dispatch, no registry store) it
+// drains them on up to shards worker goroutines; every other
+// configuration runs on the shared timeline.
 func (c *Cluster) RunSharded(trace workload.Trace, shards int) (*Report, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("serving: shard count %d < 1", shards)
 	}
 	if !c.partitioned() {
-		return c.Run(trace)
+		return c.runTimeline(trace)
 	}
 	return c.runPartitioned(trace, shards)
 }
 
 // requestFeed adapts an arrival-ordered request stream to sim.Feed: a
-// cluster timeline's arrivals (deliver dispatches or admits), or one
-// instance's pre-routed stream (deliver submits).
+// cluster timeline's arrivals, where deliver dispatches or admits.
 type requestFeed struct {
 	reqs    []*sched.Request
 	cur     int
@@ -106,33 +113,64 @@ func arrivalOrder(trace workload.Trace) workload.Trace {
 	return out
 }
 
-// runPartitioned replays dispatch over the arrival-ordered trace once
-// (stateless policies observe nothing else), yielding each instance's
-// exact request subsequence, then drains the instances independently
-// on up to shards workers.
-func (c *Cluster) runPartitioned(trace workload.Trace, shards int) (*Report, error) {
-	ordered := arrivalOrder(trace)
-	parts := make([][]*sched.Request, len(c.servers))
-	for i := range parts {
-		parts[i] = make([]*sched.Request, 0, len(trace)/len(c.servers)+1)
+// routedFeed is one instance's arrival stream in the partitioned
+// drain: it walks the shared arrival order and delivers only the
+// requests routed to inst, skipping the rest.
+type routedFeed struct {
+	reqs  workload.Trace
+	route []uint8
+	inst  uint8
+	cur   int // next request routed to inst, or len(reqs)
+	srv   *Server
+}
+
+// seek advances cur to the next request routed to this instance.
+//
+//valora:hotpath
+func (f *routedFeed) seek() {
+	for f.cur < len(f.route) && f.route[f.cur] != f.inst {
+		f.cur++
 	}
-	for _, r := range ordered {
+}
+
+func (f *routedFeed) NextAt() time.Duration {
+	if f.cur >= len(f.reqs) {
+		return sim.Never
+	}
+	return f.reqs[f.cur].Arrival
+}
+
+func (f *routedFeed) Deliver() error {
+	r := f.reqs[f.cur]
+	f.cur++
+	f.seek()
+	f.srv.Submit(r)
+	return nil
+}
+
+// runPartitioned replays dispatch over the arrival-ordered trace once
+// (stateless policies observe nothing else), recording each request's
+// instance in one byte, then drains the instances independently on up
+// to workers goroutines.
+func (c *Cluster) runPartitioned(trace workload.Trace, workers int) (*Report, error) {
+	ordered := arrivalOrder(trace)
+	route := make([]uint8, len(ordered))
+	for k, r := range ordered {
 		i := c.dispatch.Pick(r, c.servers)
 		if i < 0 || i >= len(c.servers) {
 			return nil, fmt.Errorf("serving: dispatch %s picked instance %d of %d", c.dispatch.Name(), i, len(c.servers))
 		}
-		parts[i] = append(parts[i], r)
+		route[k] = uint8(i)
 	}
 	procs := make([]sim.Process, len(c.servers))
 	feeds := make([]sim.Feed, len(c.servers))
 	for i, srv := range c.servers {
 		procs[i] = srv
-		feeds[i] = &requestFeed{reqs: parts[i], deliver: func(r *sched.Request) error {
-			srv.Submit(r)
-			return nil
-		}}
+		f := &routedFeed{reqs: ordered, route: route, inst: uint8(i), srv: srv}
+		f.seek()
+		feeds[i] = f
 	}
-	if err := sim.RunIndependent(procs, feeds, shards); err != nil {
+	if err := sim.RunIndependent(procs, feeds, workers); err != nil {
 		return nil, err
 	}
 	return c.drainAggregate(len(c.servers), "")

@@ -31,8 +31,8 @@ func checkReportIdentical(t *testing.T, want, got *Report, label string) {
 }
 
 // TestShardedUnmanagedBitIdentical covers both unmanaged plans: the
-// partitioned drain (round-robin, stateless) and Run (policies that
-// read live instance state).
+// partitioned drain (round-robin, stateless) and the shared timeline
+// (policies that read live instance state), each against runTimeline.
 func TestShardedUnmanagedBitIdentical(t *testing.T) {
 	model := lmm.QwenVL7B()
 	policies := []struct {
@@ -54,7 +54,7 @@ func TestShardedUnmanagedBitIdentical(t *testing.T) {
 				trace := skewedSwapTrace(seed)
 				var rep *Report
 				if shards == 0 {
-					rep, err = cl.Run(trace)
+					rep, err = cl.runTimeline(trace)
 				} else {
 					rep, err = cl.RunSharded(trace, shards)
 				}
@@ -293,12 +293,12 @@ func requestOutcomes(tr workload.Trace) []requestTimes {
 }
 
 // TestPartitionedRunMatchesTimeline is the differential check on the
-// partitioned drain: RunSharded at every worker count must reproduce
-// the shared-timeline replay exactly, in the Report and in every
-// request's timestamps. The cases cover equal-arrival ties, an
-// unsorted trace, fleets that do not divide the trace evenly, a
-// request rejected for KV capacity and a fleet too wide for the
-// partitioned plan.
+// partitioned drain: Run and RunSharded at every worker count must
+// reproduce the shared-timeline replay (runTimeline) exactly, in the
+// Report and in every request's timestamps. The cases cover
+// equal-arrival ties, an unsorted trace, fleets that do not divide the
+// trace evenly, a request rejected for KV capacity and a fleet too
+// wide for the partitioned plan.
 func TestPartitionedRunMatchesTimeline(t *testing.T) {
 	model := lmm.QwenVL7B()
 	defaults := func(int) (Options, error) { return SystemOptions(SystemVaLoRA, simgpu.A100(), model) }
@@ -333,6 +333,9 @@ func TestPartitionedRunMatchesTimeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got, want := cl.partitioned(), tc.instances <= maxPartitionedInstances; got != want {
+				t.Fatalf("%s: partitioned() = %v, want %v", tc.name, got, want)
+			}
 			tr := tc.trace()
 			rep, err := replay(cl, tr)
 			if err != nil {
@@ -340,12 +343,17 @@ func TestPartitionedRunMatchesTimeline(t *testing.T) {
 			}
 			return rep, requestOutcomes(tr)
 		}
-		want, wantTimes := run(func(cl *Cluster, tr workload.Trace) (*Report, error) { return cl.Run(tr) })
+		want, wantTimes := run((*Cluster).runTimeline)
 		if tc.rejects != (want.Rejected > 0) {
 			t.Fatalf("%s: %d requests rejected, want rejections %v", tc.name, want.Rejected, tc.rejects)
 		}
-		for _, shards := range shardCounts {
-			got, gotTimes := run(func(cl *Cluster, tr workload.Trace) (*Report, error) { return cl.RunSharded(tr, shards) })
+		// Worker count 0 stands for Run itself, at GOMAXPROCS workers.
+		for _, shards := range append([]int{0}, shardCounts...) {
+			replay := func(cl *Cluster, tr workload.Trace) (*Report, error) { return cl.RunSharded(tr, shards) }
+			if shards == 0 {
+				replay = (*Cluster).Run
+			}
+			got, gotTimes := run(replay)
 			label := fmt.Sprintf("%s/shards=%d", tc.name, shards)
 			checkReportIdentical(t, want, got, label)
 			if !reflect.DeepEqual(wantTimes, gotTimes) {

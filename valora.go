@@ -216,7 +216,11 @@ func NewCluster(cfg Config, n int, dispatch DispatchKind) (*ClusterSystem, error
 }
 
 // Serve replays a trace across the cluster and returns the aggregate
-// report.
+// report. A round-robin cluster's replicas never observe one another,
+// so Serve may drain them concurrently on GOMAXPROCS goroutines; the
+// report is the same as a sequential replay's. Each replica gets its
+// own serving state, and the Config (its Adapters included) is only
+// read, so no replica's mutable state is shared with another.
 func (c *ClusterSystem) Serve(trace Trace) (*Report, error) {
 	return c.cluster.Run(trace)
 }
