@@ -137,12 +137,12 @@ func (e Experiment) Sharded() bool { return shardedExperiments[e.ID] }
 // report is bit-identical to Run's — the -shards spot-check contract.
 // Callers gate on s.Shards > 0 and hand over a fresh cluster plus a
 // fresh (or runtime-reset) trace, since requests carry runtime state.
-func (s *Suite) spotCheckSharded(id string, seq *serving.Report, cl *serving.Cluster, trace workload.Trace) error {
+func (s *Suite) spotCheckSharded(id string, want *serving.Report, cl *serving.Cluster, trace workload.Trace) error {
 	rep, err := cl.RunSharded(trace, s.Shards)
 	if err != nil {
 		return fmt.Errorf("bench: %s sharded spot check: %w", id, err)
 	}
-	if !reflect.DeepEqual(seq, rep) {
+	if !reflect.DeepEqual(want, rep) {
 		return fmt.Errorf("bench: %s sharded replay (shards=%d) diverged from Run's report", id, s.Shards)
 	}
 	return nil
