@@ -9,26 +9,27 @@ import (
 const BlockSize = 16
 
 // KVCache is a paged (block-based) KV-cache allocator in the style of
-// vLLM/LightLLM, which VaLoRA builds on (§5). Sequences own lists of
-// fixed-size token blocks; blocks freed on completion return to a free
-// list, so fragmentation never strands memory.
+// vLLM/LightLLM, which VaLoRA builds on (§5). Sequences own fixed-size
+// token blocks; blocks freed on completion return to the free pool, so
+// fragmentation never strands memory. Nothing reads which block holds
+// which tokens, so the cache counts blocks rather than naming them.
 //
 // Sequences are named by the SeqHandle Allocate returns, an index into
 // a dense slice of sequence records, so the per-token Extend and the
 // per-iteration Tokens reads are slice loads rather than map lookups.
 type KVCache struct {
 	totalBlocks int
-	free        []int
+	free        int // unallocated blocks
 	seqs        []seqAlloc
 	bytesPerBlk int64
-	// spare holds the indices of released sequence records (blocks
-	// emptied, capacity kept) for Allocate to reuse; len(seqs) never
-	// exceeds the peak number of live sequences.
+	// spare holds the indices of released sequence records for
+	// Allocate to reuse; len(seqs) never exceeds the peak number of
+	// live sequences.
 	spare []int32
 }
 
 type seqAlloc struct {
-	blocks []int
+	blocks int // blocks owned
 	tokens int
 	shared int // tokens backed by prefix-cache blocks (not owned)
 	// gen is the record's generation, bumped on every Release: only the
@@ -52,13 +53,9 @@ func NewKVCache(cfg Config, budgetBytes int64) *KVCache {
 	if n < 1 {
 		n = 1
 	}
-	free := make([]int, n)
-	for i := range free {
-		free[i] = i
-	}
 	return &KVCache{
 		totalBlocks: n,
-		free:        free,
+		free:        n,
 		bytesPerBlk: perBlock,
 	}
 }
@@ -67,12 +64,12 @@ func NewKVCache(cfg Config, budgetBytes int64) *KVCache {
 func (k *KVCache) TotalBlocks() int { return k.totalBlocks }
 
 // FreeBlocks reports the number of unallocated blocks.
-func (k *KVCache) FreeBlocks() int { return len(k.free) }
+func (k *KVCache) FreeBlocks() int { return k.free }
 
 // CanFit reports whether tokens more tokens can be allocated right
 // now.
 func (k *KVCache) CanFit(tokens int) bool {
-	return (tokens+BlockSize-1)/BlockSize <= len(k.free)
+	return (tokens+BlockSize-1)/BlockSize <= k.free
 }
 
 // seq resolves a handle to its live record, or nil for the zero handle
@@ -100,8 +97,8 @@ func (k *KVCache) Allocate(tokens, sharedTokens int) (SeqHandle, error) {
 		owned = 0
 	}
 	need := (owned + BlockSize - 1) / BlockSize
-	if need > len(k.free) {
-		return 0, fmt.Errorf("lmm: KV cache exhausted (%d blocks needed, %d free)", need, len(k.free))
+	if need > k.free {
+		return 0, fmt.Errorf("lmm: KV cache exhausted (%d blocks needed, %d free)", need, k.free)
 	}
 	var i int
 	if n := len(k.spare); n > 0 {
@@ -112,9 +109,8 @@ func (k *KVCache) Allocate(tokens, sharedTokens int) (SeqHandle, error) {
 		k.seqs = append(k.seqs, seqAlloc{})
 	}
 	a := &k.seqs[i]
-	a.tokens, a.shared = tokens, sharedTokens
-	a.blocks = append(a.blocks, k.free[len(k.free)-need:]...)
-	k.free = k.free[:len(k.free)-need]
+	a.blocks, a.tokens, a.shared = need, tokens, sharedTokens
+	k.free -= need
 	return makeHandle(i, a.gen), nil
 }
 
@@ -129,12 +125,12 @@ func (k *KVCache) Extend(h SeqHandle) error {
 		return fmt.Errorf("lmm: KV handle %#x names no live sequence", uint64(h))
 	}
 	if (a.tokens-a.shared)%BlockSize == 0 {
-		if len(k.free) == 0 {
+		if k.free == 0 {
 			//valora:allow hotpath -- cold path: the serving loop reserves one free block per batched sequence before extending
 			return fmt.Errorf("lmm: KV cache exhausted extending sequence %#x", uint64(h))
 		}
-		a.blocks = append(a.blocks, k.free[len(k.free)-1])
-		k.free = k.free[:len(k.free)-1]
+		a.blocks++
+		k.free--
 	}
 	a.tokens++
 	return nil
@@ -151,6 +147,18 @@ func (k *KVCache) Tokens(h SeqHandle) int {
 	return 0
 }
 
+// Shared reports how many of the sequence's prompt tokens the prefix
+// cache served (the sharedTokens it was allocated with), 0 for the
+// zero or a stale handle.
+//
+//valora:hotpath
+func (k *KVCache) Shared(h SeqHandle) int {
+	if a := k.seq(h); a != nil {
+		return a.shared
+	}
+	return 0
+}
+
 // Release frees all blocks owned by a sequence and keeps its record
 // for reuse. Releasing the zero or a stale handle is a no-op.
 //
@@ -160,14 +168,13 @@ func (k *KVCache) Release(h SeqHandle) {
 	if a == nil {
 		return
 	}
-	k.free = append(k.free, a.blocks...)
-	a.blocks = a.blocks[:0]
-	a.tokens, a.shared = 0, 0
+	k.free += a.blocks
+	a.blocks, a.tokens, a.shared = 0, 0, 0
 	a.gen++
 	k.spare = append(k.spare, int32(uint32(h)-1))
 }
 
 // Usage reports the fraction of blocks in use.
 func (k *KVCache) Usage() float64 {
-	return 1 - float64(len(k.free))/float64(k.totalBlocks)
+	return 1 - float64(k.free)/float64(k.totalBlocks)
 }

@@ -224,12 +224,20 @@ func TestKVCacheSharedTokens(t *testing.T) {
 	m := QwenVL7B()
 	kv := NewKVCache(m, 64*m.KVBytesPerToken()*BlockSize)
 	// 256 shared tokens (prefix cache) occupy no owned blocks.
-	if _, err := kv.Allocate(300, 256); err != nil {
+	h, err := kv.Allocate(300, 256)
+	if err != nil {
 		t.Fatal(err)
 	}
 	owned := (300 - 256 + BlockSize - 1) / BlockSize
 	if kv.FreeBlocks() != 64-owned {
 		t.Fatalf("shared tokens should not consume blocks: free=%d", kv.FreeBlocks())
+	}
+	if got := kv.Shared(h); got != 256 {
+		t.Fatalf("Shared = %d, want 256", got)
+	}
+	kv.Release(h)
+	if kv.Shared(h) != 0 || kv.Shared(0) != 0 {
+		t.Fatal("a released or zero handle must report no shared tokens")
 	}
 }
 
@@ -260,17 +268,18 @@ func TestKVCacheInvariant(t *testing.T) {
 	}
 }
 
-// TestKVCacheRecyclingKeepsBlockOrder checks that reusing released
-// sequence records changes no block assignment: a random
-// Allocate/Extend/Release run matches a fresh-slice model of the free
-// list and of every sequence's blocks after each operation. Released
-// handles are kept and probed, so a recycled record that aliased a
-// stale handle would show up as a live answer to a dead name.
-func TestKVCacheRecyclingKeepsBlockOrder(t *testing.T) {
+// TestKVCacheRecyclingKeepsBlockCounts checks that reusing released
+// sequence records changes no block accounting: a random
+// Allocate/Extend/Release run matches a model of the free block count
+// and of every sequence's owned blocks and tokens after each
+// operation. Released handles are kept and probed, so a recycled
+// record that aliased a stale handle would show up as a live answer
+// to a dead name.
+func TestKVCacheRecyclingKeepsBlockCounts(t *testing.T) {
 	m := QwenVL7B()
 	kv := NewKVCache(m, 96*m.KVBytesPerToken()*BlockSize)
-	free := slices.Clone(kv.free)
-	owned := map[SeqHandle][]int{}
+	free := kv.TotalBlocks()
+	owned := map[SeqHandle]int{}
 	tokens := map[SeqHandle]int{}
 	rng := rand.New(rand.NewSource(1))
 	var live, dead []SeqHandle
@@ -282,27 +291,33 @@ func TestKVCacheRecyclingKeepsBlockOrder(t *testing.T) {
 			need := (n + BlockSize - 1) / BlockSize
 			h, err := kv.Allocate(n, 0)
 			if err != nil {
-				if need <= len(free) {
+				if need <= free {
 					t.Fatalf("op %d: allocate: %v", op, err)
 				}
 				continue
 			}
+			if need > free {
+				t.Fatalf("op %d: allocated %d blocks with %d free", op, need, free)
+			}
 			if _, dup := owned[h]; dup || slices.Contains(dead, h) {
 				t.Fatalf("op %d: handle %#x reissued", op, uint64(h))
 			}
-			owned[h] = slices.Clone(free[len(free)-need:])
-			free = free[:len(free)-need]
+			owned[h] = need
+			free -= need
 			tokens[h] = n
 			live = append(live, h)
 			peak = max(peak, len(live))
 		case c == 1:
 			s := live[rng.Intn(len(live))]
 			if err := kv.Extend(s); err != nil {
+				if tokens[s]%BlockSize != 0 || free > 0 {
+					t.Fatalf("op %d: extend: %v", op, err)
+				}
 				continue // exhausted: the model takes nothing either
 			}
 			if tokens[s]%BlockSize == 0 {
-				owned[s] = append(owned[s], free[len(free)-1])
-				free = free[:len(free)-1]
+				owned[s]++
+				free--
 			}
 			tokens[s]++
 		default:
@@ -310,17 +325,17 @@ func TestKVCacheRecyclingKeepsBlockOrder(t *testing.T) {
 			s := live[k]
 			live = slices.Delete(live, k, k+1)
 			kv.Release(s)
-			free = append(free, owned[s]...)
+			free += owned[s]
 			delete(owned, s)
 			delete(tokens, s)
 			dead = append(dead, s)
 		}
-		if !slices.Equal(kv.free, free) {
-			t.Fatalf("op %d: free list diverges from the model", op)
+		if kv.FreeBlocks() != free {
+			t.Fatalf("op %d: %d free blocks, the model has %d", op, kv.FreeBlocks(), free)
 		}
 		for s, blocks := range owned {
-			if a := kv.seq(s); a == nil || !slices.Equal(a.blocks, blocks) || a.tokens != tokens[s] {
-				t.Fatalf("op %d: sequence %#x diverges from the model (blocks %v)", op, uint64(s), blocks)
+			if a := kv.seq(s); a == nil || a.blocks != blocks || a.tokens != tokens[s] {
+				t.Fatalf("op %d: sequence %#x diverges from the model (%d blocks, %d tokens)", op, uint64(s), blocks, tokens[s])
 			}
 		}
 		if len(dead) > 0 {
@@ -370,15 +385,15 @@ func TestKVCacheSteadyStateZeroAlloc(t *testing.T) {
 
 func TestPrefixCacheHitMissLRU(t *testing.T) {
 	p := NewPrefixCache(2)
-	if got := p.Lookup("a", 256); got != 0 {
+	if got := p.Lookup(1, 256); got != 0 {
 		t.Fatal("first lookup must miss")
 	}
-	if got := p.Lookup("a", 256); got != 256 {
+	if got := p.Lookup(1, 256); got != 256 {
 		t.Fatalf("second lookup should hit with 256 tokens, got %d", got)
 	}
-	p.Lookup("b", 256)
-	p.Lookup("c", 256) // evicts "a" (LRU)
-	if got := p.Lookup("a", 256); got != 0 {
+	p.Lookup(2, 256)
+	p.Lookup(3, 256) // evicts image 1 (LRU)
+	if got := p.Lookup(1, 256); got != 0 {
 		t.Fatal("evicted image should miss")
 	}
 	hits, misses := p.Stats()
@@ -392,25 +407,25 @@ func TestPrefixCacheHitMissLRU(t *testing.T) {
 
 func TestPrefixCacheTouchRefreshesLRU(t *testing.T) {
 	p := NewPrefixCache(2)
-	p.Lookup("a", 1)
-	p.Lookup("b", 1)
-	p.Lookup("a", 1) // refresh a
-	p.Lookup("c", 1) // should evict b, not a
-	if p.Lookup("a", 1) != 1 {
+	p.Lookup(1, 1)
+	p.Lookup(2, 1)
+	p.Lookup(1, 1) // refresh image 1
+	p.Lookup(3, 1) // should evict image 2, not 1
+	if p.Lookup(1, 1) != 1 {
 		t.Fatal("refreshed entry was evicted")
 	}
 }
 
 func TestPrefixCacheDisabled(t *testing.T) {
 	p := NewPrefixCache(0)
-	p.Lookup("a", 256)
-	if got := p.Lookup("a", 256); got != 0 {
+	p.Lookup(1, 256)
+	if got := p.Lookup(1, 256); got != 0 {
 		t.Fatal("disabled cache must always miss")
 	}
 	if p.HitRate() != 0 {
 		t.Fatal("disabled cache hit rate must be 0")
 	}
-	if NewPrefixCache(4).Lookup("", 256) != 0 {
-		t.Fatal("empty image id must miss")
+	if NewPrefixCache(4).Lookup(0, 256) != 0 {
+		t.Fatal("image 0 is unique and must miss")
 	}
 }

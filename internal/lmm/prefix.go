@@ -5,12 +5,12 @@ package lmm
 // visual question answering over the same image skips both the visual
 // encoder and the image tokens' prefill on later rounds.
 //
-// Entries are keyed by an opaque image identifier and evicted LRU when
-// the configured capacity is exceeded.
+// Entries are keyed by an opaque nonzero image identifier and evicted
+// LRU when the configured capacity is exceeded.
 type PrefixCache struct {
 	capacity int
-	tokens   map[string]int
-	order    []string // LRU order, least recent first
+	tokens   map[uint64]int
+	order    []uint64 // LRU order, least recent first
 	hits     int
 	misses   int
 }
@@ -19,14 +19,15 @@ type PrefixCache struct {
 // capacity <= 0 disables caching (every lookup misses), which is the
 // ablation arm of Fig. 24.
 func NewPrefixCache(capacity int) *PrefixCache {
-	return &PrefixCache{capacity: capacity, tokens: make(map[string]int)}
+	return &PrefixCache{capacity: capacity, tokens: make(map[uint64]int)}
 }
 
 // Lookup consults the cache for an image. On a hit it returns the
 // number of KV tokens already resident (the image's visual tokens); on
-// a miss it records the image for future hits and returns 0.
-func (p *PrefixCache) Lookup(imageID string, visualTokens int) int {
-	if p.capacity <= 0 || imageID == "" {
+// a miss it records the image for future hits and returns 0. Image 0
+// is unique and never cached.
+func (p *PrefixCache) Lookup(imageID uint64, visualTokens int) int {
+	if p.capacity <= 0 || imageID == 0 {
 		p.misses++
 		return 0
 	}
@@ -40,7 +41,7 @@ func (p *PrefixCache) Lookup(imageID string, visualTokens int) int {
 	return 0
 }
 
-func (p *PrefixCache) touch(id string) {
+func (p *PrefixCache) touch(id uint64) {
 	for i, v := range p.order {
 		if v == id {
 			p.order = append(append(p.order[:i:i], p.order[i+1:]...), id)
@@ -49,7 +50,7 @@ func (p *PrefixCache) touch(id string) {
 	}
 }
 
-func (p *PrefixCache) insert(id string, tokens int) {
+func (p *PrefixCache) insert(id uint64, tokens int) {
 	if len(p.tokens) >= p.capacity && len(p.order) > 0 {
 		victim := p.order[0]
 		p.order = p.order[1:]

@@ -42,24 +42,23 @@ const (
 
 // Request is one inference request flowing through the system.
 // Million-request traces hold one per request, so the field order is
-// chosen for size: the one-byte enums and flags fill the last 16 bytes
-// with Slot (TestRequestSize holds Request in Go's 192-byte size
-// class).
+// chosen for size: Images, the one-byte enums and the flags fill the
+// last 16 bytes with Slot. TestRequestSize holds Request in Go's
+// 160-byte size class, leaving the 32 bytes below the next class
+// (192) for the per-request latency parts.
 type Request struct {
 	ID        int64
 	AdapterID int
 
 	// Tenant names the service class the request belongs to ("" =
 	// untenanted legacy traffic, which bypasses the fair-share layer).
+	// Tenant priority and weight live in TenantConfig.
 	Tenant string
-	// Priority orders tenants for reporting and tie-breaks; higher is
-	// more latency-sensitive. Scheduling weight lives in TenantConfig.
-	Priority int
 
 	InputTokens  int
 	OutputTokens int // decode rounds the answer needs (head-dependent)
-	Images       int
-	ImageID      string // identity for prefix caching ("" = unique)
+	// ImageID is the image's identity for prefix caching (0 = unique).
+	ImageID uint64
 
 	Arrival time.Duration
 	// Deadline is the application's latency budget (0 = best effort).
@@ -75,14 +74,14 @@ type Request struct {
 	RecomputeTokens int
 
 	// Runtime state, owned by the server.
-	SharedTokens  int // prompt tokens served by the prefix cache
 	Emitted       int
 	FirstSchedule time.Duration
 	LastSchedule  time.Duration
 	FirstToken    time.Duration
 	Finish        time.Duration
 	// KV names the request's KV-cache sequence on its current instance
-	// (zero while none is allocated).
+	// (zero while none is allocated). The sequence record also holds
+	// the prompt tokens the prefix cache served (KVCache.Shared).
 	KV lmm.SeqHandle
 
 	// mark tags the request for the VaLoRAPolicy call currently
@@ -101,6 +100,10 @@ type Request struct {
 	// hashing the ID; slot numbering differs between instances, so
 	// ClearScratchMarks resets it when a request migrates.
 	Slot int32
+
+	// Images counts the prompt's images, VisualTokens each (the
+	// OpenAI frontend caps it well below the uint16 range).
+	Images uint16
 
 	App   AppType
 	Task  train.TaskType
@@ -128,10 +131,6 @@ func (r *Request) String() string {
 	return fmt.Sprintf("req %d (%s, adapter %d, in %d, out %d)",
 		r.ID, r.App, r.AdapterID, r.InputTokens, r.OutputTokens)
 }
-
-// RemainingTokens reports how many output tokens are still to be
-// generated.
-func (r *Request) RemainingTokens() int { return r.OutputTokens - r.Emitted }
 
 // Done reports whether the request has emitted all its tokens.
 func (r *Request) Done() bool { return r.Emitted >= r.OutputTokens }
@@ -186,7 +185,6 @@ func (r *Request) ResetRuntime() {
 	r.PrefillDone = false
 	r.ColdStart = false
 	r.ColdStamped = false
-	r.SharedTokens = 0
 	r.Emitted = 0
 	r.FirstSchedule = 0
 	r.LastSchedule = 0
@@ -290,7 +288,7 @@ func LessUrgent(a, b *Request, now time.Duration) bool {
 // and the batch cap. Deadline-blind policies read Now/Active/State/
 // MaxBS exactly as the positional Decide signature used to pass them;
 // deadline-aware policies additionally inspect each request's
-// Deadline/Priority and the Waiting backlog to produce displacement
+// Deadline and the Waiting backlog to produce displacement
 // decisions (Decision.Evict/Admit).
 type Iteration struct {
 	Now    time.Duration

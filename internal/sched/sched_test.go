@@ -40,7 +40,7 @@ func repeat(id, n int) []int {
 
 func TestRequestLifecycle(t *testing.T) {
 	r := &Request{ID: 1, OutputTokens: 2, Arrival: time.Second}
-	if r.Done() || r.RemainingTokens() != 2 {
+	if r.Done() || r.Emitted != 0 {
 		t.Fatal("fresh request state wrong")
 	}
 	r.MarkScheduled(2 * time.Second)

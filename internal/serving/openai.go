@@ -338,7 +338,7 @@ func (f *Frontend) buildOpenAIRequest(body *openAIRequest) (liveCall, *apiError)
 		Head:         train.LMHead,
 		InputTokens:  in,
 		OutputTokens: out,
-		Images:       shape.images,
+		Images:       uint16(shape.images),
 		Tenant:       body.User,
 		Deadline:     time.Duration(body.DeadlineMS * float64(time.Millisecond)),
 	}
@@ -353,8 +353,9 @@ func (f *Frontend) buildOpenAIRequest(body *openAIRequest) (liveCall, *apiError)
 // and checks them and the image count against the per-request caps.
 func (f *Frontend) tokenCounts(body *openAIRequest, shape promptShape) (in, out int, err *apiError) {
 	// Each image adds VisualTokens to the prompt, so more images than
-	// fit in maxInputTokens can never be served.
-	if maxImages := maxInputTokens / f.Model.VisualTokens; shape.images > maxImages {
+	// fit in maxInputTokens can never be served; the cap also keeps the
+	// count within Request.Images' uint16.
+	if maxImages := min(maxInputTokens/f.Model.VisualTokens, math.MaxUint16); shape.images > maxImages {
 		return 0, 0, badRequest("images exceeds the per-request maximum (%d)", maxImages)
 	}
 	in = body.InputTokens

@@ -62,14 +62,12 @@ func adversarialTrace(seed int64, n int) workload.Trace {
 		switch rng.Intn(3) {
 		case 0: // tight-deadline realtime
 			r.Tenant = "rt"
-			r.Priority = 2
 			r.AdapterID = rng.Intn(3)
 			r.InputTokens = 32 + rng.Intn(64)
 			r.OutputTokens = 1 + rng.Intn(2)
 			r.Deadline = time.Duration(50+rng.Intn(250)) * time.Millisecond
 		case 1: // mid-tier deadline: victim to some, requester to others
 			r.Tenant = "rt"
-			r.Priority = 1
 			r.AdapterID = rng.Intn(4)
 			r.InputTokens = 64 + rng.Intn(128)
 			r.OutputTokens = 1 + rng.Intn(8)

@@ -605,11 +605,12 @@ func (s *Server) Step() (bool, error) {
 			sl.grouped, sl.tokens = s.iter, 0
 		}
 		if !r.PrefillDone {
-			load.PrefillTokens += r.InputTokens - r.SharedTokens
-			if r.SharedTokens == 0 {
-				load.PrefillImages += r.Images
+			shared := s.kv.Shared(r.KV)
+			load.PrefillTokens += r.InputTokens - shared
+			if shared == 0 {
+				load.PrefillImages += int(r.Images)
 			}
-			sl.tokens += r.InputTokens - r.SharedTokens
+			sl.tokens += r.InputTokens - shared
 		} else {
 			load.DecodeSeqs++
 			load.ContextTokens += s.kv.Tokens(r.KV)
@@ -878,8 +879,8 @@ func (s *Server) admit(batch []*sched.Request) []*sched.Request {
 			continue
 		}
 		shared := 0
-		if r.ImageID != "" {
-			visual := r.Images * s.opts.Model.VisualTokens
+		if r.ImageID != 0 {
+			visual := int(r.Images) * s.opts.Model.VisualTokens
 			if visual > r.InputTokens {
 				visual = r.InputTokens
 			}
@@ -905,7 +906,6 @@ func (s *Server) admit(batch []*sched.Request) []*sched.Request {
 			continue
 		}
 		r.KV = h
-		r.SharedTokens = shared
 		out = append(out, r)
 	}
 	s.scratchAdmit = out
@@ -1066,11 +1066,10 @@ func (s *Server) reject(r *sched.Request) {
 func (s *Server) preempt(r *sched.Request) int {
 	recompute := r.Emitted
 	if r.PrefillDone {
-		recompute += r.InputTokens - r.SharedTokens
+		recompute += r.InputTokens - s.kv.Shared(r.KV)
 	}
 	s.releaseKV(r)
 	r.PrefillDone = false
-	r.SharedTokens = 0
 	r.Phase = sched.PhaseQueued
 	s.report.Preemptions++
 	s.report.RecomputeTokens += recompute
@@ -1085,6 +1084,7 @@ func (s *Server) releaseKV(r *sched.Request) {
 }
 
 func (s *Server) finish(r *sched.Request) {
+	shared := s.kv.Shared(r.KV) // the trace row's; gone with the KV
 	s.releaseKV(r)
 	s.report.Completed++
 	lat := r.Latency()
@@ -1124,8 +1124,8 @@ func (s *Server) finish(r *sched.Request) {
 			Finish:          r.Finish,
 			InputTokens:     r.InputTokens,
 			OutputTokens:    r.OutputTokens,
-			SharedTokens:    r.SharedTokens,
-			Images:          r.Images,
+			SharedTokens:    shared,
+			Images:          int(r.Images),
 			ColdStart:       r.ColdStart,
 			Preemptions:     r.PreemptCount,
 			RecomputeTokens: r.RecomputeTokens,

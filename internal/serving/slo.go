@@ -101,7 +101,7 @@ type SchedulingConfig struct {
 func ServiceFloor(g *simgpu.GPU, model lmm.Config) func(*sched.Request) time.Duration {
 	eng := lmm.NewEngine(g, model)
 	return func(r *sched.Request) time.Duration {
-		t := eng.PrefillTime(r.InputTokens, r.Images)
+		t := eng.PrefillTime(r.InputTokens, int(r.Images))
 		if r.OutputTokens > 1 {
 			t += time.Duration(r.OutputTokens-1) * eng.DecodeStepTime(1, r.InputTokens)
 		}

@@ -19,8 +19,6 @@ import (
 type TenantTraffic struct {
 	// Tenant names the service class (copied onto every request).
 	Tenant string
-	// Priority annotates the class (higher = more latency-sensitive).
-	Priority int
 	// App labels the requests (video analytics vs visual retrieval).
 	App sched.AppType
 	// Rate is the mean arrival rate in requests per second.
@@ -174,7 +172,6 @@ func genTenant(tt TenantTraffic, duration time.Duration, seed int64) Trace {
 			App:          tt.App,
 			Task:         task,
 			Tenant:       tt.Tenant,
-			Priority:     tt.Priority,
 			AdapterID:    tt.AdapterOffset + pick,
 			Head:         train.LMHead,
 			InputTokens:  tt.MinInputTokens + rng.Intn(inSpan),
@@ -228,7 +225,7 @@ func DefaultPreemptMix(duration time.Duration, scale float64, seed int64) MultiT
 		Seed:     seed,
 		Tenants: []TenantTraffic{
 			{
-				Tenant: "realtime", Priority: 2, App: sched.VideoAnalytics,
+				Tenant: "realtime", App: sched.VideoAnalytics,
 				Rate: 15 * scale, Diurnal: 0.2,
 				BurstRate: 15 * scale, BurstEvery: 6 * time.Second, BurstDuration: 1500 * time.Millisecond,
 				NumAdapters: 4, AdapterOffset: 0, Skew: 0.7,
@@ -236,7 +233,7 @@ func DefaultPreemptMix(duration time.Duration, scale float64, seed int64) MultiT
 				Deadline: 250 * time.Millisecond,
 			},
 			{
-				Tenant: "batch", Priority: 0, App: sched.VisualRetrieval,
+				Tenant: "batch", App: sched.VisualRetrieval,
 				Rate: 12 * scale, Diurnal: 0.1,
 				BurstRate: 20 * scale, BurstEvery: 8 * time.Second, BurstDuration: 2 * time.Second,
 				NumAdapters: 8, AdapterOffset: 4, Skew: 0.4,
@@ -268,21 +265,21 @@ func DefaultMultiTenant(duration time.Duration, scale float64, seed int64) Multi
 		Seed:     seed,
 		Tenants: []TenantTraffic{
 			{
-				Tenant: "realtime", Priority: 2, App: sched.VideoAnalytics,
+				Tenant: "realtime", App: sched.VideoAnalytics,
 				Rate: 30 * scale, Diurnal: 0.2,
 				NumAdapters: 4, AdapterOffset: 0, Skew: 0.7,
 				MinInputTokens: 32, MaxInputTokens: 96, MaxOutputTokens: 2,
 				Deadline: 250 * time.Millisecond,
 			},
 			{
-				Tenant: "interactive", Priority: 1, App: sched.VisualRetrieval,
+				Tenant: "interactive", App: sched.VisualRetrieval,
 				Rate: 15 * scale, Diurnal: 0.5,
 				NumAdapters: 8, AdapterOffset: 4, Skew: 0.5,
 				MinInputTokens: 64, MaxInputTokens: 256, MaxOutputTokens: 4,
 				Deadline: time.Second,
 			},
 			{
-				Tenant: "batch", Priority: 0, App: sched.VisualRetrieval,
+				Tenant: "batch", App: sched.VisualRetrieval,
 				Rate: 20 * scale, Diurnal: 0.1,
 				BurstRate: 60 * scale, BurstEvery: 10 * time.Second, BurstDuration: 2 * time.Second,
 				NumAdapters: 12, AdapterOffset: 12, Skew: 0.4,

@@ -11,7 +11,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -213,7 +212,7 @@ func GenRetrieval(cfg RetrievalConfig) Trace {
 	var out Trace
 	var now time.Duration
 	var id int64
-	session := 0
+	var session uint64
 	tasks := []train.TaskType{train.VisualQA, train.ImageCaptioning, train.ObjectDetection}
 	for now < cfg.Duration {
 		// Hyper-exponential gap: occasional long gaps, compensated by
@@ -232,11 +231,11 @@ func GenRetrieval(cfg RetrievalConfig) Trace {
 		task := tasks[rng.Intn(len(tasks))]
 		adapter := picker.Pick()
 		rounds := 1
-		imageID := ""
+		var imageID uint64 // 0: a unique image
 		if rng.Float64() < cfg.MultiRound && cfg.RoundsPerSession > 1 {
 			rounds = 2 + rng.Intn(cfg.RoundsPerSession-1)
 			session++
-			imageID = fmt.Sprintf("session-%d", session)
+			imageID = session
 		}
 		roundAt := now
 		for round := 0; round < rounds; round++ {
