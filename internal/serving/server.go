@@ -433,15 +433,15 @@ func (s *Server) Step() (bool, error) {
 		r.Slot = s.slotFor(r.AdapterID)
 		s.waiting = append(s.waiting, r)
 	}
-	// Admit the head of the queue in one move and compact the rest to
-	// the front, so the backing array is reused instead of walking
-	// forward; the vacated tail is cleared so admitted requests are not
-	// retained through it.
+	// Admit the head of the queue in one move and walk the queue's
+	// start past it: compacting the rest to the front would move the
+	// whole backlog on every Step. The admitted entries are cleared so
+	// the backing array does not retain them; append reallocates once
+	// the walk reaches its end, copying only the live queue.
 	if k := min(len(s.waiting), s.opts.AdmitCap-len(s.active)); k > 0 {
 		s.active = append(s.active, s.waiting[:k]...)
-		n := copy(s.waiting, s.waiting[k:])
-		clear(s.waiting[n:])
-		s.waiting = s.waiting[:n]
+		clear(s.waiting[:k])
+		s.waiting = s.waiting[k:]
 	}
 	if len(s.active) == 0 {
 		next := s.pending.Peek()

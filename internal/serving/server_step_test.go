@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -145,5 +146,51 @@ func TestDrainIsRepeatable(t *testing.T) {
 	}
 	if a.Completed != b.Completed || a.SimTime != b.SimTime || a.AvgTokenLatency != b.AvgTokenLatency {
 		t.Fatalf("repeated drains diverged: %+v vs %+v", a, b)
+	}
+}
+
+// backlogServer returns a VaLoRA instance that has run one Step over
+// n+AdmitCap requests arriving at once: the admitted set is full and
+// n requests wait behind it.
+func backlogServer(b *testing.B, n int) *Server {
+	srv, err := NewSystem(SystemVaLoRA, simgpu.A100(), lmm.QwenVL7B())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n+srv.opts.AdmitCap; i++ {
+		srv.Submit(&sched.Request{
+			ID: int64(i + 1), AdapterID: i % 8, App: sched.VisualRetrieval, Task: train.VisualQA,
+			InputTokens: 64, OutputTokens: 4,
+		})
+	}
+	if _, err := srv.Step(); err != nil {
+		b.Fatal(err)
+	}
+	if len(srv.waiting) != n {
+		b.Fatalf("%d requests waiting, want %d", len(srv.waiting), n)
+	}
+	return srv
+}
+
+// BenchmarkStepBacklog times one Step of an instance whose waiting
+// queue holds 1k or 100k arrived requests. Admission moves only the
+// admitted head, so the per-step cost must not grow with the backlog.
+// The instance is rebuilt, untimed, once half its backlog has drained.
+func BenchmarkStepBacklog(b *testing.B) {
+	for _, n := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("waiting=%d", n), func(b *testing.B) {
+			srv := backlogServer(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(srv.waiting) < n/2 {
+					b.StopTimer()
+					srv = backlogServer(b, n)
+					b.StartTimer()
+				}
+				if _, err := srv.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
