@@ -166,52 +166,59 @@ func (p *VaLoRAPolicy) Decide(it Iteration) Decision {
 	// merged-only iteration excludes every other adapter's requests,
 	// so it only beats unmerged serving when the dominant cohort fills
 	// the batch on its own and nobody is starving.
+	mode, merged := lora.ModeUnmerged, -1
+	var batch []*Request
 	if len(p.starve) == 0 && mergedCount >= maxBS {
-		batch := p.appendUnmarked(p.batchBuf[:0], active, maxBS, mergedID)
-		p.batchBuf = batch
-		return p.withPreemption(it, theta, Decision{Mode: lora.ModeMerged, Merged: mergedID, Batch: batch})
-	}
-
-	// Starving requests go first in every remaining mode.
-	batch := p.batchBuf[:0]
-	for _, r := range p.starve {
-		if len(batch) >= maxBS {
-			break
+		mode, merged = lora.ModeMerged, mergedID
+		batch = p.appendUnmarked(p.batchBuf[:0], active, maxBS, mergedID)
+	} else {
+		// Starving requests go first in every remaining mode.
+		batch = p.batchBuf[:0]
+		for _, r := range p.starve {
+			if len(batch) >= maxBS {
+				break
+			}
+			batch = p.take(batch, r)
 		}
-		batch = p.take(batch, r)
-	}
-
-	// Principle 2: the deLoRA mixture folds the dominant adapter for
-	// free while every other request runs unmerged alongside it. The
-	// deLoRA compensation branch covers the unmerged tokens, so the
-	// mixture pays off exactly while the merged cohort holds the
-	// majority of the work (the Fig. 20 crossover).
-	if !p.DisableMixture && float64(mergedCount) > 0.5*float64(len(active)) {
-		batch = p.appendUnmarked(batch, active, maxBS, mergedID)
+		// Principle 2: the deLoRA mixture folds the dominant adapter
+		// for free while every other request runs unmerged alongside
+		// it. The deLoRA compensation branch covers the unmerged
+		// tokens, so the mixture pays off exactly while the merged
+		// cohort holds the majority of the work (the Fig. 20
+		// crossover).
+		if !p.DisableMixture && float64(mergedCount) > 0.5*float64(len(active)) {
+			mode, merged = lora.ModeMixture, mergedID
+			batch = p.appendUnmarked(batch, active, maxBS, mergedID)
+		}
 		batch = p.appendUnmarked(batch, active, maxBS, -1)
-		p.batchBuf = batch
-		return p.withPreemption(it, theta, Decision{Mode: lora.ModeMixture, Merged: mergedID, Batch: batch})
 	}
-
-	batch = p.appendUnmarked(batch, active, maxBS, -1)
 	p.batchBuf = batch
-	return p.withPreemption(it, theta, Decision{Mode: lora.ModeUnmerged, Merged: -1, Batch: batch})
+	d := Decision{Mode: mode, Merged: merged, Batch: batch}
+	p.withPreemption(&it, theta, &d)
+	return d
 }
 
-// withPreemption attaches the displacement decision to d: every
-// starving deadline-carrying request stuck in the Waiting backlog is
-// paired with one displaceable active request (the eviction victim)
-// whose removal frees an admission slot. Victims are drawn from active
+// withPreemption attaches the displacement decision to d when Preempt
+// is on and requests wait outside the admitted set. It is the
+// inlinable guard of attachEvictions: with Preempt off or nothing
+// waiting, Decide pays one branch and copies neither it nor d.
+func (p *VaLoRAPolicy) withPreemption(it *Iteration, theta time.Duration, d *Decision) {
+	if p.Preempt && len(it.Waiting) > 0 {
+		p.attachEvictions(it, theta, d)
+	}
+}
+
+// attachEvictions pairs every starving deadline-carrying request stuck
+// in the Waiting backlog with one displaceable active request (the
+// eviction victim) whose removal frees an admission slot, and records
+// the pairs in d.Evict and d.Admit. Victims are drawn from active
 // requests outside this round's batch that are not Unpreemptable and
 // are strictly less urgent than the requester: best-effort victims go
 // first (least recompute waste — the fewest emitted tokens — then the
 // latest arrival), then deadline-carrying victims with strictly looser
-// slack (loosest first). With Preempt off or nothing urgent waiting, d
-// is returned untouched — the exact deadline-blind decision.
-func (p *VaLoRAPolicy) withPreemption(it Iteration, theta time.Duration, d Decision) Decision {
-	if !p.Preempt || len(it.Waiting) == 0 {
-		return d
-	}
+// slack (loosest first). With nothing urgent waiting, d is left
+// untouched — the exact deadline-blind decision.
+func (p *VaLoRAPolicy) attachEvictions(it *Iteration, theta time.Duration, d *Decision) {
 	admit := p.admitBuf[:0]
 	for _, w := range it.Waiting {
 		if w.Deadline > 0 && w.Credit(it.Now, p.EstExec, p.SwitchLat) > p.effTheta(w, theta, it.Now) {
@@ -220,7 +227,7 @@ func (p *VaLoRAPolicy) withPreemption(it Iteration, theta time.Duration, d Decis
 	}
 	p.admitBuf = admit
 	if len(admit) == 0 {
-		return d
+		return
 	}
 	// One victim per urgent requester: scan the unbatched, preemptable
 	// actives for the best displacement — best-effort first (fewest
@@ -255,11 +262,10 @@ func (p *VaLoRAPolicy) withPreemption(it Iteration, theta time.Duration, d Decis
 	}
 	p.evictBuf = evict
 	if len(evict) == 0 {
-		return d
+		return
 	}
 	d.Evict = evict
 	d.Admit = paired
-	return d
 }
 
 // capBatch truncates a batch to maxBS requests. (Used by the baseline
