@@ -201,6 +201,11 @@ type Store struct {
 	ch       *chunkState             // chunk residency, LRU and replica links (chunk.go)
 	fetchObs func(trace.FetchRecord) // completed-fetch observer (SetFetchObserver)
 
+	// eachChunk makes startFetch reschedule a link after every chunk it
+	// enqueues: the per-chunk reference path the differential test
+	// holds the fetch path to.
+	eachChunk bool
+
 	stats Stats
 }
 
