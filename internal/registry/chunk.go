@@ -245,6 +245,14 @@ func (s *Store) materializeResident(ent *Entry, list []*chunk) *chunkAdapter {
 // replica link with the least pending bytes, and the adapter completes
 // one RemoteLatency after its last awaited chunk lands (the per-fetch
 // round trip is charged once per adapter, not once per chunk).
+//
+// Each touched link is rescheduled once, after the loop, rather than
+// per chunk. reschedule is a pure function of the queue, the tags and
+// whether the head is on the wire, so the result is the per-chunk
+// path's: on an idle link the fetch's first chunk still takes the
+// head, since its later chunks (same tenant and class, later seq)
+// never outrank it. A sibling-upgrade check reads a transfer's start,
+// so the stale links are rescheduled before it.
 func (s *Store) startFetch(key uint64, tenant, family string, nominal int64, list []*chunk, now time.Duration, demand bool) (*chunkAdapter, bool) {
 	ch := s.ch
 	if len(ch.inflight) >= s.cfg.MaxInflight {
@@ -274,15 +282,23 @@ func (s *Store) startFetch(key uint64, tenant, family string, nominal int64, lis
 		if c.fetching {
 			// Riding a sibling's in-flight transfer; a demand waiting on
 			// a prefetch-class transfer upgrades its class.
-			if demand && c.tr != nil && !c.tr.demand && c.tr.start > now {
-				c.tr.demand = true
-				upgraded = true
+			if demand && c.tr != nil && !c.tr.demand {
+				s.rescheduleStale(now)
+				if c.tr.start > now {
+					c.tr.demand = true
+					upgraded = true
+				}
 			}
 			continue
 		}
 		c.fetching = true
 		ch.seq++
-		s.leastPendingLink().enqueue(c.startTransfer(tenant, demand, ch.seq), now, &s.cfg)
+		l := s.leastPendingLink()
+		l.add(c.startTransfer(tenant, demand, ch.seq), &s.cfg)
+		l.stale = true
+		if s.eachChunk {
+			l.reschedule(now, &s.cfg)
+		}
 		enqueued = true
 		ca.queuedBytes += c.bytes
 		s.stats.ChunkFetches++
@@ -290,8 +306,8 @@ func (s *Store) startFetch(key uint64, tenant, family string, nominal int64, lis
 	}
 	ch.adapters[key] = ca
 	ch.inflight = append(ch.inflight, ca)
-	if upgraded {
-		for _, l := range ch.links {
+	for _, l := range ch.links {
+		if upgraded || l.stale {
 			l.reschedule(now, &s.cfg)
 		}
 	}
@@ -301,6 +317,16 @@ func (s *Store) startFetch(key uint64, tenant, family string, nominal int64, lis
 		s.refreshAdapterDone(ca)
 	}
 	return ca, true
+}
+
+// rescheduleStale re-derives the schedule of every link startFetch
+// has added transfers to since its last reschedule.
+func (s *Store) rescheduleStale(now time.Duration) {
+	for _, l := range s.ch.links {
+		if l.stale {
+			l.reschedule(now, &s.cfg)
+		}
+	}
 }
 
 // leastPendingLink picks the replica link with the least pending

@@ -34,6 +34,9 @@ type link struct {
 	tags    []tenantTag
 	pending int64       // bytes queued but not yet completed
 	order   []*transfer // reschedule scratch
+	// stale marks a schedule that transfers added since the last
+	// reschedule have outdated (Store.startFetch batches them).
+	stale bool
 }
 
 // tenantTag is one tenant's fair-share state on a link.
@@ -71,16 +74,24 @@ func (l *link) tagOf(tenant string, cfg *Config) int {
 	return len(l.tags) - 1
 }
 
-// enqueue adds a transfer to the link and re-derives the schedule. A
-// tenant arriving with an empty per-link backlog has its service tag
-// bumped to the least tag among currently-backlogged tenants (the
-// start-time fair-queuing arrival rule): an idle spell earns no
-// banked deficit, so a freshly-arriving sweep cannot monopolize the
-// wire until it "catches up" — which is exactly how it would starve
-// the other tenants' demand fetches.
+// enqueue adds a transfer to the link and re-derives the schedule.
 //
 //valora:hotpath
 func (l *link) enqueue(t *transfer, now time.Duration, cfg *Config) {
+	l.add(t, cfg)
+	l.reschedule(now, cfg)
+}
+
+// add queues a transfer without re-deriving the schedule. A tenant
+// arriving with an empty per-link backlog has its service tag bumped
+// to the least tag among currently-backlogged tenants (the start-time
+// fair-queuing arrival rule): an idle spell earns no banked deficit,
+// so a freshly-arriving sweep cannot monopolize the wire until it
+// "catches up" — which is exactly how it would starve the other
+// tenants' demand fetches.
+//
+//valora:hotpath
+func (l *link) add(t *transfer, cfg *Config) {
 	t.tag = l.tagOf(t.tenant, cfg)
 	backlogged := false
 	minTag, haveTag := 0.0, false
@@ -98,7 +109,6 @@ func (l *link) enqueue(t *transfer, now time.Duration, cfg *Config) {
 	}
 	l.queue = append(l.queue, t)
 	l.pending += t.ch.bytes
-	l.reschedule(now, cfg)
 }
 
 // reschedule re-derives the fair-share schedule from now: the transfer
@@ -110,6 +120,7 @@ func (l *link) enqueue(t *transfer, now time.Duration, cfg *Config) {
 //
 //valora:hotpath
 func (l *link) reschedule(now time.Duration, cfg *Config) {
+	l.stale = false
 	keep := 0
 	free := now
 	if len(l.queue) > 0 && l.queue[0].scheduled && l.queue[0].start <= now {

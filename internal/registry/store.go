@@ -202,8 +202,8 @@ type Store struct {
 	fetchObs func(trace.FetchRecord) // completed-fetch observer (SetFetchObserver)
 
 	// eachChunk makes startFetch reschedule a link after every chunk it
-	// enqueues: the per-chunk reference path the differential test
-	// holds the fetch path to.
+	// enqueues, instead of once per fetch: the per-chunk reference path
+	// the differential test holds the batched path to.
 	eachChunk bool
 
 	stats Stats
