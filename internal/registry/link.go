@@ -221,8 +221,9 @@ func (l *link) pop() *transfer {
 // Cycle enqueues one chunk transfer per tenant (every enqueue
 // reschedules the backlog behind the transfer on the wire) and then
 // pops them all in schedule order, charging each tenant's share. It is
-// the per-chunk link work of a fetch, exported so allocation gates
-// outside the package can pin the link's steady state.
+// the link work of a fetch, exported so allocation gates outside the
+// package can pin the link's steady state; rescheduling per enqueue
+// makes each Cycle at least as costly as a fetch's.
 type LinkDriver struct {
 	l       *link
 	cfg     Config
