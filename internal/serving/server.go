@@ -144,9 +144,13 @@ type Server struct {
 
 	// Request flow: Submit → pending (not yet due) → waiting (arrived,
 	// queued at the frontend) → active (admitted work-in-progress).
-	pending sched.ArrivalQueue
-	waiting []*sched.Request
-	active  []*sched.Request
+	// The waiting FIFO is waitBuf[waitHead:] (see waiting): admission
+	// walks waitHead past the admitted head instead of moving the
+	// backlog, and the slots it walked past are reused by pushWaiting.
+	pending  sched.ArrivalQueue
+	waitBuf  []*sched.Request
+	waitHead int
+	active   []*sched.Request
 
 	report     *Report
 	e2e        *metrics.Stream
@@ -395,7 +399,7 @@ func (s *Server) Submit(r *sched.Request) {
 // merely waiting for traffic, or sim.Never when fully idle. Cluster
 // dispatchers use it to interleave instances in global time order.
 func (s *Server) NextEventAt() time.Duration {
-	if len(s.active) > 0 || len(s.waiting) > 0 {
+	if len(s.active) > 0 || len(s.waiting()) > 0 {
 		return s.clock.Now()
 	}
 	if next := s.pending.Peek(); next != nil {
@@ -431,17 +435,10 @@ func (s *Server) Step() (bool, error) {
 			r.ColdStart = !s.opts.Store.HostResident(r.AdapterID, now)
 		}
 		r.Slot = s.slotFor(r.AdapterID)
-		s.waiting = append(s.waiting, r)
+		s.pushWaiting(r)
 	}
-	// Admit the head of the queue in one move and walk the queue's
-	// start past it: compacting the rest to the front would move the
-	// whole backlog on every Step. The admitted entries are cleared so
-	// the backing array does not retain them; append reallocates once
-	// the walk reaches its end, copying only the live queue.
-	if k := min(len(s.waiting), s.opts.AdmitCap-len(s.active)); k > 0 {
-		s.active = append(s.active, s.waiting[:k]...)
-		clear(s.waiting[:k])
-		s.waiting = s.waiting[k:]
+	if k := min(len(s.waiting()), s.opts.AdmitCap-len(s.active)); k > 0 {
+		s.admitWaiting(k)
 	}
 	if len(s.active) == 0 {
 		next := s.pending.Peek()
@@ -455,7 +452,7 @@ func (s *Server) Step() (bool, error) {
 	d := s.opts.Policy.Decide(sched.Iteration{
 		Now:     now,
 		Active:  s.active,
-		Waiting: s.waiting,
+		Waiting: s.waiting(),
 		State:   s.state,
 		MaxBS:   s.opts.MaxBatch,
 	})
@@ -792,12 +789,11 @@ func (s *Server) executeEvictions(d *sched.Decision) {
 		if len(s.active) >= s.opts.AdmitCap {
 			break
 		}
-		for i, q := range s.waiting {
-			if q == w {
-				s.waiting = slices.Delete(s.waiting, i, i+1)
-				s.active = append(s.active, w)
-				break
-			}
+		q := s.waiting()
+		if i := slices.Index(q, w); i >= 0 {
+			q = slices.Delete(q, i, i+1)
+			s.waitBuf = s.waitBuf[:s.waitHead+len(q)]
+			s.active = append(s.active, w)
 		}
 	}
 }
@@ -830,7 +826,41 @@ func (s *Server) evictOut(r *sched.Request) {
 		s.report.Requests--
 		s.onPreempt(r)
 	} else {
-		s.waiting = append(s.waiting, r)
+		s.pushWaiting(r)
+	}
+}
+
+// waiting returns the arrived-but-unadmitted requests, oldest first.
+func (s *Server) waiting() []*sched.Request { return s.waitBuf[s.waitHead:] }
+
+// pushWaiting appends r to the waiting queue. When the buffer is full
+// and admission has walked past at least half of it, the queue slides
+// back to the front instead of growing: the move costs no more than
+// the admissions that freed the room, and a steady state allocates
+// nothing. Growth past a walked prefix moves only the queue.
+func (s *Server) pushWaiting(r *sched.Request) {
+	if len(s.waitBuf) == cap(s.waitBuf) && s.waitHead > 0 {
+		buf := s.waitBuf
+		if 2*s.waitHead < len(buf) {
+			buf = make([]*sched.Request, 2*cap(buf))
+		}
+		n := copy(buf, s.waiting())
+		clear(s.waitBuf[n:])
+		s.waitBuf, s.waitHead = buf[:n], 0
+	}
+	s.waitBuf = append(s.waitBuf, r)
+}
+
+// admitWaiting moves the k oldest waiting requests into the active
+// set. Their slots are cleared so the buffer does not retain them; an
+// emptied queue restarts at the front of the buffer.
+func (s *Server) admitWaiting(k int) {
+	head := s.waitBuf[s.waitHead : s.waitHead+k]
+	s.active = append(s.active, head...)
+	clear(head)
+	s.waitHead += k
+	if s.waitHead == len(s.waitBuf) {
+		s.waitBuf, s.waitHead = s.waitBuf[:0], 0
 	}
 }
 
@@ -1179,7 +1209,7 @@ func (s *Server) AdvanceClockTo(t time.Duration) { s.clock.AdvanceTo(t) }
 // InFlight counts requests submitted but not yet finished (pending +
 // waiting + admitted); dispatch policies use it as the load signal.
 func (s *Server) InFlight() int {
-	return s.pending.Len() + len(s.waiting) + len(s.active)
+	return s.pending.Len() + len(s.waiting()) + len(s.active)
 }
 
 // LatencySum reports the accumulated end-to-end latency of completed

@@ -2,6 +2,8 @@ package serving
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -166,8 +168,8 @@ func backlogServer(b *testing.B, n int) *Server {
 	if _, err := srv.Step(); err != nil {
 		b.Fatal(err)
 	}
-	if len(srv.waiting) != n {
-		b.Fatalf("%d requests waiting, want %d", len(srv.waiting), n)
+	if len(srv.waiting()) != n {
+		b.Fatalf("%d requests waiting, want %d", len(srv.waiting()), n)
 	}
 	return srv
 }
@@ -182,7 +184,7 @@ func BenchmarkStepBacklog(b *testing.B) {
 			srv := backlogServer(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if len(srv.waiting) < n/2 {
+				if len(srv.waiting()) < n/2 {
 					b.StopTimer()
 					srv = backlogServer(b, n)
 					b.StartTimer()
@@ -192,5 +194,47 @@ func BenchmarkStepBacklog(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestWaitingQueueMatchesModel drives the waiting queue's push and
+// head admission with random batch sizes against a plain slice,
+// alternating phases where the backlog grows and where it drains, so
+// the buffer both grows and slides back. The queue must keep FIFO
+// order, and no slot outside it may still point at a request, so
+// admitted requests are not retained.
+func TestWaitingQueueMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := &Server{}
+	var model []*sched.Request
+	id := int64(0)
+	for op := 0; op < 20000; op++ {
+		push := 8
+		if op/1000%2 == 0 {
+			push = 12 // a growing backlog
+		}
+		if rng.Intn(2) == 0 {
+			for n := rng.Intn(push); n > 0; n-- {
+				id++
+				r := &sched.Request{ID: id}
+				s.pushWaiting(r)
+				model = append(model, r)
+			}
+		} else if k := min(len(model), rng.Intn(10)); k > 0 {
+			s.admitWaiting(k)
+			model = model[k:]
+		}
+		if !slices.Equal(s.waiting(), model) {
+			t.Fatalf("op %d: waiting queue diverges from the model", op)
+		}
+		full := s.waitBuf[:cap(s.waitBuf)]
+		for i, r := range full {
+			if (i < s.waitHead || i >= len(s.waitBuf)) && r != nil {
+				t.Fatalf("op %d: slot %d outside the queue still holds request %d", op, i, r.ID)
+			}
+		}
+	}
+	if len(s.active) != int(id)-len(model) {
+		t.Fatalf("%d requests admitted, want %d", len(s.active), int(id)-len(model))
 	}
 }
