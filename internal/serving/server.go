@@ -840,13 +840,15 @@ func (s *Server) waiting() []*sched.Request { return s.waitBuf[s.waitHead:] }
 // nothing. Growth past a walked prefix moves only the queue.
 func (s *Server) pushWaiting(r *sched.Request) {
 	if len(s.waitBuf) == cap(s.waitBuf) && s.waitHead > 0 {
-		buf := s.waitBuf
-		if 2*s.waitHead < len(buf) {
-			buf = make([]*sched.Request, 2*cap(buf))
+		q := s.waiting()
+		if 2*s.waitHead >= len(s.waitBuf) {
+			n := copy(s.waitBuf, q)
+			clear(s.waitBuf[n:])
+			s.waitBuf = s.waitBuf[:n]
+		} else {
+			s.waitBuf = append(make([]*sched.Request, 0, 2*cap(s.waitBuf)), q...)
 		}
-		n := copy(buf, s.waiting())
-		clear(s.waitBuf[n:])
-		s.waitBuf, s.waitHead = buf[:n], 0
+		s.waitHead = 0
 	}
 	s.waitBuf = append(s.waitBuf, r)
 }
@@ -1114,8 +1116,6 @@ func (s *Server) releaseKV(r *sched.Request) {
 }
 
 func (s *Server) finish(r *sched.Request) {
-	shared := s.kv.Shared(r.KV) // the trace row's; gone with the KV
-	s.releaseKV(r)
 	s.report.Completed++
 	lat := r.Latency()
 	s.latencySum += lat
@@ -1154,13 +1154,16 @@ func (s *Server) finish(r *sched.Request) {
 			Finish:          r.Finish,
 			InputTokens:     r.InputTokens,
 			OutputTokens:    r.OutputTokens,
-			SharedTokens:    shared,
+			SharedTokens:    s.kv.Shared(r.KV),
 			Images:          int(r.Images),
 			ColdStart:       r.ColdStart,
 			Preemptions:     r.PreemptCount,
 			RecomputeTokens: r.RecomputeTokens,
 		})
 	}
+	// Released last: the trace row reads the prompt tokens the prefix
+	// cache served from the KV sequence record.
+	s.releaseKV(r)
 }
 
 func (s *Server) finalize() {

@@ -8,6 +8,7 @@ import (
 	"valora/internal/lora"
 	"valora/internal/sched"
 	"valora/internal/simgpu"
+	"valora/internal/trace"
 	"valora/internal/train"
 	"valora/internal/workload"
 )
@@ -255,27 +256,48 @@ func TestVisionHeadBeatsLMHead(t *testing.T) {
 func TestPrefixCacheHelps(t *testing.T) {
 	g := simgpu.A100()
 	model := lmm.QwenVL7B()
-	run := func(cacheImgs int) (*Report, error) {
+	// sharedRows counts the trace rows that report prefix-served
+	// tokens; each must report exactly the cached image's tokens.
+	sharedRows := func(rec *trace.Recorder) int {
+		n := 0
+		for _, row := range rec.Rows() {
+			if row.SharedTokens == 0 {
+				continue
+			}
+			if want := min(row.Images*model.VisualTokens, row.InputTokens); row.SharedTokens != want {
+				t.Fatalf("request %d: trace row reports %d shared tokens, want %d", row.ID, row.SharedTokens, want)
+			}
+			n++
+		}
+		return n
+	}
+	run := func(cacheImgs int) (*Report, int, error) {
 		opts, err := SystemOptions(SystemVaLoRA, g, model)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		opts.PrefixCacheImages = cacheImgs
 		srv, err := NewServer(opts)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		rec := trace.NewRecorder()
+		srv.SetTraceRecorder(rec)
 		cfg := workload.DefaultRetrieval(4, 10*time.Second, 8, 0.6, 13)
 		cfg.MultiRound = 0.6
-		return srv.Run(workload.GenRetrieval(cfg))
+		rep, err := srv.Run(workload.GenRetrieval(cfg))
+		return rep, sharedRows(rec), err
 	}
-	with, err := run(512)
+	with, withShared, err := run(512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := run(0)
+	without, withoutShared, err := run(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if withShared == 0 || withoutShared != 0 {
+		t.Fatalf("trace rows with prefix-served tokens: %d with the cache, %d without; want some, then none", withShared, withoutShared)
 	}
 	if with.PrefixHitRate <= 0 {
 		t.Fatal("multi-round workload should produce prefix hits")
