@@ -15,7 +15,7 @@ import (
 // evaluation through the experiment suite (quick mode keeps -bench
 // runs tractable). The per-op metric is the wall time of one full
 // experiment regeneration; the experiment's own findings are printed
-// by cmd/valora-bench and recorded in EXPERIMENTS.md.
+// by cmd/valora-bench in each table's measured note.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	suite := bench.NewSuite(true)
@@ -117,7 +117,7 @@ func BenchmarkMillionRequestsQuick(b *testing.B) {
 	}
 }
 
-// Design-choice ablations (DESIGN.md).
+// Design-choice ablations (README "Experiments").
 func BenchmarkAblationStaticTiling(b *testing.B) { benchExperiment(b, "ablation-tiling") }
 func BenchmarkAblationNoMixture(b *testing.B)    { benchExperiment(b, "ablation-mixture") }
 func BenchmarkAblationSlowSwitch(b *testing.B)   { benchExperiment(b, "ablation-switch") }

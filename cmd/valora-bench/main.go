@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	valora-bench [-quick] [-id fig14] [-csv DIR] [-out DIR] [-shards N]
+//	valora-bench [-quick] [-id fig14] [-csv DIR] [-out DIR]
 package main
 
 import (
@@ -27,14 +27,12 @@ func main() {
 		id     = flag.String("id", "", "run a single experiment by id (empty = all)")
 		csvDir = flag.String("csv", "", "directory to write per-experiment CSV files")
 		outDir = flag.String("out", "", "directory for persistent artifacts like BENCH_serving.json (default: current directory)")
-		shards = flag.Int("shards", 0, "shard count: joins the sweep-style experiments' shard axes and makes every other shard-aware experiment (marked [sharded] by -list) replay sharded and verify bit-identity against its Run report (0 = defaults)")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
 	suite := bench.NewSuite(*quick)
 	suite.OutDir = *outDir
-	suite.Shards = *shards
 	if *list {
 		traj := suite.TrajectoryPath()
 		if abs, err := filepath.Abs(traj); err == nil {
@@ -42,11 +40,7 @@ func main() {
 		}
 		fmt.Printf("# trajectory: %s\n", traj)
 		for _, e := range suite.All() {
-			mark := ""
-			if e.Sharded() {
-				mark = " [sharded]"
-			}
-			fmt.Printf("%-18s %s%s\n", e.ID, e.Desc, mark)
+			fmt.Printf("%-18s %s\n", e.ID, e.Desc)
 		}
 		return
 	}

@@ -1,19 +1,17 @@
 // Package bench contains one experiment driver per table and figure of
 // the VaLoRA paper's evaluation (plus the motivation-section
-// measurements and the ablations DESIGN.md calls out). Every driver
-// returns a Table that renders to markdown/CSV; cmd/valora-bench runs
-// them all and EXPERIMENTS.md records paper-vs-measured.
+// measurements and the design-choice ablations listed in the README's
+// "Experiments" section). Every driver returns a Table that renders to
+// markdown/CSV with the paper's claim beside the measured note;
+// cmd/valora-bench runs them all and prints the tables.
 package bench
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"time"
 
-	"valora/internal/serving"
 	"valora/internal/simgpu"
-	"valora/internal/workload"
 )
 
 // Table is one experiment's result grid.
@@ -71,19 +69,14 @@ func (t *Table) CSV() string {
 type Suite struct {
 	GPU *simgpu.GPU
 	// Quick shrinks traces and sweeps for use from unit tests; the
-	// full-size runs back EXPERIMENTS.md.
+	// full-size runs back the tables valora-bench prints and the
+	// README's headline numbers.
 	Quick bool
 	Seed  int64
 	// OutDir is where experiments that persist artifacts (the
 	// BENCH_*.json perf trajectories) write; empty means the current
 	// directory.
 	OutDir string
-	// Shards, when positive, is added to million-requests' shard
-	// sweep, overrides its headline run's shard count, and makes every
-	// other shard-aware experiment (Experiment.Sharded) replay its runs
-	// through RunSharded and verify bit-identity against Run's report —
-	// the -shards flag of valora-bench.
-	Shards int
 }
 
 // NewSuite builds a suite on an A100 with the default seed.
@@ -117,35 +110,6 @@ type Experiment struct {
 	ID   string
 	Desc string
 	Run  func() (*Table, error)
-}
-
-// shardedExperiments are the experiment IDs that honor Suite.Shards:
-// million-requests adds it to its shard axis, the rest replay their
-// runs through RunSharded and verify the report is bit-identical to
-// Run's. valora-bench -list flags them.
-var shardedExperiments = map[string]bool{
-	"cluster-dispatch": true,
-	"million-requests": true,
-	"multi-tenant":     true,
-}
-
-// Sharded reports whether the experiment honors the -shards flag.
-func (e Experiment) Sharded() bool { return shardedExperiments[e.ID] }
-
-// spotCheckSharded replays a freshly built run of a shard-aware
-// experiment through RunSharded at Suite.Shards and verifies the
-// report is bit-identical to Run's — the -shards spot-check contract.
-// Callers gate on s.Shards > 0 and hand over a fresh cluster plus a
-// fresh (or runtime-reset) trace, since requests carry runtime state.
-func (s *Suite) spotCheckSharded(id string, want *serving.Report, cl *serving.Cluster, trace workload.Trace) error {
-	rep, err := cl.RunSharded(trace, s.Shards)
-	if err != nil {
-		return fmt.Errorf("bench: %s sharded spot check: %w", id, err)
-	}
-	if !reflect.DeepEqual(want, rep) {
-		return fmt.Errorf("bench: %s sharded replay (shards=%d) diverged from Run's report", id, s.Shards)
-	}
-	return nil
 }
 
 // All lists every experiment in presentation order.

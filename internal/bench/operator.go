@@ -263,7 +263,7 @@ func (s *Suite) AblationStaticTiling() (*Table, error) {
 	t := &Table{
 		ID:      "ablation-tiling",
 		Title:   "Ablation: adaptive vs static tiling (same fused kernel path, us)",
-		Paper:   "design-choice ablation (DESIGN.md): the hash-table lookup is what makes ATMM win at both extremes",
+		Paper:   "design-choice ablation (README, Experiments): the hash-table lookup is what makes ATMM win at both extremes",
 		Columns: []string{"tokens", "adaptive", "static fallback", "penalty"},
 	}
 	for _, tokens := range sizes {

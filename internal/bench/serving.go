@@ -357,22 +357,6 @@ func (s *Suite) ClusterDispatch() (*Table, error) {
 		if err := s.appendStressRecord(rec); err != nil {
 			return nil, err
 		}
-
-		// -shards spot check: fresh dispatch state (round-robin carries a
-		// cursor) and a regenerated trace, sharded report must match.
-		if s.Shards > 0 {
-			dispatch2, err := serving.DispatchByName(name)
-			if err != nil {
-				return nil, err
-			}
-			cl2, err := serving.NewClusterWithDispatch(replicas, dispatch2, build)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.spotCheckSharded("cluster-dispatch "+name, rep, cl2, s.retrievalTrace(float64(4*replicas), 0.6)); err != nil {
-				return nil, err
-			}
-		}
 	}
 	t.Notes = fmt.Sprintf("adapter-affinity vs round-robin: swap-ins %d → %d, switches %d → %d, avg token latency %.2f → %.2f ms. "+
 		"Affinity keeps each adapter resident on one replica; whether that beats load balance depends on how much of the skewed traffic it piles onto one replica. "+
@@ -423,7 +407,7 @@ func (s *Suite) AblationNoMixture() (*Table, error) {
 	t := &Table{
 		ID:      "ablation-mixture",
 		Title:   "Ablation: VaLoRA with and without the deLoRA mixture mode",
-		Paper:   "design-choice ablation (DESIGN.md): mixture absorbs starvation without a merge->unmerge switch",
+		Paper:   "design-choice ablation (README, Experiments): mixture absorbs starvation without a merge->unmerge switch",
 		Columns: []string{"configuration", "avg token latency (ms)", "switches", "mixture iters"},
 	}
 	for _, disable := range []bool{false, true} {
@@ -459,7 +443,7 @@ func (s *Suite) AblationSlowSwitch() (*Table, error) {
 	t := &Table{
 		ID:      "ablation-switch",
 		Title:   "Ablation: VaLoRA with the swift vs dLoRA-style switcher",
-		Paper:   "design-choice ablation (DESIGN.md): the swift switcher is what makes frequent mode changes affordable",
+		Paper:   "design-choice ablation (README, Experiments): the swift switcher is what makes frequent mode changes affordable",
 		Columns: []string{"switcher", "avg token latency (ms)", "switch time total (ms)"},
 	}
 	for _, slow := range []bool{false, true} {
@@ -494,7 +478,7 @@ func (s *Suite) AblationMemory() (*Table, error) {
 	t := &Table{
 		ID:      "ablation-memory",
 		Title:   "Ablation: unified (pinned, async, contiguous) vs copy-based adapter memory",
-		Paper:   "design-choice ablation (DESIGN.md): unified memory + async swap keep adapter misses off the critical path (Fig. 23's mechanism)",
+		Paper:   "design-choice ablation (README, Experiments): unified memory + async swap keep adapter misses off the critical path (Fig. 23's mechanism)",
 		Columns: []string{"memory management", "avg token latency (ms)", "swap stall (ms)"},
 	}
 	for _, unified := range []bool{true, false} {

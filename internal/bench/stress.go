@@ -39,12 +39,14 @@ type StressRecord struct {
 	Commit string `json:"commit,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
 
-	// Shards is the partitioned drain's worker count (1 drains the
-	// instances one after another; older records carry 0 for the
-	// sequential Timeline engine); Repeats the number of identical
-	// replays the wall-clock numbers are the median of; GOMAXPROCS the
-	// Go scheduler's processor count during the run — wall-clock
-	// numbers are only comparable at equal parallelism.
+	// Shards is the partitioned drain's worker count: Run's
+	// runtime.GOMAXPROCS(0). Records from before Run became the only
+	// replay entry point carry the explicit count of the retired shard
+	// sweep (1 drained the instances one after another), and older
+	// ones 0 for the sequential Timeline engine. Repeats is the number
+	// of identical replays the wall-clock numbers are the median of;
+	// GOMAXPROCS the Go scheduler's processor count during the run —
+	// wall-clock numbers are only comparable at equal parallelism.
 	Shards     int `json:"shards,omitempty"`
 	Repeats    int `json:"repeats,omitempty"`
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
@@ -143,7 +145,7 @@ func (s *Suite) stressRepeats() int {
 }
 
 // headlineRequests/headlineInstances size the 10M-request headline run
-// (full mode only): the fleet-scale point the sharded engine exists
+// (full mode only): the fleet-scale point the partitioned drain exists
 // for.
 const (
 	headlineRequests  = 10_000_000
@@ -160,15 +162,13 @@ func spreadOf(walls []time.Duration) wallSpread {
 	return wallSpread{walls[0], walls[len(walls)/2], walls[len(walls)-1]}
 }
 
-// runStress replays one (instances, shards) configuration repeats
-// times on the same trace — runtime state reset between replays, a
-// fresh cluster each time — and returns the (identical) report plus
-// the wall-time spread. Every repeat must produce a bit-identical
-// report: virtual results are deterministic, only the wall clock is
-// allowed to move.
-func (s *Suite) runStress(trace workload.Trace, instances, shards, repeats int) (*serving.Report, wallSpread, error) {
+// runStress replays trace on a fresh round-robin cluster of instances
+// repeats times — runtime state reset between replays — and returns
+// the (identical) report plus the wall-time spread. Every repeat must
+// produce a bit-identical report: virtual results are deterministic,
+// only the wall clock is allowed to move.
+func (s *Suite) runStress(trace workload.Trace, instances, repeats int) (*serving.Report, wallSpread, error) {
 	model := lmm.QwenVL7B()
-	dispatch := func() *serving.RoundRobin { return serving.NewRoundRobin() }
 	build := func(int) (serving.Options, error) {
 		return serving.SystemOptions(serving.SystemVaLoRA, s.GPU, model)
 	}
@@ -177,12 +177,12 @@ func (s *Suite) runStress(trace workload.Trace, instances, shards, repeats int) 
 	walls := make([]time.Duration, 0, repeats)
 	for r := 0; r < repeats; r++ {
 		trace.ResetRuntime()
-		cl, err := serving.NewClusterWithDispatch(instances, dispatch(), build)
+		cl, err := serving.NewClusterWithDispatch(instances, serving.NewRoundRobin(), build)
 		if err != nil {
 			return nil, wallSpread{}, err
 		}
 		start := time.Now()
-		got, err := cl.RunSharded(trace, shards)
+		got, err := cl.Run(trace)
 		if err != nil {
 			return nil, wallSpread{}, err
 		}
@@ -194,107 +194,65 @@ func (s *Suite) runStress(trace workload.Trace, instances, shards, repeats int) 
 		if rep == nil {
 			rep = got
 		} else if !reflect.DeepEqual(rep, got) {
-			return nil, wallSpread{}, fmt.Errorf("bench: stress replay diverged across repeats (shards=%d): the engine is not deterministic", shards)
+			return nil, wallSpread{}, errors.New("bench: stress replay diverged across repeats: the engine is not deterministic")
 		}
 	}
 	return rep, spreadOf(walls), nil
 }
 
-// stressShardSweep is the worker-count axis of the stress experiment:
-// 1 drains the instances one after another on one goroutine (the
-// baseline every wider run must match bit-for-bit), the rest drain
-// them in parallel. Suite.Shards (the -shards flag) is added to the
-// sweep when absent.
-func (s *Suite) stressShardSweep() []int {
-	sweep := []int{1, 2, 4}
-	if s.Quick {
-		sweep = []int{1, 4}
-	}
-	if s.Shards > 0 {
-		for _, v := range sweep {
-			if v == s.Shards {
-				return sweep
-			}
-		}
-		sweep = append(sweep, s.Shards)
-	}
-	return sweep
-}
-
 // MillionRequests is the simulator's own perf benchmark: it replays
-// the stress trace across the shard sweep (one-worker baseline plus
-// parallel drains), reporting median-of-N wall-clock throughput per
-// configuration and verifying every configuration's report is
-// bit-identical to the one-worker replay's. In full mode it finishes
-// with the 10M-request headline run on a larger fleet. Every
-// configuration appends one record to BENCH_serving.json.
+// the stress trace with Run, which drains the round-robin fleet's
+// instances in parallel at runtime.GOMAXPROCS(0) workers, and reports
+// median-of-N wall-clock throughput. In full mode it adds the
+// 10M-request headline run on a larger fleet. Every size appends one
+// record to BENCH_serving.json.
 func (s *Suite) MillionRequests() (*Table, error) {
 	const instances = 4
 	n := s.stressSize()
 	repeats := s.stressRepeats()
+	workers := runtime.GOMAXPROCS(0)
 
 	t := &Table{
 		ID:    "million-requests",
 		Title: fmt.Sprintf("Simulator stress: %d requests across %d instances (median of %d)", n, instances, repeats),
 		Paper: "beyond-paper scale target: replay ≥1M requests in seconds of wall time so §6-style skew/rate sweeps stay tractable",
-		Columns: []string{"requests", "instances", "shards", "wall med (s)", "sim throughput (req/s)",
+		Columns: []string{"requests", "instances", "workers", "wall med (s)", "sim throughput (req/s)",
 			"virtual req/s", "virtual p50 (ms)", "virtual p99 (ms)", "completed", "rejected"},
 	}
 
-	record := func(rep *serving.Report, n, instances, shards, repeats int, wall wallSpread) error {
+	// measure generates and replays one size; the trace is released
+	// when it returns, before the next size allocates its own.
+	measure := func(n, instances, repeats int) error {
+		trace := workload.GenStress(workload.DefaultStress(n, s.Seed))
+		rep, wall, err := s.runStress(trace, instances, repeats)
+		if err != nil {
+			return err
+		}
 		rec := s.newRecord("million-requests", rep, n, instances, "round-robin", wall.med)
-		rec.Shards = shards
+		rec.Shards = workers
 		rec.Repeats = repeats
 		rec.WallMinSeconds = wall.min.Seconds()
 		rec.WallMaxSeconds = wall.max.Seconds()
 		if err := s.appendStressRecord(rec); err != nil {
 			return err
 		}
-		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", instances), fmt.Sprintf("%d", shards),
+		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", instances), fmt.Sprintf("%d", workers),
 			f2(rec.WallSeconds), fmt.Sprintf("%.0f", rec.SimRPS), f2(rec.VirtualRPS),
 			f2(rec.VirtualP50MS), f2(rec.VirtualP99MS),
 			fmt.Sprintf("%d", rep.Completed), fmt.Sprintf("%d", rep.Rejected))
 		return nil
 	}
-
-	trace := workload.GenStress(workload.DefaultStress(n, s.Seed))
-	var baseline *serving.Report
-	for _, shards := range s.stressShardSweep() {
-		rep, wall, err := s.runStress(trace, instances, shards, repeats)
-		if err != nil {
-			return nil, err
-		}
-		if baseline == nil {
-			baseline = rep
-		} else if !reflect.DeepEqual(baseline, rep) {
-			return nil, fmt.Errorf("bench: sharded replay (shards=%d) diverged from the one-worker replay", shards)
-		}
-		if err := record(rep, n, instances, shards, repeats, wall); err != nil {
-			return nil, err
-		}
+	if err := measure(n, instances, repeats); err != nil {
+		return nil, err
 	}
-
 	if !s.Quick {
-		// The 10M-request headline: parallel drain only (the one-worker
-		// baseline at this scale is what the shard sweep above already
-		// quantifies per million).
-		trace = nil // release the sweep trace before the 10M allocation
-		hShards := headlineInstances
-		if s.Shards > 0 {
-			hShards = s.Shards
-		}
-		htrace := workload.GenStress(workload.DefaultStress(headlineRequests, s.Seed))
-		rep, wall, err := s.runStress(htrace, headlineInstances, hShards, headlineRepeats)
-		if err != nil {
-			return nil, err
-		}
-		if err := record(rep, headlineRequests, headlineInstances, hShards, headlineRepeats, wall); err != nil {
+		if err := measure(headlineRequests, headlineInstances, headlineRepeats); err != nil {
 			return nil, err
 		}
 	}
 
-	t.Notes = fmt.Sprintf("appended to %s; wall times are medians of %d identical replays (virtual results verified bit-identical across repeats and shard counts); shards=1 drains the instances one after another on one goroutine.",
-		BenchServingFile, repeats)
+	t.Notes = fmt.Sprintf("appended to %s; wall times are medians of identical replays (virtual results verified bit-identical across repeats); workers is GOMAXPROCS, the partitioned drain's worker count.",
+		BenchServingFile)
 	return t, nil
 }
 

@@ -106,20 +106,6 @@ func (s *Suite) MultiTenant() (*Table, error) {
 		if err := s.appendStressRecord(rec); err != nil {
 			return nil, err
 		}
-
-		// -shards spot check: the same mode replayed sharded must produce
-		// a bit-identical report. Managed clusters always replay on the
-		// shared timeline, so the check is trivial but still exercises
-		// the routing.
-		if s.Shards > 0 {
-			cl2, err := serving.NewManagedCluster(m.instances, serving.NewLeastLoaded(), cfg, build)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.spotCheckSharded("multi-tenant "+m.name, rep, cl2, gen()); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	gain := sloByMode[1]["realtime"] - sloByMode[0]["realtime"]

@@ -59,14 +59,13 @@ func TestMultiTenantQuick(t *testing.T) {
 	}
 
 	// Stress records must coexist in the same trajectory file: 3
-	// tenant modes plus one stress record per quick sweep point
-	// (1 + 4 shards).
+	// tenant modes plus the quick stress record.
 	if _, err := s.MillionRequests(); err != nil {
 		t.Fatal(err)
 	}
 	data, _ = os.ReadFile(filepath.Join(s.OutDir, BenchServingFile))
 	records = nil
-	if err := json.Unmarshal(data, &records); err != nil || len(records) != 5 {
-		t.Fatalf("mixed trajectory should hold 5 records: len=%d err=%v", len(records), err)
+	if err := json.Unmarshal(data, &records); err != nil || len(records) != 4 {
+		t.Fatalf("mixed trajectory should hold 4 records: len=%d err=%v", len(records), err)
 	}
 }

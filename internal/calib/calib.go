@@ -102,14 +102,14 @@ func Fit(rows []trace.Record) (Coefficients, error) {
 	}, nil
 }
 
-// PrefillMS predicts one row's prefill span in milliseconds.
-func (c Coefficients) PrefillMS(r trace.Record) float64 {
+// prefillMS predicts one row's prefill span in milliseconds.
+func (c Coefficients) prefillMS(r trace.Record) float64 {
 	f := prefillFeatures(r)
 	return c.PrefillBaseMS + c.PrefillPerTokenMS*f[1] + c.PrefillPerImageMS*f[2] + c.ColdPenaltyMS*f[3]
 }
 
-// DecodeMS predicts one row's decode span in milliseconds.
-func (c Coefficients) DecodeMS(r trace.Record) float64 {
+// decodeMS predicts one row's decode span in milliseconds.
+func (c Coefficients) decodeMS(r trace.Record) float64 {
 	f := decodeFeatures(r)
 	return c.DecodeBaseMS + c.DecodePerTokenMS*f[1] + c.RecomputePerTokenMS*f[2]
 }
@@ -117,12 +117,12 @@ func (c Coefficients) DecodeMS(r trace.Record) float64 {
 // predictTTFTMS predicts one row's time to first token: the observed
 // queue wait plus the modeled prefill span.
 func (c Coefficients) predictTTFTMS(r trace.Record) float64 {
-	return float64(r.QueueWait())/ms + c.PrefillMS(r)
+	return float64(r.QueueWait())/ms + c.prefillMS(r)
 }
 
 // predictE2EMS predicts one row's end-to-end latency.
 func (c Coefficients) predictE2EMS(r trace.Record) float64 {
-	return c.predictTTFTMS(r) + c.DecodeMS(r)
+	return c.predictTTFTMS(r) + c.decodeMS(r)
 }
 
 // Metric is one calibration scorecard row: an observed-vs-predicted

@@ -87,7 +87,7 @@ func CatalogFromFamilies(adapters []*lora.Adapter, tenantOf func(id int) string,
 		if familyOf != nil {
 			family, shared = familyOf(a.ID)
 		}
-		c.AddFamily(a, tenant, family, shared)
+		c.addFamily(a, tenant, family, shared)
 	}
 	return c
 }
@@ -115,11 +115,11 @@ func (c *Catalog) Add(a *lora.Adapter, tenant string) {
 	c.byID[a.ID] = &Entry{Adapter: a, Digest: Digest(a), Tenant: tenant}
 }
 
-// AddFamily catalogues an adapter as a member of an adapter family:
+// addFamily catalogues an adapter as a member of an adapter family:
 // the leading sharedBytes of its weight blob are the family-common
 // base delta every sibling carries, which the store dedups at chunk
 // granularity. sharedBytes is clamped to the adapter's size.
-func (c *Catalog) AddFamily(a *lora.Adapter, tenant, family string, sharedBytes int64) {
+func (c *Catalog) addFamily(a *lora.Adapter, tenant, family string, sharedBytes int64) {
 	if sharedBytes < 0 {
 		sharedBytes = 0
 	}

@@ -190,8 +190,8 @@ func (q *TenantQueue) stateOf(name string) *tenantState {
 // Len reports the total queued requests across tenants.
 func (q *TenantQueue) Len() int { return q.size }
 
-// TenantLen reports one tenant's queued requests.
-func (q *TenantQueue) TenantLen(name string) int {
+// tenantLen reports one tenant's queued requests.
+func (q *TenantQueue) tenantLen(name string) int {
 	if ts, ok := q.byName[name]; ok {
 		return len(ts.h)
 	}
@@ -401,10 +401,10 @@ func (q *TenantQueue) Tenants() []TenantConfig {
 	return out
 }
 
-// UnderQuota reports whether the tenant currently holds unspent
+// underQuota reports whether the tenant currently holds unspent
 // guaranteed quota (used by the starvation property test to check the
 // picker's invariant from outside).
-func (q *TenantQueue) UnderQuota(name string) bool {
+func (q *TenantQueue) underQuota(name string) bool {
 	ts, ok := q.byName[name]
 	return ok && q.deficit(ts) >= 0
 }

@@ -68,15 +68,15 @@ func TestTenantQueueCap(t *testing.T) {
 	if !q.Push(tenantReq(4, "b", 0, 0, 1, 1)) {
 		t.Fatal("tenant b is uncapped")
 	}
-	if q.Len() != 3 || q.TenantLen("a") != 2 || q.TenantLen("b") != 1 {
-		t.Fatalf("queue sizes wrong: len=%d a=%d b=%d", q.Len(), q.TenantLen("a"), q.TenantLen("b"))
+	if q.Len() != 3 || q.tenantLen("a") != 2 || q.tenantLen("b") != 1 {
+		t.Fatalf("queue sizes wrong: len=%d a=%d b=%d", q.Len(), q.tenantLen("a"), q.tenantLen("b"))
 	}
 }
 
 // TestTenantQueueNoStarvationProperty is the fair-share invariant of
 // the issue: across randomized backlogs, whenever the picker serves an
 // over-quota tenant, no tenant with pending work held unspent quota.
-// Verified from outside via UnderQuota before every Pop.
+// Verified from outside via underQuota before every Pop.
 func TestTenantQueueNoStarvationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -103,7 +103,7 @@ func TestTenantQueueNoStarvationProperty(t *testing.T) {
 		for q.Len() > 0 {
 			pendingUnder := map[string]bool{}
 			for _, c := range cfgs {
-				if q.TenantLen(c.Name) > 0 && q.UnderQuota(c.Name) {
+				if q.tenantLen(c.Name) > 0 && q.underQuota(c.Name) {
 					pendingUnder[c.Name] = true
 				}
 			}
@@ -160,7 +160,7 @@ func TestTenantQueueShareConvergence(t *testing.T) {
 	var id int64
 	refill := func() {
 		for _, c := range cfgs {
-			for q.TenantLen(c.Name) < 4 {
+			for q.tenantLen(c.Name) < 4 {
 				id++
 				q.Push(tenantReq(id, c.Name, time.Duration(id), 0, 50+rng.Intn(100), 1+rng.Intn(4)))
 			}

@@ -109,9 +109,9 @@ func (c *Cluster) Instances() []*Server {
 //
 // When the instances never observe one another (unmanaged, stateless
 // dispatch, no registry store; see parallel.go) Run drains them
-// concurrently on runtime.GOMAXPROCS(0) workers, as RunSharded does,
-// and returns the same report. Instances may therefore step on
-// different goroutines: the Options objects the cluster was built
+// concurrently on runtime.GOMAXPROCS(0) workers, with a report
+// bit-identical to the shared timeline's. Instances may therefore step
+// on different goroutines: the Options objects the cluster was built
 // from must not share unsynchronised mutable state.
 func (c *Cluster) Run(trace workload.Trace) (*Report, error) {
 	if c.partitioned() {

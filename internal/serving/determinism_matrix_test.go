@@ -11,29 +11,17 @@ import (
 	"valora/internal/workload"
 )
 
-// The executable determinism matrix: Run and RunSharded must produce
-// byte-identical serialized Reports across every combination of
-// GOMAXPROCS ∈ {1, 2, 8} and shard count ∈ {Run, 1, 2, 4, 8}, against
-// the sequential reference, runTimeline. GOMAXPROCS is the axis a
-// scheduler-order dependence tends to hide on — one that hides at 8
-// cores can surface at 1, and vice versa — and CI runs this test under
-// -race, so an unsynchronized cross-instance access in the partitioned
-// drain fails the job even when the output happens to match.
+// The executable determinism matrix: Run, and on a partitioned cluster
+// the drain at every explicit worker count ∈ {1, 2, 4, 8}, must produce
+// byte-identical serialized Reports at every GOMAXPROCS ∈ {1, 2, 8},
+// against the sequential reference, runTimeline. GOMAXPROCS is the
+// axis a scheduler-order dependence tends to hide on — one that hides
+// at 8 cores can surface at 1, and vice versa — and CI runs this test
+// under -race, so an unsynchronized cross-instance access in the
+// partitioned drain fails the job even when the output happens to
+// match.
 
 var matrixGOMAXPROCS = []int{1, 2, 8}
-var matrixShards = []int{0, 1, 2, 4, 8}
-
-// matrixReplay replays trace on cl: shards -1 is runTimeline, 0 is Run
-// (at GOMAXPROCS workers), any other count RunSharded.
-func matrixReplay(cl *Cluster, trace workload.Trace, shards int) (*Report, error) {
-	switch shards {
-	case -1:
-		return cl.runTimeline(trace)
-	case 0:
-		return cl.Run(trace)
-	}
-	return cl.RunSharded(trace, shards)
-}
 
 // marshalReport serializes a Report canonically (JSON with sorted map
 // keys, indented for a readable diff on failure).
@@ -46,19 +34,33 @@ func marshalReport(t *testing.T, rep *Report) []byte {
 	return b
 }
 
-func runMatrix(t *testing.T, label string, run func(shards int) *Report) {
+// runMatrix replays build's cluster and trace (fresh each time) through
+// the matrix. partitioned is the plan the cluster must take.
+func runMatrix(t *testing.T, label string, partitioned bool, build func() (*Cluster, workload.Trace)) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
-	ref := marshalReport(t, run(-1)) // runTimeline at ambient GOMAXPROCS
+	replay := func(width int) []byte {
+		cl, trace := build()
+		rep, err := replayAt(cl, trace, width)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return marshalReport(t, rep)
+	}
+	cl, _ := build()
+	if cl.partitioned() != partitioned {
+		t.Fatalf("%s: partitioned() = %v, want %v", label, cl.partitioned(), partitioned)
+	}
+	ref := replay(-1) // runTimeline at ambient GOMAXPROCS
 	for _, gmp := range matrixGOMAXPROCS {
 		runtime.GOMAXPROCS(gmp)
-		for _, shards := range matrixShards {
-			got := marshalReport(t, run(shards))
+		for _, width := range widthsFor(cl) {
+			got := replay(width)
 			if !bytes.Equal(ref, got) {
-				t.Fatalf("%s: GOMAXPROCS=%d shards=%d diverges from sequential\nsequential:\n%s\nsharded:\n%s",
-					label, gmp, shards, ref, got)
+				t.Fatalf("%s: GOMAXPROCS=%d workers=%d diverges from sequential\nsequential:\n%s\ngot:\n%s",
+					label, gmp, width, ref, got)
 			}
 		}
 	}
@@ -66,29 +68,24 @@ func runMatrix(t *testing.T, label string, run func(shards int) *Report) {
 
 // TestDeterminismMatrixUnmanaged drives an unmanaged cluster with a
 // state-reading dispatch policy (the coupling-heavy case), which Run
-// and RunSharded replay on the shared timeline at every shard count.
+// replays on the shared timeline.
 func TestDeterminismMatrixUnmanaged(t *testing.T) {
 	model := lmm.QwenVL7B()
-	runMatrix(t, "unmanaged/adapter-affinity", func(shards int) *Report {
+	runMatrix(t, "unmanaged/adapter-affinity", false, func() (*Cluster, workload.Trace) {
 		cl, err := NewClusterWithDispatch(4, NewAdapterAffinity(), swapConstrained(model))
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := skewedSwapTrace(23)
-		rep, err := matrixReplay(cl, trace, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return cl, skewedSwapTrace(23)
 	})
 }
 
 // TestDeterminismMatrixManaged drives the managed runner (admission,
-// fair-share queueing, shedding) through the same matrix. Run and
-// RunSharded replay it on the shared timeline at every shard count, so
-// this pins that fallback to the reference report.
+// fair-share queueing, shedding) through the same matrix. Run replays
+// it on the shared timeline, so this pins that path to the reference
+// report.
 func TestDeterminismMatrixManaged(t *testing.T) {
-	runMatrix(t, "managed/fair-share", func(shards int) *Report {
+	runMatrix(t, "managed/fair-share", false, func() (*Cluster, workload.Trace) {
 		cfg := SchedulingConfig{
 			Tenants:   tenantClasses(),
 			FairShare: true,
@@ -98,30 +95,20 @@ func TestDeterminismMatrixManaged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 3, 37))
-		rep, err := matrixReplay(cl, trace, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return cl, workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 3, 37))
 	})
 }
 
 // TestDeterminismMatrixPartitioned drives the one parallel plan: a
-// round-robin cluster, whose instances Run and RunSharded drain on
-// worker goroutines, replaying a stress trace.
+// round-robin cluster, whose instances Run and the explicit-width
+// drain replay on worker goroutines, replaying a stress trace.
 func TestDeterminismMatrixPartitioned(t *testing.T) {
 	model := lmm.QwenVL7B()
-	runMatrix(t, "unmanaged/round-robin", func(shards int) *Report {
+	runMatrix(t, "unmanaged/round-robin", true, func() (*Cluster, workload.Trace) {
 		cl, err := NewClusterWithDispatch(4, NewRoundRobin(), swapConstrained(model))
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := workload.GenStress(workload.DefaultStress(4000, 19))
-		rep, err := matrixReplay(cl, trace, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return cl, workload.GenStress(workload.DefaultStress(4000, 19))
 	})
 }

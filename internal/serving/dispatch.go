@@ -18,11 +18,11 @@ type DispatchPolicy interface {
 
 // StatelessDispatch marks policies whose Pick depends only on the
 // request sequence — never on live server state (InFlight, instance
-// IDs). Cluster.Run and Cluster.RunSharded exploit the marker: a
-// stateless policy's routing can be precomputed from the trace alone,
-// so the per-server request streams are known up front and the
-// instances drain independently in parallel (the partitioned plan). A policy that
-// reads any server state must not implement it.
+// IDs). Cluster.Run exploits the marker: a stateless policy's routing
+// can be precomputed from the trace alone, so the per-server request
+// streams are known up front and the instances drain independently in
+// parallel (the partitioned plan). A policy that reads any server
+// state must not implement it.
 type StatelessDispatch interface {
 	DispatchPolicy
 	// StatelessDispatch is a marker method (never called).

@@ -41,7 +41,7 @@ var goldenRuns = []struct {
 	}},
 	{"unmanaged/round-robin-stress/partitioned-2", func(t *testing.T) *Report {
 		cl := goldenCluster(t, NewRoundRobin())
-		return mustReport(t)(cl.RunSharded(workload.GenStress(workload.DefaultStress(20000, 11)), 2))
+		return mustReport(t)(cl.runPartitioned(workload.GenStress(workload.DefaultStress(20000, 11)), 2))
 	}},
 	{"unmanaged/adapter-affinity/swap-constrained", func(t *testing.T) *Report {
 		cl, err := NewClusterWithDispatch(4, NewAdapterAffinity(), swapConstrained(lmm.QwenVL7B()))

@@ -13,11 +13,11 @@ import (
 // This file is the partitioned counterpart of the shared timeline. A
 // run whose instances never observe one another is split into
 // independent per-instance replays and drained on worker goroutines
-// (sim.RunIndependent): Run does so at runtime.GOMAXPROCS(0) workers,
-// RunSharded at an explicit count. Every other run takes runTimeline.
-// Either way the report is bit-identical to runTimeline's, so the
-// worker count is purely a wall-clock knob and every recorded
-// experiment stays reproducible under any parallelism.
+// (sim.RunIndependent): Run does so at runtime.GOMAXPROCS(0) workers.
+// Every other run takes runTimeline. Either way the report is
+// bit-identical to runTimeline's, so the worker count only moves the
+// wall clock and every recorded experiment stays reproducible under
+// any parallelism.
 //
 // Instances are independent exactly when the cluster is unmanaged, its
 // dispatch is a StatelessDispatch and no instance shares a registry
@@ -34,8 +34,7 @@ import (
 const maxPartitionedInstances = 256
 
 // partitioned reports whether the cluster's instances are independent,
-// so Run and RunSharded can replay them in parallel (see the file
-// comment).
+// so Run can replay them in parallel (see the file comment).
 func (c *Cluster) partitioned() bool {
 	if c.sched != nil || len(c.servers) > maxPartitionedInstances {
 		return false
@@ -49,21 +48,6 @@ func (c *Cluster) partitioned() bool {
 		}
 	}
 	return true
-}
-
-// RunSharded replays a trace like Run, at an explicit worker count,
-// and returns a bit-identical report. When the instances are
-// independent (unmanaged, stateless dispatch, no registry store) it
-// drains them on up to shards worker goroutines; every other
-// configuration runs on the shared timeline.
-func (c *Cluster) RunSharded(trace workload.Trace, shards int) (*Report, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("serving: shard count %d < 1", shards)
-	}
-	if !c.partitioned() {
-		return c.runTimeline(trace)
-	}
-	return c.runPartitioned(trace, shards)
 }
 
 // requestFeed adapts an arrival-ordered request stream to sim.Feed: a

@@ -14,19 +14,46 @@ import (
 	"valora/internal/workload"
 )
 
-// The sharded engine's acceptance gate: for every configuration,
-// RunSharded is bit-identical to Run — reflect.DeepEqual on the whole
-// Report, not a tolerance check — across shard counts, seeds, dispatch
-// policies, and the managed path. Traces are regenerated per run
+// The partitioned drain's acceptance gate: for every configuration,
+// Run is bit-identical to the shared-timeline reference, runTimeline —
+// reflect.DeepEqual on the whole Report, not a tolerance check — and on
+// partitioned clusters so is the drain at every explicit worker count,
+// across seeds and dispatch policies. Traces are regenerated per run
 // (requests mutate in place) and clusters are rebuilt per run
 // (dispatch policies carry state).
 
-var shardCounts = []int{1, 2, 4, 8}
+// workerCounts are the explicit widths the partitioned drain is
+// checked at, beside Run's own runtime.GOMAXPROCS(0).
+var workerCounts = []int{1, 2, 4, 8}
+
+// replayAt replays trace on cl: width -1 is the shared-timeline
+// reference, 0 is Run, and any other width the partitioned drain on
+// that many workers, which only a partitioned cluster may take.
+func replayAt(cl *Cluster, trace workload.Trace, width int) (*Report, error) {
+	switch {
+	case width < 0:
+		return cl.runTimeline(trace)
+	case width == 0:
+		return cl.Run(trace)
+	case !cl.partitioned():
+		return nil, fmt.Errorf("serving: %d workers on a cluster that is not partitioned", width)
+	}
+	return cl.runPartitioned(trace, width)
+}
+
+// widthsFor lists the replays that must reproduce the reference: Run,
+// plus the drain at every workerCounts width when cl is partitioned.
+func widthsFor(cl *Cluster) []int {
+	if cl.partitioned() {
+		return append([]int{0}, workerCounts...)
+	}
+	return []int{0}
+}
 
 func checkReportIdentical(t *testing.T, want, got *Report, label string) {
 	t.Helper()
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("%s: sharded report diverges from sequential\nsequential: %+v\nsharded:    %+v", label, want, got)
+		t.Fatalf("%s: report diverges from the shared timeline\ntimeline: %+v\ngot:      %+v", label, want, got)
 	}
 }
 
@@ -36,51 +63,51 @@ func checkReportIdentical(t *testing.T, want, got *Report, label string) {
 func TestShardedUnmanagedBitIdentical(t *testing.T) {
 	model := lmm.QwenVL7B()
 	policies := []struct {
-		name string
-		mk   func() DispatchPolicy
+		name        string
+		mk          func() DispatchPolicy
+		partitioned bool
 	}{
-		{"round-robin", func() DispatchPolicy { return NewRoundRobin() }},
-		{"least-loaded", func() DispatchPolicy { return NewLeastLoaded() }},
-		{"adapter-affinity", func() DispatchPolicy { return NewAdapterAffinity() }},
-		{"tenant-affinity", func() DispatchPolicy { return NewTenantAffinity(nil) }},
+		{"round-robin", func() DispatchPolicy { return NewRoundRobin() }, true},
+		{"least-loaded", func() DispatchPolicy { return NewLeastLoaded() }, false},
+		{"adapter-affinity", func() DispatchPolicy { return NewAdapterAffinity() }, false},
+		{"tenant-affinity", func() DispatchPolicy { return NewTenantAffinity(nil) }, false},
 	}
 	for _, pol := range policies {
 		for _, seed := range []int64{7, 51} {
-			run := func(shards int) *Report {
+			build := func() *Cluster {
 				cl, err := NewClusterWithDispatch(4, pol.mk(), swapConstrained(model))
 				if err != nil {
 					t.Fatal(err)
 				}
-				trace := skewedSwapTrace(seed)
-				var rep *Report
-				if shards == 0 {
-					rep, err = cl.runTimeline(trace)
-				} else {
-					rep, err = cl.RunSharded(trace, shards)
-				}
+				return cl
+			}
+			cl := build()
+			if cl.partitioned() != pol.partitioned {
+				t.Fatalf("%s: partitioned() = %v, want %v", pol.name, cl.partitioned(), pol.partitioned)
+			}
+			run := func(width int) *Report {
+				rep, err := replayAt(build(), skewedSwapTrace(seed), width)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return rep
 			}
-			want := run(0)
-			for _, shards := range shardCounts {
-				got := run(shards)
-				checkReportIdentical(t, want, got,
-					fmt.Sprintf("%s/seed=%d/shards=%d", pol.name, seed, shards))
+			want := run(-1)
+			for _, width := range widthsFor(cl) {
+				checkReportIdentical(t, want, run(width),
+					fmt.Sprintf("%s/seed=%d/workers=%d", pol.name, seed, width))
 			}
 		}
 	}
 }
 
 // TestShardedManagedBitIdentical replays the managed runner (admission,
-// fair-share and FIFO queueing, deadline shedding, backpressure)
-// through RunSharded, which runs it with Run at every shard count, and
-// checks the reports match Run's.
+// fair-share and FIFO queueing, deadline shedding, backpressure), which
+// is never partitioned, and checks Run's report matches runTimeline's.
 func TestShardedManagedBitIdentical(t *testing.T) {
 	for _, fair := range []bool{true, false} {
 		for _, seed := range []int64{11, 42} {
-			run := func(shards int) *Report {
+			run := func(width int) *Report {
 				cfg := SchedulingConfig{
 					Tenants:   tenantClasses(),
 					FairShare: fair,
@@ -90,26 +117,21 @@ func TestShardedManagedBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				trace := workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 3, seed))
-				var rep *Report
-				if shards == 0 {
-					rep, err = cl.Run(trace)
-				} else {
-					rep, err = cl.RunSharded(trace, shards)
+				if cl.partitioned() {
+					t.Fatal("managed cluster: planner chose the partitioned plan")
 				}
+				trace := workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 3, seed))
+				rep, err := replayAt(cl, trace, width)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return rep
 			}
-			want := run(0)
+			want := run(-1)
 			if want.Shed == 0 {
 				t.Fatalf("fair=%v seed=%d: workload never exercises admission shedding", fair, seed)
 			}
-			for _, shards := range shardCounts {
-				got := run(shards)
-				checkReportIdentical(t, want, got, "managed")
-			}
+			checkReportIdentical(t, want, run(0), fmt.Sprintf("managed/fair=%v/seed=%d", fair, seed))
 		}
 	}
 }
@@ -117,8 +139,8 @@ func TestShardedManagedBitIdentical(t *testing.T) {
 // TestShardedCoupledConfigsDelegate pins the planner's conservative
 // side: state-reading dispatch (least-loaded, adapter and tenant
 // affinity), managed admission, preemption, autoscaling and the shared
-// registry store couple instances, so RunSharded must run them with
-// Run and return bit-identical reports at every shard count.
+// registry store couple instances, so Run must replay them on the
+// shared timeline and match runTimeline's report.
 func TestShardedCoupledConfigsDelegate(t *testing.T) {
 	model := lmm.QwenVL7B()
 	adapters := lora.MakeUniformAdapters(model, 16, model.DefaultRank)
@@ -211,18 +233,16 @@ func TestShardedCoupledConfigsDelegate(t *testing.T) {
 			t.Fatalf("%s: planner chose the partitioned plan, want Run", tc.name)
 		}
 		seq, trace := tc.build()
-		want, err := seq.Run(trace)
+		want, err := seq.runTimeline(trace)
 		if err != nil {
-			t.Fatalf("%s sequential: %v", tc.name, err)
+			t.Fatalf("%s timeline: %v", tc.name, err)
 		}
-		for _, shards := range shardCounts {
-			sh, trace := tc.build()
-			got, err := sh.RunSharded(trace, shards)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
-			}
-			checkReportIdentical(t, want, got, fmt.Sprintf("%s/shards=%d", tc.name, shards))
+		cl, trace = tc.build()
+		got, err := cl.Run(trace)
+		if err != nil {
+			t.Fatalf("%s Run: %v", tc.name, err)
 		}
+		checkReportIdentical(t, want, got, tc.name)
 	}
 }
 
@@ -258,22 +278,6 @@ func TestShardPlannerModes(t *testing.T) {
 	}
 }
 
-// TestRunShardedValidation covers argument handling: zero shards is an
-// error; shard counts beyond the fleet clamp instead of failing.
-func TestRunShardedValidation(t *testing.T) {
-	model := lmm.QwenVL7B()
-	cl, err := NewClusterWithDispatch(2, NewRoundRobin(), swapConstrained(model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.RunSharded(skewedSwapTrace(3), 0); err == nil {
-		t.Fatal("shards=0 must fail")
-	}
-	if _, err := cl.RunSharded(skewedSwapTrace(3), 64); err != nil {
-		t.Fatalf("oversized shard count should clamp, got %v", err)
-	}
-}
-
 // requestTimes is the per-request outcome a replay stamps into the
 // trace: lifecycle phase, tokens emitted and every timestamp.
 type requestTimes struct {
@@ -293,12 +297,13 @@ func requestOutcomes(tr workload.Trace) []requestTimes {
 }
 
 // TestPartitionedRunMatchesTimeline is the differential check on the
-// partitioned drain: Run and RunSharded at every worker count must
+// partitioned drain: Run and the drain at every worker count must
 // reproduce the shared-timeline replay (runTimeline) exactly, in the
 // Report and in every request's timestamps. The cases cover
 // equal-arrival ties, an unsorted trace, fleets that do not divide the
-// trace evenly, a request rejected for KV capacity and a fleet too
-// wide for the partitioned plan.
+// trace evenly, more workers than instances, a request rejected for KV
+// capacity and a fleet too wide for the partitioned plan (checked
+// through Run alone).
 func TestPartitionedRunMatchesTimeline(t *testing.T) {
 	model := lmm.QwenVL7B()
 	defaults := func(int) (Options, error) { return SystemOptions(SystemVaLoRA, simgpu.A100(), model) }
@@ -311,55 +316,61 @@ func TestPartitionedRunMatchesTimeline(t *testing.T) {
 		build     func(int) (Options, error)
 		trace     func() workload.Trace
 		rejects   bool
+		// wider adds a worker count past workerCounts: more workers
+		// than instances must clamp, not fail.
+		wider int
 	}{
-		{"stress/1", 1, defaults, stress(20000, 13), false},
-		{"stress/3", 3, defaults, stress(20000, 13), false},
-		{"stress/4", 4, defaults, stress(20000, 13), false},
-		{"stress/9", 9, defaults, stress(20000, 13), false},
-		{"skewed-swap/3", 3, swapConstrained(model), func() workload.Trace { return skewedSwapTrace(31) }, false},
-		{"skewed-swap/4", 4, swapConstrained(model), func() workload.Trace { return skewedSwapTrace(31) }, false},
-		{"ties-sorted/4", 4, swapConstrained(model), func() workload.Trace { return tiedShuffle(skewedSwapTrace(33), 7, true) }, false},
-		{"ties-unsorted/3", 3, swapConstrained(model), func() workload.Trace { return tiedShuffle(skewedSwapTrace(33), 7, false) }, false},
+		{"stress/1", 1, defaults, stress(20000, 13), false, 0},
+		{"stress/3", 3, defaults, stress(20000, 13), false, 64},
+		{"stress/4", 4, defaults, stress(20000, 13), false, 0},
+		{"stress/9", 9, defaults, stress(20000, 13), false, 0},
+		{"skewed-swap/3", 3, swapConstrained(model), func() workload.Trace { return skewedSwapTrace(31) }, false, 0},
+		{"skewed-swap/4", 4, swapConstrained(model), func() workload.Trace { return skewedSwapTrace(31) }, false, 0},
+		{"ties-sorted/4", 4, swapConstrained(model), func() workload.Trace { return tiedShuffle(skewedSwapTrace(33), 7, true) }, false, 0},
+		{"ties-unsorted/3", 3, swapConstrained(model), func() workload.Trace { return tiedShuffle(skewedSwapTrace(33), 7, false) }, false, 0},
 		{"kv-reject/4", 4, defaults, func() workload.Trace {
 			tr := workload.GenStress(workload.DefaultStress(5000, 17))
 			tr[2501].InputTokens = 1 << 24 // more blocks than an empty KV cache holds
 			return tr
-		}, true},
-		{"wide/257", 257, defaults, stress(3000, 19), false},
+		}, true, 0},
+		{"wide/257", 257, defaults, stress(3000, 19), false, 0},
 	}
 	for _, tc := range cases {
-		run := func(replay func(*Cluster, workload.Trace) (*Report, error)) (*Report, []requestTimes) {
+		build := func() *Cluster {
 			cl, err := NewClusterWithDispatch(tc.instances, NewRoundRobin(), tc.build)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := cl.partitioned(), tc.instances <= maxPartitionedInstances; got != want {
-				t.Fatalf("%s: partitioned() = %v, want %v", tc.name, got, want)
-			}
+			return cl
+		}
+		run := func(width int) (*Report, []requestTimes) {
 			tr := tc.trace()
-			rep, err := replay(cl, tr)
+			rep, err := replayAt(build(), tr, width)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			return rep, requestOutcomes(tr)
 		}
-		want, wantTimes := run((*Cluster).runTimeline)
+		cl := build()
+		if got, want := cl.partitioned(), tc.instances <= maxPartitionedInstances; got != want {
+			t.Fatalf("%s: partitioned() = %v, want %v", tc.name, got, want)
+		}
+		want, wantTimes := run(-1)
 		if tc.rejects != (want.Rejected > 0) {
 			t.Fatalf("%s: %d requests rejected, want rejections %v", tc.name, want.Rejected, tc.rejects)
 		}
-		// Worker count 0 stands for Run itself, at GOMAXPROCS workers.
-		for _, shards := range append([]int{0}, shardCounts...) {
-			replay := func(cl *Cluster, tr workload.Trace) (*Report, error) { return cl.RunSharded(tr, shards) }
-			if shards == 0 {
-				replay = (*Cluster).Run
-			}
-			got, gotTimes := run(replay)
-			label := fmt.Sprintf("%s/shards=%d", tc.name, shards)
+		widths := widthsFor(cl)
+		if tc.wider > 0 {
+			widths = append(widths, tc.wider)
+		}
+		for _, width := range widths {
+			got, gotTimes := run(width)
+			label := fmt.Sprintf("%s/workers=%d", tc.name, width)
 			checkReportIdentical(t, want, got, label)
 			if !reflect.DeepEqual(wantTimes, gotTimes) {
 				for i := range wantTimes {
 					if wantTimes[i] != gotTimes[i] {
-						t.Fatalf("%s: request %d diverges\ntimeline: %+v\nsharded:  %+v", label, i, wantTimes[i], gotTimes[i])
+						t.Fatalf("%s: request %d diverges\ntimeline: %+v\ngot:      %+v", label, i, wantTimes[i], gotTimes[i])
 					}
 				}
 			}

@@ -14,17 +14,17 @@ import (
 // the observe–predict–calibrate loop: calib.FitFetchCost recovers the
 // link's base latency and per-byte cost from them.
 type FetchRecord struct {
-	Tenant string `json:"tenant,omitempty"`
-	Family string `json:"family,omitempty"`
+	Tenant string
+	Family string
 	// Bytes this fetch put on the links; Chunks is the adapter's chunk
 	// count, resident and deduped chunks included, not the transfers
 	// this fetch enqueued.
-	Bytes  int64 `json:"bytes"`
-	Chunks int   `json:"chunks"`
-	Demand bool  `json:"demand,omitempty"`
+	Bytes  int64
+	Chunks int
+	Demand bool
 
-	Requested time.Duration `json:"requested_ns"`
-	Done      time.Duration `json:"done_ns"`
+	Requested time.Duration
+	Done      time.Duration
 }
 
 // Duration reports the observed fetch latency.
@@ -62,13 +62,13 @@ func (rec *FetchRecorder) Rows() []FetchRecord {
 	out := make([]FetchRecord, len(rec.rows))
 	copy(out, rec.rows)
 	rec.mu.Unlock()
-	SortFetchRecords(out)
+	sortFetchRecords(out)
 	return out
 }
 
-// SortFetchRecords orders rows canonically by (Done, Requested,
+// sortFetchRecords orders rows canonically by (Done, Requested,
 // Bytes, Tenant).
-func SortFetchRecords(rows []FetchRecord) {
+func sortFetchRecords(rows []FetchRecord) {
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Done != rows[j].Done {
 			return rows[i].Done < rows[j].Done

@@ -112,12 +112,12 @@ func (rec *Recorder) Rows() []Record {
 	out := make([]Record, len(rec.rows))
 	copy(out, rec.rows)
 	rec.mu.Unlock()
-	SortRecords(out)
+	sortRecords(out)
 	return out
 }
 
-// SortRecords orders rows canonically by (Finish, ID, Instance).
-func SortRecords(rows []Record) {
+// sortRecords orders rows canonically by (Finish, ID, Instance).
+func sortRecords(rows []Record) {
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Finish != rows[j].Finish {
 			return rows[i].Finish < rows[j].Finish
@@ -137,7 +137,7 @@ func (rec *Recorder) WriteJSONL(w io.Writer) error {
 }
 
 // WriteJSONL writes rows as JSON lines (the rows are serialized as
-// given; use SortRecords or Recorder.Rows for canonical order).
+// given; use sortRecords or Recorder.Rows for canonical order).
 func WriteJSONL(w io.Writer, rows []Record) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

@@ -123,8 +123,8 @@ func (a *Adapter) Features(base *BaseModel, x *tensor.Matrix) *tensor.Matrix {
 	return tensor.MatMulT(x, a.effectiveWeight(base)).Tanh()
 }
 
-// Logits runs the full adapted forward pass for one fused domain.
-func (a *Adapter) Logits(base *BaseModel, domain string, x *tensor.Matrix) (*tensor.Matrix, error) {
+// logits runs the full adapted forward pass for one fused domain.
+func (a *Adapter) logits(base *BaseModel, domain string, x *tensor.Matrix) (*tensor.Matrix, error) {
 	head, ok := a.Heads[domain]
 	if !ok {
 		return nil, fmt.Errorf("train: adapter %q has no head for domain %q", a.Name, domain)
@@ -135,7 +135,7 @@ func (a *Adapter) Logits(base *BaseModel, domain string, x *tensor.Matrix) (*ten
 // Eval reports the adapter's test accuracy on one fused domain's
 // dataset.
 func (a *Adapter) Eval(base *BaseModel, ds *Dataset) (float64, error) {
-	logits, err := a.Logits(base, ds.Domain, ds.TestX)
+	logits, err := a.logits(base, ds.Domain, ds.TestX)
 	if err != nil {
 		return 0, err
 	}
@@ -167,13 +167,13 @@ func NewSmallModel(name string, inputDim, hidden, classes int, bytes int64, seed
 	}
 }
 
-// Forward computes the small model's logits.
-func (s *SmallModel) Forward(x *tensor.Matrix) *tensor.Matrix {
+// forward computes the small model's logits.
+func (s *SmallModel) forward(x *tensor.Matrix) *tensor.Matrix {
 	h := tensor.MatMulT(x, s.W1).Tanh()
 	return tensor.MatMulT(h, s.W2)
 }
 
 // Eval reports test accuracy on a dataset.
 func (s *SmallModel) Eval(ds *Dataset) float64 {
-	return tensor.Accuracy(s.Forward(ds.TestX), ds.TestY)
+	return tensor.Accuracy(s.forward(ds.TestX), ds.TestY)
 }

@@ -31,8 +31,8 @@ func (t Trace) Duration() time.Duration {
 	return t[len(t)-1].Arrival
 }
 
-// TotalOutputTokens sums the output tokens across the trace.
-func (t Trace) TotalOutputTokens() int {
+// totalOutputTokens sums the output tokens across the trace.
+func (t Trace) totalOutputTokens() int {
 	total := 0
 	for _, r := range t {
 		total += r.OutputTokens

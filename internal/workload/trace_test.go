@@ -142,9 +142,9 @@ func TestVideoHeadControlsRounds(t *testing.T) {
 	lm := DefaultVideo(1, 5*time.Second, 4, 0.5, 9)
 	lm.Head = train.LMHead
 	a, b := GenVideo(vh), GenVideo(lm)
-	if a.TotalOutputTokens() >= b.TotalOutputTokens() {
+	if a.totalOutputTokens() >= b.totalOutputTokens() {
 		t.Fatalf("vision-head trace (%d output tokens) should be shorter than LM-head (%d)",
-			a.TotalOutputTokens(), b.TotalOutputTokens())
+			a.totalOutputTokens(), b.totalOutputTokens())
 	}
 	for _, r := range a {
 		if r.OutputTokens != 1 {
@@ -172,11 +172,11 @@ func TestMergeReassignsIDs(t *testing.T) {
 
 func TestTraceAccessors(t *testing.T) {
 	var empty Trace
-	if empty.Duration() != 0 || empty.TotalOutputTokens() != 0 {
+	if empty.Duration() != 0 || empty.totalOutputTokens() != 0 {
 		t.Fatal("empty trace accessors should be zero")
 	}
 	tr := GenRetrieval(DefaultRetrieval(2, 5*time.Second, 4, 0.5, 1))
-	if tr.Duration() <= 0 || tr.TotalOutputTokens() <= 0 {
+	if tr.Duration() <= 0 || tr.totalOutputTokens() <= 0 {
 		t.Fatal("trace accessors must be positive")
 	}
 }
