@@ -296,6 +296,35 @@ func requestOutcomes(tr workload.Trace) []requestTimes {
 	return out
 }
 
+// TestRunShardedValidation covers the partitioned drain's worker-count
+// handling: a count below one still drains every instance on the
+// calling goroutine, and counts beyond the fleet clamp instead of
+// failing. Both must reproduce Run.
+func TestRunShardedValidation(t *testing.T) {
+	model := lmm.QwenVL7B()
+	build := func() *Cluster {
+		cl, err := NewClusterWithDispatch(2, NewRoundRobin(), swapConstrained(model))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	if !build().partitioned() {
+		t.Fatal("unmanaged round-robin on a store-less fleet: want partitioned")
+	}
+	want, err := build().Run(skewedSwapTrace(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 64} {
+		got, err := build().runPartitioned(skewedSwapTrace(3), workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		checkReportIdentical(t, want, got, fmt.Sprintf("workers=%d", workers))
+	}
+}
+
 // TestPartitionedRunMatchesTimeline is the differential check on the
 // partitioned drain: Run and the drain at every worker count must
 // reproduce the shared-timeline replay (runTimeline) exactly, in the
