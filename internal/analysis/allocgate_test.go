@@ -9,6 +9,7 @@ package analysis_test
 // before it ever shows up in a profile.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"valora/internal/metrics"
 	"valora/internal/registry"
 	"valora/internal/sched"
+	"valora/internal/serving"
 	"valora/internal/sim"
 	"valora/internal/simgpu"
 )
@@ -305,4 +307,79 @@ func TestStreamAddZeroAlloc(t *testing.T) {
 			s.Add(v)
 		}
 	})
+}
+
+// Server.Step at steady state, end to end through the public API: a
+// VaLoRA instance holds a constant ~1,000-deep waiting backlog (each
+// Step's completions are topped back up by Submits stamped at Now), so
+// ingest, admission past the backlog, Decide, residency, mode switches,
+// costing and completion all run every iteration. The requests are
+// pre-built and recycled once finished, so the only allocations counted
+// are the engine's own. AllocsPerRun cannot hold a backlog steady
+// across runs, so the gate reads the runtime's malloc counter over a
+// long window instead.
+func TestStepSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's instrumentation allocates, so allocation counts only hold without -race")
+	}
+	const (
+		backlog = 1000
+		warm    = 5000
+		window  = 20000
+	)
+	model := lmm.QwenVL7B()
+	srv, err := serving.NewSystem(serving.SystemVaLoRA, simgpu.A100(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ring is far deeper than the in-flight set, so a request is
+	// long finished by the time its slot comes round again.
+	reqs := make([]sched.Request, 8*backlog)
+	next := 0
+	var id int64
+	topUp := func() {
+		for srv.InFlight() < backlog {
+			r := &reqs[next%len(reqs)]
+			if id >= int64(len(reqs)) && r.Phase != sched.PhaseDone {
+				t.Fatalf("request %d still in flight when its ring slot came round", r.ID)
+			}
+			next++
+			id++
+			// Three in four requests go to a dominant adapter that
+			// rotates every 2,000 submissions, so the policy merges,
+			// mixes and unmerges, and switches between merged adapters.
+			adapter := int(id/2000) % 8
+			if id%4 == 0 {
+				adapter = int(id % 8)
+			}
+			*r = sched.Request{
+				ID:           id,
+				AdapterID:    adapter,
+				InputTokens:  48 + int(id%5)*16,
+				OutputTokens: 4 + int(id%7),
+				Arrival:      srv.Now(),
+			}
+			srv.Submit(r)
+		}
+	}
+	step := func(n int) {
+		for range n {
+			topUp()
+			if ok, err := srv.Step(); err != nil || !ok {
+				t.Fatalf("step: progressed %v, err %v", ok, err)
+			}
+		}
+	}
+	step(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step(window)
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Errorf("Server.Step: %d mallocs (%d bytes) over %d steady-state steps with a %d-deep backlog, want 0",
+			got, after.TotalAlloc-before.TotalAlloc, window, backlog)
+	}
+	if done := srv.Report().Completed; done < window {
+		t.Errorf("only %d requests completed over %d steps: the backlog is not being served", done, warm+window)
+	}
 }
