@@ -186,8 +186,9 @@ func (c *Cluster) aggregate(reports []*Report, system string) *Report {
 		agg.Merge(reports[i])
 		latencySum += srv.LatencySum()
 		tokensOut += srv.TokensOut()
-		srv.MergeLatencyStreams(e2e, ttft)
-		srv.MergeColdStream(cold)
+		e2e.Merge(srv.e2e)
+		ttft.Merge(srv.ttft)
+		cold.Merge(srv.coldTTFT)
 		hitRate += reports[i].PrefixHitRate
 	}
 	if tokensOut > 0 {

@@ -234,7 +234,7 @@ type adapterSlot struct {
 	// riding another demand's in-flight fetch). When the fetch lands,
 	// the retry's Ensure reports StatusHit — that landing is the
 	// resolution of the recorded miss, not a fresh host hit, so
-	// resolveTiered must not count it (see the HostHitRate inflation
+	// resolveSlot must not count it (see the HostHitRate inflation
 	// bug this replaces).
 	awaitingFetch bool
 }
@@ -412,16 +412,88 @@ func (s *Server) NextEventAt() time.Duration {
 }
 
 // Step executes one scheduling iteration of Algorithm 1's serving
-// loop: ingest due arrivals, admit up to the work-in-progress cap,
-// let the policy pick batch and mode, switch modes, ensure adapter
-// residency, advance the clock by the iteration time and account the
-// emitted tokens. It reports whether any progress was made; false
-// means the engine is idle (nothing active, waiting, or pending).
+// loop as named stages: ingest, decide, schedulable, residency (and
+// swap), the mode switch (after residency: folding needs the weights
+// on device), compute and emit. Only Step moves the clock; the stages
+// that charge virtual time return it. Step reports whether any
+// progress was made; false means the engine is idle.
+//
+//valora:hotpath
 func (s *Server) Step() (bool, error) {
 	now := s.clock.Now()
+	s.ingest(now)
+	if len(s.active) == 0 {
+		next := s.pending.Peek()
+		if next == nil {
+			return false, nil // idle
+		}
+		s.clock.AdvanceTo(next.Arrival)
+		return true, nil
+	}
+	d := s.decide(now)
+	batch := s.schedulable(d.Batch)
+	if len(batch) == 0 {
+		// Nothing schedulable (e.g. KV pressure): let time move to
+		// the next arrival or retry after a scheduling quantum.
+		wake := now + time.Millisecond
+		if next := s.pending.Peek(); next != nil && next.Arrival > now {
+			wake = next.Arrival
+		}
+		s.clock.AdvanceTo(wake)
+		return true, nil
+	}
+	target := lora.State{Mode: d.Mode, Merged: d.Merged}
+	batch, fetching, stall, err := s.residency(batch, target.Merged)
+	if err != nil {
+		return false, err
+	}
+	s.clock.Advance(stall)
+	if target.Merged >= 0 && !s.pool.Resident(target.Merged) {
+		// The fold target lost its swap-in: folding absent weights is
+		// impossible, so this iteration serves unmerged instead of
+		// pretending the adapter was merged.
+		target = lora.State{Mode: lora.ModeUnmerged, Merged: -1}
+	}
+	if len(batch) == 0 {
+		// The whole batch was unhostable this round (capacity
+		// pressure). The fallback serves the merged cohort under the
+		// current state, skipping the switch.
+		if fb := s.mergedCohortFallback(); len(fb) > 0 {
+			batch, target = fb, s.state
+		}
+	}
+	// Even with nothing servable, an intended mode switch is real
+	// progress: it updates the pins, so a stale merged adapter whose
+	// folded weights were crowding the pool frees its slot for the
+	// next round's swap-ins.
+	s.clock.Advance(s.switchTo(target))
+	if len(batch) == 0 {
+		wake, err := s.stalled(fetching)
+		if err != nil {
+			return false, err
+		}
+		s.clock.AdvanceTo(wake)
+		return true, nil
+	}
+	s.capacityStalls = 0
+	iter, err := s.compute(batch)
+	if err != nil {
+		return false, err
+	}
+	s.clock.Advance(iter)
+	if err := s.emit(batch, now, s.clock.Now()); err != nil {
+		return false, err
+	}
+	return true, nil
+}
 
-	// Ingest arrivals into the frontend queue, then admit into the
-	// runtime up to the work-in-progress cap.
+// ingest moves due arrivals into the frontend queue, stamping their
+// adapter slots (and, on standalone store-backed runs, their cold
+// starts), then admits waiting requests into the runtime up to the
+// work-in-progress cap.
+//
+//valora:hotpath
+func (s *Server) ingest(now time.Duration) {
 	for {
 		r := s.pending.PopDue(now)
 		if r == nil {
@@ -440,15 +512,13 @@ func (s *Server) Step() (bool, error) {
 	if k := min(len(s.waiting()), s.opts.AdmitCap-len(s.active)); k > 0 {
 		s.admitWaiting(k)
 	}
-	if len(s.active) == 0 {
-		next := s.pending.Peek()
-		if next == nil {
-			return false, nil // idle
-		}
-		s.clock.AdvanceTo(next.Arrival)
-		return true, nil
-	}
+}
 
+// decide asks the policy for the iteration's batch and mode, and with
+// preemption on carries out its displacements.
+//
+//valora:hotpath
+func (s *Server) decide(now time.Duration) sched.Decision {
 	d := s.opts.Policy.Decide(sched.Iteration{
 		Now:     now,
 		Active:  s.active,
@@ -459,142 +529,86 @@ func (s *Server) Step() (bool, error) {
 	if s.opts.Preemption != nil && len(d.Evict) > 0 {
 		s.executeEvictions(&d)
 	}
-	batch := s.admit(d.Batch)
-	batch = s.ensureKVHeadroom(batch)
-	s.sweepActive() // drop rejected and displaced requests
-	if len(batch) == 0 {
-		// Nothing schedulable (e.g. KV pressure): let time move to
-		// the next arrival or retry after a scheduling quantum.
-		if next := s.pending.Peek(); next != nil && next.Arrival > now {
-			s.clock.AdvanceTo(next.Arrival)
-		} else {
-			s.clock.Advance(time.Millisecond)
-		}
-		return true, nil
-	}
+	return d
+}
 
-	target := lora.State{Mode: d.Mode, Merged: d.Merged}
+// schedulable narrows a proposed batch to what the KV cache can hold
+// this iteration (admit, then ensureKVHeadroom) and sweeps the
+// requests that rejected or displaced from the active set.
+//
+//valora:hotpath
+func (s *Server) schedulable(batch []*sched.Request) []*sched.Request {
+	batch = s.ensureKVHeadroom(s.admit(batch))
+	s.sweepActive()
+	return batch
+}
 
-	// Adapter residency comes before the mode switch: folding requires
-	// the weights on device, so the fold target is part of the working
-	// set even when its own cohort missed the batch (the batch
-	// adapters must be resident to compute in any mode). With a
-	// registry store attached, a GPU-pool miss first consults the host
-	// tier: host-resident adapters swap in over PCIe as before, while
-	// host misses start (or keep riding) an asynchronous remote fetch
-	// and their requests sit out this iteration.
+// residency makes the batch's adapters resident in the GPU pool, and
+// the fold target merged even when its cohort missed the batch. Host
+// misses ride a remote fetch (see resolveSlot) and their requests sit
+// out this iteration; fetching reports that some did. It returns the
+// servable batch and the synchronous swap-in stall.
+//
+//valora:hotpath
+func (s *Server) residency(batch []*sched.Request, merged int) ([]*sched.Request, bool, time.Duration, error) {
 	s.iter++
 	needed := s.scratchNeeded[:0]
 	fetching := false
 	for _, r := range batch {
-		if sl := &s.slots[r.Slot]; sl.seen != s.iter {
-			sl.seen = s.iter
-			sl.fetching = false
-			if a := s.resolveTiered(sl); a != nil {
-				needed = append(needed, a)
-			} else {
-				sl.fetching = true
-				fetching = true
-			}
-		}
+		needed = s.resolveSlot(&s.slots[r.Slot], needed)
+		fetching = fetching || s.slots[r.Slot].fetching
 	}
-	if target.Merged >= 0 {
-		if sl := &s.slots[s.mergedSlot(target.Merged, batch)]; sl.seen != s.iter {
-			sl.seen = s.iter
-			sl.fetching = false
-			if a := s.resolveTiered(sl); a != nil {
-				needed = append(needed, a)
-			}
-			// A fold target still travelling remote→host is simply
-			// absent from the pool below, demoting the iteration to
-			// unmerged.
-		}
-	}
-	if fetching {
-		out := batch[:0]
-		for _, r := range batch {
-			if !s.slots[r.Slot].fetching {
-				out = append(out, r)
-			}
-			// Requests riding a fetch stay active and retry once the
-			// adapter lands in the host tier.
-		}
-		batch = out
+	if merged >= 0 {
+		// A fold target still travelling remote→host is simply absent
+		// from the pool, demoting the iteration to unmerged.
+		needed = s.resolveSlot(&s.slots[s.mergedSlot(merged, batch)], needed)
 	}
 	s.scratchNeeded = needed
 	stall, err := s.pool.Require(needed, s.lastIter)
-	if err != nil {
-		var ce *lora.CapacityError
-		if !errors.As(err, &ce) {
-			return false, err
-		}
-		batch = s.dropUnhosted(batch, ce)
-	}
-	if stall > 0 {
-		s.clock.Advance(stall)
-	}
-	if target.Merged >= 0 && !s.pool.Resident(target.Merged) {
-		// The fold target lost its swap-in: folding absent weights is
-		// impossible, so this iteration serves unmerged instead of
-		// pretending the adapter was merged.
-		target = lora.State{Mode: lora.ModeUnmerged, Merged: -1}
-	}
-	if len(batch) == 0 {
-		// The whole batch was unhostable this round (capacity
-		// pressure). The currently merged cohort — resident and pinned
-		// by definition — can always run, so starvation-first batches
-		// that lost every swap-in cannot livelock the engine. The
-		// fallback serves under the current state, skipping the switch.
-		if fb := s.mergedCohortFallback(); len(fb) > 0 {
-			batch = fb
-			target = s.state
+	if fetching || err != nil {
+		if batch, err = s.dropUnhosted(batch, err); err != nil {
+			return nil, false, 0, err
 		}
 	}
-	if len(batch) == 0 {
-		// Even with nothing servable, an intended mode switch is real
-		// progress: it updates the pins, so a stale merged adapter
-		// whose folded weights were crowding the pool frees its slot
-		// for the next round's swap-ins. Then let a scheduling quantum
-		// pass; if nothing ever unblocks (pool and KV capacity
-		// deadlocked), fail loudly instead of spinning virtual time
-		// forever.
-		s.switchTo(target)
-		s.capacityStalls++
-		if s.capacityStalls > maxCapacityStalls {
-			return false, fmt.Errorf("serving: %s made no progress for %d consecutive scheduling rounds (adapter-pool/KV capacity deadlock)",
-				s.opts.Name, s.capacityStalls)
-		}
-		// When the batch is blocked on remote fetches, jump toward the
-		// earliest completion so the copy overlaps this idle gap
-		// instead of burning 1ms retry quanta. The jump is bounded by
-		// the next local arrival and by a coarse quantum: in managed
-		// clusters future arrivals are timeline events this instance
-		// cannot see, and an unbounded jump would strand a warm request
-		// dispatched here "in the past" until the unrelated fetch
-		// lands.
-		wake := s.clock.Now() + time.Millisecond
-		if s.opts.Store != nil && fetching {
-			if done := s.opts.Store.NextFetchDone(); done != sim.Never && done > s.clock.Now() {
-				if limit := s.clock.Now() + fetchWaitQuantum; done > limit {
-					done = limit
-				}
-				if next := s.pending.Peek(); next != nil && next.Arrival > s.clock.Now() && next.Arrival < done {
-					done = next.Arrival
-				}
-				if done > wake {
-					wake = done
-				}
-			}
-		}
-		s.clock.AdvanceTo(wake)
-		return true, nil
-	}
-	s.capacityStalls = 0
-	s.switchTo(target)
+	return batch, fetching, stall, nil
+}
 
-	// Build the iteration load and LoRA token groups (the tallies live
-	// in the adapter slots, stamped with the iteration: one Step runs
-	// per scheduling round, the engine's hottest path).
+// stalled counts a round that served nothing, failing loudly once pool
+// and KV capacity deadlock, and returns when to retry. A round blocked
+// on remote fetches wakes toward the earliest completion, so the copy
+// overlaps the idle gap, but no later than the next local arrival or a
+// coarse quantum: in managed clusters future arrivals are timeline
+// events this instance cannot see, and an unbounded jump would strand
+// a warm request dispatched here "in the past".
+//
+//valora:hotpath
+func (s *Server) stalled(fetching bool) (time.Duration, error) {
+	s.capacityStalls++
+	if s.capacityStalls > maxCapacityStalls {
+		//valora:allow hotpath -- cold path: reached once, when the run fails on a capacity deadlock
+		return 0, fmt.Errorf("serving: %s made no progress for %d consecutive scheduling rounds (adapter-pool/KV capacity deadlock)",
+			s.opts.Name, s.capacityStalls)
+	}
+	now := s.clock.Now()
+	wake := now + time.Millisecond
+	if s.opts.Store != nil && fetching {
+		if done := s.opts.Store.NextFetchDone(); done != sim.Never && done > now {
+			done = min(done, now+fetchWaitQuantum)
+			if next := s.pending.Peek(); next != nil && next.Arrival > now && next.Arrival < done {
+				done = next.Arrival
+			}
+			wake = max(wake, done)
+		}
+	}
+	return wake, nil
+}
+
+// compute builds the iteration's load and LoRA token groups, costs
+// them under the current mode and returns the iteration time. The
+// group tallies live in the adapter slots, stamped with the iteration.
+//
+//valora:hotpath
+func (s *Server) compute(batch []*sched.Request) (time.Duration, error) {
 	var load lmm.IterationLoad
 	for _, r := range batch {
 		sl := &s.slots[r.Slot]
@@ -632,26 +646,27 @@ func (s *Server) Step() (bool, error) {
 	base := s.engine.IterationTime(load)
 	extra, err := lora.ExtraCost(s.opts.Operator, s.opts.Model, s.state.Mode, s.state.Merged, groups, &s.cost)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	iter := base + extra
 	s.report.BaseTime += base
 	s.report.LoRATime += extra
 	s.report.Iterations++
 	s.modeIters[s.state.Mode]++
-	s.lastIter = iter
-	s.clock.Advance(iter)
-	end := s.clock.Now()
+	s.lastIter = base + extra
+	return s.lastIter, nil
+}
 
-	// Token accounting: the prefill iteration also emits the first
-	// output token; decode iterations emit one token each.
+// emit accounts the tokens of an iteration scheduled at now that ended
+// at end (prefill also emits the first output token, decode one token
+// each) and drops finished requests from the active set.
+//
+//valora:hotpath
+func (s *Server) emit(batch []*sched.Request, now, end time.Duration) error {
 	for _, r := range batch {
 		r.MarkScheduled(now)
-		if !r.PrefillDone {
-			r.PrefillDone = true
-		}
+		r.PrefillDone = true
 		if err := s.kv.Extend(r.KV); err != nil {
-			return false, err
+			return err
 		}
 		r.Emitted++
 		if r.Emitted == 1 {
@@ -668,43 +683,48 @@ func (s *Server) Step() (bool, error) {
 			s.finish(r)
 		}
 	}
-	s.active = filterDone(s.active)
-	return true, nil
+	s.sweepActive()
+	return nil
 }
 
-// resolveTiered resolves one adapter demand through the residency
-// tiers: GPU pool first, then (when a store is attached) the host
-// cache. It returns the adapter descriptor when a GPU swap-in can
-// proceed this iteration — already GPU-resident, host-resident, or
-// store-less/uncatalogued (always host-resident by assumption) — and
-// nil while the adapter is still travelling remote→host. Demand
-// misses start the fetch; retries behind an in-flight fetch are not
-// re-counted.
-func (s *Server) resolveTiered(sl *adapterSlot) *lora.Adapter {
+// resolveSlot resolves a slot's adapter demand through the residency
+// tiers, once per iteration: GPU pool first, then (when a store is
+// attached) the host cache. It appends the adapter to needed when a
+// GPU swap-in can proceed this iteration — already GPU-resident,
+// host-resident, or store-less/uncatalogued (always host-resident by
+// assumption) — and otherwise marks the slot fetching while the
+// adapter travels remote→host. Demand misses start the fetch; retries
+// behind an in-flight fetch are not re-counted.
+//
+//valora:hotpath
+func (s *Server) resolveSlot(sl *adapterSlot, needed []*lora.Adapter) []*lora.Adapter {
+	if sl.seen == s.iter {
+		return needed
+	}
+	sl.seen, sl.fetching = s.iter, false
 	a := sl.adapter
 	if s.opts.Store == nil {
-		return a // host-resident by assumption; no tier accounting
+		return append(needed, a) // host-resident by assumption; no tier accounting
 	}
 	if s.pool.Resident(a.ID) {
 		s.report.GPUTierHits++
 		sl.awaitingFetch = false // resident via another path; flag is stale
-		return a
+		return append(needed, a)
 	}
 	s.report.GPUTierMisses++
 	st, _, queued := s.opts.Store.Demand(a.ID, s.clock.Now())
 	switch st {
 	case registry.StatusHit:
-		if sl.awaitingFetch {
-			// The fetch recorded as this demand's host miss just
-			// landed; counting its arrival as a host hit would book
-			// both a miss and a hit for one demand.
-			sl.awaitingFetch = false
-			return a
+		// A fetch recorded as this demand's host miss may just have
+		// landed; counting its arrival as a host hit would book both a
+		// miss and a hit for one demand.
+		if !sl.awaitingFetch {
+			s.report.HostHits++
 		}
-		s.report.HostHits++
-		return a
+		sl.awaitingFetch = false
+		return append(needed, a)
 	case registry.StatusUncatalogued:
-		return a
+		return append(needed, a)
 	case registry.StatusStarted:
 		s.report.HostMisses++
 		s.report.RemoteFetches++
@@ -713,17 +733,14 @@ func (s *Server) resolveTiered(sl *adapterSlot) *lora.Adapter {
 		// family sibling's ride on already-resident shared chunks is
 		// not double-billed.
 		s.report.FetchBytes += queued
-		sl.awaitingFetch = true
-		return nil
 	case registry.StatusDenied:
 		// Fetch-queue backpressure: the demand retries next round
 		// without counting a fresh miss per retry.
-		sl.awaitingFetch = true
-		return nil
 	default: // StatusFetching: counted when the fetch started
-		sl.awaitingFetch = true
-		return nil
 	}
+	sl.awaitingFetch = true
+	sl.fetching = true
+	return needed
 }
 
 // Drain steps the engine until it is idle, then finalizes and returns
@@ -777,13 +794,7 @@ func (s *Server) executeEvictions(d *sched.Decision) {
 	}
 	// The policy keeps Evict disjoint from Batch; scrub defensively so
 	// a misbehaving policy cannot serve a request it displaced.
-	batch := d.Batch[:0]
-	for _, r := range d.Batch {
-		if !s.wasEvicted(r) {
-			batch = append(batch, r)
-		}
-	}
-	d.Batch = batch
+	d.Batch = slices.DeleteFunc(d.Batch, s.wasEvicted)
 	s.sweepActive()
 	for _, w := range d.Admit {
 		if len(s.active) >= s.opts.AdmitCap {
@@ -877,19 +888,15 @@ func (s *Server) wasEvicted(r *sched.Request) bool {
 }
 
 // sweepActive drops finished and just-displaced requests from the
-// active set. With no displacements this round it is exactly the old
-// filterDone sweep.
+// active set.
+//
+//valora:hotpath
 func (s *Server) sweepActive() {
-	if len(s.stepEvicted) == 0 {
-		s.active = filterDone(s.active)
-		return
-	}
 	out := s.active[:0]
 	for _, r := range s.active {
-		if r.Phase == sched.PhaseDone || s.wasEvicted(r) {
-			continue
+		if r.Phase != sched.PhaseDone && !s.wasEvicted(r) {
+			out = append(out, r)
 		}
-		out = append(out, r)
 	}
 	s.active = out
 	s.stepEvicted = s.stepEvicted[:0]
@@ -1001,40 +1008,54 @@ func (s *Server) kvVictim(batch []*sched.Request) int {
 	return len(batch) - 1
 }
 
-// dropUnhosted strips a batch of requests whose adapters the pool
-// could not make resident: oversized adapters (larger than the whole
-// pool) reject their requests permanently, while deferred adapters
-// (blocked by this iteration's pinned working set) leave their
-// requests active for a later round.
-func (s *Server) dropUnhosted(batch []*sched.Request, ce *lora.CapacityError) []*sched.Request {
+// dropUnhosted strips a batch of requests whose adapters are not
+// resident this iteration, given the pool's Require error. Adapters
+// larger than the whole pool (CapacityError.Oversized) reject their
+// requests permanently. Requests riding a remote fetch, and those
+// whose adapters the iteration's pinned working set deferred, stay
+// active for a later round. Any other error is returned.
+func (s *Server) dropUnhosted(batch []*sched.Request, err error) ([]*sched.Request, error) {
+	var oversized, deferred []int
+	if err != nil {
+		// Declared here, not in the caller, so the pointer the
+		// unwrap needs escapes only on a capacity miss.
+		var ce *lora.CapacityError
+		if !errors.As(err, &ce) {
+			return nil, err
+		}
+		oversized, deferred = ce.Oversized, ce.Deferred
+	}
 	out := batch[:0]
 	for _, r := range batch {
 		switch {
-		case slices.Contains(ce.Oversized, r.AdapterID):
+		case s.slots[r.Slot].fetching:
+			// Retry once the adapter lands in the host tier.
+		case slices.Contains(oversized, r.AdapterID):
 			s.reject(r)
-		case slices.Contains(ce.Deferred, r.AdapterID):
+		case slices.Contains(deferred, r.AdapterID):
 			// Keep queued; the pool may have room next iteration.
 		default:
 			out = append(out, r)
 		}
 	}
-	s.active = filterDone(s.active)
-	return out
+	s.sweepActive()
+	return out, nil
 }
 
-// switchTo performs a mode switch, charging the switcher's latency and
+// switchTo performs a mode switch and returns the switcher's latency,
 // moving the merged-adapter pin: the merged adapter stays pinned in
 // the pool while it is folded, so the running mode's weights can never
 // be swapped out from under it.
-func (s *Server) switchTo(target lora.State) {
+//
+//valora:hotpath
+func (s *Server) switchTo(target lora.State) time.Duration {
 	if target == s.state {
-		return
+		return 0
 	}
 	st := s.opts.Switcher.SwitchTime(s.state, target)
 	if st > 0 {
 		s.report.Switches++
 		s.report.SwitchTime += st
-		s.clock.Advance(st)
 	}
 	if target.Merged != s.state.Merged {
 		if s.state.Merged >= 0 {
@@ -1045,6 +1066,7 @@ func (s *Server) switchTo(target lora.State) {
 		}
 	}
 	s.state = target
+	return st
 }
 
 // mergedCohortFallback is the forward-progress guarantee under
@@ -1067,10 +1089,7 @@ func (s *Server) mergedCohortFallback() []*sched.Request {
 			}
 		}
 	}
-	cohort = s.admit(cohort)
-	cohort = s.ensureKVHeadroom(cohort)
-	s.sweepActive()
-	return cohort
+	return s.schedulable(cohort)
 }
 
 // reject permanently fails a request the instance can never serve: a
@@ -1224,33 +1243,9 @@ func (s *Server) LatencySum() time.Duration { return s.latencySum }
 // requests (the denominator of average token latency).
 func (s *Server) TokensOut() int { return s.tokensOut }
 
-// MergeLatencyStreams folds this instance's end-to-end and TTFT
-// samples into the given aggregate streams, leaving the instance's own
-// streams untouched.
-func (s *Server) MergeLatencyStreams(e2e, ttft *metrics.Stream) {
-	e2e.Merge(s.e2e)
-	ttft.Merge(s.ttft)
-}
-
-// MergeColdStream folds this instance's cold-start TTFT samples into
-// an aggregate stream.
-func (s *Server) MergeColdStream(cold *metrics.Stream) {
-	cold.Merge(s.coldTTFT)
-}
-
 // Report finalizes and returns the server's cumulative report. The
 // returned report is live: further Steps keep extending it.
 func (s *Server) Report() *Report {
 	s.finalize()
 	return s.report
-}
-
-func filterDone(reqs []*sched.Request) []*sched.Request {
-	out := reqs[:0]
-	for _, r := range reqs {
-		if r.Phase != sched.PhaseDone {
-			out = append(out, r)
-		}
-	}
-	return out
 }
