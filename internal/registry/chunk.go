@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"time"
 
+	"valora/internal/sim"
 	"valora/internal/trace"
 )
 
@@ -203,6 +204,13 @@ func (s *Store) ensure(ent *Entry, now time.Duration, demand bool) (st Status, e
 		s.stats.DedupedBytes += ca.bytes
 		s.touch(ca)
 		return StatusHit, 0, 0
+	}
+	if ent.Adapter.Bytes() > s.cfg.HostCapacity {
+		// Larger than the whole tier: no eviction can ever make room.
+		if demand {
+			s.stats.FetchDenied++
+		}
+		return StatusDenied, sim.Never, 0
 	}
 	ca, ok := s.startFetch(ent.Digest, ent.Tenant, ent.Family, ent.Adapter.Bytes(), list, now, demand)
 	if !ok {

@@ -116,7 +116,9 @@ const (
 	StatusStarted
 	// StatusDenied: no fetch could start because the host tier cannot
 	// make room (everything resident is pinned or protected and the
-	// in-flight reservations fill the remainder).
+	// in-flight reservations fill the remainder). The eta is sim.Never
+	// when the adapter is larger than the whole tier and never will
+	// fit.
 	StatusDenied
 	// StatusUncatalogued: the adapter is unknown to the catalog; the
 	// store does not manage it and callers should fall back to the

@@ -254,6 +254,25 @@ func TestDeniedWhenEverythingPinned(t *testing.T) {
 	}
 }
 
+// An adapter larger than the whole tier can never be hosted: its
+// demand is denied with a never-arriving eta (a transient denial's eta
+// is 0), and nothing is fetched or reserved for it.
+func TestDeniedForeverWhenLargerThanTier(t *testing.T) {
+	adapters, cat := testAdapters(2, "t")
+	s := NewStore(Config{HostCapacity: adapters[0].Bytes() - 1, RemoteLatency: time.Millisecond, RemoteBandwidth: 1e9}, cat)
+	for _, now := range []time.Duration{0, time.Second} {
+		if st, eta := s.Ensure(0, now); st != StatusDenied || eta != sim.Never {
+			t.Fatalf("at %v: got %v eta %v, want denied eta sim.Never", now, st, eta)
+		}
+	}
+	if st := s.Stats(); st.Fetches != 0 || st.FetchDenied != 2 || s.InflightFetches() != 0 || s.HostUsed() != 0 {
+		t.Fatalf("an unhostable demand fetched or reserved: %+v, in flight %d, used %d", st, s.InflightFetches(), s.HostUsed())
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUncataloguedBypasses(t *testing.T) {
 	_, cat := testAdapters(1, "t")
 	s := NewStore(Config{}, cat)

@@ -302,3 +302,62 @@ func TestSiblingFetchBytesCountSharedPrefixOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHostOversizedAdapterRejected gives one catalogued adapter more
+// bytes than the whole host tier (it still fits the GPU pool). No
+// fetch can ever host it, so its requests are rejected, charged to
+// their tenant, instead of stalling the engine into a capacity
+// deadlock, and every other adapter's requests complete.
+func TestHostOversizedAdapterRejected(t *testing.T) {
+	model := lmm.QwenVL7B()
+	small := lora.MakeUniformAdapters(model, 2, model.DefaultRank)
+	big := &lora.Adapter{ID: 2, Name: "big", Rank: 4 * model.DefaultRank, Model: model}
+	adapters := append(small, big)
+	ab := small[0].Bytes()
+	store := registry.NewStore(registry.Config{
+		HostCapacity:    3 * ab,
+		RemoteLatency:   5 * time.Millisecond,
+		RemoteBandwidth: 2e9,
+	}, registry.CatalogFromAdapters(adapters, nil))
+	if big.Bytes() <= 3*ab {
+		t.Fatalf("fixture: the big adapter (%d B) must exceed the host tier (%d B)", big.Bytes(), 3*ab)
+	}
+	opts, err := SystemOptions(SystemVaLoRA, simgpu.A100(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Registry = lora.NewRegistry(adapters...)
+	opts.AdapterPoolBytes = 8 * ab
+	opts.Store = store
+	srv, err := NewServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace workload.Trace
+	bigReqs := 0
+	for i := range 30 {
+		r := &sched.Request{ID: int64(i + 1), AdapterID: i % 3, Tenant: "t",
+			InputTokens: 64, OutputTokens: 8, Arrival: time.Duration(i) * 3 * time.Millisecond}
+		if r.AdapterID == big.ID {
+			bigReqs++
+		}
+		trace = append(trace, r)
+	}
+	rep, err := srv.Run(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed+rep.Rejected != len(trace) {
+		t.Fatalf("completed %d + rejected %d != %d submitted", rep.Completed, rep.Rejected, len(trace))
+	}
+	if rep.Rejected != bigReqs || rep.Completed != len(trace)-bigReqs {
+		t.Fatalf("rejected %d, completed %d: want the %d big-adapter requests rejected and the rest completed",
+			rep.Rejected, rep.Completed, bigReqs)
+	}
+	if ts := srv.tenants["t"]; ts == nil || ts.rejected != bigReqs || ts.completed != len(trace)-bigReqs {
+		t.Fatalf("tenant accounting %+v: want %d rejected", ts, bigReqs)
+	}
+	if err := store.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -20,8 +20,9 @@ type Report struct {
 
 	Requests  int
 	Completed int
-	// Rejected counts requests whose prompt exceeded the whole KV
-	// cache (never servable on this instance).
+	// Rejected counts requests never servable on their instance: a
+	// prompt larger than the whole KV cache, or an adapter larger than
+	// the whole GPU adapter pool or the whole host tier.
 	Rejected int
 	// Shed counts requests dropped by the cluster admission stage
 	// before reaching any instance: per-tenant queue caps, hopeless

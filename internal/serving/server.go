@@ -229,6 +229,9 @@ type adapterSlot struct {
 	grouped  uint64
 	tokens   int
 	fetching bool
+	// hostOversized marks an adapter larger than the whole host tier:
+	// no fetch will ever land it, so its requests are rejected.
+	hostOversized bool
 	// awaitingFetch marks an adapter whose demand already experienced a
 	// host miss on this instance (fetch started, queue-denied, or
 	// riding another demand's in-flight fetch). When the fetch lands,
@@ -712,7 +715,7 @@ func (s *Server) resolveSlot(sl *adapterSlot, needed []*lora.Adapter) []*lora.Ad
 		return append(needed, a)
 	}
 	s.report.GPUTierMisses++
-	st, _, queued := s.opts.Store.Demand(a.ID, s.clock.Now())
+	st, eta, queued := s.opts.Store.Demand(a.ID, s.clock.Now())
 	switch st {
 	case registry.StatusHit:
 		// A fetch recorded as this demand's host miss may just have
@@ -735,7 +738,9 @@ func (s *Server) resolveSlot(sl *adapterSlot, needed []*lora.Adapter) []*lora.Ad
 		s.report.FetchBytes += queued
 	case registry.StatusDenied:
 		// Fetch-queue backpressure: the demand retries next round
-		// without counting a fresh miss per retry.
+		// without counting a fresh miss per retry, unless the adapter
+		// can never fit the tier.
+		sl.hostOversized = eta == sim.Never
 	default: // StatusFetching: counted when the fetch started
 	}
 	sl.awaitingFetch = true
@@ -1010,8 +1015,8 @@ func (s *Server) kvVictim(batch []*sched.Request) int {
 
 // dropUnhosted strips a batch of requests whose adapters are not
 // resident this iteration, given the pool's Require error. Adapters
-// larger than the whole pool (CapacityError.Oversized) reject their
-// requests permanently. Requests riding a remote fetch, and those
+// larger than the whole host tier or the whole pool
+// (CapacityError.Oversized) reject their requests permanently. Requests riding a remote fetch, and those
 // whose adapters the iteration's pinned working set deferred, stay
 // active for a later round. Any other error is returned.
 func (s *Server) dropUnhosted(batch []*sched.Request, err error) ([]*sched.Request, error) {
@@ -1027,8 +1032,10 @@ func (s *Server) dropUnhosted(batch []*sched.Request, err error) ([]*sched.Reque
 	}
 	out := batch[:0]
 	for _, r := range batch {
-		switch {
-		case s.slots[r.Slot].fetching:
+		switch sl := &s.slots[r.Slot]; {
+		case sl.hostOversized:
+			s.reject(r)
+		case sl.fetching:
 			// Retry once the adapter lands in the host tier.
 		case slices.Contains(oversized, r.AdapterID):
 			s.reject(r)
@@ -1094,7 +1101,7 @@ func (s *Server) mergedCohortFallback() []*sched.Request {
 
 // reject permanently fails a request the instance can never serve: a
 // KV footprint exceeding the whole cache, or an adapter exceeding the
-// whole adapter pool.
+// whole adapter pool or host tier.
 func (s *Server) reject(r *sched.Request) {
 	s.releaseKV(r)
 	r.Phase = sched.PhaseDone
