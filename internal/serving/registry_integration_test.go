@@ -361,3 +361,44 @@ func TestHostOversizedAdapterRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFetchStallWakesAtNextArrival pins the stall stage's wake bound.
+// Request A's adapter rides a remote fetch far longer than the
+// fetch-wait quantum, so the instance stalls. Request B, on an
+// uncatalogued (always host-resident) adapter, arrives at 2ms: the
+// stalled instance must wake at that arrival and schedule B at once,
+// not sleep to the end of the quantum (5ms) first.
+func TestFetchStallWakesAtNextArrival(t *testing.T) {
+	model := lmm.QwenVL7B()
+	adapters := lora.MakeUniformAdapters(model, 1, model.DefaultRank)
+	store := registry.NewStore(registry.Config{
+		HostCapacity:    4 * adapters[0].Bytes(),
+		RemoteLatency:   50 * time.Millisecond,
+		RemoteBandwidth: 2e9,
+	}, registry.CatalogFromAdapters(adapters, nil))
+	opts, err := SystemOptions(SystemVaLoRA, simgpu.A100(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Registry = lora.NewRegistry(adapters...)
+	opts.Store = store
+	srv, err := NewServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &sched.Request{ID: 1, AdapterID: adapters[0].ID, InputTokens: 64, OutputTokens: 4}
+	b := &sched.Request{ID: 2, AdapterID: 99, InputTokens: 64, OutputTokens: 4, Arrival: 2 * time.Millisecond}
+	rep, err := srv.Run(workload.Trace{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 2 {
+		t.Fatalf("completed %d of 2", rep.Completed)
+	}
+	if b.FirstSchedule != b.Arrival {
+		t.Fatalf("B first scheduled at %v, want its arrival %v: the fetch stall overslept the next arrival", b.FirstSchedule, b.Arrival)
+	}
+	if a.FirstSchedule < 50*time.Millisecond {
+		t.Fatalf("A first scheduled at %v, before its remote fetch could land", a.FirstSchedule)
+	}
+}
