@@ -237,7 +237,7 @@ type adapterSlot struct {
 	// riding another demand's in-flight fetch). When the fetch lands,
 	// the retry's Ensure reports StatusHit — that landing is the
 	// resolution of the recorded miss, not a fresh host hit, so
-	// resolveSlot must not count it (see the HostHitRate inflation
+	// resolveTiered must not count it (see the HostHitRate inflation
 	// bug this replaces).
 	awaitingFetch bool
 }
@@ -558,8 +558,9 @@ func (s *Server) residency(batch []*sched.Request, merged int) ([]*sched.Request
 	needed := s.scratchNeeded[:0]
 	fetching := false
 	for _, r := range batch {
-		needed = s.resolveSlot(&s.slots[r.Slot], needed)
-		fetching = fetching || s.slots[r.Slot].fetching
+		sl := &s.slots[r.Slot]
+		needed = s.resolveSlot(sl, needed)
+		fetching = fetching || sl.fetching
 	}
 	if merged >= 0 {
 		// A fold target still travelling remote→host is simply absent
@@ -690,22 +691,28 @@ func (s *Server) emit(batch []*sched.Request, now, end time.Duration) error {
 	return nil
 }
 
-// resolveSlot resolves a slot's adapter demand through the residency
-// tiers, once per iteration: GPU pool first, then (when a store is
-// attached) the host cache. It appends the adapter to needed when a
-// GPU swap-in can proceed this iteration — already GPU-resident,
-// host-resident, or store-less/uncatalogued (always host-resident by
-// assumption) — and otherwise marks the slot fetching while the
-// adapter travels remote→host. Demand misses start the fetch; retries
-// behind an in-flight fetch are not re-counted.
-//
-//valora:hotpath
+// resolveSlot resolves a slot's adapter demand, once per iteration.
 func (s *Server) resolveSlot(sl *adapterSlot, needed []*lora.Adapter) []*lora.Adapter {
 	if sl.seen == s.iter {
 		return needed
 	}
-	sl.seen, sl.fetching = s.iter, false
+	sl.seen = s.iter
+	return s.resolveTiered(sl, needed)
+}
+
+// resolveTiered resolves one adapter demand through the residency
+// tiers: GPU pool first, then (when a store is attached) the host
+// cache. It appends the adapter to needed when a GPU swap-in can
+// proceed this iteration — already GPU-resident, host-resident, or
+// store-less/uncatalogued (always host-resident by assumption) — and
+// marks the slot fetching while the adapter is still travelling
+// remote→host. Demand misses start the fetch; retries behind an
+// in-flight fetch are not re-counted.
+//
+//valora:hotpath
+func (s *Server) resolveTiered(sl *adapterSlot, needed []*lora.Adapter) []*lora.Adapter {
 	a := sl.adapter
+	sl.fetching = false
 	if s.opts.Store == nil {
 		return append(needed, a) // host-resident by assumption; no tier accounting
 	}
@@ -898,8 +905,9 @@ func (s *Server) wasEvicted(r *sched.Request) bool {
 //valora:hotpath
 func (s *Server) sweepActive() {
 	out := s.active[:0]
+	evicted := len(s.stepEvicted) > 0
 	for _, r := range s.active {
-		if r.Phase != sched.PhaseDone && !s.wasEvicted(r) {
+		if r.Phase != sched.PhaseDone && !(evicted && s.wasEvicted(r)) {
 			out = append(out, r)
 		}
 	}
