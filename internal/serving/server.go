@@ -458,9 +458,8 @@ func (s *Server) Step() (bool, error) {
 		target = lora.State{Mode: lora.ModeUnmerged, Merged: -1}
 	}
 	if len(batch) == 0 {
-		// The whole batch was unhostable this round (capacity
-		// pressure). The fallback serves the merged cohort under the
-		// current state, skipping the switch.
+		// Nothing was hostable: serve the merged cohort, if any, under
+		// the current state.
 		if fb := s.mergedCohortFallback(); len(fb) > 0 {
 			batch, target = fb, s.state
 		}
@@ -806,7 +805,7 @@ func (s *Server) executeEvictions(d *sched.Decision) {
 	}
 	// The policy keeps Evict disjoint from Batch; scrub defensively so
 	// a misbehaving policy cannot serve a request it displaced.
-	d.Batch = slices.DeleteFunc(d.Batch, s.wasEvicted)
+	d.Batch = slices.DeleteFunc(d.Batch, func(r *sched.Request) bool { return slices.Contains(s.stepEvicted, r) })
 	s.sweepActive()
 	for _, w := range d.Admit {
 		if len(s.active) >= s.opts.AdmitCap {
@@ -889,16 +888,6 @@ func (s *Server) admitWaiting(k int) {
 	}
 }
 
-// wasEvicted reports whether r was displaced during the current Step.
-func (s *Server) wasEvicted(r *sched.Request) bool {
-	for _, e := range s.stepEvicted {
-		if e == r {
-			return true
-		}
-	}
-	return false
-}
-
 // sweepActive drops finished and just-displaced requests from the
 // active set.
 //
@@ -907,7 +896,7 @@ func (s *Server) sweepActive() {
 	out := s.active[:0]
 	evicted := len(s.stepEvicted) > 0
 	for _, r := range s.active {
-		if r.Phase != sched.PhaseDone && !(evicted && s.wasEvicted(r)) {
+		if r.Phase != sched.PhaseDone && !(evicted && slices.Contains(s.stepEvicted, r)) {
 			out = append(out, r)
 		}
 	}
