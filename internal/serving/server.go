@@ -536,7 +536,7 @@ func (s *Server) decide(now time.Duration) sched.Decision {
 
 // schedulable narrows a proposed batch to what the KV cache can hold
 // this iteration (admit, then ensureKVHeadroom) and sweeps the
-// requests that rejected or displaced from the active set.
+// requests those steps rejected or displaced from the active set.
 //
 //valora:hotpath
 func (s *Server) schedulable(batch []*sched.Request) []*sched.Request {
@@ -690,7 +690,8 @@ func (s *Server) emit(batch []*sched.Request, now, end time.Duration) error {
 	return nil
 }
 
-// resolveSlot resolves a slot's adapter demand, once per iteration.
+// resolveSlot runs resolveTiered once per iteration per slot, so the
+// batch's requests of one adapter and the fold target share a demand.
 func (s *Server) resolveSlot(sl *adapterSlot, needed []*lora.Adapter) []*lora.Adapter {
 	if sl.seen == s.iter {
 		return needed
