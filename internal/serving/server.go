@@ -1014,9 +1014,10 @@ func (s *Server) kvVictim(batch []*sched.Request) int {
 // dropUnhosted strips a batch of requests whose adapters are not
 // resident this iteration, given the pool's Require error. Adapters
 // larger than the whole host tier or the whole pool
-// (CapacityError.Oversized) reject their requests permanently. Requests riding a remote fetch, and those
-// whose adapters the iteration's pinned working set deferred, stay
-// active for a later round. Any other error is returned.
+// (CapacityError.Oversized) reject their requests permanently.
+// Requests riding a remote fetch, and those whose adapters the
+// iteration's pinned working set deferred, stay active for a later
+// round. Any other error is returned.
 func (s *Server) dropUnhosted(batch []*sched.Request, err error) ([]*sched.Request, error) {
 	var oversized, deferred []int
 	if err != nil {
@@ -1031,14 +1032,10 @@ func (s *Server) dropUnhosted(batch []*sched.Request, err error) ([]*sched.Reque
 	out := batch[:0]
 	for _, r := range batch {
 		switch sl := &s.slots[r.Slot]; {
-		case sl.hostOversized:
+		case sl.hostOversized, slices.Contains(oversized, r.AdapterID):
 			s.reject(r)
-		case sl.fetching:
-			// Retry once the adapter lands in the host tier.
-		case slices.Contains(oversized, r.AdapterID):
-			s.reject(r)
-		case slices.Contains(deferred, r.AdapterID):
-			// Keep queued; the pool may have room next iteration.
+		case sl.fetching, slices.Contains(deferred, r.AdapterID):
+			// Keep queued until the fetch lands or the pool has room.
 		default:
 			out = append(out, r)
 		}
