@@ -433,8 +433,8 @@ func (s *Server) Step() (bool, error) {
 		s.clock.AdvanceTo(next.Arrival)
 		return true, nil
 	}
-	d := s.decide(now)
-	batch := s.schedulable(d.Batch)
+	batch, target := s.decide(now)
+	batch = s.schedulable(batch)
 	if len(batch) == 0 {
 		// Nothing schedulable (e.g. KV pressure): let time move to
 		// the next arrival or retry after a scheduling quantum.
@@ -445,7 +445,6 @@ func (s *Server) Step() (bool, error) {
 		s.clock.AdvanceTo(wake)
 		return true, nil
 	}
-	target := lora.State{Mode: d.Mode, Merged: d.Merged}
 	batch, fetching, stall, err := s.residency(batch, target.Merged)
 	if err != nil {
 		return false, err
@@ -516,11 +515,11 @@ func (s *Server) ingest(now time.Duration) {
 	}
 }
 
-// decide asks the policy for the iteration's batch and mode, and with
-// preemption on carries out its displacements.
+// decide asks the policy for the iteration's batch and target mode,
+// and with preemption on carries out its displacements.
 //
 //valora:hotpath
-func (s *Server) decide(now time.Duration) sched.Decision {
+func (s *Server) decide(now time.Duration) ([]*sched.Request, lora.State) {
 	d := s.opts.Policy.Decide(sched.Iteration{
 		Now:     now,
 		Active:  s.active,
@@ -531,7 +530,7 @@ func (s *Server) decide(now time.Duration) sched.Decision {
 	if s.opts.Preemption != nil && len(d.Evict) > 0 {
 		s.executeEvictions(&d)
 	}
-	return d
+	return d.Batch, lora.State{Mode: d.Mode, Merged: d.Merged}
 }
 
 // schedulable narrows a proposed batch to what the KV cache can hold
