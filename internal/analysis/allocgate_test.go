@@ -284,18 +284,6 @@ func TestChunkDemandResidentZeroAlloc(t *testing.T) {
 	})
 }
 
-// A registry link's enqueue/reschedule/pop cycle: every chunk transfer
-// lives in its chunk and reschedule works in per-link scratch, so a
-// fetch's link work allocates nothing once the link has seen its
-// tenants.
-func TestLinkCycleZeroAlloc(t *testing.T) {
-	d := registry.NewLinkDriver(registry.Config{
-		RemoteBandwidth: 1e9,
-		LinkWeights:     map[string]float64{"a": 2, "b": 1},
-	}, []string{"a", "b", "c", "a"}, 1<<20)
-	gate(t, "registry link enqueue/reschedule/pop", d.Cycle)
-}
-
 // Stream.Add once its bucket runs cover the value range: every sample
 // lands in an existing bucket or the zero count. Only a sample outside
 // the observed range grows a run.

@@ -96,6 +96,7 @@ func freshLocalSlices(pass *Pass, fn *ast.FuncDecl) map[types.Object]bool {
 
 func checkHotpathBody(pass *Pass, fn *ast.FuncDecl) {
 	fresh := freshLocalSlices(pass, fn)
+	escaped := make(map[types.Object]bool)
 	name := fn.Name.Name
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -109,7 +110,7 @@ func checkHotpathBody(pass *Pass, fn *ast.FuncDecl) {
 				}
 			}
 		case *ast.CallExpr:
-			checkHotpathCall(pass, fn, n, fresh, name)
+			checkHotpathCall(pass, fn, n, fresh, escaped, name)
 		case *ast.AssignStmt:
 			checkBoxingAssign(pass, n, name)
 		}
@@ -117,7 +118,7 @@ func checkHotpathBody(pass *Pass, fn *ast.FuncDecl) {
 	})
 }
 
-func checkHotpathCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, fresh map[types.Object]bool, name string) {
+func checkHotpathCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, fresh, escaped map[types.Object]bool, name string) {
 	// Builtins: append to fresh local slices and make(map) allocate.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
@@ -175,8 +176,31 @@ func checkHotpathCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, fresh ma
 		}
 		if at := pass.Info.TypeOf(arg); at != nil && !types.IsInterface(at) && !isNil(pass, arg) {
 			pass.Reportf(arg.Pos(), "argument boxes into interface parameter in hotpath %s", name)
+			reportEscapedLocal(pass, fn, arg, escaped, name)
 		}
 	}
+}
+
+// reportEscapedLocal flags, at its declaration, a local whose address
+// arg passes to an interface parameter (errors.As(err, &ce)). The
+// local then moves to the heap on every call, even when the call
+// itself sits on a cold branch, so an allow on the call's line must
+// not hide it. escaped holds the locals already flagged.
+func reportEscapedLocal(pass *Pass, fn *ast.FuncDecl, arg ast.Expr, escaped map[types.Object]bool, name string) {
+	addr, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+	if !ok || addr.Op != token.AND {
+		return
+	}
+	id, ok := ast.Unparen(addr.X).(*ast.Ident)
+	if !ok {
+		return
+	}
+	v, ok := pass.Info.Uses[id].(*types.Var)
+	if !ok || v.IsField() || v.Pos() < fn.Body.Pos() || v.Pos() >= fn.Body.End() || escaped[v] {
+		return
+	}
+	escaped[v] = true
+	pass.Reportf(v.Pos(), "local %s moves to the heap on every call of hotpath %s: its address boxes into an interface parameter", id.Name, name)
 }
 
 // checkBoxingAssign flags assignments storing a concrete value into an

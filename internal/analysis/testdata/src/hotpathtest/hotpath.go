@@ -2,7 +2,10 @@
 // analyzer: //valora:hotpath functions must not allocate.
 package hotpathtest
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 type ring struct {
 	buf []int
@@ -83,4 +86,23 @@ func suppressedCold(fail bool) error {
 		return fmt.Errorf("failed")
 	}
 	return nil
+}
+
+type capErr struct{}
+
+func (*capErr) Error() string { return "capacity" }
+
+// escapedLocal passes &ce to errors.As's interface parameter: ce moves
+// to the heap on every call, even though errors.As only runs on the
+// cold branch, so the allow on the call's line does not cover the
+// declaration.
+//
+//valora:hotpath
+func escapedLocal(err error) bool {
+	var ce *capErr // want "local ce moves to the heap on every call of hotpath escapedLocal"
+	if err == nil {
+		return false
+	}
+	//valora:allow hotpath -- cold path: only a failed call reaches it
+	return errors.As(err, &ce)
 }

@@ -259,8 +259,12 @@ func (s *Store) materializeResident(ent *Entry, list []*chunk) *chunkAdapter {
 // whether the head is on the wire, so the result is the per-chunk
 // path's: on an idle link the fetch's first chunk still takes the
 // head, since its later chunks (same tenant and class, later seq)
-// never outrank it. A sibling-upgrade check reads a transfer's start,
-// so the stale links are rescheduled before it.
+// never outrank it. The sibling-upgrade check reads a transfer's
+// start, and no link is stale when it runs: a chunk riding a
+// sibling's transfer is a family-prefix chunk, every chunk ahead of it
+// in the list is a lower prefix index the sibling fetch holds refs on,
+// so each is resident or in flight and this fetch has enqueued nothing
+// yet.
 func (s *Store) startFetch(key uint64, tenant, family string, nominal int64, list []*chunk, now time.Duration, demand bool) (*chunkAdapter, bool) {
 	ch := s.ch
 	if len(ch.inflight) >= s.cfg.MaxInflight {
@@ -290,12 +294,9 @@ func (s *Store) startFetch(key uint64, tenant, family string, nominal int64, lis
 		if c.fetching {
 			// Riding a sibling's in-flight transfer; a demand waiting on
 			// a prefetch-class transfer upgrades its class.
-			if demand && c.tr != nil && !c.tr.demand {
-				s.rescheduleStale(now)
-				if c.tr.start > now {
-					c.tr.demand = true
-					upgraded = true
-				}
+			if demand && c.tr != nil && !c.tr.demand && c.tr.start > now {
+				c.tr.demand = true
+				upgraded = true
 			}
 			continue
 		}
@@ -325,16 +326,6 @@ func (s *Store) startFetch(key uint64, tenant, family string, nominal int64, lis
 		s.refreshAdapterDone(ca)
 	}
 	return ca, true
-}
-
-// rescheduleStale re-derives the schedule of every link startFetch
-// has added transfers to since its last reschedule.
-func (s *Store) rescheduleStale(now time.Duration) {
-	for _, l := range s.ch.links {
-		if l.stale {
-			l.reschedule(now, &s.cfg)
-		}
-	}
 }
 
 // leastPendingLink picks the replica link with the least pending

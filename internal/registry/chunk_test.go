@@ -170,7 +170,7 @@ func TestChunkEvictionSparesSharedChunks(t *testing.T) {
 	now := drain(s, 0)
 	s.Demand(1, now)
 	now = drain(s, now)
-	if got := s.HostUsed(); got != capacity {
+	if got := s.hostUsed(); got != capacity {
 		t.Fatalf("family resident: used %d, want %d (shared prefix stored once)", got, capacity)
 	}
 	// Adapter 2 (family B) forces eviction. Freeing both siblings'
@@ -225,7 +225,7 @@ func TestPrefetchFamilyWarmsSharedPrefix(t *testing.T) {
 		t.Fatalf("PrefetchFamily: started=%v eta=%v", started, eta)
 	}
 	now := drain(s, 0)
-	if got := s.HostUsed(); got != sharedB {
+	if got := s.hostUsed(); got != sharedB {
 		t.Fatalf("warm set holds %d bytes, want shared prefix %d", got, sharedB)
 	}
 	if stats := s.Stats(); stats.PrefetchBytes != sharedB {
@@ -356,8 +356,8 @@ func exerciseStore(t *testing.T, label string, s *Store, rng *rand.Rand, univers
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("%s op %d: %v", label, op, err)
 		}
-		if s.HostUsed() > s.cfg.HostCapacity {
-			t.Fatalf("%s op %d: used %d beyond capacity %d", label, op, s.HostUsed(), s.cfg.HostCapacity)
+		if s.hostUsed() > s.cfg.HostCapacity {
+			t.Fatalf("%s op %d: used %d beyond capacity %d", label, op, s.hostUsed(), s.cfg.HostCapacity)
 		}
 	}
 	// Full drain must leave no in-flight state behind.
@@ -414,7 +414,7 @@ func TestAbortedFetchFreesLandedChunks(t *testing.T) {
 	if got := s.Stats().Discarded; got != 1 {
 		t.Fatalf("Discarded = %d, want X's second chunk dropped", got)
 	}
-	if got := s.HostUsed(); got != 2*u {
+	if got := s.hostUsed(); got != 2*u {
 		t.Fatalf("after the abort: used %d, want %d (A and B only)", got, 2*u)
 	}
 	if err := s.CheckInvariants(); err != nil {

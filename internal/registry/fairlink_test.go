@@ -170,3 +170,41 @@ func TestDemandNotStarvedAcrossTenantsWithWeights(t *testing.T) {
 		t.Fatalf("weighted demand starved: eta %v > bound %v", eta, bound)
 	}
 }
+
+// TestLinkCycleZeroAlloc pins a link's steady state: every chunk
+// transfer lives in its chunk and reschedule works in per-link
+// scratch, so once the link has seen its tenants, adding one transfer
+// per tenant (rescheduling the backlog after each, at least the work
+// of one fetch) and popping them all allocates nothing.
+func TestLinkCycleZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's instrumentation allocates, so allocation counts only hold without -race")
+	}
+	cfg := Config{RemoteBandwidth: 1e9, LinkWeights: map[string]float64{"a": 2, "b": 1}}
+	tenants := []string{"a", "b", "c", "a"}
+	l := newLink(0)
+	var chunks []*chunk
+	for i := range tenants {
+		chunks = append(chunks, &chunk{digest: uint64(i), bytes: 1 << 20})
+	}
+	var seq int64
+	var now time.Duration
+	cycle := func() {
+		for i, c := range chunks {
+			seq++
+			// Even-indexed tenants add demand-class transfers, the rest
+			// prefetch-class ones.
+			l.add(c.startTransfer(tenants[i], i%2 == 0, seq), &cfg)
+			l.reschedule(now, &cfg)
+		}
+		for len(l.queue) > 0 {
+			tr := l.pop()
+			now = tr.done
+			tr.ch.tr = nil
+		}
+	}
+	cycle() // warm: the first cycle adds the tenants' tags and grows scratch
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Errorf("link add/reschedule/pop: %.1f allocs per cycle at steady state, want 0", got)
+	}
+}

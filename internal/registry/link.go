@@ -5,7 +5,7 @@ import "time"
 // transfer is one chunk's journey over a registry link. A transfer is
 // either in service (start <= now; the link serializes, so at most the
 // queue head can be) or queued with a provisional schedule that every
-// enqueue re-derives under the fair-share discipline.
+// reschedule re-derives under the fair-share discipline.
 type transfer struct {
 	ch        *chunk
 	tenant    string
@@ -72,14 +72,6 @@ func (l *link) tagOf(tenant string, cfg *Config) int {
 	}
 	l.tags = append(l.tags, tenantTag{tenant: tenant, weight: weightOf(cfg.LinkWeights, tenant)})
 	return len(l.tags) - 1
-}
-
-// enqueue adds a transfer to the link and re-derives the schedule.
-//
-//valora:hotpath
-func (l *link) enqueue(t *transfer, now time.Duration, cfg *Config) {
-	l.add(t, cfg)
-	l.reschedule(now, cfg)
 }
 
 // add queues a transfer without re-deriving the schedule. A tenant
@@ -215,47 +207,4 @@ func (l *link) pop() *transfer {
 	tt := &l.tags[t.tag]
 	tt.served += float64(t.ch.bytes) / tt.weight
 	return t
-}
-
-// LinkDriver drives one replica link without a store around it: each
-// Cycle enqueues one chunk transfer per tenant (every enqueue
-// reschedules the backlog behind the transfer on the wire) and then
-// pops them all in schedule order, charging each tenant's share. It is
-// the link work of a fetch, exported so allocation gates outside the
-// package can pin the link's steady state; rescheduling per enqueue
-// makes each Cycle at least as costly as a fetch's.
-type LinkDriver struct {
-	l       *link
-	cfg     Config
-	tenants []string
-	chunks  []*chunk
-	seq     int64
-	now     time.Duration
-}
-
-// NewLinkDriver builds a driver for one link under cfg (its
-// RemoteBandwidth and LinkWeights) with one chunk of chunkBytes per
-// tenant.
-func NewLinkDriver(cfg Config, tenants []string, chunkBytes int64) *LinkDriver {
-	d := &LinkDriver{l: newLink(0), cfg: cfg, tenants: tenants}
-	for i := range tenants {
-		d.chunks = append(d.chunks, &chunk{digest: uint64(i), bytes: chunkBytes})
-	}
-	return d
-}
-
-// Cycle runs one enqueue/reschedule/pop round; even-indexed tenants
-// enqueue demand-class transfers, the rest prefetch-class ones.
-//
-//valora:hotpath
-func (d *LinkDriver) Cycle() {
-	for i, c := range d.chunks {
-		d.seq++
-		d.l.enqueue(c.startTransfer(d.tenants[i], i%2 == 0, d.seq), d.now, &d.cfg)
-	}
-	for len(d.l.queue) > 0 {
-		t := d.l.pop()
-		d.now = t.done
-		t.ch.tr = nil
-	}
 }

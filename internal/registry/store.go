@@ -274,9 +274,9 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// HostUsed reports resident host bytes: the deduplicated sum of
+// hostUsed reports resident host bytes: the deduplicated sum of
 // resident chunk bytes.
-func (s *Store) HostUsed() int64 {
+func (s *Store) hostUsed() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ch.used

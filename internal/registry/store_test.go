@@ -120,8 +120,8 @@ func TestEvictionRespectsLRUAndCapacity(t *testing.T) {
 	if !s.HostResident(0, now) {
 		t.Fatal("0 (just touched) should stay resident")
 	}
-	if s.HostUsed() > 2*ab {
-		t.Fatalf("over-committed: used %d > %d", s.HostUsed(), 2*ab)
+	if s.hostUsed() > 2*ab {
+		t.Fatalf("over-committed: used %d > %d", s.hostUsed(), 2*ab)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -246,8 +246,8 @@ func TestDeniedWhenEverythingPinned(t *testing.T) {
 	if st != StatusDenied {
 		t.Fatalf("got %v, want denied", st)
 	}
-	if s.HostUsed() != 2*ab {
-		t.Fatalf("used = %d, want %d", s.HostUsed(), 2*ab)
+	if s.hostUsed() != 2*ab {
+		t.Fatalf("used = %d, want %d", s.hostUsed(), 2*ab)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -265,8 +265,8 @@ func TestDeniedForeverWhenLargerThanTier(t *testing.T) {
 			t.Fatalf("at %v: got %v eta %v, want denied eta sim.Never", now, st, eta)
 		}
 	}
-	if st := s.Stats(); st.Fetches != 0 || st.FetchDenied != 2 || s.InflightFetches() != 0 || s.HostUsed() != 0 {
-		t.Fatalf("an unhostable demand fetched or reserved: %+v, in flight %d, used %d", st, s.InflightFetches(), s.HostUsed())
+	if st := s.Stats(); st.Fetches != 0 || st.FetchDenied != 2 || s.InflightFetches() != 0 || s.hostUsed() != 0 {
+		t.Fatalf("an unhostable demand fetched or reserved: %+v, in flight %d, used %d", st, s.InflightFetches(), s.hostUsed())
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					s.Advance(now)
 					s.NextFetchDone()
 					s.Stats()
-					s.HostUsed()
+					s.hostUsed()
 					s.InflightFetches()
 				}
 				now += time.Duration(i%5) * 100 * time.Microsecond

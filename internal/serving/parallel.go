@@ -51,14 +51,42 @@ func (c *Cluster) partitioned() bool {
 }
 
 // requestFeed adapts an arrival-ordered request stream to sim.Feed: a
-// cluster timeline's arrivals, where deliver dispatches or admits.
+// cluster timeline's arrivals, where deliver dispatches or admits. A
+// managed run also schedules wakes on it, payload-free times at which
+// wake runs: a prefetch completion re-drives placement when its
+// adapter turns host-resident. At equal times an arrival goes before a
+// wake, and both before any process step.
 type requestFeed struct {
 	reqs    []*sched.Request
 	cur     int
 	deliver func(*sched.Request) error
+	// wakes holds the pending wake times in ascending order, one per
+	// prefetch in flight. Popping copies the list down, so its backing
+	// array is reused for the whole run.
+	wakes []time.Duration
+	wake  func() error
+}
+
+// schedule adds a wake at t.
+func (f *requestFeed) schedule(t time.Duration) {
+	i := len(f.wakes)
+	f.wakes = append(f.wakes, t)
+	for ; i > 0 && f.wakes[i-1] > t; i-- {
+		f.wakes[i] = f.wakes[i-1]
+	}
+	f.wakes[i] = t
+}
+
+// wakeFirst reports whether the wake head is due strictly before the
+// arrival head.
+func (f *requestFeed) wakeFirst() bool {
+	return len(f.wakes) > 0 && (f.cur >= len(f.reqs) || f.wakes[0] < f.reqs[f.cur].Arrival)
 }
 
 func (f *requestFeed) NextAt() time.Duration {
+	if f.wakeFirst() {
+		return f.wakes[0]
+	}
 	if f.cur >= len(f.reqs) {
 		return sim.Never
 	}
@@ -66,6 +94,11 @@ func (f *requestFeed) NextAt() time.Duration {
 }
 
 func (f *requestFeed) Deliver() error {
+	if f.wakeFirst() {
+		copy(f.wakes, f.wakes[1:])
+		f.wakes = f.wakes[:len(f.wakes)-1]
+		return f.wake()
+	}
 	r := f.reqs[f.cur]
 	f.cur++
 	return f.deliver(r)

@@ -108,8 +108,7 @@ func TestDemandFetchCountsOneMissNoPhantomHit(t *testing.T) {
 // adapter universe: evictions must occur, the engine must not
 // deadlock, and the tier accounting must stay within capacity.
 func TestServerHostCachePressure(t *testing.T) {
-	srv, store, adapters := registryFixture(t, 12, 5)
-	ab := adapters[0].Bytes()
+	srv, store, _ := registryFixture(t, 12, 5)
 	trace := workload.GenRetrieval(workload.DefaultRetrieval(5, 12*time.Second, 12, 0.2, 7))
 	rep, err := srv.Run(trace)
 	if err != nil {
@@ -121,9 +120,8 @@ func TestServerHostCachePressure(t *testing.T) {
 	if store.Stats().Evictions == 0 {
 		t.Fatal("a 5-slot host tier under 12 adapters must evict")
 	}
-	if store.HostUsed() > 5*ab {
-		t.Fatalf("host tier leaked: %d > %d", store.HostUsed(), 5*ab)
-	}
+	// CheckInvariants also holds the resident bytes within the 5-slot
+	// host capacity, so a leak past it fails here.
 	if err := store.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

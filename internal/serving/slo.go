@@ -136,14 +136,16 @@ func NewManagedCluster(n int, dispatch DispatchPolicy, cfg SchedulingConfig, bui
 
 // runManaged is the managed counterpart of Run: arrivals pass
 // admission into the cluster-level TenantQueue; placement drains the
-// queue to instances below the high-water mark whenever an arrival or
-// an instance step changes the picture; the autoscaler adds and
-// retires instances on the same timeline.
+// queue to instances below the high-water mark whenever an arrival, a
+// prefetch completion (a wake on the arrival feed) or an instance step
+// changes the picture; the autoscaler adds and retires instances on
+// the same timeline.
 func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 	cfg := c.sched
 	tally := newAdmissionTally(cfg)
 	tq := tally.tq
 	tl := &sim.Timeline{}
+	feed := &requestFeed{reqs: arrivalOrder(trace)}
 	var prefetch *registry.Prefetcher
 	if cfg.Store != nil && cfg.PrefetchLookahead > 0 {
 		prefetch = registry.NewPrefetcher(cfg.Store, cfg.PrefetchLookahead)
@@ -299,12 +301,10 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 		if r.Phase != sched.PhaseDone && prefetch != nil {
 			// Queue-lookahead warming: the arrival is queued ahead of
 			// placement, so its remote→host copy overlaps the queueing
-			// delay. The completion is a first-class timeline event
+			// delay. The completion is a wake on the arrival feed
 			// that re-drives placement the moment residency appears.
 			if eta, started := prefetch.Observe(r.AdapterID, now); started {
-				tl.ScheduleFunc(eta, func() error {
-					return dispatchQueued(tl.Now())
-				})
+				feed.schedule(eta)
 			}
 		}
 		if err := dispatchQueued(now); err != nil {
@@ -323,7 +323,9 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 	for _, srv := range c.servers {
 		tl.Add(srv)
 	}
-	tl.Arrivals = &requestFeed{reqs: arrivalOrder(trace), deliver: admit}
+	feed.deliver = admit
+	feed.wake = func() error { return dispatchQueued(tl.Now()) }
+	tl.Arrivals = feed
 	if err := tl.Run(); err != nil {
 		return nil, err
 	}

@@ -1,13 +1,11 @@
 // Package sim provides the discrete-event backbone of the VaLoRA
-// simulator: a virtual clock and an event queue. All serving
-// experiments run in virtual time so a multi-minute trace replays in
-// milliseconds of wall time and results are fully deterministic.
+// simulator: a virtual clock and the Timeline that interleaves
+// arrivals with process steps. All serving experiments run in virtual
+// time so a multi-minute trace replays in milliseconds of wall time
+// and results are fully deterministic.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Clock is a virtual clock. The zero value starts at t=0.
 type Clock struct {
@@ -31,73 +29,4 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 	if t > c.now {
 		c.now = t
 	}
-}
-
-// Reset rewinds the clock to t=0.
-func (c *Clock) Reset() { c.now = 0 }
-
-// Event is a timestamped item in the event queue. Payload is opaque to
-// the queue.
-type Event struct {
-	At      time.Duration
-	Payload any
-
-	seq int // tie-breaker preserving insertion order at equal timestamps
-}
-
-// EventQueue is a min-heap of events ordered by timestamp, with FIFO
-// ordering among events at the same timestamp. The zero value is an
-// empty queue ready for use.
-type EventQueue struct {
-	h   eventHeap
-	seq int
-}
-
-// Push schedules payload at virtual time at.
-func (q *EventQueue) Push(at time.Duration, payload any) {
-	q.seq++
-	heap.Push(&q.h, &Event{At: at, Payload: payload, seq: q.seq})
-}
-
-// Pop removes and returns the earliest event, or nil if the queue is
-// empty.
-func (q *EventQueue) Pop() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*Event)
-}
-
-// Peek returns the earliest event without removing it, or nil if the
-// queue is empty.
-func (q *EventQueue) Peek() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
-// Len reports the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*Event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
 }

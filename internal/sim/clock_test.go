@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -29,86 +26,5 @@ func TestClockAdvanceTo(t *testing.T) {
 	c.AdvanceTo(2 * time.Second) // in the past: no-op
 	if c.Now() != 5*time.Second {
 		t.Fatalf("now = %v, want 5s", c.Now())
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("reset should rewind to zero")
-	}
-}
-
-func TestEventQueueOrdering(t *testing.T) {
-	var q EventQueue
-	q.Push(3*time.Second, "c")
-	q.Push(1*time.Second, "a")
-	q.Push(2*time.Second, "b")
-	var got []string
-	for q.Len() > 0 {
-		got = append(got, q.Pop().Payload.(string))
-	}
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
-		}
-	}
-}
-
-func TestEventQueueFIFOTies(t *testing.T) {
-	var q EventQueue
-	for i := 0; i < 10; i++ {
-		q.Push(time.Second, i)
-	}
-	for i := 0; i < 10; i++ {
-		if got := q.Pop().Payload.(int); got != i {
-			t.Fatalf("tie-broken pop = %d, want %d (FIFO)", got, i)
-		}
-	}
-}
-
-func TestEventQueuePeek(t *testing.T) {
-	var q EventQueue
-	if q.Peek() != nil || q.Pop() != nil {
-		t.Fatal("empty queue should peek/pop nil")
-	}
-	q.Push(time.Second, "x")
-	if q.Peek().Payload != "x" || q.Len() != 1 {
-		t.Fatal("peek should not remove")
-	}
-}
-
-func TestEventQueueSortedProperty(t *testing.T) {
-	f := func(offsets []int16) bool {
-		var q EventQueue
-		for _, o := range offsets {
-			q.Push(time.Duration(int64(o))*time.Millisecond, o)
-		}
-		var times []time.Duration
-		for q.Len() > 0 {
-			times = append(times, q.Pop().At)
-		}
-		return sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] })
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEventQueueRandomizedStress(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var q EventQueue
-	n := 2000
-	for i := 0; i < n; i++ {
-		q.Push(time.Duration(rng.Intn(1000))*time.Millisecond, i)
-	}
-	if q.Len() != n {
-		t.Fatalf("len = %d, want %d", q.Len(), n)
-	}
-	last := time.Duration(-1)
-	for q.Len() > 0 {
-		e := q.Pop()
-		if e.At < last {
-			t.Fatalf("events out of order: %v after %v", e.At, last)
-		}
-		last = e.At
 	}
 }

@@ -22,27 +22,25 @@ type Process interface {
 	Step() (bool, error)
 }
 
-// Timeline interleaves external occurrences (request arrivals and
-// scheduled callbacks) and the internal steps of several Processes on
-// one shared virtual clock. It is the multi-instance generalization of
-// driving a single Server: at every turn the globally earliest pending
-// occurrence runs first, so cross-instance decisions (dispatch, load
-// inspection) observe a causally consistent global order. At equal
-// times an arrival runs first, then queued callbacks in FIFO order,
-// then the lowest-index process, keeping runs deterministic.
+// Timeline interleaves an external input stream (the Arrivals feed)
+// and the internal steps of several Processes on one shared virtual
+// clock. It is the multi-instance generalization of driving a single
+// Server: at every turn the globally earliest pending occurrence runs
+// first, so cross-instance decisions (dispatch, load inspection)
+// observe a causally consistent global order. At equal times the feed
+// delivers first, then the lowest-index process steps, keeping runs
+// deterministic.
 //
 // Arrivals come from a cursor (the Arrivals feed), not from a heap: a
 // trace is already in arrival order, so each turn compares the feed's
-// head with the callback queue and the process heap. Process keys are
-// held in an indexed min-heap: selecting the next process is O(log n)
-// per turn instead of a full rescan. The timeline re-reads a process's
-// key after stepping it; a delivery or callback that mutates some
-// other process's schedule (submitting a request to an instance) must
-// report that via Refresh, the decrease-key operation.
+// head with the process heap. Process keys are held in an indexed
+// min-heap: selecting the next process is O(log n) per turn instead of
+// a full rescan. The timeline re-reads a process's key after stepping
+// it; a delivery that mutates some other process's schedule
+// (submitting a request to an instance) must report that via Refresh,
+// the decrease-key operation.
 type Timeline struct {
-	// events holds the ScheduleFunc callbacks.
-	events EventQueue
-	procs  []Process
+	procs []Process
 	// at caches each process's next event time (Never = idle).
 	at []time.Duration
 	// heap holds the indices of non-idle processes ordered by (at,
@@ -54,11 +52,11 @@ type Timeline struct {
 	now time.Duration
 
 	// Arrivals, when set, is the time-ordered external input stream.
-	// Run delivers its head when it becomes due, before any callback or
-	// process step at the same virtual time (an arrival at t must be
-	// visible to an instance deciding at t); Now reports the delivery
-	// time inside Deliver. Deliveries that change a process's schedule
-	// must call Refresh for it.
+	// Run delivers its head when it becomes due, before any process
+	// step at the same virtual time (an arrival at t must be visible
+	// to an instance deciding at t); Now reports the delivery time
+	// inside Deliver. Deliveries that change a process's schedule must
+	// call Refresh for it.
 	Arrivals Feed
 
 	// AfterStep, when set, runs after each process step (and its
@@ -70,8 +68,11 @@ type Timeline struct {
 }
 
 // Feed is a time-ordered input stream: Timeline.Arrivals, or one
-// process's private stream under RunIndependent. Each item is delivered when the
-// clock reaches its timestamp, before any process step at that time.
+// process's private stream under RunIndependent. Each item is
+// delivered when the clock reaches its timestamp, before any process
+// step at that time. A delivery may add items to the feed (a managed
+// run's arrival schedules a wake-up for its prefetch completion), so
+// long as none is earlier than the current time.
 type Feed interface {
 	// NextAt reports the delivery time of the head item, or Never when
 	// the feed is exhausted (or delivery is currently blocked).
@@ -79,16 +80,6 @@ type Feed interface {
 	// Deliver hands the head item to its consumer and advances the
 	// feed. It must not be called when NextAt is Never.
 	Deliver() error
-}
-
-// ScheduleFunc enqueues a callback: Run invokes it at virtual time at,
-// in global order with arrivals and process steps, FIFO among
-// callbacks at equal times. Asynchronous completions with a known
-// deadline — adapter fetches landing in the host tier, lease expiries —
-// use it to re-enter cluster logic exactly when their state changes.
-// Callbacks that alter a process's schedule must Refresh it.
-func (t *Timeline) ScheduleFunc(at time.Duration, fn func() error) {
-	t.events.Push(at, fn)
 }
 
 // Add registers a process on the timeline and returns its index (the
@@ -221,9 +212,9 @@ func (t *Timeline) hremove(i int) {
 	}
 }
 
-// Run drains the timeline: arrivals, callbacks and process steps
-// execute in global time order until the feed is exhausted, no
-// callbacks remain and every process is idle.
+// Run drains the timeline: deliveries and process steps execute in
+// global time order until the feed is exhausted and every process is
+// idle.
 func (t *Timeline) Run() error {
 	for {
 		proc, procAt := -1, Never
@@ -231,23 +222,14 @@ func (t *Timeline) Run() error {
 			proc = t.heap[0]
 			procAt = t.at[proc]
 		}
-		e := t.events.Peek()
 		if t.Arrivals != nil {
-			if at := t.Arrivals.NextAt(); at != Never && (e == nil || at <= e.At) && (proc < 0 || at <= procAt) {
+			if at := t.Arrivals.NextAt(); at != Never && (proc < 0 || at <= procAt) {
 				t.now = at
 				if err := t.Arrivals.Deliver(); err != nil {
 					return err
 				}
 				continue
 			}
-		}
-		if e != nil && (proc < 0 || e.At <= procAt) {
-			t.events.Pop()
-			t.now = e.At
-			if err := e.Payload.(func() error)(); err != nil {
-				return err
-			}
-			continue
 		}
 		if proc < 0 {
 			return nil

@@ -10,31 +10,30 @@ import (
 )
 
 // The Arrivals cursor must dispatch in exactly the order of the engine
-// it replaced, which pushed every arrival into one EventQueue before
-// running, so arrivals got lower sequence numbers than any callback.
-// refTimeline keeps that engine, with a linear process scan standing in
-// for the indexed heap; the property test drives both with the same
-// randomized scenarios and compares their occurrence logs.
+// it replaced, which preloaded every arrival into one time-ordered
+// event queue before running (FIFO among equal times) and ran the
+// queue's head whenever it was no later than the earliest process.
+// refTimeline keeps that engine: the preloaded queue is a stably
+// sorted slice, and a linear process scan stands in for the indexed
+// heap. The property test drives both with the same randomized
+// scenarios and compares their occurrence logs.
 
 // scheduler is what a scenario needs from either engine.
 type scheduler interface {
-	ScheduleFunc(at time.Duration, fn func() error)
 	Refresh(i int)
 	Now() time.Duration
 }
 
-// refTimeline is the reference engine: arrivals and callbacks share one
-// EventQueue, and arrivals are pushed before Run.
+// refTimeline is the reference engine over preloaded arrivals.
 type refTimeline struct {
-	events    EventQueue
+	arrivals  []arrival // stably sorted by time
 	procs     []Process
 	now       time.Duration
 	afterStep func(i int) error
 }
 
-func (r *refTimeline) ScheduleFunc(at time.Duration, fn func() error) { r.events.Push(at, fn) }
-func (r *refTimeline) Refresh(int)                                    {}
-func (r *refTimeline) Now() time.Duration                             { return r.now }
+func (r *refTimeline) Refresh(int)        {}
+func (r *refTimeline) Now() time.Duration { return r.now }
 
 func (r *refTimeline) Run() error {
 	for {
@@ -44,11 +43,11 @@ func (r *refTimeline) Run() error {
 				proc, procAt = i, at
 			}
 		}
-		e := r.events.Peek()
-		if e != nil && (proc < 0 || e.At <= procAt) {
-			r.events.Pop()
-			r.now = e.At
-			if err := e.Payload.(func() error)(); err != nil {
+		if len(r.arrivals) > 0 && (proc < 0 || r.arrivals[0].at <= procAt) {
+			a := r.arrivals[0]
+			r.arrivals = r.arrivals[1:]
+			r.now = a.at
+			if err := a.fn(); err != nil {
 				return err
 			}
 			continue
@@ -79,7 +78,7 @@ type world struct {
 	s      scheduler
 	procs  []*wakeListProc
 	log    []string
-	budget int // callbacks and self-wakes left, so every run ends
+	budget int // dynamic wakes left, so every run ends
 }
 
 // wakeListProc steps once per pending wake time, earliest first.
@@ -106,7 +105,7 @@ func (p *wakeListProc) Step() (bool, error) {
 	now := w.s.Now()
 	w.log = append(w.log, fmt.Sprintf("p%d@%d", p.id, now))
 	if w.spend() && w.rng.Intn(4) == 0 {
-		w.s.ScheduleFunc(now+time.Duration(w.rng.Intn(3)), w.callback())
+		w.wake(time.Duration(w.rng.Intn(3)))
 	}
 	if w.spend() && w.rng.Intn(4) == 0 {
 		p.wakes = append(p.wakes, now+time.Duration(w.rng.Intn(3)))
@@ -131,26 +130,11 @@ func (w *world) wake(d time.Duration) {
 
 func (w *world) deliver(k int) func() error {
 	return func() error {
-		now := w.s.Now()
-		w.log = append(w.log, fmt.Sprintf("a%d@%d", k, now))
+		w.log = append(w.log, fmt.Sprintf("a%d@%d", k, w.s.Now()))
 		w.wake(time.Duration(w.rng.Intn(3)))
 		if w.spend() && w.rng.Intn(3) == 0 {
-			// A callback at now+0 must still follow every arrival at now.
-			w.s.ScheduleFunc(now+time.Duration(w.rng.Intn(3)), w.callback())
-		}
-		return nil
-	}
-}
-
-func (w *world) callback() func() error {
-	return func() error {
-		now := w.s.Now()
-		w.log = append(w.log, fmt.Sprintf("f@%d", now))
-		if w.rng.Intn(2) == 0 {
-			w.wake(time.Duration(w.rng.Intn(2)))
-		}
-		if w.spend() && w.rng.Intn(4) == 0 {
-			w.s.ScheduleFunc(now+time.Duration(w.rng.Intn(2)), w.callback())
+			// A wake at now+0 must still follow every arrival at now.
+			w.wake(time.Duration(w.rng.Intn(3)))
 		}
 		return nil
 	}
@@ -195,9 +179,7 @@ func TestArrivalsMatchPreloadedEventQueue(t *testing.T) {
 			p.wakes = slices.Clone(initial[i])
 			ref.procs = append(ref.procs, p)
 		}
-		for k, at := range ats {
-			ref.events.Push(at, rw.deliver(k))
-		}
+		ref.arrivals = sortedArrivals(ats, rw)
 		if err := ref.Run(); err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
@@ -209,12 +191,7 @@ func TestArrivalsMatchPreloadedEventQueue(t *testing.T) {
 			p.wakes = slices.Clone(initial[i])
 			tl.Add(p)
 		}
-		feed := &arrivalFeed{}
-		for k, at := range ats {
-			feed.items = append(feed.items, arrival{at, tw.deliver(k)})
-		}
-		sort.SliceStable(feed.items, func(a, b int) bool { return feed.items[a].at < feed.items[b].at })
-		tl.Arrivals = feed
+		tl.Arrivals = &arrivalFeed{items: sortedArrivals(ats, tw)}
 		if err := tl.Run(); err != nil {
 			t.Fatalf("trial %d: timeline: %v", trial, err)
 		}
@@ -223,4 +200,15 @@ func TestArrivalsMatchPreloadedEventQueue(t *testing.T) {
 			t.Fatalf("trial %d: occurrence order diverges\nreference: %v\ntimeline:  %v", trial, rw.log, tw.log)
 		}
 	}
+}
+
+// sortedArrivals returns w's deliveries of the arrivals at ats, stably
+// sorted by time.
+func sortedArrivals(ats []time.Duration, w *world) []arrival {
+	items := make([]arrival, len(ats))
+	for k, at := range ats {
+		items[k] = arrival{at, w.deliver(k)}
+	}
+	sort.SliceStable(items, func(a, b int) bool { return items[a].at < items[b].at })
+	return items
 }

@@ -121,12 +121,6 @@ func TestTimelinePropagatesErrors(t *testing.T) {
 	if err := tl2.Run(); !errors.Is(err, boom) {
 		t.Fatalf("delivery error not propagated: %v", err)
 	}
-
-	tl3 := &Timeline{}
-	tl3.ScheduleFunc(0, func() error { return boom })
-	if err := tl3.Run(); !errors.Is(err, boom) {
-		t.Fatalf("callback error not propagated: %v", err)
-	}
 }
 
 func TestTimelineStalledProcessIsAnError(t *testing.T) {
