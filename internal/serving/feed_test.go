@@ -12,10 +12,9 @@ import (
 	"valora/internal/sim"
 )
 
-// The managed run's arrival feed also carries the prefetch wakes. On
-// the timeline they must keep the order the timeline's own callback
-// queue gave them: arrival, then wake, then process step at equal
-// times, with Now() at the delivery time inside either.
+// The managed run's arrival feed also carries the prefetch wakes. At
+// equal times the timeline must run the arrival, then the wake, then
+// the process step, with Now() at the delivery time inside either.
 
 // stepAt is a process that steps once at each of its times, logging
 // each step.

@@ -80,8 +80,8 @@ type SchedulingConfig struct {
 	// backend (set the same Store in every instance's Options). The
 	// admission stage stamps cold-start arrivals against it and, when
 	// PrefetchLookahead > 0, warms the host tier from pending arrivals
-	// before they reach an instance, scheduling each fetch completion
-	// as a first-class timeline event that re-drives placement.
+	// before they reach an instance, scheduling a wake on the arrival
+	// feed at each fetch completion that re-drives placement.
 	Store *registry.Store
 	// PrefetchLookahead caps the prefetcher's in-flight fetches
 	// (0 disables prefetching).
