@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"valora/internal/sched"
@@ -129,34 +130,91 @@ func TestRequestFeedWakeError(t *testing.T) {
 	}
 }
 
-// TestRequestFeedWakesPopSorted schedules wakes at random times, many
-// tied, and checks that NextAt does not consume and the feed delivers
-// them all in ascending order, and that a steady schedule-and-deliver
-// cycle reuses the wake list.
-func TestRequestFeedWakesPopSorted(t *testing.T) {
-	if at := (&requestFeed{}).NextAt(); at != sim.Never {
+// drainWakes delivers every wake on f, returning the time of each as
+// NextAt reported it.
+func drainWakes(t *testing.T, f *requestFeed) []time.Duration {
+	t.Helper()
+	var got []time.Duration
+	for f.NextAt() != sim.Never {
+		got = append(got, f.NextAt())
+		if err := f.Deliver(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return got
+}
+
+// TestRequestFeedWakesOutOfOrder checks wakes scheduled out of order
+// are delivered in ascending order.
+func TestRequestFeedWakesOutOfOrder(t *testing.T) {
+	f := &requestFeed{wake: func() error { return nil }}
+	f.schedule(3 * time.Second)
+	f.schedule(1 * time.Second)
+	f.schedule(2 * time.Second)
+	want := []time.Duration{1 * time.Second, 2 * time.Second, 3 * time.Second}
+	if got := drainWakes(t, f); !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+}
+
+// TestRequestFeedWakesPeek checks an empty feed reads Never and NextAt
+// does not consume a wake.
+func TestRequestFeedWakesPeek(t *testing.T) {
+	fired := 0
+	f := &requestFeed{wake: func() error { fired++; return nil }}
+	if at := f.NextAt(); at != sim.Never {
 		t.Fatalf("empty feed: next at %v, want Never", at)
 	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		f := &requestFeed{}
-		var got []time.Duration
-		f.wake = func() error { return nil }
-		n := rng.Intn(100)
-		for i := 0; i < n; i++ {
-			f.schedule(time.Duration(rng.Intn(50)))
-		}
-		for f.NextAt() != sim.Never {
-			got = append(got, f.NextAt())
-			if err := f.Deliver(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(got) != n || !slices.IsSorted(got) {
-			t.Fatalf("trial %d: delivered %v, want %d wakes in ascending order", trial, got, n)
+	f.schedule(time.Second)
+	for i := 0; i < 2; i++ {
+		if at := f.NextAt(); at != time.Second || fired != 0 {
+			t.Fatalf("NextAt = %v after %d wakes, want 1s and none fired", at, fired)
 		}
 	}
+	if err := f.Deliver(); err != nil {
+		t.Fatal(err)
+	}
+	if at := f.NextAt(); fired != 1 || at != sim.Never {
+		t.Fatalf("after one delivery: %d wakes fired, next at %v; want 1 and Never", fired, at)
+	}
+}
 
+// TestRequestFeedWakesSortedProperty checks wakes at arbitrary times,
+// negative ones included, are all delivered in ascending order.
+func TestRequestFeedWakesSortedProperty(t *testing.T) {
+	prop := func(offsets []int16) bool {
+		f := &requestFeed{wake: func() error { return nil }}
+		for _, o := range offsets {
+			f.schedule(time.Duration(o) * time.Millisecond)
+		}
+		got := drainWakes(t, f)
+		return len(got) == len(offsets) && slices.IsSorted(got)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRequestFeedWakesRandomizedStress schedules 2,000 wakes at random
+// times, many tied, and checks all are delivered in ascending order.
+func TestRequestFeedWakesRandomizedStress(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fired := 0
+	f := &requestFeed{wake: func() error { fired++; return nil }}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		f.schedule(time.Duration(rng.Intn(1000)) * time.Millisecond)
+	}
+	got := drainWakes(t, f)
+	if len(got) != n || fired != n || !slices.IsSorted(got) {
+		t.Fatalf("delivered %d wakes (%d fired), sorted %v; want %d in ascending order",
+			len(got), fired, slices.IsSorted(got), n)
+	}
+}
+
+// TestRequestFeedWakesSteadyZeroAlloc checks a steady schedule-and-
+// deliver cycle reuses the wake list.
+func TestRequestFeedWakesSteadyZeroAlloc(t *testing.T) {
 	f := &requestFeed{wake: func() error { return nil }}
 	for i := 0; i < 8; i++ {
 		f.schedule(time.Duration(i))
