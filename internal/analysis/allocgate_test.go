@@ -2,11 +2,11 @@ package analysis_test
 
 // The runtime half of the hotpath contract: every function annotated
 // //valora:hotpath must run allocation-free at steady state. The
-// static analyzer is conservative (it cannot see that a cold branch
-// never executes, or that an append lands in retained capacity), so
-// each annotated function also gets an AllocsPerRun gate here driving
-// its steady path. A new allocation in any of them fails this test
-// before it ever shows up in a profile.
+// static analyzer cannot see that a cold branch never executes, or
+// that an append lands in retained capacity, so each annotated
+// function also gets an allocation gate here driving its steady path.
+// A new allocation in any of them fails this test before it ever shows
+// up in a profile.
 
 import (
 	"runtime"
@@ -24,14 +24,26 @@ import (
 	"valora/internal/simgpu"
 )
 
+// gateCalls is the steady-state window each gate measures.
+const gateCalls = 200
+
+// gate counts every malloc over one run of gateCalls calls of fn,
+// after an equal warm-up run (the first calls may grow scratch
+// buffers). AllocsPerRun(gateCalls, fn) would divide the total by
+// gateCalls in integer arithmetic, so a path that allocates once every
+// few calls would read 0; one run of the whole window reports it.
 func gate(t *testing.T, name string, fn func()) {
 	t.Helper()
 	if raceEnabled {
 		t.Skipf("%s: the race runtime's instrumentation allocates, so allocation counts only hold without -race", name)
 	}
-	fn() // warm: first call may grow scratch buffers
-	if got := testing.AllocsPerRun(200, fn); got != 0 {
-		t.Errorf("%s: %.1f allocs per run at steady state, want 0", name, got)
+	window := func() {
+		for range gateCalls {
+			fn()
+		}
+	}
+	if got := testing.AllocsPerRun(1, window); got != 0 {
+		t.Errorf("%s: %.0f allocs over %d steady-state calls, want 0", name, got, gateCalls)
 	}
 }
 
@@ -49,6 +61,27 @@ func TestRequireSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// Pool.Require under churn: a rotating working set of 12 adapters
+// through an 8-adapter pool makes every call a swap-in that evicts the
+// least recently used entry. Evicted entries are reused, so once the
+// pool has filled a swap-in allocates nothing.
+func TestRequireChurnZeroAlloc(t *testing.T) {
+	model := lmm.QwenVL7B()
+	pool := lora.NewPool(simgpu.A100(), 8*model.AdapterBytes(model.DefaultRank), true, true)
+	adapters := lora.MakeUniformAdapters(model, 12, model.DefaultRank)
+	next := 0
+	gate(t, "Pool.Require (swap-in churn)", func() {
+		i := next % len(adapters)
+		next++
+		if _, err := pool.Require(adapters[i:i+1], 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if swapIns, _, _, _ := pool.SwapStats(); swapIns != next {
+		t.Errorf("%d swap-ins over %d calls: the working set did not churn", swapIns, next)
+	}
 }
 
 // lora.ExtraCost with an instance's CostScratch: a memo hit, a miss

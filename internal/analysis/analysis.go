@@ -1,7 +1,11 @@
 // Package analysis is valora's static-analysis suite: a small,
 // dependency-free framework in the shape of golang.org/x/tools'
-// go/analysis (which the offline build cannot vendor) plus the four
-// project-specific analyzers cmd/valora-vet runs in CI.
+// go/analysis (which the offline build cannot vendor) plus the three
+// project-specific analyzers cmd/valora-vet runs in CI. Where the Go
+// toolchain already makes a decision, the suite defers to it: copies
+// of sim.Timeline and lora.Pool are `go vet`'s copylocks check (both
+// carry a noCopy marker), and hotpath allocation is the compiler's
+// escape analysis (`go build -gcflags=-m`).
 //
 // The suite exists because the repo's whole evidence chain — every
 // BENCH_serving.json record, every "verified bit-identical" claim —
@@ -17,7 +21,7 @@
 //	//valora:hotpath
 //	    on a function declaration: the body must not allocate
 //	    (checked statically by the hotpath analyzer and at runtime by
-//	    the AllocsPerRun gates in allocgate_test.go).
+//	    the allocation gates in allocgate_test.go).
 //
 //	//valora:parallel <reason>
 //	    at file level: the file owns goroutine parallelism (the
@@ -37,7 +41,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -60,12 +63,10 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
-	// PkgPath is the package's import path ("valora/internal/sim").
-	PkgPath string
 
-	diags []Diagnostic
+	escapes []escape
+	diags   []Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
@@ -305,9 +306,8 @@ func runPackage(pkg *Package, analyzers []*Analyzer, useScope bool) ([]Diagnosti
 			Analyzer: a,
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
-			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			PkgPath:  pkg.Path,
+			escapes:  pkg.escapes,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analysis %s on %s: %w", a.Name, pkg.Path, err)
@@ -316,7 +316,3 @@ func runPackage(pkg *Package, analyzers []*Analyzer, useScope bool) ([]Diagnosti
 	}
 	return ApplySuppressions(pkg.Fset, pkg.Files, diags), nil
 }
-
-// wantRe is exposed for the golden harness: the marker syntax of
-// expected diagnostics in testdata sources.
-var wantRe = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)

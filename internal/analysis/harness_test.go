@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -26,15 +25,16 @@ var goldenAnalyzers = map[string][]*Analyzer{
 	"gocontain":   {GoroutinesAnalyzer},
 	"hotpathtest": {HotpathAnalyzer},
 	"copycheck":   {CopyHygieneAnalyzer},
-	// Dependency-only packages (fake sim/lora for copycheck) get no
-	// analyzers of their own.
-	"sim":  {},
-	"lora": {},
+	// The dependency-only fake sim package for copycheck gets no
+	// analyzers of its own.
+	"sim": {},
 }
 
 // loadTestdata parses and type-checks every package under
 // testdata/src, resolving inter-testdata imports (import "sim") from
-// the loaded set.
+// the loaded set, and attaches the compiler's escape analysis. Each
+// package carries the import path the go command gives its directory,
+// which the compiler's reports name.
 func loadTestdata(t *testing.T) map[string]*Package {
 	t.Helper()
 	root := filepath.Join("testdata", "src")
@@ -59,22 +59,19 @@ func loadTestdata(t *testing.T) map[string]*Package {
 		for i, f := range files {
 			names[i] = filepath.Base(f)
 		}
-		// Resolve testdata-internal imports first (they are the only
-		// single-element import paths these files use besides stdlib
+		// Resolve the testdata-internal import first (the only
+		// single-element import path these files use besides stdlib
 		// ones, which the source importer handles).
 		for _, f := range files {
 			src, err := os.ReadFile(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, dep := range []string{"sim", "lora"} {
-				if dep != name && strings.Contains(string(src), fmt.Sprintf("%q", dep)) {
-					dp := load(dep)
-					imp.local[dep] = dp.Types
-				}
+			if name != "sim" && strings.Contains(string(src), `"sim"`) {
+				imp.local["sim"] = load("sim").Types
 			}
 		}
-		pkg, err := checkFiles(fset, imp, name, dir, names)
+		pkg, err := checkFiles(fset, imp, "valora/internal/analysis/"+filepath.ToSlash(dir), dir, names)
 		if err != nil {
 			t.Fatalf("type-checking testdata package %s: %v", name, err)
 		}
@@ -86,8 +83,19 @@ func loadTestdata(t *testing.T) map[string]*Package {
 			load(e.Name())
 		}
 	}
+	all := make([]*Package, 0, len(pkgs))
+	for _, p := range pkgs {
+		all = append(all, p)
+	}
+	if err := attachEscapes(".", all); err != nil {
+		t.Fatal(err)
+	}
 	return pkgs
 }
+
+// wantRe is the marker syntax of expected diagnostics in testdata
+// sources.
+var wantRe = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)
 
 // wants collects the // want "regexp" expectations per file:line.
 type wantKey struct {

@@ -1,27 +1,37 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 )
 
 // HotpathAnalyzer checks that functions annotated //valora:hotpath do
-// not allocate: no closure literals, no fmt calls, no interface
-// boxing, no append to a fresh (uncapacitated) local slice, and no map
-// construction. These are the per-iteration functions of the serving
+// not allocate. These are the per-iteration functions of the serving
 // engine — Pool.Require, the queue push/pop pair, Timeline.Refresh,
 // VaLoRAPolicy.Decide, TenantQueue.Pop, Prefetcher.Observe — whose
-// zero-alloc discipline PR 2 bought the 374k req/s replay rate; the
-// memoized-Sprintf class of regression (a Sprintf per adapter lookup
-// on the hot path) is exactly what this rule catches at review time
-// instead of in a profile. The static rule is necessarily
-// conservative: cold/error paths inside a hot function may allocate
-// behind a justified //valora:allow, and the runtime AllocsPerRun
-// gates in allocgate_test.go pin the steady path to zero.
+// zero-alloc discipline keeps a replay's cost flat per request.
+//
+// Heap allocation is the compiler's decision, so the analyzer asks the
+// compiler: every `escapes to heap` and `moved to heap:` line that
+// `go build -gcflags=-m` reports inside a hotpath body is a finding
+// (closures, map construction, interface boxing, escaping &T{} and
+// locals). Two allocations the compiler does not report are checked on
+// the syntax: any fmt call (the memoized-Sprintf bug class; fmt
+// allocates inside itself) and append to a fresh local slice (growth
+// is a runtime growslice). Cold/error paths inside a hot function may
+// allocate behind a justified //valora:allow, and the runtime
+// allocation gates in allocgate_test.go pin the steady path to zero.
 var HotpathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc:  "forbids allocation (closures, fmt, boxing, fresh-slice append, map construction) in //valora:hotpath functions",
+	Doc:  "forbids allocation (compiler-reported heap escapes, fmt, fresh-slice append) in //valora:hotpath functions",
 	Run:  runHotpath,
 }
 
@@ -33,6 +43,11 @@ func runHotpath(pass *Pass) error {
 				continue
 			}
 			checkHotpathBody(pass, fn)
+			for _, e := range pass.escapes {
+				if fn.Body.Pos() <= e.pos && e.pos < fn.Body.End() {
+					pass.Reportf(e.pos, "%s in hotpath %s (compiler escape analysis)", e.msg, fn.Name.Name)
+				}
+			}
 		}
 	}
 	return nil
@@ -94,132 +109,145 @@ func freshLocalSlices(pass *Pass, fn *ast.FuncDecl) map[types.Object]bool {
 	return fresh
 }
 
+// checkHotpathBody applies the two syntactic rules: fmt calls and
+// appends to fresh local slices.
 func checkHotpathBody(pass *Pass, fn *ast.FuncDecl) {
 	fresh := freshLocalSlices(pass, fn)
-	escaped := make(map[types.Object]bool)
 	name := fn.Name.Name
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			pass.Reportf(n.Pos(), "closure literal in hotpath %s allocates per call", name)
-			return false // its body is the closure's problem, one flag is enough
-		case *ast.CompositeLit:
-			if t := pass.Info.TypeOf(n); t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					pass.Reportf(n.Pos(), "map literal in hotpath %s allocates", name)
-				}
-			}
-		case *ast.CallExpr:
-			checkHotpathCall(pass, fn, n, fresh, escaped, name)
-		case *ast.AssignStmt:
-			checkBoxingAssign(pass, n, name)
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
 		}
-		return true
-	})
-}
-
-func checkHotpathCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, fresh, escaped map[types.Object]bool, name string) {
-	// Builtins: append to fresh local slices and make(map) allocate.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "append":
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
+			if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
 				if root, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
 					if obj := pass.Info.Uses[root]; obj != nil && fresh[obj] {
 						pass.Reportf(call.Pos(),
 							"append to fresh local slice %s in hotpath %s grows a new backing array; reuse a scratch buffer (field or parameter, resliced [:0])", root.Name, name)
 					}
 				}
-			case "make":
-				if t := pass.Info.TypeOf(call); t != nil {
-					if _, ok := t.Underlying().(*types.Map); ok {
-						pass.Reportf(call.Pos(), "make(map) in hotpath %s allocates", name)
-					}
-				}
-			}
-			return
-		}
-	}
-
-	// fmt is wholesale allocation: formatting state, boxing, string
-	// building.
-	if callee := calleeFunc(pass, call); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
-		pass.Reportf(call.Pos(), "fmt.%s in hotpath %s allocates (the memoized-Sprintf bug class)", callee.Name(), name)
-		return
-	}
-
-	// Conversion to an interface type boxes the operand.
-	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
-			if at := pass.Info.TypeOf(call.Args[0]); at != nil && !types.IsInterface(at) && !isNil(pass, call.Args[0]) {
-				pass.Reportf(call.Pos(), "conversion to interface in hotpath %s boxes its operand", name)
 			}
 		}
-		return
-	}
-
-	// Concrete arguments passed to interface parameters box.
-	sig, ok := pass.Info.TypeOf(call.Fun).(*types.Signature)
-	if !ok || call.Ellipsis.IsValid() {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		if sig.Variadic() && i >= params.Len()-1 {
-			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
-		} else if i < params.Len() {
-			pt = params.At(i).Type()
+		if callee := calleeFunc(pass, call); callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
+			pass.Reportf(call.Pos(), "fmt.%s in hotpath %s allocates (the memoized-Sprintf bug class)", callee.Name(), name)
 		}
-		if pt == nil || !types.IsInterface(pt) {
+		return true
+	})
+}
+
+// ---- the compiler's escape analysis ----
+
+// escape is one heap allocation the compiler reported, resolved to a
+// position in the analyzed package's file set.
+type escape struct {
+	pos token.Pos
+	msg string
+}
+
+// compilerLine is one `file:line:col: message` line of `go build
+// -gcflags=-m` output. file is empty for the compiler's own generated
+// wrappers, which report `<autogenerated>:line: message` and have no
+// source to map back to.
+type compilerLine struct {
+	file      string
+	line, col int
+	msg       string
+}
+
+var compilerLineRe = regexp.MustCompile(`^(?:<autogenerated>:\d+|(.+?):(\d+):(\d+)): (.+)$`)
+
+// parseCompilerOutput parses `go build -gcflags=-m` output: `# pkg`
+// headers and position-prefixed diagnostics. Any other line is an
+// error, so a toolchain whose -m text this parser does not know fails
+// the check instead of passing it.
+func parseCompilerOutput(out string) ([]compilerLine, error) {
+	var lines []compilerLine
+	for text := range strings.Lines(out) {
+		text = strings.TrimSuffix(text, "\n")
+		if strings.HasPrefix(text, "# ") {
 			continue
 		}
-		if at := pass.Info.TypeOf(arg); at != nil && !types.IsInterface(at) && !isNil(pass, arg) {
-			pass.Reportf(arg.Pos(), "argument boxes into interface parameter in hotpath %s", name)
-			reportEscapedLocal(pass, fn, arg, escaped, name)
+		m := compilerLineRe.FindStringSubmatch(text)
+		if m == nil {
+			return nil, fmt.Errorf("unparseable compiler output line %q", text)
 		}
+		cl := compilerLine{file: m[1], msg: m[4]}
+		if cl.file != "" {
+			cl.line, _ = strconv.Atoi(m[2])
+			cl.col, _ = strconv.Atoi(m[3])
+		}
+		lines = append(lines, cl)
 	}
+	return lines, nil
 }
 
-// reportEscapedLocal flags, at its declaration, a local whose address
-// arg passes to an interface parameter (errors.As(err, &ce)). The
-// local then moves to the heap on every call, even when the call
-// itself sits on a cold branch, so an allow on the call's line must
-// not hide it. escaped holds the locals already flagged.
-func reportEscapedLocal(pass *Pass, fn *ast.FuncDecl, arg ast.Expr, escaped map[types.Object]bool, name string) {
-	addr, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || addr.Op != token.AND {
-		return
-	}
-	id, ok := ast.Unparen(addr.X).(*ast.Ident)
-	if !ok {
-		return
-	}
-	v, ok := pass.Info.Uses[id].(*types.Var)
-	if !ok || v.IsField() || v.Pos() < fn.Body.Pos() || v.Pos() >= fn.Body.End() || escaped[v] {
-		return
-	}
-	escaped[v] = true
-	pass.Reportf(v.Pos(), "local %s moves to the heap on every call of hotpath %s: its address boxes into an interface parameter", id.Name, name)
+// isHeapEscape reports whether an -m message is a heap allocation.
+func isHeapEscape(msg string) bool {
+	return strings.HasSuffix(msg, " escapes to heap") || strings.HasPrefix(msg, "moved to heap: ")
 }
 
-// checkBoxingAssign flags assignments storing a concrete value into an
-// interface-typed location.
-func checkBoxingAssign(pass *Pass, as *ast.AssignStmt, name string) {
-	if len(as.Lhs) != len(as.Rhs) {
-		return
+// attachEscapes runs `go build -gcflags=-m` once, from dir, over the
+// packages that hold //valora:hotpath functions, and records on each
+// the compiler's heap-allocation reports in its files. -trimpath makes
+// the reported file names import-path based ("valora/internal/lora/
+// memory.go") rather than relative to whichever directory first filled
+// the build cache, which replays the diagnostics on later runs.
+func attachEscapes(dir string, pkgs []*Package) error {
+	type target struct {
+		pkg *Package
+		tf  *token.File
 	}
-	for i, lhs := range as.Lhs {
-		lt := pass.Info.TypeOf(lhs)
-		rt := pass.Info.TypeOf(as.Rhs[i])
-		if lt == nil || rt == nil || !types.IsInterface(lt) || types.IsInterface(rt) || isNil(pass, as.Rhs[i]) {
+	files := make(map[string]target)
+	args := []string{"build", "-trimpath", "-o", os.DevNull, "-gcflags=-m"}
+	for _, pkg := range pkgs {
+		if !hasHotpath(pkg) {
 			continue
 		}
-		pass.Reportf(as.Pos(), "assignment boxes a concrete value into an interface in hotpath %s", name)
+		abs, err := filepath.Abs(pkg.Dir)
+		if err != nil {
+			return err
+		}
+		args = append(args, abs)
+		for _, f := range pkg.Files {
+			tf := pkg.Fset.File(f.Pos())
+			files[pkg.Path+"/"+filepath.Base(tf.Name())] = target{pkg, tf}
+		}
 	}
+	if len(files) == 0 {
+		return nil
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("go build -gcflags=-m: %v: %s", err, out)
+	}
+	lines, err := parseCompilerOutput(string(out))
+	if err != nil {
+		return fmt.Errorf("go build -gcflags=-m: %w", err)
+	}
+	for _, cl := range lines {
+		t, ok := files[cl.file]
+		if !ok || !isHeapEscape(cl.msg) {
+			continue
+		}
+		if cl.line < 1 || cl.line > t.tf.LineCount() {
+			return fmt.Errorf("go build -gcflags=-m: %s:%d is past the end of the parsed file", cl.file, cl.line)
+		}
+		t.pkg.escapes = append(t.pkg.escapes, escape{t.tf.LineStart(cl.line) + token.Pos(cl.col-1), cl.msg})
+	}
+	return nil
 }
 
-func isNil(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[ast.Unparen(e)]
-	return ok && tv.IsNil()
+// hasHotpath reports whether any function of pkg is //valora:hotpath.
+func hasHotpath(pkg *Package) bool {
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && IsHotpath(fn) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -23,6 +23,10 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	// escapes are the compiler's heap-allocation reports in the
+	// package's files, for the hotpath analyzer.
+	escapes []escape
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -30,10 +34,9 @@ type Package struct {
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
+	DepOnly    bool
 }
 
 // chainImporter resolves module-internal imports from the packages the
@@ -69,10 +72,9 @@ func newFileSetImporter() (*token.FileSet, *chainImporter) {
 // newInfo allocates the types.Info maps the analyzers consume.
 func newInfo() *types.Info {
 	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
+		Defs:  make(map[*ast.Ident]types.Object),
 	}
 }
 
@@ -97,78 +99,46 @@ func checkFiles(fset *token.FileSet, imp types.Importer, path, dir string, fileN
 
 // LoadPackages loads, parses and type-checks the packages matched by
 // the go-list patterns (e.g. "./...") relative to dir, in dependency
-// order. Test files are not loaded: the contracts the analyzers
-// enforce are properties of production code (tests measure wall-clock
-// and spin goroutines on purpose).
+// order, and attaches the compiler's escape analysis to those that
+// hold //valora:hotpath functions. Test files are not loaded: the
+// contracts the analyzers enforce are properties of production code
+// (tests measure wall-clock and spin goroutines on purpose).
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// Two listings: the matched set (what the caller gets diagnostics
-	// for) and its non-stdlib dependency closure (what must be
-	// type-checked locally so module-internal imports resolve).
-	matched, err := goList(dir, patterns, false)
+	// `go list -deps` lists the matched packages with their dependency
+	// closure, each after its imports, so module-internal imports
+	// resolve from packages already checked.
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	deps, err := goList(dir, patterns, true)
-	if err != nil {
-		return nil, err
-	}
-	byPath := make(map[string]*listedPackage)
-	for _, p := range deps {
-		if !p.Standard {
-			byPath[p.ImportPath] = p
-		}
-	}
-
 	fset, imp := newFileSetImporter()
-	checked := make(map[string]*Package)
-	var load func(p *listedPackage) error
-	load = func(p *listedPackage) error {
-		if _, ok := checked[p.ImportPath]; ok {
-			return nil
-		}
-		// Mark before descending: import cycles would be a go build
-		// error anyway, this just keeps the loader from recursing.
-		checked[p.ImportPath] = nil
-		for _, dep := range p.Imports {
-			if lp, ok := byPath[dep]; ok {
-				if err := load(lp); err != nil {
-					return err
-				}
-			}
+	var matched []*Package
+	for _, p := range listed {
+		if p.Standard {
+			continue // the source importer resolves the standard library
 		}
 		pkg, err := checkFiles(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
-			return err
-		}
-		checked[p.ImportPath] = pkg
-		imp.local[p.ImportPath] = pkg.Types
-		return nil
-	}
-	ordered := make([]*Package, 0, len(matched))
-	for _, p := range matched {
-		lp, ok := byPath[p.ImportPath]
-		if !ok {
-			continue // stdlib pattern; nothing of ours to analyze
-		}
-		if err := load(lp); err != nil {
 			return nil, err
 		}
-		ordered = append(ordered, checked[p.ImportPath])
+		imp.local[p.ImportPath] = pkg.Types
+		if !p.DepOnly {
+			matched = append(matched, pkg)
+		}
 	}
-	return ordered, nil
+	if err := attachEscapes(dir, matched); err != nil {
+		return nil, err
+	}
+	return matched, nil
 }
 
-// goList shells out to `go list -json` (with -deps when deps is set)
-// and decodes the package stream.
-func goList(dir string, patterns []string, deps bool) ([]*listedPackage, error) {
-	args := []string{"list", "-json"}
-	if deps {
-		args = append(args, "-deps")
-	}
-	cmd := exec.Command("go", append(args, patterns...)...)
+// goList shells out to `go list -json -deps` and decodes the package
+// stream.
+func goList(dir string, patterns []string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json", "-deps"}, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

@@ -1,57 +1,9 @@
 // Package copycheck is the golden fixture for the copyhygiene
-// analyzer: by-value copies of lock-bearing types and of
-// sim.Timeline / lora.Pool, and Timeline use from non-owning
-// goroutines.
+// analyzer: sim.Timeline use from non-owning goroutines. By-value
+// copies are go vet's copylocks check, not this analyzer's.
 package copycheck
 
-import (
-	"sync"
-
-	"lora"
-	"sim"
-)
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-type inner struct{ mu sync.Mutex }
-
-type outer struct{ in inner }
-
-func byValueParam(g guarded) int { // want "parameter passes copycheck.guarded by value"
-	return g.n
-}
-
-func copyTimeline(t *sim.Timeline) (u sim.Timeline) { // want "result passes sim.Timeline by value"
-	u = *t // want "assignment copies sim.Timeline by value"
-	return
-}
-
-func rangeCopy(ts []sim.Timeline) int {
-	total := 0
-	for _, t := range ts { // want "range copies sim.Timeline elements by value"
-		total += t.Now()
-	}
-	return total
-}
-
-func use(v any) { _ = v }
-
-func callByValue(t *sim.Timeline) {
-	use(*t) // want "call passes sim.Timeline by value"
-}
-
-func copyPool(p *lora.Pool) {
-	q := *p // want "assignment copies lora.Pool by value"
-	_ = q.Used()
-}
-
-func copyOuter(o *outer) {
-	x := *o // want "assignment copies copycheck.outer by value"
-	_ = x.in.mu
-}
+import "sim"
 
 func disowned(t *sim.Timeline, done chan struct{}) {
 	go func() {
@@ -71,24 +23,4 @@ func owned(t *sim.Timeline, done chan struct{}) {
 		own.Step()
 		close(done)
 	}(t)
-}
-
-// pointers is clean: holding and passing nocopy types by pointer is
-// the sanctioned way.
-func pointers(t *sim.Timeline, p *lora.Pool) int {
-	return t.Now() + int(p.Used())
-}
-
-// fresh is clean: a composite literal constructs a new value rather
-// than copying an existing one.
-func fresh() *sim.Timeline {
-	t := sim.Timeline{}
-	return &t
-}
-
-// suppressedSnapshot carries a justified suppression.
-func suppressedSnapshot(t *sim.Timeline) int {
-	//valora:allow copyhygiene -- golden fixture: snapshot of a quiesced timeline for offline inspection
-	u := *t
-	return u.Now()
 }

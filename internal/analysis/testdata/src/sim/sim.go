@@ -1,14 +1,11 @@
 // Package sim is a miniature stand-in for valora/internal/sim used by
-// the copyhygiene goldens: the analyzer matches nocopy types by
+// the copyhygiene goldens: the analyzer matches sim.Timeline by
 // (package name, type name), so this local Timeline exercises the same
-// rules as the real one.
+// rule as the real one.
 package sim
 
 type Timeline struct {
 	now int
-	pos []int
 }
-
-func (t *Timeline) Now() int { return t.now }
 
 func (t *Timeline) Step() { t.now++ }

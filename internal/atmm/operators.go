@@ -195,7 +195,6 @@ func (a *ATMM) LayerTime(b Batch) (time.Duration, error) {
 		return 0, err
 	}
 	sc := segPool.Get().(*segScratch)
-	//valora:allow hotpath -- a pointer fits the interface word, so pooling it does not allocate
 	defer segPool.Put(sc)
 	shrink, expand := segmentsFor(b, sc)
 	total, rank := b.TotalTokens(), b.MaxRank()

@@ -34,6 +34,13 @@ func (e *CapacityError) Error() string {
 	return b.String()
 }
 
+// noCopy is the zero-size marker `go vet`'s copylocks check recognizes
+// (it has Lock and Unlock), like sync.WaitGroup's.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // poolEntry is one resident adapter on the intrusive LRU list.
 type poolEntry struct {
 	id    int
@@ -60,7 +67,12 @@ type poolEntry struct {
 // merged adapter (Pin/Unpin) and the batch-resident adapters (an epoch
 // mark each Require call stamps on its batch's entries) from
 // mid-iteration eviction.
+//
+// A Pool must not be copied: its LRU list links point into the
+// original. The noCopy marker makes `go vet`'s copylocks check flag
+// copies.
 type Pool struct {
+	_        noCopy
 	GPU      *simgpu.GPU
 	Capacity int64
 	// Async enables overlap of swap-ins with ongoing compute
@@ -84,6 +96,10 @@ type Pool struct {
 	// entries, aligned with its adapters.
 	epoch   uint64
 	scratch []*poolEntry
+	// spare chains evicted entries through next for reuse: a swap-in
+	// allocates an entry only when the resident count reaches a new
+	// peak.
+	spare *poolEntry
 
 	swapIns   int
 	swapBytes int64
@@ -185,7 +201,8 @@ func (p *Pool) touch(e *poolEntry) {
 	p.listPushMRU(e)
 }
 
-// evict removes a resident entry from the pool.
+// evict removes a resident entry from the pool and keeps it on the
+// spare list.
 //
 //valora:hotpath
 func (p *Pool) evict(e *poolEntry) {
@@ -193,6 +210,7 @@ func (p *Pool) evict(e *poolEntry) {
 	delete(p.entries, e.id)
 	p.used -= e.bytes
 	p.evictions++
+	e.next, p.spare = p.spare, e
 }
 
 // canMakeRoom reports whether evicting unpinned entries could free
@@ -283,7 +301,13 @@ func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.D
 			continue
 		}
 		p.evictUntil(bytes)
-		e = &poolEntry{id: a.ID, bytes: bytes, pins: p.pins[a.ID], callPin: p.epoch}
+		if e = p.spare; e != nil {
+			p.spare = e.next
+		} else {
+			//valora:allow hotpath -- fill phase: the spare list is empty only when the resident count reaches a new peak; a pool that churns reuses the entries its evictions freed (allocgate_test.go pins it)
+			e = new(poolEntry)
+		}
+		*e = poolEntry{id: a.ID, bytes: bytes, pins: p.pins[a.ID], callPin: p.epoch}
 		p.entries[a.ID] = e
 		p.listPushMRU(e)
 		p.used += bytes

@@ -183,11 +183,12 @@ type Stats struct {
 // cache plus the remote-link fetch model. One Store models one
 // deployment's host DRAM (a multi-GPU node shares it across serving
 // instances); all times are virtual (sim) times. The exported methods
-// are safe for concurrent use (shard worker goroutines may share a
-// store), but note that the sharded cluster engine still serializes
-// store-backed runs: the link model's fetch order is observable, so
-// only a global sequential order reproduces it bit-identically —
-// the mutex guards state integrity, not event ordering.
+// are safe for concurrent use, but the mutex guards state integrity,
+// not event ordering: the link model's fetch order is observable, so
+// only a global sequential order reproduces it bit-identically. A
+// cluster whose instances share a store is therefore never partitioned
+// across workers (Cluster.partitioned in internal/serving); it replays
+// on the shared timeline.
 type Store struct {
 	mu     sync.Mutex
 	cfg    Config

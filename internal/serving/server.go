@@ -508,6 +508,7 @@ func (s *Server) ingest(now time.Duration) {
 			r.ColdStart = !s.opts.Store.HostResident(r.AdapterID, now)
 		}
 		r.Slot = s.slotFor(r.AdapterID)
+		//valora:allow hotpath -- amortized: the inlined pushWaiting doubles the waiting buffer only when a backlog outgrows it; a steady state slides the queue back instead
 		s.pushWaiting(r)
 	}
 	if k := min(len(s.waiting()), s.opts.AdmitCap-len(s.active)); k > 0 {
@@ -588,8 +589,7 @@ func (s *Server) stalled(fetching bool) (time.Duration, error) {
 	s.capacityStalls++
 	if s.capacityStalls > maxCapacityStalls {
 		//valora:allow hotpath -- cold path: reached once, when the run fails on a capacity deadlock
-		return 0, fmt.Errorf("serving: %s made no progress for %d consecutive scheduling rounds (adapter-pool/KV capacity deadlock)",
-			s.opts.Name, s.capacityStalls)
+		return 0, fmt.Errorf("serving: %s made no progress for %d consecutive scheduling rounds (adapter-pool/KV capacity deadlock)", s.opts.Name, s.capacityStalls)
 	}
 	now := s.clock.Now()
 	wake := now + time.Millisecond

@@ -10,6 +10,14 @@ import (
 // reaches it (e.g. through a Timeline arrival).
 const Never = time.Duration(-1)
 
+// noCopy is the zero-size marker `go vet`'s copylocks check recognizes
+// (it has Lock and Unlock), like sync.WaitGroup's. Embedding it as the
+// first field costs no space.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // Process is one steppable participant on a shared Timeline — a
 // serving instance with its own local clock, stepped one scheduling
 // iteration at a time.
@@ -39,7 +47,12 @@ type Process interface {
 // it; a delivery that mutates some other process's schedule
 // (submitting a request to an instance) must report that via Refresh,
 // the decrease-key operation.
+//
+// A Timeline must not be copied: its heap indices keep describing the
+// original. The noCopy marker makes `go vet`'s copylocks check flag
+// copies.
 type Timeline struct {
+	_     noCopy
 	procs []Process
 	// at caches each process's next event time (Never = idle).
 	at []time.Duration
