@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"valora/internal/idtab"
 	"valora/internal/simgpu"
 )
 
@@ -45,9 +46,9 @@ func (*noCopy) Unlock() {}
 type poolEntry struct {
 	id    int
 	bytes int64
-	// pins mirrors Pool.pins[id] while the entry is resident, and
+	// pins mirrors Pool.pins.Get(id) while the entry is resident, and
 	// callPin holds the epoch of the Require call that pinned it, so
-	// eviction scans never consult the pin map.
+	// eviction scans never consult the pin table.
 	pins       int
 	callPin    uint64
 	prev, next *poolEntry
@@ -62,8 +63,10 @@ type poolEntry struct {
 // iteration's compute; the dLoRA-style configuration swaps
 // synchronously and pays the full PCIe latency on every miss.
 //
-// Residency is tracked by an intrusive doubly-linked LRU list with a
-// map index, so touch, insert and evict are all O(1). Pins shield the
+// Residency is tracked by an intrusive doubly-linked LRU list indexed
+// by an idtab.Table (a slice for the IDs below idtab.DenseIDs, a map
+// for the rest), so lookup, touch, insert and evict are all O(1)
+// and the common IDs hash nothing. Pins shield the
 // merged adapter (Pin/Unpin) and the batch-resident adapters (an epoch
 // mark each Require call stamps on its batch's entries) from
 // mid-iteration eviction.
@@ -84,14 +87,14 @@ type Pool struct {
 	Contiguous bool
 
 	used    int64
-	entries map[int]*poolEntry
+	entries idtab.Table[*poolEntry]
 	// root is the sentinel of the circular LRU list: root.next is the
 	// least recently used entry, root.prev the most recently used.
 	root poolEntry
 	// pins counts active pins per adapter ID. Pins are independent of
 	// residency (a pinned ID may be swapped in later and is protected
 	// from then on); pinned entries are skipped by eviction.
-	pins map[int]int
+	pins idtab.Table[int]
 	// epoch numbers Require calls; scratch holds the current call's
 	// entries, aligned with its adapters.
 	epoch   uint64
@@ -114,8 +117,6 @@ func NewPool(g *simgpu.GPU, capacity int64, async, contiguous bool) *Pool {
 		Capacity:   capacity,
 		Async:      async,
 		Contiguous: contiguous,
-		entries:    make(map[int]*poolEntry),
-		pins:       make(map[int]int),
 	}
 	p.root.next = &p.root
 	p.root.prev = &p.root
@@ -123,13 +124,10 @@ func NewPool(g *simgpu.GPU, capacity int64, async, contiguous bool) *Pool {
 }
 
 // Resident reports whether an adapter is on device.
-func (p *Pool) Resident(id int) bool {
-	_, ok := p.entries[id]
-	return ok
-}
+func (p *Pool) Resident(id int) bool { return p.entries.Get(id) != nil }
 
 // ResidentCount reports the number of resident adapters.
-func (p *Pool) ResidentCount() int { return len(p.entries) }
+func (p *Pool) ResidentCount() int { return p.entries.Len() }
 
 // Used reports resident bytes.
 func (p *Pool) Used() int64 { return p.used }
@@ -145,8 +143,8 @@ func (p *Pool) SwapStats() (swapIns, evictions int, bytes int64, stalled time.Du
 // the server pins the merged adapter so the folded weights can never
 // be swapped out from under the running mode.
 func (p *Pool) Pin(id int) {
-	p.pins[id]++
-	if e, ok := p.entries[id]; ok {
+	p.pins.Set(id, p.pins.Get(id)+1)
+	if e := p.entries.Get(id); e != nil {
 		e.pins++
 	}
 }
@@ -154,16 +152,12 @@ func (p *Pool) Pin(id int) {
 // Unpin releases one pin on an adapter. Unpinning an ID with no active
 // pins is a no-op.
 func (p *Pool) Unpin(id int) {
-	n := p.pins[id]
+	n := p.pins.Get(id)
 	if n == 0 {
 		return
 	}
-	if n > 1 {
-		p.pins[id] = n - 1
-	} else {
-		delete(p.pins, id)
-	}
-	if e, ok := p.entries[id]; ok {
+	p.pins.Set(id, n-1) // the last pin's zero deletes the ID
+	if e := p.entries.Get(id); e != nil {
 		e.pins--
 	}
 }
@@ -173,7 +167,7 @@ func (p *Pool) Unpin(id int) {
 func (p *Pool) pinned(e *poolEntry) bool { return e.pins > 0 || e.callPin == p.epoch }
 
 // Pinned reports whether the adapter currently holds any pins.
-func (p *Pool) Pinned(id int) bool { return p.pins[id] > 0 }
+func (p *Pool) Pinned(id int) bool { return p.pins.Get(id) > 0 }
 
 // listRemove unlinks e from the LRU list.
 func (p *Pool) listRemove(e *poolEntry) {
@@ -207,7 +201,7 @@ func (p *Pool) touch(e *poolEntry) {
 //valora:hotpath
 func (p *Pool) evict(e *poolEntry) {
 	p.listRemove(e)
-	delete(p.entries, e.id)
+	p.entries.Delete(e.id)
 	p.used -= e.bytes
 	p.evictions++
 	e.next, p.spare = p.spare, e
@@ -261,7 +255,7 @@ func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.D
 	for _, a := range adapters {
 		var e *poolEntry
 		if a != nil {
-			if e = p.entries[a.ID]; e != nil {
+			if e = p.entries.Get(a.ID); e != nil {
 				e.callPin = p.epoch
 			}
 		}
@@ -279,7 +273,7 @@ func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.D
 		if e == nil {
 			// Not resident when the call began; an earlier duplicate in
 			// this batch may have swapped it in since.
-			e = p.entries[a.ID]
+			e = p.entries.Get(a.ID)
 		}
 		if e != nil {
 			p.touch(e)
@@ -307,8 +301,8 @@ func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.D
 			//valora:allow hotpath -- fill phase: the spare list is empty only when the resident count reaches a new peak; a pool that churns reuses the entries its evictions freed (allocgate_test.go pins it)
 			e = new(poolEntry)
 		}
-		*e = poolEntry{id: a.ID, bytes: bytes, pins: p.pins[a.ID], callPin: p.epoch}
-		p.entries[a.ID] = e
+		*e = poolEntry{id: a.ID, bytes: bytes, pins: p.pins.Get(a.ID), callPin: p.epoch}
+		p.entries.Set(a.ID, e)
 		p.listPushMRU(e)
 		p.used += bytes
 		p.swapIns++
@@ -344,45 +338,41 @@ func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.D
 }
 
 // CheckInvariants verifies the pool's internal bookkeeping: the LRU
-// list and the map index describe the same resident set, used equals
-// the sum of resident adapter bytes, the budget is respected, and the
-// pin set holds no stale zero counts. Tests call it after every
-// mutation; it is cheap enough (O(resident)) for that but not meant
-// for per-iteration production use.
+// list and the ID table describe the same resident set (every listed
+// entry is indexed under its ID, and the table counts no more IDs than
+// the list holds), each entry's cached pin count matches the pin
+// table, used equals the sum of resident adapter bytes, and the budget
+// is respected. The pin table cannot hold a stale zero count: setting
+// a count to zero deletes the ID. Tests call it after every mutation;
+// it is cheap enough (O(resident)) for that but not meant for
+// per-iteration production use.
 func (p *Pool) CheckInvariants() error {
 	var sum int64
 	n := 0
 	for e := p.root.next; e != &p.root; e = e.next {
-		me, ok := p.entries[e.id]
-		if !ok {
-			return fmt.Errorf("lora: pool list entry %d missing from index", e.id)
-		}
-		if me != e {
+		if me := p.entries.Get(e.id); me != e {
+			if me == nil {
+				return fmt.Errorf("lora: pool list entry %d missing from index", e.id)
+			}
 			return fmt.Errorf("lora: pool index for %d points at a different entry", e.id)
 		}
 		if e.next.prev != e || e.prev.next != e {
 			return fmt.Errorf("lora: pool list links broken at %d", e.id)
 		}
-		if e.pins != p.pins[e.id] {
-			return fmt.Errorf("lora: pool entry %d caches %d pins, pin set holds %d", e.id, e.pins, p.pins[e.id])
+		if pins := p.pins.Get(e.id); e.pins != pins {
+			return fmt.Errorf("lora: pool entry %d caches %d pins, pin table holds %d", e.id, e.pins, pins)
 		}
 		sum += e.bytes
 		n++
 	}
-	if n != len(p.entries) {
-		return fmt.Errorf("lora: pool list has %d entries, index has %d", n, len(p.entries))
+	if n != p.entries.Len() {
+		return fmt.Errorf("lora: pool list has %d entries, index has %d", n, p.entries.Len())
 	}
 	if sum != p.used {
 		return fmt.Errorf("lora: pool used=%d but resident bytes sum to %d", p.used, sum)
 	}
 	if p.used > p.Capacity {
 		return fmt.Errorf("lora: pool over-committed: used=%d > capacity=%d", p.used, p.Capacity)
-	}
-	for id, c := range p.pins {
-		if c <= 0 {
-			//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating pin the error names, never pass/fail
-			return fmt.Errorf("lora: stale pin count %d for adapter %d", c, id)
-		}
 	}
 	return nil
 }

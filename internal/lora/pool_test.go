@@ -2,8 +2,10 @@ package lora
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
+	"valora/internal/idtab"
 	"valora/internal/lmm"
 	"valora/internal/simgpu"
 )
@@ -236,24 +238,54 @@ func TestPoolChurnInvariants(t *testing.T) {
 	g := simgpu.A100()
 	model := lmm.QwenVL7B()
 	adapters := MakeUniformAdapters(model, 12, model.DefaultRank)
+	// IDs on both sides of the pool's dense range: negative, the dense
+	// edges, and sparse ones far past it.
+	ids := []int{-1, -(1 << 40), 0, 1, 7, idtab.DenseIDs - 1, idtab.DenseIDs, idtab.DenseIDs + 9, 1 << 40, 300, 4096, -5}
+	for i, a := range adapters {
+		a.ID = ids[i]
+	}
 	p := NewPool(g, 3*model.AdapterBytes(model.DefaultRank), false, true)
-	for i := 0; i < 100; i++ {
-		batch := []*Adapter{adapters[i%12], adapters[(i*5+1)%12], adapters[(i*7+3)%12]}
-		if i%4 == 0 {
-			p.Pin(adapters[i%12].ID)
-		}
-		// Deferred swap-ins are legitimate here (the external pin can
-		// crowd a 3-slot pool); anything else is a bug, and the
-		// invariants must hold either way.
-		if _, err := p.Require(batch, 0); err != nil {
-			var ce *CapacityError
-			if !errors.As(err, &ce) || len(ce.Oversized) > 0 {
-				t.Fatalf("iter %d: %v", i, err)
+	rng := rand.New(rand.NewSource(3))
+	pins := make(map[int]int)
+	for i := 0; i < 2000; i++ {
+		switch op := rng.Intn(6); {
+		case op == 0:
+			id := ids[rng.Intn(len(ids))]
+			p.Pin(id)
+			pins[id]++
+		case op == 1:
+			// Unpin a pinned ID at the rate Pin pins one, so the pins
+			// come and go; an unpinned ID makes it a no-op.
+			id := ids[rng.Intn(len(ids))]
+			for _, cand := range ids {
+				if pins[cand] > 0 && rng.Intn(2) == 0 {
+					id = cand
+				}
+			}
+			p.Unpin(id)
+			if pins[id] > 0 {
+				pins[id]--
+			}
+		default:
+			batch := []*Adapter{adapters[i%12], adapters[(i*5+1)%12], adapters[rng.Intn(12)]}
+			// Deferred swap-ins are legitimate here (external pins can
+			// crowd a 3-slot pool); anything else is a bug, and the
+			// invariants must hold either way.
+			if _, err := p.Require(batch[:1+rng.Intn(3)], 0); err != nil {
+				var ce *CapacityError
+				if !errors.As(err, &ce) || len(ce.Oversized) > 0 {
+					t.Fatalf("iter %d: %v", i, err)
+				}
 			}
 		}
 		checkPool(t, p)
-		if i%4 == 3 {
-			p.Unpin(adapters[(i-3)%12].ID)
+		for _, id := range ids {
+			if p.Pinned(id) != (pins[id] > 0) {
+				t.Fatalf("iter %d: Pinned(%d) = %v, model holds %d pins", i, id, p.Pinned(id), pins[id])
+			}
 		}
+	}
+	if swapIns, evictions, _, _ := p.SwapStats(); swapIns < 100 || evictions < 100 {
+		t.Fatalf("%d swap-ins and %d evictions: the pool did not churn", swapIns, evictions)
 	}
 }

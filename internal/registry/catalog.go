@@ -16,6 +16,7 @@ package registry
 import (
 	"hash/fnv"
 
+	"valora/internal/idtab"
 	"valora/internal/lora"
 )
 
@@ -44,9 +45,11 @@ type Entry struct {
 }
 
 // Catalog maps adapter IDs to content-addressed entries. It is the
-// authoritative view of what the remote registry can serve.
+// authoritative view of what the remote registry can serve. Entries
+// sit in an idtab.Table, so resolving a catalogued ID below
+// idtab.DenseIDs is a slice load.
 type Catalog struct {
-	byID map[int]*Entry
+	byID idtab.Table[*Entry]
 	// famFirst remembers the first-catalogued entry of each family, the
 	// representative a chunk store derives the family's shared chunk
 	// list from.
@@ -55,7 +58,7 @@ type Catalog struct {
 
 // NewCatalog builds an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{byID: make(map[int]*Entry), famFirst: make(map[string]*Entry)}
+	return &Catalog{famFirst: make(map[string]*Entry)}
 }
 
 // CatalogFromAdapters catalogues a whole adapter set, resolving
@@ -112,7 +115,7 @@ func Digest(a *lora.Adapter) uint64 {
 // Add catalogues an adapter under a tenant; later additions with the
 // same ID replace earlier ones.
 func (c *Catalog) Add(a *lora.Adapter, tenant string) {
-	c.byID[a.ID] = &Entry{Adapter: a, Digest: Digest(a), Tenant: tenant}
+	c.byID.Set(a.ID, &Entry{Adapter: a, Digest: Digest(a), Tenant: tenant})
 }
 
 // addFamily catalogues an adapter as a member of an adapter family:
@@ -127,7 +130,7 @@ func (c *Catalog) addFamily(a *lora.Adapter, tenant, family string, sharedBytes 
 		sharedBytes = b
 	}
 	e := &Entry{Adapter: a, Digest: Digest(a), Tenant: tenant, Family: family, SharedBytes: sharedBytes}
-	c.byID[a.ID] = e
+	c.byID.Set(a.ID, e)
 	if family != "" {
 		if _, ok := c.famFirst[family]; !ok {
 			c.famFirst[family] = e
@@ -145,12 +148,12 @@ func (c *Catalog) FamilyRep(family string) (*Entry, bool) {
 
 // Resolve looks an adapter ID up.
 func (c *Catalog) Resolve(id int) (*Entry, bool) {
-	e, ok := c.byID[id]
-	return e, ok
+	e := c.byID.Get(id)
+	return e, e != nil
 }
 
 // Len reports the number of catalogued adapters.
-func (c *Catalog) Len() int { return len(c.byID) }
+func (c *Catalog) Len() int { return c.byID.Len() }
 
 // chunkDigest addresses one fixed-size chunk of an adapter's weight
 // blob. Chunks inside the family-shared prefix hash the family

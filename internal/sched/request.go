@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"valora/internal/idtab"
 	"valora/internal/lmm"
 	"valora/internal/lora"
 	"valora/internal/train"
@@ -208,52 +209,29 @@ func (r *Request) ClearScratchMarks() {
 
 // AdapterSlots interns adapter IDs into dense 1-based slots, in order
 // of first sight. Slot 0 is never issued, so a zero Request.Slot reads
-// as unstamped. IDs below denseAdapterIDs, every ID the experiments
-// use, resolve through a slice; larger ones (any non-negative ID can
-// arrive over HTTP) through a map.
+// as unstamped. The IDs sit in an idtab.Table: IDs below
+// idtab.DenseIDs, every ID the experiments use, resolve through a
+// slice; the rest (any non-negative ID can arrive over HTTP) through a
+// map.
 type AdapterSlots struct {
-	dense  []int32
-	sparse map[int]int32
-	n      int32
+	ids idtab.Table[int32]
 }
-
-// denseAdapterIDs bounds the directly indexed IDs, so the slice costs
-// at most 256 KiB however large an ID a client sends.
-const denseAdapterIDs = 1 << 16
 
 // Lookup reports id's slot, or 0 when id has none yet.
-func (t *AdapterSlots) Lookup(id int) int32 {
-	if uint(id) < uint(len(t.dense)) {
-		return t.dense[id]
-	}
-	if uint(id) < denseAdapterIDs {
-		return 0
-	}
-	return t.sparse[id]
-}
+func (t *AdapterSlots) Lookup(id int) int32 { return t.ids.Get(id) }
 
 // Intern returns id's slot, issuing the next one on first sight.
 func (t *AdapterSlots) Intern(id int) int32 {
-	if s := t.Lookup(id); s != 0 {
-		return s
+	s := t.ids.Get(id)
+	if s == 0 {
+		s = int32(t.ids.Len() + 1)
+		t.ids.Set(id, s)
 	}
-	t.n++
-	if uint(id) < denseAdapterIDs {
-		if id >= len(t.dense) {
-			t.dense = append(t.dense, make([]int32, id+1-len(t.dense))...)
-		}
-		t.dense[id] = t.n
-	} else {
-		if t.sparse == nil {
-			t.sparse = make(map[int]int32)
-		}
-		t.sparse[id] = t.n
-	}
-	return t.n
+	return s
 }
 
 // Len reports how many slots have been issued.
-func (t *AdapterSlots) Len() int { return int(t.n) }
+func (t *AdapterSlots) Len() int { return t.ids.Len() }
 
 // Stamp sets each request's Slot from its AdapterID, interning IDs on
 // first sight: what a serving instance does at ingest.

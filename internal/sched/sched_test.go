@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"valora/internal/idtab"
 	"valora/internal/lora"
 	"valora/internal/train"
 )
@@ -303,7 +304,7 @@ func TestAppTypeAndPhaseStrings(t *testing.T) {
 // stable on re-interning.
 func TestAdapterSlots(t *testing.T) {
 	var slots AdapterSlots
-	ids := []int{7, 0, denseAdapterIDs + 3, 7, 1 << 40, 2, denseAdapterIDs - 1, -5}
+	ids := []int{7, 0, idtab.DenseIDs + 3, 7, 1 << 40, 2, idtab.DenseIDs - 1, -5}
 	want := []int32{1, 2, 3, 1, 4, 5, 6, 7}
 	for i, id := range ids {
 		if got := slots.Intern(id); got != want[i] {
@@ -318,7 +319,7 @@ func TestAdapterSlots(t *testing.T) {
 			t.Fatalf("Lookup(%d) = %d, want %d", id, got, want[i])
 		}
 	}
-	for _, id := range []int{1, 3, denseAdapterIDs, 1 << 41, -1} {
+	for _, id := range []int{1, 3, idtab.DenseIDs, 1 << 41, -1} {
 		if got := slots.Lookup(id); got != 0 {
 			t.Fatalf("Lookup(%d) of an unseen ID = %d, want 0", id, got)
 		}
