@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
 	"valora/internal/sim"
@@ -32,9 +33,12 @@ type chunk struct {
 	refs     int
 	resident bool
 	fetching bool
-	tr       *transfer       // the queued/in-flight transfer while fetching: &xfer or nil
-	xfer     transfer        // storage for the chunk's one transfer at a time
-	waiters  []*chunkAdapter // fetching adapters awaiting this chunk
+	tr       *transfer // the queued/in-flight transfer while fetching: &xfer or nil
+	xfer     transfer  // storage for the chunk's one transfer at a time
+	// waiters lists the fetching adapters awaiting this chunk, each
+	// once. A landing or a discard empties it but keeps its capacity,
+	// so refetching the chunk appends without allocating.
+	waiters []*chunkAdapter
 }
 
 // startTransfer points the chunk's transfer at a fresh journey in its
@@ -67,7 +71,9 @@ type chunkAdapter struct {
 	requested   time.Duration // fetch request time (fetch observer)
 	queuedBytes int64         // bytes this fetch put on the links
 
-	prev, next *chunkAdapter // intrusive LRU list, resident entries only
+	// prev and next link the intrusive LRU list (resident entries
+	// only); next also chains the spare list.
+	prev, next *chunkAdapter
 }
 
 // chunkState is the store's chunk residency, LRU and link machinery.
@@ -80,6 +86,12 @@ type chunkState struct {
 	links    []*link
 	inflight []*chunkAdapter // fetching adapters
 	seq      int64           // transfer enqueue sequence
+	// spare chains, through next, the records of evicted adapters and
+	// aborted fetches for reuse: a record goes there only once no
+	// index, in-flight list, LRU list or waiter slice holds it, so a
+	// fetch or materialization allocates one only when the live count
+	// reaches a new peak.
+	spare *chunkAdapter
 }
 
 // evictWindow bounds how many LRU-end eviction candidates the
@@ -231,11 +243,32 @@ func (s *Store) ensure(ent *Entry, now time.Duration, demand bool) (st Status, e
 	return StatusStarted, ca.done, ca.queuedBytes
 }
 
+// newChunkAdapter returns a record holding v, reusing a spare one
+// when there is one.
+func (s *Store) newChunkAdapter(v chunkAdapter) *chunkAdapter {
+	ca := s.ch.spare
+	if ca != nil {
+		s.ch.spare = ca.next
+	} else {
+		ca = new(chunkAdapter)
+	}
+	*ca = v
+	return ca
+}
+
+// recycle puts a record that nothing holds any more on the spare
+// list: evict and abortFetch call it last, once the record is out of
+// the index, the in-flight list, the LRU list and every waiter slice.
+func (s *Store) recycle(ca *chunkAdapter) {
+	*ca = chunkAdapter{next: s.ch.spare}
+	s.ch.spare = ca
+}
+
 // materializeResident creates a resident adapter entry over
 // already-resident chunks (taking its refs) and links it MRU.
 func (s *Store) materializeResident(ent *Entry, list []*chunk) *chunkAdapter {
-	ca := &chunkAdapter{key: ent.Digest, tenant: ent.Tenant, family: ent.Family,
-		bytes: ent.Adapter.Bytes(), chunks: list, resident: true}
+	ca := s.newChunkAdapter(chunkAdapter{key: ent.Digest, tenant: ent.Tenant, family: ent.Family,
+		bytes: ent.Adapter.Bytes(), chunks: list, resident: true})
 	for _, c := range list {
 		c.refs++
 	}
@@ -281,8 +314,8 @@ func (s *Store) startFetch(key uint64, tenant, family string, nominal int64, lis
 		// host the missing bytes alongside the pinned set.
 		return nil, false
 	}
-	ca := &chunkAdapter{key: key, tenant: tenant, family: family, bytes: nominal,
-		chunks: list, fetching: true, demand: demand, requested: now, lastLand: now}
+	ca := s.newChunkAdapter(chunkAdapter{key: key, tenant: tenant, family: family, bytes: nominal,
+		chunks: list, fetching: true, demand: demand, requested: now, lastLand: now})
 	enqueued, upgraded := false, false
 	for _, c := range list {
 		c.refs++
@@ -442,24 +475,30 @@ func (s *Store) landChunk(tr *transfer) {
 	}
 	if s.ch.used+c.bytes > s.cfg.HostCapacity {
 		s.stats.Discarded++
+		// Detach the waiters first: abortFetch removes its fetch from
+		// the waiter slices of its chunks, and must not edit this one
+		// under the loop. The emptied slice goes back for the next
+		// fetch of the chunk.
 		waiters := c.waiters
 		c.waiters = nil
 		for _, w := range waiters {
 			s.abortFetch(w)
 		}
+		clear(waiters)
+		c.waiters = waiters[:0]
 		return
 	}
 	c.resident = true
 	s.ch.used += c.bytes
-	waiters := c.waiters
-	c.waiters = nil
-	for _, w := range waiters {
+	for _, w := range c.waiters {
 		w.missing--
 		w.lastLand = tr.done
 		if w.missing == 0 {
 			w.done = tr.done + s.cfg.RemoteLatency
 		}
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // completeFetch flips a fully-landed fetch resident: LRU entry,
@@ -490,7 +529,7 @@ func (s *Store) completeFetch(ca *chunkAdapter) {
 // are dropped — freeing chunks nothing else references, including
 // ones this fetch already landed — the in-flight entry disappears,
 // and any remaining queued transfers this fetch alone was waiting on
-// are cancelled.
+// are cancelled. The record then goes on the spare list.
 func (s *Store) abortFetch(ca *chunkAdapter) {
 	if !ca.fetching {
 		return
@@ -500,19 +539,15 @@ func (s *Store) abortFetch(ca *chunkAdapter) {
 	delete(s.ch.adapters, ca.key)
 	for _, c := range ca.chunks {
 		s.release(c)
-		if c.waiters != nil {
-			for i, w := range c.waiters {
-				if w == ca {
-					c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-					break
-				}
-			}
+		if i := slices.Index(c.waiters, ca); i >= 0 {
+			c.waiters = slices.Delete(c.waiters, i, i+1)
 		}
 		if c.fetching && len(c.waiters) == 0 {
 			// Nothing waits on this transfer any more; cancel it.
 			s.cancelTransfer(c)
 		}
 	}
+	s.recycle(ca)
 }
 
 // cancelTransfer removes a chunk's queued transfer from its link. The
@@ -601,7 +636,8 @@ func (s *Store) evictFor(need int64) {
 }
 
 // evict removes one resident adapter from the tier, freeing every
-// chunk its departure leaves unreferenced.
+// chunk its departure leaves unreferenced, and puts its record on the
+// spare list.
 func (s *Store) evict(ca *chunkAdapter) {
 	ca.prev.next = ca.next
 	ca.next.prev = ca.prev
@@ -615,6 +651,7 @@ func (s *Store) evict(ca *chunkAdapter) {
 	}
 	s.stats.Evictions++
 	s.stats.EvictedBytes += freed
+	s.recycle(ca)
 }
 
 // release drops one reference to a chunk and frees it from the tier
@@ -741,7 +778,7 @@ func (s *Store) PrefetchFamily(family string, now time.Duration) (eta time.Durat
 		nominal += c.bytes
 	}
 	if allChunksResident(list) {
-		ca := &chunkAdapter{key: key, tenant: rep.Tenant, family: family, bytes: nominal, chunks: list, resident: true}
+		ca := s.newChunkAdapter(chunkAdapter{key: key, tenant: rep.Tenant, family: family, bytes: nominal, chunks: list, resident: true})
 		for _, c := range list {
 			c.refs++
 		}
@@ -772,22 +809,36 @@ func (s *Store) FamilyOf(id int) string {
 	return ent.Family
 }
 
-// CheckInvariants verifies the tier's bookkeeping: the LRU list and
-// the adapter index agree, chunk refcounts cover every resident and
-// fetching reference and a resident chunk is always referenced, the
-// used counter equals the resident chunk bytes and respects capacity,
-// per-tenant pinned/resident sums match their counters and pinned
-// bytes never exceed the guaranteed quota, and every link schedule is
-// completion-sorted. Tests call it after every mutation.
+// CheckInvariants verifies the tier's bookkeeping: the adapter index
+// holds exactly the LRU list's resident records and the in-flight
+// fetches, chunk refcounts cover every resident and fetching reference
+// and a resident chunk is always referenced, the used counter equals
+// the resident chunk bytes and respects capacity, per-tenant
+// pinned/resident sums match their counters and pinned bytes never
+// exceed the guaranteed quota, and every link schedule is
+// completion-sorted. Waiter slices list each in-flight fetch on every
+// chunk it still awaits, exactly once, and nothing else; so a record
+// on the spare list is in no index, list or waiter slice. Tests call
+// it after every mutation.
 func (s *Store) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ch := s.ch
+	spare := make(map[*chunkAdapter]bool)
+	for ca := ch.spare; ca != nil; ca = ca.next {
+		if spare[ca] {
+			return fmt.Errorf("registry: the spare record list cycles")
+		}
+		spare[ca] = true
+	}
 	refs := make(map[uint64]int)
 	residentCount := 0
 	pinned := make(map[string]int64)
 	resident := make(map[string]int64)
 	for ca := ch.root.next; ca != &ch.root; ca = ca.next {
+		if spare[ca] {
+			return fmt.Errorf("registry: resident entry %x is also on the spare list", ca.key)
+		}
 		if ch.adapters[ca.key] != ca {
 			return fmt.Errorf("registry: LRU list entry %x not indexed", ca.key)
 		}
@@ -812,10 +863,18 @@ func (s *Store) CheckInvariants() error {
 	if len(ch.inflight) > s.cfg.MaxInflight {
 		return fmt.Errorf("registry: %d adapter fetches in flight, bound is %d", len(ch.inflight), s.cfg.MaxInflight)
 	}
+	inflight := make(map[*chunkAdapter]bool, len(ch.inflight))
 	for _, ca := range ch.inflight {
 		if ca.resident || !ca.fetching {
 			return fmt.Errorf("registry: in-flight entry %x not in fetching state", ca.key)
 		}
+		if spare[ca] {
+			return fmt.Errorf("registry: in-flight entry %x is also on the spare list", ca.key)
+		}
+		if inflight[ca] {
+			return fmt.Errorf("registry: in-flight entry %x listed twice", ca.key)
+		}
+		inflight[ca] = true
 		if ch.adapters[ca.key] != ca {
 			return fmt.Errorf("registry: in-flight entry %x not indexed", ca.key)
 		}
@@ -830,11 +889,17 @@ func (s *Store) CheckInvariants() error {
 				if !c.fetching {
 					return fmt.Errorf("registry: fetch %x awaits chunk %x that is neither resident nor fetching", ca.key, c.digest)
 				}
+				if !slices.Contains(c.waiters, ca) {
+					return fmt.Errorf("registry: fetch %x awaits chunk %x but is not among its waiters", ca.key, c.digest)
+				}
 			}
 		}
 		if missing != ca.missing {
 			return fmt.Errorf("registry: fetch %x counts %d missing chunks, list says %d", ca.key, ca.missing, missing)
 		}
+	}
+	if len(ch.adapters) != residentCount+len(ch.inflight) {
+		return fmt.Errorf("registry: adapter index holds %d entries, %d resident and %d in flight", len(ch.adapters), residentCount, len(ch.inflight))
 	}
 	var usedBytes int64
 	for digest, c := range ch.chunks {
@@ -849,6 +914,20 @@ func (s *Store) CheckInvariants() error {
 		if c.refs < refs[digest] {
 			//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating chunk the error names, never pass/fail
 			return fmt.Errorf("registry: chunk %x refcount %d below the %d resident/fetching references", c.digest, c.refs, refs[digest])
+		}
+		for i, w := range c.waiters {
+			if !w.fetching || !inflight[w] {
+				//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating chunk the error names, never pass/fail
+				return fmt.Errorf("registry: chunk %x waiter %x is not an in-flight fetch", c.digest, w.key)
+			}
+			if c.resident {
+				//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating chunk the error names, never pass/fail
+				return fmt.Errorf("registry: resident chunk %x still has waiter %x", c.digest, w.key)
+			}
+			if slices.Contains(c.waiters[i+1:], w) {
+				//valora:allow nondeterminism -- invariant checker: any violation fails; map order only varies which violating chunk the error names, never pass/fail
+				return fmt.Errorf("registry: fetch %x waits twice on chunk %x", w.key, c.digest)
+			}
 		}
 		if c.resident {
 			if c.refs == 0 {
