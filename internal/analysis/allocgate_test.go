@@ -20,6 +20,7 @@ import (
 	"valora/internal/registry"
 	"valora/internal/sched"
 	"valora/internal/serving"
+	"valora/internal/serving/servingtest"
 	"valora/internal/sim"
 	"valora/internal/simgpu"
 )
@@ -370,7 +371,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 			// rotates every 2,000 submissions, so the policy merges,
 			// mixes and unmerges, and switches between merged adapters.
 			adapter := int(id/2000) % 8
-			if id%2 == 0 {
+			if id%4 == 0 {
 				adapter = int(id % 8)
 			}
 			*r = sched.Request{
@@ -405,84 +406,36 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// Server.Step over a churning chunked host tier: a VaLoRA instance
-// serves 16 adapters in 4 families (siblings share half their bytes)
-// through a host tier of 6 adapters, cut into chunks of 1/8 adapter on
-// 2 replica links, with 6 requests in flight. The host working set
-// churns, so every window fetches, lands, evicts and dedups chunks,
-// and the GPU pool swaps adapters in and out. The pool holds 8
-// adapters, more than any batch's distinct adapters, so no step takes
-// the CapacityError cold path. The gate reads the runtime's malloc
-// counter over the window, like TestStepSteadyStateZeroAlloc.
+// Server.Step over a churning chunked host tier, on
+// servingtest.StoreChurn: a VaLoRA instance serves 16 adapters in 4
+// families through a host tier of 6 adapters in chunks of 1/8 adapter,
+// with 6 requests in flight. The host working set churns, so every
+// window fetches, lands, evicts and dedups chunks, and the GPU pool
+// swaps adapters in and out. The pool holds 8 adapters, more than any
+// batch's distinct adapters, so no step takes the CapacityError cold
+// path. The gate reads the runtime's malloc counter over the window,
+// like TestStepSteadyStateZeroAlloc.
 func TestStepStoreChurnZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's instrumentation allocates, so allocation counts only hold without -race")
 	}
 	const (
-		inflight = 6
-		warm     = 5000
-		window   = 20000
+		warm   = 5000
+		window = 20000
 	)
-	model := lmm.QwenVL7B()
-	adapters := lora.MakeUniformAdapters(model, 16, model.DefaultRank)
-	ab := adapters[0].Bytes()
-	cat := registry.CatalogFromFamilies(adapters, nil, func(id int) (string, int64) {
-		return []string{"f0", "f1", "f2", "f3"}[id%4], ab / 2
-	})
-	store := registry.NewStore(registry.Config{
-		HostCapacity:    6 * ab,
-		RemoteLatency:   time.Millisecond,
-		RemoteBandwidth: 20e9,
-		ChunkSize:       ab / 8,
-		Replicas:        2,
-	}, cat)
-	opts, err := serving.SystemOptions(serving.SystemVaLoRA, simgpu.A100(), model)
+	f, err := servingtest.NewStoreChurn()
 	if err != nil {
 		t.Fatal(err)
-	}
-	opts.Registry = lora.NewRegistry(adapters...)
-	opts.AdapterPoolBytes = 8 * ab
-	opts.Store = store
-	srv, err := serving.NewServer(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]sched.Request, 64*inflight)
-	next := 0
-	var id int64
-	topUp := func() {
-		for srv.InFlight() < inflight {
-			r := &reqs[next%len(reqs)]
-			if id >= int64(len(reqs)) && r.Phase != sched.PhaseDone {
-				t.Fatalf("request %d still in flight when its ring slot came round", r.ID)
-			}
-			next++
-			id++
-			// Consecutive requests step through all 16 adapters (and so
-			// through the 4 families) 7 at a time: every GPU swap-in
-			// misses the 6-adapter host tier, which evicts and refetches
-			// private chunks while family prefixes stay shared.
-			adapter := int(id*7) % len(adapters)
-			*r = sched.Request{
-				ID:           id,
-				AdapterID:    adapter,
-				InputTokens:  32 + int(id%3)*16,
-				OutputTokens: 2 + int(id%3),
-				Arrival:      srv.Now(),
-			}
-			srv.Submit(r)
-		}
 	}
 	step := func(n int) {
 		for range n {
-			topUp()
-			if ok, err := srv.Step(); err != nil || !ok {
-				t.Fatalf("step: progressed %v, err %v", ok, err)
+			if err := f.Step(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 	step(warm)
-	st0 := store.Stats()
+	st0 := f.Store.Stats()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	step(window)
@@ -491,14 +444,14 @@ func TestStepStoreChurnZeroAlloc(t *testing.T) {
 		t.Errorf("Server.Step: %d mallocs (%d bytes) over %d steps over a churning chunked host tier, want 0",
 			got, after.TotalAlloc-before.TotalAlloc, window)
 	}
-	st := store.Stats()
+	st := f.Store.Stats()
 	if st.ChunkFetches == st0.ChunkFetches || st.ChunkEvictions == st0.ChunkEvictions || st.HostHits == st0.HostHits {
 		t.Errorf("the host tier did not churn over the window: %+v, then %+v", st0, st)
 	}
-	if err := store.CheckInvariants(); err != nil {
+	if err := f.Store.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if done := srv.Report().Completed; done < window/10 {
+	if done := f.Server.Report().Completed; done < window/10 {
 		t.Errorf("only %d requests completed over %d steps", done, warm+window)
 	}
 }

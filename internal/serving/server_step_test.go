@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"valora/internal/lmm"
-	"valora/internal/lora"
-	"valora/internal/registry"
 	"valora/internal/sched"
 	"valora/internal/sim"
 	"valora/internal/simgpu"
@@ -196,66 +194,6 @@ func BenchmarkStepBacklog(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkStepStoreChurn times one Step of a VaLoRA instance over a
-// churning chunked host tier, the fixture of the analysis package's
-// TestStepStoreChurnZeroAlloc: 16 adapters in 4 families sharing half
-// their bytes, a host tier of 6 adapters in chunks of 1/8 adapter on 2
-// replica links, a GPU pool of 8 adapters and 6 requests in flight,
-// each request on the adapter 7 past the previous one's. Every swap-in
-// misses the host tier, so each Step drives the fetch, landing and
-// eviction path; allocs/op reads 0 once the spare records and the
-// chunks' waiter slices have grown.
-func BenchmarkStepStoreChurn(b *testing.B) {
-	const inflight = 6
-	model := lmm.QwenVL7B()
-	adapters := lora.MakeUniformAdapters(model, 16, model.DefaultRank)
-	ab := adapters[0].Bytes()
-	cat := registry.CatalogFromFamilies(adapters, nil, func(id int) (string, int64) {
-		return []string{"f0", "f1", "f2", "f3"}[id%4], ab / 2
-	})
-	opts, err := SystemOptions(SystemVaLoRA, simgpu.A100(), model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts.Registry = lora.NewRegistry(adapters...)
-	opts.AdapterPoolBytes = 8 * ab
-	opts.Store = registry.NewStore(registry.Config{
-		HostCapacity:    6 * ab,
-		RemoteLatency:   time.Millisecond,
-		RemoteBandwidth: 20e9,
-		ChunkSize:       ab / 8,
-		Replicas:        2,
-	}, cat)
-	srv, err := NewServer(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := make([]sched.Request, 64*inflight)
-	var id int64
-	step := func() {
-		for srv.InFlight() < inflight {
-			r := &reqs[id%int64(len(reqs))]
-			id++
-			*r = sched.Request{
-				ID: id, AdapterID: int(id*7) % len(adapters),
-				InputTokens: 32 + int(id%3)*16, OutputTokens: 2 + int(id%3), Arrival: srv.Now(),
-			}
-			srv.Submit(r)
-		}
-		if ok, err := srv.Step(); err != nil || !ok {
-			b.Fatalf("step: progressed %v, err %v", ok, err)
-		}
-	}
-	for range 1000 { // grow the spare lists and scratch buffers
-		step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
 	}
 }
 
