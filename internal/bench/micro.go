@@ -153,11 +153,11 @@ func (s *Suite) Fig20MixtureMode() (*Table, error) {
 		for i := 1; i <= 3; i++ {
 			groups = append(groups, lora.TokenGroup{AdapterID: i, Rank: model.DefaultRank, Tokens: per})
 		}
-		un, err := lora.ExtraCost(op, model, lora.ModeUnmerged, -1, groups, nil)
+		un, err := lora.ExtraCost(op, &model, lora.ModeUnmerged, -1, groups, nil)
 		if err != nil {
 			return nil, err
 		}
-		mix, err := lora.ExtraCost(op, model, lora.ModeMixture, 0, groups, nil)
+		mix, err := lora.ExtraCost(op, &model, lora.ModeMixture, 0, groups, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -60,27 +60,33 @@ func (e *Engine) IterationTime(load IterationLoad) time.Duration {
 		return 0
 	}
 
+	// The model is read through a pointer: its value-receiver helpers
+	// would each copy the whole Config.
+	m := &e.Model
 	var total time.Duration
 
 	// Visual receptor: encoder + projector per image.
 	if load.PrefillImages > 0 {
-		encSec := float64(load.PrefillImages) * e.Model.VisualEncodeFLOPs() /
+		visualFLOPs := 2 * m.VisualParams * float64(m.VisualTokens) // VisualEncodeFLOPs
+		encSec := float64(load.PrefillImages) * visualFLOPs /
 			(e.GPU.TensorTFLOPS * 1e12 * 0.5)
 		total += time.Duration(encSec * 1e9)
 	}
 
 	if tokens > 0 {
-		compute := e.Model.FLOPsPerToken() * float64(tokens) /
+		flopsPerToken := 2 * m.LLMParams // FLOPsPerToken
+		compute := flopsPerToken * float64(tokens) /
 			(e.GPU.TensorTFLOPS * 1e12 * e.PrefillEff)
 
 		// One pass streams the LLM weights once regardless of batch
 		// size (this is why batching decodes is nearly free), plus the
 		// KV context the decode attention reads.
-		weights := float64(e.Model.LLMParams) * 2
-		kv := float64(load.ContextTokens) * float64(e.Model.KVBytesPerToken())
+		weights := float64(m.LLMParams) * 2
+		kvBytesPerToken := 2 * int64(m.Layers) * int64(m.Dim) * 2 // KVBytesPerToken
+		kv := float64(load.ContextTokens) * float64(kvBytesPerToken)
 		memory := (weights + kv) / e.GPU.HBMBandwidth
 
-		launches := time.Duration(e.Model.Layers*e.KernelsPerLayer) * e.GPU.KernelLaunch
+		launches := time.Duration(m.Layers*e.KernelsPerLayer) * e.GPU.KernelLaunch
 		total += time.Duration(math.Max(compute, memory)*1e9) + launches
 	}
 

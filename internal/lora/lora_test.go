@@ -197,13 +197,13 @@ func TestExtraCostMerged(t *testing.T) {
 	op := newTestOp(t)
 	model := lmm.QwenVL7B()
 	groups := []TokenGroup{{AdapterID: 3, Rank: 64, Tokens: 100}}
-	d, err := ExtraCost(op, model, ModeMerged, 3, groups, nil)
+	d, err := ExtraCost(op, &model, ModeMerged, 3, groups, nil)
 	if err != nil || d != 0 {
 		t.Fatalf("merged mode must be free for the merged adapter: %v err %v", d, err)
 	}
 	// A foreign adapter in merged mode is a correctness violation.
 	groups = append(groups, TokenGroup{AdapterID: 5, Rank: 64, Tokens: 10})
-	if _, err := ExtraCost(op, model, ModeMerged, 3, groups, nil); err == nil {
+	if _, err := ExtraCost(op, &model, ModeMerged, 3, groups, nil); err == nil {
 		t.Fatal("merged mode with a foreign adapter must error")
 	}
 }
@@ -212,7 +212,7 @@ func TestExtraCostUnmergedScalesWithLayers(t *testing.T) {
 	op := newTestOp(t)
 	model := lmm.QwenVL7B()
 	groups := []TokenGroup{{AdapterID: 0, Rank: 64, Tokens: 128}}
-	total, err := ExtraCost(op, model, ModeUnmerged, -1, groups, nil)
+	total, err := ExtraCost(op, &model, ModeUnmerged, -1, groups, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +242,11 @@ func TestMixtureCrossover(t *testing.T) {
 			{AdapterID: 2, Rank: 64, Tokens: (total - mergedTokens) / 2},
 		}
 		var err error
-		unmerged, err = ExtraCost(op, model, ModeUnmerged, -1, groups, nil)
+		unmerged, err = ExtraCost(op, &model, ModeUnmerged, -1, groups, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mixture, err = ExtraCost(op, model, ModeMixture, 0, groups, nil)
+		mixture, err = ExtraCost(op, &model, ModeMixture, 0, groups, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,13 +265,13 @@ func TestMixtureCrossover(t *testing.T) {
 func TestExtraCostEmptyGroups(t *testing.T) {
 	op := newTestOp(t)
 	model := lmm.QwenVL7B()
-	if d, err := ExtraCost(op, model, ModeUnmerged, -1, nil, nil); err != nil || d != 0 {
+	if d, err := ExtraCost(op, &model, ModeUnmerged, -1, nil, nil); err != nil || d != 0 {
 		t.Fatalf("no groups should cost nothing: %v err %v", d, err)
 	}
 	// Mixture with only merged-adapter tokens is free (all ride the
 	// folded weights).
 	groups := []TokenGroup{{AdapterID: 0, Rank: 64, Tokens: 256}}
-	if d, err := ExtraCost(op, model, ModeMixture, 0, groups, nil); err != nil || d != 0 {
+	if d, err := ExtraCost(op, &model, ModeMixture, 0, groups, nil); err != nil || d != 0 {
 		t.Fatalf("all-merged mixture should be free: %v err %v", d, err)
 	}
 }
@@ -292,11 +292,11 @@ func TestExtraCostScratchReuse(t *testing.T) {
 		mode   Mode
 		merged int
 	}{{ModeUnmerged, -1}, {ModeMixture, 0}} {
-		want, err := ExtraCost(op, model, c.mode, c.merged, groups, nil)
+		want, err := ExtraCost(op, &model, c.mode, c.merged, groups, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ExtraCost(op, model, c.mode, c.merged, groups, &scratch)
+		got, err := ExtraCost(op, &model, c.mode, c.merged, groups, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,8 +304,8 @@ func TestExtraCostScratchReuse(t *testing.T) {
 			t.Fatalf("%v: scratch cost %v, fresh cost %v", c.mode, got, want)
 		}
 	}
-	fresh := testing.AllocsPerRun(100, func() { ExtraCost(op, model, ModeMixture, 0, groups, nil) })
-	reused := testing.AllocsPerRun(100, func() { ExtraCost(op, model, ModeMixture, 0, groups, &scratch) })
+	fresh := testing.AllocsPerRun(100, func() { ExtraCost(op, &model, ModeMixture, 0, groups, nil) })
+	reused := testing.AllocsPerRun(100, func() { ExtraCost(op, &model, ModeMixture, 0, groups, &scratch) })
 	if reused >= fresh {
 		t.Fatalf("scratch batch made %.1f allocs per call, fresh batch %.1f", reused, fresh)
 	}
@@ -313,7 +313,8 @@ func TestExtraCostScratchReuse(t *testing.T) {
 
 func TestExtraCostUnknownMode(t *testing.T) {
 	op := newTestOp(t)
-	if _, err := ExtraCost(op, lmm.QwenVL7B(), Mode(42), -1, []TokenGroup{{AdapterID: 0, Rank: 64, Tokens: 1}}, nil); err == nil {
+	model := lmm.QwenVL7B()
+	if _, err := ExtraCost(op, &model, Mode(42), -1, []TokenGroup{{AdapterID: 0, Rank: 64, Tokens: 1}}, nil); err == nil {
 		t.Fatal("unknown mode must error")
 	}
 }

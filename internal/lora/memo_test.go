@@ -62,8 +62,8 @@ func TestExtraCostMemoMatchesDirect(t *testing.T) {
 		}
 		mode := modes[rng.Intn(len(modes))]
 		merged := rng.Intn(6)
-		want, wantErr := ExtraCost(op, model, mode, merged, groups, nil)
-		got, err := ExtraCost(op, model, mode, merged, groups, &cs)
+		want, wantErr := ExtraCost(op, &model, mode, merged, groups, nil)
+		got, err := ExtraCost(op, &model, mode, merged, groups, &cs)
 		if !sameCost(got, err, want, wantErr) {
 			t.Fatalf("call %d, %s %s %v merged %d %v: memo %v, %v; direct %v, %v",
 				i, op.Name(), model.Name, mode, merged, groups, got, err, want, wantErr)
@@ -101,8 +101,8 @@ func TestCostMemoHitsCollisionsAndRebinding(t *testing.T) {
 	check := func(what string, op atmm.Operator, model lmm.Config, groups []TokenGroup, wantCalls int, counter *countingOp) {
 		t.Helper()
 		before := counter.calls
-		want, wantErr := ExtraCost(counter.Operator, model, ModeUnmerged, -1, groups, nil)
-		got, err := ExtraCost(op, model, ModeUnmerged, -1, groups, &cs)
+		want, wantErr := ExtraCost(counter.Operator, &model, ModeUnmerged, -1, groups, nil)
+		got, err := ExtraCost(op, &model, ModeUnmerged, -1, groups, &cs)
 		if !sameCost(got, err, want, wantErr) {
 			t.Fatalf("%s: memo %v, %v; direct %v, %v", what, got, err, want, wantErr)
 		}
@@ -119,11 +119,11 @@ func TestCostMemoHitsCollisionsAndRebinding(t *testing.T) {
 	check("reordered", op, qwen, []TokenGroup{a[1], a[0]}, 1, op)
 
 	// Find a one-group batch whose key lands in a's slot.
-	ea, slot, _ := memoKey(buildBatch(qwen, a, -1, -1, nil).Groups)
+	ea, slot, _ := memoKey(buildBatch(&qwen, a, -1, -1, nil).Groups)
 	var b []TokenGroup
 	for tok := 1; b == nil; tok++ {
 		g := []TokenGroup{{AdapterID: 1, Rank: 64, Tokens: tok}}
-		if e, s, _ := memoKey(buildBatch(qwen, g, -1, -1, nil).Groups); s == slot && e.key != ea.key {
+		if e, s, _ := memoKey(buildBatch(&qwen, g, -1, -1, nil).Groups); s == slot && e.key != ea.key {
 			b = g
 		}
 	}

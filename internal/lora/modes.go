@@ -28,11 +28,13 @@ type TokenGroup struct {
 //     adapter's rank over the same tokens, subtracting the merged ΔW's
 //     contribution so results stay exact.
 //
-// The returned duration covers all layers. scratch, when non-nil,
+// The returned duration covers all layers. model is read, never
+// written; it is passed by pointer so the per-iteration call does not
+// copy the Config. scratch, when non-nil,
 // backs the operator batch's groups across calls and memoises
 // per-layer costs (each serving instance passes its own); nil
 // allocates a fresh batch and always asks the operator.
-func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups []TokenGroup, scratch *CostScratch) (time.Duration, error) {
+func ExtraCost(op atmm.Operator, model *lmm.Config, mode Mode, merged int, groups []TokenGroup, scratch *CostScratch) (time.Duration, error) {
 	switch mode {
 	case ModeMerged:
 		for _, g := range groups {
@@ -83,7 +85,7 @@ func ExtraCost(op atmm.Operator, model lmm.Config, mode Mode, merged int, groups
 // mergedRank is added covering the unmerged tokens. The groups are
 // appended to the scratch's group slice when scratch is non-nil, and
 // the grown slice is stored back.
-func buildBatch(model lmm.Config, groups []TokenGroup, merged, mergedRank int, scratch *CostScratch) atmm.Batch {
+func buildBatch(model *lmm.Config, groups []TokenGroup, merged, mergedRank int, scratch *CostScratch) atmm.Batch {
 	b := atmm.Batch{Dim: model.Dim, Projections: model.LoRAProjections}
 	if scratch != nil {
 		b.Groups = scratch.groups[:0]

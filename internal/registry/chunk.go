@@ -716,13 +716,20 @@ func (s *Store) promote(ca *chunkAdapter) {
 		if v == nil {
 			return
 		}
-		v.pinned = false
-		s.tenantPinned[ca.tenant] -= v.bytes
-		s.pinnedB -= v.bytes
+		s.unpin(v)
 	}
 	ca.pinned = true
 	s.tenantPinned[ca.tenant] += ca.bytes
 	s.pinnedB += ca.bytes
+}
+
+// unpin releases a quota pin. The adapter stays resident.
+//
+//valora:hotpath
+func (s *Store) unpin(ca *chunkAdapter) {
+	ca.pinned = false
+	s.tenantPinned[ca.tenant] -= ca.bytes
+	s.pinnedB -= ca.bytes
 }
 
 // lruPinned finds the tenant's least-recently-used pinned entry other

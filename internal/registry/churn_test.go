@@ -58,12 +58,17 @@ func TestStoreChurnInvariants(t *testing.T) {
 		case 5:
 			s.HostResident(id, now)
 		case 6:
-			// Guarantees only grow (a lowered one leaves its pins above
-			// it), up to one adapter per tenant: pins taken mid-fetch
-			// are what discards a landing.
+			// Guarantees mostly grow, up to one adapter per tenant:
+			// pins taken mid-fetch are what discards a landing. One
+			// change in three halves the guarantee instead, which
+			// releases the pins above it.
 			tn := tenants[rng.Intn(len(tenants))]
 			q := s.quotas[tn]
-			q.GuaranteedBytes = min(q.GuaranteedBytes+ab/4, ab)
+			if rng.Intn(3) == 0 {
+				q.GuaranteedBytes /= 2
+			} else {
+				q.GuaranteedBytes = min(q.GuaranteedBytes+ab/4, ab)
+			}
 			q.BurstBytes = int64(rng.Intn(2)) * ab
 			mustQuota(t, s, tn, q)
 		case 7:
@@ -77,6 +82,36 @@ func TestStoreChurnInvariants(t *testing.T) {
 	st := s.Stats()
 	if st.Discarded == 0 || st.Evictions == 0 || st.DedupHits == 0 || st.ChunkEvictions == 0 {
 		t.Fatalf("the run missed a path it exists to cover: %+v", st)
+	}
+}
+
+// TestSetQuotaLoweredReleasesPins lowers a guarantee below the pins it
+// already holds: the pin is released, not evicted, and the bookkeeping
+// still holds.
+func TestSetQuotaLoweredReleasesPins(t *testing.T) {
+	model := lmm.QwenVL7B()
+	adapters := lora.MakeUniformAdapters(model, 2, model.DefaultRank)
+	ab := adapters[0].Bytes()
+	cat := CatalogFromFamilies(adapters, func(int) string { return "t" }, nil)
+	s := NewStore(Config{
+		HostCapacity:      2 * ab,
+		RemoteLatency:     time.Millisecond,
+		RemoteBandwidth:   1e12,
+		ChunkSize:         ab / 2,
+		MaxPinnedFraction: -1,
+	}, cat)
+	mustQuota(t, s, "t", TenantQuota{GuaranteedBytes: ab})
+	s.Demand(0, 0)
+	now := drain(s, 0)
+	if !s.HostResident(0, now) || s.tenantPinned["t"] != ab {
+		t.Fatalf("adapter 0 resident %v with %d pinned bytes, want it landed pinned", s.HostResident(0, now), s.tenantPinned["t"])
+	}
+	mustQuota(t, s, "t", TenantQuota{GuaranteedBytes: ab / 2})
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if s.tenantPinned["t"] != 0 || !s.HostResident(0, now) {
+		t.Fatalf("%d bytes still pinned, resident %v: want the pin released and the adapter kept", s.tenantPinned["t"], s.HostResident(0, now))
 	}
 }
 

@@ -233,7 +233,9 @@ func (s *Store) Catalog() *Catalog { return s.cat }
 
 // SetQuota declares a tenant's residency quota. Quotas only shape
 // pinning and eviction from the time they are set; they do not evict
-// retroactively. It denies oversubscription — a total GuaranteedBytes
+// retroactively. A lowered guarantee releases the tenant's pins above
+// it, least recently used first; released adapters stay resident and
+// become evictable. It denies oversubscription — a total GuaranteedBytes
 // across tenants beyond the pin cap fixed at store construction
 // (Config.MaxPinnedFraction of the host tier) — returning an error
 // and leaving the tenant's previous quota in place: guarantees past
@@ -255,6 +257,13 @@ func (s *Store) SetQuota(tenant string, q TenantQuota) error {
 		}
 	}
 	s.quotas[tenant] = q
+	for s.tenantPinned[tenant] > q.GuaranteedBytes {
+		v := s.lruPinned(tenant, nil)
+		if v == nil {
+			break
+		}
+		s.unpin(v)
+	}
 	return nil
 }
 

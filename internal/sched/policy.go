@@ -193,19 +193,19 @@ func (p *VaLoRAPolicy) Decide(it Iteration) Decision {
 		batch = p.appendUnmarked(batch, active, maxBS, -1)
 	}
 	p.batchBuf = batch
-	d := Decision{Mode: mode, Merged: merged, Batch: batch}
-	p.withPreemption(&it, theta, &d)
-	return d
+	evict, admit := p.withPreemption(&it, theta)
+	return Decision{Mode: mode, Merged: merged, Batch: batch, Evict: evict, Admit: admit}
 }
 
-// withPreemption attaches the displacement decision to d when Preempt
-// is on and requests wait outside the admitted set. It is the
-// inlinable guard of attachEvictions: with Preempt off or nothing
-// waiting, Decide pays one branch and copies neither it nor d.
-func (p *VaLoRAPolicy) withPreemption(it *Iteration, theta time.Duration, d *Decision) {
+// withPreemption returns the displacement decision when Preempt is on
+// and requests wait outside the admitted set. It is the inlinable
+// guard of attachEvictions: with Preempt off or nothing waiting,
+// Decide pays one branch.
+func (p *VaLoRAPolicy) withPreemption(it *Iteration, theta time.Duration) (evict, admit []*Request) {
 	if p.Preempt && len(it.Waiting) > 0 {
-		p.attachEvictions(it, theta, d)
+		return p.attachEvictions(it, theta)
 	}
+	return nil, nil
 }
 
 // attachEvictions pairs every starving deadline-carrying request stuck
@@ -216,10 +216,10 @@ func (p *VaLoRAPolicy) withPreemption(it *Iteration, theta time.Duration, d *Dec
 // are strictly less urgent than the requester: best-effort victims go
 // first (least recompute waste — the fewest emitted tokens — then the
 // latest arrival), then deadline-carrying victims with strictly looser
-// slack (loosest first). With nothing urgent waiting, d is left
-// untouched — the exact deadline-blind decision.
-func (p *VaLoRAPolicy) attachEvictions(it *Iteration, theta time.Duration, d *Decision) {
-	admit := p.admitBuf[:0]
+// slack (loosest first). With nothing urgent waiting, both are nil —
+// the exact deadline-blind decision.
+func (p *VaLoRAPolicy) attachEvictions(it *Iteration, theta time.Duration) (evict, admit []*Request) {
+	admit = p.admitBuf[:0]
 	for _, w := range it.Waiting {
 		if w.Deadline > 0 && w.Credit(it.Now, p.EstExec, p.SwitchLat) > p.effTheta(w, theta, it.Now) {
 			admit = append(admit, w)
@@ -227,7 +227,7 @@ func (p *VaLoRAPolicy) attachEvictions(it *Iteration, theta time.Duration, d *De
 	}
 	p.admitBuf = admit
 	if len(admit) == 0 {
-		return
+		return nil, nil
 	}
 	// One victim per urgent requester: scan the unbatched, preemptable
 	// actives for the best displacement — best-effort first (fewest
@@ -238,7 +238,7 @@ func (p *VaLoRAPolicy) attachEvictions(it *Iteration, theta time.Duration, d *De
 	// to each requester, so a tighter deadline later in the backlog may
 	// still find one); paired compacts admit in place to the requesters
 	// that did.
-	evict := p.evictBuf[:0]
+	evict = p.evictBuf[:0]
 	paired := admit[:0]
 	for _, w := range admit {
 		var victim *Request
@@ -262,10 +262,9 @@ func (p *VaLoRAPolicy) attachEvictions(it *Iteration, theta time.Duration, d *De
 	}
 	p.evictBuf = evict
 	if len(evict) == 0 {
-		return
+		return nil, nil
 	}
-	d.Evict = evict
-	d.Admit = paired
+	return evict, paired
 }
 
 // capBatch truncates a batch to maxBS requests. (Used by the baseline

@@ -189,6 +189,20 @@ func TestOpenAIBodyLimit(t *testing.T) {
 	}
 }
 
+// TestOpenAIBodyLimitAfterValue reads the whole body before decoding
+// it: a body past the limit is a 413 even when its first JSON value
+// ends early, and a body at the limit is served with its tail after
+// that value ignored.
+func TestOpenAIBodyLimitAfterValue(t *testing.T) {
+	f := newTestFrontend(t)
+	value := `{"prompt":"x","max_tokens":1}`
+	atLimit := value + strings.Repeat(" ", maxBodyBytes-len(value))
+	if rec := postJSON(t, f, "/v1/completions", atLimit); rec.Code != http.StatusOK {
+		t.Fatalf("body at the limit: status %d: %s", rec.Code, rec.Body)
+	}
+	expectOpenAIError(t, postJSON(t, f, "/v1/completions", atLimit+" "), http.StatusRequestEntityTooLarge)
+}
+
 // TestCompletionsEndpoint covers the non-streamed legacy completions
 // shape: string and []string prompts, the text_completion object and
 // cmpl- IDs.

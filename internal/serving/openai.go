@@ -24,6 +24,14 @@ import (
 // wall-sleeping through the schedule — a client sees the whole
 // virtual TTFT/ITL timetable immediately, deterministically.
 //
+// A request body is read whole into a pooled buffer, bounded by
+// maxBodyBytes, and decoded in one forward scan (decodeOpenAIRequest,
+// openai_decode.go) that fills openAIRequest and counts the prompt's
+// text and images as it goes, allocating only the strings the request
+// keeps. The scan accepts exactly what encoding/json would decode into
+// openAIRequest, so encoding/json runs only on a rejected body, to word
+// its 400.
+//
 // Every response is a typed value encoded in one pass into a pooled
 // buffer. A stream goes out in two writes: the headers and the first
 // token's chunks, flushed at once so a streaming client's first byte
@@ -50,6 +58,11 @@ type openAIRequest struct {
 	Images       int     `json:"images"`
 	System       string  `json:"system"`
 	DeadlineMS   float64 `json:"deadline_ms"`
+
+	// chatShape is the messages' summed content shape when
+	// decodeOpenAIRequest keeps no per-message state (see its
+	// messages method); encoding/json leaves it zero.
+	chatShape promptShape
 }
 
 // maxBodyBytes bounds a completion request body. A prompt at
@@ -216,7 +229,8 @@ func checkGeneric(data []byte) error {
 // shape sums the prompt's text length and images over the chat
 // messages and the completions prompt.
 func (body *openAIRequest) shape() promptShape {
-	s := promptShape{textLen: body.Prompt.textLen}
+	s := body.chatShape
+	s.textLen += body.Prompt.textLen
 	for i := range body.Messages {
 		c := body.Messages[i].Content
 		s.textLen += c.textLen
@@ -396,13 +410,19 @@ func (f *Frontend) handleOpenAI(w http.ResponseWriter, r *http.Request, chat boo
 		openAIError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	in := getWireBuf()
+	defer putWireBuf(in)
+	data, err := readBody(*in, r.Body, maxBodyBytes)
+	*in = data
+	if errors.Is(err, errBodyTooLarge) {
+		openAIError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		return
+	}
 	var body openAIRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			openAIError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
-			return
-		}
+	if err == nil && decodeOpenAIRequest(data, &body) != nil {
+		err = decodeError(data)
+	}
+	if err != nil {
 		openAIError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		return
 	}

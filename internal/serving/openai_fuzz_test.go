@@ -3,8 +3,11 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 )
 
@@ -69,7 +72,9 @@ func legacyShape(body *legacyRequest) promptShape {
 }
 
 // FuzzOpenAIRequest drives arbitrary bodies through both completion
-// routes. The typed decoder must accept exactly what the untyped one
+// routes. decodeOpenAIRequest must accept exactly what encoding/json's
+// Decoder accepts into openAIRequest and produce the same fields and
+// shape; the typed decoder must accept exactly what the untyped one
 // accepted and count the same text and images; the frontend must not
 // panic, must answer 200, 400, 404, 413 or 422, must wrap every error
 // in the OpenAI envelope, and must keep a 200's usage within the
@@ -89,6 +94,17 @@ func FuzzOpenAIRequest(f *testing.F) {
 			}
 		}
 
+		var scanned openAIRequest
+		scanErr := decodeOpenAIRequest(body, &scanned)
+		if (scanErr == nil) != (typedErr == nil) {
+			t.Fatalf("scan error %v, encoding/json error %v", scanErr, typedErr)
+		}
+		if scanErr == nil {
+			if diff := requestDiff(&scanned, &typed); diff != "" {
+				t.Fatalf("scan and encoding/json disagree on %s", diff)
+			}
+		}
+
 		fr := newTestFrontend(t)
 		fr.RegisterAdapters("detect", "count")
 		for _, path := range []string{"/v1/chat/completions", "/v1/completions"} {
@@ -97,6 +113,41 @@ func FuzzOpenAIRequest(f *testing.F) {
 			checkFuzzResponse(t, path, rec)
 		}
 	})
+}
+
+// requestDiff names the first field on which two decoded requests
+// differ, or returns "" when they agree: every scalar field, deadline_ms
+// bit for bit, adapter_id nil or its value, and the prompt shape.
+func requestDiff(a, b *openAIRequest) string {
+	switch {
+	case a.Model != b.Model:
+		return fmt.Sprintf("model: %q, %q", a.Model, b.Model)
+	case a.User != b.User:
+		return fmt.Sprintf("user: %q, %q", a.User, b.User)
+	case a.System != b.System:
+		return fmt.Sprintf("system: %q, %q", a.System, b.System)
+	case a.MaxTokens != b.MaxTokens, a.MaxCompletionTokens != b.MaxCompletionTokens,
+		a.InputTokens != b.InputTokens, a.OutputTokens != b.OutputTokens, a.Images != b.Images:
+		return fmt.Sprintf("ints: %d %d %d %d %d, %d %d %d %d %d",
+			a.MaxTokens, a.MaxCompletionTokens, a.InputTokens, a.OutputTokens, a.Images,
+			b.MaxTokens, b.MaxCompletionTokens, b.InputTokens, b.OutputTokens, b.Images)
+	case a.Stream != b.Stream:
+		return fmt.Sprintf("stream: %v, %v", a.Stream, b.Stream)
+	case (a.AdapterID == nil) != (b.AdapterID == nil) || a.AdapterID != nil && *a.AdapterID != *b.AdapterID:
+		return fmt.Sprintf("adapter_id: %s, %s", optInt(a.AdapterID), optInt(b.AdapterID))
+	case math.Float64bits(a.DeadlineMS) != math.Float64bits(b.DeadlineMS):
+		return fmt.Sprintf("deadline_ms: %v, %v", a.DeadlineMS, b.DeadlineMS)
+	case a.shape() != b.shape():
+		return fmt.Sprintf("shape: %+v, %+v", a.shape(), b.shape())
+	}
+	return ""
+}
+
+func optInt(p *int) string {
+	if p == nil {
+		return "nil"
+	}
+	return strconv.Itoa(*p)
 }
 
 func checkFuzzResponse(t *testing.T, path string, rec *httptest.ResponseRecorder) {

@@ -179,20 +179,30 @@ func TestStreamTwoWrites(t *testing.T) {
 	}
 }
 
+// chatBody is the chat request the live benchmark client sends, as it
+// marshals it: a 20-token completion of a 318-byte inspection prompt.
+func chatBody(stream bool) []byte {
+	body, _ := json.Marshal(map[string]any{
+		"model":      "count",
+		"messages":   []map[string]string{{"role": "user", "content": strings.Repeat("inspect the insulator string on tower 17 for cracks; ", 6)}},
+		"max_tokens": 20,
+		"stream":     stream,
+	})
+	return body
+}
+
 // Allocation bounds of one chat call through Frontend.ServeHTTP,
-// engine included, with the 20-token, 318-byte-prompt request below:
-// the measured 19 (non-streamed) and 20 (streamed) plus headroom for
-// Go version drift. net/http adds its own allocations per request on
-// a real connection.
+// engine included, with chatBody's request: the measured 3
+// (non-streamed) and 4 (streamed) plus headroom for Go version drift.
+// net/http adds its own allocations per request on a real connection.
 const (
-	maxAllocsChat       = 28
-	maxAllocsChatStream = 30
+	maxAllocsChat       = 12
+	maxAllocsChatStream = 14
 )
 
 // TestOpenAIHandlerAllocs gates the allocations of a non-streamed and
 // a streamed chat call on the live handler.
 func TestOpenAIHandlerAllocs(t *testing.T) {
-	prompt := strings.Repeat("inspect the insulator string on tower 17 for cracks; ", 6)
 	for _, c := range []struct {
 		name   string
 		stream bool
@@ -204,13 +214,7 @@ func TestOpenAIHandlerAllocs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			f := newTestFrontend(t)
 			f.RegisterAdapters("detect", "count")
-			body, _ := json.Marshal(map[string]any{
-				"model":      "count",
-				"messages":   []map[string]string{{"role": "user", "content": prompt}},
-				"max_tokens": 20,
-				"stream":     c.stream,
-			})
-			rr := newReplayRequest("/v1/chat/completions", string(body))
+			rr := newReplayRequest("/v1/chat/completions", string(chatBody(c.stream)))
 			rec := newReuseRecorder()
 			allocs := testing.AllocsPerRun(200, func() { rr.serve(f, rec) })
 			if rec.code != http.StatusOK {
@@ -227,7 +231,6 @@ func TestOpenAIHandlerAllocs(t *testing.T) {
 // BenchmarkOpenAIHandler times one chat call through Frontend.ServeHTTP,
 // non-streamed and streamed, with the allocation gate's request.
 func BenchmarkOpenAIHandler(b *testing.B) {
-	prompt := strings.Repeat("inspect the insulator string on tower 17 for cracks; ", 6)
 	for _, stream := range []bool{false, true} {
 		name := "chat"
 		if stream {
@@ -236,13 +239,7 @@ func BenchmarkOpenAIHandler(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			f := NewFrontend(SystemVaLoRA, simgpu.A100(), lmm.QwenVL7B())
 			f.RegisterAdapters("detect", "count")
-			body, _ := json.Marshal(map[string]any{
-				"model":      "count",
-				"messages":   []map[string]string{{"role": "user", "content": prompt}},
-				"max_tokens": 20,
-				"stream":     stream,
-			})
-			rr := newReplayRequest("/v1/chat/completions", string(body))
+			rr := newReplayRequest("/v1/chat/completions", string(chatBody(stream)))
 			rec := newReuseRecorder()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -250,4 +247,29 @@ func BenchmarkOpenAIHandler(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDecodeOpenAIRequest decodes chatBody's request with the
+// handler's one-pass scan and, for comparison, with encoding/json's
+// Decoder, which the scan replaced.
+func BenchmarkDecodeOpenAIRequest(b *testing.B) {
+	data := chatBody(false)
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var body openAIRequest
+			if err := decodeOpenAIRequest(data, &body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var body openAIRequest
+			if err := json.NewDecoder(bytes.NewReader(data)).Decode(&body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

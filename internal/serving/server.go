@@ -528,10 +528,11 @@ func (s *Server) decide(now time.Duration) ([]*sched.Request, lora.State) {
 		State:   s.state,
 		MaxBS:   s.opts.MaxBatch,
 	})
+	batch := d.Batch
 	if s.opts.Preemption != nil && len(d.Evict) > 0 {
-		s.executeEvictions(&d)
+		batch = s.executeEvictions(batch, d.Evict, d.Admit)
 	}
-	return d.Batch, lora.State{Mode: d.Mode, Merged: d.Merged}
+	return batch, lora.State{Mode: d.Mode, Merged: d.Merged}
 }
 
 // schedulable narrows a proposed batch to what the KV cache can hold
@@ -646,7 +647,7 @@ func (s *Server) compute(batch []*sched.Request) (time.Duration, error) {
 	s.scratchGroups = groups
 
 	base := s.engine.IterationTime(load)
-	extra, err := lora.ExtraCost(s.opts.Operator, s.opts.Model, s.state.Mode, s.state.Merged, groups, &s.cost)
+	extra, err := lora.ExtraCost(s.opts.Operator, &s.opts.Model, s.state.Mode, s.state.Merged, groups, &s.cost)
 	if err != nil {
 		return 0, err
 	}
@@ -784,30 +785,31 @@ func (s *Server) Run(trace workload.Trace) (*Report, error) {
 	return s.Drain()
 }
 
-// executeEvictions runs the policy's displacement decision: every
-// Evict victim leaves the instance (KV released, recompute on resume,
-// re-admission routing), and the nominated Admit requests take the
-// freed slots ahead of the FIFO admission order — the point of the
-// displacement. The batch and active set are scrubbed of victims
-// before residency resolution so a displaced adapter is never part of
-// this iteration's working set (nothing per-request stays pinned:
-// adapter-pool pins are re-derived from the batch each Require, so
-// releasing the slot is enough to unpin the victim's adapter).
-func (s *Server) executeEvictions(d *sched.Decision) {
-	for _, r := range d.Evict {
+// executeEvictions runs the policy's displacement decision and returns
+// the batch without its victims: every Evict victim leaves the
+// instance (KV released, recompute on resume, re-admission routing),
+// and the nominated Admit requests take the freed slots ahead of the
+// FIFO admission order — the point of the displacement. The batch and
+// active set are scrubbed of victims before residency resolution so a
+// displaced adapter is never part of this iteration's working set
+// (nothing per-request stays pinned: adapter-pool pins are re-derived
+// from the batch each Require, so releasing the slot is enough to
+// unpin the victim's adapter).
+func (s *Server) executeEvictions(batch, evict, admit []*sched.Request) []*sched.Request {
+	for _, r := range evict {
 		if r.Unpreemptable || r.Phase == sched.PhaseDone {
 			continue // stale decision: the guard always wins
 		}
 		s.evictOut(r)
 	}
 	if len(s.stepEvicted) == 0 {
-		return
+		return batch
 	}
 	// The policy keeps Evict disjoint from Batch; scrub defensively so
 	// a misbehaving policy cannot serve a request it displaced.
-	d.Batch = slices.DeleteFunc(d.Batch, func(r *sched.Request) bool { return slices.Contains(s.stepEvicted, r) })
+	batch = slices.DeleteFunc(batch, func(r *sched.Request) bool { return slices.Contains(s.stepEvicted, r) })
 	s.sweepActive()
-	for _, w := range d.Admit {
+	for _, w := range admit {
 		if len(s.active) >= s.opts.AdmitCap {
 			break
 		}
@@ -818,6 +820,7 @@ func (s *Server) executeEvictions(d *sched.Decision) {
 			s.active = append(s.active, w)
 		}
 	}
+	return batch
 }
 
 // evictOut displaces one request from the instance: its KV is

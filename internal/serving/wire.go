@@ -16,10 +16,13 @@ import (
 // tell the two apart.
 
 // maxPooledWireBuf is the largest buffer wireBufs keeps. A buffer a
-// long stream grew past it is left to the collector, so one 4,096-token
-// stream cannot pin its megabyte in the pool.
+// long stream or a large request body grew past it is left to the
+// collector, so one 4,096-token stream or one 8 MiB body cannot pin
+// its megabytes in the pool.
 const maxPooledWireBuf = 64 << 10
 
+// wireBufs holds the buffers the OpenAI handlers read request bodies
+// into and encode responses in.
 var wireBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4<<10)
 	return &b
