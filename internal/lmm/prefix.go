@@ -9,8 +9,8 @@ package lmm
 // LRU when the configured capacity is exceeded.
 type PrefixCache struct {
 	capacity int
-	tokens   map[uint64]int
-	order    []uint64 // LRU order, least recent first
+	tokens   map[uint32]int
+	order    []uint32 // LRU order, least recent first
 	hits     int
 	misses   int
 }
@@ -19,14 +19,14 @@ type PrefixCache struct {
 // capacity <= 0 disables caching (every lookup misses), which is the
 // ablation arm of Fig. 24.
 func NewPrefixCache(capacity int) *PrefixCache {
-	return &PrefixCache{capacity: capacity, tokens: make(map[uint64]int)}
+	return &PrefixCache{capacity: capacity, tokens: make(map[uint32]int)}
 }
 
 // Lookup consults the cache for an image. On a hit it returns the
 // number of KV tokens already resident (the image's visual tokens); on
 // a miss it records the image for future hits and returns 0. Image 0
 // is unique and never cached.
-func (p *PrefixCache) Lookup(imageID uint64, visualTokens int) int {
+func (p *PrefixCache) Lookup(imageID uint32, visualTokens int) int {
 	if p.capacity <= 0 || imageID == 0 {
 		p.misses++
 		return 0
@@ -41,7 +41,7 @@ func (p *PrefixCache) Lookup(imageID uint64, visualTokens int) int {
 	return 0
 }
 
-func (p *PrefixCache) touch(id uint64) {
+func (p *PrefixCache) touch(id uint32) {
 	for i, v := range p.order {
 		if v == id {
 			p.order = append(append(p.order[:i:i], p.order[i+1:]...), id)
@@ -50,7 +50,7 @@ func (p *PrefixCache) touch(id uint64) {
 	}
 }
 
-func (p *PrefixCache) insert(id uint64, tokens int) {
+func (p *PrefixCache) insert(id uint32, tokens int) {
 	if len(p.tokens) >= p.capacity && len(p.order) > 0 {
 		victim := p.order[0]
 		p.order = p.order[1:]

@@ -36,9 +36,11 @@ type chunk struct {
 	tr       *transfer // the queued/in-flight transfer while fetching: &xfer or nil
 	xfer     transfer  // storage for the chunk's one transfer at a time
 	// waiters lists the fetching adapters awaiting this chunk, each
-	// once. A landing or a discard empties it but keeps its capacity,
-	// so refetching the chunk appends without allocating.
+	// once. It starts on waiter1, so a chunk's first waiter costs no
+	// allocation. A landing or a discard empties it but keeps its
+	// capacity, so refetching the chunk appends without allocating.
 	waiters []*chunkAdapter
+	waiter1 [1]*chunkAdapter
 }
 
 // startTransfer points the chunk's transfer at a fresh journey in its
@@ -125,17 +127,29 @@ func (s *Store) chunkSize(ent *Entry) int64 {
 }
 
 // chunkListOf materializes (and memoizes) an entry's chunk objects.
+// The list's new chunks share one slab: the index never deletes a
+// chunk, so the slab lives exactly as long as each chunk would.
 func (s *Store) chunkListOf(ent *Entry) []*chunk {
 	ch := s.ch
 	if list, ok := ch.lists[ent.Digest]; ok {
 		return list
 	}
 	spans := chunkSpans(ent, s.chunkSize(ent))
+	fresh := 0
+	for _, sp := range spans {
+		if _, ok := ch.chunks[sp.Digest]; !ok {
+			fresh++
+		}
+	}
+	slab := make([]chunk, fresh)
 	list := make([]*chunk, len(spans))
 	for i, sp := range spans {
 		c, ok := ch.chunks[sp.Digest]
 		if !ok {
-			c = &chunk{digest: sp.Digest, bytes: sp.Bytes}
+			c = &slab[0]
+			slab = slab[1:]
+			c.digest, c.bytes = sp.Digest, sp.Bytes
+			c.waiters = c.waiter1[:0]
 			ch.chunks[sp.Digest] = c
 		}
 		list[i] = c

@@ -42,11 +42,13 @@ const (
 )
 
 // Request is one inference request flowing through the system.
-// Million-request traces hold one per request, so the field order is
-// chosen for size: Images, the one-byte enums and the flags fill the
-// last 16 bytes with Slot. TestRequestSize holds Request in Go's
-// 160-byte size class, leaving the 32 bytes below the next class
-// (192) for the per-request latency parts.
+// Million-request traces hold one per request, so the fields are
+// chosen for size: ImageID and RecomputeTokens share one word, and
+// Images, PreemptCount, the one-byte enums and the flags fill the last
+// 16 bytes with Slot. Request is 144 bytes, exactly Go's 144-byte
+// size class, and TestRequestSize holds it there: the per-request
+// latency parts, or any other field, would move it to the 160-byte
+// class and cost 16 bytes on every request.
 type Request struct {
 	ID        int64
 	AdapterID int
@@ -59,20 +61,20 @@ type Request struct {
 	InputTokens  int
 	OutputTokens int // decode rounds the answer needs (head-dependent)
 	// ImageID is the image's identity for prefix caching (0 = unique).
-	ImageID uint64
+	ImageID uint32
+	// RecomputeTokens accumulates the already-computed tokens that
+	// preemptions threw away (prompt plus emitted tokens re-prefilled on
+	// resume) — per-request observability for trace capture, summed
+	// across instances when a request migrates. Each preemption throws
+	// away at most a context that fit the KV cache, and displacements
+	// stop at MaxPreemptions (at most 255), so int32 holds their sum.
+	// In-place recompute preemptions have no count bound, so the
+	// serving layer saturates the sum at math.MaxInt32.
+	RecomputeTokens int32
 
 	Arrival time.Duration
 	// Deadline is the application's latency budget (0 = best effort).
 	Deadline time.Duration
-
-	// PreemptCount records how many times the request has been evicted
-	// from an instance mid-service (see Unpreemptable).
-	PreemptCount int
-	// RecomputeTokens accumulates the already-computed tokens those
-	// preemptions threw away (prompt plus emitted tokens re-prefilled on
-	// resume) — per-request observability for trace capture, summed
-	// across instances when a request migrates.
-	RecomputeTokens int
 
 	// Runtime state, owned by the server.
 	Emitted       int
@@ -105,6 +107,11 @@ type Request struct {
 	// Images counts the prompt's images, VisualTokens each (the
 	// OpenAI frontend caps it well below the uint16 range).
 	Images uint16
+	// PreemptCount records how many times the request has been evicted
+	// from an instance mid-service (see Unpreemptable). The serving
+	// layer rejects a MaxPreemptions above 255, so the count stops
+	// before it could wrap.
+	PreemptCount uint8
 
 	App   AppType
 	Task  train.TaskType

@@ -456,7 +456,7 @@ func (f *Frontend) handleOpenAI(w http.ResponseWriter, r *http.Request, chat boo
 			e2e:         req.Latency(),
 			queueWait:   req.FirstSchedule - req.Arrival,
 			coldStart:   req.ColdStart,
-			preemptions: req.PreemptCount,
+			preemptions: int(req.PreemptCount),
 			virtualNow:  now,
 		},
 	}
@@ -641,8 +641,9 @@ func (c *streamChunk) appendEvent(b []byte) []byte {
 // flushed at once, the second carries the rest and goes out when the
 // handler returns.
 func streamOpenAI(w http.ResponseWriter, head *completionHead, req *sched.Request) {
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
+	h := w.Header()
+	h["Content-Type"] = sseContentType
+	h["Cache-Control"] = noCacheControl
 
 	// The virtual emission timetable: token i at FirstToken + i·ITL.
 	itl := time.Duration(0)

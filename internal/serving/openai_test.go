@@ -192,12 +192,12 @@ func chatBody(stream bool) []byte {
 }
 
 // Allocation bounds of one chat call through Frontend.ServeHTTP,
-// engine included, with chatBody's request: the measured 3
-// (non-streamed) and 4 (streamed) plus headroom for Go version drift.
+// engine included, with chatBody's request: the measured 2
+// (non-streamed) and 2 (streamed) plus headroom for Go version drift.
 // net/http adds its own allocations per request on a real connection.
 const (
-	maxAllocsChat       = 12
-	maxAllocsChatStream = 14
+	maxAllocsChat       = 11
+	maxAllocsChatStream = 12
 )
 
 // TestOpenAIHandlerAllocs gates the allocations of a non-streamed and

@@ -129,16 +129,37 @@ func TestUnpreemptableGuardBoundsDisplacement(t *testing.T) {
 		}
 		over := 0
 		for _, r := range trace {
-			if r.PreemptCount > maxP {
+			n := int(r.PreemptCount)
+			if n > maxP {
 				over++
 			}
-			if r.PreemptCount >= maxP && !r.Unpreemptable && r.PreemptCount > 0 {
+			if n >= maxP && !r.Unpreemptable && n > 0 {
 				t.Fatalf("maxPreempt %d: request %d preempted %d times but not marked unpreemptable",
-					maxP, r.ID, r.PreemptCount)
+					maxP, r.ID, n)
 			}
 		}
 		if over > 0 {
 			t.Fatalf("maxPreempt %d: %d requests displaced beyond the guard", maxP, over)
+		}
+	}
+}
+
+// TestMaxPreemptionsFitsTheCount: sched.Request counts displacements
+// in a byte, so a MaxPreemptions the count cannot reach is rejected
+// instead of letting the count wrap before the no-livelock guard trips.
+func TestMaxPreemptionsFitsTheCount(t *testing.T) {
+	for _, c := range []struct {
+		max int
+		ok  bool
+	}{{255, true}, {256, false}} {
+		opts, err := SystemOptions(SystemVaLoRA, simgpu.A100(), lmm.QwenVL7B())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Preemption = &PreemptionConfig{MaxPreemptions: c.max}
+		_, err = NewServer(opts)
+		if (err == nil) != c.ok {
+			t.Fatalf("MaxPreemptions %d: NewServer error %v, want accepted=%v", c.max, err, c.ok)
 		}
 	}
 }

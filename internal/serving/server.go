@@ -3,6 +3,7 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -73,7 +74,8 @@ type PreemptionConfig struct {
 	// MaxPreemptions is the no-livelock guard: a request displaced this
 	// many times becomes Unpreemptable and can never be evicted again,
 	// so an adversarial deadline mix cannot bounce a victim between
-	// instances forever. Default 2.
+	// instances forever. Default 2; at most 255, because
+	// sched.Request counts displacements in a byte.
 	MaxPreemptions int
 }
 
@@ -121,6 +123,9 @@ func (o *Options) withDefaults() error {
 		o.Name = o.Policy.Name()
 	}
 	if o.Preemption != nil {
+		if o.Preemption.MaxPreemptions > math.MaxUint8 {
+			return fmt.Errorf("serving: PreemptionConfig.MaxPreemptions %d exceeds %d", o.Preemption.MaxPreemptions, math.MaxUint8)
+		}
 		o.Preemption = o.Preemption.withDefaults()
 	}
 	return nil
@@ -833,7 +838,7 @@ func (s *Server) executeEvictions(batch, evict, admit []*sched.Request) []*sched
 func (s *Server) evictOut(r *sched.Request) {
 	recompute := s.preempt(r)
 	r.PreemptCount++
-	if r.PreemptCount >= s.opts.Preemption.MaxPreemptions {
+	if int(r.PreemptCount) >= s.opts.Preemption.MaxPreemptions {
 		r.Unpreemptable = true
 	}
 	if r.Tenant != "" {
@@ -1128,7 +1133,7 @@ func (s *Server) preempt(r *sched.Request) int {
 	r.Phase = sched.PhaseQueued
 	s.report.Preemptions++
 	s.report.RecomputeTokens += recompute
-	r.RecomputeTokens += recompute
+	r.RecomputeTokens = int32(min(int(r.RecomputeTokens)+recompute, math.MaxInt32))
 	return recompute
 }
 
@@ -1180,8 +1185,8 @@ func (s *Server) finish(r *sched.Request) {
 			SharedTokens:    s.kv.Shared(r.KV),
 			Images:          int(r.Images),
 			ColdStart:       r.ColdStart,
-			Preemptions:     r.PreemptCount,
-			RecomputeTokens: r.RecomputeTokens,
+			Preemptions:     int(r.PreemptCount),
+			RecomputeTokens: int(r.RecomputeTokens),
 		})
 	}
 	// Released last: the trace row reads the prompt tokens the prefix

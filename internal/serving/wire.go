@@ -42,9 +42,20 @@ func putWireBuf(p *[]byte) {
 	}
 }
 
+// Header values shared by every OpenAI response. The handlers assign
+// them to the header map instead of calling Header().Set, which makes
+// a fresh one-element slice per call. Each slice's length equals its
+// capacity, so an Add on a response's header appends to a copy and
+// never writes into the shared array.
+var (
+	jsonContentType = []string{"application/json"}
+	sseContentType  = []string{"text/event-stream"}
+	noCacheControl  = []string{"no-cache"}
+)
+
 // writeJSONBody sends a complete JSON response in one write.
 func writeJSONBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }

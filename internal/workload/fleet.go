@@ -116,6 +116,7 @@ func GenFleet(cfg FleetConfig) Trace {
 	}
 
 	var out Trace
+	var reqs reqAlloc
 	var now time.Duration
 	var id int64
 	for now < cfg.Duration {
@@ -137,7 +138,7 @@ func GenFleet(cfg FleetConfig) Trace {
 			member := (start + i) % cfg.PerFamily
 			adapter := family*cfg.PerFamily + member
 			id++
-			out = append(out, &sched.Request{
+			out = append(out, reqs.alloc(sched.Request{
 				ID:           id,
 				App:          sched.VideoAnalytics,
 				Task:         train.ObjectDetection,
@@ -148,7 +149,7 @@ func GenFleet(cfg FleetConfig) Trace {
 				Images:       1,
 				Tenant:       cfg.TenantOf(adapter),
 				Arrival:      at,
-			})
+			}))
 			at += time.Duration((0.6 + 0.8*rng.Float64()) * float64(gap))
 		}
 	}

@@ -79,11 +79,12 @@ func GenStress(cfg StressConfig) Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	picker := NewSkewedPicker(cfg.NumAdapters, cfg.Skew, rng)
 	out := make(Trace, 0, cfg.Requests)
+	var reqs reqAlloc
 	var now time.Duration
 	inSpan := cfg.MaxInputTokens - cfg.MinInputTokens + 1
 	for i := 0; i < cfg.Requests; i++ {
 		now += time.Duration(rng.ExpFloat64() / cfg.Rate * float64(time.Second))
-		out = append(out, &sched.Request{
+		out = append(out, reqs.alloc(sched.Request{
 			ID:           int64(i + 1),
 			App:          sched.VisualRetrieval,
 			Task:         train.VisualQA,
@@ -92,7 +93,7 @@ func GenStress(cfg StressConfig) Trace {
 			InputTokens:  cfg.MinInputTokens + rng.Intn(inSpan),
 			OutputTokens: 1 + rng.Intn(cfg.MaxOutputTokens),
 			Arrival:      now,
-		})
+		}))
 	}
 	return out
 }

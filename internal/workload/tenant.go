@@ -100,8 +100,9 @@ type MultiTenantConfig struct {
 // seed so adding a tenant does not perturb the others' arrivals.
 func GenMultiTenant(cfg MultiTenantConfig) Trace {
 	var out Trace
+	var reqs reqAlloc
 	for i, tt := range cfg.Tenants {
-		out = append(out, genTenant(tt.withDefaults(), cfg.Duration, cfg.Seed+int64(1+i)*1000003)...)
+		out = append(out, genTenant(tt.withDefaults(), cfg.Duration, cfg.Seed+int64(1+i)*1000003, &reqs)...)
 	}
 	return Merge(out)
 }
@@ -124,8 +125,8 @@ func burstWindows(tt TenantTraffic, duration time.Duration, rng *rand.Rand) [][2
 	}
 }
 
-// genTenant generates one tenant's requests.
-func genTenant(tt TenantTraffic, duration time.Duration, seed int64) Trace {
+// genTenant generates one tenant's requests from reqs.
+func genTenant(tt TenantTraffic, duration time.Duration, seed int64, reqs *reqAlloc) Trace {
 	rng := rand.New(rand.NewSource(seed))
 	picker := NewSkewedPicker(tt.NumAdapters, tt.Skew, rng)
 	bursts := burstWindows(tt, duration, rng)
@@ -167,7 +168,7 @@ func genTenant(tt TenantTraffic, duration time.Duration, seed int64) Trace {
 			// range: rank r maps to adapter (r + window) mod N.
 			pick = (pick + int(now/tt.HotSetDriftEvery)) % tt.NumAdapters
 		}
-		out = append(out, &sched.Request{
+		out = append(out, reqs.alloc(sched.Request{
 			ID:           id,
 			App:          tt.App,
 			Task:         task,
@@ -178,7 +179,7 @@ func genTenant(tt TenantTraffic, duration time.Duration, seed int64) Trace {
 			OutputTokens: 1 + rng.Intn(tt.MaxOutputTokens),
 			Arrival:      now,
 			Deadline:     tt.Deadline,
-		})
+		}))
 	}
 }
 

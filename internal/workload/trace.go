@@ -210,9 +210,10 @@ func GenRetrieval(cfg RetrievalConfig) Trace {
 	}
 
 	var out Trace
+	var reqs reqAlloc
 	var now time.Duration
 	var id int64
-	var session uint64
+	var session uint32
 	tasks := []train.TaskType{train.VisualQA, train.ImageCaptioning, train.ObjectDetection}
 	for now < cfg.Duration {
 		// Hyper-exponential gap: occasional long gaps, compensated by
@@ -231,7 +232,7 @@ func GenRetrieval(cfg RetrievalConfig) Trace {
 		task := tasks[rng.Intn(len(tasks))]
 		adapter := picker.Pick()
 		rounds := 1
-		var imageID uint64 // 0: a unique image
+		var imageID uint32 // 0: a unique image
 		if rng.Float64() < cfg.MultiRound && cfg.RoundsPerSession > 1 {
 			rounds = 2 + rng.Intn(cfg.RoundsPerSession-1)
 			session++
@@ -241,7 +242,7 @@ func GenRetrieval(cfg RetrievalConfig) Trace {
 		for round := 0; round < rounds; round++ {
 			id++
 			prompt := lognormal(rng, 110, 0.7, 16, 768)
-			out = append(out, &sched.Request{
+			out = append(out, reqs.alloc(sched.Request{
 				ID:           id,
 				App:          sched.VisualRetrieval,
 				Task:         task,
@@ -252,7 +253,7 @@ func GenRetrieval(cfg RetrievalConfig) Trace {
 				Images:       1,
 				ImageID:      imageID,
 				Arrival:      roundAt,
-			})
+			}))
 			roundAt += time.Duration((0.5 + rng.Float64()) * float64(time.Second))
 		}
 	}
@@ -304,6 +305,7 @@ func GenVideo(cfg VideoConfig) Trace {
 	}
 
 	var out Trace
+	var reqs reqAlloc
 	var id int64
 	for s := 0; s < cfg.Streams; s++ {
 		// Streams start phase-shifted within the first second.
@@ -313,7 +315,7 @@ func GenVideo(cfg VideoConfig) Trace {
 		for t := offset; t < cfg.Duration; t += time.Second {
 			// Object detection over the chunk's key frame.
 			id++
-			out = append(out, &sched.Request{
+			out = append(out, reqs.alloc(sched.Request{
 				ID:           id,
 				App:          sched.VideoAnalytics,
 				Task:         train.ObjectDetection,
@@ -324,10 +326,10 @@ func GenVideo(cfg VideoConfig) Trace {
 				Images:       1,
 				Arrival:      t,
 				Deadline:     cfg.LatencyBudget,
-			})
+			}))
 			// Video understanding over 6 sampled frames.
 			id++
-			out = append(out, &sched.Request{
+			out = append(out, reqs.alloc(sched.Request{
 				ID:           id,
 				App:          sched.VideoAnalytics,
 				Task:         train.VideoClassification,
@@ -338,7 +340,7 @@ func GenVideo(cfg VideoConfig) Trace {
 				Images:       6,
 				Arrival:      t,
 				Deadline:     cfg.LatencyBudget,
-			})
+			}))
 		}
 	}
 	return Merge(out)

@@ -84,7 +84,7 @@ func TestMultiRoundSessionsShareImages(t *testing.T) {
 	cfg := DefaultRetrieval(6, 30*time.Second, 8, 0.5, 11)
 	cfg.MultiRound = 1.0 // every request opens a session
 	trace := GenRetrieval(cfg)
-	sessions := make(map[uint64]int)
+	sessions := make(map[uint32]int)
 	for _, r := range trace {
 		if r.ImageID != 0 {
 			sessions[r.ImageID]++
