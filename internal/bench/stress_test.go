@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+
+	"valora/internal/workload"
 )
 
 // TestMillionRequestsQuickSmoke runs the stress experiment in quick
@@ -29,6 +32,12 @@ func TestMillionRequestsQuickSmoke(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if got, want := tab.Rows[0][2], fmt.Sprintf("%d", workers); got != want {
 		t.Fatalf("workers column = %q, want GOMAXPROCS %s", got, want)
+	}
+	// The quick trace overloads the fleet too, and the note says so
+	// beside the offered and the served rate.
+	offered := fmt.Sprintf("offers %.0f req/s and the fleet served %s virtual req/s", workload.DefaultStress(50000, s.Seed).Rate, tab.Rows[0][5])
+	if !strings.Contains(tab.Notes, offered) || !strings.Contains(tab.Notes, "growing backlog") {
+		t.Fatalf("note does not say the trace overloads the fleet (%s): %s", offered, tab.Notes)
 	}
 
 	data, err := os.ReadFile(filepath.Join(s.OutDir, BenchServingFile))

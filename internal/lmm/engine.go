@@ -67,14 +67,17 @@ func (e *Engine) IterationTime(load IterationLoad) time.Duration {
 
 	// Visual receptor: encoder + projector per image.
 	if load.PrefillImages > 0 {
-		visualFLOPs := 2 * m.VisualParams * float64(m.VisualTokens) // VisualEncodeFLOPs
+		// Encoding one image costs 2·VisualParams FLOPs per visual token.
+		visualFLOPs := 2 * m.VisualParams * float64(m.VisualTokens)
 		encSec := float64(load.PrefillImages) * visualFLOPs /
 			(e.GPU.TensorTFLOPS * 1e12 * 0.5)
 		total += time.Duration(encSec * 1e9)
 	}
 
 	if tokens > 0 {
-		flopsPerToken := 2 * m.LLMParams // FLOPsPerToken
+		// A token's forward pass costs 2·LLMParams FLOPs (the standard
+		// 2·params estimate).
+		flopsPerToken := 2 * m.LLMParams
 		compute := flopsPerToken * float64(tokens) /
 			(e.GPU.TensorTFLOPS * 1e12 * e.PrefillEff)
 

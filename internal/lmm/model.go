@@ -48,16 +48,6 @@ func (c Config) KVBytesPerToken() int64 {
 	return 2 * int64(c.Layers) * int64(c.Dim) * 2
 }
 
-// FLOPsPerToken reports the forward-pass FLOPs one token costs through
-// the language model (the standard 2·params estimate).
-func (c Config) FLOPsPerToken() float64 { return 2 * c.LLMParams }
-
-// VisualEncodeFLOPs reports the FLOPs to encode one image into visual
-// tokens.
-func (c Config) VisualEncodeFLOPs() float64 {
-	return 2 * c.VisualParams * float64(c.VisualTokens)
-}
-
 // AdapterBytes reports the resident size of one LoRA adapter's A and B
 // matrices for this model at the given rank (§4.4.1: tens of MB,
 // versus ~3 GB for the pre-computed ΔW of every layer).

@@ -41,7 +41,6 @@ func (a *Adapter) String() string {
 // Registry holds the adapters a server can route requests to.
 type Registry struct {
 	byID map[int]*Adapter
-	ids  []int
 }
 
 // NewRegistry builds a registry.
@@ -56,9 +55,6 @@ func NewRegistry(adapters ...*Adapter) *Registry {
 // Add registers an adapter; later registrations with the same ID
 // replace earlier ones.
 func (r *Registry) Add(a *Adapter) {
-	if _, ok := r.byID[a.ID]; !ok {
-		r.ids = append(r.ids, a.ID)
-	}
 	r.byID[a.ID] = a
 }
 
@@ -69,10 +65,7 @@ func (r *Registry) Get(id int) (*Adapter, bool) {
 }
 
 // Len reports the number of registered adapters.
-func (r *Registry) Len() int { return len(r.ids) }
-
-// IDs lists registered adapter IDs in registration order.
-func (r *Registry) IDs() []int { return append([]int(nil), r.ids...) }
+func (r *Registry) Len() int { return len(r.byID) }
 
 // MakeUniformAdapters is a convenience for experiments: n adapters of
 // one rank for one model.

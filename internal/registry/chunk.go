@@ -196,7 +196,7 @@ func (s *Store) touch(ca *chunkAdapter) {
 	s.promote(ca)
 }
 
-// ensure is the demand/prefetch path (Ensure and Prefetch both land
+// ensure is the demand/prefetch path (Demand and Prefetch both land
 // here; demand selects the link class and the hit/miss counters).
 // queued is the bytes this call put on the links.
 func (s *Store) ensure(ent *Entry, now time.Duration, demand bool) (st Status, eta time.Duration, queued int64) {

@@ -338,14 +338,14 @@ func exerciseStore(t *testing.T, label string, s *Store, rng *rand.Rand, univers
 		id := rng.Intn(universe)
 		switch rng.Intn(6) {
 		case 0, 1:
-			s.Ensure(id, now)
+			s.Demand(id, now)
 		case 2:
 			s.Prefetch(id, now)
 		case 3:
 			if fams > 0 {
 				s.PrefetchFamily("fam"+string(rune('A'+rng.Intn(fams))), now)
 			} else {
-				s.Ensure(id, now)
+				s.Demand(id, now)
 			}
 		case 4:
 			now += time.Duration(rng.Intn(stepMs)) * time.Millisecond
@@ -407,7 +407,7 @@ func TestAbortedFetchFreesLandedChunks(t *testing.T) {
 	// takes the new pin: X's second chunk finds nothing to evict.
 	now += chunkTime + chunkTime/2
 	mustQuota(t, s, "t", TenantQuota{GuaranteedBytes: 2 * u})
-	if st, _ := s.Ensure(b, now); st != StatusHit {
+	if st, _, _ := s.Demand(b, now); st != StatusHit {
 		t.Fatalf("B: %v, want hit", st)
 	}
 	now = drain(s, now)

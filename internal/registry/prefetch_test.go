@@ -30,7 +30,7 @@ func TestPrefetcherWarmsAndCaps(t *testing.T) {
 		done = s.NextFetchDone()
 		s.Advance(done)
 	}
-	if st, _ := s.Ensure(0, done); st != StatusHit {
+	if st, _, _ := s.Demand(0, done); st != StatusHit {
 		t.Fatalf("prefetched adapter: got %v, want hit", st)
 	}
 	stats := s.Stats()
@@ -54,7 +54,7 @@ func TestPrefetcherObserveDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf := NewPrefetcher(s, 2)
-	_, eta := s.Ensure(0, 0)
+	_, eta, _ := s.Demand(0, 0)
 	s.Advance(eta)
 	now := eta
 	if avg := testing.AllocsPerRun(1000, func() {

@@ -32,7 +32,7 @@ func TestDemandJumpsPrefetchQueue(t *testing.T) {
 			t.Fatalf("prefetch %d did not start", id)
 		}
 	}
-	st, eta := s.Ensure(5, 0) // the demand arrives last
+	st, eta, _ := s.Demand(5, 0) // the demand arrives last
 	if st != StatusStarted {
 		t.Fatalf("demand: got %v, want started", st)
 	}
@@ -76,7 +76,7 @@ func TestDemandPromotesQueuedPrefetch(t *testing.T) {
 	}
 	// Adapter 4 is last in the prefetch queue (~4s out); the demand
 	// pulls it to just behind the in-transfer head.
-	st, eta := s.Ensure(4, 0)
+	st, eta, _ := s.Demand(4, 0)
 	if st != StatusFetching {
 		t.Fatalf("got %v, want fetching (prefetch already in flight)", st)
 	}

@@ -26,14 +26,14 @@ func TestPinnedNeverEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, eta := s.Ensure(0, 0)
+	_, eta, _ := s.Demand(0, 0)
 	now := eta
 	s.Advance(now)
 	if !s.HostResident(0, now) {
 		t.Fatal("vip adapter should be resident")
 	}
 	for id := 1; id < 32; id++ {
-		if _, eta := s.Ensure(id, now); eta > now {
+		if _, eta, _ := s.Demand(id, now); eta > now {
 			now = eta
 		}
 		s.Advance(now)

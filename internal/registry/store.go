@@ -143,7 +143,7 @@ func (s Status) String() string {
 }
 
 // Stats are the store's cumulative counters. Demand hits/misses count
-// Ensure calls only (a demand retrying behind an in-flight fetch is
+// Demand calls only (a demand retrying behind an in-flight fetch is
 // not re-counted); prefetch traffic is accounted separately so the
 // demand hit rate is not polluted by speculative warming.
 type Stats struct {
@@ -342,20 +342,14 @@ func (s *Store) HostResident(id int, now time.Duration) bool {
 	return allChunksResident(s.chunkListOf(ent))
 }
 
-// Ensure is the demand path: the serving engine needs an adapter on
+// Demand is the demand path: the serving engine needs an adapter on
 // the GPU and asks the host tier for it. A hit touches the LRU (and
 // may rotate the tenant's quota pins onto it); a miss starts a remote
 // fetch when one is not already in flight and the tier can reserve
 // room. eta is the fetch completion time for StatusFetching and
-// StatusStarted.
-func (s *Store) Ensure(id int, now time.Duration) (st Status, eta time.Duration) {
-	st, eta, _ = s.Demand(id, now)
-	return st, eta
-}
-
-// Demand is Ensure plus the marginal cost: queued is the bytes this
-// call actually put on the remote links (0 for hits, fetches already
-// in flight, and denials) — only the missing chunks, so deduped bytes
+// StatusStarted. queued is the marginal cost: the bytes this call
+// actually put on the remote links (0 for hits, fetches already in
+// flight, and denials) — only the missing chunks, so deduped bytes
 // count once, which is what fetch-byte accounting and cost-ranked
 // victim selection must see.
 func (s *Store) Demand(id int, now time.Duration) (st Status, eta time.Duration, queued int64) {

@@ -29,7 +29,7 @@ func TestEnsureFetchesThenHits(t *testing.T) {
 	ab := adapters[0].Bytes()
 	s := NewStore(Config{HostCapacity: 2 * ab, RemoteLatency: 10 * time.Millisecond, RemoteBandwidth: 1e9}, cat)
 
-	st, eta := s.Ensure(0, 0)
+	st, eta, _ := s.Demand(0, 0)
 	if st != StatusStarted {
 		t.Fatalf("first demand: got %v, want started", st)
 	}
@@ -42,7 +42,7 @@ func TestEnsureFetchesThenHits(t *testing.T) {
 	}
 
 	// Before completion: fetching, not resident.
-	if st, _ := s.Ensure(0, eta-time.Millisecond); st != StatusFetching {
+	if st, _, _ := s.Demand(0, eta-time.Millisecond); st != StatusFetching {
 		t.Fatalf("mid-fetch demand: got %v, want fetching", st)
 	}
 	if s.HostResident(0, eta-time.Millisecond) {
@@ -50,7 +50,7 @@ func TestEnsureFetchesThenHits(t *testing.T) {
 	}
 
 	// At completion: hit.
-	if st, _ := s.Ensure(0, eta); st != StatusHit {
+	if st, _, _ := s.Demand(0, eta); st != StatusHit {
 		t.Fatalf("post-fetch demand: got %v, want hit", st)
 	}
 	if !s.HostResident(0, eta) {
@@ -72,8 +72,8 @@ func TestEnsureFetchesThenHits(t *testing.T) {
 func TestLinkSerializesFetches(t *testing.T) {
 	_, cat := testAdapters(3, "a")
 	s := NewStore(Config{HostCapacity: 64 << 30, RemoteLatency: time.Millisecond, RemoteBandwidth: 1e9}, cat)
-	_, eta0 := s.Ensure(0, 0)
-	_, eta1 := s.Ensure(1, 0)
+	_, eta0, _ := s.Demand(0, 0)
+	_, eta1, _ := s.Demand(1, 0)
 	if eta1 <= eta0 {
 		t.Fatalf("second fetch (%v) should queue behind the first (%v)", eta1, eta0)
 	}
@@ -94,7 +94,7 @@ func TestEvictionRespectsLRUAndCapacity(t *testing.T) {
 	s := NewStore(Config{HostCapacity: 2 * ab, RemoteLatency: time.Millisecond, RemoteBandwidth: 1e12}, cat)
 	now := time.Duration(0)
 	for id := 0; id < 2; id++ {
-		_, eta := s.Ensure(id, now)
+		_, eta, _ := s.Demand(id, now)
 		now = eta
 		s.Advance(now)
 	}
@@ -102,10 +102,10 @@ func TestEvictionRespectsLRUAndCapacity(t *testing.T) {
 	// the fetched bytes land (not at fetch start — the warm set
 	// survives the transfer). The bytes land one RemoteLatency before
 	// the fetch completes.
-	if st, _ := s.Ensure(0, now); st != StatusHit {
+	if st, _, _ := s.Demand(0, now); st != StatusHit {
 		t.Fatal("0 should be resident")
 	}
-	st, eta := s.Ensure(2, now)
+	st, eta, _ := s.Demand(2, now)
 	if st != StatusStarted {
 		t.Fatal("2 should start fetching")
 	}
@@ -136,7 +136,7 @@ func TestQuotaPinsSurviveEvictionAndRotate(t *testing.T) {
 
 	now := time.Duration(0)
 	fetch := func(id int) {
-		st, eta := s.Ensure(id, now)
+		st, eta, _ := s.Demand(id, now)
 		if st != StatusStarted && st != StatusHit {
 			t.Fatalf("adapter %d: %v", id, st)
 		}
@@ -158,7 +158,7 @@ func TestQuotaPinsSurviveEvictionAndRotate(t *testing.T) {
 		t.Fatal("pinned adapter 0 was evicted")
 	}
 	// Touching 3 rotates the quota pin onto it (0 loses the pin).
-	if st, _ := s.Ensure(3, now); st != StatusHit {
+	if st, _, _ := s.Demand(3, now); st != StatusHit {
 		t.Fatal("3 should be resident")
 	}
 	fetch(5) // needs room: 0 is now unpinned and LRU → evicted
@@ -184,13 +184,13 @@ func TestBurstProtectionEvictsOverBurstFirst(t *testing.T) {
 
 	now := time.Duration(0)
 	for _, id := range []int{0, 1, 3} { // a:{0}, b:{1,3}
-		_, eta := s.Ensure(id, now)
+		_, eta, _ := s.Demand(id, now)
 		now = eta
 		s.Advance(now)
 	}
 	// 0 is the LRU entry, but it is protected (within a's burst). The
 	// landing fetch for 5 must take 1 (b's LRU, unprotected) instead.
-	st, eta := s.Ensure(5, now)
+	st, eta, _ := s.Demand(5, now)
 	if st != StatusStarted {
 		t.Fatal("5 should start fetching")
 	}
@@ -217,9 +217,9 @@ func TestContentAddressingDedupes(t *testing.T) {
 	cat.Add(a0, "t")
 	cat.Add(a1, "t")
 	s := NewStore(Config{HostCapacity: 8 * a0.Bytes(), RemoteLatency: time.Millisecond, RemoteBandwidth: 1e12}, cat)
-	_, eta := s.Ensure(0, 0)
+	_, eta, _ := s.Demand(0, 0)
 	s.Advance(eta)
-	if st, _ := s.Ensure(1, eta); st != StatusHit {
+	if st, _, _ := s.Demand(1, eta); st != StatusHit {
 		t.Fatal("content-identical adapter should hit without a second fetch")
 	}
 	if s.Stats().Fetches != 1 {
@@ -236,13 +236,13 @@ func TestDeniedWhenEverythingPinned(t *testing.T) {
 	mustQuota(t, s, "t", TenantQuota{GuaranteedBytes: 2 * ab})
 	now := time.Duration(0)
 	for id := 0; id < 2; id++ {
-		_, eta := s.Ensure(id, now)
+		_, eta, _ := s.Demand(id, now)
 		now = eta
 		s.Advance(now)
 	}
 	// Both resident entries are quota-pinned; a third demand cannot
 	// make room and must be denied rather than over-commit.
-	st, _ := s.Ensure(2, now)
+	st, _, _ := s.Demand(2, now)
 	if st != StatusDenied {
 		t.Fatalf("got %v, want denied", st)
 	}
@@ -261,7 +261,7 @@ func TestDeniedForeverWhenLargerThanTier(t *testing.T) {
 	adapters, cat := testAdapters(2, "t")
 	s := NewStore(Config{HostCapacity: adapters[0].Bytes() - 1, RemoteLatency: time.Millisecond, RemoteBandwidth: 1e9}, cat)
 	for _, now := range []time.Duration{0, time.Second} {
-		if st, eta := s.Ensure(0, now); st != StatusDenied || eta != sim.Never {
+		if st, eta, _ := s.Demand(0, now); st != StatusDenied || eta != sim.Never {
 			t.Fatalf("at %v: got %v eta %v, want denied eta sim.Never", now, st, eta)
 		}
 	}
@@ -276,7 +276,7 @@ func TestDeniedForeverWhenLargerThanTier(t *testing.T) {
 func TestUncataloguedBypasses(t *testing.T) {
 	_, cat := testAdapters(1, "t")
 	s := NewStore(Config{}, cat)
-	if st, _ := s.Ensure(99, 0); st != StatusUncatalogued {
+	if st, _, _ := s.Demand(99, 0); st != StatusUncatalogued {
 		t.Fatalf("unknown adapter: got %v, want uncatalogued", st)
 	}
 	if !s.HostResident(99, 0) {
@@ -304,7 +304,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				id := (g*7 + i) % 16
 				switch i % 4 {
 				case 0:
-					s.Ensure(id, now)
+					s.Demand(id, now)
 				case 1:
 					s.Prefetch(id, now)
 				case 2:

@@ -83,9 +83,6 @@ func NewClusterWithDispatch(n int, dispatch DispatchPolicy, build func(i int) (O
 	return c, nil
 }
 
-// Size reports the number of instances.
-func (c *Cluster) Size() int { return len(c.servers) }
-
 // Dispatch reports the routing policy in use.
 func (c *Cluster) Dispatch() DispatchPolicy { return c.dispatch }
 

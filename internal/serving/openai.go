@@ -25,12 +25,13 @@ import (
 // virtual TTFT/ITL timetable immediately, deterministically.
 //
 // A request body is read whole into a pooled buffer, bounded by
-// maxBodyBytes, and decoded in one forward scan (decodeOpenAIRequest,
-// openai_decode.go) that fills openAIRequest and counts the prompt's
-// text and images as it goes, allocating only the strings the request
-// keeps. The scan accepts exactly what encoding/json would decode into
-// openAIRequest, so encoding/json runs only on a rejected body, to word
-// its 400.
+// maxBodyBytes. A body of the shape clients send takes a fast path
+// (decodeOpenAIRequest, openai_decode.go): one forward scan that fills
+// openAIRequest and counts the prompt's text and images as it goes,
+// allocating only the strings the request keeps. The scan declines any
+// body outside that shape, and encoding/json decodes it into the types
+// below instead; its error, if any, is the 400's text. The scan's
+// values equal encoding/json's on every body it accepts.
 //
 // Every response is a typed value encoded in one pass into a pooled
 // buffer. A stream goes out in two writes: the headers and the first
@@ -59,9 +60,9 @@ type openAIRequest struct {
 	System       string  `json:"system"`
 	DeadlineMS   float64 `json:"deadline_ms"`
 
-	// chatShape is the messages' summed content shape when
-	// decodeOpenAIRequest keeps no per-message state (see its
-	// messages method); encoding/json leaves it zero.
+	// chatShape is the messages' summed content shape as
+	// decodeOpenAIRequest counts it, keeping no per-message state;
+	// encoding/json leaves it zero.
 	chatShape promptShape
 }
 
@@ -419,8 +420,12 @@ func (f *Frontend) handleOpenAI(w http.ResponseWriter, r *http.Request, chat boo
 		return
 	}
 	var body openAIRequest
-	if err == nil && decodeOpenAIRequest(data, &body) != nil {
-		err = decodeError(data)
+	if err == nil && !decodeOpenAIRequest(data, &body) {
+		// A zero value, so nothing the scan summed before it declined
+		// survives; decoding into a separate one keeps body off the heap.
+		fresh := new(openAIRequest)
+		err = json.NewDecoder(bytes.NewReader(data)).Decode(fresh)
+		body = *fresh
 	}
 	if err != nil {
 		openAIError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))

@@ -72,13 +72,13 @@ func legacyShape(body *legacyRequest) promptShape {
 }
 
 // FuzzOpenAIRequest drives arbitrary bodies through both completion
-// routes. decodeOpenAIRequest must accept exactly what encoding/json's
-// Decoder accepts into openAIRequest and produce the same fields and
-// shape; the typed decoder must accept exactly what the untyped one
-// accepted and count the same text and images; the frontend must not
-// panic, must answer 200, 400, 404, 413 or 422, must wrap every error
-// in the OpenAI envelope, and must keep a 200's usage within the
-// per-request caps.
+// routes. A body the fast path (decodeOpenAIRequest) accepts must be
+// one encoding/json's Decoder accepts into openAIRequest, with the same
+// fields and shape; the typed decoder must accept exactly what the
+// untyped one accepted and count the same text and images; the
+// frontend must not panic, must answer 200, 400, 404, 413 or 422, must
+// wrap every error in the OpenAI envelope, and must keep a 200's usage
+// within the per-request caps.
 func FuzzOpenAIRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var typed openAIRequest
@@ -95,13 +95,12 @@ func FuzzOpenAIRequest(f *testing.F) {
 		}
 
 		var scanned openAIRequest
-		scanErr := decodeOpenAIRequest(body, &scanned)
-		if (scanErr == nil) != (typedErr == nil) {
-			t.Fatalf("scan error %v, encoding/json error %v", scanErr, typedErr)
-		}
-		if scanErr == nil {
+		if decodeOpenAIRequest(body, &scanned) {
+			if typedErr != nil {
+				t.Fatalf("fast path accepted a body encoding/json rejects: %v", typedErr)
+			}
 			if diff := requestDiff(&scanned, &typed); diff != "" {
-				t.Fatalf("scan and encoding/json disagree on %s", diff)
+				t.Fatalf("fast path and encoding/json disagree on %s", diff)
 			}
 		}
 
@@ -150,7 +149,9 @@ func optInt(p *int) string {
 	return strconv.Itoa(*p)
 }
 
-func checkFuzzResponse(t *testing.T, path string, rec *httptest.ResponseRecorder) {
+// checkFuzzResponse checks a response as FuzzOpenAIRequest requires
+// and returns a 200's usage.prompt_tokens, or 0 for an error status.
+func checkFuzzResponse(t *testing.T, path string, rec *httptest.ResponseRecorder) int {
 	t.Helper()
 	switch rec.Code {
 	case http.StatusOK:
@@ -166,7 +167,7 @@ func checkFuzzResponse(t *testing.T, path string, rec *httptest.ResponseRecorder
 			env.Error.Type != "invalid_request_error" || env.Error.Code != rec.Code {
 			t.Fatalf("%s: status %d without the OpenAI error envelope: %q", path, rec.Code, rec.Body)
 		}
-		return
+		return 0
 	default:
 		t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
 	}
@@ -194,4 +195,5 @@ func checkFuzzResponse(t *testing.T, path string, rec *httptest.ResponseRecorder
 		u.PromptTokens < 1 || u.PromptTokens > maxInputTokens {
 		t.Fatalf("%s: usage out of bounds: %s", path, rec.Body)
 	}
+	return u.PromptTokens
 }

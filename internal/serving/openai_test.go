@@ -250,15 +250,32 @@ func BenchmarkOpenAIHandler(b *testing.B) {
 }
 
 // BenchmarkDecodeOpenAIRequest decodes chatBody's request with the
-// handler's one-pass scan and, for comparison, with encoding/json's
-// Decoder, which the scan replaced.
+// handler's fast path and, for comparison, with encoding/json's
+// Decoder, the fallback for every body the fast path declines. The
+// fallback sub-benchmark is the handler's whole decode of a declined
+// body: the scan up to its decline, then encoding/json.
 func BenchmarkDecodeOpenAIRequest(b *testing.B) {
 	data := chatBody(false)
 	b.Run("scan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var body openAIRequest
-			if err := decodeOpenAIRequest(data, &body); err != nil {
+			if !decodeOpenAIRequest(data, &body) {
+				b.Fatal("declined")
+			}
+		}
+	})
+	// A field the request type does not name, after every other one.
+	declined := []byte(strings.TrimSuffix(string(data), "}") + `,"temperature":0.7}`)
+	b.Run("fallback", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var body openAIRequest
+			if decodeOpenAIRequest(declined, &body) {
+				b.Fatal("accepted")
+			}
+			body = openAIRequest{}
+			if err := json.NewDecoder(bytes.NewReader(declined)).Decode(&body); err != nil {
 				b.Fatal(err)
 			}
 		}

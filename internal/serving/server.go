@@ -240,7 +240,7 @@ type adapterSlot struct {
 	// awaitingFetch marks an adapter whose demand already experienced a
 	// host miss on this instance (fetch started, queue-denied, or
 	// riding another demand's in-flight fetch). When the fetch lands,
-	// the retry's Ensure reports StatusHit — that landing is the
+	// the retry's Demand reports StatusHit — that landing is the
 	// resolution of the recorded miss, not a fresh host hit, so
 	// resolveTiered must not count it (see the HostHitRate inflation
 	// bug this replaces).

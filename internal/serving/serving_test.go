@@ -369,8 +369,8 @@ func TestClusterShardingAndAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Size() != 2 {
-		t.Fatalf("size = %d, want 2", cl.Size())
+	if n := len(cl.Instances()); n != 2 {
+		t.Fatalf("size = %d, want 2", n)
 	}
 	trace := shortRetrieval(29)
 	rep, err := cl.Run(trace)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +95,29 @@ func TestReadJSONLErrors(t *testing.T) {
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("blank lines should be skipped: %v %v", rows, err)
 	}
+}
+
+// FuzzReadJSONL feeds arbitrary bytes to ReadJSONL, valora-calibrate's
+// input path. It must never panic, and a trace it reads must come back
+// unchanged through WriteJSONL and a second ReadJSONL.
+func FuzzReadJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, rows); err != nil {
+			t.Fatalf("writing %d rows read back: %v", len(rows), err)
+		}
+		again, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("reading the rewritten trace: %v\n%s", err, buf.Bytes())
+		}
+		if !slices.Equal(rows, again) {
+			t.Fatalf("rows changed through a write and read:\n%+v\n%+v", rows, again)
+		}
+	})
 }
 
 func TestDerivedDurations(t *testing.T) {
