@@ -25,7 +25,7 @@ import (
 // virtual TTFT/ITL timetable immediately, deterministically.
 //
 // A request body is read whole into a pooled buffer, bounded by
-// maxBodyBytes. A body of the shape clients send takes a fast path
+// maxBodyBytes. A body without escapes or null fields takes a fast path
 // (decodeOpenAIRequest, openai_decode.go): one forward scan that fills
 // openAIRequest and counts the prompt's text and images as it goes,
 // allocating only the strings the request keeps. The scan declines any

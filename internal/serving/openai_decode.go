@@ -8,10 +8,9 @@ import (
 	"unicode/utf8"
 )
 
-// The completion endpoints' fast path: one forward scan over a body of
-// the shape clients send, which fills an openAIRequest and sums the
-// prompt's text and images as it goes. It either accepts the body, and
-// then its values are the ones
+// The completion endpoints' fast path: one forward scan over a body,
+// which fills an openAIRequest and sums the prompt's text and images as
+// it goes. It either accepts the body, and then its values are the ones
 //
 //	json.NewDecoder(bytes.NewReader(data)).Decode(&openAIRequest{})
 //
@@ -19,16 +18,16 @@ import (
 // the handler decodes it with encoding/json instead, which also decides
 // whether the body is malformed and words the 400.
 //
-// The scan accepts a top-level object whose keys are field names,
-// exact and unescaped, each at most once; messages that are objects of
-// "role" and "content" alike; strings without escapes that are valid
-// UTF-8, so that their bytes are their decoded value; null and numbers
-// only inside a content or prompt value, each number one strconv's
-// ParseFloat takes, as decoding it untyped requires; and fewer than
-// maxDepth open containers. It declines everything else, so it needs
-// none of encoding/json's rules for case-folded or repeated keys,
-// escapes, or a null field. Bytes after the object are ignored, as
-// encoding/json's Decoder ignores them.
+// The scan accepts a top-level object whose keys are unescaped, each
+// field name exact and at most once, any other key one that matches no
+// name even with case folded; messages alike; strings without escapes
+// that are valid UTF-8, so that their bytes are their decoded value;
+// null and numbers only inside a content or prompt value or the value
+// of a key it skips, each number one strconv's ParseFloat takes; and
+// fewer than maxDepth open containers. It declines everything else, so
+// it needs none of encoding/json's rules for case-folded or repeated
+// keys, escapes, or a null field. Bytes after the object are ignored,
+// as encoding/json's Decoder ignores them.
 
 // maxDepth bounds the containers open at once, and with them the
 // scan's recursion.
@@ -239,23 +238,36 @@ func (d *reqDecoder) skip() bool {
 	return ok
 }
 
-// field returns the name in names that key is, or "" if there is none
-// or seen marks it as taken already; it marks the name in seen.
-func field(key []byte, names []string, seen *uint16) string {
+// field returns the name in names that key is, marking it in seen, or
+// "" for a key that is no name's, whose value the caller skips. It
+// reports false, to decline, for a name seen before and for a key that
+// matches a name only when case is folded, as encoding/json matches it
+// (bytes.EqualFold is its folding).
+func field(key []byte, names []string, seen *uint16) (string, bool) {
 	for i, name := range names {
-		if string(key) == name && *seen&(1<<i) == 0 {
+		if string(key) == name {
+			taken := *seen&(1<<i) != 0
 			*seen |= 1 << i
-			return name
+			return name, !taken
 		}
 	}
-	return ""
+	for _, name := range names {
+		if bytes.EqualFold(key, []byte(name)) {
+			return "", false
+		}
+	}
+	return "", true
 }
 
 // request decodes the top-level object into body.
 func (d *reqDecoder) request(body *openAIRequest) bool {
 	var seen uint16
 	return d.elements(func(key []byte) bool {
-		switch field(key, requestFields, &seen) {
+		name, ok := field(key, requestFields, &seen)
+		if !ok {
+			return false
+		}
+		switch name {
 		case "model":
 			return d.stringField(&body.Model)
 		case "messages":
@@ -283,11 +295,10 @@ func (d *reqDecoder) request(body *openAIRequest) bool {
 		case "system":
 			return d.stringField(&body.System)
 		case "deadline_ms":
-			var ok bool
 			body.DeadlineMS, ok = d.float()
 			return ok
 		}
-		return false
+		return d.skip()
 	})
 }
 
@@ -317,14 +328,18 @@ func (d *reqDecoder) text(n *int) bool {
 func (d *reqDecoder) message(shape *promptShape) bool {
 	var seen uint16
 	return d.peek() == '{' && d.elements(func(key []byte) bool {
-		switch field(key, messageFields, &seen) {
+		name, ok := field(key, messageFields, &seen)
+		if !ok {
+			return false
+		}
+		switch name {
 		case "role": // checked, not kept
 			_, ok := d.str()
 			return ok
 		case "content":
 			return d.content(shape)
 		}
-		return false
+		return d.skip()
 	})
 }
 
@@ -347,33 +362,28 @@ func (d *reqDecoder) content(shape *promptShape) bool {
 }
 
 // part adds one content-array object to shape: an "image_url" part is
-// an image, a "text" part counts its string "text". The last duplicate
-// key wins, as in a decoded map.
+// an image, a "text" part counts its "text". Both values must be
+// strings.
 func (d *reqDecoder) part(shape *promptShape) bool {
 	var kind []byte
-	textLen := -1 // unless "text" is a string
+	var textLen int
 	ok := d.elements(func(key []byte) bool {
-		isType, isText := string(key) == "type", string(key) == "text"
-		if (isType || isText) && d.peek() == '"' {
-			s, ok := d.str()
-			if isType {
-				kind = s
-			} else {
-				textLen = len(s)
-			}
+		switch string(key) {
+		case "type":
+			var ok bool
+			kind, ok = d.str()
 			return ok
-		}
-		if isType {
-			kind = nil
-		} else if isText {
-			textLen = -1
+		case "text":
+			s, ok := d.str()
+			textLen = len(s)
+			return ok
 		}
 		return d.skip()
 	})
-	switch {
-	case string(kind) == "image_url":
+	switch string(kind) {
+	case "image_url":
 		shape.images++
-	case string(kind) == "text" && textLen >= 0:
+	case "text":
 		shape.textLen += textLen
 	}
 	return ok

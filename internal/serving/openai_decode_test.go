@@ -29,6 +29,10 @@ func TestDecodeFastPath(t *testing.T) {
 	}
 	msg := `[{"role":"user","content":"count the forklifts"}]`
 	cases = append(cases,
+		// Keys the request types do not name are skipped.
+		fastCase{"sampling-fields", chat, `{"model":"count","messages":` + msg +
+			`,"temperature":0.7,"top_p":0.9,"n":1,"stop":["END",null],"logit_bias":{"50256":-100}}`, true},
+		fastCase{"message-name", chat, `{"messages":[{"role":"user","name":"bob","content":"x"}]}`, true},
 		fastCase{"folded-key", chat, `{"MODEL":"count","messages":` + msg + `}`, false},
 		fastCase{"repeated-messages", chat, `{"messages":` + msg + `,"messages":` + msg + `}`, false},
 		fastCase{"escaped-key", chat, `{"mod\u0065l":"count","messages":` + msg + `}`, false},
@@ -36,10 +40,13 @@ func TestDecodeFastPath(t *testing.T) {
 		fastCase{"null-field", chat, `{"model":null,"messages":` + msg + `}`, false},
 		fastCase{"nesting-100", chat, `{"messages":[{"role":"user","content":` +
 			strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}]}`, false},
-		// The first message is counted before the second one's unknown
+		fastCase{"folded-message-key", chat, `{"messages":[{"role":"user","Content":"x"}]}`, false},
+		fastCase{"repeated-role", chat, `{"messages":[{"role":"user","role":"user","content":"x"}]}`, false},
+		fastCase{"part-number-text", chat, `{"messages":[{"role":"user","content":[{"type":"text","text":7}]}]}`, false},
+		// The first message is counted before the second one's folded
 		// key declines the body.
 		fastCase{"late-decline", chat, `{"model":"count","messages":[{"role":"user","content":"counted before the decline"},` +
-			`{"role":"user","content":"x","name":"bob"}],"max_tokens":2}`, false},
+			`{"role":"user","content":"x","ROLE":"user"}],"max_tokens":2}`, false},
 	)
 
 	f := newTestFrontend(t)

@@ -265,8 +265,8 @@ func BenchmarkDecodeOpenAIRequest(b *testing.B) {
 			}
 		}
 	})
-	// A field the request type does not name, after every other one.
-	declined := []byte(strings.TrimSuffix(string(data), "}") + `,"temperature":0.7}`)
+	// An escaped string after every other field.
+	declined := []byte(strings.TrimSuffix(string(data), "}") + `,"stop":"\n"}`)
 	b.Run("fallback", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
