@@ -118,7 +118,11 @@ func wideWaves(a *ATMM, b Batch) int {
 	var sc segScratch
 	_, expand := segmentsFor(b, &sc)
 	cfg, _ := a.table.Lookup(simgpu.Shape{M: b.TotalTokens(), K: b.MaxRank(), N: b.Dim}, simgpu.TensorCore)
-	c, err := a.gpu.BatchGEMMCost(expand, cfg, simgpu.TensorCore)
+	k, err := a.gpu.Compile(cfg, simgpu.TensorCore)
+	if err != nil {
+		return 0
+	}
+	c, err := k.BatchCost(expand)
 	if err != nil {
 		return 0
 	}

@@ -46,10 +46,8 @@ func (*noCopy) Unlock() {}
 type poolEntry struct {
 	id    int
 	bytes int64
-	// pins mirrors Pool.pins.Get(id) while the entry is resident, and
-	// callPin holds the epoch of the Require call that pinned it, so
-	// eviction scans never consult the pin table.
-	pins       int
+	// callPin holds the epoch of the Require call that last pinned the
+	// entry.
 	callPin    uint64
 	prev, next *poolEntry
 }
@@ -66,10 +64,9 @@ type poolEntry struct {
 // Residency is tracked by an intrusive doubly-linked LRU list indexed
 // by an idtab.Table (a slice for the IDs below idtab.DenseIDs, a map
 // for the rest), so lookup, touch, insert and evict are all O(1)
-// and the common IDs hash nothing. Pins shield the
-// merged adapter (Pin/Unpin) and the batch-resident adapters (an epoch
-// mark each Require call stamps on its batch's entries) from
-// mid-iteration eviction.
+// and the common IDs hash nothing. Eviction skips the merged adapter
+// (Merged) and the batch-resident adapters (an epoch mark each Require
+// call stamps on its batch's entries).
 //
 // A Pool must not be copied: its LRU list links point into the
 // original. The noCopy marker makes `go vet`'s copylocks check flag
@@ -85,16 +82,16 @@ type Pool struct {
 	// of §4.4.1; without it every swap-in pays an extra on-device
 	// reshape copy (the dLoRA behaviour the paper criticizes).
 	Contiguous bool
+	// Merged is the ID of the adapter folded into the base weights, or
+	// -1 for none. Eviction skips it, so the folded weights cannot be
+	// swapped out from under the running mode.
+	Merged int
 
 	used    int64
 	entries idtab.Table[*poolEntry]
 	// root is the sentinel of the circular LRU list: root.next is the
 	// least recently used entry, root.prev the most recently used.
 	root poolEntry
-	// pins counts active pins per adapter ID. Pins are independent of
-	// residency (a pinned ID may be swapped in later and is protected
-	// from then on); pinned entries are skipped by eviction.
-	pins idtab.Table[int]
 	// epoch numbers Require calls; scratch holds the current call's
 	// entries, aligned with its adapters.
 	epoch   uint64
@@ -117,6 +114,7 @@ func NewPool(g *simgpu.GPU, capacity int64, async, contiguous bool) *Pool {
 		Capacity:   capacity,
 		Async:      async,
 		Contiguous: contiguous,
+		Merged:     -1,
 	}
 	p.root.next = &p.root
 	p.root.prev = &p.root
@@ -138,36 +136,9 @@ func (p *Pool) SwapStats() (swapIns, evictions int, bytes int64, stalled time.Du
 	return p.swapIns, p.evictions, p.swapBytes, p.stalled
 }
 
-// Pin protects an adapter from eviction until a matching Unpin. Pins
-// nest (a pin count is kept per ID) and are independent of residency:
-// the server pins the merged adapter so the folded weights can never
-// be swapped out from under the running mode.
-func (p *Pool) Pin(id int) {
-	p.pins.Set(id, p.pins.Get(id)+1)
-	if e := p.entries.Get(id); e != nil {
-		e.pins++
-	}
-}
-
-// Unpin releases one pin on an adapter. Unpinning an ID with no active
-// pins is a no-op.
-func (p *Pool) Unpin(id int) {
-	n := p.pins.Get(id)
-	if n == 0 {
-		return
-	}
-	p.pins.Set(id, n-1) // the last pin's zero deletes the ID
-	if e := p.entries.Get(id); e != nil {
-		e.pins--
-	}
-}
-
-// pinned reports whether eviction must skip e: it holds a Pin, or the
-// running Require call pinned it.
-func (p *Pool) pinned(e *poolEntry) bool { return e.pins > 0 || e.callPin == p.epoch }
-
-// Pinned reports whether the adapter currently holds any pins.
-func (p *Pool) Pinned(id int) bool { return p.pins.Get(id) > 0 }
+// pinned reports whether eviction must skip e: it is the merged
+// adapter, or the running Require call pinned it.
+func (p *Pool) pinned(e *poolEntry) bool { return e.id == p.Merged || e.callPin == p.epoch }
 
 // listRemove unlinks e from the LRU list.
 func (p *Pool) listRemove(e *poolEntry) {
@@ -241,7 +212,7 @@ func (p *Pool) evictUntil(need int64) {
 // (typically the previous iteration's duration).
 //
 // All adapters of the batch are pinned for the duration of the call
-// (an epoch mark on their entries, not the Pin count), so a later
+// (an epoch mark on their entries), so a later
 // swap-in can never evict an adapter made resident earlier in the same
 // call. Adapters that cannot be hosted — larger than the
 // whole pool, or blocked by the pinned working set — are left
@@ -301,7 +272,7 @@ func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.D
 			//valora:allow hotpath -- fill phase: the spare list is empty only when the resident count reaches a new peak; a pool that churns reuses the entries its evictions freed (allocgate_test.go pins it)
 			e = new(poolEntry)
 		}
-		*e = poolEntry{id: a.ID, bytes: bytes, pins: p.pins.Get(a.ID), callPin: p.epoch}
+		*e = poolEntry{id: a.ID, bytes: bytes, callPin: p.epoch}
 		p.entries.Set(a.ID, e)
 		p.listPushMRU(e)
 		p.used += bytes
@@ -340,10 +311,8 @@ func (p *Pool) Require(adapters []*Adapter, overlapBudget time.Duration) (time.D
 // CheckInvariants verifies the pool's internal bookkeeping: the LRU
 // list and the ID table describe the same resident set (every listed
 // entry is indexed under its ID, and the table counts no more IDs than
-// the list holds), each entry's cached pin count matches the pin
-// table, used equals the sum of resident adapter bytes, and the budget
-// is respected. The pin table cannot hold a stale zero count: setting
-// a count to zero deletes the ID. Tests call it after every mutation;
+// the list holds), used equals the sum of resident adapter bytes, and
+// the budget is respected. Tests call it after every mutation;
 // it is cheap enough (O(resident)) for that but not meant for
 // per-iteration production use.
 func (p *Pool) CheckInvariants() error {
@@ -358,9 +327,6 @@ func (p *Pool) CheckInvariants() error {
 		}
 		if e.next.prev != e || e.prev.next != e {
 			return fmt.Errorf("lora: pool list links broken at %d", e.id)
-		}
-		if pins := p.pins.Get(e.id); e.pins != pins {
-			return fmt.Errorf("lora: pool entry %d caches %d pins, pin table holds %d", e.id, e.pins, pins)
 		}
 		sum += e.bytes
 		n++

@@ -46,7 +46,7 @@ func TestPoolPinnedLRU(t *testing.T) {
 			run: func(t *testing.T, p *Pool) {
 				requireOne(t, p, a)
 				requireOne(t, p, b)
-				p.Pin(a.ID) // a is the LRU victim candidate, but pinned
+				p.Merged = a.ID // a is the LRU victim candidate, but merged
 				if err := requireOne(t, p, c); err != nil {
 					t.Fatalf("c should fit by evicting unpinned b: %v", err)
 				}
@@ -58,12 +58,10 @@ func TestPoolPinnedLRU(t *testing.T) {
 		},
 		{
 			name:     "fully pinned pool defers instead of over-committing",
-			capacity: 2 * ab,
+			capacity: ab,
 			run: func(t *testing.T, p *Pool) {
 				requireOne(t, p, a)
-				requireOne(t, p, b)
-				p.Pin(a.ID)
-				p.Pin(b.ID)
+				p.Merged = a.ID
 				err := requireOne(t, p, c)
 				var ce *CapacityError
 				if !errors.As(err, &ce) || len(ce.Deferred) != 1 || ce.Deferred[0] != c.ID {
@@ -72,13 +70,13 @@ func TestPoolPinnedLRU(t *testing.T) {
 				if p.Resident(c.ID) || p.Used() > p.Capacity {
 					t.Fatalf("deferred swap-in leaked into the pool (used %d)", p.Used())
 				}
-				// Releasing a pin unblocks the same swap-in.
-				p.Unpin(a.ID)
+				// Unmerging unblocks the same swap-in.
+				p.Merged = -1
 				if err := requireOne(t, p, c); err != nil {
 					t.Fatalf("unpinned pool should admit c: %v", err)
 				}
 				if p.Resident(a.ID) || !p.Resident(c.ID) {
-					t.Fatal("unpinned LRU entry should be the victim")
+					t.Fatal("the unmerged entry should be the victim")
 				}
 			},
 		},
@@ -129,8 +127,8 @@ func TestPoolPinnedLRU(t *testing.T) {
 			run: func(t *testing.T, p *Pool) {
 				requireOne(t, p, a)
 				requireOne(t, p, b)
-				p.Pin(a.ID)
-				// big needs both slots, but a is pinned: deferring is the
+				p.Merged = a.ID
+				// big needs both slots, but a is merged: deferring is the
 				// only option — and b must not be sacrificed on the way.
 				big := &Adapter{ID: 99, Name: "big", Rank: 2 * model.DefaultRank, Model: model}
 				if big.Bytes() != 2*ab {
@@ -163,28 +161,22 @@ func TestPoolPinnedLRU(t *testing.T) {
 			},
 		},
 		{
-			name:     "pins nest and pre-residency pins protect",
+			name:     "an adapter merged before it is resident is protected",
 			capacity: 2 * ab,
 			run: func(t *testing.T, p *Pool) {
-				p.Pin(d.ID) // pinned before it is resident
-				p.Pin(d.ID)
+				p.Merged = d.ID // merged before it is resident
 				requireOne(t, p, d)
 				requireOne(t, p, a)
-				p.Unpin(d.ID)
 				if err := requireOne(t, p, b); err != nil {
-					t.Fatalf("b should evict unpinned a: %v", err)
+					t.Fatalf("b should evict unmerged a: %v", err)
 				}
 				if !p.Resident(d.ID) || p.Resident(a.ID) {
-					t.Fatal("nested pin did not protect d")
+					t.Fatal("Merged did not protect d")
 				}
-				p.Unpin(d.ID)
-				p.Unpin(d.ID) // extra unpin is a no-op
-				if p.Pinned(d.ID) {
-					t.Fatal("pin count should have drained")
-				}
+				p.Merged = -1
 				requireOne(t, p, c) // now d is evictable (LRU)
 				if p.Resident(d.ID) {
-					t.Fatal("fully unpinned entry should evict")
+					t.Fatal("an unmerged LRU entry should evict")
 				}
 			},
 		},
@@ -239,50 +231,36 @@ func TestPoolChurnInvariants(t *testing.T) {
 	model := lmm.QwenVL7B()
 	adapters := MakeUniformAdapters(model, 12, model.DefaultRank)
 	// IDs on both sides of the pool's dense range: negative, the dense
-	// edges, and sparse ones far past it.
-	ids := []int{-1, -(1 << 40), 0, 1, 7, idtab.DenseIDs - 1, idtab.DenseIDs, idtab.DenseIDs + 9, 1 << 40, 300, 4096, -5}
+	// edges, and sparse ones far past it. -1 is Merged's "none".
+	ids := []int{-2, -(1 << 40), 0, 1, 7, idtab.DenseIDs - 1, idtab.DenseIDs, idtab.DenseIDs + 9, 1 << 40, 300, 4096, -5}
 	for i, a := range adapters {
 		a.ID = ids[i]
 	}
 	p := NewPool(g, 3*model.AdapterBytes(model.DefaultRank), false, true)
 	rng := rand.New(rand.NewSource(3))
-	pins := make(map[int]int)
 	for i := 0; i < 2000; i++ {
-		switch op := rng.Intn(6); {
-		case op == 0:
-			id := ids[rng.Intn(len(ids))]
-			p.Pin(id)
-			pins[id]++
-		case op == 1:
-			// Unpin a pinned ID at the rate Pin pins one, so the pins
-			// come and go; an unpinned ID makes it a no-op.
-			id := ids[rng.Intn(len(ids))]
-			for _, cand := range ids {
-				if pins[cand] > 0 && rng.Intn(2) == 0 {
-					id = cand
-				}
+		if rng.Intn(6) == 0 {
+			// Merge a random adapter, or none, at about one call in six.
+			p.Merged = -1
+			if rng.Intn(4) > 0 {
+				p.Merged = ids[rng.Intn(len(ids))]
 			}
-			p.Unpin(id)
-			if pins[id] > 0 {
-				pins[id]--
-			}
-		default:
-			batch := []*Adapter{adapters[i%12], adapters[(i*5+1)%12], adapters[rng.Intn(12)]}
-			// Deferred swap-ins are legitimate here (external pins can
-			// crowd a 3-slot pool); anything else is a bug, and the
-			// invariants must hold either way.
-			if _, err := p.Require(batch[:1+rng.Intn(3)], 0); err != nil {
-				var ce *CapacityError
-				if !errors.As(err, &ce) || len(ce.Oversized) > 0 {
-					t.Fatalf("iter %d: %v", i, err)
-				}
+			continue
+		}
+		merged := p.Resident(p.Merged)
+		batch := []*Adapter{adapters[i%12], adapters[(i*5+1)%12], adapters[rng.Intn(12)]}
+		// Deferred swap-ins are legitimate here (the merged adapter
+		// can crowd a 3-slot pool); anything else is a bug, and the
+		// invariants must hold either way.
+		if _, err := p.Require(batch[:1+rng.Intn(3)], 0); err != nil {
+			var ce *CapacityError
+			if !errors.As(err, &ce) || len(ce.Oversized) > 0 {
+				t.Fatalf("iter %d: %v", i, err)
 			}
 		}
 		checkPool(t, p)
-		for _, id := range ids {
-			if p.Pinned(id) != (pins[id] > 0) {
-				t.Fatalf("iter %d: Pinned(%d) = %v, model holds %d pins", i, id, p.Pinned(id), pins[id])
-			}
+		if merged && !p.Resident(p.Merged) {
+			t.Fatalf("iter %d: Require evicted the merged adapter %d", i, p.Merged)
 		}
 	}
 	if swapIns, evictions, _, _ := p.SwapStats(); swapIns < 100 || evictions < 100 {

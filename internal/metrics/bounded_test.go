@@ -26,8 +26,8 @@ func TestBoundedStreamMemoryStaysCapped(t *testing.T) {
 	if s.Count() != n {
 		t.Fatalf("count %d, want %d", s.Count(), n)
 	}
-	if math.Abs(s.Sum()-sum) > 1e-6 {
-		t.Fatalf("sum drifted: %v vs %v", s.Sum(), sum)
+	if math.Abs(s.Mean()*float64(n)-sum) > 1e-6 {
+		t.Fatalf("sum drifted: %v vs %v", s.Mean()*float64(n), sum)
 	}
 	// Uniform[0,1): p50 ≈ 0.5, p99 ≈ 0.99 within sampling noise.
 	if p := s.Percentile(50); math.Abs(p-0.5) > 0.05 {
@@ -72,8 +72,8 @@ func TestBoundedMergeIntoUnbounded(t *testing.T) {
 		}
 		agg.Merge(b)
 	}
-	if agg.Count() != ref.Count() || agg.Sum() != ref.Sum() {
-		t.Fatalf("merged count/sum mismatch: %d/%v vs %d/%v", agg.Count(), agg.Sum(), ref.Count(), ref.Sum())
+	if agg.Count() != ref.Count() || agg.Mean() != ref.Mean() {
+		t.Fatalf("merged count/mean mismatch: %d/%v vs %d/%v", agg.Count(), agg.Mean(), ref.Count(), ref.Mean())
 	}
 	for _, p := range []float64{0, 50, 99, 100} {
 		if agg.Percentile(p) != ref.Percentile(p) {
@@ -94,8 +94,8 @@ func TestBoundedMergeCounts(t *testing.T) {
 	if dst.Count() != 101 {
 		t.Fatalf("count %d, want 101", dst.Count())
 	}
-	if dst.Sum() != 1000+5050 {
-		t.Fatalf("sum %v, want 6050", dst.Sum())
+	if dst.Mean() != (1000+5050)/101.0 {
+		t.Fatalf("mean %v, want 6050/101", dst.Mean())
 	}
 	if dst.Min() != 1 || dst.Max() != 1000 {
 		t.Fatalf("min/max %v/%v, want 1/1000", dst.Min(), dst.Max())

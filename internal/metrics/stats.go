@@ -154,9 +154,6 @@ func (s *Stream) AddDuration(d time.Duration) {
 // Count reports the number of recorded samples.
 func (s *Stream) Count() int { return s.count }
 
-// Sum reports the exact sum of all recorded samples.
-func (s *Stream) Sum() float64 { return s.sum }
-
 // Mean reports the arithmetic mean, or 0 for an empty stream.
 func (s *Stream) Mean() float64 {
 	if s.count == 0 {
@@ -267,9 +264,6 @@ func (s *Stream) Merge(other *Stream) {
 	s.sum += other.sum
 	s.sumSq += other.sumSq
 }
-
-// Reset discards all recorded samples.
-func (s *Stream) Reset() { *s = Stream{} }
 
 // Summary is a compact snapshot of a stream, convenient for report
 // tables.

@@ -61,16 +61,16 @@ func (p *MergeOnlyPolicy) Decide(it Iteration) Decision {
 // work, otherwise fall back to unmerged mode; no mixture mode exists,
 // so every transition pays the (slow) dLoRA switch.
 type DLoRAPolicy struct {
-	// MajorityFrac is the fraction of active requests the dominant
-	// adapter must hold to justify merged mode.
-	MajorityFrac float64
-
 	cohorts cohorts
 }
 
-// NewDLoRAPolicy returns the policy with the paper's ≥50% majority
+// dLoRAMajority is the fraction of active requests the dominant
+// adapter must hold to justify merged mode: the paper's ≥50% majority
 // heuristic.
-func NewDLoRAPolicy() *DLoRAPolicy { return &DLoRAPolicy{MajorityFrac: 0.5} }
+const dLoRAMajority = 0.5
+
+// NewDLoRAPolicy returns the dLoRA policy.
+func NewDLoRAPolicy() *DLoRAPolicy { return &DLoRAPolicy{} }
 
 func (p *DLoRAPolicy) Name() string { return "dLoRA" }
 
@@ -80,7 +80,7 @@ func (p *DLoRAPolicy) Decide(it Iteration) Decision {
 		return Decision{Mode: cur.Mode, Merged: cur.Merged}
 	}
 	id, reqs := p.cohorts.mostCommon(active, cur)
-	if float64(len(reqs)) >= p.MajorityFrac*float64(len(active)) {
+	if float64(len(reqs)) >= dLoRAMajority*float64(len(active)) {
 		return Decision{Mode: lora.ModeMerged, Merged: id, Batch: capBatch(reqs, maxBS)}
 	}
 	return Decision{Mode: lora.ModeUnmerged, Merged: -1, Batch: capBatch(active, maxBS)}

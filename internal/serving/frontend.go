@@ -52,7 +52,7 @@ type Frontend struct {
 	engines  []*liveEngine // persistent live engines, one per kind
 	liveCap  int           // requests per live engine before recycling (liveEngineRequestCap)
 	adapters []AdapterCard
-	slo      []*sloTrack
+	slo      map[SystemKind]map[string]*sloTrack // by tenant
 
 	prom     *metrics.Prom
 	traceRec *trace.Recorder
@@ -109,12 +109,19 @@ type engineMetrics struct {
 // sloTrack accumulates one (system, tenant) deadline attainment ratio
 // behind its gauge. Frontend-owned, so it too survives recycling.
 type sloTrack struct {
-	kind   SystemKind
-	tenant string
-	met    int
-	total  int
-	gauge  *metrics.Gauge
+	met   int
+	total int
+	gauge *metrics.Gauge
 }
+
+// Each distinct "user" label would otherwise add a series to /metrics
+// for the server's whole life. A system's first maxSLOTenants tenants
+// get their own series, and every later one shares the overflow
+// series.
+const (
+	maxSLOTenants     = 128
+	sloOverflowTenant = "_overflow"
+)
 
 // liveEngineRequestCap bounds how many requests one live engine serves
 // before being recycled with a fresh one. The engine's latency streams
@@ -150,6 +157,7 @@ func NewFrontend(kind SystemKind, g *simgpu.GPU, model lmm.Config) *Frontend {
 		mux:     http.NewServeMux(),
 		liveCap: liveEngineRequestCap,
 		prom:    metrics.NewProm(),
+		slo:     make(map[SystemKind]map[string]*sloTrack),
 	}
 	f.mux.HandleFunc("/v1/chat/completions", f.handleChatCompletions)
 	f.mux.HandleFunc("/v1/completions", f.handleCompletions)
@@ -299,7 +307,8 @@ func (f *Frontend) retire(eng *liveEngine) {
 }
 
 // recordSLO folds one deadline-carrying completion into its (system,
-// tenant) attainment gauge.
+// tenant) attainment gauge, or the system's overflow gauge once it has
+// maxSLOTenants tenants.
 func (f *Frontend) recordSLO(kind SystemKind, req *sched.Request) {
 	tenant := req.Tenant
 	if tenant == "" {
@@ -307,19 +316,21 @@ func (f *Frontend) recordSLO(kind SystemKind, req *sched.Request) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var t *sloTrack
-	for _, e := range f.slo {
-		if e.kind == kind && e.tenant == tenant {
-			t = e
-			break
-		}
+	tracks := f.slo[kind]
+	if tracks == nil {
+		tracks = make(map[string]*sloTrack)
+		f.slo[kind] = tracks
+	}
+	t := tracks[tenant]
+	if t == nil && len(tracks) >= maxSLOTenants {
+		tenant = sloOverflowTenant
+		t = tracks[tenant]
 	}
 	if t == nil {
-		t = &sloTrack{kind: kind, tenant: tenant,
-			gauge: f.prom.Gauge("valora_slo_attainment", "Fraction of deadline-carrying requests finishing within their deadline.",
-				metrics.Label{Name: "system", Value: string(kind)},
-				metrics.Label{Name: "tenant", Value: tenant})}
-		f.slo = append(f.slo, t)
+		t = &sloTrack{gauge: f.prom.Gauge("valora_slo_attainment", "Fraction of deadline-carrying requests finishing within their deadline.",
+			metrics.Label{Name: "system", Value: string(kind)},
+			metrics.Label{Name: "tenant", Value: tenant})}
+		tracks[tenant] = t
 	}
 	t.total++
 	if req.Latency() <= req.Deadline {

@@ -230,6 +230,39 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 }
 
+// TestSLOSeriesBounded checks that distinct users cannot grow /metrics
+// without bound: a system's first maxSLOTenants tenants get their own
+// valora_slo_attainment series, and every later tenant shares the
+// overflow series.
+func TestSLOSeriesBounded(t *testing.T) {
+	f := newTestFrontend(t)
+	post := func(user string, deadlineMS float64) {
+		t.Helper()
+		body := fmt.Sprintf(`{"adapter_id":0,"input_tokens":8,"output_tokens":1,"deadline_ms":%g,"user":%q}`, deadlineMS, user)
+		if rec := postJSON(t, f, "/v1/chat/completions", body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", user, rec.Code, rec.Body)
+		}
+	}
+	const met, missed = 60000, 1e-6 // a minute, and one virtual nanosecond
+	for i := 0; i < maxSLOTenants; i++ {
+		post(fmt.Sprintf("tenant-%d", i), met)
+	}
+	for i, ms := range []float64{met, met, met, missed} {
+		post(fmt.Sprintf("late-%d", i), ms)
+	}
+	post("tenant-0", missed) // a named tenant keeps its own series
+	body := scrape(t, f)
+	if got := strings.Count(body, "\nvalora_slo_attainment{"); got != maxSLOTenants+1 {
+		t.Fatalf("%d valora_slo_attainment series, want %d", got, maxSLOTenants+1)
+	}
+	if got := promValue(t, body, `valora_slo_attainment{system="VaLoRA",tenant="`+sloOverflowTenant+`"}`); got != 0.75 {
+		t.Fatalf("overflow attainment %v, want 0.75", got)
+	}
+	if got := promValue(t, body, `valora_slo_attainment{system="VaLoRA",tenant="tenant-0"}`); got != 0.5 {
+		t.Fatalf("tenant-0 attainment %v, want 0.5", got)
+	}
+}
+
 // TestMetricsMonotonicAcrossRecycle is the recycling-counter fix's
 // regression test: with a tiny live-engine cap, counters must keep
 // rising across engine retirements instead of resetting.

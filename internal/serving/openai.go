@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -97,30 +98,31 @@ type messageContent struct{ promptShape }
 
 func (c *messageContent) UnmarshalJSON(data []byte) error {
 	c.promptShape = promptShape{}
-	switch data[0] {
-	case '"':
+	if data[0] == '"' {
 		c.textLen = stringLen(data)
 		return nil
-	case '[':
-		return eachElement(data, c.addPart)
 	}
-	return checkGeneric(data)
+	return eachElement(data, c.addPart)
 }
 
 // addPart counts one element of a content array. Keys match exactly
-// and the last duplicate wins, as they would in a decoded map.
+// and the last duplicate wins, as they would in a decoded map; a value
+// is kept as its first token, which is the value itself for a string.
 func (c *messageContent) addPart(dec *json.Decoder, tok json.Token) error {
 	if tok != json.Delim('{') {
-		return skipOpened(dec, tok)
+		return skipValue(dec, tok)
 	}
-	var kind, text any
+	var kind, text json.Token
 	for dec.More() {
 		key, err := dec.Token()
 		if err != nil {
 			return err
 		}
-		var v any
-		if err := dec.Decode(&v); err != nil {
+		v, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		if err := skipValue(dec, v); err != nil {
 			return err
 		}
 		switch key {
@@ -151,19 +153,16 @@ type completionInput struct{ textLen int }
 
 func (p *completionInput) UnmarshalJSON(data []byte) error {
 	p.textLen = 0
-	switch data[0] {
-	case '"':
+	if data[0] == '"' {
 		p.textLen = stringLen(data)
 		return nil
-	case '[':
-		return eachElement(data, func(dec *json.Decoder, tok json.Token) error {
-			if s, ok := tok.(string); ok {
-				p.textLen += len(s)
-			}
-			return skipOpened(dec, tok)
-		})
 	}
-	return checkGeneric(data)
+	return eachElement(data, func(dec *json.Decoder, tok json.Token) error {
+		if s, ok := tok.(string); ok {
+			p.textLen += len(s)
+		}
+		return skipValue(dec, tok)
+	})
 }
 
 // stringLen is the decoded byte length of a JSON string literal. Plain
@@ -179,12 +178,22 @@ func stringLen(lit []byte) int {
 	return len(s)
 }
 
-// eachElement reads the JSON array data token by token and calls fn
-// with each element's first token; fn must consume the rest of it.
+// eachElement walks the JSON value data token by token, so that a
+// declined body builds none of its content or prompt values. For an
+// array it calls fn with each element's first token, and fn must
+// consume the rest of it; any other value is skipped. The handler's
+// decoder has validated data's syntax, and the walk accepts exactly
+// what decoding into an untyped value accepts: every number must parse
+// as a float64.
 func eachElement(data []byte, fn func(dec *json.Decoder, tok json.Token) error) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
-	if _, err := dec.Token(); err != nil { // the opening bracket
+	dec.UseNumber() // a token builds no float
+	tok, err := dec.Token()
+	if err != nil {
 		return err
+	}
+	if tok != json.Delim('[') {
+		return skipValue(dec, tok)
 	}
 	for dec.More() {
 		tok, err := dec.Token()
@@ -198,33 +207,31 @@ func eachElement(data []byte, fn func(dec *json.Decoder, tok json.Token) error) 
 	return nil
 }
 
-// skipOpened consumes the rest of a value whose first token was tok,
-// decoding its members as untyped values so that an out-of-range
-// number fails as it would in a full untyped decode.
-func skipOpened(dec *json.Decoder, tok json.Token) error {
-	if tok != json.Delim('{') && tok != json.Delim('[') {
-		return nil // a scalar is a single token
-	}
-	for dec.More() {
-		if tok == json.Delim('{') {
-			if _, err := dec.Token(); err != nil { // the key
-				return err
+// skipValue consumes the rest of a value whose first token was tok. It
+// fails on the first number past float64 range with the error an
+// untyped decode returns for it.
+func skipValue(dec *json.Decoder, tok json.Token) error {
+	for depth := 0; ; {
+		switch t := tok.(type) {
+		case json.Delim:
+			if t == '{' || t == '[' {
+				depth++
+			} else {
+				depth--
+			}
+		case json.Number:
+			if _, err := strconv.ParseFloat(string(t), 64); err != nil {
+				return &json.UnmarshalTypeError{Value: "number " + string(t), Type: reflect.TypeFor[float64]()}
 			}
 		}
-		var v any
-		if err := dec.Decode(&v); err != nil {
+		if depth == 0 {
+			return nil
+		}
+		var err error
+		if tok, err = dec.Token(); err != nil {
 			return err
 		}
 	}
-	_, err := dec.Token() // the closing delimiter
-	return err
-}
-
-// checkGeneric accepts exactly what decoding data into an untyped
-// value accepts.
-func checkGeneric(data []byte) error {
-	var v any
-	return json.Unmarshal(data, &v)
 }
 
 // shape sums the prompt's text length and images over the chat

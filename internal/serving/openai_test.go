@@ -3,11 +3,13 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -225,6 +227,68 @@ func TestOpenAIHandlerAllocs(t *testing.T) {
 				t.Fatalf("%.1f allocations per call, bound %.0f", allocs, c.bound)
 			}
 		})
+	}
+}
+
+// TestDeclinedBodyBuildsNoValues bounds the memory one declined body
+// costs the handler. A content or prompt value that is not a string is
+// walked, not decoded, so an 8 MiB body of empty objects allocates a
+// small multiple of its size (reading it and encoding/json's copy of
+// it), not a value per object.
+func TestDeclinedBodyBuildsNoValues(t *testing.T) {
+	for _, c := range []struct{ path, head, tail string }{
+		{"/v1/chat/completions", `{"user":"\u0061","messages":[{"role":"user","content":{"x":[`, `{}]}}]}`},
+		{"/v1/completions", `{"user":"\u0061","prompt":[{"x":[`, `{}]}]}`},
+	} {
+		var b strings.Builder
+		b.WriteString(c.head)
+		for b.Len()+len(c.tail)+3 <= maxBodyBytes {
+			b.WriteString("{},")
+		}
+		b.WriteString(c.tail)
+		body := b.String()
+		f := newTestFrontend(t)
+		rr := newReplayRequest(c.path, body)
+		rec := newReuseRecorder()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rr.serve(f, rec)
+		runtime.ReadMemStats(&after)
+		if rec.code != http.StatusOK {
+			t.Fatalf("%s: status %d: %.200s", c.path, rec.code, rec.body.String())
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: a %d-byte declined body allocated %d bytes", c.path, len(body), alloc)
+		if bound := 16 * uint64(len(body)); alloc > bound {
+			t.Fatalf("%s: a %d-byte declined body allocated %d bytes, bound %d", c.path, len(body), alloc, bound)
+		}
+	}
+}
+
+// TestFallbackNumberRangeErrors pins the 400 text of a number past
+// float64 range in a content or prompt value: the first such number in
+// the body, worded as encoding/json words it for an untyped value.
+func TestFallbackNumberRangeErrors(t *testing.T) {
+	const content = "json: cannot unmarshal number %s into Go struct field openAIMessage.messages.content of type float64"
+	const prompt = "json: cannot unmarshal number %s into Go struct field openAIRequest.prompt of type float64"
+	for _, c := range []struct{ body, want string }{
+		{`{"messages":[{"content":{"a":[1,1e400,2e400]}}]}`, fmt.Sprintf(content, "1e400")},
+		{`{"messages":[{"content":1e400}]}`, fmt.Sprintf(content, "1e400")},
+		{`{"messages":[{"content":[1e400]}]}`, fmt.Sprintf(content, "1e400")},
+		{`{"messages":[{"content":[{"type":"text","text":1e400}]}]}`, fmt.Sprintf(content, "1e400")},
+		{`{"messages":[{"content":[{"x":[{"y":-1e999}]}]}]}`, fmt.Sprintf(content, "-1e999")},
+		{`{"prompt":[1e400]}`, fmt.Sprintf(prompt, "1e400")},
+		{`{"prompt":["a",{"b":[1e400]}]}`, fmt.Sprintf(prompt, "1e400")},
+		{`{"prompt":{"b":1e400}}`, fmt.Sprintf(prompt, "1e400")},
+		{`{"prompt":-1e400}`, fmt.Sprintf(prompt, "-1e400")},
+		{`{"prompt":[1e-400, 1.5]}`, ""},
+	} {
+		var body openAIRequest
+		err := json.NewDecoder(strings.NewReader(c.body)).Decode(&body)
+		if got := fmt.Sprint(err); c.want == "" && err != nil || c.want != "" && got != c.want {
+			t.Errorf("%s: error %v, want %q", c.body, err, c.want)
+		}
 	}
 }
 

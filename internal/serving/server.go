@@ -469,9 +469,9 @@ func (s *Server) Step() (bool, error) {
 		}
 	}
 	// Even with nothing servable, an intended mode switch is real
-	// progress: it updates the pins, so a stale merged adapter whose
-	// folded weights were crowding the pool frees its slot for the
-	// next round's swap-ins.
+	// progress: it updates the pool's merged adapter, so a stale one
+	// whose folded weights were crowding the pool frees its slot for
+	// the next round's swap-ins.
 	s.clock.Advance(s.switchTo(target))
 	if len(batch) == 0 {
 		wake, err := s.stalled(fetching)
@@ -1051,10 +1051,10 @@ func (s *Server) dropUnhosted(batch []*sched.Request, err error) ([]*sched.Reque
 	return out, nil
 }
 
-// switchTo performs a mode switch and returns the switcher's latency,
-// moving the merged-adapter pin: the merged adapter stays pinned in
-// the pool while it is folded, so the running mode's weights can never
-// be swapped out from under it.
+// switchTo performs a mode switch and returns the switcher's latency.
+// It names the merged adapter to the pool, which never evicts it while
+// it is folded, so the running mode's weights can never be swapped out
+// from under it.
 //
 //valora:hotpath
 func (s *Server) switchTo(target lora.State) time.Duration {
@@ -1066,14 +1066,7 @@ func (s *Server) switchTo(target lora.State) time.Duration {
 		s.report.Switches++
 		s.report.SwitchTime += st
 	}
-	if target.Merged != s.state.Merged {
-		if s.state.Merged >= 0 {
-			s.pool.Unpin(s.state.Merged)
-		}
-		if target.Merged >= 0 {
-			s.pool.Pin(target.Merged)
-		}
-	}
+	s.pool.Merged = target.Merged
 	s.state = target
 	return st
 }

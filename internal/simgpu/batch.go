@@ -26,17 +26,8 @@ type BatchCost struct {
 	Total    time.Duration
 }
 
-// BatchGEMMCost costs one fused kernel over segs: it compiles cfg and
-// runs the segments through the kernel path (see Kernel.BatchCost).
-func (g *GPU) BatchGEMMCost(segs []Segment, cfg TileConfig, class CoreClass) (BatchCost, error) {
-	k, err := g.Compile(cfg, class)
-	if err != nil {
-		return BatchCost{}, err
-	}
-	return k.BatchCost(segs)
-}
-
-// BatchGEMMTime is BatchGEMMCost reduced to total latency.
+// BatchGEMMTime costs one fused kernel over segs: it compiles cfg and
+// runs the segments through the kernel path (see Kernel.BatchTime).
 func (g *GPU) BatchGEMMTime(segs []Segment, cfg TileConfig, class CoreClass) (time.Duration, error) {
 	k, err := g.Compile(cfg, class)
 	if err != nil {

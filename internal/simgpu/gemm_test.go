@@ -176,7 +176,11 @@ func TestBatchGEMMMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := g.BatchGEMMCost([]Segment{{Shape: shape, Count: 1}}, cfg, TensorCore)
+	k, err := g.Compile(cfg, TensorCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := k.BatchCost([]Segment{{Shape: shape, Count: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,15 +215,19 @@ func TestBatchGEMMFusionBeatsSeparateLaunches(t *testing.T) {
 func TestBatchGEMMEmptyAndInvalid(t *testing.T) {
 	g := A100()
 	cfg := validConfig()
-	c, err := g.BatchGEMMCost(nil, cfg, TensorCore)
+	k, err := g.Compile(cfg, TensorCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := k.BatchCost(nil)
 	if err != nil || c.Total != 0 {
 		t.Fatalf("empty batch should cost zero, got %v err %v", c.Total, err)
 	}
-	c, err = g.BatchGEMMCost([]Segment{{Shape: Shape{M: 4, K: 4, N: 4}, Count: 0}}, cfg, TensorCore)
+	c, err = k.BatchCost([]Segment{{Shape: Shape{M: 4, K: 4, N: 4}, Count: 0}})
 	if err != nil || c.Total != 0 {
 		t.Fatalf("zero-count segments should cost zero, got %v err %v", c.Total, err)
 	}
-	if _, err := g.BatchGEMMCost([]Segment{{Shape: Shape{M: 0, K: 4, N: 4}, Count: 1}}, cfg, TensorCore); err == nil {
+	if _, err := k.BatchCost([]Segment{{Shape: Shape{M: 0, K: 4, N: 4}, Count: 1}}); err == nil {
 		t.Fatal("invalid segment shape should error")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // precomputes every term that depends on the configuration alone:
 // occupancy, warp efficiency, and the per-main-loop-step exposed
 // latency the software pipeline leaves. Costing a shape then only does
-// the shape-dependent tiling work. GPU.GEMMCost and GPU.BatchGEMMCost
+// the shape-dependent tiling work. GPU.GEMMCost and GPU.BatchGEMMTime
 // compile per call and run the same path, so a Kernel's costs are
 // bit-identical to theirs.
 //

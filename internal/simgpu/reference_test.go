@@ -260,8 +260,8 @@ func randomSegments(rng *rand.Rand, bad bool) []Segment {
 	return segs
 }
 
-// TestCostMatchesReference holds GEMMCost, GEMMTime, BatchGEMMCost and
-// BatchGEMMTime bit-identical to the frozen oracle on every grid
+// TestCostMatchesReference holds GEMMCost, GEMMTime, Kernel.BatchCost
+// and BatchGEMMTime bit-identical to the frozen oracle on every grid
 // configuration, on both GPUs and both core classes, over random
 // segment lists; infeasible configurations and bad shapes must return
 // the oracle's error.
@@ -278,9 +278,13 @@ func TestCostMatchesReference(t *testing.T) {
 			for _, class := range []CoreClass{TensorCore, CUDACore} {
 				for _, segs := range lists {
 					want, wantErr := refBatchGEMMCost(g, segs, cfg, class)
-					got, err := g.BatchGEMMCost(segs, cfg, class)
+					k, err := g.Compile(cfg, class)
+					got := BatchCost{}
+					if err == nil {
+						got, err = k.BatchCost(segs)
+					}
 					if !sameErr(err, wantErr) || got != want {
-						t.Fatalf("%s %v %v segs %v: BatchGEMMCost = %+v, %v; reference %+v, %v", g.Name, cfg, class, segs, got, err, want, wantErr)
+						t.Fatalf("%s %v %v segs %v: Kernel.BatchCost = %+v, %v; reference %+v, %v", g.Name, cfg, class, segs, got, err, want, wantErr)
 					}
 					d, err := g.BatchGEMMTime(segs, cfg, class)
 					if !sameErr(err, wantErr) || d != want.Total {

@@ -26,7 +26,7 @@ var (
 // GPU, without the expert-knowledge pruning of Algorithm 2. This is
 // the "50,000 configurations" end of the paper's search-space
 // comparison (here smaller in absolute count, but pruning ratios are
-// preserved by PrunedSpace).
+// preserved by prune).
 func FullSpace(g *simgpu.GPU) []simgpu.TileConfig {
 	var out []simgpu.TileConfig
 	for _, bm := range blockM {
@@ -55,17 +55,12 @@ func FullSpace(g *simgpu.GPU) []simgpu.TileConfig {
 	return out
 }
 
-// PrunedSpace applies the expert-knowledge pruning of §4.3.2:
-// warp tiles that leave a warp with a sliver of work are dropped,
-// split-K is only kept for configurations that would otherwise
-// under-fill the SMs at small M, and 3-stage pipelines are kept only
-// for large tiles where the extra shared memory pays off. This is the
-// "reduced up to 20×" space the search actually profiles.
-func PrunedSpace(g *simgpu.GPU) []simgpu.TileConfig {
-	return prune(FullSpace(g))
-}
-
-// prune filters a full space down to the pruned one.
+// prune applies the expert-knowledge pruning of §4.3.2 to a full
+// space: warp tiles that leave a warp with a sliver of work are
+// dropped, split-K is only kept for configurations that would
+// otherwise under-fill the SMs at small M, and 3-stage pipelines are
+// kept only for large tiles where the extra shared memory pays off.
+// This is the "reduced up to 20×" space the search actually profiles.
 func prune(full []simgpu.TileConfig) []simgpu.TileConfig {
 	var out []simgpu.TileConfig
 	for _, cfg := range full {

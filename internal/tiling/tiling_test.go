@@ -28,7 +28,7 @@ func TestFullSpaceNonEmptyAndValid(t *testing.T) {
 func TestPrunedSpaceSubset(t *testing.T) {
 	g := simgpu.A100()
 	full := FullSpace(g)
-	pruned := PrunedSpace(g)
+	pruned := prune(FullSpace(g))
 	if len(pruned) == 0 || len(pruned) >= len(full) {
 		t.Fatalf("pruned space size %d vs full %d: pruning must be strict and non-empty", len(pruned), len(full))
 	}
@@ -168,7 +168,7 @@ func TestSearchFindsPerShapeOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range PrunedSpace(g) {
+	for _, cfg := range prune(FullSpace(g)) {
 		d, err := g.GEMMTime(shape, cfg, simgpu.TensorCore)
 		if err != nil {
 			continue
@@ -227,7 +227,7 @@ func TestSearchMatchesPerCallProfile(t *testing.T) {
 		}
 		want := NewTable()
 		profiled := 0
-		pruned := PrunedSpace(g)
+		pruned := prune(FullSpace(g))
 		for _, shape := range spec.shapes() {
 			for _, class := range spec.Classes {
 				var best simgpu.TileConfig

@@ -16,6 +16,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -150,12 +151,22 @@ func WriteJSONL(w io.Writer, rows []Record) error {
 	return bw.Flush()
 }
 
+// maxLineBytes bounds one JSONL line, its newline included.
+const maxLineBytes = 4 << 20
+
 // ReadJSONL loads a JSONL trace. Blank lines are skipped; any other
-// malformed line is an error naming its line number.
+// malformed line is an error naming its line number. So is a row that
+// WriteJSONL would write past maxLineBytes, since the rewritten trace
+// could not be read back: decoding turns an invalid UTF-8 byte into a
+// 3-byte U+FFFD, and encoding escapes a raw U+2028 or U+2029 to 6
+// bytes.
 func ReadJSONL(r io.Reader) ([]Record, error) {
 	var rows []Record
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	enc.SetEscapeHTML(false) // as WriteJSONL writes
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -166,6 +177,13 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 		var rec Record
 		if err := json.Unmarshal(b, &rec); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		}
+		out.Reset()
+		if err := enc.Encode(&rec); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		}
+		if out.Len() > maxLineBytes {
+			return nil, fmt.Errorf("trace: line %d: the row rewrites to a %d-byte line, past the %d-byte limit", line, out.Len(), maxLineBytes)
 		}
 		rows = append(rows, rec)
 	}

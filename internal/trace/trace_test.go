@@ -97,25 +97,83 @@ func TestReadJSONLErrors(t *testing.T) {
 	}
 }
 
+// growingRows are traces whose second row fits the reader's line limit
+// but would be rewritten past it: a 2 MiB tenant of 0xff bytes decodes
+// to 6 MiB of U+FFFD, and 700,000 raw U+2028s (2.1 MB) encode to 4.2 MB
+// of \u2028 escapes. Files in the fuzz corpus's quoted syntax would
+// take 8 MB and 4.2 MB, so FuzzReadJSONL adds them in code.
+var growingRows = []struct {
+	name   string
+	tenant string
+}{
+	{"invalid-utf8-2MiB", strings.Repeat("\xff", 2<<20)},
+	{"raw-u2028", strings.Repeat("\u2028", 700_000)},
+}
+
+func tenantTrace(tenant string) []byte {
+	return []byte("{\"id\":1}\n{\"id\":2,\"tenant\":\"" + tenant + "\"}\n")
+}
+
+// TestReadJSONLRejectsRowsThatOutgrowTheirLine checks that ReadJSONL
+// refuses, by line number, a row whose rewrite would not fit its line
+// limit, and accepts the same shapes when the rewrite fits.
+func TestReadJSONLRejectsRowsThatOutgrowTheirLine(t *testing.T) {
+	for _, c := range growingRows {
+		_, err := ReadJSONL(bytes.NewReader(tenantTrace(c.tenant)))
+		if err == nil || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("%s: error %v, want one naming line 2", c.name, err)
+		}
+		small := tenantTrace(c.tenant[:3*1024])
+		rows, err := ReadJSONL(bytes.NewReader(small))
+		if err != nil || len(rows) != 2 {
+			t.Fatalf("%s, 3 KiB: %d rows, %v", c.name, len(rows), err)
+		}
+		roundTrip(t, rows)
+	}
+	// At the limit: a row that rewrites to exactly maxLineBytes, its
+	// newline included, is accepted and reads back; one byte more is not.
+	var one bytes.Buffer
+	if err := WriteJSONL(&one, []Record{{ID: 2, Tenant: "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	n := maxLineBytes - one.Len() + 1
+	rows, err := ReadJSONL(bytes.NewReader(tenantTrace(strings.Repeat("a", n))))
+	if err != nil {
+		t.Fatalf("a row rewriting to %d bytes: %v", maxLineBytes, err)
+	}
+	roundTrip(t, rows)
+	if _, err := ReadJSONL(bytes.NewReader(tenantTrace(strings.Repeat("a", n+1)))); err == nil {
+		t.Fatalf("a row rewriting to %d bytes was accepted", maxLineBytes+1)
+	}
+}
+
+// roundTrip checks that rows come back unchanged through WriteJSONL and
+// ReadJSONL.
+func roundTrip(t *testing.T, rows []Record) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, rows); err != nil {
+		t.Fatalf("writing %d rows read back: %v", len(rows), err)
+	}
+	again, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatalf("reading the rewritten trace: %v\n%.200s", err, buf.Bytes())
+	}
+	if !slices.Equal(rows, again) {
+		t.Fatalf("rows changed through a write and read:\n%.200v\n%.200v", rows, again)
+	}
+}
+
 // FuzzReadJSONL feeds arbitrary bytes to ReadJSONL, valora-calibrate's
 // input path. It must never panic, and a trace it reads must come back
 // unchanged through WriteJSONL and a second ReadJSONL.
 func FuzzReadJSONL(f *testing.F) {
+	for _, c := range growingRows {
+		f.Add(tenantTrace(c.tenant))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, err := ReadJSONL(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteJSONL(&buf, rows); err != nil {
-			t.Fatalf("writing %d rows read back: %v", len(rows), err)
-		}
-		again, err := ReadJSONL(&buf)
-		if err != nil {
-			t.Fatalf("reading the rewritten trace: %v\n%s", err, buf.Bytes())
-		}
-		if !slices.Equal(rows, again) {
-			t.Fatalf("rows changed through a write and read:\n%+v\n%+v", rows, again)
+		if rows, err := ReadJSONL(bytes.NewReader(data)); err == nil {
+			roundTrip(t, rows)
 		}
 	})
 }
