@@ -137,6 +137,12 @@ func goldenCluster(t *testing.T, dispatch DispatchPolicy) *Cluster {
 // chunked host tier with prefetch, so demand fetches, dedup and the
 // awaiting-fetch bookkeeping all run.
 func goldenFleet(t *testing.T) *Report {
+	cl, tr := goldenFleetCluster(t)
+	return mustReport(t)(cl.Run(tr))
+}
+
+// goldenFleetCluster builds goldenFleet's managed cluster and trace.
+func goldenFleetCluster(t testing.TB) (*Cluster, workload.Trace) {
 	model := lmm.QwenVL7B()
 	fcfg := workload.DefaultFleet(6, 10, 4, 12*time.Second, 3)
 	fcfg.Tenants = []string{"a", "b"}
@@ -174,7 +180,7 @@ func goldenFleet(t *testing.T) *Report {
 	}
 	tr := workload.GenFleet(fcfg)
 	workload.MarkColdCandidates(tr, 2*time.Second)
-	return mustReport(t)(cl.Run(tr))
+	return cl, tr
 }
 
 func reportDigest(rep *Report) string {

@@ -258,6 +258,11 @@ const maxCapacityStalls = 10000
 // most this long.
 const fetchWaitQuantum = 5 * time.Millisecond
 
+// fastForwardOff switches fast-forward off, so every Step runs at most
+// one iteration. Only tests set it: the per-iteration engine is the
+// reference a fast-forwarded run must reproduce exactly.
+var fastForwardOff bool
+
 // tenantStat is one tenant's per-instance completion accounting; the
 // managed cluster merges these across instances into TenantReports.
 type tenantStat struct {
