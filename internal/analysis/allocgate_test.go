@@ -415,6 +415,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 	step(warm)
+	iters := srv.Report().Iterations
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	step(window)
@@ -425,6 +426,70 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if done := srv.Report().Completed; done < window {
 		t.Errorf("only %d requests completed over %d steps: the backlog is not being served", done, warm+window)
+	}
+	// The backlog always waits, so no Step fast-forwards: every
+	// iteration measured is a full one.
+	if n := srv.Report().Iterations - iters; n > window {
+		t.Errorf("%d iterations over %d steps: fast-forward windows ran, so the gate no longer measures full iterations alone", n, window)
+	}
+}
+
+// Server.Step with fast-forward windows: a VaLoRA instance keeps 8
+// long decodes on two adapters in flight and nothing else arrives, so
+// between one finish and the next a Step serves the repeated decode
+// iterations as one window. Like TestStepSteadyStateZeroAlloc, the
+// gate reads the runtime's malloc counter over the window, and it
+// checks that windows ran: the report counts more iterations than
+// there were Steps.
+func TestStepFastForwardZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's instrumentation allocates, so allocation counts only hold without -race")
+	}
+	const (
+		inFlight = 8
+		warm     = 1000
+		window   = 5000
+	)
+	srv, err := serving.NewSystem(serving.SystemVaLoRA, simgpu.A100(), lmm.QwenVL7B())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]sched.Request, 8*inFlight)
+	var id int64
+	step := func(n int) {
+		for range n {
+			for srv.InFlight() < inFlight {
+				r := &reqs[id%int64(len(reqs))]
+				if id >= int64(len(reqs)) && r.Phase != sched.PhaseDone {
+					t.Fatalf("request %d still in flight when its ring slot came round", r.ID)
+				}
+				id++
+				*r = sched.Request{
+					ID:           id,
+					AdapterID:    int(id % 2),
+					InputTokens:  64,
+					OutputTokens: 48 + int(id%41),
+					Arrival:      srv.Now(),
+				}
+				srv.Submit(r)
+			}
+			if ok, err := srv.Step(); err != nil || !ok {
+				t.Fatalf("step: progressed %v, err %v", ok, err)
+			}
+		}
+	}
+	step(warm)
+	iters := srv.Report().Iterations
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step(window)
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Errorf("Server.Step: %d mallocs (%d bytes) over %d steps with fast-forward windows, want 0",
+			got, after.TotalAlloc-before.TotalAlloc, window)
+	}
+	if n := srv.Report().Iterations - iters; n <= window {
+		t.Errorf("%d iterations over %d steps: no fast-forward window ran", n, window)
 	}
 }
 

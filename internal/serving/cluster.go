@@ -138,12 +138,22 @@ func (c *Cluster) runTimeline(trace workload.Trace) (*Report, error) {
 		return nil
 	}}
 	for _, srv := range c.servers {
+		srv.horizon = tl.Arrivals.NextAt
 		tl.Add(srv)
 	}
+	defer c.clearHorizons()
 	if err := tl.Run(); err != nil {
 		return nil, err
 	}
 	return c.drainAggregate(len(c.servers), "")
+}
+
+// clearHorizons removes the fast-forward bounds a run installed: once
+// its feed is gone, an instance is as standalone as any other.
+func (c *Cluster) clearHorizons() {
+	for _, srv := range c.servers {
+		srv.horizon = nil
+	}
 }
 
 // drainAggregate finalizes every instance (all already idle) and folds

@@ -83,8 +83,12 @@ func TestDeterminismMatrixUnmanaged(t *testing.T) {
 // TestDeterminismMatrixManaged drives the managed runner (admission,
 // fair-share queueing, shedding) through the same matrix. Run replays
 // it on the shared timeline, so this pins that path to the reference
-// report.
+// report. The store-backed fleet case runs fast-forward windows beside
+// a registry store that every instance shares.
 func TestDeterminismMatrixManaged(t *testing.T) {
+	runMatrix(t, "managed/fleet-registry", false, func() (*Cluster, workload.Trace) {
+		return goldenFleetCluster(t)
+	})
 	runMatrix(t, "managed/fair-share", false, func() (*Cluster, workload.Trace) {
 		cfg := SchedulingConfig{
 			Tenants:   tenantClasses(),

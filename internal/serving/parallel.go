@@ -186,7 +186,9 @@ func (c *Cluster) runPartitioned(trace workload.Trace, workers int) (*Report, er
 		f := &routedFeed{reqs: ordered, route: route, inst: uint8(i), srv: srv}
 		f.seek()
 		feeds[i] = f
+		srv.horizon = f.NextAt
 	}
+	defer c.clearHorizons()
 	if err := sim.RunIndependent(procs, feeds, workers); err != nil {
 		return nil, err
 	}

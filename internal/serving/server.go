@@ -132,10 +132,11 @@ func (o *Options) withDefaults() error {
 }
 
 // Server is one simulated GPU serving instance. It is a step-wise
-// engine: requests enter through Submit, one scheduling iteration runs
-// per Step, and NextEventAt exposes the instance's place on a virtual
-// timeline so several instances can be interleaved in global time
-// order (see Cluster and sim.Timeline). Run replays a whole trace as a
+// engine: requests enter through Submit, each Step runs one scheduling
+// iteration, or a window of repeated decode iterations (see Step), and
+// NextEventAt exposes the instance's place on a virtual timeline so
+// several instances can be interleaved in global time order (see
+// Cluster and sim.Timeline). Run replays a whole trace as a
 // convenience shim over the same primitives.
 type Server struct {
 	opts     Options
@@ -220,6 +221,28 @@ type Server struct {
 	// modeIters counts iterations per lora.Mode; finalize folds it into
 	// Report.ModeIterations.
 	modeIters [lora.NumModes]int
+
+	// horizon, when a cluster driver installs it, reports the earliest
+	// virtual time at which something outside the instance can change
+	// its inputs (sim.Never: nothing can): a fast-forward window runs no
+	// iteration that starts at or after it. nil, on a standalone server
+	// or a live engine, leaves only the instance's own pending arrivals
+	// to bound a window.
+	horizon func() time.Duration
+	// last is the load and LoRA cost of the iteration compute last
+	// costed: a window repeats them.
+	last struct {
+		load  lmm.IterationLoad
+		extra time.Duration
+	}
+	// carried is a decision a window asked for but could not repeat;
+	// the next Step serves it without asking the policy again. carryBuf
+	// backs its slices, which would otherwise alias policy scratch.
+	carried  *sched.Decision
+	carry    sched.Decision
+	carryBuf []*sched.Request
+	// lightIters counts the iterations windows ran.
+	lightIters int
 }
 
 // adapterSlot is one adapter's per-instance state.
@@ -262,6 +285,10 @@ const fetchWaitQuantum = 5 * time.Millisecond
 // one iteration. Only tests set it: the per-iteration engine is the
 // reference a fast-forwarded run must reproduce exactly.
 var fastForwardOff bool
+
+// noHorizon is the horizon of a driver under which anything can change
+// an instance's inputs at any time: it permits no window.
+func noHorizon() time.Duration { return 0 }
 
 // tenantStat is one tenant's per-instance completion accounting; the
 // managed cluster merges these across instances into TenantReports.
@@ -402,9 +429,13 @@ func (s *Server) knowsAdapter(id int) bool { return s.slotIDs.Lookup(id) != 0 }
 // virtual time (see Now). The request is mutated by the run (runtime
 // state), so callers replaying the same workload across systems should
 // generate a fresh trace per run.
+//
+// A decision a fast-forward window carried over was made without r, so
+// Submit discards it and the next Step asks the policy afresh.
 func (s *Server) Submit(r *sched.Request) {
 	s.pending.Push(r)
 	s.report.Requests++
+	s.carried = nil
 }
 
 // NextEventAt reports when this instance can next make progress: now
@@ -430,6 +461,13 @@ func (s *Server) NextEventAt() time.Duration {
 // on device), compute and emit. Only Step moves the clock; the stages
 // that charge virtual time return it. Step reports whether any
 // progress was made; false means the engine is idle.
+//
+// After a decode-only iteration that finished nothing, Step goes on
+// with a fast-forward window (see fastForward): it keeps serving the
+// same batch while the policy's decision for each next iteration
+// repeats the last one, stopping before the horizon, the earliest time
+// anything outside the instance could change its inputs. Every virtual
+// output is what one iteration per Step would produce.
 //
 //valora:hotpath
 func (s *Server) Step() (bool, error) {
@@ -495,6 +533,11 @@ func (s *Server) Step() (bool, error) {
 	if err := s.emit(batch, now, s.clock.Now()); err != nil {
 		return false, err
 	}
+	if s.last.load.DecodeSeqs == len(batch) && len(batch) == len(s.active) && !fastForwardOff {
+		// Decode-only and nothing finished: the next iteration may
+		// repeat this one.
+		s.fastForward(batch)
+	}
 	return true, nil
 }
 
@@ -531,18 +574,28 @@ func (s *Server) ingest(now time.Duration) {
 //
 //valora:hotpath
 func (s *Server) decide(now time.Duration) ([]*sched.Request, lora.State) {
-	d := s.opts.Policy.Decide(sched.Iteration{
-		Now:     now,
-		Active:  s.active,
-		Waiting: s.waiting(),
-		State:   s.state,
-		MaxBS:   s.opts.MaxBatch,
-	})
+	var d sched.Decision
+	if s.carried != nil {
+		d, s.carried = *s.carried, nil
+	} else {
+		d = s.opts.Policy.Decide(s.iteration(now))
+	}
 	batch := d.Batch
 	if s.opts.Preemption != nil && len(d.Evict) > 0 {
 		batch = s.executeEvictions(batch, d.Evict, d.Admit)
 	}
 	return batch, lora.State{Mode: d.Mode, Merged: d.Merged}
+}
+
+// iteration is the policy's view of the instance at now.
+func (s *Server) iteration(now time.Duration) sched.Iteration {
+	return sched.Iteration{
+		Now:     now,
+		Active:  s.active,
+		Waiting: s.waiting(),
+		State:   s.state,
+		MaxBS:   s.opts.MaxBatch,
+	}
 }
 
 // schedulable narrows a proposed batch to what the KV cache can hold
@@ -666,7 +719,109 @@ func (s *Server) compute(batch []*sched.Request) (time.Duration, error) {
 	s.report.Iterations++
 	s.modeIters[s.state.Mode]++
 	s.lastIter = base + extra
+	s.last.load, s.last.extra = load, extra
 	return s.lastIter, nil
+}
+
+// fastForward runs a window of light iterations after a decode-only
+// iteration over batch that finished nothing. Each next iteration is a
+// repeat when nothing has changed the instance's inputs (no arrival is
+// due, nothing waits), the KV cache has a block for every member, no
+// member is on its last token, and the policy decides the same batch
+// (the whole active set, in order) under the current state without
+// displacing anyone. A repeat finds every adapter resident, so the
+// full stages reduce to effects a light iteration adds directly: one
+// GPU tier hit per resolved adapter when a store is attached, the
+// context each decode added, and the last iteration's LoRA cost, which
+// depends only on the unchanged groups and state. The policy still
+// decides every iteration; a decision that is not a repeat is carried
+// into the next Step, which serves it in full at the same virtual time.
+//
+// The window stops before the horizon: the instance's next pending
+// arrival, or the installed bound on outside events, whichever is
+// earlier. An iteration starting there could see an arrival or a
+// placement that the per-iteration engine would deliver first.
+//
+//valora:hotpath
+func (s *Server) fastForward(batch []*sched.Request) {
+	n := len(batch)
+	if len(s.waiting()) > 0 || s.kv.FreeBlocks() < n {
+		return
+	}
+	horizon := sim.Never
+	if s.horizon != nil {
+		horizon = s.horizon()
+	}
+	if next := s.pending.Peek(); next != nil && (horizon == sim.Never || next.Arrival < horizon) {
+		horizon = next.Arrival
+	}
+	if horizon != sim.Never && s.clock.Now() >= horizon {
+		return
+	}
+	// left is the fewest tokens any member still has to emit; a repeat
+	// needs at least two, so the member does not finish.
+	left := math.MaxInt
+	for i, r := range batch {
+		if s.active[i] != r {
+			return
+		}
+		left = min(left, r.OutputTokens-r.Emitted)
+	}
+	hits := 0
+	if s.opts.Store != nil {
+		hits = len(s.scratchGroups)
+		if m := s.state.Merged; m >= 0 && !slices.ContainsFunc(s.scratchGroups, func(g lora.TokenGroup) bool { return g.AdapterID == m }) {
+			hits++
+		}
+	}
+	load, extra := s.last.load, s.last.extra
+	for ; left > 1; left-- {
+		now := s.clock.Now()
+		if (horizon != sim.Never && now >= horizon) || s.kv.FreeBlocks() < n {
+			return
+		}
+		d := s.opts.Policy.Decide(s.iteration(now))
+		if !s.repeats(d) {
+			s.carryOver(d)
+			return
+		}
+		load.ContextTokens += n
+		base := s.engine.IterationTime(load)
+		s.report.GPUTierHits += hits
+		s.report.BaseTime += base
+		s.report.LoRATime += extra
+		s.report.Iterations++
+		s.modeIters[s.state.Mode]++
+		s.lastIter = base + extra
+		s.lightIters++
+		s.clock.Advance(s.lastIter)
+		for _, r := range s.active {
+			r.MarkScheduled(now)
+			// Cannot fail: the cache has a free block for every member.
+			_ = s.kv.Extend(r.KV)
+			r.Emitted++
+		}
+	}
+}
+
+// repeats reports whether decision d serves the whole active set, in
+// order, under the current state, displacing no one.
+//
+//valora:hotpath
+func (s *Server) repeats(d sched.Decision) bool {
+	return d.Mode == s.state.Mode && d.Merged == s.state.Merged &&
+		(s.opts.Preemption == nil || len(d.Evict) == 0) &&
+		slices.Equal(d.Batch, s.active)
+}
+
+// carryOver keeps d for the next Step, copying its slices out of the
+// policy's scratch.
+func (s *Server) carryOver(d sched.Decision) {
+	buf := append(append(append(s.carryBuf[:0], d.Batch...), d.Evict...), d.Admit...)
+	s.carryBuf = buf
+	nb, ne := len(d.Batch), len(d.Batch)+len(d.Evict)
+	s.carry = sched.Decision{Mode: d.Mode, Merged: d.Merged, Batch: buf[:nb:nb], Evict: buf[nb:ne:ne], Admit: buf[ne:]}
+	s.carried = &s.carry
 }
 
 // emit accounts the tokens of an iteration scheduled at now that ended

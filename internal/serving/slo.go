@@ -180,6 +180,24 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 		installPreempt(srv)
 	}
 
+	// Fast-forward bound: while the cluster queue is empty, only the
+	// feed (an arrival or a prefetch wake) can place work on an
+	// instance, so its next time bounds every window. A queued request
+	// may be placed after any instance step, and a preemption or the
+	// autoscaler can change the picture at any step, so those runs
+	// permit no window.
+	horizon := func() time.Duration {
+		if tq.Len() > 0 {
+			return noHorizon()
+		}
+		return feed.NextAt()
+	}
+	for _, srv := range c.servers {
+		if cfg.Autoscale != nil || srv.opts.Preemption != nil {
+			horizon = noHorizon
+		}
+	}
+
 	var cands []int
 	var candServers []*Server
 	dispatchQueued := func(now time.Duration) error {
@@ -249,6 +267,7 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 			srv.AdvanceClockTo(now) // join at cluster time, not t=0
 			srv.id = len(c.servers) // stable identity, never reused
 			srv.SetTraceRecorder(c.traceRec)
+			srv.horizon = horizon
 			installPreempt(srv)
 			c.servers = append(c.servers, srv)
 			state = append(state, instanceState{})
@@ -321,8 +340,10 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 	}
 
 	for _, srv := range c.servers {
+		srv.horizon = horizon
 		tl.Add(srv)
 	}
+	defer c.clearHorizons()
 	feed.deliver = admit
 	feed.wake = func() error { return dispatchQueued(tl.Now()) }
 	tl.Arrivals = feed
