@@ -104,6 +104,15 @@ func (c *Cluster) Instances() []*Server {
 // fair-share queue and the autoscaler instead of dispatching
 // statelessly at arrival.
 //
+// An instance's Step may run a fast-forward window of repeated decode
+// iterations (see Server.Step). Run bounds every window by the next
+// arrival or prefetch wake on its feed, the earliest time anything
+// outside an instance can change its inputs. A managed run installs
+// that bound only while the cluster queue is empty and only when no
+// instance preempts and no autoscaler is configured: a queued request,
+// a preemption or a scaling action can reach an instance after any
+// step, so such a run permits no window.
+//
 // When the instances never observe one another (unmanaged, stateless
 // dispatch, no registry store; see parallel.go) Run drains them
 // concurrently on runtime.GOMAXPROCS(0) workers, with a report

@@ -235,10 +235,11 @@ type Server struct {
 		load  lmm.IterationLoad
 		extra time.Duration
 	}
-	// carried is a decision a window asked for but could not repeat;
-	// the next Step serves it without asking the policy again. carryBuf
-	// backs its slices, which would otherwise alias policy scratch.
-	carried  *sched.Decision
+	// carry is a decision a window asked for but could not repeat;
+	// while carried is set, the next Step serves it without asking the
+	// policy again. carryBuf backs its slices, which would otherwise
+	// alias policy scratch.
+	carried  bool
 	carry    sched.Decision
 	carryBuf []*sched.Request
 	// lightIters counts the iterations windows ran.
@@ -275,10 +276,12 @@ type adapterSlot struct {
 // reports a capacity deadlock.
 const maxCapacityStalls = 10000
 
-// fetchWaitQuantum caps how far a fetch-blocked instance fast-forwards
-// its clock per round: long enough to skip most of the 1ms retry spin,
-// short enough that work dispatched to the instance meanwhile waits at
-// most this long.
+// fetchWaitQuantum caps how far a fetch-blocked instance moves its
+// clock per stalled round: long enough to skip most of the 1ms retry
+// spin, short enough that work dispatched to the instance meanwhile
+// waits at most this long. The jump serves nothing and ignores the
+// installed horizon; only a fast-forward window (see Step) runs
+// iterations ahead, and it stops before the horizon.
 const fetchWaitQuantum = 5 * time.Millisecond
 
 // fastForwardOff switches fast-forward off, so every Step runs at most
@@ -435,7 +438,7 @@ func (s *Server) knowsAdapter(id int) bool { return s.slotIDs.Lookup(id) != 0 }
 func (s *Server) Submit(r *sched.Request) {
 	s.pending.Push(r)
 	s.report.Requests++
-	s.carried = nil
+	s.carried = false
 }
 
 // NextEventAt reports when this instance can next make progress: now
@@ -465,8 +468,10 @@ func (s *Server) NextEventAt() time.Duration {
 // After a decode-only iteration that finished nothing, Step goes on
 // with a fast-forward window (see fastForward): it keeps serving the
 // same batch while the policy's decision for each next iteration
-// repeats the last one, stopping before the horizon, the earliest time
-// anything outside the instance could change its inputs. Every virtual
+// repeats the last one. The window stops before the horizon, the
+// earliest time anything outside the instance could change its inputs:
+// its own next pending arrival, or the bound its cluster driver
+// installs (see Cluster.Run), whichever is earlier. Every virtual
 // output is what one iteration per Step would produce.
 //
 //valora:hotpath
@@ -536,7 +541,9 @@ func (s *Server) Step() (bool, error) {
 	if s.last.load.DecodeSeqs == len(batch) && len(batch) == len(s.active) && !fastForwardOff {
 		// Decode-only and nothing finished: the next iteration may
 		// repeat this one.
-		s.fastForward(batch)
+		if err := s.fastForward(batch); err != nil {
+			return false, err
+		}
 	}
 	return true, nil
 }
@@ -575,8 +582,8 @@ func (s *Server) ingest(now time.Duration) {
 //valora:hotpath
 func (s *Server) decide(now time.Duration) ([]*sched.Request, lora.State) {
 	var d sched.Decision
-	if s.carried != nil {
-		d, s.carried = *s.carried, nil
+	if s.carried {
+		d, s.carried = s.carry, false
 	} else {
 		d = s.opts.Policy.Decide(s.iteration(now))
 	}
@@ -743,27 +750,29 @@ func (s *Server) compute(batch []*sched.Request) (time.Duration, error) {
 // placement that the per-iteration engine would deliver first.
 //
 //valora:hotpath
-func (s *Server) fastForward(batch []*sched.Request) {
+func (s *Server) fastForward(batch []*sched.Request) error {
 	n := len(batch)
 	if len(s.waiting()) > 0 || s.kv.FreeBlocks() < n {
-		return
+		return nil
 	}
-	horizon := sim.Never
+	horizon := time.Duration(math.MaxInt64)
 	if s.horizon != nil {
-		horizon = s.horizon()
+		if h := s.horizon(); h != sim.Never {
+			horizon = h
+		}
 	}
-	if next := s.pending.Peek(); next != nil && (horizon == sim.Never || next.Arrival < horizon) {
-		horizon = next.Arrival
+	if next := s.pending.Peek(); next != nil {
+		horizon = min(horizon, next.Arrival)
 	}
-	if horizon != sim.Never && s.clock.Now() >= horizon {
-		return
+	if s.clock.Now() >= horizon {
+		return nil
 	}
 	// left is the fewest tokens any member still has to emit; a repeat
 	// needs at least two, so the member does not finish.
 	left := math.MaxInt
 	for i, r := range batch {
 		if s.active[i] != r {
-			return
+			return nil
 		}
 		left = min(left, r.OutputTokens-r.Emitted)
 	}
@@ -777,13 +786,13 @@ func (s *Server) fastForward(batch []*sched.Request) {
 	load, extra := s.last.load, s.last.extra
 	for ; left > 1; left-- {
 		now := s.clock.Now()
-		if (horizon != sim.Never && now >= horizon) || s.kv.FreeBlocks() < n {
-			return
+		if now >= horizon || s.kv.FreeBlocks() < n {
+			return nil
 		}
 		d := s.opts.Policy.Decide(s.iteration(now))
 		if !s.repeats(d) {
 			s.carryOver(d)
-			return
+			return nil
 		}
 		load.ContextTokens += n
 		base := s.engine.IterationTime(load)
@@ -797,11 +806,13 @@ func (s *Server) fastForward(batch []*sched.Request) {
 		s.clock.Advance(s.lastIter)
 		for _, r := range s.active {
 			r.MarkScheduled(now)
-			// Cannot fail: the cache has a free block for every member.
-			_ = s.kv.Extend(r.KV)
+			if err := s.kv.Extend(r.KV); err != nil {
+				return err
+			}
 			r.Emitted++
 		}
 	}
+	return nil
 }
 
 // repeats reports whether decision d serves the whole active set, in
@@ -821,7 +832,7 @@ func (s *Server) carryOver(d sched.Decision) {
 	s.carryBuf = buf
 	nb, ne := len(d.Batch), len(d.Batch)+len(d.Evict)
 	s.carry = sched.Decision{Mode: d.Mode, Merged: d.Merged, Batch: buf[:nb:nb], Evict: buf[nb:ne:ne], Admit: buf[ne:]}
-	s.carried = &s.carry
+	s.carried = true
 }
 
 // emit accounts the tokens of an iteration scheduled at now that ended

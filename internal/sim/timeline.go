@@ -26,7 +26,11 @@ type Process interface {
 	// next make progress, or Never when it is idle.
 	NextEventAt() time.Duration
 	// Step executes one unit of progress. It reports whether any
-	// progress was made.
+	// progress was made. For a serving instance that is one
+	// scheduling iteration, or a fast-forward window of repeated
+	// decode iterations that all start before the earliest time
+	// anything outside the process could change its inputs, so the
+	// window is indistinguishable from stepping once per iteration.
 	Step() (bool, error)
 }
 
