@@ -242,6 +242,11 @@ type Server struct {
 	carried  bool
 	carry    sched.Decision
 	carryBuf []*sched.Request
+	// steady marks a window that stopped only at its horizon: the next
+	// Step goes on with it instead of serving a full iteration. What
+	// reached the instance meanwhile sits in pending, which bounds the
+	// window again.
+	steady bool
 	// lightIters counts the iterations windows ran.
 	lightIters int
 }
@@ -476,6 +481,13 @@ func (s *Server) NextEventAt() time.Duration {
 //
 //valora:hotpath
 func (s *Server) Step() (bool, error) {
+	if s.steady {
+		ran, err := s.fastForward(s.active)
+		if err != nil || ran > 0 {
+			return err == nil, err
+		}
+		s.steady = false
+	}
 	now := s.clock.Now()
 	s.ingest(now)
 	if len(s.active) == 0 {
@@ -541,7 +553,7 @@ func (s *Server) Step() (bool, error) {
 	if s.last.load.DecodeSeqs == len(batch) && len(batch) == len(s.active) && !fastForwardOff {
 		// Decode-only and nothing finished: the next iteration may
 		// repeat this one.
-		if err := s.fastForward(batch); err != nil {
+		if _, err := s.fastForward(batch); err != nil {
 			return false, err
 		}
 	}
@@ -747,13 +759,26 @@ func (s *Server) compute(batch []*sched.Request) (time.Duration, error) {
 // The window stops before the horizon: the instance's next pending
 // arrival, or the installed bound on outside events, whichever is
 // earlier. An iteration starting there could see an arrival or a
-// placement that the per-iteration engine would deliver first.
+// placement that the per-iteration engine would deliver first. A
+// window that only the horizon stopped leaves steady set, and the next
+// Step goes on with it from the same snapshot: anything that reached
+// the instance meanwhile is due in pending and stops it again.
 //
 //valora:hotpath
-func (s *Server) fastForward(batch []*sched.Request) error {
+func (s *Server) fastForward(batch []*sched.Request) (int, error) {
+	s.steady = false
 	n := len(batch)
 	if len(s.waiting()) > 0 || s.kv.FreeBlocks() < n {
-		return nil
+		return 0, nil
+	}
+	// left is the fewest tokens any member still has to emit; a repeat
+	// needs at least two, so the member does not finish.
+	left := math.MaxInt
+	for i, r := range batch {
+		if s.active[i] != r {
+			return 0, nil
+		}
+		left = min(left, r.OutputTokens-r.Emitted)
 	}
 	horizon := time.Duration(math.MaxInt64)
 	if s.horizon != nil {
@@ -764,18 +789,6 @@ func (s *Server) fastForward(batch []*sched.Request) error {
 	if next := s.pending.Peek(); next != nil {
 		horizon = min(horizon, next.Arrival)
 	}
-	if s.clock.Now() >= horizon {
-		return nil
-	}
-	// left is the fewest tokens any member still has to emit; a repeat
-	// needs at least two, so the member does not finish.
-	left := math.MaxInt
-	for i, r := range batch {
-		if s.active[i] != r {
-			return nil
-		}
-		left = min(left, r.OutputTokens-r.Emitted)
-	}
 	hits := 0
 	if s.opts.Store != nil {
 		hits = len(s.scratchGroups)
@@ -783,36 +796,44 @@ func (s *Server) fastForward(batch []*sched.Request) error {
 			hits++
 		}
 	}
-	load, extra := s.last.load, s.last.extra
+	ran := 0
 	for ; left > 1; left-- {
 		now := s.clock.Now()
-		if now >= horizon || s.kv.FreeBlocks() < n {
-			return nil
+		if now >= horizon {
+			// Only the horizon stops the window: once the clock
+			// passes it and nothing has reached the instance, the
+			// next Step can go on where this one stopped.
+			s.steady = true
+			break
+		}
+		if s.kv.FreeBlocks() < n {
+			break
 		}
 		d := s.opts.Policy.Decide(s.iteration(now))
 		if !s.repeats(d) {
 			s.carryOver(d)
-			return nil
+			break
 		}
-		load.ContextTokens += n
-		base := s.engine.IterationTime(load)
+		s.last.load.ContextTokens += n
+		base := s.engine.IterationTime(s.last.load)
 		s.report.GPUTierHits += hits
 		s.report.BaseTime += base
-		s.report.LoRATime += extra
+		s.report.LoRATime += s.last.extra
 		s.report.Iterations++
 		s.modeIters[s.state.Mode]++
-		s.lastIter = base + extra
+		s.lastIter = base + s.last.extra
 		s.lightIters++
+		ran++
 		s.clock.Advance(s.lastIter)
 		for _, r := range s.active {
 			r.MarkScheduled(now)
 			if err := s.kv.Extend(r.KV); err != nil {
-				return err
+				return ran, err
 			}
 			r.Emitted++
 		}
 	}
-	return nil
+	return ran, nil
 }
 
 // repeats reports whether decision d serves the whole active set, in
