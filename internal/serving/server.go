@@ -733,13 +733,19 @@ func (s *Server) compute(batch []*sched.Request) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	s.last.load, s.last.extra = load, extra
+	return s.charge(base, extra), nil
+}
+
+// charge books one iteration of base and LoRA time under the current
+// mode and returns its duration.
+func (s *Server) charge(base, extra time.Duration) time.Duration {
 	s.report.BaseTime += base
 	s.report.LoRATime += extra
 	s.report.Iterations++
 	s.modeIters[s.state.Mode]++
 	s.lastIter = base + extra
-	s.last.load, s.last.extra = load, extra
-	return s.lastIter, nil
+	return s.lastIter
 }
 
 // fastForward runs a window of light iterations after a decode-only
@@ -815,16 +821,10 @@ func (s *Server) fastForward(batch []*sched.Request) (int, error) {
 			break
 		}
 		s.last.load.ContextTokens += n
-		base := s.engine.IterationTime(s.last.load)
 		s.report.GPUTierHits += hits
-		s.report.BaseTime += base
-		s.report.LoRATime += s.last.extra
-		s.report.Iterations++
-		s.modeIters[s.state.Mode]++
-		s.lastIter = base + s.last.extra
+		s.clock.Advance(s.charge(s.engine.IterationTime(s.last.load), s.last.extra))
 		s.lightIters++
 		ran++
-		s.clock.Advance(s.lastIter)
 		for _, r := range s.active {
 			r.MarkScheduled(now)
 			if err := s.kv.Extend(r.KV); err != nil {
