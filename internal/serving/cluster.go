@@ -150,19 +150,10 @@ func (c *Cluster) runTimeline(trace workload.Trace) (*Report, error) {
 		srv.horizon = tl.Arrivals.NextAt
 		tl.Add(srv)
 	}
-	defer c.clearHorizons()
 	if err := tl.Run(); err != nil {
 		return nil, err
 	}
 	return c.drainAggregate(len(c.servers), "")
-}
-
-// clearHorizons removes the fast-forward bounds a run installed: once
-// its feed is gone, an instance is as standalone as any other.
-func (c *Cluster) clearHorizons() {
-	for _, srv := range c.servers {
-		srv.horizon = nil
-	}
 }
 
 // drainAggregate finalizes every instance (all already idle) and folds

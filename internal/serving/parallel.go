@@ -188,7 +188,6 @@ func (c *Cluster) runPartitioned(trace workload.Trace, workers int) (*Report, er
 		feeds[i] = f
 		srv.horizon = f.NextAt
 	}
-	defer c.clearHorizons()
 	if err := sim.RunIndependent(procs, feeds, workers); err != nil {
 		return nil, err
 	}

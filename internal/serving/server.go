@@ -227,7 +227,8 @@ type Server struct {
 	// its inputs (sim.Never: nothing can): a fast-forward window runs no
 	// iteration that starts at or after it. nil, on a standalone server
 	// or a live engine, leaves only the instance's own pending arrivals
-	// to bound a window.
+	// to bound a window. A bound left over from an earlier run can only
+	// end windows sooner.
 	horizon func() time.Duration
 	// last is the load and LoRA cost of the iteration compute last
 	// costed: a window repeats them.

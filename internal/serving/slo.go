@@ -343,7 +343,6 @@ func (c *Cluster) runManaged(trace workload.Trace) (*Report, error) {
 		srv.horizon = horizon
 		tl.Add(srv)
 	}
-	defer c.clearHorizons()
 	feed.deliver = admit
 	feed.wake = func() error { return dispatchQueued(tl.Now()) }
 	tl.Arrivals = feed
