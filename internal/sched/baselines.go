@@ -21,7 +21,7 @@ func (p *UnmergeOnlyPolicy) Name() string {
 }
 
 func (p *UnmergeOnlyPolicy) Decide(it Iteration) Decision {
-	return Decision{Mode: lora.ModeUnmerged, Merged: -1, Batch: capBatch(it.Active, it.MaxBS)}
+	return Decision{Mode: lora.ModeUnmerged, Merged: -1, Batch: capBatch(it.Active, it.MaxBS), Hold: holdForever}
 }
 
 // MergeOnlyPolicy always serves in merged mode with the most popular
@@ -37,7 +37,7 @@ func (p *MergeOnlyPolicy) Name() string { return "merge-only" }
 func (p *MergeOnlyPolicy) Decide(it Iteration) Decision {
 	active, cur, maxBS := it.Active, it.State, it.MaxBS
 	if len(active) == 0 {
-		return Decision{Mode: cur.Mode, Merged: cur.Merged}
+		return Decision{Mode: cur.Mode, Merged: cur.Merged, Hold: holdForever}
 	}
 	// Stick with the current adapter while it still has work to avoid
 	// thrashing merges.
@@ -49,11 +49,11 @@ func (p *MergeOnlyPolicy) Decide(it Iteration) Decision {
 			}
 		}
 		if len(mine) > 0 {
-			return Decision{Mode: lora.ModeMerged, Merged: cur.Merged, Batch: capBatch(mine, maxBS)}
+			return Decision{Mode: lora.ModeMerged, Merged: cur.Merged, Batch: capBatch(mine, maxBS), Hold: holdForever}
 		}
 	}
 	id, reqs := p.cohorts.mostCommon(active, cur)
-	return Decision{Mode: lora.ModeMerged, Merged: id, Batch: capBatch(reqs, maxBS)}
+	return Decision{Mode: lora.ModeMerged, Merged: id, Batch: capBatch(reqs, maxBS), Hold: holdForever}
 }
 
 // DLoRAPolicy approximates dLoRA's dynamic orchestration: serve the
@@ -77,11 +77,11 @@ func (p *DLoRAPolicy) Name() string { return "dLoRA" }
 func (p *DLoRAPolicy) Decide(it Iteration) Decision {
 	active, cur, maxBS := it.Active, it.State, it.MaxBS
 	if len(active) == 0 {
-		return Decision{Mode: cur.Mode, Merged: cur.Merged}
+		return Decision{Mode: cur.Mode, Merged: cur.Merged, Hold: holdForever}
 	}
 	id, reqs := p.cohorts.mostCommon(active, cur)
 	if float64(len(reqs)) >= dLoRAMajority*float64(len(active)) {
-		return Decision{Mode: lora.ModeMerged, Merged: id, Batch: capBatch(reqs, maxBS)}
+		return Decision{Mode: lora.ModeMerged, Merged: id, Batch: capBatch(reqs, maxBS), Hold: holdForever}
 	}
-	return Decision{Mode: lora.ModeUnmerged, Merged: -1, Batch: capBatch(active, maxBS)}
+	return Decision{Mode: lora.ModeUnmerged, Merged: -1, Batch: capBatch(active, maxBS), Hold: holdForever}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"time"
 
 	"valora/internal/lora"
@@ -194,8 +195,26 @@ func (p *VaLoRAPolicy) Decide(it Iteration) Decision {
 	}
 	p.batchBuf = batch
 	evict, admit := p.withPreemption(&it, theta)
-	return Decision{Mode: mode, Merged: merged, Batch: batch, Evict: evict, Admit: admit}
+	return Decision{Mode: mode, Merged: merged, Batch: batch, Evict: evict, Admit: admit, Hold: p.hold(&it, theta)}
 }
+
+// hold is how long a decision holds (see Decision.Hold). Time reaches
+// it only through the starvation test, so while nobody starves, the
+// decision holds until a request's credit could pass the tolerance: a
+// request last scheduled at most θ − EstExec − SwitchLat ago cannot.
+// It holds for no time once anyone starves, while DeadlineCredit
+// shrinks an active request's tolerance as its deadline nears, or when
+// a preemptive policy weighs a waiting backlog, whose credits grow
+// from their arrivals.
+func (p *VaLoRAPolicy) hold(it *Iteration, theta time.Duration) time.Duration {
+	if len(p.starve) > 0 || (p.Preempt && len(it.Waiting) > 0) ||
+		(p.DeadlineCredit && slices.ContainsFunc(it.Active, carriesDeadline)) {
+		return 0
+	}
+	return max(theta-p.EstExec-p.SwitchLat, 0)
+}
+
+func carriesDeadline(r *Request) bool { return r.Deadline > 0 }
 
 // withPreemption returns the displacement decision when Preempt is on
 // and requests wait outside the admitted set. It is the inlinable

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -265,4 +267,142 @@ func TestVaLoRAPolicySlotNumberingInvariant(t *testing.T) {
 			now += 20 * time.Millisecond
 		}
 	}
+}
+
+// TestDecisionHoldProperty checks Decision.Hold's promise under every
+// policy, with VaLoRA's DeadlineCredit and Preempt each on and off:
+// asked again at a later Now′ with every active request last scheduled
+// within [Now′ − Hold, Now′], and nothing else changed, Decide returns
+// the same mode, merged adapter, batch order, Evict and Admit.
+func TestDecisionHoldProperty(t *testing.T) {
+	type arm struct {
+		name string
+		mk   func(rng *rand.Rand) Policy
+	}
+	arms := []arm{
+		{"unmerge-only", func(*rand.Rand) Policy { return &UnmergeOnlyPolicy{} }},
+		{"merge-only", func(*rand.Rand) Policy { return &MergeOnlyPolicy{} }},
+		{"dLoRA", func(*rand.Rand) Policy { return NewDLoRAPolicy() }},
+	}
+	for _, credit := range []bool{false, true} {
+		for _, preempt := range []bool{false, true} {
+			arms = append(arms, arm{fmt.Sprintf("VaLoRA/credit=%v/preempt=%v", credit, preempt), func(rng *rand.Rand) Policy {
+				return &VaLoRAPolicy{
+					Theta:          time.Duration(5+rng.Intn(300)) * time.Millisecond,
+					EstExec:        time.Duration(rng.Intn(30)) * time.Millisecond,
+					SwitchLat:      time.Duration(rng.Intn(10)) * time.Millisecond,
+					DisableMixture: rng.Intn(4) == 0,
+					DeadlineCredit: credit,
+					Preempt:        preempt,
+				}
+			}})
+		}
+	}
+	held := make(map[string]int)
+	f := func(seed int64) bool {
+		for _, a := range arms {
+			rng := rand.New(rand.NewSource(seed))
+			p := a.mk(rng)
+			it := holdIteration(rng)
+			d := p.Decide(it)
+			if d.Hold <= 0 {
+				continue
+			}
+			held[a.name]++
+			mode, merged := d.Mode, d.Merged
+			batch, evict, admit := requestIDs(d.Batch), requestIDs(d.Evict), requestIDs(d.Admit)
+
+			// it′: a later Now′, and every active request last
+			// scheduled within the hold before it, often exactly at
+			// either end of the range.
+			it.Now += time.Duration(rng.Int63n(int64(200 * time.Millisecond)))
+			lo := time.Duration(0)
+			if d.Hold < it.Now {
+				lo = it.Now - d.Hold
+			}
+			for _, r := range it.Active {
+				at := lo + time.Duration(rng.Int63n(int64(it.Now-lo)+1))
+				switch rng.Intn(4) {
+				case 0:
+					at = lo
+				case 1:
+					at = it.Now
+				}
+				r.MarkScheduled(at)
+			}
+			d2 := p.Decide(it)
+			if d2.Mode != mode || d2.Merged != merged || !slices.Equal(requestIDs(d2.Batch), batch) ||
+				!slices.Equal(requestIDs(d2.Evict), evict) || !slices.Equal(requestIDs(d2.Admit), admit) {
+				t.Fatalf("%s, seed %d: decided %v/%d batch %v evict %v admit %v with hold %v, then %v/%d batch %v evict %v admit %v at %v",
+					a.name, seed, mode, merged, batch, evict, admit, d.Hold,
+					d2.Mode, d2.Merged, requestIDs(d2.Batch), requestIDs(d2.Evict), requestIDs(d2.Admit), it.Now)
+			}
+		}
+		return true
+	}
+	const trials = 400
+	if err := quick.Check(f, &quick.Config{MaxCount: trials}); err != nil {
+		t.Fatal(err)
+	}
+	// Every arm must have promised a hold often enough to be tested.
+	for _, a := range arms {
+		if held[a.name] < trials/10 {
+			t.Errorf("%s: only %d of %d decisions held", a.name, held[a.name], trials)
+		}
+	}
+}
+
+// holdIteration builds a random iteration for the hold property: an
+// active set (possibly empty) whose requests were, in most iterations,
+// all scheduled within a recent span, a waiting backlog that is often
+// empty, deadlines on some of both in half the iterations, and a
+// random state and batch cap.
+func holdIteration(rng *rand.Rand) Iteration {
+	now := 6 * time.Second
+	active := randomActive(rng, rng.Intn(64), 8)
+	span := 1 + rng.Int63n(int64(150*time.Millisecond))
+	allScheduled, deadlines := rng.Intn(4) > 0, rng.Intn(2) == 0
+	for _, r := range active {
+		if allScheduled || rng.Intn(5) > 0 {
+			r.MarkScheduled(now - time.Duration(rng.Int63n(span)))
+		}
+		if deadlines && rng.Intn(4) == 0 {
+			r.Deadline = time.Duration(100+rng.Intn(2000)) * time.Millisecond
+		}
+		r.Unpreemptable = rng.Intn(8) == 0
+	}
+	// Waiting requests arrived recently and were never scheduled, so
+	// their credits cross the tolerance as time passes.
+	var waiting []*Request
+	if rng.Intn(2) == 0 {
+		for i := range 1 + rng.Intn(12) {
+			r := &Request{
+				ID:           int64(1000 + i),
+				AdapterID:    rng.Intn(8),
+				InputTokens:  64 + rng.Intn(512),
+				OutputTokens: 1 + rng.Intn(64),
+				Arrival:      now - time.Duration(rng.Int63n(int64(300*time.Millisecond))),
+			}
+			if rng.Intn(2) == 0 {
+				r.Deadline = time.Duration(50+rng.Intn(500)) * time.Millisecond
+			}
+			waiting = append(waiting, r)
+		}
+		stamped(waiting)
+	}
+	states := []lora.State{
+		{Mode: lora.ModeUnmerged, Merged: -1},
+		{Mode: lora.ModeMerged, Merged: rng.Intn(8)},
+		{Mode: lora.ModeMixture, Merged: rng.Intn(8)},
+	}
+	return Iteration{Now: now, Active: active, Waiting: waiting, State: states[rng.Intn(len(states))], MaxBS: 1 + rng.Intn(40)}
+}
+
+// requestIDs lists the IDs of rs in order.
+func requestIDs(rs []*Request) []int64 {
+	ids := make([]int64, len(rs))
+	for i, r := range rs {
+		ids[i] = r.ID
+	}
+	return ids
 }

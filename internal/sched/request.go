@@ -305,7 +305,19 @@ type Decision struct {
 	// displacement). The engine moves them into the active set ahead of
 	// the FIFO admission order.
 	Admit []*Request
+	// Hold is how long the decision holds: asked again with the same
+	// Active in the same order and the same Waiting, State and MaxBS,
+	// at a later Now at which every active request was last scheduled
+	// at most Hold earlier, Decide returns this same decision. Zero
+	// promises nothing. An engine may serve a held decision again
+	// without asking; a wrapper that returns the inner decision
+	// forwards its Hold with it.
+	Hold time.Duration
 }
+
+// holdForever is the Hold of the baseline policies' decisions: they
+// read no time, so a decision holds for as long as its inputs do.
+const holdForever = time.Duration(1<<63 - 1)
 
 // Policy selects the batch and inference mode for the next iteration.
 type Policy interface {

@@ -22,12 +22,17 @@ import (
 // The first byte holds the switches: bit 0 deadlines, bit 1 a shared
 // registry store, bit 2 a managed cluster, bits 3-4 the tenant count
 // less one, bit 5 round-robin dispatch instead of least-loaded, bit 6
-// urgency-weighted starvation credit in the policy. The
-// second picks one to three instances; a lone unmanaged instance
-// replays standalone. Each further four bytes are one request: the gap
-// to its arrival in whole milliseconds (so arrivals tie), its adapter
-// (low three bits) and, with deadlines on, whether it carries one
-// (high bit), its prompt length, and its output length less one.
+// urgency-weighted starvation credit in the policy, bit 7 a small
+// credit tolerance θ. The second picks one to three instances (its
+// value mod 3) and, with bit 7 on, θ: 25 ms plus its value divided by
+// 3, mod 32, in milliseconds. Less the policy's 25 ms of EstExec and
+// SwitchLat, that holds a decision for 0 to 31 ms, about as long as a
+// decode iteration, so held windows both last and run out. A lone
+// unmanaged instance replays standalone. Each further four bytes are
+// one request: the gap to its arrival in whole milliseconds (so
+// arrivals tie), its adapter (low three bits) and, with deadlines on,
+// whether it carries one (high bit), its prompt length, and its output
+// length less one.
 func FuzzStepFastForward(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, n := fuzzFFCase(data)
@@ -62,8 +67,9 @@ func fuzzFFCase(data []byte) (ffCase, int) {
 	hdr := data[0]
 	deadlines, withStore, managed := hdr&1 != 0, hdr&2 != 0, hdr&4 != 0
 	tenants := 1 + int(hdr>>3&3)
-	roundRobin, deadlineCredit := hdr&32 != 0, hdr&64 != 0
+	roundRobin, deadlineCredit, smallTheta := hdr&32 != 0, hdr&64 != 0, hdr&128 != 0
 	instances := 1 + int(data[1]%3)
+	theta := 25*time.Millisecond + time.Duration(data[1]/3%32)*time.Millisecond
 	body := data[2:]
 	n := min(len(body)/4, fuzzFFMaxRequests)
 	model := lmm.QwenVL7B()
@@ -108,9 +114,12 @@ func fuzzFFCase(data []byte) (ffCase, int) {
 			opts.Registry = lora.NewRegistry(adapters...)
 			opts.AdapterPoolBytes = 3 * ab
 			opts.Store = store
-			if deadlineCredit {
+			if deadlineCredit || smallTheta {
 				p := sched.NewVaLoRAPolicy()
-				p.DeadlineCredit = true
+				p.DeadlineCredit = deadlineCredit
+				if smallTheta {
+					p.Theta = theta
+				}
 				opts.Policy = p
 			}
 			return opts, nil

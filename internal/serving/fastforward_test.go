@@ -24,7 +24,10 @@ import (
 // Each case below runs twice, with fast-forward switched off (the
 // per-iteration reference) and on, and the runs must agree on the
 // report digest, every request's schedule and completion times, and
-// the trace rows byte for byte.
+// the trace rows byte for byte. A window asks the policy only when its
+// last decision's hold runs out, so the fast run's Decide calls must be
+// a subsequence of the reference's, and every call it skipped must have
+// returned the decision it held.
 
 // ffOutcome is what one run of a case leaves behind. light, the
 // iterations fast-forward windows ran, is not compared.
@@ -46,18 +49,25 @@ type ffRequest struct {
 }
 
 // ffDecision is one Decide call: the instance it served, its time, and
-// the decision, with the batch as a hash of its request IDs in order.
+// the decision.
 type ffDecision struct {
-	inst   int
-	now    time.Duration
-	mode   lora.Mode
-	merged int
-	batch  uint64
+	inst int
+	now  time.Duration
+	ffChoice
+}
+
+// ffChoice is what a decision says, with each request list as a hash
+// of its request IDs in order.
+type ffChoice struct {
+	mode                lora.Mode
+	merged              int
+	batch, evict, admit uint64
+	hold                time.Duration
 }
 
 // loggedPolicy records every decision of the policy it wraps, so the
-// differential test can require that the policy is asked exactly as
-// often, at exactly the same times, with and without fast-forward.
+// differential test can hold the calls of a fast-forwarded run against
+// the per-iteration reference's.
 type loggedPolicy struct {
 	sched.Policy
 	inst int
@@ -66,12 +76,19 @@ type loggedPolicy struct {
 
 func (p *loggedPolicy) Decide(it sched.Iteration) sched.Decision {
 	d := p.Policy.Decide(it)
+	p.log = append(p.log, ffDecision{inst: p.inst, now: it.Now, ffChoice: ffChoice{
+		mode: d.Mode, merged: d.Merged, batch: idHash(d.Batch), evict: idHash(d.Evict), admit: idHash(d.Admit), hold: d.Hold,
+	}})
+	return d
+}
+
+// idHash hashes the request IDs of rs in order.
+func idHash(rs []*sched.Request) uint64 {
 	h := fnv.New64a()
-	for _, r := range d.Batch {
+	for _, r := range rs {
 		binary.Write(h, binary.LittleEndian, r.ID)
 	}
-	p.log = append(p.log, ffDecision{inst: p.inst, now: it.Now, mode: d.Mode, merged: d.Merged, batch: h.Sum64()})
-	return d
+	return h.Sum64()
 }
 
 // logDecisions wraps every server's policy in a loggedPolicy.
@@ -84,11 +101,13 @@ func logDecisions(servers []*Server) {
 // ffCase is one configuration of the differential test. run replays it
 // once, fresh, with its trace rows going to rec, and returns the
 // instances that served it. windows says whether fast-forward must run
-// windows in it: a run that preempts or autoscales permits none.
+// windows in it: a run that preempts or autoscales permits none. skips
+// says whether those windows must skip Decide calls: a deadline under
+// urgency-weighted credit lets no decision hold.
 type ffCase struct {
-	name    string
-	windows bool
-	run     func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server)
+	name           string
+	windows, skips bool
+	run            func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server)
 }
 
 // withFastForward runs fn with fast-forward on or off.
@@ -126,8 +145,9 @@ func runFFCase(t *testing.T, c ffCase) ffOutcome {
 }
 
 // compareFF fails t on the first difference between the per-iteration
-// reference and the fast-forwarded run.
-func compareFF(t *testing.T, ref, got ffOutcome) {
+// reference and the fast-forwarded run, and reports which of the
+// reference's Decide calls the fast run skipped (see compareDecides).
+func compareFF(t *testing.T, ref, got ffOutcome) []bool {
 	t.Helper()
 	if ref.digest != got.digest {
 		t.Errorf("report digest %s with fast-forward, %s without", got.digest, ref.digest)
@@ -140,17 +160,58 @@ func compareFF(t *testing.T, ref, got ffOutcome) {
 			t.Fatalf("request %d: %+v with fast-forward, %+v without", ref.reqs[i].ID, got.reqs[i], ref.reqs[i])
 		}
 	}
-	if len(ref.decides) != len(got.decides) {
-		t.Fatalf("%d decisions with fast-forward, %d without", len(got.decides), len(ref.decides))
-	}
-	for i := range ref.decides {
-		if ref.decides[i] != got.decides[i] {
-			t.Fatalf("decision %d: %+v with fast-forward, %+v without", i, got.decides[i], ref.decides[i])
-		}
-	}
+	skipped := compareDecides(t, ref.decides, got.decides)
 	if !bytes.Equal(ref.trace, got.trace) {
 		t.Errorf("trace JSONL differs (%d bytes with fast-forward, %d without)", len(got.trace), len(ref.trace))
 	}
+	return skipped
+}
+
+// compareDecides requires the fast run's Decide calls (got) to be a
+// subsequence of the reference's, at the same instance and time and
+// with equal decisions, Hold included, and every reference call the
+// fast run skipped to have returned the decision the fast run held on
+// that instance at that point: its last call there. Both logs list each
+// instance's calls together, in order, and an instance asks at most
+// once per virtual time. skipped[i] reports whether the fast run
+// skipped ref[i].
+func compareDecides(t *testing.T, ref, got []ffDecision) (skipped []bool) {
+	t.Helper()
+	skipped = make([]bool, len(ref))
+	j := 0
+	var held *ffDecision
+	for i, r := range ref {
+		if held != nil && held.inst != r.inst {
+			held = nil
+		}
+		if j < len(got) && got[j].inst == r.inst && got[j].now == r.now {
+			if got[j] != r {
+				t.Fatalf("decision %d: %+v with fast-forward, %+v without", i, got[j], r)
+			}
+			held = &got[j]
+			j++
+			continue
+		}
+		if held == nil || held.ffChoice != r.ffChoice {
+			t.Fatalf("decision %d: %+v without fast-forward was skipped, but the fast run held %+v", i, r, held)
+		}
+		skipped[i] = true
+	}
+	if j < len(got) {
+		t.Fatalf("fast-forward asked %+v, which the reference never asked", got[j])
+	}
+	return skipped
+}
+
+// countTrue counts the set flags.
+func countTrue(flags []bool) int {
+	n := 0
+	for _, f := range flags {
+		if f {
+			n++
+		}
+	}
+	return n
 }
 
 // clusterFF runs cl over tr with rec installed.
@@ -174,15 +235,15 @@ func standaloneFF(t *testing.T, kind SystemKind, tr workload.Trace, rec *trace.R
 }
 
 var ffCases = []ffCase{
-	{"managed/fleet-registry", true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+	{"managed/fleet-registry", true, true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
 		cl, tr := goldenFleetCluster(t)
 		return clusterFF(t, cl, tr, rec, cl.Run)
 	}},
-	{"managed/multi-tenant/preempt", false, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+	{"managed/multi-tenant/preempt", false, false, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
 		cl := preemptCluster(t, 2)
 		return clusterFF(t, cl, adversarialTrace(7, 600), rec, cl.Run)
 	}},
-	{"managed/multi-tenant/autoscale", false, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+	{"managed/multi-tenant/autoscale", false, false, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
 		cfg := SchedulingConfig{
 			Tenants:   tenantClasses(),
 			FairShare: true,
@@ -195,25 +256,25 @@ var ffCases = []ffCase{
 		}
 		return clusterFF(t, cl, workload.GenMultiTenant(workload.DefaultMultiTenant(6*time.Second, 3, 37)), rec, cl.Run)
 	}},
-	{"unmanaged/least-loaded/timeline", true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+	{"unmanaged/least-loaded/timeline", true, true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
 		cl, err := NewClusterWithDispatch(4, NewLeastLoaded(), swapConstrained(lmm.QwenVL7B()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return clusterFF(t, cl, skewedSwapTrace(23), rec, cl.Run)
 	}},
-	{"unmanaged/round-robin/partitioned", true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+	{"unmanaged/round-robin/partitioned", true, true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
 		cl := goldenCluster(t, NewRoundRobin())
 		tr := workload.GenRetrieval(workload.DefaultRetrieval(24, 10*time.Second, 8, 0.6, 5))
 		return clusterFF(t, cl, tr, rec, func(tr workload.Trace) (*Report, error) { return cl.runPartitioned(tr, 2) })
 	}},
-	{"standalone/retrieval", true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+	{"standalone/retrieval", true, true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
 		return standaloneFF(t, SystemVaLoRA, shortRetrieval(42), rec)
 	}},
-	{"standalone/retrieval/dLoRA", true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+	{"standalone/retrieval/dLoRA", true, true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
 		return standaloneFF(t, SystemDLoRA, shortRetrieval(43), rec)
 	}},
-	{"standalone/deadline-credit", true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+	{"standalone/deadline-credit", true, false, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
 		// Urgency-weighted credit reorders the batch once a deadline
 		// nears, so windows end on decisions that do not repeat.
 		opts, err := SystemOptions(SystemVaLoRA, simgpu.A100(), lmm.QwenVL7B())
@@ -238,8 +299,11 @@ var ffCases = []ffCase{
 		logDecisions([]*Server{srv})
 		return mustReport(t)(srv.Run(tr)), tr, []*Server{srv}
 	}},
+	{"standalone/retrieval/S-LoRA", true, true, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+		return standaloneFF(t, SystemSLoRA, shortRetrieval(44), rec)
+	}},
 	// Video requests emit one token each: no decode, so no window.
-	{"standalone/video", false, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+	{"standalone/video", false, false, func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
 		return standaloneFF(t, SystemSLoRA, workload.GenVideo(workload.DefaultVideo(4, 5*time.Second, 8, 0.6, 9)), rec)
 	}},
 }
@@ -252,7 +316,7 @@ func TestFastForwardMatchesPerIteration(t *testing.T) {
 			var ref, got ffOutcome
 			withFastForward(false, func() { ref = runFFCase(t, c) })
 			withFastForward(true, func() { got = runFFCase(t, c) })
-			compareFF(t, ref, got)
+			skipped := countTrue(compareFF(t, ref, got))
 			if len(ref.trace) == 0 {
 				t.Error("the case wrote no trace rows")
 			}
@@ -262,8 +326,54 @@ func TestFastForwardMatchesPerIteration(t *testing.T) {
 			if c.windows != (got.light > 0) {
 				t.Errorf("%d light iterations with fast-forward on; want windows: %v", got.light, c.windows)
 			}
+			if c.skips != (skipped > 0) {
+				t.Errorf("fast-forward skipped %d of %d Decide calls; want skips: %v", skipped, len(ref.decides), c.skips)
+			}
 		})
 	}
+	t.Run("standalone/hold-runs-out", func(t *testing.T) {
+		// 32 long decodes on one adapter serve merged, and each decode
+		// iteration grows from about 14.5 to 16 ms. θ = 40 ms holds a
+		// merged decision while the last iteration took at most
+		// θ − EstExec − SwitchLat = 15 ms, so mid-window the hold runs
+		// out, the window asks again, and every member starves.
+		c := ffCase{run: func(t *testing.T, rec *trace.Recorder) (*Report, workload.Trace, []*Server) {
+			opts, err := SystemOptions(SystemVaLoRA, simgpu.A100(), lmm.QwenVL7B())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := sched.NewVaLoRAPolicy()
+			p.Theta = 40 * time.Millisecond
+			opts.Policy = p
+			srv, err := NewServer(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tr workload.Trace
+			for i := range srv.opts.MaxBatch {
+				tr = append(tr, &sched.Request{ID: int64(i + 1), AdapterID: 1, InputTokens: 300, OutputTokens: 200 + i})
+			}
+			srv.SetTraceRecorder(rec)
+			logDecisions([]*Server{srv})
+			return mustReport(t)(srv.Run(tr)), tr, []*Server{srv}
+		}}
+		var ref, got ffOutcome
+		withFastForward(false, func() { ref = runFFCase(t, c) })
+		withFastForward(true, func() { got = runFFCase(t, c) })
+		skipped := compareFF(t, ref, got)
+		// The flip: a held merged decision, skipped by the window, then
+		// the call where the hold ran out, which the window made.
+		flips := 0
+		for i := 1; i < len(ref.decides); i++ {
+			prev, d := ref.decides[i-1], ref.decides[i]
+			if prev.hold > 0 && prev.mode == lora.ModeMerged && skipped[i-1] && d.hold == 0 && d.mode != lora.ModeMerged && !skipped[i] {
+				flips++
+			}
+		}
+		if flips == 0 {
+			t.Errorf("no window asked again when its hold ran out (%d of %d calls skipped)", countTrue(skipped), len(ref.decides))
+		}
+	})
 	t.Run("standalone/arrival-at-iteration-start", func(t *testing.T) {
 		// A window must stop before an iteration that starts exactly
 		// at an arrival: the per-iteration engine ingests it first.
@@ -352,18 +462,20 @@ func steadyDecodeTrace() workload.Trace {
 
 // BenchmarkStepSteadyDecode drains a standalone VaLoRA instance through
 // steadyDecodeTrace with fast-forward on and off, and reports the
-// wall-clock cost per virtual iteration.
+// wall-clock cost and the policy's Decide calls per virtual iteration.
 func BenchmarkStepSteadyDecode(b *testing.B) {
 	for _, on := range []bool{true, false} {
 		b.Run(fmt.Sprintf("fast-forward=%v", on), func(b *testing.B) {
 			withFastForward(on, func() {
-				iters := 0
+				iters, decides := 0, 0
 				for range b.N {
 					b.StopTimer()
 					srv, err := NewSystem(SystemVaLoRA, simgpu.A100(), lmm.QwenVL7B())
 					if err != nil {
 						b.Fatal(err)
 					}
+					p := &countedPolicy{Policy: srv.opts.Policy}
+					srv.opts.Policy = p
 					tr := steadyDecodeTrace()
 					b.StartTimer()
 					rep, err := srv.Run(tr)
@@ -371,9 +483,22 @@ func BenchmarkStepSteadyDecode(b *testing.B) {
 						b.Fatal(err)
 					}
 					iters += rep.Iterations
+					decides += p.calls
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iteration")
+				b.ReportMetric(float64(decides)/float64(iters), "decides/iteration")
 			})
 		})
 	}
+}
+
+// countedPolicy counts the Decide calls of the policy it wraps.
+type countedPolicy struct {
+	sched.Policy
+	calls int
+}
+
+func (p *countedPolicy) Decide(it sched.Iteration) sched.Decision {
+	p.calls++
+	return p.Policy.Decide(it)
 }

@@ -248,6 +248,11 @@ type Server struct {
 	// reached the instance meanwhile sits in pending, which bounds the
 	// window again.
 	steady bool
+	// hold is the Hold of the decision a window last asked for, or -1
+	// when a window has asked nothing yet: while the gap since the
+	// members were last scheduled stays within it, the policy would
+	// decide the same again, so the window does not ask.
+	hold time.Duration
 	// lightIters counts the iterations windows ran.
 	lightIters int
 }
@@ -553,7 +558,8 @@ func (s *Server) Step() (bool, error) {
 	}
 	if s.last.load.DecodeSeqs == len(batch) && len(batch) == len(s.active) && !fastForwardOff {
 		// Decode-only and nothing finished: the next iteration may
-		// repeat this one.
+		// repeat this one. A new window asks the policy first.
+		s.hold = -1
 		if _, err := s.fastForward(batch); err != nil {
 			return false, err
 		}
@@ -759,17 +765,23 @@ func (s *Server) charge(base, extra time.Duration) time.Duration {
 // full stages reduce to effects a light iteration adds directly: one
 // GPU tier hit per resolved adapter when a store is attached, the
 // context each decode added, and the last iteration's LoRA cost, which
-// depends only on the unchanged groups and state. The policy still
-// decides every iteration; a decision that is not a repeat is carried
-// into the next Step, which serves it in full at the same virtual time.
+// depends only on the unchanged groups and state.
+//
+// The window asks the policy at its first iteration, and again only
+// once the gap since the members were last scheduled exceeds the hold
+// of the decision it last got (see sched.Decision.Hold): nothing else
+// the policy reads changes inside a window. A decision that is not a
+// repeat is carried into the next Step, which serves it in full at the
+// same virtual time.
 //
 // The window stops before the horizon: the instance's next pending
 // arrival, or the installed bound on outside events, whichever is
 // earlier. An iteration starting there could see an arrival or a
 // placement that the per-iteration engine would deliver first. A
 // window that only the horizon stopped leaves steady set, and the next
-// Step goes on with it from the same snapshot: anything that reached
-// the instance meanwhile is due in pending and stops it again.
+// Step goes on with it from the same snapshot, under the same hold:
+// anything that reached the instance meanwhile is due in pending and
+// stops it again.
 //
 //valora:hotpath
 func (s *Server) fastForward(batch []*sched.Request) (int, error) {
@@ -816,10 +828,13 @@ func (s *Server) fastForward(batch []*sched.Request) (int, error) {
 		if s.kv.FreeBlocks() < n {
 			break
 		}
-		d := s.opts.Policy.Decide(s.iteration(now))
-		if !s.repeats(d) {
-			s.carryOver(d)
-			break
+		if now-s.active[0].LastSchedule > s.hold {
+			d := s.opts.Policy.Decide(s.iteration(now))
+			if !s.repeats(d) {
+				s.carryOver(d)
+				break
+			}
+			s.hold = d.Hold
 		}
 		s.last.load.ContextTokens += n
 		s.report.GPUTierHits += hits
